@@ -21,12 +21,9 @@ package core
 
 import (
 	"crypto/sha256"
-	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
-	"sync/atomic"
 
 	"ppcd/internal/ff64"
 	"ppcd/internal/linalg"
@@ -87,62 +84,18 @@ var (
 	errDegenerate = errors.New("core: degenerate X (first entry followed by zeros); retry")
 )
 
-// prefixAbsorptions counts how many times a CSS prefix r_1‖…‖r_m was fed
-// into SHA-256 — once per HashRow call, but only once per NewRowHasher no
-// matter how many nonces the row is hashed against. White-box tests assert
-// the drop.
-var prefixAbsorptions atomic.Uint64
-
 // HashRow computes a_j = H(r_1 ‖ r_2 ‖ … ‖ r_m ‖ z) mapped into F_q. The
 // hash H is SHA-256 modelled as a random oracle (paper §VI-B); the first 8
-// bytes of the digest are reduced into the field. Callers hashing one row
-// against many nonces should use RowHasher, which absorbs the CSS prefix
-// only once.
+// bytes of the digest are reduced into the field. This is the definition of
+// H and the reference the tests hold HashRows to; code that fills matrix
+// entries calls HashRows.
 func HashRow(css []CSS, z []byte) ff64.Elem {
-	prefixAbsorptions.Add(1)
 	h := sha256.New()
 	for _, r := range css {
 		h.Write(r.Bytes())
 	}
 	h.Write(z)
 	digest := h.Sum(nil)
-	return ff64.New(binary.BigEndian.Uint64(digest[:8]))
-}
-
-// RowHasher computes a_j = H(r_1 ‖ … ‖ r_m ‖ z_j) for one fixed CSS row
-// across many nonces. The prefix r_1‖…‖r_m is identical for every nonce, so
-// the hasher absorbs it once and clones the SHA-256 midstate per nonce (via
-// the hash's encoding.BinaryMarshaler state) instead of rehashing the prefix
-// each time. A RowHasher is not safe for concurrent use; the rekey engine
-// creates one per (row, goroutine).
-type RowHasher struct {
-	state []byte
-	h     hash.Hash
-	buf   [sha256.Size]byte
-}
-
-// NewRowHasher absorbs the row's CSS prefix once.
-func NewRowHasher(css []CSS) *RowHasher {
-	prefixAbsorptions.Add(1)
-	h := sha256.New()
-	for _, r := range css {
-		h.Write(r.Bytes())
-	}
-	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil {
-		// crypto/sha256's marshaler cannot fail.
-		panic(fmt.Sprintf("core: sha256 midstate marshal: %v", err))
-	}
-	return &RowHasher{state: state, h: h}
-}
-
-// Hash returns H(prefix ‖ z) reduced into F_q.
-func (rh *RowHasher) Hash(z []byte) ff64.Elem {
-	if err := rh.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(rh.state); err != nil {
-		panic(fmt.Sprintf("core: sha256 midstate restore: %v", err))
-	}
-	rh.h.Write(z)
-	digest := rh.h.Sum(rh.buf[:0])
 	return ff64.New(binary.BigEndian.Uint64(digest[:8]))
 }
 
@@ -157,10 +110,7 @@ func KEV(css []CSS, hdr *Header) (linalg.Vector, error) {
 	}
 	v := linalg.NewVector(len(hdr.Zs) + 1)
 	v[0] = ff64.One
-	rh := NewRowHasher(css)
-	for j, z := range hdr.Zs {
-		v[j+1] = rh.Hash(z)
-	}
+	HashRows(v[1:], css, hdr.Zs)
 	return v, nil
 }
 

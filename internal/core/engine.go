@@ -349,13 +349,9 @@ func (e *Engine) RekeyAll(specs []ConfigSpec) (map[string]ConfigKeys, error) {
 
 	// One nonce sequence for the whole session; a configuration with
 	// capacity n uses the prefix z_1…z_n.
-	zs := make([][]byte, maxN)
-	for j := range zs {
-		z := make([]byte, NonceSize)
-		if err := fillRandom(z); err != nil {
-			return nil, err
-		}
-		zs[j] = z
+	zs, err := drawNonces(maxN)
+	if err != nil {
+		return nil, err
 	}
 
 	// Deduplicate row groups across the dirty configurations: each policy's
@@ -436,10 +432,7 @@ func (e *Engine) hashGroups(groups []RowGroup, groupN map[string]int, zs [][]byt
 					return
 				}
 				v := linalg.NewVector(nz)
-				rh := NewRowHasher(css)
-				for j := 0; j < nz; j++ {
-					v[j] = rh.Hash(zs[j])
-				}
+				HashRows(v, css, zs[:nz])
 				rows[i] = v
 			}
 			mu.Lock()

@@ -128,13 +128,9 @@ func (e *Engine) RekeyAllGrouped(specs []GroupedConfigSpec) (map[string]GroupedC
 	// One nonce sequence for all shards solved this session; a shard of n
 	// rows uses the prefix z_1…z_n (the same cross-system nonce sharing the
 	// ungrouped engine applies across configurations).
-	zs := make([][]byte, maxN)
-	for j := range zs {
-		z := make([]byte, NonceSize)
-		if err := fillRandom(z); err != nil {
-			return nil, err
-		}
-		zs[j] = z
+	zs, err := drawNonces(maxN)
+	if err != nil {
+		return nil, err
 	}
 
 	type solvedShard struct {
@@ -204,10 +200,7 @@ func (e *Engine) solveShard(sh ShardSpec, zs [][]byte, sc *solveScratch) (*Heade
 		}
 		row := a.Row(i)
 		row[0] = ff64.One
-		rh := NewRowHasher(css)
-		for j := 0; j < n; j++ {
-			row[j+1] = rh.Hash(zs[j])
-		}
+		HashRows(row[1:], css, zs[:n])
 	}
 	e.stats.solves.Add(1)
 	y, err := a.RandomKernelVectorBlocked(sc.ws)

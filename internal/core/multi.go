@@ -84,23 +84,33 @@ func BuildMulti(rows [][]CSS, n, count int) ([]*Header, []ff64.Elem, error) {
 
 // buildMatrix draws the nonces and assembles the subscriber matrix A.
 func buildMatrix(rows [][]CSS, n int) ([][]byte, *linalg.Matrix, error) {
-	zs := make([][]byte, n)
-	for j := range zs {
-		z := make([]byte, NonceSize)
-		if err := fillRandom(z); err != nil {
-			return nil, nil, err
-		}
-		zs[j] = z
+	zs, err := drawNonces(n)
+	if err != nil {
+		return nil, nil, err
 	}
 	a := linalg.NewMatrix(len(rows), n+1)
 	for i, css := range rows {
-		a.Set(i, 0, ff64.One)
-		rh := NewRowHasher(css)
-		for j, z := range zs {
-			a.Set(i, j+1, rh.Hash(z))
-		}
+		row := a.Row(i)
+		row[0] = ff64.One
+		HashRows(row[1:], css, zs)
 	}
 	return zs, a, nil
+}
+
+// drawNonces draws n session nonces with one read of the system's random
+// source into one buffer. zs[j] is a window of that buffer capped at its own
+// 16 bytes, so the nonces sit contiguously in memory for the row-hash kernel
+// and an append to one cannot reach the next. Headers only ever read them.
+func drawNonces(n int) ([][]byte, error) {
+	buf := make([]byte, n*NonceSize)
+	if err := fillRandom(buf); err != nil {
+		return nil, err
+	}
+	zs := make([][]byte, n)
+	for j := range zs {
+		zs[j] = buf[j*NonceSize : (j+1)*NonceSize : (j+1)*NonceSize]
+	}
+	return zs, nil
 }
 
 // KEVCache caches a subscriber's key extraction vector for one nonce set so

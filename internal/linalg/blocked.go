@@ -91,12 +91,15 @@ func (ws *Workspace) accumulators(n int) (hi, lo []uint64) {
 // the negated elimination multipliers — dead storage for readers of the
 // echelon form, which only ever look at row r from its own pivot column
 // rightward. The returned slice is workspace-owned and valid until the next
-// factorization through the same workspace.
+// factorization through the same workspace; ws.invs receives each pivot's
+// inverse in the same order (a pivot entry is final once its panel step has
+// run, and back-substitution needs the inverse again).
 //
 //ppcd:hotpath
 func (m *Matrix) blockedEchelon(ws *Workspace) []int {
 	rows, cols := m.Rows, m.Cols
 	ws.pivots = ws.pivots[:0]
+	ws.invs = ws.invs[:0]
 	r := 0
 	for c0 := 0; c0 < cols && r < rows; c0 += panelWidth {
 		c1 := c0 + panelWidth
@@ -134,6 +137,7 @@ func (m *Matrix) blockedEchelon(ws *Workspace) []int {
 				}
 			}
 			ws.pivots = append(ws.pivots, c)
+			ws.invs = append(ws.invs, inv)
 			r++
 		}
 
@@ -206,10 +210,6 @@ func (ws *Workspace) Factorize(m *Matrix) (*KernelSampler, error) {
 			continue
 		}
 		ws.free = append(ws.free, c)
-	}
-	ws.invs = ws.invs[:0]
-	for r, c := range pivots {
-		ws.invs = append(ws.invs, ff64.MustInv(m.data[r*m.Cols+c]))
 	}
 	return &KernelSampler{m: m, ws: ws}, nil
 }
