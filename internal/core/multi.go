@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
@@ -98,19 +99,45 @@ func buildMatrix(rows [][]CSS, n int) ([][]byte, *linalg.Matrix, error) {
 }
 
 // drawNonces draws n session nonces with one read of the system's random
-// source into one buffer. zs[j] is a window of that buffer capped at its own
-// 16 bytes, so the nonces sit contiguously in memory for the row-hash kernel
-// and an append to one cannot reach the next. Headers only ever read them.
+// source into one buffer, windowed by NonceRun so the nonces sit contiguously
+// in memory for the row-hash kernel. Headers only ever read them.
 func drawNonces(n int) ([][]byte, error) {
 	buf := make([]byte, n*NonceSize)
 	if err := fillRandom(buf); err != nil {
 		return nil, err
 	}
+	return NonceRun(buf, n, NonceSize), nil
+}
+
+// NonceRun views a flat buffer of n nonces of size bytes each as a nonce
+// run: zs[j] is a window of buf capped at its own bytes, so an append to one
+// nonce cannot reach the next. A session's headers each hold a prefix
+// zs[:k:k] of one run — on the publisher that drew it and on every receiver
+// that decoded it from a stream frame's run table.
+func NonceRun(buf []byte, n, size int) [][]byte {
 	zs := make([][]byte, n)
 	for j := range zs {
-		zs[j] = buf[j*NonceSize : (j+1)*NonceSize : (j+1)*NonceSize]
+		zs[j] = buf[j*size : (j+1)*size : (j+1)*size]
 	}
-	return zs, nil
+	return zs
+}
+
+// SameNonces reports whether two nonce sequences are equal by content.
+// Sequences that are windows of one run (the same backing array from the
+// same position) are recognised without looking at the nonces.
+func SameNonces(a, b [][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	for j := range a {
+		if !bytes.Equal(a[j], b[j]) {
+			return false
+		}
+	}
+	return true
 }
 
 // KEVCache caches a subscriber's key extraction vector for one nonce set so

@@ -64,6 +64,16 @@ func TestRingRetentionAndCatchup(t *testing.T) {
 		t.Fatalf("entry 10 delta against %d (nil=%v), want 9", cur.prevEpoch, cur.delta == nil)
 	}
 
+	// The ring retains the frames it marshals in buffers of exactly their
+	// size — the codec sizes a frame before it writes it — so a retained
+	// epoch pins its frames and nothing grown past them.
+	for _, ent := range r.entries {
+		if cap(ent.snapshot) != len(ent.snapshot) || cap(ent.delta) != len(ent.delta) {
+			t.Fatalf("epoch %d retains %d/%d snapshot and %d/%d delta bytes (len/cap)", ent.epoch,
+				len(ent.snapshot), cap(ent.snapshot), len(ent.delta), cap(ent.delta))
+		}
+	}
+
 	// Already current: nothing to send.
 	if got := r.catchup(cur, 10, 7); got != nil {
 		t.Fatal("current subscriber got a catch-up frame")

@@ -20,7 +20,7 @@ type entry struct {
 	epoch uint64
 	doc   string
 	b     *pubsub.Broadcast
-	// snapshot is the v3 snapshot frame; delta the v3 delta frame against
+	// snapshot is the snapshot frame; delta the delta frame against
 	// the previous retained epoch of the same document (nil for the first),
 	// with prevEpoch naming that base.
 	snapshot  []byte

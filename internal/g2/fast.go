@@ -277,7 +277,7 @@ func (fc *fastCurve) identity() fdiv {
 	return fdiv{u: fpOne(fc.fld), v: fpZero()}
 }
 
-func (fc *fastCurve) isIdentity(d fdiv) bool {
+func (fc *fastCurve) isIdentity(d *fdiv) bool {
 	return d.u.isOne(fc.fld) && d.v.isZero()
 }
 
@@ -293,10 +293,10 @@ func (fc *fastCurve) neg(d fdiv) fdiv {
 // the fallback for the non-generic shapes the one-inversion path in
 // lane.go does not cover — and as its in-package differential reference.
 func (fc *fastCurve) addCantor(d1, d2 fdiv) fdiv {
-	if fc.isIdentity(d1) {
+	if fc.isIdentity(&d1) {
 		return d2
 	}
-	if fc.isIdentity(d2) {
+	if fc.isIdentity(&d2) {
 		return d1
 	}
 	f := fc.fld
@@ -361,7 +361,7 @@ func wnafDigits(k *big.Int, w uint) []int8 {
 // it is reduced modulo the Jacobian order first.
 func (fc *fastCurve) exp(d fdiv, k *big.Int) fdiv {
 	kk := new(big.Int).Mod(k, fc.order)
-	if kk.Sign() == 0 || fc.isIdentity(d) {
+	if kk.Sign() == 0 || fc.isIdentity(&d) {
 		return fc.identity()
 	}
 	// Odd multiples d, 3d, …, 15d.
@@ -374,7 +374,7 @@ func (fc *fastCurve) exp(d fdiv, k *big.Int) fdiv {
 	digits := wnafDigits(kk, wnafWidth)
 	acc := fc.identity()
 	for i := len(digits) - 1; i >= 0; i-- {
-		if !fc.isIdentity(acc) {
+		if !fc.isIdentity(&acc) {
 			acc = fc.add(acc, acc)
 		}
 		if dg := digits[i]; dg > 0 {

@@ -7,6 +7,7 @@ import (
 	mrand "math/rand"
 	"testing"
 
+	"ppcd/internal/ff128"
 	"ppcd/internal/group"
 )
 
@@ -166,5 +167,237 @@ func TestOneInversionAddDifferential(t *testing.T) {
 				t.Fatalf("one-inversion add diverges from Cantor:\n a=%v\n b=%v", pr[0], pr[1])
 			}
 		}
+	}
+}
+
+// translateCurve returns the fast engine of the paper curve moved by
+// x → x + t: f̃(x) = f(x + t), whose x⁴ coefficient is 5t. The paper curve
+// itself has f₄ = 0 and never exercises the f₄ terms of the group law.
+func translateCurve(t *testing.T, c *Curve, shift int64) *fastCurve {
+	t.Helper()
+	q := c.field.P()
+	// Horner in (x + t): p ← p·(x + t) + fᵢ, from the monic top down.
+	p := []*big.Int{big.NewInt(1)}
+	for i := 4; i >= 0; i-- {
+		next := make([]*big.Int, len(p)+1)
+		for j := range next {
+			next[j] = new(big.Int)
+			if j > 0 {
+				next[j].Set(p[j-1])
+			}
+			if j < len(p) {
+				next[j].Add(next[j], new(big.Int).Mul(p[j], big.NewInt(shift)))
+			}
+		}
+		next[0].Add(next[0], c.fast.fld.ToBig(c.fast.f.c[i]))
+		for j := range next {
+			next[j].Mod(next[j], q)
+		}
+		p = next
+	}
+	if p[5].Cmp(big.NewInt(1)) != 0 || p[4].Sign() == 0 {
+		t.Fatalf("translated f = %v: want monic with f₄ ≠ 0", p)
+	}
+	fc := newFastCurve(q, [5]*big.Int(p[:5]), c.order)
+	if fc == nil {
+		t.Fatal("translated curve has no fast engine")
+	}
+	return fc
+}
+
+// translateDiv maps a divisor along x → x + t: (u(x), v(x)) ↦ (u(x+t), v(x+t)).
+func translateDiv(f *ff128.Field, d fdiv, shift int64) fdiv {
+	t := f.FromUint64(uint64(shift))
+	out := d
+	switch d.u.deg {
+	case 2:
+		out.u.c[0] = f.Add(f.Add(f.Sq(t), f.Mul(d.u.c[1], t)), d.u.c[0])
+		out.u.c[1] = f.Add(f.Double(t), d.u.c[1])
+	case 1:
+		out.u.c[0] = f.Add(t, d.u.c[0])
+	}
+	if d.v.deg == 1 {
+		out.v.c[0] = f.Add(f.Mul(d.v.c[1], t), d.v.c[0])
+	}
+	return out
+}
+
+// TestTranslatedCurveAddDifferential runs the explicit group law where
+// f₄ ≠ 0: on the translated curve add must agree with Cantor's algorithm,
+// and both with the translate of the sum taken on the paper curve.
+func TestTranslatedCurveAddDifferential(t *testing.T) {
+	c := MustPaperCurve()
+	slow := c.withoutFast()
+	fc := c.fast
+	const shift = 3
+	ft := translateCurve(t, c, shift)
+	for i := 0; i < 40; i++ {
+		a := c.toFast(randDivisor(t, slow))
+		b := c.toFast(randDivisor(t, slow))
+		for _, pr := range [][2]fdiv{{a, b}, {a, a}, {b, a}, {a, fc.neg(a)}} {
+			ta, tb := translateDiv(fc.fld, pr[0], shift), translateDiv(fc.fld, pr[1], shift)
+			if !ft.isValid(ta) || !ft.isValid(tb) {
+				t.Fatal("translated divisor is not on the translated curve")
+			}
+			got := ft.add(ta, tb)
+			if want := ft.addCantor(ta, tb); !fdivEqual(got, want) {
+				t.Fatalf("translated curve: add diverges from Cantor:\n a=%v\n b=%v", ta, tb)
+			}
+			if want := translateDiv(fc.fld, fc.add(pr[0], pr[1]), shift); !fdivEqual(got, want) {
+				t.Fatalf("translated curve: add is not the translate of the paper-curve sum:\n a=%v\n b=%v", pr[0], pr[1])
+			}
+		}
+	}
+}
+
+// curvePoint finds a point (x, y) of the curve at or after x = start.
+func curvePoint(t *testing.T, fc *fastCurve, start uint64) (x, y ff128.Elem) {
+	t.Helper()
+	f := fc.fld
+	for i := start; i < start+200; i++ {
+		x = f.FromUint64(i)
+		fx := fc.f.c[5]
+		for j := 4; j >= 0; j-- {
+			fx = f.Add(f.Mul(fx, x), fc.f.c[j])
+		}
+		if y, err := f.Sqrt(fx); err == nil && !y.IsZero() {
+			return x, y
+		}
+	}
+	t.Fatal("no curve point found")
+	return
+}
+
+// twoPointDiv is the reduced divisor P₁ + P₂ − 2∞ of two points with
+// distinct x: u = (x − x₁)(x − x₂), v the line through them.
+func twoPointDiv(t *testing.T, fc *fastCurve, x1, y1, x2, y2 ff128.Elem) fdiv {
+	t.Helper()
+	f := fc.fld
+	dxInv, err := f.Inv(f.Sub(x1, x2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d fdiv
+	d.u.deg = 2
+	d.u.c[0], d.u.c[1], d.u.c[2] = f.Mul(x1, x2), f.Neg(f.Add(x1, x2)), f.One()
+	d.v.deg = 1
+	d.v.c[1] = f.Mul(f.Sub(y1, y2), dxInv)
+	d.v.c[0] = f.Sub(y1, f.Mul(d.v.c[1], x1))
+	fpTrim(&d.v)
+	if !fc.isValid(d) {
+		t.Fatal("constructed divisor is not on the curve")
+	}
+	return d
+}
+
+// TestLaneCombineForcedFallbacks drives every non-generic shape through
+// laneCombine next to generic lanes, with the destination aliasing the
+// first input, the second, and both: a degree-1 operand, u₁ = u₂ with
+// v₁ ≠ ±v₂, operands sharing one root, an inverse pair, the identity on
+// either side.
+func TestLaneCombineForcedFallbacks(t *testing.T) {
+	c := MustPaperCurve()
+	slow := c.withoutFast()
+	fc := c.fast
+	f := fc.fld
+	x1, y1 := curvePoint(t, fc, 2)
+	x2, y2 := curvePoint(t, fc, 300)
+	x3, y3 := curvePoint(t, fc, 600)
+	var deg1 fdiv
+	deg1.u.deg = 1
+	deg1.u.c[0], deg1.u.c[1] = f.Neg(x1), f.One()
+	deg1.v.c[0] = y1
+	if !fc.isValid(deg1) {
+		t.Fatal("degree-1 divisor is not on the curve")
+	}
+	p12 := twoPointDiv(t, fc, x1, y1, x2, y2)
+	p12m := twoPointDiv(t, fc, x1, y1, x2, f.Neg(y2)) // same u, v ≠ ±v
+	p13 := twoPointDiv(t, fc, x1, y1, x3, y3)         // shares the root x₁
+	g1, g2 := c.toFast(randDivisor(t, slow)), c.toFast(randDivisor(t, slow))
+	id := fc.identity()
+
+	as := []fdiv{deg1, g1, p12, p12, g1, id, g1, deg1, g1, id}
+	bs := []fdiv{g1, deg1, p12m, p13, fc.neg(g1), g1, id, deg1, g2, id}
+	want := make([]fdiv, len(as))
+	wantDbl := make([]fdiv, len(as))
+	for i := range as {
+		want[i] = fc.addCantor(as[i], bs[i])
+		wantDbl[i] = fc.addCantor(as[i], as[i])
+		if !fc.isValid(want[i]) || !fc.isValid(wantDbl[i]) {
+			t.Fatalf("lane %d: Cantor reference is not a valid divisor", i)
+		}
+	}
+	ops := make([]laneOp, len(as))
+	zs := make([]ff128.Elem, 0, len(as))
+	clone := func(ds []fdiv) []fdiv { return append([]fdiv(nil), ds...) }
+	check := func(name string, got, want []fdiv) {
+		t.Helper()
+		for i := range got {
+			if !fdivEqual(got[i], want[i]) {
+				t.Errorf("%s, lane %d: laneCombine diverges from Cantor", name, i)
+			}
+		}
+	}
+	x, y := clone(as), clone(bs)
+	fc.laneCombine(x, x, y, ops, zs)
+	check("dst = a", x, want)
+	x, y = clone(as), clone(bs)
+	fc.laneCombine(y, x, y, ops, zs)
+	check("dst = b", y, want)
+	x = clone(as)
+	fc.laneCombine(x, x, x, ops, zs)
+	check("dst = a = b", x, wantDbl)
+	if ops[0].kind != laneFallback || ops[5].kind != laneDirect || ops[8].kind != laneGeneric {
+		t.Errorf("doubling pass classified lanes 0, 5, 8 as %v %v %v", ops[0].kind, ops[5].kind, ops[8].kind)
+	}
+	fc.laneCombine(clone(as), as, bs, ops, zs)
+	for i, k := range []laneKind{laneFallback, laneFallback, laneFallback, laneFallback, laneDirect, laneDirect, laneDirect, laneFallback, laneGeneric, laneDirect} {
+		if ops[i].kind != k {
+			t.Errorf("addition pass: lane %d classified %d, want %d", i, ops[i].kind, k)
+		}
+	}
+}
+
+// BenchmarkLaneExp times the lock-step kernel on one chunk of 64 lanes, with
+// one base shared by every lane (the subscriber's open path) and with
+// distinct bases (the publisher's compose path, which also builds a table
+// per lane), and reports the time per lane per group operation.
+func BenchmarkLaneExp(b *testing.B) {
+	c := MustPaperCurve()
+	const lanes = 64
+	distinct := make([]group.Element, lanes)
+	shared := make([]group.Element, lanes)
+	ks := make([]*big.Int, lanes)
+	opsShared := 0
+	for i := range ks {
+		k, err := rand.Int(rand.Reader, c.Order())
+		if err != nil {
+			b.Fatal(err)
+		}
+		ks[i] = k
+		distinct[i] = c.Exp(c.Generator(), big.NewInt(int64(1000+i)))
+		shared[i] = distinct[0]
+		dg := wnafDigits(k, wnafWidth)
+		opsShared += len(dg)
+		for _, d := range dg {
+			if d != 0 {
+				opsShared++
+			}
+		}
+	}
+	for _, bc := range []struct {
+		name  string
+		bases []group.Element
+		ops   int
+	}{
+		{"shared-base", shared, opsShared},
+		{"distinct-bases", distinct, opsShared + 8*lanes},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.LaneExp(bc.bases, ks)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.ops), "ns/lane-op")
+		})
 	}
 }

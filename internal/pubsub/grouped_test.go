@@ -6,11 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"ppcd/internal/benchutil"
+	"ppcd/internal/core"
 	"ppcd/internal/document"
+	"ppcd/internal/linalg"
 	"ppcd/internal/policy"
 )
 
@@ -309,6 +312,110 @@ func TestGroupedSubscriberKEVCacheAndHint(t *testing.T) {
 	}
 	if sub.kevMisses != missesAfterFirst {
 		t.Errorf("post-churn decrypt hashed %d fresh KEVs, want 0 (clean shard)", sub.kevMisses-missesAfterFirst)
+	}
+}
+
+func TestColdGroupedScanHashesOncePerRun(t *testing.T) {
+	// The shards of one session hold prefixes of one nonce run, and a KEV
+	// over a prefix is a prefix of the KEV over the run: a cold subscriber
+	// scanning for its shard hashes its row once, not once per shard —
+	// whether the headers share the run's memory (the publisher's, or one
+	// decoded stream frame's) or only its content.
+	params, mgr := testEnv(t)
+	acps, doc, state, err := benchutil.Workload(7, 1, 7, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := NewPublisher(params, mgr.PublicKey(), acps, Options{Ell: 8, GroupSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.ImportState(state); err != nil {
+		t.Fatal(err)
+	}
+	var sf struct {
+		Table map[string]map[string]uint64 `json:"table"`
+	}
+	if err := json.Unmarshal(state, &sf); err != nil {
+		t.Fatal(err)
+	}
+	b, err := pub.Publish(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := b.Configs[0].Grouped
+	if len(g.Shards) != 4 || g.Shards[3].Hdr.N() >= g.Shards[0].Hdr.N() {
+		t.Fatalf("want four shards, the last one shorter; got %d", len(g.Shards))
+	}
+	// pn-6 sits alone in the last shard: the scan tries every shard before.
+	sub := subFromRow(t, "pn-6", sf.Table["pn-6"])
+	if got, _ := sub.Decrypt(b); len(got) != 1 {
+		t.Fatalf("decrypt got %d subdocs", len(got))
+	}
+	if sub.kevMisses != 1 {
+		t.Errorf("cold scan over four same-session shards hashed %d KEVs, want 1", sub.kevMisses)
+	}
+
+	// The same broadcast with every header cloned apart: equal runs by
+	// content, no shared memory. Still one hashing for a cold subscriber.
+	apart := *b
+	apart.Configs = append([]ConfigInfo(nil), b.Configs...)
+	ag := *g
+	ag.Shards = append([]core.GroupShard(nil), g.Shards...)
+	for i := range ag.Shards {
+		ag.Shards[i].Hdr = ag.Shards[i].Hdr.Clone()
+	}
+	apart.Configs[0].Grouped = &ag
+	cold := subFromRow(t, "pn-6", sf.Table["pn-6"])
+	if got, _ := cold.Decrypt(&apart); len(got) != 1 {
+		t.Fatalf("decrypt of cloned headers got %d subdocs", len(got))
+	}
+	if cold.kevMisses != 1 {
+		t.Errorf("cold scan over cloned same-session shards hashed %d KEVs, want 1", cold.kevMisses)
+	}
+
+	// A header that opens with the run's first nonce and then departs from
+	// it is not served the run's vector.
+	row, _ := sub.rowFor(b.Policies[0])
+	forged := g.Shards[0].Hdr.Clone()
+	forged.Zs[1][0] ^= 1
+	kev, err := sub.cachedKEV(row, forged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := core.KEV(row, forged)
+	if sub.kevMisses != 2 || !reflect.DeepEqual(kev, want) {
+		t.Errorf("a header sharing only the first nonce was served from the cache (misses %d)", sub.kevMisses)
+	}
+}
+
+func TestKEVCacheBoundedByBytes(t *testing.T) {
+	// Every rekey session brings a fresh run, and a cache entry keeps its
+	// run alive: the cache is bounded by the bytes it holds, not by a count
+	// of entries whose size grows with N.
+	sub, err := NewSubscriber("pn-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := []core.CSS{3, 5}
+	const n = 512
+	for session := 0; session < 200; session++ {
+		buf := make([]byte, n*core.NonceSize)
+		buf[0], buf[1] = byte(session), byte(session>>8)
+		hdr := &core.Header{X: make(linalg.Vector, n+1), Zs: core.NonceRun(buf, n, core.NonceSize)}
+		if _, err := sub.cachedKEV(row, hdr); err != nil {
+			t.Fatal(err)
+		}
+		held := 0
+		for _, c := range sub.kev {
+			held += c.bytes()
+		}
+		if held != sub.kevBytes || held > maxKEVCacheBytes {
+			t.Fatalf("session %d: cache holds %d bytes, accounts for %d, bound %d", session, held, sub.kevBytes, maxKEVCacheBytes)
+		}
+	}
+	if sub.kevMisses != 200 || len(sub.kev) == 0 {
+		t.Fatalf("misses %d, entries %d", sub.kevMisses, len(sub.kev))
 	}
 }
 

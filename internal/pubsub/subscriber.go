@@ -1,7 +1,6 @@
 package pubsub
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -47,12 +46,15 @@ type Subscriber struct {
 	tokens map[string]tokenSecret // by tag
 	css    map[string]core.CSS    // by condition ID
 
-	// kev caches key extraction vectors by (CSS row, nonce set) digest
-	// (§VIII-D, receiver half): shared-nonce sessions, steady-state
-	// republish and the clean shards of grouped headers hash each row once,
-	// then every later derivation is a single inner product. kevMisses
-	// counts fresh hashings (white-box test observability).
-	kev       map[[32]byte]linalg.Vector
+	// kev caches key extraction vectors by (CSS row, nonce run) (§VIII-D,
+	// receiver half): a session's headers hold prefixes of one run, and the
+	// KEV over a prefix is a prefix of the KEV over the run, so the shards
+	// of a shared-nonce session, steady-state republishes and the clean
+	// shards of grouped headers hash each row once per run; every later
+	// derivation is a single inner product. kevMisses counts vectors
+	// actually hashed (white-box test observability).
+	kev       map[string]cachedKEV
+	kevBytes  int
 	kevMisses uint64
 
 	// grpHint remembers, per configuration, the shard index that last
@@ -68,9 +70,28 @@ type Subscriber struct {
 	stream map[string]*Broadcast
 }
 
-// maxKEVCache bounds the KEV cache; crossing it drops the whole cache
-// (stale nonce sets from dead sessions dominate by then).
-const maxKEVCache = 512
+// maxKEVCacheBytes bounds the memory the KEV cache holds — vectors plus the
+// runs they were hashed against; crossing it drops the whole cache (stale
+// runs from dead sessions dominate by then).
+const maxKEVCacheBytes = 1 << 20
+
+// cachedKEV is one KEV cache entry: the vector and the nonces it was hashed
+// against, kept so that a hit is verified by content — the map key names a
+// run by its first nonce only.
+type cachedKEV struct {
+	zs  [][]byte
+	kev linalg.Vector
+}
+
+// bytes is what the entry keeps alive: the vector, the run's slice headers
+// and its nonces.
+func (c cachedKEV) bytes() int {
+	n := 8*len(c.kev) + 24*len(c.zs)
+	if len(c.zs) > 0 {
+		n += len(c.zs) * len(c.zs[0])
+	}
+	return n
+}
 
 type tokenSecret struct {
 	token  *idtoken.Token
@@ -86,7 +107,7 @@ func NewSubscriber(nym string) (*Subscriber, error) {
 		nym:     nym,
 		tokens:  make(map[string]tokenSecret),
 		css:     make(map[string]core.CSS),
-		kev:     make(map[[32]byte]linalg.Vector),
+		kev:     make(map[string]cachedKEV),
 		grpHint: make(map[policy.ConfigKey]int),
 		stream:  make(map[string]*Broadcast),
 	}, nil
@@ -425,36 +446,37 @@ func (s *Subscriber) groupedKey(row []core.CSS, ci ConfigInfo, verifyCT []byte) 
 	return [sym.KeySize]byte{}, false, nil
 }
 
-// cachedKEV returns the key extraction vector for one (CSS row, nonce set)
-// pair, hashing it only on first sight (§VIII-D: "the Sub can compute the
-// hash values and cache the resultant vector for future use"). Callers hold
-// s.mu.
+// cachedKEV returns the key extraction vector of a CSS row against a
+// header's nonces, hashing only on first sight of the row's run (§VIII-D:
+// "the Sub can compute the hash values and cache the resultant vector for
+// future use"). The cache is keyed by the row and the run's first nonce; a
+// vector is served — cut to the header's length — only when the header's
+// nonces are, by content, the front of the ones it was hashed against.
+// Callers hold s.mu.
 func (s *Subscriber) cachedKEV(row []core.CSS, hdr *core.Header) (linalg.Vector, error) {
-	h := sha256.New()
-	var num [8]byte
-	binary.BigEndian.PutUint64(num[:], uint64(len(row)))
-	h.Write(num[:])
+	key := make([]byte, 0, 64)
+	key = binary.BigEndian.AppendUint32(key, uint32(len(row)))
 	for _, css := range row {
-		h.Write(css.Bytes())
+		key = append(key, css.Bytes()...)
 	}
-	for _, z := range hdr.Zs {
-		binary.BigEndian.PutUint64(num[:], uint64(len(z)))
-		h.Write(num[:])
-		h.Write(z)
+	if len(hdr.Zs) > 0 {
+		key = append(key, hdr.Zs[0]...)
 	}
-	var key [32]byte
-	copy(key[:], h.Sum(nil))
-	if kev, ok := s.kev[key]; ok && len(kev) == len(hdr.X) {
-		return kev, nil
+	n := len(hdr.Zs)
+	if c, ok := s.kev[string(key)]; ok && n <= len(c.zs) && len(c.kev) >= len(hdr.X) && core.SameNonces(hdr.Zs, c.zs[:n]) {
+		return c.kev[:len(hdr.X)], nil
 	}
 	kev, err := core.KEV(row, hdr)
 	if err != nil {
 		return nil, err
 	}
-	if len(s.kev) >= maxKEVCache {
-		s.kev = make(map[[32]byte]linalg.Vector)
+	c := cachedKEV{zs: hdr.Zs, kev: kev}
+	s.kevBytes += c.bytes() - s.kev[string(key)].bytes()
+	if s.kevBytes > maxKEVCacheBytes {
+		s.kev = make(map[string]cachedKEV)
+		s.kevBytes = c.bytes()
 	}
-	s.kev[key] = kev
+	s.kev[string(key)] = c
 	s.kevMisses++
 	return kev, nil
 }

@@ -1,5 +1,5 @@
 // Package relay is the stateless edge tier: a relay opens ONE upstream
-// subscribe stream, retains the raw wire-v3 frames it receives in its own
+// subscribe stream, retains the raw stream frames it receives in its own
 // bounded epoch ring (internal/fanout — the same hub the origin server
 // uses), and re-serves snapshot/delta/heartbeat frames plus reconnect
 // catch-up to any number of downstream subscribers. Because every frame is

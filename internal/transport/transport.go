@@ -1,7 +1,7 @@
 // Package transport puts the registration and dissemination phases on the
 // wire: a publisher-side TCP server and a subscriber-side client. Requests
 // travel as gob envelopes; broadcast payloads travel as the deterministic
-// v3 wire encoding, marshaled ONCE per epoch on the server and fanned out
+// stream-frame encoding, marshaled ONCE per epoch on the server and fanned out
 // as the same bytes to every connection (gob remains as a per-connection
 // fallback for clients predating the wire path, negotiated through the
 // "info" capability advertisement).
@@ -48,7 +48,7 @@ type request struct {
 	Reg   *pubsub.RegistrationRequest
 	Batch []*pubsub.RegistrationRequest
 	Doc   string // fetch: document name ("" = latest); subscribe: doc filter ("" = all)
-	// Wire asks for the broadcast as v3 wire-format bytes (marshaled once
+	// Wire asks for the broadcast as stream-frame bytes (marshaled once
 	// per epoch server-side) instead of a per-connection gob encode. Old
 	// servers ignore the field and answer with gob.
 	Wire bool
@@ -68,7 +68,7 @@ type response struct {
 	// servers that predate it leave the field unset, steering clients to
 	// the per-condition path without error-text sniffing.
 	HasBatch bool
-	// HasWire / HasStream advertise the v3 wire fetch encoding and the
+	// HasWire / HasStream advertise the stream-frame fetch encoding and the
 	// subscribe stream RPC, with the same unset-means-absent convention.
 	HasWire   bool
 	HasStream bool
@@ -80,7 +80,7 @@ type response struct {
 	Envelope  *ocbe.Envelope
 	Batch     []pubsub.BatchResult
 	Broadcast *pubsub.Broadcast
-	// Raw is the v3 snapshot frame of the fetched broadcast (when the
+	// Raw is the snapshot frame of the fetched broadcast (when the
 	// request set Wire and the server supports it).
 	Raw []byte
 }
@@ -504,7 +504,7 @@ func (c *Client) RegisterBatch(reqs []*pubsub.RegistrationRequest) ([]pubsub.Bat
 }
 
 // Fetch retrieves the broadcast for a document name ("" = latest published).
-// Against a v3 server the payload arrives as the server's per-epoch wire
+// Against a stream-frame server the payload arrives as the server's per-epoch wire
 // bytes; older servers answer with per-connection gob. A fetch naming a
 // document that rotated out of the server's retention ring is answered with
 // the nearest retained snapshot — check Broadcast.DocName when that matters.

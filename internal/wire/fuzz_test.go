@@ -71,16 +71,26 @@ func fuzzDelta() *pubsub.BroadcastDelta {
 	}
 }
 
-// FuzzFrame drives the v3 stream-frame decoder with arbitrary bytes, seeded
-// with well-formed snapshot, delta and heartbeat frames plus truncated and
-// bit-flipped variants. The decoder must never panic, and every frame it
-// accepts must re-marshal byte-identically — the canonicality the fan-out
-// tier relies on when it reuses one marshaled frame for every subscriber.
+// FuzzFrame drives the stream-frame decoder with arbitrary bytes, seeded
+// with well-formed snapshot, delta and heartbeat frames — headers sharing
+// runs, extending them and sharing nothing, nonces of several lengths — their truncated and bit-flipped
+// variants, and the hostile run tables of hostileFrames. The decoder must
+// never panic, and every frame it accepts must re-marshal byte-identically —
+// the canonicality the fan-out tier relies on when it reuses one marshaled
+// frame for every subscriber.
 func FuzzFrame(f *testing.F) {
+	mixed := mixedSessionSnapshot(7)
+	uneven := snapshotOf(pubsub.ConfigInfo{Key: "h", Rev: 1, Header: hdrOn([][]byte{{1, 2}, {3}, {}}, 3)})
 	seeds := [][]byte{
+		MarshalSnapshotFrame(uneven),
 		MarshalHeartbeatFrame(42),
 		MarshalSnapshotFrame(fuzzSnapshot()),
 		MarshalDeltaFrame(fuzzDelta()),
+		MarshalSnapshotFrame(mixed),
+		MarshalDeltaFrame(deltaOf(mixed)),
+	}
+	for _, raw := range hostileFrames() {
+		f.Add(raw)
 	}
 	for _, s := range seeds {
 		f.Add(s)

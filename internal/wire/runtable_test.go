@@ -1,0 +1,372 @@
+package wire
+
+import (
+	"bytes"
+	"errors"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"ppcd/internal/core"
+	"ppcd/internal/ff64"
+	"ppcd/internal/linalg"
+	"ppcd/internal/policy"
+	"ppcd/internal/pubsub"
+)
+
+// testRun builds a nonce run the way a session draws one: n nonces of size
+// bytes in one buffer, told apart from other runs by tag.
+func testRun(tag byte, n, size int) [][]byte {
+	buf := make([]byte, n*size)
+	for i := range buf {
+		buf[i] = tag + byte(i/max(size, 1)) + byte(i)
+	}
+	return core.NonceRun(buf, n, size)
+}
+
+// hdrOn builds a header of N = n over the front of run.
+func hdrOn(run [][]byte, n int) *core.Header {
+	h := &core.Header{X: make(linalg.Vector, n+1), Zs: run[:n:n]}
+	for i := range h.X {
+		h.X[i] = ff64.Elem(uint64(7*n + i + 1))
+	}
+	return h
+}
+
+// cloneNonces copies a nonce sequence nonce by nonce: equal to the original
+// by content, sharing no memory with it.
+func cloneNonces(zs [][]byte) [][]byte {
+	out := make([][]byte, len(zs))
+	for i, z := range zs {
+		out[i] = append([]byte{}, z...)
+	}
+	return out
+}
+
+// groupedOf wraps headers into a grouped config the decoder reproduces
+// field for field.
+func groupedOf(key string, hdrs ...*core.Header) pubsub.ConfigInfo {
+	ci := pubsub.ConfigInfo{Key: policy.ConfigKey(key), Rev: 3, Grouped: &core.GroupedHeader{RekeyNonce: bytes.Repeat([]byte{9}, core.NonceSize)}}
+	for i, h := range hdrs {
+		ci.Grouped.Shards = append(ci.Grouped.Shards, core.GroupShard{Hdr: h, Wrap: ff64.Elem(uint64(100 + i))})
+		ci.ShardRevs = append(ci.ShardRevs, uint64(i+1))
+	}
+	return ci
+}
+
+func snapshotOf(configs ...pubsub.ConfigInfo) *pubsub.Broadcast {
+	return &pubsub.Broadcast{
+		DocName:  "doc",
+		Epoch:    5,
+		Gen:      11,
+		Policies: []pubsub.PolicyInfo{{ID: "p0", CondIDs: []string{"a >= 1"}}},
+		Configs:  configs,
+		Items:    []pubsub.Item{{Subdoc: "s0", Config: configs[0].Key, Ciphertext: []byte("ct"), Rev: 5}},
+	}
+}
+
+// deltaOf ships the same headers as a delta: ungrouped configs as header
+// patches, grouped ones as all-fresh grouped patches.
+func deltaOf(b *pubsub.Broadcast) *pubsub.BroadcastDelta {
+	d := &pubsub.BroadcastDelta{DocName: b.DocName, BaseEpoch: b.Epoch - 1, Epoch: b.Epoch, Gen: b.Gen, Items: b.Items}
+	for _, ci := range b.Configs {
+		cp := pubsub.ConfigPatch{Key: ci.Key, Rev: ci.Rev, Header: ci.Header}
+		if g := ci.Grouped; g != nil {
+			cp.ShardRevs = ci.ShardRevs
+			cp.Grouped = &pubsub.GroupedPatch{RekeyNonce: g.RekeyNonce}
+			for _, sh := range g.Shards {
+				cp.Grouped.Wraps = append(cp.Grouped.Wraps, sh.Wrap)
+				cp.Grouped.From = append(cp.Grouped.From, -1)
+				cp.Grouped.Headers = append(cp.Grouped.Headers, sh.Hdr)
+			}
+		}
+		d.Configs = append(d.Configs, cp)
+	}
+	return d
+}
+
+// TestFrameRunTableRoundTrip: whatever way a frame's headers share (or do
+// not share) their nonces, snapshot and delta decode to exactly the input,
+// re-marshal to the same bytes, and carry each distinct run once.
+func TestFrameRunTableRoundTrip(t *testing.T) {
+	a, b, c := testRun(1, 9, core.NonceSize), testRun(2, 6, core.NonceSize), testRun(3, 4, core.NonceSize)
+	// What the v1 codec carries a frame carries: no producer draws nonces of
+	// several lengths, but nothing forbids them in an ungrouped header.
+	mixed := [][]byte{make([]byte, 16), make([]byte, 16), make([]byte, 15), {}}
+	cases := []struct {
+		name string
+		b    *pubsub.Broadcast
+		runs int
+	}{
+		{"same session, the longer shard after the shorter", snapshotOf(
+			groupedOf("g", hdrOn(a, 5), hdrOn(a, 9), hdrOn(a, 3))), 1},
+		{"nothing shared", snapshotOf(
+			groupedOf("g", hdrOn(a, 9), hdrOn(b, 6)),
+			pubsub.ConfigInfo{Key: "h", Rev: 2, Header: hdrOn(c, 4)}), 3},
+		{"equal by content, not by pointer", snapshotOf(
+			groupedOf("g", hdrOn(a, 4), hdrOn(cloneNonces(a), 9)),
+			groupedOf("g2", hdrOn(b, 6), hdrOn(cloneNonces(a)[:7], 7))), 2},
+		{"same first nonce, different runs", snapshotOf(
+			groupedOf("g", hdrOn(a, 3), hdrOn(append(cloneNonces(a[:5]), b[0]), 6), hdrOn(a, 9))), 2},
+		{"nonce lengths 0, 15, 17 and no nonces, ungrouped", snapshotOf(
+			pubsub.ConfigInfo{Key: "z0", Rev: 1, Header: hdrOn(make([][]byte, 3), 3)},
+			pubsub.ConfigInfo{Key: "z15", Rev: 1, Header: hdrOn(testRun(4, 2, 15), 2)},
+			pubsub.ConfigInfo{Key: "z17", Rev: 1, Header: hdrOn(testRun(5, 5, 17), 5)},
+			pubsub.ConfigInfo{Key: "none", Rev: 1, Header: &core.Header{X: linalg.Vector{42}, Zs: [][]byte{}}},
+			pubsub.ConfigInfo{Key: "z17 again", Rev: 1, Header: hdrOn(testRun(5, 5, 17), 4)},
+			pubsub.ConfigInfo{Key: "bare", Rev: 1}), 3},
+		{"one shard", snapshotOf(groupedOf("g", hdrOn(a, 9))), 1},
+		{"nonces of several lengths in one header", snapshotOf(
+			pubsub.ConfigInfo{Key: "m", Rev: 1, Header: hdrOn(mixed, 4)},
+			pubsub.ConfigInfo{Key: "its even front", Rev: 1, Header: hdrOn(cloneNonces(mixed), 2)},
+			pubsub.ConfigInfo{Key: "a run grown uneven", Rev: 1, Header: hdrOn(b, 3)},
+			pubsub.ConfigInfo{Key: "by its longer header", Rev: 1, Header: hdrOn(append(cloneNonces(b[:3]), []byte{1}, []byte{}), 5)}), 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, frame := range []struct {
+				raw  []byte
+				want any
+				got  func(*Frame) any
+			}{
+				{MarshalSnapshotFrame(tc.b), tc.b, func(f *Frame) any { return f.Snapshot }},
+				{MarshalDeltaFrame(deltaOf(tc.b)), deltaOf(tc.b), func(f *Frame) any { return f.Delta }},
+			} {
+				f, err := UnmarshalFrame(frame.raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := frame.got(f); !reflect.DeepEqual(got, frame.want) {
+					t.Fatalf("decoded frame differs from its input:\n got %+v\nwant %+v", got, frame.want)
+				}
+				var re []byte
+				if f.Snapshot != nil {
+					re = MarshalSnapshotFrame(f.Snapshot)
+				} else {
+					re = MarshalDeltaFrame(f.Delta)
+				}
+				if !bytes.Equal(re, frame.raw) {
+					t.Fatal("decoded frame does not re-marshal byte-identically")
+				}
+				if cap(frame.raw) != len(frame.raw) {
+					t.Fatalf("frame of %d bytes sits in a buffer of %d", len(frame.raw), cap(frame.raw))
+				}
+				r := newReader(frame.raw[2:])
+				if err := readRunTable(r); err != nil || len(r.runs) != tc.runs {
+					t.Fatalf("frame carries %d runs (%v), want %d", len(r.runs), err, tc.runs)
+				}
+			}
+		})
+	}
+}
+
+// TestDecodedHeadersShareTheirRun: the shards of one session decode onto one
+// run — one buffer, one [][]byte — and Header.Clone still copies out of it.
+func TestDecodedHeadersShareTheirRun(t *testing.T) {
+	a := testRun(1, 9, core.NonceSize)
+	f, err := UnmarshalFrame(MarshalSnapshotFrame(snapshotOf(groupedOf("g", hdrOn(a, 5), hdrOn(cloneNonces(a), 9)))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := f.Snapshot.Configs[0].Grouped.Shards
+	short, long := sh[0].Hdr, sh[1].Hdr
+	if &short.Zs[0] != &long.Zs[0] || &short.Zs[4][0] != &long.Zs[4][0] {
+		t.Fatal("two headers of one run do not share its backing arrays")
+	}
+	if cap(short.Zs) != 5 || cap(short.Zs[4]) != core.NonceSize {
+		t.Fatalf("a header's window reaches past its own nonces: cap(Zs)=%d cap(z)=%d", cap(short.Zs), cap(short.Zs[4]))
+	}
+	cl := short.Clone()
+	if !reflect.DeepEqual(cl, short) {
+		t.Fatal("Clone differs from its source")
+	}
+	cl.Zs[0][0] ^= 0xff
+	cl.X[0]++
+	if &cl.Zs[0] == &short.Zs[0] || cl.Zs[0][0] == long.Zs[0][0] || cl.X[0] == short.X[0] {
+		t.Fatal("Clone shares memory with the decoded run")
+	}
+}
+
+// hostileFrame marshals b as a snapshot around a table and header references
+// of the test's choosing, bypassing the table pass that would repair them.
+func hostileFrame(table [][][]byte, refs []uint32, b *pubsub.Broadcast) []byte {
+	t := &runTable{runs: table, refs: refs}
+	w := writer{runs: t}
+	w.u8(VersionStream)
+	w.u8(byte(FrameSnapshot))
+	t.write(&w)
+	writeSnapshot(&w, b)
+	return append([]byte(nil), w.out()...)
+}
+
+// unevenForm is the snapshot of one header over run, its even run written
+// in the form of an uneven one: the marker, then every nonce's length.
+func unevenForm(run [][]byte) []byte {
+	var w writer
+	w.u8(VersionStream)
+	w.u8(byte(FrameSnapshot))
+	w.u32(1)
+	w.u32(uint32(len(run)))
+	w.u32(mixedLen)
+	for _, z := range run {
+		w.u32(uint32(len(z)))
+	}
+	for _, z := range run {
+		w.w.Raw(z)
+	}
+	w.runs = &runTable{refs: []uint32{0}}
+	writeSnapshot(&w, snapshotOf(pubsub.ConfigInfo{Key: "h", Header: hdrOn(run, len(run))}))
+	return w.out()
+}
+
+// emptyNonceRuns is a frame of size bytes whose table claims runs runs of n
+// zero-length nonces each: eight bytes of input per run, 24·n bytes of slice
+// headers if the decoder believed them.
+func emptyNonceRuns(size, runs, n int) []byte {
+	var w writer
+	w.u8(VersionStream)
+	w.u8(byte(FrameSnapshot))
+	w.u32(uint32(runs))
+	for i := 0; i < runs; i++ {
+		w.u32(uint32(n))
+		w.u32(0)
+	}
+	return append(w.out(), make([]byte, size-w.w.Len())...)
+}
+
+// hostileFrames is every way a frame's run table can disagree with its
+// headers. The decoder must refuse each; FuzzFrame starts from them too.
+func hostileFrames() map[string][]byte {
+	a, b := testRun(1, 9, core.NonceSize), testRun(2, 6, core.NonceSize)
+	two := snapshotOf(groupedOf("g", hdrOn(a, 5), hdrOn(a, 9)))
+	mixed := snapshotOf(groupedOf("g", hdrOn(a, 9), hdrOn(b, 6)))
+	good := MarshalSnapshotFrame(two)
+	// good opens version ‖ type ‖ count(4) ‖ n(4) ‖ nonceLen(4) ‖ nonces.
+	patch := func(off int, v ...byte) []byte {
+		raw := append([]byte(nil), good...)
+		copy(raw[off:], v)
+		return raw
+	}
+	return map[string][]byte{
+		"reference past the table":            hostileFrame([][][]byte{a}, []uint32{0, 1}, two),
+		"reference into an empty table":       hostileFrame(nil, []uint32{0, 0}, two),
+		"header longer than its run":          hostileFrame([][][]byte{a[:7]}, []uint32{0, 0}, two),
+		"run longer than any header":          hostileFrame([][][]byte{append(cloneNonces(a), b[0])}, []uint32{0, 0}, two),
+		"duplicate runs":                      hostileFrame([][][]byte{a, cloneNonces(a)}, []uint32{0, 1}, two),
+		"a prefix run beside its run":         hostileFrame([][][]byte{a[:5], a}, []uint32{0, 1}, two),
+		"unused run":                          hostileFrame([][][]byte{a, b}, []uint32{0, 0}, two),
+		"runs out of first-use order":         hostileFrame([][][]byte{b, a}, []uint32{1, 0}, mixed),
+		"grouped sub-header on a 15-byte run": hostileFrame([][][]byte{testRun(1, 9, 15)}, []uint32{0, 0}, two),
+		"zero-length run":                     patch(2+4, 0, 0, 0, 0),
+		"run count at the clamp":              patch(2, 0, byte(maxFrameRuns>>16), 0, 0),
+		"run count past the clamp":            patch(2, 0, byte(maxFrameRuns>>16), 0, 1),
+		"nonce length past the input":         patch(2+4+4, 0, 1, 0, 0),
+		"one length listed nonce by nonce":    unevenForm(a),
+		"runs of empty nonces":                emptyNonceRuns(1<<16, 2000, 5000),
+		"version 3":                           patch(0, 3),
+	}
+}
+
+func TestFrameRunTableHardening(t *testing.T) {
+	for name, raw := range hostileFrames() {
+		if _, err := UnmarshalFrame(raw); err == nil {
+			t.Errorf("%s: frame accepted", name)
+		}
+	}
+	if _, err := UnmarshalFrame(hostileFrames()["version 3"]); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("version 3 frame: %v, want ErrBadVersion", err)
+	}
+	if _, err := UnmarshalFrame(hostileFrames()["run count past the clamp"]); !errors.Is(err, ErrOversize) {
+		t.Errorf("run count past the clamp: %v, want ErrOversize", err)
+	}
+	// A run draws its bytes and its slice headers from the message budget,
+	// every header 8·|X|, whatever its run.
+	a := testRun(1, 9, core.NonceSize)
+	r := newReader(MarshalSnapshotFrame(snapshotOf(groupedOf("g", hdrOn(a, 5), hdrOn(a, 9))))[2:])
+	if err := readRunTable(r); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readSnapshot(r); err != nil {
+		t.Fatal(err)
+	}
+	charged := 9*(core.NonceSize+24) + 8*6 + 8*10
+	if err := r.takeHeaderBudget(maxHeaderBudget - charged); err != nil {
+		t.Fatalf("frame charged more than %d bytes: %v", charged, err)
+	}
+	if err := r.takeHeaderBudget(1); err == nil {
+		t.Fatalf("frame charged less than %d bytes", charged)
+	}
+}
+
+// TestRunTableAllocatesWithinItsInput: a run of empty nonces costs eight
+// bytes of input and 24 bytes of slice header per nonce. Every run's longest
+// header is still to come with its X, so the runs of a frame cannot hold more
+// nonces than an eighth of the input has bytes; a table that claims more is
+// refused before it is built.
+func TestRunTableAllocatesWithinItsInput(t *testing.T) {
+	raw := emptyNonceRuns(1<<20, 2000, 100_000) // 4.8 GB of slice headers as claimed
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := UnmarshalFrame(raw)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrOversize) {
+		t.Fatalf("frame of %d empty-nonce runs: %v, want ErrOversize", 2000, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*uint64(len(raw)) {
+		t.Fatalf("decoder allocated %d bytes on a hostile frame of %d", got, len(raw))
+	}
+}
+
+// mixedSessionSnapshot is the snapshot of a table under churn: shards of
+// 128 spread over a few dozen rekey sessions, the oldest session still
+// holding most of them.
+func mixedSessionSnapshot(shards int) *pubsub.Broadcast {
+	const n = 128
+	var runs [][][]byte
+	for s := 0; s < 40; s++ {
+		buf := make([]byte, n*core.NonceSize)
+		for i := range buf {
+			buf[i] = byte(s*131 + i*7 + i/core.NonceSize)
+		}
+		runs = append(runs, core.NonceRun(buf, n, core.NonceSize))
+	}
+	var hdrs []*core.Header
+	for i := 0; i < shards; i++ {
+		s := 0
+		if i%3 == 0 {
+			s = (i / 3) % len(runs)
+		}
+		hdrs = append(hdrs, hdrOn(runs[s], n-i%5))
+	}
+	return snapshotOf(groupedOf("g0", hdrs[:shards/2]...), groupedOf("g1", hdrs[shards/2:]...))
+}
+
+// BenchmarkSnapshotFrame marshals and decodes a 294-shard snapshot of mixed
+// sessions (the churn-stream shape of bench/) and reports the frame's size
+// next to what its headers weigh as built.
+func BenchmarkSnapshotFrame(b *testing.B) {
+	snap := mixedSessionSnapshot(294)
+	raw := MarshalSnapshotFrame(snap)
+	built := 0
+	for _, ci := range snap.Configs {
+		built += ci.Grouped.Size()
+	}
+	b.Run("marshal", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(raw)))
+		for i := 0; i < b.N; i++ {
+			MarshalSnapshotFrame(snap)
+		}
+		b.ReportMetric(float64(len(raw)), "frame-B")
+		b.ReportMetric(float64(built), "as-built-B")
+	})
+	b.Run("unmarshal", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(raw)))
+		for i := 0; i < b.N; i++ {
+			if _, err := UnmarshalFrame(raw); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

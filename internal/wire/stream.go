@@ -1,16 +1,38 @@
-// Stream frames: the v3 half of the wire format. Where v1/v2 encode one
-// self-contained broadcast, v3 encodes the units of the epoch-versioned
-// dissemination pipeline — full snapshots stamped with epoch and revisions,
-// deltas that ship only what changed since a base epoch, and heartbeats.
-// The transport marshals each epoch's snapshot and delta frame once and fans
-// the same bytes out to every connected subscriber.
+// Stream frames: the units of the epoch-versioned dissemination pipeline —
+// full snapshots stamped with epoch and revisions, deltas that ship only
+// what changed since a base epoch, and heartbeats. Where the v1/v2 codecs
+// encode one self-contained broadcast, a frame is marshalled once per epoch
+// and the same bytes fan out to every connected subscriber.
 //
-// Decoding applies the same hardening budget discipline as v2: every length
-// field is clamped, grouped sub-header material is charged against the
+// A header's nonces are not written with the header. §VIII-D shares one
+// nonce sequence across a rekey session, so the k same-session shards of a
+// frame hold prefixes of one run; a data frame therefore opens with a table
+// of its distinct nonce runs and every header body is its X plus an index
+// into that table:
+//
+//	frame   = version(4) ‖ type ‖ runs ‖ snapshot | delta      (heartbeat: version ‖ type ‖ epoch)
+//	runs    = count ‖ per run: n ‖ nonceLen ‖ n·nonceLen bytes
+//	header  = |X| ‖ X… ‖ run index                              (N = |X| − 1; no index when N = 0)
+//
+// (A run whose nonces differ in length — the v1 codec carries such a header,
+// nothing produces one — has the marker mixedLen for nonceLen, then its n
+// lengths, then the nonces.)
+//
+// A frame has one encoding: runs appear in the order the headers first use
+// them, each exactly as long as its longest header, none a duplicate of
+// another. The decoder re-collects the table from the headers it decoded
+// and rejects a frame whose table differs, so an accepted frame re-marshals
+// byte-identically.
+//
+// Decoding applies the same hardening discipline as v2: every count, length
+// and reference is clamped before use — a run's length by the X entries its
+// longest header still has to bring — what a run allocates (its bytes, 24 per
+// nonce of slice header) and 8·|X| per header are charged against the
 // per-message 64 MiB budget, and field elements must arrive reduced.
 package wire
 
 import (
+	"errors"
 	"fmt"
 
 	"ppcd/internal/core"
@@ -19,10 +41,10 @@ import (
 	"ppcd/internal/pubsub"
 )
 
-// VersionStream marks v3 messages: epoch-versioned stream frames
-// (snapshot | delta | heartbeat). v1/v2 broadcast messages remain valid and
-// byte-identical; v3 is additive.
-const VersionStream = 3
+// VersionStream marks epoch-versioned stream frames (snapshot | delta |
+// heartbeat). Frames are never persisted, so there is exactly one frame
+// version; the v1/v2 broadcast messages remain valid and byte-identical.
+const VersionStream = 4
 
 // FrameType discriminates the stream frame kinds.
 type FrameType byte
@@ -47,30 +69,294 @@ type Frame struct {
 }
 
 // maxDeltaShards clamps the shard count of one grouped patch, mirroring
-// maxGroupShards on the v2 path.
+// maxGroupShards of a grouped header.
 const maxDeltaShards = maxGroupShards
 
 // fromFresh is the on-wire sentinel for GroupedPatch.From entries that ship
 // a fresh sub-header instead of referencing a base shard.
 const fromFresh = ^uint32(0)
 
-// MarshalSnapshotFrame encodes a broadcast as a v3 snapshot frame, revisions
-// included.
-func MarshalSnapshotFrame(b *pubsub.Broadcast) []byte {
-	var w writer
-	w.u8(VersionStream)
-	w.u8(byte(FrameSnapshot))
-	writeBroadcastV3(&w, b)
-	return w.out()
+// maxFrameRuns clamps the run count of one frame's table. A run is used by
+// at least one header, so it sits at the per-message config and shard clamps.
+const maxFrameRuns = 1 << 20
+
+// mixedLen in a run's nonceLen field marks a run whose nonces differ in
+// length: n length fields follow it, then the nonces. No producer draws such
+// a run, but the v1 codec carries such a header and so does a frame.
+const mixedLen = ^uint32(0)
+
+// runTable collects the distinct nonce runs of one frame's headers, in the
+// order the headers first use them. It is built from the headers alone, by
+// marshalFrame and again by the decoder, which is what makes the table
+// canonical.
+type runTable struct {
+	runs    [][][]byte     // runs[i]: the longest Zs seen of run i
+	byFirst map[string]int // first nonce → the newest run opening with it
+	refs    []uint32       // the run of every header with nonces, in frame order
 }
 
-// MarshalDeltaFrame encodes a broadcast delta as a v3 frame.
-func MarshalDeltaFrame(d *pubsub.BroadcastDelta) []byte {
-	var w writer
+// add returns the run of zs (non-empty): the run it is a prefix of, the run
+// it extends, or a new one. Same-session headers hold windows of one
+// [][]byte and match without a look at the nonces; headers that were
+// decoded, recovered or cloned apart match by content.
+func (t *runTable) add(zs [][]byte) int {
+	if i, ok := t.byFirst[string(zs[0])]; ok {
+		run := t.runs[i]
+		m := min(len(zs), len(run))
+		if core.SameNonces(zs[:m], run[:m]) {
+			if len(zs) > len(run) {
+				t.runs[i] = zs
+			}
+			return i
+		}
+	}
+	if t.byFirst == nil {
+		t.byFirst = make(map[string]int)
+	}
+	t.runs = append(t.runs, zs)
+	t.byFirst[string(zs[0])] = len(t.runs) - 1
+	return len(t.runs) - 1
+}
+
+// nonceLen returns the one length every nonce of run has, or mixedLen.
+func nonceLen(run [][]byte) uint32 {
+	for _, z := range run[1:] {
+		if len(z) != len(run[0]) {
+			return mixedLen
+		}
+	}
+	return uint32(len(run[0]))
+}
+
+func (t *runTable) write(w *writer) {
+	w.u32(uint32(len(t.runs)))
+	for _, run := range t.runs {
+		w.u32(uint32(len(run)))
+		size := nonceLen(run)
+		w.u32(size)
+		if size == mixedLen {
+			for _, z := range run {
+				w.u32(uint32(len(z)))
+			}
+		}
+		for _, z := range run {
+			w.w.Raw(z)
+		}
+	}
+}
+
+// readRunTable decodes the frame's runs, each into one flat buffer of
+// capacity-capped windows — what the publisher's session drew. Headers take
+// prefixes of these, so a frame's same-session shards share one run in
+// memory as they do on the wire.
+func readRunTable(r *reader) error {
+	nr, err := r.count(maxFrameRuns)
+	if err != nil {
+		return err
+	}
+	r.runs = make([][][]byte, 0, capHint(uint32(nr)))
+	// Every run is as long as its longest header, and no two runs share that
+	// header: the n + 1 X entries it still has to bring bound n, summed over
+	// the runs read so far, by the input that remains.
+	owed := 0
+	for i := 0; i < nr; i++ {
+		n, err := r.count((r.r.Remaining() - owed) / 8)
+		if err != nil {
+			return err
+		}
+		if n == 0 {
+			return fmt.Errorf("wire: nonce run %d is empty", i)
+		}
+		owed += 8 * (n + 1)
+		run, err := readRun(r, n)
+		if err != nil {
+			return fmt.Errorf("wire: nonce run %d: %w", i, err)
+		}
+		r.runs = append(r.runs, run)
+	}
+	return nil
+}
+
+// readRun decodes one run of n nonces and charges what it allocates — the
+// nonce bytes and n slice headers — against the message budget.
+func readRun(r *reader, n int) ([][]byte, error) {
+	if err := r.takeHeaderBudget(24 * n); err != nil {
+		return nil, err
+	}
+	size, err := r.u32()
+	if err != nil {
+		return nil, err
+	}
+	lens, total := []int(nil), 0
+	switch {
+	case size == mixedLen:
+		if err := r.takeHeaderBudget(8 * n); err != nil {
+			return nil, err
+		}
+		lens = make([]int, n)
+		for j := range lens {
+			if lens[j], err = r.count(r.r.Remaining() - total); err != nil {
+				return nil, err
+			}
+			total += lens[j]
+		}
+	case int64(size) > int64(r.r.Remaining()/n):
+		return nil, ErrOversize
+	default:
+		total = n * int(size)
+	}
+	raw, err := r.r.Take(total)
+	if err != nil {
+		return nil, wireErr(err)
+	}
+	if err := r.takeHeaderBudget(total); err != nil {
+		return nil, err
+	}
+	buf := append([]byte(nil), raw...)
+	if lens == nil {
+		return core.NonceRun(buf, n, int(size)), nil
+	}
+	run, off := make([][]byte, n), 0
+	for j, l := range lens {
+		run[j] = buf[off : off+l : off+l]
+		off += l
+	}
+	if nonceLen(run) != mixedLen {
+		return nil, errors.New("nonces of one length listed one by one")
+	}
+	return run, nil
+}
+
+// checkRunTable holds a decoded frame to the one table its headers produce:
+// every header's reference already matched the re-collected table as it was
+// read, so what is left is a run nobody used or used to its full length.
+func checkRunTable(r *reader) error {
+	if len(r.check.runs) != len(r.runs) {
+		return fmt.Errorf("wire: %d nonce runs for the %d the headers use", len(r.runs), len(r.check.runs))
+	}
+	for i, run := range r.runs {
+		if len(r.check.runs[i]) != len(run) {
+			return fmt.Errorf("wire: nonce run %d has %d nonces, its longest header %d", i, len(run), len(r.check.runs[i]))
+		}
+	}
+	return nil
+}
+
+// readTabled decodes the body of a data frame between its run table and the
+// check that the table is the one the body's headers produce.
+func readTabled[T any](r *reader, body func(*reader) (*T, error)) (*T, error) {
+	if err := readRunTable(r); err != nil {
+		return nil, err
+	}
+	v, err := body(r)
+	if err != nil {
+		return nil, err
+	}
+	return v, checkRunTable(r)
+}
+
+// writeFrameHeader encodes a header inside a frame: X and the index of its
+// nonce run, which marshalFrame assigned in the same frame order.
+func writeFrameHeader(w *writer, h *core.Header) {
+	w.vec(h.X)
+	if len(h.Zs) > 0 {
+		w.u32(w.runs.refs[0])
+		w.runs.refs = w.runs.refs[1:]
+	}
+}
+
+// readFrameHeader decodes a header inside a frame: N = |X| − 1 nonces off the
+// front of the referenced run. 8·|X| is charged against the message budget.
+func readFrameHeader(r *reader) (*core.Header, error) {
+	x, err := readX(r)
+	if err != nil {
+		return nil, err
+	}
+	if len(x) == 0 {
+		return nil, errors.New("wire: header shape |X|=0")
+	}
+	if err := r.takeHeaderBudget(8 * len(x)); err != nil {
+		return nil, err
+	}
+	h := &core.Header{X: x, Zs: [][]byte{}}
+	n := len(x) - 1
+	if n == 0 {
+		return h, nil
+	}
+	i, err := r.count(len(r.runs) - 1)
+	if err != nil {
+		return nil, err
+	}
+	if n > len(r.runs[i]) {
+		return nil, fmt.Errorf("wire: header of N=%d references a run of %d nonces", n, len(r.runs[i]))
+	}
+	h.Zs = r.runs[i][:n:n]
+	if r.check.add(h.Zs) != i {
+		return nil, fmt.Errorf("wire: header references nonce run %d out of canonical order", i)
+	}
+	return h, nil
+}
+
+// marshalFrame encodes a data frame: one walk over its headers, in the order
+// body encodes them, collects the run table and every header's reference;
+// then the table and the body are written. The frame is returned in a buffer
+// of exactly its size — the retention rings keep these frames, and the
+// writer's buffer, grown by doubling, would pin up to twice the frame.
+func marshalFrame(t FrameType, headers []*core.Header, body func(*writer)) []byte {
+	var runs runTable
+	for _, h := range headers {
+		if len(h.Zs) > 0 {
+			runs.refs = append(runs.refs, uint32(runs.add(h.Zs)))
+		}
+	}
+	w := writer{runs: &runs}
 	w.u8(VersionStream)
-	w.u8(byte(FrameDelta))
-	writeDelta(&w, d)
-	return w.out()
+	w.u8(byte(t))
+	runs.write(&w)
+	body(&w)
+	out := make([]byte, w.w.Len())
+	copy(out, w.out())
+	return out
+}
+
+// snapshotHeaders lists a snapshot's headers in the order writeSnapshot
+// encodes them.
+func snapshotHeaders(b *pubsub.Broadcast) (hs []*core.Header) {
+	for _, ci := range b.Configs {
+		switch {
+		case ci.Grouped != nil:
+			for _, sh := range ci.Grouped.Shards {
+				hs = append(hs, sh.Hdr)
+			}
+		case ci.Header != nil:
+			hs = append(hs, ci.Header)
+		}
+	}
+	return hs
+}
+
+// deltaHeaders lists a delta's headers in the order writeDelta encodes them.
+func deltaHeaders(d *pubsub.BroadcastDelta) (hs []*core.Header) {
+	for _, cp := range d.Configs {
+		switch {
+		case cp.Grouped != nil:
+			hs = append(hs, cp.Grouped.Headers...)
+		case cp.Header != nil:
+			hs = append(hs, cp.Header)
+		}
+	}
+	return hs
+}
+
+// MarshalSnapshotFrame encodes a broadcast as a snapshot frame, revisions
+// included.
+func MarshalSnapshotFrame(b *pubsub.Broadcast) []byte {
+	return marshalFrame(FrameSnapshot, snapshotHeaders(b), func(w *writer) { writeSnapshot(w, b) })
+}
+
+// MarshalDeltaFrame encodes a broadcast delta as a delta frame.
+func MarshalDeltaFrame(d *pubsub.BroadcastDelta) []byte {
+	return marshalFrame(FrameDelta, deltaHeaders(d), func(w *writer) { writeDelta(w, d) })
 }
 
 // MarshalHeartbeatFrame encodes a heartbeat frame for the given epoch.
@@ -82,7 +368,7 @@ func MarshalHeartbeatFrame(epoch uint64) []byte {
 	return w.out()
 }
 
-// UnmarshalFrame decodes one v3 stream frame.
+// UnmarshalFrame decodes one stream frame.
 func UnmarshalFrame(data []byte) (*Frame, error) {
 	r := newReader(data)
 	v, err := r.u8()
@@ -99,12 +385,12 @@ func UnmarshalFrame(data []byte) (*Frame, error) {
 	f := &Frame{Type: FrameType(t)}
 	switch f.Type {
 	case FrameSnapshot:
-		if f.Snapshot, err = readBroadcastV3(r); err != nil {
+		if f.Snapshot, err = readTabled(r, readSnapshot); err != nil {
 			return nil, err
 		}
 		f.Epoch = f.Snapshot.Epoch
 	case FrameDelta:
-		if f.Delta, err = readDelta(r); err != nil {
+		if f.Delta, err = readTabled(r, readDelta); err != nil {
 			return nil, err
 		}
 		f.Epoch = f.Delta.Epoch
@@ -165,17 +451,18 @@ func readPolicies(r *reader) ([]pubsub.PolicyInfo, error) {
 	return out, nil
 }
 
-// writeGroupedV3 encodes a grouped header plus its parallel shard revisions.
-func writeGroupedV3(w *writer, g *core.GroupedHeader, revs []uint64) {
-	writeGroupedBody(w, g)
+// writeGroupedFrame encodes a grouped header plus its parallel shard
+// revisions.
+func writeGroupedFrame(w *writer, g *core.GroupedHeader, revs []uint64) {
+	writeGroupedBody(w, g, writeFrameHeader)
 	w.u32(uint32(len(revs)))
 	for _, rv := range revs {
 		w.u64(rv)
 	}
 }
 
-func readGroupedV3(r *reader) (*core.GroupedHeader, []uint64, error) {
-	g, err := readGroupedBody(r)
+func readGroupedFrame(r *reader) (*core.GroupedHeader, []uint64, error) {
+	g, err := readGroupedBody(r, readFrameHeader)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -195,14 +482,14 @@ func readGroupedV3(r *reader) (*core.GroupedHeader, []uint64, error) {
 	return g, revs, nil
 }
 
-func writeItemV3(w *writer, it *pubsub.Item) {
+func writeItem(w *writer, it *pubsub.Item) {
 	w.str(it.Subdoc)
 	w.str(string(it.Config))
 	w.bytes(it.Ciphertext)
 	w.u64(it.Rev)
 }
 
-func readItemV3(r *reader) (pubsub.Item, error) {
+func readItem(r *reader) (pubsub.Item, error) {
 	var it pubsub.Item
 	var err error
 	if it.Subdoc, err = r.str(); err != nil {
@@ -222,7 +509,7 @@ func readItemV3(r *reader) (pubsub.Item, error) {
 	return it, nil
 }
 
-func writeBroadcastV3(w *writer, b *pubsub.Broadcast) {
+func writeSnapshot(w *writer, b *pubsub.Broadcast) {
 	w.str(b.DocName)
 	w.u64(b.Epoch)
 	w.u64(b.Gen)
@@ -234,21 +521,21 @@ func writeBroadcastV3(w *writer, b *pubsub.Broadcast) {
 		switch {
 		case ci.Grouped != nil:
 			w.u8(2)
-			writeGroupedV3(w, ci.Grouped, ci.ShardRevs)
+			writeGroupedFrame(w, ci.Grouped, ci.ShardRevs)
 		case ci.Header != nil:
 			w.u8(1)
-			writeHeaderBody(w, ci.Header)
+			writeFrameHeader(w, ci.Header)
 		default:
 			w.u8(0)
 		}
 	}
 	w.u32(uint32(len(b.Items)))
 	for i := range b.Items {
-		writeItemV3(w, &b.Items[i])
+		writeItem(w, &b.Items[i])
 	}
 }
 
-func readBroadcastV3(r *reader) (*pubsub.Broadcast, error) {
+func readSnapshot(r *reader) (*pubsub.Broadcast, error) {
 	b := &pubsub.Broadcast{}
 	var err error
 	if b.DocName, err = r.str(); err != nil {
@@ -287,11 +574,11 @@ func readBroadcastV3(r *reader) (*pubsub.Broadcast, error) {
 		switch has {
 		case 0:
 		case 1:
-			if ci.Header, err = readHeaderBody(r); err != nil {
+			if ci.Header, err = readFrameHeader(r); err != nil {
 				return nil, err
 			}
 		case 2:
-			if ci.Grouped, ci.ShardRevs, err = readGroupedV3(r); err != nil {
+			if ci.Grouped, ci.ShardRevs, err = readGroupedFrame(r); err != nil {
 				return nil, err
 			}
 		default:
@@ -307,7 +594,7 @@ func readBroadcastV3(r *reader) (*pubsub.Broadcast, error) {
 		return nil, ErrOversize
 	}
 	for i := uint32(0); i < ni; i++ {
-		it, err := readItemV3(r)
+		it, err := readItem(r)
 		if err != nil {
 			return nil, err
 		}
@@ -337,7 +624,7 @@ func writeDelta(w *writer, d *pubsub.BroadcastDelta) {
 			writeGroupedPatch(w, &cp, cp.Grouped)
 		case cp.Header != nil:
 			w.u8(1)
-			writeHeaderBody(w, cp.Header)
+			writeFrameHeader(w, cp.Header)
 		default:
 			w.u8(0)
 		}
@@ -348,7 +635,7 @@ func writeDelta(w *writer, d *pubsub.BroadcastDelta) {
 	}
 	w.u32(uint32(len(d.Items)))
 	for i := range d.Items {
-		writeItemV3(w, &d.Items[i])
+		writeItem(w, &d.Items[i])
 	}
 	w.u32(uint32(len(d.RemovedItems)))
 	for _, name := range d.RemovedItems {
@@ -370,7 +657,7 @@ func writeGroupedPatch(w *writer, cp *pubsub.ConfigPatch, p *pubsub.GroupedPatch
 	}
 	w.u32(uint32(len(p.Headers)))
 	for _, h := range p.Headers {
-		writeHeaderBody(w, h)
+		writeFrameHeader(w, h)
 	}
 }
 
@@ -427,7 +714,7 @@ func readDelta(r *reader) (*pubsub.BroadcastDelta, error) {
 		switch kind {
 		case 0:
 		case 1:
-			if cp.Header, err = readHeaderBody(r); err != nil {
+			if cp.Header, err = readFrameHeader(r); err != nil {
 				return nil, err
 			}
 		case 2:
@@ -461,7 +748,7 @@ func readDelta(r *reader) (*pubsub.BroadcastDelta, error) {
 		return nil, ErrOversize
 	}
 	for i := uint32(0); i < ni; i++ {
-		it, err := readItemV3(r)
+		it, err := readItem(r)
 		if err != nil {
 			return nil, err
 		}
@@ -488,7 +775,7 @@ func readDelta(r *reader) (*pubsub.BroadcastDelta, error) {
 // clamps: shard count bounded, wraps reduced, From references either the
 // fresh sentinel or a sane base index, shipped sub-header count matching the
 // fresh references exactly, every sub-header well-shaped with NonceSize
-// nonces and charged against the message's header budget.
+// nonces (readFrameHeader charges it against the message's header budget).
 func readGroupedPatch(r *reader, cp *pubsub.ConfigPatch) error {
 	p := &pubsub.GroupedPatch{}
 	var err error
@@ -546,17 +833,12 @@ func readGroupedPatch(r *reader, cp *pubsub.ConfigPatch) error {
 		return fmt.Errorf("wire: patch ships %d sub-headers for %d fresh shards", nh, fresh)
 	}
 	for i := uint32(0); i < nh; i++ {
-		h, err := readHeaderBody(r)
+		h, err := readFrameHeader(r)
 		if err != nil {
 			return err
 		}
-		for _, z := range h.Zs {
-			if len(z) != core.NonceSize {
-				return fmt.Errorf("wire: patch sub-header %d has a %d-byte nonce, want %d", i, len(z), core.NonceSize)
-			}
-		}
-		if err := r.takeHeaderBudget(h.Size()); err != nil {
-			return err
+		if err := checkNonceSize(h); err != nil {
+			return fmt.Errorf("wire: patch sub-header %d: %w", i, err)
 		}
 		p.Headers = append(p.Headers, h)
 	}

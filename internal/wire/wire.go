@@ -59,12 +59,15 @@ const maxHeaderBudget = 64 << 20
 // writer and reader delegate to the shared codec primitives (the third and
 // last of the repo's hand-rolled codecs to land on them — the durable state
 // blobs and the store WAL records moved earlier). The wrappers keep wire's
-// historical method signatures so the v1–v3 encoders and decoders read
-// unchanged, translate codec's sentinels into wire's, and preserve the exact
-// byte formats — the round-trip tests pin them.
+// historical method signatures so the encoders and decoders read unchanged,
+// translate codec's sentinels into wire's, and preserve the exact byte
+// formats — the round-trip tests pin them.
 
+// writer encodes one message. runs is the nonce-run table of the stream
+// frame being written (marshalFrame in stream.go); the v1/v2 codecs have none.
 type writer struct {
-	w codec.Writer
+	w    codec.Writer
+	runs *runTable
 }
 
 func (w *writer) u8(v byte)      { w.w.U8(v) }
@@ -74,8 +77,21 @@ func (w *writer) bytes(p []byte) { w.w.Bytes(p) }
 func (w *writer) str(s string)   { w.w.Str(s) }
 func (w *writer) out() []byte    { return w.w.Out() }
 
+// vec writes a count-prefixed vector of field elements (a header's X).
+func (w *writer) vec(x linalg.Vector) {
+	w.u32(uint32(len(x)))
+	for _, e := range x {
+		w.u64(uint64(e))
+	}
+}
+
+// reader decodes one message. runs and check are the stream-frame run
+// table: the runs as decoded, and the table re-collected from the decoded
+// headers to hold the frame to its canonical form (stream.go).
 type reader struct {
-	r *codec.Reader
+	r     *codec.Reader
+	runs  [][][]byte
+	check runTable
 }
 
 func newReader(data []byte) *reader {
@@ -130,6 +146,12 @@ func (r *reader) str() (string, error) {
 	return s, wireErr(err)
 }
 
+// count reads a u32 count or index clamped to max.
+func (r *reader) count(max int) (int, error) {
+	n, err := r.r.Len(max)
+	return n, wireErr(err)
+}
+
 func (r *reader) done() error {
 	if n := r.r.Remaining(); n != 0 {
 		return fmt.Errorf("wire: %d trailing bytes", n)
@@ -146,10 +168,7 @@ func MarshalHeader(h *core.Header) []byte {
 }
 
 func writeHeaderBody(w *writer, h *core.Header) {
-	w.u32(uint32(len(h.X)))
-	for _, e := range h.X {
-		w.u64(uint64(e))
-	}
+	w.vec(h.X)
 	w.u32(uint32(len(h.Zs)))
 	for _, z := range h.Zs {
 		w.bytes(z)
@@ -177,13 +196,12 @@ func UnmarshalHeader(data []byte) (*core.Header, error) {
 	return h, nil
 }
 
-func readHeaderBody(r *reader) (*core.Header, error) {
-	nx, err := r.u32()
+// readX decodes a header's X: count clamped — to the entries the remaining
+// input can hold, before it sizes the vector — and every element reduced.
+func readX(r *reader) (linalg.Vector, error) {
+	nx, err := r.count(min(maxField, r.r.Remaining()) / 8)
 	if err != nil {
 		return nil, err
-	}
-	if nx > maxField/8 {
-		return nil, ErrOversize
 	}
 	x := make(linalg.Vector, nx)
 	for i := range x {
@@ -196,12 +214,18 @@ func readHeaderBody(r *reader) (*core.Header, error) {
 		}
 		x[i] = ff64.Elem(raw)
 	}
-	nz, err := r.u32()
+	return x, nil
+}
+
+func readHeaderBody(r *reader) (*core.Header, error) {
+	x, err := readX(r)
 	if err != nil {
 		return nil, err
 	}
-	if nz > maxField/core.NonceSize {
-		return nil, ErrOversize
+	// Every nonce brings at least its 4-byte length prefix.
+	nz, err := r.count(min(maxField/core.NonceSize, r.r.Remaining()/4))
+	if err != nil {
+		return nil, err
 	}
 	zs := make([][]byte, nz)
 	for i := range zs {
@@ -218,6 +242,16 @@ func readHeaderBody(r *reader) (*core.Header, error) {
 	return h, nil
 }
 
+// readSubHeader decodes one sub-header of a standalone grouped header and
+// charges its decoded size against the message budget.
+func readSubHeader(r *reader) (*core.Header, error) {
+	h, err := readHeaderBody(r)
+	if err != nil {
+		return nil, err
+	}
+	return h, r.takeHeaderBudget(h.Size())
+}
+
 // MarshalGroupedHeader encodes a grouped (§VIII-C) header. Like
 // MarshalHeader for single headers, this is the standalone interchange form
 // (broadcast files, CDN distribution); the broadcast codec embeds the same
@@ -232,15 +266,18 @@ func MarshalGroupedHeader(g *core.GroupedHeader) []byte {
 	}
 	var w writer
 	w.u8(VersionGrouped)
-	writeGroupedBody(&w, g)
+	writeGroupedBody(&w, g, writeHeaderBody)
 	return w.out()
 }
 
-func writeGroupedBody(w *writer, g *core.GroupedHeader) {
+// writeGroupedBody encodes a grouped header around hdr, the sub-header form
+// of the enclosing message: writeHeaderBody in the standalone v2 codecs,
+// writeFrameHeader in a stream frame.
+func writeGroupedBody(w *writer, g *core.GroupedHeader, hdr func(*writer, *core.Header)) {
 	w.bytes(g.RekeyNonce)
 	w.u32(uint32(len(g.Shards)))
 	for _, sh := range g.Shards {
-		writeHeaderBody(w, sh.Hdr)
+		hdr(w, sh.Hdr)
 		w.u64(uint64(sh.Wrap))
 	}
 }
@@ -264,7 +301,7 @@ func UnmarshalGroupedHeader(data []byte) (*core.GroupedHeader, error) {
 		}
 		g = &core.GroupedHeader{Shards: []core.GroupShard{{Hdr: h}}}
 	case VersionGrouped:
-		if g, err = readGroupedBody(r); err != nil {
+		if g, err = readGroupedBody(r, readSubHeader); err != nil {
 			return nil, err
 		}
 	default:
@@ -277,10 +314,11 @@ func UnmarshalGroupedHeader(data []byte) (*core.GroupedHeader, error) {
 }
 
 // readGroupedBody decodes a grouped header body with the hardened clamps:
-// shard count bounded, every sub-header well-shaped (|X| = N + 1 via
-// readHeaderBody) with uniformly NonceSize nonces, wraps reduced, and the
-// cumulative decoded size charged against the message's 64 MiB budget.
-func readGroupedBody(r *reader) (*core.GroupedHeader, error) {
+// shard count bounded, every sub-header well-shaped with uniformly NonceSize
+// nonces, wraps reduced. hdr decodes one sub-header in the form of the
+// enclosing message and charges it against the message's 64 MiB budget
+// (readSubHeader in the standalone v2 codecs, readFrameHeader in a frame).
+func readGroupedBody(r *reader, hdr func(*reader) (*core.Header, error)) (*core.GroupedHeader, error) {
 	nonce, err := r.bytes()
 	if err != nil {
 		return nil, err
@@ -297,17 +335,12 @@ func readGroupedBody(r *reader) (*core.GroupedHeader, error) {
 	}
 	g := &core.GroupedHeader{RekeyNonce: nonce, Shards: make([]core.GroupShard, 0, capHint(ns))}
 	for i := uint32(0); i < ns; i++ {
-		h, err := readHeaderBody(r)
+		h, err := hdr(r)
 		if err != nil {
 			return nil, err
 		}
-		for _, z := range h.Zs {
-			if len(z) != core.NonceSize {
-				return nil, fmt.Errorf("wire: grouped sub-header %d has a %d-byte nonce, want %d", i, len(z), core.NonceSize)
-			}
-		}
-		if err := r.takeHeaderBudget(h.Size()); err != nil {
-			return nil, err
+		if err := checkNonceSize(h); err != nil {
+			return nil, fmt.Errorf("wire: grouped sub-header %d: %w", i, err)
 		}
 		raw, err := r.u64()
 		if err != nil {
@@ -319,6 +352,16 @@ func readGroupedBody(r *reader) (*core.GroupedHeader, error) {
 		g.Shards = append(g.Shards, core.GroupShard{Hdr: h, Wrap: ff64.Elem(raw)})
 	}
 	return g, nil
+}
+
+// checkNonceSize holds a grouped sub-header to NonceSize nonces.
+func checkNonceSize(h *core.Header) error {
+	for _, z := range h.Zs {
+		if len(z) != core.NonceSize {
+			return fmt.Errorf("%d-byte nonce, want %d", len(z), core.NonceSize)
+		}
+	}
+	return nil
 }
 
 // MarshalBroadcast encodes a complete broadcast package. The version byte is
@@ -351,7 +394,7 @@ func MarshalBroadcast(b *pubsub.Broadcast) []byte {
 		switch {
 		case ci.Grouped != nil:
 			w.u8(2)
-			writeGroupedBody(&w, ci.Grouped)
+			writeGroupedBody(&w, ci.Grouped, writeHeaderBody)
 		case ci.Header != nil:
 			w.u8(1)
 			writeHeaderBody(&w, ci.Header)
@@ -747,7 +790,7 @@ func UnmarshalBroadcast(data []byte) (*pubsub.Broadcast, error) {
 				return nil, err
 			}
 		case has == 2 && v == VersionGrouped:
-			if ci.Grouped, err = readGroupedBody(r); err != nil {
+			if ci.Grouped, err = readGroupedBody(r, readSubHeader); err != nil {
 				return nil, err
 			}
 		default:
