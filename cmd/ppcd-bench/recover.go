@@ -25,8 +25,10 @@ import (
 // snapshot_bytes_written / full_snapshot_bytes_written collapses as rows
 // grow. The recovery claims are the timed restarts: "cold" is the first
 // restart after a clean shutdown (segments read, digest-checked, unsealed
-// and decoded), "crash" additionally replays a WAL tail, and the warm sweep
-// re-runs recovery under different parallel-decode worker counts.
+// and decoded in place), "crash" additionally replays a WAL tail and is
+// followed by the first snapshot of that incarnation — incremental, because
+// slots survive the restart — and the warm sweep re-runs recovery on one
+// worker and on GOMAXPROCS.
 type recoverReport struct {
 	Rows       int `json:"rows"`
 	Policies   int `json:"policies"`
@@ -68,13 +70,17 @@ type recoverReport struct {
 	CrashSolves         uint64 `json:"crash_post_restart_solves"`
 	CrashEpochMonotonic bool   `json:"crash_epoch_monotonic"`
 
+	// The first snapshot after that restart: only what the WAL tail and the
+	// publish touched is rewritten.
+	PostRestartSnapshotFull  bool  `json:"post_restart_snapshot_full"`
+	PostRestartDirtySegments int   `json:"post_restart_dirty_segments"`
+	PostRestartBytesWritten  int64 `json:"post_restart_snapshot_bytes_written"`
+	PostRestartSnapshotNs    int64 `json:"post_restart_snapshot_ns"`
+
 	// Parallel-recovery worker sweep over the same directory (page cache
-	// warm): open + recover per worker count.
+	// warm): open + recover per worker count, the last being GOMAXPROCS.
 	WarmRecoveryNs          int64            `json:"warm_recovery_ns"`
 	WarmRecoveryNsByWorkers map[string]int64 `json:"warm_recovery_ns_by_workers"`
-	WarmWorkerSpeedup       float64          `json:"warm_worker_speedup"`
-
-	Note string `json:"note,omitempty"`
 }
 
 // runRecoverBench measures the segmented durable-state subsystem
@@ -116,9 +122,6 @@ func runRecoverBench(rows, policies, shardSize, churn int) error {
 	rep := recoverReport{
 		Rows: rows, Policies: policies, ShardSize: shardSize, Churn: churn,
 		CPUs: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
-	if rep.CPUs < 2 {
-		rep.Note = "single-CPU host: the warm worker sweep cannot demonstrate parallel-recovery speedup here"
 	}
 
 	// Incarnation A: seed the table, settle the caches and group layout,
@@ -286,17 +289,27 @@ func runRecoverBench(rows, policies, shardSize, churn int) error {
 	}
 	rep.CrashSolves = pubC.Stats().Solves - before.Solves
 	rep.CrashEpochMonotonic = after.Epoch > crashed.Epoch
-	if err := stC.Snapshot(pubC); err != nil { // compact so the sweep is pure segment decode
+	start = time.Now()
+	if err := stC.Snapshot(pubC); err != nil { // also compacts, so the sweep is pure segment decode
 		return err
 	}
+	rep.PostRestartSnapshotNs = time.Since(start).Nanoseconds()
+	ps := stC.LastSnapshotStats()
+	rep.PostRestartSnapshotFull = ps.Full
+	rep.PostRestartDirtySegments = ps.DirtySegments
+	rep.PostRestartBytesWritten = ps.BytesWritten
 	if err := stC.Close(); err != nil {
 		return err
 	}
 
-	// Warm sweep: recovery of the same directory (page cache warm) under 1
-	// and 4 parallel decode workers.
+	// Warm sweep: recovery of the same directory (page cache warm) on one
+	// worker and on GOMAXPROCS.
 	rep.WarmRecoveryNsByWorkers = make(map[string]int64)
-	for _, w := range []int{1, 4} {
+	sweep := []int{1}
+	if rep.GoMaxProcs > 1 {
+		sweep = append(sweep, rep.GoMaxProcs)
+	}
+	for _, w := range sweep {
 		pubW, err := newPub()
 		if err != nil {
 			return err
@@ -316,9 +329,6 @@ func runRecoverBench(rows, policies, shardSize, churn int) error {
 		if err := stW.Close(); err != nil {
 			return err
 		}
-	}
-	if w1, w4 := rep.WarmRecoveryNsByWorkers["1"], rep.WarmRecoveryNsByWorkers["4"]; w4 > 0 {
-		rep.WarmWorkerSpeedup = float64(w1) / float64(w4)
 	}
 
 	enc := json.NewEncoder(os.Stdout)

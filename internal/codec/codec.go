@@ -172,6 +172,32 @@ func (r *Reader) Take(n int) ([]byte, error) {
 	return out, nil
 }
 
+// ReadU32s fills dst with len(dst) big-endian 32-bit values — one fixed-width
+// column, one bounds check. The caller sized dst from counts it has already
+// clamped; a column running past the input is ErrTruncated.
+func ReadU32s[T ~uint32 | ~int32](r *Reader, dst []T) error {
+	src, err := r.Take(4 * len(dst))
+	if err != nil {
+		return err
+	}
+	for i := range dst {
+		dst[i] = T(binary.BigEndian.Uint32(src[4*i:]))
+	}
+	return nil
+}
+
+// ReadU64s is ReadU32s for 64-bit columns.
+func ReadU64s[T ~uint64](r *Reader, dst []T) error {
+	src, err := r.Take(8 * len(dst))
+	if err != nil {
+		return err
+	}
+	for i := range dst {
+		dst[i] = T(binary.BigEndian.Uint64(src[8*i:]))
+	}
+	return nil
+}
+
 // Done fails if undecoded bytes remain.
 func (r *Reader) Done() error {
 	if n := len(r.data) - r.off; n != 0 {
@@ -211,6 +237,33 @@ func (w *Writer) Str(s string) { w.U32(len(s)); w.buf.WriteString(s) }
 
 // Raw appends bytes verbatim (magic prefixes, fixed-width digests).
 func (w *Writer) Raw(p []byte) { w.buf.Write(p) }
+
+// RawStr appends a string's bytes verbatim (one entry of a name blob whose
+// lengths travel in their own column).
+func (w *Writer) RawStr(s string) { w.buf.WriteString(s) }
+
+// WriteU32s appends a fixed-width column of big-endian 32-bit values.
+func WriteU32s[T ~uint32 | ~int32](w *Writer, src []T) {
+	w.buf.Grow(4 * len(src))
+	b := w.buf.AvailableBuffer()
+	for _, v := range src {
+		b = binary.BigEndian.AppendUint32(b, uint32(v))
+	}
+	w.buf.Write(b)
+}
+
+// WriteU64s is WriteU32s for 64-bit columns.
+func WriteU64s[T ~uint64](w *Writer, src []T) {
+	w.buf.Grow(8 * len(src))
+	b := w.buf.AvailableBuffer()
+	for _, v := range src {
+		b = binary.BigEndian.AppendUint64(b, uint64(v))
+	}
+	w.buf.Write(b)
+}
+
+// Grow reserves room for n more bytes, for callers that know their size.
+func (w *Writer) Grow(n int) { w.buf.Grow(n) }
 
 // Len returns the number of bytes written so far.
 func (w *Writer) Len() int { return w.buf.Len() }

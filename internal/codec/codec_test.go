@@ -102,3 +102,30 @@ func TestBudgetConcurrent(t *testing.T) {
 		t.Fatalf("%d charges of 100 passed against a budget of 1000", ok)
 	}
 }
+
+func TestColumns(t *testing.T) {
+	var w Writer
+	WriteU32s(&w, []int32{-1, 0, 7})
+	WriteU64s(&w, []uint64{1 << 60, 3})
+	w.RawStr("ab")
+
+	r := NewReader(w.Out(), nil)
+	gids := make([]int32, 3)
+	if err := ReadU32s(r, gids); err != nil || gids[0] != -1 || gids[2] != 7 {
+		t.Fatalf("ReadU32s = %v, %v", gids, err)
+	}
+	cells := make([]uint64, 2)
+	if err := ReadU64s(r, cells); err != nil || cells[0] != 1<<60 || cells[1] != 3 {
+		t.Fatalf("ReadU64s = %v, %v", cells, err)
+	}
+	// A column longer than the input is truncation, and consumes nothing.
+	if err := ReadU32s(r, make([]uint32, 1)); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("short column: %v", err)
+	}
+	if b, err := r.Take(2); err != nil || string(b) != "ab" {
+		t.Fatalf("Take = %q, %v", b, err)
+	}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+}

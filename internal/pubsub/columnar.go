@@ -1,7 +1,10 @@
 package pubsub
 
 import (
+	"fmt"
 	"sort"
+	"strings"
+	"sync/atomic"
 
 	"ppcd/internal/core"
 )
@@ -33,6 +36,9 @@ import (
 //   - compact() (called under the registry write lock at snapshot-install
 //     points, amortized by a threshold) folds pendAdd into sorted, drops the
 //     dead entries and recycles their slots through the free list.
+//
+// A segmented state import keeps every slot where it was (index, below): the
+// table comes back compacted, its dead slots already on the free list.
 type cssTable struct {
 	conds   []string
 	condIdx map[string]int
@@ -118,6 +124,16 @@ func (t *cssTable) row(s int32) []core.CSS {
 	return t.cells[int(s)*t.width : (int(s)+1)*t.width]
 }
 
+// rowEmpty reports whether a row holds no CSS at all.
+func rowEmpty(row []core.CSS) bool {
+	for _, v := range row {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // deleteRow zeroes and retires nym's slot. Reports whether the row existed.
 func (t *cssTable) deleteRow(nym string) bool {
 	s, ok := t.slotOf[nym]
@@ -200,6 +216,63 @@ func (t *cssTable) compact() {
 	t.sorted = out
 	t.pendAdd = t.pendAdd[:0]
 	t.dead = 0
+}
+
+// index finishes a table whose nyms and cells a segmented import filled in
+// place (statev2_segments.go): sorted is the live slots in pseudonym order,
+// every other slot is dead and goes straight to the free list, and nothing is
+// pending or dirty — the table is exactly what the segments on disk hold.
+func (t *cssTable) index(sorted []int32) {
+	t.sorted = sorted
+	t.live = len(sorted)
+	t.slotOf = make(map[string]int32, len(sorted))
+	t.freed = make([]int32, 0, len(t.nyms)-len(sorted))
+	for s, nym := range t.nyms {
+		if nym == "" {
+			t.freed = append(t.freed, int32(s))
+		} else {
+			t.slotOf[nym] = int32(s)
+		}
+	}
+}
+
+// mergeRuns merges per-segment runs of slots, each sorted by pseudonym, into
+// the table-wide order: pairwise rounds, the merges of one round in parallel.
+// A pseudonym held by two slots is an error (within one run the segment
+// decoder has already refused it).
+func mergeRuns(nyms []string, runs [][]int32, workers int) ([]int32, error) {
+	var dup atomic.Pointer[string]
+	for len(runs) > 1 {
+		next := make([][]int32, (len(runs)+1)/2)
+		core.Parallel(workers, len(next), func(i int) {
+			if 2*i+1 == len(runs) {
+				next[i] = runs[2*i]
+				return
+			}
+			a, b := runs[2*i], runs[2*i+1]
+			out := make([]int32, 0, len(a)+len(b))
+			for len(a) > 0 && len(b) > 0 {
+				switch c := strings.Compare(nyms[a[0]], nyms[b[0]]); {
+				case c < 0:
+					out, a = append(out, a[0]), a[1:]
+				case c > 0:
+					out, b = append(out, b[0]), b[1:]
+				default:
+					dup.Store(&nyms[a[0]])
+					out, a = append(out, a[0]), a[1:]
+				}
+			}
+			next[i] = append(append(out, a...), b...)
+		})
+		runs = next
+	}
+	if nym := dup.Load(); nym != nil {
+		return nil, fmt.Errorf("pubsub: state contains duplicate pseudonym %q", *nym)
+	}
+	if len(runs) == 0 {
+		return nil, nil
+	}
+	return runs[0], nil
 }
 
 // memBytes estimates the resident footprint of the table: cell block, slot

@@ -51,7 +51,7 @@ func newDeltaEnv(t *testing.T, policies, groupSize int) *deltaEnv {
 // join registers a synthetic subscriber for the first `conds` conditions by
 // writing CSS cells straight into table T (the crypto-free equivalent of a
 // successful OCBE registration).
-func (e *deltaEnv) join(t *testing.T, conds int) string {
+func (e *deltaEnv) join(t testing.TB, conds int) string {
 	t.Helper()
 	nym := fmt.Sprintf("pn-%d", e.next)
 	e.next++

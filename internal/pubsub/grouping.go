@@ -29,7 +29,9 @@ import (
 // blocks. At a million rows a single join costs one row qualification plus
 // one group re-assembly instead of a full-table scan and regroup. The scan
 // path (fullRegroup) remains for the cases hints cannot describe: the first
-// snapshot of a policy, a restored sticky assignment, and bumpAll.
+// snapshot of a policy, a monolithic state import, and bumpAll. A segmented
+// import is not one of them: it restores the group state valid
+// (regroupRestored), so the publish after a restart scans nothing.
 
 // shardRows is one group's row block for one policy: the stable group
 // number, a digest of the block's content (the engine's dirtiness signal),
@@ -45,7 +47,7 @@ type shardRows struct {
 // empty groups keep their numbers), a constant-time least-full tracker, the
 // sorted member list per group, and the cached shard assembly tagged with
 // the membership version it reflects. valid=false forces a full regroup
-// (fresh policy, restored assignment, bumpAll); afterwards the state stays
+// (fresh policy, monolithic import, bumpAll); afterwards the state stays
 // valid and advances through churn hints alone. Guarded by grpMu.
 type groupState struct {
 	assign  map[string]int
@@ -126,7 +128,7 @@ func (r *registry) snapshotGrouped(acps []*policy.ACP) map[string][]shardRows {
 			}
 			hints := r.pend[a.ID]
 			delete(r.pend, a.ID)
-			r.applyChurn(gs, a, ver, hints)
+			r.applyChurn(gs, a.ID, ver, hints)
 			r.maybeCompact()
 			r.mu.Unlock()
 			out[a.ID] = gs.shards
@@ -151,8 +153,8 @@ func (r *registry) snapshotGrouped(acps []*policy.ACP) map[string][]shardRows {
 // the full regroup assigns newcomers), and only groups whose membership or
 // member content changed are re-assembled and re-digested. Callers hold
 // grpMu and the registry write lock.
-func (r *registry) applyChurn(gs *groupState, a *policy.ACP, ver uint64, hints map[string]struct{}) {
-	cis := r.polConds[a.ID]
+func (r *registry) applyChurn(gs *groupState, acpID string, ver uint64, hints map[string]struct{}) {
+	cis := r.polConds[acpID]
 	dirty := make(map[int]bool)
 	var leavers, joiners []string
 	for nym := range hints {
@@ -210,7 +212,7 @@ func (r *registry) applyChurn(gs *groupState, a *policy.ACP, ver uint64, hints m
 	}
 
 	if len(dirty) > 0 {
-		r.assembleShards(gs, a.ID, dirty)
+		r.assembleShards(gs, acpID, dirty)
 	}
 	gs.ver = ver
 }
@@ -257,6 +259,7 @@ func (r *registry) assembleShards(gs *groupState, acpID string, dirty map[int]bo
 // tracker, member lists and shards are reconstructed. Callers hold grpMu
 // (but NOT the registry lock — the scan takes the read lock itself).
 func (r *registry) fullRegroup(gs *groupState, a *policy.ACP) {
+	r.fullRegroups.Add(1)
 	r.mu.RLock()
 	ver := r.memVer[a.ID]
 	nyms, rows := r.collectQualified(a)
@@ -353,6 +356,83 @@ func (r *registry) fullRegroup(gs *groupState, a *policy.ACP) {
 	gs.shards = shards
 	gs.ver = ver
 	gs.valid = true
+}
+
+// restoredGroups is one policy's group state rebuilt by a segmented import,
+// with what the stored assignment and cells disagreed on (churn exported
+// before a grouped snapshot saw it): joiners qualify without a group, stale
+// slots held a group they no longer qualify for.
+type restoredGroups struct {
+	gs      *groupState
+	joiners map[string]struct{}
+	stale   []int32
+}
+
+// regroupRestored rebuilds one policy's group state from its restored gid
+// column, valid at the restored membership version — what fullRegroup would
+// derive from the same assignment, without the scan-and-reconcile (sorted is
+// the table's pseudonym order, so members fall into their groups sorted).
+// tab is not yet shared; col is consumed.
+func (r *registry) regroupRestored(tab *cssTable, sorted []int32, acpID string, col []int32, universe int, ver uint64) restoredGroups {
+	cis := r.polConds[acpID]
+	var out restoredGroups
+	counts := make([]int, universe)
+	assigned := 0
+	for _, s := range sorted {
+		switch g, q := col[s], qualifiesRow(tab.row(s), cis); {
+		case g != gidNone && q:
+			counts[g]++
+			assigned++
+		case g != gidNone:
+			col[s] = gidNone
+			out.stale = append(out.stale, s)
+		case q:
+			if out.joiners == nil {
+				out.joiners = make(map[string]struct{})
+			}
+			out.joiners[tab.nyms[s]] = struct{}{}
+		}
+	}
+	gs := &groupState{
+		assign:  make(map[string]int, assigned),
+		counts:  counts,
+		tracker: newMinTracker(r.groupSize),
+		members: make([][]string, universe),
+		ver:     ver,
+		valid:   true,
+	}
+	// One row-block allocation per group (its rows are windows of it), so a
+	// re-solved group later releases exactly its own block.
+	rows := make([][][]core.CSS, universe)
+	blocks := make([][]core.CSS, universe)
+	for gid, c := range counts {
+		gs.tracker.addAt(gid, trackOcc(c, r.groupSize))
+		if c > 0 {
+			gs.members[gid] = make([]string, 0, c)
+			rows[gid] = make([][]core.CSS, 0, c)
+			blocks[gid] = make([]core.CSS, 0, c*len(cis))
+		}
+	}
+	for _, s := range sorted {
+		g := col[s]
+		if g == gidNone {
+			continue
+		}
+		gs.assign[tab.nyms[s]] = int(g)
+		gs.members[g] = append(gs.members[g], tab.nyms[s])
+		row, k := tab.row(s), len(blocks[g])
+		for _, ci := range cis {
+			blocks[g] = append(blocks[g], row[ci])
+		}
+		rows[g] = append(rows[g], blocks[g][k:len(blocks[g]):len(blocks[g])])
+	}
+	for gid, c := range counts {
+		if c > 0 {
+			gs.shards = append(gs.shards, shardRows{GID: gid, Sig: shardSig(acpID, gid, gs.members[gid], rows[gid]), Rows: rows[gid]})
+		}
+	}
+	out.gs = gs
+	return out
 }
 
 // insertSorted inserts nym into a sorted slice (no-op if already present).

@@ -49,6 +49,10 @@ type Stats struct {
 	// configuration's fresh build instead of solving twice (§VIII-B);
 	// cache-hit publishes don't inflate it.
 	DominanceSkips uint64
+	// FullRegroups counts grouped snapshots of one policy that fell back to
+	// a scan of table T (the policy's first publish, a monolithic state
+	// import, dropped conditions) instead of advancing through churn hints.
+	FullRegroups uint64
 }
 
 // stats exposes the engine's work counters plus dominance skips.

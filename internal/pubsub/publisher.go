@@ -190,7 +190,11 @@ func (p *Publisher) Policies() []*policy.ACP {
 // re-solved vs. served from the incremental cache (in grouped mode Solves
 // counts per-shard solves), plus §VIII-B dominance skips. A steady-state
 // publish (no table change since the previous one) adds zero solves.
-func (p *Publisher) Stats() Stats { return p.keys.stats() }
+func (p *Publisher) Stats() Stats {
+	st := p.keys.stats()
+	st.FullRegroups = p.reg.fullRegroups.Load()
+	return st
+}
 
 // RegistrationRequest is one condition registration from a subscriber: the
 // identity token, the target condition and the OCBE receiver message.

@@ -19,7 +19,7 @@ var (
 	tMgr    *idtoken.Manager
 )
 
-func testEnv(t *testing.T) (*pedersen.Params, *idtoken.Manager) {
+func testEnv(t testing.TB) (*pedersen.Params, *idtoken.Manager) {
 	t.Helper()
 	envOnce.Do(func() {
 		p, err := pedersen.Setup(schnorr.Must2048(), []byte("pubsub-test"))

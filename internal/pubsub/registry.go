@@ -3,6 +3,7 @@ package pubsub
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"ppcd/internal/core"
 	"ppcd/internal/policy"
@@ -31,11 +32,11 @@ import (
 type registry struct {
 	mu  sync.RWMutex
 	tab *cssTable
-	// tabGen counts wholesale table replacements (restore). A segmented
-	// export base (statev2_segments.go) captured against an older tabGen is
-	// invalid: slot assignment is nondeterministic across a restore, so
-	// carrying "clean" slot-range segments forward would resurrect rows at
-	// their pre-restore slots.
+	// tabGen counts wholesale table replacements. A segmented export base
+	// (statev2_segments.go) captured against an older tabGen is invalid: a
+	// monolithic restore assigns slots afresh, so carrying "clean" slot-range
+	// segments forward would resurrect rows at their old slots. A segmented
+	// import preserves slots and hands its new tabGen back as the base.
 	tabGen uint64
 	// memVer is the membership version per policy ID.
 	memVer map[string]uint64
@@ -58,9 +59,10 @@ type registry struct {
 	// guards the per-policy group state; it is independent of mu so
 	// mutations never wait on a grouped assembly. Lock order: grpMu → mu
 	// (never the reverse while holding mu).
-	groupSize int
-	grpMu     sync.Mutex
-	grp       map[string]*groupState
+	groupSize    int
+	grpMu        sync.Mutex
+	grp          map[string]*groupState
+	fullRegroups atomic.Uint64 // Stats.FullRegroups
 }
 
 // policyRows is one cached row assembly. The rows slice is immutable once
@@ -128,7 +130,8 @@ func (r *registry) hint(nym, condID string) {
 // bumpAll marks every policy membership-dirty (used when a state import had
 // to drop stale columns: restored caches may cover memberships that no
 // longer hold). Grouped state is invalidated wholesale — the churn hints
-// cannot describe "everything may have changed".
+// cannot describe "everything may have changed" — and so is any segmented
+// export base: the segments it stands for still hold what was dropped.
 func (r *registry) bumpAll() {
 	r.grpMu.Lock()
 	defer r.grpMu.Unlock()
@@ -137,6 +140,7 @@ func (r *registry) bumpAll() {
 		r.memVer[id]++
 	}
 	clear(r.pend)
+	r.tabGen++
 	r.mu.Unlock()
 	for _, gs := range r.grp {
 		gs.valid = false
@@ -214,14 +218,7 @@ func (r *registry) revokeCredential(nym, condID string) error {
 	r.bump(condID)
 	r.hint(nym, condID)
 	r.tab.markDirty(s)
-	empty := true
-	for _, v := range row {
-		if v != 0 {
-			empty = false
-			break
-		}
-	}
-	if empty {
+	if rowEmpty(row) {
 		r.tab.deleteRow(nym)
 	}
 	r.maybeCompact()
@@ -242,23 +239,6 @@ func (r *registry) tableMemory() (int, int64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.tab.live, r.tab.memBytes()
-}
-
-// rowCopy returns a copy of one pseudonym's row (nil if absent).
-func (r *registry) rowCopy(nym string) map[string]core.CSS {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s, ok := r.tab.slotOf[nym]
-	if !ok {
-		return nil
-	}
-	out := make(map[string]core.CSS)
-	for ci, v := range r.tab.row(s) {
-		if v != 0 {
-			out[r.tab.conds[ci]] = v
-		}
-	}
-	return out
 }
 
 // qualifiesRow reports whether a columnar row holds a CSS for every listed
@@ -368,24 +348,6 @@ func (r *registry) snapshot(acps []*policy.ACP) (map[string][][]core.CSS, map[st
 	return rows, vers
 }
 
-// export copies the table for state serialization.
-func (r *registry) export() map[string]map[string]uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]map[string]uint64, r.tab.live)
-	for nym, s := range r.tab.slotOf {
-		row := r.tab.row(s)
-		cells := make(map[string]uint64)
-		for ci, v := range row {
-			if v != 0 {
-				cells[r.tab.conds[ci]] = uint64(v)
-			}
-		}
-		out[nym] = cells
-	}
-	return out
-}
-
 // registryState is a full snapshot of the registry's durable state: table T,
 // the per-policy membership versions, and the sticky group assignment (§VIII-C)
 // with its per-group occupancy counts. It keeps the serialization-friendly
@@ -452,23 +414,13 @@ func (r *registry) restore(st registryState) {
 		}
 	}
 	tab.compact()
-	r.tab = tab
-	r.tabGen++ // slot layout changed wholesale; segmented bases are void
-	for id := range r.memVer {
-		r.memVer[id] = st.memVer[id]
-	}
-	r.rowsCache = make(map[string]policyRows)
-	clear(r.pend)
-	known := make(map[string]bool, len(r.memVer))
-	for id := range r.memVer {
-		known[id] = true
-	}
+	r.replaceTable(tab, st.memVer) // slot layout changed wholesale; segmented bases are void
 	r.mu.Unlock()
 
 	r.grpMu.Lock()
 	r.grp = make(map[string]*groupState)
 	for id, assign := range st.grpAssign {
-		if !known[id] {
+		if _, known := r.polConds[id]; !known {
 			continue
 		}
 		// valid stays false: the next grouped snapshot rebuilds occupancy,
@@ -476,6 +428,45 @@ func (r *registry) restore(st registryState) {
 		r.grp[id] = &groupState{assign: assign, counts: st.grpCounts[id]}
 	}
 	r.grpMu.Unlock()
+}
+
+// replaceTable swaps in a wholesale new table under a new table generation,
+// with the membership versions it was exported at, and forgets everything
+// derived from the old one. Callers hold the write lock.
+func (r *registry) replaceTable(tab *cssTable, memVer map[string]uint64) {
+	r.tab = tab
+	r.tabGen++
+	for id := range r.memVer {
+		r.memVer[id] = memVer[id]
+	}
+	r.rowsCache = make(map[string]policyRows)
+	clear(r.pend)
+}
+
+// installRestored swaps in the table and group states a segmented import
+// rebuilt (statev2_segments.go). Slots are where the segments had them and
+// nothing is dirty, so the returned table generation makes those segments a
+// sound base for the next segmented export. What the stored columns disagreed
+// on is settled the ordinary way: a stale assignment re-dirties its row,
+// joiners go through applyChurn.
+func (r *registry) installRestored(tab *cssTable, memVer map[string]uint64, polIDs []string, groups []restoredGroups) uint64 {
+	r.grpMu.Lock()
+	defer r.grpMu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.replaceTable(tab, memVer)
+	r.grp = make(map[string]*groupState, len(polIDs))
+	for i, id := range polIDs {
+		g := &groups[i]
+		r.grp[id] = g.gs
+		for _, s := range g.stale {
+			tab.markDirty(s)
+		}
+		if len(g.joiners) > 0 {
+			r.applyChurn(g.gs, id, g.gs.ver, g.joiners)
+		}
+	}
+	return r.tabGen
 }
 
 // replaceDiff swaps in a wholesale new table (state import), bumping only the

@@ -175,6 +175,9 @@ func readStateHeader(r *stateReader) (*core.Header, error) {
 	if err != nil {
 		return nil, err
 	}
+	if 8*nx > r.r.Remaining() {
+		return nil, errStateTruncated
+	}
 	x := make(linalg.Vector, nx)
 	for i := range x {
 		if x[i], err = r.elem(); err != nil {
@@ -188,18 +191,26 @@ func readStateHeader(r *stateReader) (*core.Header, error) {
 	if nx != nz+1 {
 		return nil, fmt.Errorf("pubsub: state header shape |X|=%d, N=%d", nx, nz)
 	}
-	zs := make([][]byte, nz)
-	for i := range zs {
-		z, err := r.bytes()
+	if nz*(4+core.NonceSize) > r.r.Remaining() {
+		return nil, errStateTruncated
+	}
+	// One flat buffer for the whole run, each nonce a capped window of it.
+	run := make([]byte, nz*core.NonceSize)
+	for i := 0; i < nz; i++ {
+		n, err := r.u32()
 		if err != nil {
 			return nil, err
 		}
-		if len(z) != core.NonceSize {
-			return nil, fmt.Errorf("pubsub: state header nonce of %d bytes, want %d", len(z), core.NonceSize)
+		if n != core.NonceSize {
+			return nil, fmt.Errorf("pubsub: state header nonce of %d bytes, want %d", n, core.NonceSize)
 		}
-		zs[i] = z
+		z, err := r.take(n)
+		if err != nil {
+			return nil, err
+		}
+		copy(run[i*core.NonceSize:], z)
 	}
-	h := &core.Header{X: x, Zs: zs}
+	h := &core.Header{X: x, Zs: core.NonceRun(run, nz, core.NonceSize)}
 	if err := r.charge(h.Size()); err != nil {
 		return nil, err
 	}
@@ -225,18 +236,9 @@ func (p *Publisher) exportStateV2() ([]byte, error) {
 	sort.Slice(shards, func(i, j int) bool { return shards[i].ID < shards[j].ID })
 	sort.Slice(grouped, func(i, j int) bool { return grouped[i].ID < grouped[j].ID })
 
-	p.pubMu.Lock()
-	epoch, gen := p.epoch, p.gen
-	last := make(map[string]*lastBroadcast, len(p.lastPub))
-	for name, lb := range p.lastPub {
-		last[name] = lb
-	}
-	p.pubMu.Unlock()
-
 	w := &stateWriter{}
 	w.raw(stateMagicV2)
-	w.u64(epoch)
-	w.u64(gen)
+	last := p.writeStateStamp(w)
 
 	// Table T, in sorted order for deterministic output.
 	nyms := sortedKeys(reg.table)
@@ -252,16 +254,10 @@ func (p *Publisher) exportStateV2() ([]byte, error) {
 		}
 	}
 
-	// Membership versions.
-	ids := sortedKeys(reg.memVer)
-	w.u32(len(ids))
-	for _, id := range ids {
-		w.str(id)
-		w.u64(reg.memVer[id])
-	}
+	writeStateVersions(w, reg.memVer)
 
 	// Sticky group assignments.
-	ids = sortedKeys(reg.grpAssign)
+	ids := sortedKeys(reg.grpAssign)
 	w.u32(len(ids))
 	for _, id := range ids {
 		w.str(id)
@@ -274,16 +270,76 @@ func (p *Publisher) exportStateV2() ([]byte, error) {
 		}
 	}
 
-	// Engine caches. Pointer → ID maps let the lastPub section reference the
-	// shared header objects.
-	cfgByHdr := make(map[*core.Header]string, len(cfgs))
+	writeStateCaches(w, cfgs, shards, grouped)
+	writeStateBases(w, last, cfgs, grouped)
+	return w.out(), nil
+}
+
+// writeStateStamp encodes the epoch counter and the incarnation generation,
+// and returns the diff bases read under the same lock.
+func (p *Publisher) writeStateStamp(w *stateWriter) map[string]*lastBroadcast {
+	p.pubMu.Lock()
+	defer p.pubMu.Unlock()
+	w.u64(p.epoch)
+	w.u64(p.gen)
+	last := make(map[string]*lastBroadcast, len(p.lastPub))
+	for name, lb := range p.lastPub {
+		last[name] = lb
+	}
+	return last
+}
+
+func readStateStamp(r *stateReader) (epoch, gen uint64, err error) {
+	if epoch, err = r.u64(); err != nil {
+		return 0, 0, err
+	}
+	if gen, err = r.u64(); err != nil {
+		return 0, 0, err
+	}
+	if gen == 0 {
+		return 0, 0, errors.New("pubsub: state has zero generation")
+	}
+	return epoch, gen, nil
+}
+
+// writeStateVersions encodes the per-policy membership versions.
+func writeStateVersions(w *stateWriter, memVer map[string]uint64) {
+	ids := sortedKeys(memVer)
+	w.u32(len(ids))
+	for _, id := range ids {
+		w.str(id)
+		w.u64(memVer[id])
+	}
+}
+
+func readStateVersions(r *stateReader) (map[string]uint64, error) {
+	n, err := r.count()
+	if err != nil {
+		return nil, err
+	}
+	memVer := make(map[string]uint64, n)
+	for i := 0; i < n; i++ {
+		id, err := r.str(maxStateCondLen)
+		if err != nil {
+			return nil, err
+		}
+		if memVer[id], err = r.u64(); err != nil {
+			return nil, err
+		}
+	}
+	return memVer, nil
+}
+
+// writeStateCaches encodes entries of the engine's three cache levels (the
+// cfgCache, shardCache and grpCache sections of the layout above) — all of
+// them in the monolithic blob, one hash bucket's worth in a cache segment.
+func writeStateCaches(w *stateWriter, cfgs []core.CachedConfig, shards []core.CachedShard, grouped []core.CachedGrouped) {
 	w.u32(len(cfgs))
 	for _, c := range cfgs {
 		w.str(c.ID)
 		w.str(c.Sig)
 		writeStateHeader(w, c.Hdr)
 		w.u64(uint64(c.Key))
-		cfgByHdr[c.Hdr] = c.ID
 	}
 	w.u32(len(shards))
 	for _, s := range shards {
@@ -292,7 +348,6 @@ func (p *Publisher) exportStateV2() ([]byte, error) {
 		writeStateHeader(w, s.Hdr)
 		w.u64(uint64(s.Key))
 	}
-	grpIDByPtr := make(map[*core.GroupedHeader]string, len(grouped))
 	w.u32(len(grouped))
 	for _, g := range grouped {
 		w.str(g.ID)
@@ -310,10 +365,117 @@ func (p *Publisher) exportStateV2() ([]byte, error) {
 			w.u64(uint64(sh.Wrap))
 		}
 		w.u64(uint64(g.Key))
-		grpIDByPtr[g.Hdr] = g.ID
 	}
+}
 
-	// Per-document diff bases.
+// readStateCaches decodes what writeStateCaches wrote. Grouped shard
+// references stay unresolved (restoreCacheHeaders): in a segmented state
+// they may point into another bucket.
+func readStateCaches(r *stateReader) (cfgs []core.CachedConfig, shards []core.CachedShard, grouped []core.CachedGrouped, err error) {
+	n, err := r.count()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for i := 0; i < n; i++ {
+		var c core.CachedConfig
+		if c.ID, c.Sig, c.Hdr, c.Key, err = readStateCacheEntry(r); err != nil {
+			return nil, nil, nil, err
+		}
+		cfgs = append(cfgs, c)
+	}
+	if n, err = r.count(); err != nil {
+		return nil, nil, nil, err
+	}
+	for i := 0; i < n; i++ {
+		var s core.CachedShard
+		if s.ID, s.Sig, s.Hdr, s.Key, err = readStateCacheEntry(r); err != nil {
+			return nil, nil, nil, err
+		}
+		shards = append(shards, s)
+	}
+	if n, err = r.count(); err != nil {
+		return nil, nil, nil, err
+	}
+	for i := 0; i < n; i++ {
+		var g core.CachedGrouped
+		if g.ID, err = r.str(maxStateSigLen); err != nil {
+			return nil, nil, nil, err
+		}
+		if g.Sig, err = r.str(maxStateSigLen); err != nil {
+			return nil, nil, nil, err
+		}
+		if g.RekeyNonce, err = r.bytes(); err != nil {
+			return nil, nil, nil, err
+		}
+		if len(g.RekeyNonce) != core.NonceSize {
+			return nil, nil, nil, fmt.Errorf("pubsub: state rekey nonce of %d bytes, want %d", len(g.RekeyNonce), core.NonceSize)
+		}
+		ns, err := r.count()
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		g.Shards = make([]core.CachedGroupedShard, ns)
+		for j := range g.Shards {
+			sh := &g.Shards[j]
+			kind, err := r.u8()
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			switch kind {
+			case 0:
+				if sh.ShardID, err = r.str(maxStateSigLen); err != nil {
+					return nil, nil, nil, err
+				}
+				if sh.ShardID == "" {
+					return nil, nil, nil, errors.New("pubsub: state shard reference is empty")
+				}
+			case 1:
+				if sh.Hdr, err = readStateHeader(r); err != nil {
+					return nil, nil, nil, err
+				}
+			default:
+				return nil, nil, nil, fmt.Errorf("pubsub: bad state shard kind %d", kind)
+			}
+			if sh.Wrap, err = r.elem(); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+		if g.Key, err = r.elem(); err != nil {
+			return nil, nil, nil, err
+		}
+		grouped = append(grouped, g)
+	}
+	return cfgs, shards, grouped, nil
+}
+
+// readStateCacheEntry decodes the common shape of a configuration and a shard
+// cache entry.
+func readStateCacheEntry(r *stateReader) (id, sig string, hdr *core.Header, key ff64.Elem, err error) {
+	if id, err = r.str(maxStateSigLen); err != nil {
+		return
+	}
+	if sig, err = r.str(maxStateSigLen); err != nil {
+		return
+	}
+	if hdr, err = readStateHeader(r); err != nil {
+		return
+	}
+	key, err = r.elem()
+	return
+}
+
+// writeStateBases encodes the per-document diff bases (the lastPub section).
+// Configuration headers the engine cache also holds are written as references
+// into it, which is what re-establishes the pointer sharing on import.
+func writeStateBases(w *stateWriter, last map[string]*lastBroadcast, cfgs []core.CachedConfig, grouped []core.CachedGrouped) {
+	cfgByHdr := make(map[*core.Header]string, len(cfgs))
+	for i := range cfgs {
+		cfgByHdr[cfgs[i].Hdr] = cfgs[i].ID
+	}
+	grpIDByPtr := make(map[*core.GroupedHeader]string, len(grouped))
+	for i := range grouped {
+		grpIDByPtr[grouped[i].Hdr] = grouped[i].ID
+	}
 	docs := sortedKeys(last)
 	w.u32(len(docs))
 	for _, name := range docs {
@@ -328,7 +490,56 @@ func (p *Publisher) exportStateV2() ([]byte, error) {
 			w.raw(d[:])
 		}
 	}
-	return w.out(), nil
+}
+
+// readStateBases decodes the diff bases of a state of generation gen. Header
+// references resolve against the decoded caches, so the restored broadcasts
+// share objects with the restored engine exactly like the live ones did —
+// which is what keeps the first post-restart publish pointer-identical
+// (revisions carry forward, deltas stay small).
+func readStateBases(r *stateReader, gen uint64, cfgHdrByID map[string]*core.Header, grpByID map[string]*core.GroupedHeader) (map[string]*lastBroadcast, error) {
+	n, err := r.count()
+	if err != nil {
+		return nil, err
+	}
+	last := make(map[string]*lastBroadcast, n)
+	for i := 0; i < n; i++ {
+		name, err := r.str(maxStateCondLen)
+		if err != nil {
+			return nil, err
+		}
+		if _, dup := last[name]; dup {
+			return nil, fmt.Errorf("pubsub: state contains duplicate document %q", name)
+		}
+		b, err := readStateBroadcast(r, cfgHdrByID, grpByID)
+		if err != nil {
+			return nil, err
+		}
+		if b.DocName != name {
+			return nil, fmt.Errorf("pubsub: state diff base keyed %q holds document %q", name, b.DocName)
+		}
+		if b.Gen != gen {
+			return nil, fmt.Errorf("pubsub: state diff base %q carries foreign generation", name)
+		}
+		nd, err := r.count()
+		if err != nil {
+			return nil, err
+		}
+		digests := make(map[string][32]byte, nd)
+		for j := 0; j < nd; j++ {
+			sd, err := r.str(maxStateCondLen)
+			if err != nil {
+				return nil, err
+			}
+			raw, err := r.take(32)
+			if err != nil {
+				return nil, err
+			}
+			digests[sd] = [32]byte(raw)
+		}
+		last[name] = &lastBroadcast{b: b, digests: digests}
+	}
+	return last, nil
 }
 
 func writeStateBroadcast(w *stateWriter, b *Broadcast, cfgByHdr map[*core.Header]string, grpIDByPtr map[*core.GroupedHeader]string) {
@@ -391,16 +602,9 @@ func writeStateBroadcast(w *stateWriter, b *Broadcast, cfgByHdr map[*core.Header
 func (p *Publisher) importStateV2(data []byte) error {
 	r := newStateReader(data[len(stateMagicV2):], codec.NewBudget(maxStateHeaderBudget))
 
-	epoch, err := r.u64()
+	epoch, gen, err := readStateStamp(r)
 	if err != nil {
 		return err
-	}
-	gen, err := r.u64()
-	if err != nil {
-		return err
-	}
-	if gen == 0 {
-		return errors.New("pubsub: state has zero generation")
 	}
 
 	// Table T, with the same stale-column filtering as v1 plus duplicate-nym
@@ -457,22 +661,9 @@ func (p *Publisher) importStateV2(data []byte) error {
 		}
 	}
 
-	// Membership versions.
-	n, err = r.count()
+	memVer, err := readStateVersions(r)
 	if err != nil {
 		return err
-	}
-	memVer := make(map[string]uint64, n)
-	for i := 0; i < n; i++ {
-		id, err := r.str(maxStateCondLen)
-		if err != nil {
-			return err
-		}
-		v, err := r.u64()
-		if err != nil {
-			return err
-		}
-		memVer[id] = v
 	}
 
 	// Sticky group assignments.
@@ -530,177 +721,40 @@ func (p *Publisher) importStateV2(data []byte) error {
 		grpCounts[id] = counts
 	}
 
-	// Engine caches.
-	n, err = r.count()
+	cfgs, shards, grouped, err := readStateCaches(r)
 	if err != nil {
 		return err
 	}
-	cfgs := make([]core.CachedConfig, 0, n)
-	cfgHdrByID := make(map[string]*core.Header, n)
-	for i := 0; i < n; i++ {
-		var c core.CachedConfig
-		if c.ID, err = r.str(maxStateSigLen); err != nil {
-			return err
-		}
-		if c.Sig, err = r.str(maxStateSigLen); err != nil {
-			return err
-		}
-		if c.Hdr, err = readStateHeader(r); err != nil {
-			return err
-		}
-		if c.Key, err = r.elem(); err != nil {
-			return err
-		}
-		cfgs = append(cfgs, c)
-		cfgHdrByID[c.ID] = c.Hdr
-	}
-	n, err = r.count()
+	cfgHdrByID, restoredGrp, err := restoreCacheHeaders(cfgs, shards, grouped)
 	if err != nil {
 		return err
 	}
-	shards := make([]core.CachedShard, 0, n)
-	for i := 0; i < n; i++ {
-		var s core.CachedShard
-		if s.ID, err = r.str(maxStateSigLen); err != nil {
-			return err
-		}
-		if s.Sig, err = r.str(maxStateSigLen); err != nil {
-			return err
-		}
-		if s.Hdr, err = readStateHeader(r); err != nil {
-			return err
-		}
-		if s.Key, err = r.elem(); err != nil {
-			return err
-		}
-		shards = append(shards, s)
-	}
-	n, err = r.count()
+	last, err := readStateBases(r, gen, cfgHdrByID, restoredGrp)
 	if err != nil {
 		return err
-	}
-	grouped := make([]core.CachedGrouped, 0, n)
-	for i := 0; i < n; i++ {
-		var g core.CachedGrouped
-		if g.ID, err = r.str(maxStateSigLen); err != nil {
-			return err
-		}
-		if g.Sig, err = r.str(maxStateSigLen); err != nil {
-			return err
-		}
-		if g.RekeyNonce, err = r.bytes(); err != nil {
-			return err
-		}
-		if len(g.RekeyNonce) != core.NonceSize {
-			return fmt.Errorf("pubsub: state rekey nonce of %d bytes, want %d", len(g.RekeyNonce), core.NonceSize)
-		}
-		ns, err := r.count()
-		if err != nil {
-			return err
-		}
-		g.Shards = make([]core.CachedGroupedShard, ns)
-		for j := 0; j < ns; j++ {
-			kind, err := r.u8()
-			if err != nil {
-				return err
-			}
-			var sh core.CachedGroupedShard
-			switch kind {
-			case 0:
-				if sh.ShardID, err = r.str(maxStateSigLen); err != nil {
-					return err
-				}
-			case 1:
-				if sh.Hdr, err = readStateHeader(r); err != nil {
-					return err
-				}
-			default:
-				return fmt.Errorf("pubsub: bad state shard kind %d", kind)
-			}
-			if sh.Wrap, err = r.elem(); err != nil {
-				return err
-			}
-			g.Shards[j] = sh
-		}
-		if g.Key, err = r.elem(); err != nil {
-			return err
-		}
-		grouped = append(grouped, g)
-	}
-
-	// Diff bases. Header references resolve against the decoded caches, so
-	// the restored broadcasts share objects with the restored engine exactly
-	// like the live ones did — which is what keeps the first post-restart
-	// publish pointer-identical (revisions carry forward, deltas stay small).
-	restoredGrp, err := restoreGroupedHeaders(shards, grouped)
-	if err != nil {
-		return err
-	}
-	n, err = r.count()
-	if err != nil {
-		return err
-	}
-	last := make(map[string]*lastBroadcast, n)
-	for i := 0; i < n; i++ {
-		name, err := r.str(maxStateCondLen)
-		if err != nil {
-			return err
-		}
-		if _, dup := last[name]; dup {
-			return fmt.Errorf("pubsub: state contains duplicate document %q", name)
-		}
-		b, err := readStateBroadcast(r, cfgHdrByID, restoredGrp)
-		if err != nil {
-			return err
-		}
-		if b.DocName != name {
-			return fmt.Errorf("pubsub: state diff base keyed %q holds document %q", name, b.DocName)
-		}
-		if b.Gen != gen {
-			return fmt.Errorf("pubsub: state diff base %q carries foreign generation", name)
-		}
-		nd, err := r.count()
-		if err != nil {
-			return err
-		}
-		digests := make(map[string][32]byte, nd)
-		for j := 0; j < nd; j++ {
-			sd, err := r.str(maxStateCondLen)
-			if err != nil {
-				return err
-			}
-			raw, err := r.take(32)
-			if err != nil {
-				return err
-			}
-			var d [32]byte
-			copy(d[:], raw)
-			digests[sd] = d
-		}
-		last[name] = &lastBroadcast{b: b, digests: digests}
 	}
 	if err := r.done(); err != nil {
 		return err
 	}
 
-	return p.installState(&decodedState{
-		epoch: epoch, gen: gen,
-		table: table, memVer: memVer,
-		grpAssign: grpAssign, grpCounts: grpCounts,
+	st := &decodedState{
+		epoch: epoch, gen: gen, memVer: memVer,
 		cfgs: cfgs, shards: shards, grouped: grouped,
 		restoredGrp: restoredGrp, last: last, dropped: dropped,
+	}
+	return p.installState(st, func() {
+		p.reg.restore(registryState{table: table, memVer: memVer, grpAssign: grpAssign, grpCounts: grpCounts})
 	})
 }
 
-// decodedState is a fully decoded durable state ready to install — the
-// convergence point of the monolithic v2 blob and the segmented import.
+// decodedState is a decoded durable state ready to install, less table T and
+// the group assignment — the convergence point of the monolithic v2 blob
+// (which hands those over as a registryState) and the segmented import (which
+// rebuilds them in place).
 type decodedState struct {
 	epoch, gen  uint64
-	table       map[string]map[string]core.CSS
 	memVer      map[string]uint64
 	grpUniverse map[string]int // segmented import only: per-policy group-universe length
-	grpAssign   map[string]map[string]int
-	grpCounts   map[string][]int
 	cfgs        []core.CachedConfig
 	shards      []core.CachedShard
 	grouped     []core.CachedGrouped
@@ -709,18 +763,18 @@ type decodedState struct {
 	dropped     bool
 }
 
-// installState installs a decoded state into the publisher. The grouped
-// cache entries carry the pre-resolved header objects, so the engine shares
-// them with the restored diff bases (pointer identity = delta-small
-// publishes).
-func (p *Publisher) installState(st *decodedState) error {
+// installState installs a decoded state into the publisher; restoreReg
+// installs the registry's share. The grouped cache entries carry the
+// pre-resolved header objects, so the engine shares them with the restored
+// diff bases (pointer identity = delta-small publishes).
+func (p *Publisher) installState(st *decodedState, restoreReg func()) error {
 	for i := range st.grouped {
 		st.grouped[i].Hdr = st.restoredGrp[st.grouped[i].ID]
 	}
 	if err := p.keys.engine.RestoreCache(st.cfgs, st.shards, st.grouped); err != nil {
 		return err
 	}
-	p.reg.restore(registryState{table: st.table, memVer: st.memVer, grpAssign: st.grpAssign, grpCounts: st.grpCounts})
+	restoreReg()
 	if st.dropped {
 		// The policy set changed since export: restored caches may encode
 		// memberships that no longer hold. Dirty everything.
@@ -734,10 +788,14 @@ func (p *Publisher) installState(st *decodedState) error {
 	return nil
 }
 
-// restoreGroupedHeaders rebuilds the grouped cache's live header objects from
-// the decoded entries, resolving shard references against the decoded shard
-// cache so the pointers are shared.
-func restoreGroupedHeaders(shards []core.CachedShard, grouped []core.CachedGrouped) (map[string]*core.GroupedHeader, error) {
+// restoreCacheHeaders indexes the decoded configuration headers by ID and
+// rebuilds the grouped cache's live header objects, resolving shard references
+// against the decoded shard cache so the pointers are shared.
+func restoreCacheHeaders(cfgs []core.CachedConfig, shards []core.CachedShard, grouped []core.CachedGrouped) (map[string]*core.Header, map[string]*core.GroupedHeader, error) {
+	cfgHdrByID := make(map[string]*core.Header, len(cfgs))
+	for _, c := range cfgs {
+		cfgHdrByID[c.ID] = c.Hdr
+	}
 	byID := make(map[string]*core.Header, len(shards))
 	for _, s := range shards {
 		byID[s.ID] = s.Hdr
@@ -750,17 +808,14 @@ func restoreGroupedHeaders(shards []core.CachedShard, grouped []core.CachedGroup
 			if sh.ShardID != "" {
 				var ok bool
 				if h, ok = byID[sh.ShardID]; !ok {
-					return nil, fmt.Errorf("pubsub: state configuration %q references unknown shard %q", g.ID, sh.ShardID)
+					return nil, nil, fmt.Errorf("pubsub: state configuration %q references unknown shard %q", g.ID, sh.ShardID)
 				}
-			}
-			if h == nil {
-				return nil, fmt.Errorf("pubsub: state configuration %q shard %d has no sub-header", g.ID, i)
 			}
 			hdr.Shards[i] = core.GroupShard{Hdr: h, Wrap: sh.Wrap}
 		}
 		out[g.ID] = hdr
 	}
-	return out, nil
+	return cfgHdrByID, out, nil
 }
 
 func readStateBroadcast(r *stateReader, cfgHdrByID map[string]*core.Header, grpByID map[string]*core.GroupedHeader) (*Broadcast, error) {

@@ -3,10 +3,14 @@ package pubsub
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/bits"
+	"slices"
 	"sort"
+	"strings"
+	"sync/atomic"
 
 	"ppcd/internal/codec"
 	"ppcd/internal/core"
@@ -18,12 +22,15 @@ import (
 // churn rewrites only what changed and recovery decodes in parallel:
 //
 //   - TABLE segments cover contiguous columnar slot ranges of table T
-//     (columnar.go). Live slots never move (compact only recycles dead
-//     slots), so the per-slot dirty bitmap the registry maintains maps
-//     straight onto "which segments must be rewritten". Each row carries its
-//     cells AND its per-policy sticky group IDs — assignment changes re-dirty
-//     the row (grouping.go) — so a restored assignment is exact, not
-//     re-derived.
+//     (columnar.go), laid out as the slab the table already is (layout at
+//     encodeTableColumns). Live slots never move — neither under churn
+//     (compact only recycles dead slots) nor across a restart (a segment
+//     decodes back into the slots its index names) — so the per-slot dirty
+//     bitmap the registry maintains maps straight onto "which segments must
+//     be rewritten", before and after a recovery. Assignment changes
+//     re-dirty the row (grouping.go), so a restored assignment is exact;
+//     pseudonym order and index, member lists, row blocks and signatures are
+//     not stored but rebuilt.
 //   - CACHE segments partition the engine's exported cache entries into
 //     hash buckets by entry ID. Each bucket has an identity digest (over
 //     ID, content signature, key material — all of which change on any
@@ -45,8 +52,9 @@ import (
 const DefaultSegmentSlots = 4096
 
 // segPayloadVersion versions every segment payload independently of the
-// store's framing.
-const segPayloadVersion = 1
+// store's framing. Version 2 made table segments columnar; there is no reader
+// for version 1.
+const segPayloadVersion = 2
 
 // SegmentGeometry is the shape of one segmented export.
 type SegmentGeometry struct {
@@ -66,17 +74,18 @@ type SegmentBase struct {
 	CacheDigests [][32]byte
 }
 
-// SegmentExport is one segmented state export. Table and Cache hold only the
-// segments that must be (re)written — all of them when Full. CacheDigests
-// always covers every bucket (the store records them in the manifest for the
-// next export's base).
+// SegmentExport is one segmented state export. Table and Cache are indexed
+// by segment and hold a payload only for the segments that must be
+// (re)written — all of them when Full; nil carries the base's segment.
+// CacheDigests always covers every bucket (the store records them in the
+// manifest for the next export's base).
 type SegmentExport struct {
 	Geometry     SegmentGeometry
 	TabGen       uint64
 	Full         bool
 	Meta         []byte
-	Table        map[int][]byte
-	Cache        map[int][]byte
+	Table        [][]byte
+	Cache        [][]byte
 	CacheDigests [][32]byte
 }
 
@@ -144,47 +153,30 @@ func (p *Publisher) ExportStateSegments(segSlots int, base *SegmentBase) (*Segme
 		Geometry: SegmentGeometry{SegSlots: segSlots, TableSegs: tableSegs, CacheSegs: cacheSegs},
 		TabGen:   tabGen,
 		Full:     full,
-		Table:    make(map[int][]byte),
-		Cache:    make(map[int][]byte),
+		Table:    make([][]byte, tableSegs),
+		Cache:    make([][]byte, cacheSegs),
 	}
 
 	// Dirty table segments: every stolen bit's segment, plus any segment
 	// range that did not exist at the base (appended slots mark themselves,
 	// so this is belt-and-braces for the geometry edge).
-	dirtySegs := make(map[int]bool)
-	if full {
-		for i := 0; i < tableSegs; i++ {
-			dirtySegs[i] = true
-		}
-	} else {
-		for w, mask := range dirtyBits {
-			for mask != 0 {
-				slot := w*64 + bits.TrailingZeros64(mask)
-				mask &= mask - 1
-				if slot < slotsLen {
-					dirtySegs[slot/segSlots] = true
-				}
+	dirty := make([]bool, tableSegs)
+	for w, mask := range dirtyBits {
+		for mask != 0 {
+			slot := w*64 + bits.TrailingZeros64(mask)
+			mask &= mask - 1
+			if slot < slotsLen {
+				dirty[slot/segSlots] = true
 			}
 		}
-		for i := base.Geometry.TableSegs; i < tableSegs; i++ {
-			dirtySegs[i] = true
-		}
 	}
-
-	polIDs := make([]string, 0, len(r.grp))
-	for id := range r.grp {
-		polIDs = append(polIDs, id)
-	}
-	sort.Strings(polIDs)
-
+	polIDs := sortedKeys(r.grp)
 	r.mu.RLock()
-	for seg := range dirtySegs {
-		lo := seg * segSlots
-		hi := lo + segSlots
-		if n := len(r.tab.nyms); hi > n {
-			hi = n
+	for seg := range dirty {
+		if full || dirty[seg] || seg >= base.Geometry.TableSegs {
+			lo := seg * segSlots
+			exp.Table[seg] = r.encodeTableSegment(lo, min(lo+segSlots, len(r.tab.nyms)), polIDs)
 		}
-		exp.Table[seg] = r.encodeTableSegment(lo, hi, polIDs)
 	}
 	r.mu.RUnlock()
 
@@ -193,11 +185,11 @@ func (p *Publisher) ExportStateSegments(segSlots int, base *SegmentBase) (*Segme
 	cfgB, shardB, grpB := partitionCacheEntries(cacheSegs, cfgs, shards, grouped)
 	exp.CacheDigests = make([][32]byte, cacheSegs)
 	for b := 0; b < cacheSegs; b++ {
-		exp.CacheDigests[b] = cacheBucketDigest(cfgs, shards, grouped, cfgB[b], shardB[b], grpB[b])
+		exp.CacheDigests[b] = cacheBucketDigest(cfgB[b], shardB[b], grpB[b])
 		if !rebucket && b < len(base.CacheDigests) && base.CacheDigests[b] == exp.CacheDigests[b] {
 			continue
 		}
-		exp.Cache[b] = encodeCacheBucket(cfgs, shards, grouped, cfgB[b], shardB[b], grpB[b])
+		exp.Cache[b] = encodeCacheBucket(cfgB[b], shardB[b], grpB[b])
 	}
 
 	exp.Meta = p.encodeMetaSegment(cfgs, grouped, polIDs)
@@ -225,21 +217,21 @@ func cacheBucketOf(kind byte, id string, nbuckets int) int {
 	return int(h.Sum64() & uint64(nbuckets-1))
 }
 
-func partitionCacheEntries(nbuckets int, cfgs []core.CachedConfig, shards []core.CachedShard, grouped []core.CachedGrouped) (cfgB, shardB, grpB [][]int) {
-	cfgB = make([][]int, nbuckets)
-	shardB = make([][]int, nbuckets)
-	grpB = make([][]int, nbuckets)
-	for i := range cfgs {
-		b := cacheBucketOf('C', cfgs[i].ID, nbuckets)
-		cfgB[b] = append(cfgB[b], i)
+func partitionCacheEntries(nbuckets int, cfgs []core.CachedConfig, shards []core.CachedShard, grouped []core.CachedGrouped) (cfgB [][]core.CachedConfig, shardB [][]core.CachedShard, grpB [][]core.CachedGrouped) {
+	cfgB = make([][]core.CachedConfig, nbuckets)
+	shardB = make([][]core.CachedShard, nbuckets)
+	grpB = make([][]core.CachedGrouped, nbuckets)
+	for _, c := range cfgs {
+		b := cacheBucketOf('C', c.ID, nbuckets)
+		cfgB[b] = append(cfgB[b], c)
 	}
-	for i := range shards {
-		b := cacheBucketOf('S', shards[i].ID, nbuckets)
-		shardB[b] = append(shardB[b], i)
+	for _, sh := range shards {
+		b := cacheBucketOf('S', sh.ID, nbuckets)
+		shardB[b] = append(shardB[b], sh)
 	}
-	for i := range grouped {
-		b := cacheBucketOf('G', grouped[i].ID, nbuckets)
-		grpB[b] = append(grpB[b], i)
+	for _, g := range grouped {
+		b := cacheBucketOf('G', g.ID, nbuckets)
+		grpB[b] = append(grpB[b], g)
 	}
 	return
 }
@@ -254,7 +246,7 @@ func partitionCacheEntries(nbuckets int, cfgs []core.CachedConfig, shards []core
 // by (Sig, Key) instead of content, which is what keeps this digest pass
 // O(entries), not O(state bytes). Digests cover SECRET key material; the
 // store persists them only inside the sealed manifest.
-func cacheBucketDigest(cfgs []core.CachedConfig, shards []core.CachedShard, grouped []core.CachedGrouped, cfgIdx, shardIdx, grpIdx []int) [32]byte {
+func cacheBucketDigest(cfgs []core.CachedConfig, shards []core.CachedShard, grouped []core.CachedGrouped) [32]byte {
 	h := sha256.New()
 	var num [8]byte
 	ws := func(s string) {
@@ -277,7 +269,7 @@ func cacheBucketDigest(cfgs []core.CachedConfig, shards []core.CachedShard, grou
 			h.Write(z)
 		}
 	}
-	for _, i := range cfgIdx {
+	for i := range cfgs {
 		c := &cfgs[i]
 		h.Write([]byte{'C'})
 		ws(c.ID)
@@ -285,14 +277,14 @@ func cacheBucketDigest(cfgs []core.CachedConfig, shards []core.CachedShard, grou
 		wu(uint64(c.Key))
 		whdr(c.Hdr)
 	}
-	for _, i := range shardIdx {
+	for i := range shards {
 		s := &shards[i]
 		h.Write([]byte{'S'})
 		ws(s.ID)
 		ws(s.Sig)
 		wu(uint64(s.Key))
 	}
-	for _, i := range grpIdx {
+	for i := range grouped {
 		g := &grouped[i]
 		h.Write([]byte{'G'})
 		ws(g.ID)
@@ -317,126 +309,75 @@ func cacheBucketDigest(cfgs []core.CachedConfig, shards []core.CachedShard, grou
 	return out
 }
 
-// encodeTableSegment encodes the live rows of slots [lo, hi): cells against
-// a per-segment condition dictionary, sticky group IDs against a per-segment
-// policy dictionary. Callers hold grpMu and at least the registry read lock.
+// gidNone marks a slot without a group in one policy's gid column.
+const gidNone = int32(-1)
+
+// encodeTableSegment encodes slots [lo, hi): the table's own columns plus one
+// gid column per grouped policy. Callers hold grpMu and at least the registry
+// read lock.
 func (r *registry) encodeTableSegment(lo, hi int, polIDs []string) []byte {
+	nyms := r.tab.nyms[lo:hi]
+	gids := make([][]int32, len(polIDs))
+	for k, pid := range polIDs {
+		assign := r.grp[pid].assign
+		col := make([]int32, len(nyms))
+		for i, nym := range nyms {
+			col[i] = gidNone
+			if gid, ok := assign[nym]; ok {
+				col[i] = int32(gid)
+			}
+		}
+		gids[k] = col
+	}
+	return encodeTableColumns(r.tab.conds, polIDs, nyms, r.tab.cells[lo*r.tab.width:hi*r.tab.width], gids)
+}
+
+// encodeTableColumns writes one table segment payload for n = len(nyms) slots:
+//
+//	u8 version | u32 n
+//	u32 nd { str cond }      dictionary = column order of the CSS block
+//	u32 np { str policyID }  one gid column each, in this order
+//	n × u32 name length (0 = dead slot) | u32 blob length | names, concatenated
+//	n × nd × u64 CSS, row-major (0 = no CSS)
+//	np × n × i32 group ID (gidNone = not grouped in that policy)
+func encodeTableColumns(conds, pols, nyms []string, cells []core.CSS, gids [][]int32) []byte {
+	lens := make([]uint32, len(nyms))
+	blob := 0
+	for i, nym := range nyms {
+		lens[i] = uint32(len(nym))
+		blob += len(nym)
+	}
 	w := &stateWriter{}
+	w.w.Grow(4096 + blob + 8*len(cells) + 4*len(nyms)*(1+len(gids))) // the columns, and room for the dictionaries
 	w.u8(segPayloadVersion)
-
-	type rowEnc struct {
-		nym     string
-		cells   [][2]uint64 // dict index, css
-		assigns [][2]int    // policy dict index, gid
-	}
-	var (
-		rows     []rowEnc
-		condDict []string
-		condIdx  = make(map[int]int) // global column → dict index
-		polDict  []string
-		polIdx   = make(map[string]int)
-	)
-	for s := lo; s < hi; s++ {
-		nym := r.tab.nyms[s]
-		if nym == "" {
-			continue
-		}
-		re := rowEnc{nym: nym}
-		for ci, v := range r.tab.row(int32(s)) {
-			if v == 0 {
-				continue
-			}
-			di, ok := condIdx[ci]
-			if !ok {
-				di = len(condDict)
-				condIdx[ci] = di
-				condDict = append(condDict, r.tab.conds[ci])
-			}
-			re.cells = append(re.cells, [2]uint64{uint64(di), uint64(v)})
-		}
-		for _, pid := range polIDs {
-			gid, ok := r.grp[pid].assign[nym]
-			if !ok {
-				continue
-			}
-			pi, ok := polIdx[pid]
-			if !ok {
-				pi = len(polDict)
-				polIdx[pid] = pi
-				polDict = append(polDict, pid)
-			}
-			re.assigns = append(re.assigns, [2]int{pi, gid})
-		}
-		rows = append(rows, re)
-	}
-
-	w.u32(len(condDict))
-	for _, c := range condDict {
+	w.u32(len(nyms))
+	w.u32(len(conds))
+	for _, c := range conds {
 		w.str(c)
 	}
-	w.u32(len(polDict))
-	for _, pid := range polDict {
+	w.u32(len(pols))
+	for _, pid := range pols {
 		w.str(pid)
 	}
-	w.u32(len(rows))
-	for _, re := range rows {
-		w.str(re.nym)
-		w.u32(len(re.cells))
-		for _, c := range re.cells {
-			w.u32(int(c[0]))
-			w.u64(c[1])
-		}
-		w.u32(len(re.assigns))
-		for _, a := range re.assigns {
-			w.u32(a[0])
-			w.u32(a[1])
-		}
+	codec.WriteU32s(&w.w, lens)
+	w.u32(blob)
+	for _, nym := range nyms {
+		w.w.RawStr(nym)
+	}
+	codec.WriteU64s(&w.w, cells)
+	for _, col := range gids {
+		codec.WriteU32s(&w.w, col)
 	}
 	return w.out()
 }
 
-// encodeCacheBucket encodes one bucket's cache entries, using the same
-// per-entry encodings as the monolithic v2 blob. Grouped shard references
-// may point at shards in OTHER buckets; resolution happens after all buckets
-// decode.
-func encodeCacheBucket(cfgs []core.CachedConfig, shards []core.CachedShard, grouped []core.CachedGrouped, cfgIdx, shardIdx, grpIdx []int) []byte {
+// encodeCacheBucket encodes one bucket's cache entries, in the per-entry
+// encodings of the monolithic v2 blob. Grouped shard references may point at
+// shards in OTHER buckets; resolution happens after all buckets decode.
+func encodeCacheBucket(cfgs []core.CachedConfig, shards []core.CachedShard, grouped []core.CachedGrouped) []byte {
 	w := &stateWriter{}
 	w.u8(segPayloadVersion)
-	w.u32(len(cfgIdx))
-	for _, i := range cfgIdx {
-		c := &cfgs[i]
-		w.str(c.ID)
-		w.str(c.Sig)
-		writeStateHeader(w, c.Hdr)
-		w.u64(uint64(c.Key))
-	}
-	w.u32(len(shardIdx))
-	for _, i := range shardIdx {
-		s := &shards[i]
-		w.str(s.ID)
-		w.str(s.Sig)
-		writeStateHeader(w, s.Hdr)
-		w.u64(uint64(s.Key))
-	}
-	w.u32(len(grpIdx))
-	for _, i := range grpIdx {
-		g := &grouped[i]
-		w.str(g.ID)
-		w.str(g.Sig)
-		w.bytes(g.RekeyNonce)
-		w.u32(len(g.Shards))
-		for _, sh := range g.Shards {
-			if sh.ShardID != "" {
-				w.u8(0)
-				w.str(sh.ShardID)
-			} else {
-				w.u8(1)
-				writeStateHeader(w, sh.Hdr)
-			}
-			w.u64(uint64(sh.Wrap))
-		}
-		w.u64(uint64(g.Key))
-	}
+	writeStateCaches(w, cfgs, shards, grouped)
 	return w.out()
 }
 
@@ -445,35 +386,13 @@ func encodeCacheBucket(cfgs []core.CachedConfig, shards []core.CachedShard, grou
 // per-document diff bases. Callers hold grpMu.
 func (p *Publisher) encodeMetaSegment(cfgs []core.CachedConfig, grouped []core.CachedGrouped, polIDs []string) []byte {
 	r := p.reg
-	cfgByHdr := make(map[*core.Header]string, len(cfgs))
-	for i := range cfgs {
-		cfgByHdr[cfgs[i].Hdr] = cfgs[i].ID
-	}
-	grpIDByPtr := make(map[*core.GroupedHeader]string, len(grouped))
-	for i := range grouped {
-		grpIDByPtr[grouped[i].Hdr] = grouped[i].ID
-	}
-
 	w := &stateWriter{}
 	w.u8(segPayloadVersion)
 
-	p.pubMu.Lock()
-	epoch, gen := p.epoch, p.gen
-	last := make(map[string]*lastBroadcast, len(p.lastPub))
-	for name, lb := range p.lastPub {
-		last[name] = lb
-	}
-	p.pubMu.Unlock()
-	w.u64(epoch)
-	w.u64(gen)
+	last := p.writeStateStamp(w)
 
 	r.mu.RLock()
-	ids := sortedKeys(r.memVer)
-	w.u32(len(ids))
-	for _, id := range ids {
-		w.str(id)
-		w.u64(r.memVer[id])
-	}
+	writeStateVersions(w, r.memVer)
 	r.mu.RUnlock()
 
 	w.u32(len(polIDs))
@@ -481,39 +400,11 @@ func (p *Publisher) encodeMetaSegment(cfgs []core.CachedConfig, grouped []core.C
 		w.str(pid)
 		w.u32(len(r.grp[pid].counts))
 	}
-
-	docs := sortedKeys(last)
-	w.u32(len(docs))
-	for _, name := range docs {
-		lb := last[name]
-		w.str(name)
-		writeStateBroadcast(w, lb.b, cfgByHdr, grpIDByPtr)
-		subdocs := sortedKeys(lb.digests)
-		w.u32(len(subdocs))
-		for _, sd := range subdocs {
-			w.str(sd)
-			d := lb.digests[sd]
-			w.raw(d[:])
-		}
-	}
+	writeStateBases(w, last, cfgs, grouped)
 	return w.out()
 }
 
 // --- import ----------------------------------------------------------------
-
-// decodedTableSeg is one decoded table segment.
-type decodedTableSeg struct {
-	rows    []decodedRow
-	err     error
-	segment int
-}
-
-type decodedRow struct {
-	nym     string
-	cells   map[string]core.CSS
-	assigns map[string]int
-	dropped bool
-}
 
 // decodedCacheSeg is one decoded cache bucket.
 type decodedCacheSeg struct {
@@ -523,15 +414,21 @@ type decodedCacheSeg struct {
 	err     error
 }
 
-// ImportStateSegments restores a publisher from a full set of decoded
-// segment payloads (every table segment and cache bucket the manifest lists,
-// in index order, plus the meta segment). Table and cache segments decode in
-// parallel across up to workers goroutines — they are independent — while
-// validation that spans segments (duplicate pseudonyms, assignment bounds)
-// and the final install run serially. All decodes share one allocation
-// budget, so the parallel path enforces the same global bound as the
-// monolithic import.
-func (p *Publisher) ImportStateSegments(meta []byte, table, cache [][]byte, workers int) error {
+// ImportStateSegments restores a publisher from a full set of segment
+// payloads (every table segment and cache bucket the manifest lists, in index
+// order, plus the meta segment) written with segSlots table slots per segment,
+// in three phases parallel across up to workers goroutines: cache buckets
+// decode; table segments validate and copy into a pre-sized columnar table at
+// the slots their index names, each sorting its own pseudonyms; then the
+// pseudonym index and every policy's group state are rebuilt side by side.
+// All decodes share one allocation budget.
+//
+// Slots survive, so the returned table generation makes the imported payloads
+// (with their geometry and cache digests) a sound SegmentBase for the next
+// export. If conditions the publisher no longer has were dropped, every policy
+// is dirty and the registry has already left that generation: the base then
+// forces a full export.
+func (p *Publisher) ImportStateSegments(segSlots int, meta []byte, table, cache [][]byte, workers int) (uint64, error) {
 	total := len(meta)
 	for _, seg := range table {
 		total += len(seg)
@@ -540,350 +437,352 @@ func (p *Publisher) ImportStateSegments(meta []byte, table, cache [][]byte, work
 		total += len(seg)
 	}
 	if total > maxStateBytes {
-		return fmt.Errorf("pubsub: state of %d bytes exceeds the %d limit", total, maxStateBytes)
-	}
-	if workers < 1 {
-		workers = 1
+		return 0, fmt.Errorf("pubsub: state of %d bytes exceeds the %d limit", total, maxStateBytes)
 	}
 	budget := codec.NewBudget(maxStateHeaderBudget)
 
-	tabSegs := make([]decodedTableSeg, len(table))
 	cacheSegs := make([]decodedCacheSeg, len(cache))
-	core.Parallel(workers, len(table)+len(cache), func(i int) {
-		if i < len(table) {
-			tabSegs[i] = decodeTableSegment(p, table[i], budget)
-			tabSegs[i].segment = i
-		} else {
-			cacheSegs[i-len(table)] = decodeCacheSegment(cache[i-len(table)], budget)
-		}
+	core.Parallel(workers, len(cache), func(i int) {
+		cacheSegs[i] = decodeCacheSegment(cache[i], budget)
 	})
-	for i := range tabSegs {
-		if tabSegs[i].err != nil {
-			return fmt.Errorf("pubsub: table segment %d: %w", i, tabSegs[i].err)
-		}
-	}
-	for i := range cacheSegs {
-		if cacheSegs[i].err != nil {
-			return fmt.Errorf("pubsub: cache segment %d: %w", i, cacheSegs[i].err)
-		}
-	}
-
 	var cfgs []core.CachedConfig
 	var shards []core.CachedShard
 	var grouped []core.CachedGrouped
 	for i := range cacheSegs {
+		if cacheSegs[i].err != nil {
+			return 0, fmt.Errorf("pubsub: cache segment %d: %w", i, cacheSegs[i].err)
+		}
 		cfgs = append(cfgs, cacheSegs[i].cfgs...)
 		shards = append(shards, cacheSegs[i].shards...)
 		grouped = append(grouped, cacheSegs[i].grouped...)
 	}
-	cfgHdrByID := make(map[string]*core.Header, len(cfgs))
-	for i := range cfgs {
-		cfgHdrByID[cfgs[i].ID] = cfgs[i].Hdr
-	}
-	restoredGrp, err := restoreGroupedHeaders(shards, grouped)
+	cfgHdrByID, restoredGrp, err := restoreCacheHeaders(cfgs, shards, grouped)
 	if err != nil {
-		return err
+		return 0, err
 	}
-
-	st, err := p.decodeMetaSegment(meta, budget, cfgHdrByID, restoredGrp)
+	st, err := decodeMetaSegment(meta, budget, cfgHdrByID, restoredGrp)
 	if err != nil {
-		return fmt.Errorf("pubsub: meta segment: %w", err)
+		return 0, fmt.Errorf("pubsub: meta segment: %w", err)
 	}
 	st.cfgs, st.shards, st.grouped, st.restoredGrp = cfgs, shards, grouped, restoredGrp
 
-	// Merge table segments: duplicate pseudonyms across segments are a
-	// manifest-level inconsistency (a slot lives in exactly one segment),
-	// and assignments must land inside the meta-declared group universe.
-	st.table = make(map[string]map[string]core.CSS)
-	st.grpAssign = make(map[string]map[string]int)
-	st.grpCounts = make(map[string][]int)
-	for id, n := range st.grpUniverse {
-		st.grpAssign[id] = make(map[string]int)
-		st.grpCounts[id] = make([]int, n)
+	tr, err := p.reg.newTableRestore(segSlots, table, st.grpUniverse, budget)
+	if err != nil {
+		return 0, err
 	}
-	for i := range tabSegs {
-		for _, row := range tabSegs[i].rows {
-			if row.dropped {
-				st.dropped = true
-			}
-			if row.cells == nil {
-				continue
-			}
-			if _, dup := st.table[row.nym]; dup {
-				return fmt.Errorf("pubsub: state contains duplicate pseudonym %q", row.nym)
-			}
-			st.table[row.nym] = row.cells
-			for pid, gid := range row.assigns {
-				groups, ok := st.grpUniverse[pid]
-				if !ok {
-					return fmt.Errorf("pubsub: state assigns %q in unknown policy %q", row.nym, pid)
-				}
-				if gid >= groups {
-					return fmt.Errorf("pubsub: state assigns %q to group %d of %d", row.nym, gid, groups)
-				}
-				st.grpAssign[pid][row.nym] = gid
-				st.grpCounts[pid][gid]++
-			}
+	errs := make([]error, len(table))
+	core.Parallel(workers, len(table), func(i int) {
+		errs[i] = tr.decodeSegment(i)
+	})
+	for i, err := range errs {
+		if err != nil {
+			return 0, fmt.Errorf("pubsub: table segment %d: %w", i, err)
 		}
 	}
-	return p.installState(st)
+	sorted, err := mergeRuns(tr.tab.nyms, tr.runs, workers)
+	if err != nil {
+		return 0, err
+	}
+
+	polIDs := sortedKeys(tr.gids)
+	groups := make([]restoredGroups, len(polIDs))
+	core.Parallel(workers, 1+len(polIDs), func(i int) {
+		if i == 0 {
+			tr.tab.index(sorted)
+			return
+		}
+		pid := polIDs[i-1]
+		groups[i-1] = p.reg.regroupRestored(tr.tab, sorted, pid, tr.gids[pid], st.grpUniverse[pid], st.memVer[pid])
+	})
+
+	st.dropped = tr.dropped.Load()
+	var tabGen uint64
+	err = p.installState(st, func() {
+		tabGen = p.reg.installRestored(tr.tab, st.memVer, polIDs, groups)
+	})
+	return tabGen, err
 }
 
-func decodeTableSegment(p *Publisher, data []byte, budget *codec.Budget) decodedTableSeg {
-	r := newStateReader(data, budget)
-	var out decodedTableSeg
-	fail := func(err error) decodedTableSeg { out.err = err; return out }
-	ver, err := r.u8()
-	if err != nil {
-		return fail(err)
+// tableRestore is table T under reconstruction by a segmented import.
+// Segments own disjoint slot ranges of tab, gids and runs, so they decode
+// concurrently without synchronization.
+type tableRestore struct {
+	tab      *cssTable
+	segSlots int
+	segs     []*stateReader     // one per segment, positioned past its slot count
+	counts   []int              // slots each segment declares
+	universe map[string]int     // declared group-universe length per policy (meta segment)
+	gids     map[string][]int32 // grouped policy the publisher still has → slot → group ID
+	runs     [][]int32          // per segment: live slots in pseudonym order
+	dropped  atomic.Bool        // a condition the publisher no longer has held cells
+}
+
+// newTableRestore sizes the table from the segments' declared slot counts:
+// every segment but the last spans exactly segSlots, and each must be long
+// enough to carry its own name-length column — which bounds the allocation by
+// the input before anything is decoded.
+func (r *registry) newTableRestore(segSlots int, table [][]byte, universe map[string]int, budget *codec.Budget) (*tableRestore, error) {
+	if segSlots <= 0 {
+		return nil, fmt.Errorf("pubsub: segment span of %d slots", segSlots)
 	}
-	if ver != segPayloadVersion {
-		return fail(fmt.Errorf("unsupported segment version %d", ver))
+	tr := &tableRestore{segSlots: segSlots, segs: make([]*stateReader, len(table)), counts: make([]int, len(table)), universe: universe, runs: make([][]int32, len(table))}
+	slots := 0
+	for i, seg := range table {
+		rd, err := segmentReader(seg, budget)
+		n := 0
+		if err == nil {
+			n, err = rd.count()
+		}
+		if err == nil && (n > segSlots || n == 0 || (n < segSlots && i != len(table)-1) || 4*n > len(seg)) {
+			err = fmt.Errorf("segment declares %d slots (span %d, %d bytes)", n, segSlots, len(seg))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pubsub: table segment %d: %w", i, err)
+		}
+		tr.segs[i], tr.counts[i] = rd, n
+		slots += n
 	}
+	if slots > maxStateCount {
+		return nil, errStateOversize
+	}
+	r.mu.RLock()
+	tr.tab = newCSSTable(r.tab.conds)
+	r.mu.RUnlock()
+	tr.tab.nyms = make([]string, slots)
+	tr.tab.cells = make([]core.CSS, slots*tr.tab.width)
+	tr.gids = make(map[string][]int32)
+	if r.groupSize > 0 {
+		for id := range r.polConds {
+			if _, ok := universe[id]; ok {
+				col := make([]int32, slots)
+				for i := range col {
+					col[i] = gidNone
+				}
+				tr.gids[id] = col
+			}
+		}
+	}
+	return tr, nil
+}
+
+// decodeSegment validates table segment seg and copies its columns into the
+// restore at slots [seg·segSlots, +n): one bounds-checked read per column, a
+// validation pass over each, and a sort of the segment's own pseudonyms.
+func (tr *tableRestore) decodeSegment(seg int) error {
+	r, n := tr.segs[seg], tr.counts[seg] // positioned past the slot count
+	tab, lo := tr.tab, seg*tr.segSlots
+
+	// Dictionaries: an unknown condition maps to column -1 (its cells are
+	// dropped), a policy must be one the meta segment declares.
 	nd, err := r.count()
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	conds := make([]string, nd)
-	for i := range conds {
-		if conds[i], err = r.str(maxStateCondLen); err != nil {
-			return fail(err)
+	if nd > maxStateRowCells {
+		return errStateOversize
+	}
+	colMap := make([]int, nd)
+	seen := make(map[string]bool, nd)
+	for d := range colMap {
+		cond, err := r.str(maxStateCondLen)
+		if err != nil {
+			return err
 		}
+		if seen[cond] {
+			return fmt.Errorf("condition %q listed twice", cond)
+		}
+		seen[cond] = true
+		ci, ok := tab.condIdx[cond]
+		if !ok {
+			ci = -1
+		}
+		colMap[d] = ci
 	}
 	np, err := r.count()
 	if err != nil {
-		return fail(err)
+		return err
+	}
+	if np > len(tr.universe) {
+		return fmt.Errorf("%d policy columns, %d policies declared", np, len(tr.universe))
 	}
 	pols := make([]string, np)
-	for i := range pols {
-		if pols[i], err = r.str(maxStateCondLen); err != nil {
-			return fail(err)
+	for k := range pols {
+		if pols[k], err = r.str(maxStateCondLen); err != nil {
+			return err
+		}
+		if _, ok := tr.universe[pols[k]]; !ok || slices.Contains(pols[:k], pols[k]) {
+			return fmt.Errorf("policy column %q undeclared or listed twice", pols[k])
 		}
 	}
-	n, err := r.count()
+	// Charge what the segment's length does not bound: slot bookkeeping and
+	// columns its own dictionaries lack.
+	if err := r.charge(n * (16 + 8*max(0, tab.width-nd) + 4*max(0, len(tr.gids)-np))); err != nil {
+		return err
+	}
+
+	// Names: every pseudonym of the segment is a substring of one copy of
+	// its blob.
+	lens := make([]uint32, n)
+	if err := codec.ReadU32s(r.r, lens); err != nil {
+		return stateErr(err)
+	}
+	blobLen, err := r.u32()
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	// Rows retain count-driven map allocations; charge them like header
-	// material so a crafted segment set cannot amplify.
-	if err := r.charge(16 * n); err != nil {
-		return fail(err)
+	raw, err := r.take(blobLen)
+	if err != nil {
+		return err
 	}
-	out.rows = make([]decodedRow, 0, n)
-	for i := 0; i < n; i++ {
-		var row decodedRow
-		if row.nym, err = r.str(maxStateNymLen); err != nil {
-			return fail(err)
+	live, sum := 0, 0
+	for _, l := range lens {
+		if l > maxStateNymLen {
+			return errStateOversize
 		}
-		if err := validateStateNym(row.nym); err != nil {
-			return fail(err)
+		if l != 0 {
+			live++
 		}
-		nc, err := r.count()
-		if err != nil {
-			return fail(err)
+		sum += int(l)
+	}
+	if sum != blobLen {
+		return fmt.Errorf("name lengths sum to %d, blob holds %d bytes", sum, blobLen)
+	}
+	blob, off := string(raw), 0
+	nyms := tab.nyms[lo : lo+n]
+	for i, l := range lens {
+		nyms[i] = blob[off : off+int(l)]
+		off += int(l)
+	}
+
+	// CSS block.
+	if 8*n*nd > r.r.Remaining() {
+		return errStateTruncated
+	}
+	slab := make([]core.CSS, n*nd)
+	if err := codec.ReadU64s(r.r, slab); err != nil {
+		return stateErr(err)
+	}
+	rows := tab.cells[lo*tab.width : (lo+n)*tab.width]
+	valid, lost := scatterSlab(rows, tab.width, colMap, slab, lens)
+	if !valid {
+		return errors.New("CSS block holds an unreduced cell, a live slot without a CSS or a dead slot with one")
+	}
+	if lost {
+		// A row left with nothing goes with the dropped cells.
+		tr.dropped.Store(true)
+		for i := range nyms {
+			if nyms[i] != "" && rowEmpty(rows[i*tab.width:(i+1)*tab.width]) {
+				nyms[i] = ""
+				live--
+			}
 		}
-		if nc > maxStateRowCells {
-			return fail(errStateOversize)
+	}
+
+	// Group-ID columns.
+	col := make([]int32, n)
+	for _, pid := range pols {
+		if err := codec.ReadU32s(r.r, col); err != nil {
+			return stateErr(err)
 		}
-		cells := make(map[string]core.CSS, nc)
-		for j := 0; j < nc; j++ {
-			di, err := r.u32()
-			if err != nil {
-				return fail(err)
-			}
-			css, err := r.u64()
-			if err != nil {
-				return fail(err)
-			}
-			if di >= len(conds) {
-				return fail(fmt.Errorf("cell references dictionary entry %d of %d", di, len(conds)))
-			}
-			if css == 0 || css >= ff64.Modulus {
-				return fail(fmt.Errorf("invalid CSS for (%q, %q)", row.nym, conds[di]))
-			}
-			if _, known := p.condByID[conds[di]]; !known {
-				row.dropped = true
+		universe, dst := tr.universe[pid], tr.gids[pid]
+		for i, g := range col {
+			if g == gidNone {
 				continue
 			}
-			cells[conds[di]] = core.CSS(css)
-		}
-		na, err := r.count()
-		if err != nil {
-			return fail(err)
-		}
-		if na > np {
-			return fail(errStateOversize)
-		}
-		assigns := make(map[string]int, na)
-		for j := 0; j < na; j++ {
-			pi, err := r.u32()
-			if err != nil {
-				return fail(err)
+			if g < 0 || int(g) >= universe || lens[i] == 0 {
+				return fmt.Errorf("slot %d assigned to group %d of %d in policy %q", lo+i, g, universe, pid)
 			}
-			gid, err := r.u32()
-			if err != nil {
-				return fail(err)
+			if dst != nil && nyms[i] != "" {
+				dst[lo+i] = g
 			}
-			if pi >= len(pols) {
-				return fail(fmt.Errorf("assignment references dictionary entry %d of %d", pi, len(pols)))
-			}
-			if _, dup := assigns[pols[pi]]; dup {
-				return fail(fmt.Errorf("state assigns %q twice in policy %q", row.nym, pols[pi]))
-			}
-			assigns[pols[pi]] = gid
 		}
-		if len(cells) == 0 {
-			row.dropped = true
-		} else {
-			row.cells = cells
-			row.assigns = assigns
-		}
-		out.rows = append(out.rows, row)
 	}
-	out.err = r.done()
+	if err := r.done(); err != nil {
+		return err
+	}
+
+	run := make([]int32, 0, live)
+	for i, nym := range nyms {
+		if nym != "" {
+			run = append(run, int32(lo+i))
+		}
+	}
+	slices.SortFunc(run, func(a, b int32) int { return strings.Compare(tab.nyms[a], tab.nyms[b]) })
+	for k := 1; k < len(run); k++ {
+		if tab.nyms[run[k]] == tab.nyms[run[k-1]] {
+			return fmt.Errorf("duplicate pseudonym %q", tab.nyms[run[k]])
+		}
+	}
+	tr.runs[seg] = run
+	return nil
+}
+
+// scatterSlab is the validation pass over one segment's CSS block: every cell
+// reduced, and a slot holds a CSS exactly when it has a name. Valid or not, it
+// copies each cell to its table column (colMap, -1 = the publisher no longer
+// has the condition); lost reports a non-zero cell dropped that way.
+//
+//ppcd:hotpath
+func scatterSlab(rows []core.CSS, width int, colMap []int, slab []core.CSS, lens []uint32) (valid, lost bool) {
+	nd := len(colMap)
+	valid = true
+	for i, l := range lens {
+		row := rows[i*width : (i+1)*width]
+		var any core.CSS
+		for d, v := range slab[i*nd : (i+1)*nd] {
+			if uint64(v) >= ff64.Modulus {
+				valid = false
+			}
+			any |= v
+			if ci := colMap[d]; ci >= 0 {
+				row[ci] = v
+			} else if v != 0 {
+				lost = true
+			}
+		}
+		if (l != 0) != (any != 0) {
+			valid = false
+		}
+	}
+	return valid, lost
+}
+
+// segmentReader opens one segment payload, vetting its version.
+func segmentReader(data []byte, budget *codec.Budget) (*stateReader, error) {
+	r := newStateReader(data, budget)
+	ver, err := r.u8()
+	if err == nil && ver != segPayloadVersion {
+		err = fmt.Errorf("unsupported segment version %d", ver)
+	}
+	return r, err
+}
+
+func decodeCacheSegment(data []byte, budget *codec.Budget) (out decodedCacheSeg) {
+	r, err := segmentReader(data, budget)
+	if err == nil {
+		out.cfgs, out.shards, out.grouped, err = readStateCaches(r)
+	}
+	if err == nil {
+		err = r.done()
+	}
+	out.err = err
 	return out
 }
 
-func decodeCacheSegment(data []byte, budget *codec.Budget) decodedCacheSeg {
-	r := newStateReader(data, budget)
-	var out decodedCacheSeg
-	fail := func(err error) decodedCacheSeg { out.err = err; return out }
-	ver, err := r.u8()
-	if err != nil {
-		return fail(err)
-	}
-	if ver != segPayloadVersion {
-		return fail(fmt.Errorf("unsupported segment version %d", ver))
-	}
-	n, err := r.count()
-	if err != nil {
-		return fail(err)
-	}
-	for i := 0; i < n; i++ {
-		var c core.CachedConfig
-		if c.ID, err = r.str(maxStateSigLen); err != nil {
-			return fail(err)
-		}
-		if c.Sig, err = r.str(maxStateSigLen); err != nil {
-			return fail(err)
-		}
-		if c.Hdr, err = readStateHeader(r); err != nil {
-			return fail(err)
-		}
-		if c.Key, err = r.elem(); err != nil {
-			return fail(err)
-		}
-		out.cfgs = append(out.cfgs, c)
-	}
-	if n, err = r.count(); err != nil {
-		return fail(err)
-	}
-	for i := 0; i < n; i++ {
-		var s core.CachedShard
-		if s.ID, err = r.str(maxStateSigLen); err != nil {
-			return fail(err)
-		}
-		if s.Sig, err = r.str(maxStateSigLen); err != nil {
-			return fail(err)
-		}
-		if s.Hdr, err = readStateHeader(r); err != nil {
-			return fail(err)
-		}
-		if s.Key, err = r.elem(); err != nil {
-			return fail(err)
-		}
-		out.shards = append(out.shards, s)
-	}
-	if n, err = r.count(); err != nil {
-		return fail(err)
-	}
-	for i := 0; i < n; i++ {
-		var g core.CachedGrouped
-		if g.ID, err = r.str(maxStateSigLen); err != nil {
-			return fail(err)
-		}
-		if g.Sig, err = r.str(maxStateSigLen); err != nil {
-			return fail(err)
-		}
-		if g.RekeyNonce, err = r.bytes(); err != nil {
-			return fail(err)
-		}
-		if len(g.RekeyNonce) != core.NonceSize {
-			return fail(fmt.Errorf("rekey nonce of %d bytes, want %d", len(g.RekeyNonce), core.NonceSize))
-		}
-		ns, err := r.count()
-		if err != nil {
-			return fail(err)
-		}
-		g.Shards = make([]core.CachedGroupedShard, ns)
-		for j := 0; j < ns; j++ {
-			kind, err := r.u8()
-			if err != nil {
-				return fail(err)
-			}
-			var sh core.CachedGroupedShard
-			switch kind {
-			case 0:
-				if sh.ShardID, err = r.str(maxStateSigLen); err != nil {
-					return fail(err)
-				}
-			case 1:
-				if sh.Hdr, err = readStateHeader(r); err != nil {
-					return fail(err)
-				}
-			default:
-				return fail(fmt.Errorf("bad state shard kind %d", kind))
-			}
-			if sh.Wrap, err = r.elem(); err != nil {
-				return fail(err)
-			}
-			g.Shards[j] = sh
-		}
-		if g.Key, err = r.elem(); err != nil {
-			return fail(err)
-		}
-		out.grouped = append(out.grouped, g)
-	}
-	out.err = r.done()
-	return out
-}
-
-func (p *Publisher) decodeMetaSegment(data []byte, budget *codec.Budget, cfgHdrByID map[string]*core.Header, restoredGrp map[string]*core.GroupedHeader) (*decodedState, error) {
-	r := newStateReader(data, budget)
-	ver, err := r.u8()
+func decodeMetaSegment(data []byte, budget *codec.Budget, cfgHdrByID map[string]*core.Header, restoredGrp map[string]*core.GroupedHeader) (*decodedState, error) {
+	r, err := segmentReader(data, budget)
 	if err != nil {
 		return nil, err
-	}
-	if ver != segPayloadVersion {
-		return nil, fmt.Errorf("unsupported segment version %d", ver)
 	}
 	st := &decodedState{}
-	if st.epoch, err = r.u64(); err != nil {
+	if st.epoch, st.gen, err = readStateStamp(r); err != nil {
 		return nil, err
 	}
-	if st.gen, err = r.u64(); err != nil {
+	if st.memVer, err = readStateVersions(r); err != nil {
 		return nil, err
-	}
-	if st.gen == 0 {
-		return nil, fmt.Errorf("state has zero generation")
 	}
 	n, err := r.count()
 	if err != nil {
-		return nil, err
-	}
-	st.memVer = make(map[string]uint64, n)
-	for i := 0; i < n; i++ {
-		id, err := r.str(maxStateCondLen)
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		st.memVer[id] = v
-	}
-	if n, err = r.count(); err != nil {
 		return nil, err
 	}
 	st.grpUniverse = make(map[string]int, n)
@@ -896,55 +795,16 @@ func (p *Publisher) decodeMetaSegment(data []byte, budget *codec.Budget, cfgHdrB
 		if err != nil {
 			return nil, err
 		}
-		// Group-count lists allocate 8*groups retained bytes not bounded by
-		// the input length (empty groups keep their numbers) — charge them,
-		// exactly like the monolithic import.
-		if err := r.charge(8 * groups); err != nil {
+		// Per-group state (occupancy, member list, tracker bits, the
+		// rebuild's scratch) is retained memory the input length does not
+		// bound — empty groups keep their numbers — so charge it.
+		if err := r.charge(64 * groups); err != nil {
 			return nil, err
 		}
 		st.grpUniverse[id] = groups
 	}
-	if n, err = r.count(); err != nil {
+	if st.last, err = readStateBases(r, st.gen, cfgHdrByID, restoredGrp); err != nil {
 		return nil, err
-	}
-	st.last = make(map[string]*lastBroadcast, n)
-	for i := 0; i < n; i++ {
-		name, err := r.str(maxStateCondLen)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := st.last[name]; dup {
-			return nil, fmt.Errorf("state contains duplicate document %q", name)
-		}
-		b, err := readStateBroadcast(r, cfgHdrByID, restoredGrp)
-		if err != nil {
-			return nil, err
-		}
-		if b.DocName != name {
-			return nil, fmt.Errorf("state diff base keyed %q holds document %q", name, b.DocName)
-		}
-		if b.Gen != st.gen {
-			return nil, fmt.Errorf("state diff base %q carries foreign generation", name)
-		}
-		nd, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		digests := make(map[string][32]byte, nd)
-		for j := 0; j < nd; j++ {
-			sd, err := r.str(maxStateCondLen)
-			if err != nil {
-				return nil, err
-			}
-			raw, err := r.take(32)
-			if err != nil {
-				return nil, err
-			}
-			var d [32]byte
-			copy(d[:], raw)
-			digests[sd] = d
-		}
-		st.last[name] = &lastBroadcast{b: b, digests: digests}
 	}
 	if err := r.done(); err != nil {
 		return nil, err

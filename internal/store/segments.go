@@ -8,11 +8,14 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 
 	"ppcd/internal/codec"
+	"ppcd/internal/core"
 	"ppcd/internal/pubsub"
 	"ppcd/internal/sym"
 )
@@ -219,43 +222,50 @@ func (s *Store) loadManifest() (uint64, error) {
 		return 0, err
 	}
 	s.man = man
-	// The manifest supersedes any legacy blob: the one-shot migration's
-	// crash window (segmented install succeeded, blob removal didn't) must
-	// not leave recovery a stale alternative to prefer later.
-	os.Remove(filepath.Join(s.dir, snapshotName))
 	return man.walSeq, nil
 }
 
 // gcSegments removes segment files not referenced by the given manifest
-// (nil = remove all): leftovers of interrupted snapshot writes, unreachable
-// by construction since installs rename a manifest over them atomically.
-func (s *Store) gcSegments() {
+// (nil = remove all): leftovers of interrupted or superseded snapshot writes,
+// unreachable by construction since installs rename a manifest over them
+// atomically.
+func gcSegments(dir string, man *manifest) {
 	keep := make(map[string]bool)
-	if s.man != nil {
-		for _, f := range s.man.files {
+	if man != nil {
+		for _, f := range man.files {
 			keep[f.name] = true
 		}
 	}
-	ents, err := os.ReadDir(s.dir)
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range ents {
 		name := e.Name()
 		if strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".ppcd") && !keep[name] {
-			os.Remove(filepath.Join(s.dir, name))
+			os.Remove(filepath.Join(dir, name))
 		}
 	}
 }
 
 // openSegmentFile reads, digest-checks and unseals one referenced segment
-// file, returning its plaintext payload.
+// file, returning its plaintext payload. The manifest's size is checked
+// before a byte is read and exactly that many are: a file swapped for a
+// larger one costs nothing.
 func (s *Store) openSegmentFile(f manFile) ([]byte, error) {
-	raw, err := os.ReadFile(filepath.Join(s.dir, f.name))
+	fd, err := os.Open(filepath.Join(s.dir, f.name))
 	if err != nil {
 		return nil, fmt.Errorf("%w: snapshot segment %s unreadable: %v", ErrCorrupt, f.name, err)
 	}
-	if int64(len(raw)) != f.size || sha256.Sum256(raw) != f.sum {
+	defer func() { _ = fd.Close() }() // read-only: nothing to lose
+	if fi, err := fd.Stat(); err != nil || fi.Size() != f.size {
+		return nil, fmt.Errorf("%w: snapshot segment %s fails its manifest digest", ErrCorrupt, f.name)
+	}
+	raw := make([]byte, f.size)
+	if _, err := io.ReadFull(fd, raw); err != nil {
+		return nil, fmt.Errorf("%w: snapshot segment %s unreadable: %v", ErrCorrupt, f.name, err)
+	}
+	if sha256.Sum256(raw) != f.sum {
 		return nil, fmt.Errorf("%w: snapshot segment %s fails its manifest digest", ErrCorrupt, f.name)
 	}
 	if !bytes.HasPrefix(raw, segMagic) {
@@ -295,15 +305,28 @@ func (s *Store) writeSegmentFile(kind byte, index int, payload []byte) (manFile,
 		return manFile{}, fmt.Errorf("store: %w", err)
 	}
 	name := fmt.Sprintf("seg-%c%d-%s.ppcd", kind, index, hex.EncodeToString(rnd[:]))
-	raw := make([]byte, 0, len(segMagic)+len(sealed))
-	raw = append(append(raw, segMagic...), sealed...)
 
-	path := filepath.Join(s.dir, name)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
-	if err != nil {
-		return manFile{}, fmt.Errorf("store: %w", err)
+	mf := manFile{kind: kind, index: index, name: name}
+	if mf.size, mf.sum, err = writeSealedFile(filepath.Join(s.dir, name), os.O_EXCL, segMagic, sealed); err != nil {
+		return manFile{}, fmt.Errorf("store: writing snapshot segment: %w", err)
 	}
-	_, err = f.Write(raw)
+	return mf, nil
+}
+
+// writeSealedFile writes magic ‖ sealed to path (created; mode is O_EXCL or
+// O_TRUNC) and fsyncs it, returning the size and SHA-256 of what it wrote. A
+// failed write leaves no file behind.
+func writeSealedFile(path string, mode int, magic, sealed []byte) (int64, [32]byte, error) {
+	var digest [32]byte
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|mode, 0o600)
+	if err != nil {
+		return 0, digest, err
+	}
+	sum := sha256.New()
+	out := io.MultiWriter(f, sum)
+	if _, err = out.Write(magic); err == nil {
+		_, err = out.Write(sealed)
+	}
 	if err == nil {
 		err = f.Sync()
 	}
@@ -312,9 +335,10 @@ func (s *Store) writeSegmentFile(kind byte, index int, payload []byte) (manFile,
 	}
 	if err != nil {
 		os.Remove(path)
-		return manFile{}, fmt.Errorf("store: writing snapshot segment: %w", err)
+		return 0, digest, err
 	}
-	return manFile{kind: kind, index: index, name: name, size: int64(len(raw)), sum: sha256.Sum256(raw)}, nil
+	sum.Sum(digest[:0])
+	return int64(len(magic) + len(sealed)), digest, nil
 }
 
 // crash consults the test crash hook at one named stage of the snapshot
@@ -358,7 +382,7 @@ func (s *Store) Snapshot(p *pubsub.Publisher) error {
 	}
 
 	s.mu.Lock()
-	base, prev, segSlots := s.base, s.man, s.segSlots
+	base, prev, segSlots, workers := s.base, s.man, s.segSlots, s.recWorkers
 	// The export consumes the publisher's dirty tracking; until the new
 	// manifest is durably installed only a full export is sound, so the
 	// base is forfeited now and reinstated on success.
@@ -373,7 +397,7 @@ func (s *Store) Snapshot(p *pubsub.Publisher) error {
 		prev = nil
 	}
 
-	man, stats, err := s.installSegments(exp, prev, seqBefore)
+	man, stats, err := s.installSegments(exp, prev, seqBefore, workers)
 	if err != nil {
 		return err
 	}
@@ -410,7 +434,7 @@ func (s *Store) Snapshot(p *pubsub.Publisher) error {
 
 // installSegments writes the export's dirty segments, carries clean ones
 // over from the previous manifest, and installs the new manifest atomically.
-func (s *Store) installSegments(exp *pubsub.SegmentExport, prev *manifest, seqBefore uint64) (*manifest, SnapshotStats, error) {
+func (s *Store) installSegments(exp *pubsub.SegmentExport, prev *manifest, seqBefore uint64, workers int) (*manifest, SnapshotStats, error) {
 	geo := exp.Geometry
 	man := &manifest{
 		walSeq:       seqBefore,
@@ -427,43 +451,60 @@ func (s *Store) installSegments(exp *pubsub.SegmentExport, prev *manifest, seqBe
 			carried[[2]int{int(f.kind), f.index}] = f
 		}
 	}
-	write := func(kind byte, index int, payload []byte, ok bool) error {
-		if !ok {
-			f, have := carried[[2]int{int(kind), index}]
-			if !have {
-				return fmt.Errorf("store: internal: clean segment %c%d has no previous manifest entry", kind, index)
-			}
-			man.files = append(man.files, f)
-			return nil
-		}
-		f, err := s.writeSegmentFile(kind, index, payload)
-		if err != nil {
-			return err
-		}
-		man.files = append(man.files, f)
-		stats.BytesWritten += f.size
-		stats.DirtySegments++
-		if s.crash(fmt.Sprintf("segment:%c%d", kind, index)) {
-			return errSnapCrash
-		}
-		return nil
+	// The manifest order: meta, then table and cache segments by index. A
+	// segment the export did not rewrite carries its previous file.
+	type job struct {
+		kind    byte
+		index   int
+		payload []byte
 	}
-
-	if err := write(segKindMeta, 0, exp.Meta, true); err != nil {
-		return nil, stats, err
-	}
+	jobs := []job{{segKindMeta, 0, exp.Meta}}
 	for i := 0; i < geo.TableSegs; i++ {
-		payload, ok := exp.Table[i]
-		if err := write(segKindTable, i, payload, ok); err != nil {
-			return nil, stats, err
-		}
+		jobs = append(jobs, job{segKindTable, i, exp.Table[i]})
 	}
 	for i := 0; i < geo.CacheSegs; i++ {
-		payload, ok := exp.Cache[i]
-		if err := write(segKindCache, i, payload, ok); err != nil {
-			return nil, stats, err
-		}
+		jobs = append(jobs, job{segKindCache, i, exp.Cache[i]})
 	}
+	man.files = make([]manFile, len(jobs))
+	var dirty []int
+	for i, j := range jobs {
+		if j.payload != nil {
+			dirty = append(dirty, i)
+			continue
+		}
+		f, have := carried[[2]int{int(j.kind), j.index}]
+		if !have {
+			return nil, stats, fmt.Errorf("store: internal: clean segment %c%d has no previous manifest entry", j.kind, j.index)
+		}
+		man.files[i] = f
+	}
+	// Dirty segments are independent files under fresh names: seal, digest,
+	// write and fsync them across the worker pool. Only the directory sync
+	// and the manifest are ordered after them. After a failure (or a test
+	// crash point) the remaining writes are skipped; what was written is
+	// unreferenced and collected by the next install or Open.
+	errs := make([]error, len(dirty))
+	var failed atomic.Bool
+	core.Parallel(workers, len(dirty), func(k int) {
+		if failed.Load() {
+			return
+		}
+		i := dirty[k]
+		j := jobs[i]
+		if man.files[i], errs[k] = s.writeSegmentFile(j.kind, j.index, j.payload); errs[k] == nil && s.crash(fmt.Sprintf("segment:%c%d", j.kind, j.index)) {
+			errs[k] = errSnapCrash
+		}
+		if errs[k] != nil {
+			failed.Store(true)
+		}
+	})
+	for k, i := range dirty {
+		if errs[k] != nil {
+			return nil, stats, errs[k]
+		}
+		stats.BytesWritten += man.files[i].size
+	}
+	stats.DirtySegments = len(dirty)
 	// Segment directory entries must be durable before a manifest references
 	// them: otherwise a crash could surface the new manifest with a segment
 	// file missing.
@@ -475,24 +516,11 @@ func (s *Store) installSegments(exp *pubsub.SegmentExport, prev *manifest, seqBe
 	}
 	path := filepath.Join(s.dir, manifestName)
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
+	size, _, err := writeSealedFile(tmp, os.O_TRUNC, manMagic, sealed)
 	if err != nil {
-		return nil, stats, fmt.Errorf("store: %w", err)
-	}
-	if _, err = f.Write(manMagic); err == nil {
-		_, err = f.Write(sealed)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
 		return nil, stats, fmt.Errorf("store: writing manifest: %w", err)
 	}
-	stats.BytesWritten += int64(len(manMagic) + len(sealed))
+	stats.BytesWritten += size
 	if s.crash("manifest-tmp") {
 		return nil, stats, errSnapCrash
 	}
@@ -504,21 +532,8 @@ func (s *Store) installSegments(exp *pubsub.SegmentExport, prev *manifest, seqBe
 	if s.crash("manifest-renamed") {
 		return nil, stats, errSnapCrash
 	}
-	// Post-install housekeeping, safe to lose to a crash: the legacy blob
-	// (now superseded — this is the one-shot migration) and segment files
-	// the new manifest no longer references.
-	os.Remove(filepath.Join(s.dir, snapshotName))
-	keep := make(map[string]bool, len(man.files))
-	for _, mf := range man.files {
-		keep[mf.name] = true
-	}
-	if ents, err := os.ReadDir(s.dir); err == nil {
-		for _, e := range ents {
-			name := e.Name()
-			if strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".ppcd") && !keep[name] {
-				os.Remove(filepath.Join(s.dir, name))
-			}
-		}
-	}
+	// Post-install housekeeping, safe to lose to a crash: segment files the
+	// new manifest no longer references.
+	gcSegments(s.dir, man)
 	return man, stats, nil
 }

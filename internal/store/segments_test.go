@@ -1,10 +1,8 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -348,6 +346,21 @@ func TestSegmentedCorruptionDetected(t *testing.T) {
 			t.Errorf("err = %v, want ErrCorrupt", err)
 		}
 	})
+	t.Run("segment-oversized", func(t *testing.T) {
+		// The authentic bytes with a tail appended: refused on size alone.
+		d := cloneDir(t, dir)
+		f, err := os.OpenFile(filepath.Join(d, segNames[0]), os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(make([]byte, 1<<20)); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if err := openOrRecover(d, testKey()); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("err = %v, want ErrCorrupt", err)
+		}
+	})
 	t.Run("segment-missing", func(t *testing.T) {
 		d := cloneDir(t, dir)
 		if err := os.Remove(filepath.Join(d, segNames[0])); err != nil {
@@ -494,117 +507,6 @@ func TestConcurrentCommitOrdering(t *testing.T) {
 	for i, ev := range rst.pending {
 		if ev.Nym != admitted[i] {
 			t.Fatalf("journal order diverges from admission order at %d: %s != %s", i, ev.Nym, admitted[i])
-		}
-	}
-}
-
-// TestLegacySnapshotMigration opens a directory in the previous release's
-// single-blob layout (snapshot.ppcd + WAL, built by hand to the old format),
-// recovers from it, and verifies the next snapshot migrates it one-shot to
-// the segmented layout, removing the blob.
-func TestLegacySnapshotMigration(t *testing.T) {
-	ts := newTestSystem(t, 4)
-	for i := 0; i < 4; i++ {
-		ts.join(t, fmt.Sprintf("pn-%d", i))
-	}
-	if _, err := ts.pub.Publish(ts.doc); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := ts.pub.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The PR-5-era layout: snapMagic ‖ AEAD(seq ‖ state blob), and one WAL
-	// record (seq+1, a publish) the snapshot does not cover.
-	dir := t.TempDir()
-	const snapSeq = 5
-	plain := make([]byte, 8, 8+len(blob))
-	binary.BigEndian.PutUint64(plain, snapSeq)
-	sealedSnap, err := sym.Encrypt(testKey(), append(plain, blob...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapshotName), append(append([]byte{}, snapMagic...), sealedSnap...), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	evPlain := make([]byte, 8, 32)
-	binary.BigEndian.PutUint64(evPlain, snapSeq+1)
-	evPlain = appendEvent(evPlain, pubsub.StateEvent{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: 9})
-	sealedRec, err := sym.Encrypt(testKey(), evPlain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wal := append([]byte{}, walMagic...)
-	wal = appendU32(wal, uint32(len(sealedRec)))
-	wal = appendU32(wal, crc32.ChecksumIEEE(sealedRec))
-	wal = append(wal, sealedRec...)
-	if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o600); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := Open(dir, testKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rpub := ts.newPub(t, 4)
-	stats, err := st.Recover(rpub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Restored || stats.Segments != 0 || stats.Replayed != 1 {
-		t.Fatalf("legacy recovery stats = %+v", stats)
-	}
-	rpub.SetJournal(st)
-	b, err := rpub.Publish(ts.doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Epoch <= 9 {
-		t.Fatalf("epoch %d not ahead of the legacy WAL's publish", b.Epoch)
-	}
-	for nym, sub := range ts.subs {
-		if got, err := sub.Decrypt(b); err != nil || len(got) != 1 {
-			t.Fatalf("%s cannot decrypt after legacy recovery: %v", nym, err)
-		}
-	}
-
-	// One-shot migration: the first snapshot installs the segmented layout
-	// and retires the blob.
-	if err := st.Snapshot(rpub); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotName)); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("legacy snapshot.ppcd survives migration (err=%v)", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-		t.Errorf("no manifest after migration: %v", err)
-	}
-	st.Close()
-
-	rst, err := Open(dir, testKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rst.Close()
-	rpub2 := ts.newPub(t, 4)
-	stats2, err := rst.Recover(rpub2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats2.Segments == 0 {
-		t.Fatalf("post-migration recovery not segmented: %+v", stats2)
-	}
-	b2, err := rpub2.Publish(ts.doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2.Epoch <= b.Epoch {
-		t.Fatalf("epoch %d not ahead across migration restart (prev %d)", b2.Epoch, b.Epoch)
-	}
-	for nym, sub := range ts.subs {
-		if got, err := sub.Decrypt(b2); err != nil || len(got) != 1 {
-			t.Fatalf("%s cannot decrypt after migrated recovery: %v", nym, err)
 		}
 	}
 }

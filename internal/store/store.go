@@ -16,7 +16,6 @@
 //	manifest.ppcd      "PPCDMF1" ‖ AEAD( manifest body )
 //	seg-<k><i>-<r>.ppcd "PPCDSG1" ‖ AEAD( kind:u8 ‖ index:u32 ‖ payload )
 //	wal.ppcd           "PPCDWL1" ‖ records…
-//	snapshot.ppcd      legacy single-blob snapshot (read-side compatibility)
 //
 // A snapshot is SEGMENTED: the publisher state splits into one meta segment
 // (kind 'm'), table segments (kind 't') covering contiguous columnar slot
@@ -35,10 +34,12 @@
 //	after rename, before WAL trunc  new manifest + stale WAL prefix → skipped
 //	                                by sequence on replay
 //
-// The payoff over the previous single-blob snapshot: a snapshot after churn
-// rewrites only the segments whose rows or cache buckets changed (O(churn)
-// bytes, not O(state)), and recovery unseals and decodes segments in
-// parallel across a worker pool.
+// A snapshot after churn rewrites only the segments whose rows or cache
+// buckets changed (O(churn) bytes, not O(state)) — also across a restart:
+// recovery decodes every table segment back into the slots it was written
+// from, so the manifest it recovered from is the base of the next snapshot.
+// Dirty segments are sealed, written and fsynced in parallel, and recovery
+// unseals and decodes them in parallel, on one worker pool.
 //
 // Each WAL record is
 //
@@ -70,7 +71,6 @@
 package store
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -82,14 +82,12 @@ import (
 	"sync"
 	"syscall"
 
-	"ppcd/internal/codec"
 	"ppcd/internal/core"
 	"ppcd/internal/pubsub"
 	"ppcd/internal/sym"
 )
 
 const (
-	snapshotName = "snapshot.ppcd" // legacy single-blob snapshot
 	manifestName = "manifest.ppcd"
 	walName      = "wal.ppcd"
 	lockName     = "lock"
@@ -105,10 +103,9 @@ const (
 )
 
 var (
-	snapMagic = []byte("PPCDSN1")
-	walMagic  = []byte("PPCDWL1")
-	manMagic  = []byte("PPCDMF1")
-	segMagic  = []byte("PPCDSG1")
+	walMagic = []byte("PPCDWL1")
+	manMagic = []byte("PPCDMF1")
+	segMagic = []byte("PPCDSG1")
 )
 
 // Errors reported by Open.
@@ -125,8 +122,7 @@ type RecoveryStats struct {
 	// SnapshotBytes is the decrypted size of the restored snapshot (0 if
 	// recovery was WAL-only).
 	SnapshotBytes int
-	// Segments counts the snapshot segment files restored (0 for a legacy
-	// single-blob snapshot).
+	// Segments counts the snapshot segment files restored.
 	Segments int
 	// Replayed counts WAL events applied on top of the snapshot.
 	Replayed int
@@ -148,7 +144,8 @@ type SnapshotStats struct {
 	// TotalSegments counts segment files the manifest references.
 	TotalSegments int
 	// Full is true when the snapshot could not be incremental (first
-	// snapshot, geometry change, or a prior failed install).
+	// snapshot of a directory, geometry change, a prior failed install, or a
+	// recovery that had to drop conditions the publisher no longer has).
 	Full bool
 }
 
@@ -173,7 +170,7 @@ type Store struct {
 	// export.
 	snapMu     sync.Mutex
 	segSlots   int // table slots per snapshot segment (0 = pubsub default)
-	recWorkers int // parallel segment decode fan-out for Recover
+	recWorkers int // segment fan-out: unseal+decode in Recover, seal+write in Snapshot
 
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast on acked/queue/flushing transitions
@@ -195,8 +192,9 @@ type Store struct {
 	// base/man describe the last durably installed segmented snapshot: the
 	// publisher-side base for the next incremental export, and the manifest
 	// whose entries clean segments are carried over from. base is nil
-	// whenever only a full export is sound (fresh store, legacy snapshot,
-	// restart, or a failed install after dirty bits were consumed).
+	// whenever only a full export is sound (fresh store, or a failed install
+	// after dirty bits were consumed); Recover reinstates it from the
+	// manifest it restored.
 	base     *pubsub.SegmentBase
 	man      *manifest
 	lastSnap SnapshotStats
@@ -204,12 +202,12 @@ type Store struct {
 	// crashPoint, when set by tests, is consulted at named stages of the
 	// snapshot write protocol; returning true aborts the snapshot exactly
 	// there, leaving the directory as a SIGKILL at that instant would.
+	// Segment stages are consulted from the write workers, concurrently.
 	crashPoint func(stage string) bool
 
 	// Loaded by Open, consumed by the single Recover call.
-	snapState []byte // legacy single-blob state
-	pending   []pubsub.StateEvent
-	stats     RecoveryStats
+	pending []pubsub.StateEvent
+	stats   RecoveryStats
 }
 
 // Open opens (creating if necessary) a state directory under the given
@@ -247,19 +245,9 @@ func Open(dir string, key [sym.KeySize]byte) (*Store, error) {
 		_ = s.lock.Close()
 		return nil, err
 	}
-	if s.man == nil {
-		// No segmented snapshot: fall back to the legacy single-blob format
-		// (a directory last written by an earlier version). The next
-		// Snapshot migrates it: it writes the segmented layout and removes
-		// the blob.
-		if snapSeq, err = s.loadSnapshot(); err != nil {
-			_ = s.lock.Close()
-			return nil, err
-		}
-	}
 	// Segment files not referenced by the (possibly absent) manifest are
 	// leftovers of an interrupted snapshot — unreachable by construction.
-	s.gcSegments()
+	gcSegments(dir, s.man)
 
 	if err := s.openWAL(snapSeq); err != nil {
 		_ = s.lock.Close()
@@ -269,39 +257,8 @@ func Open(dir string, key [sym.KeySize]byte) (*Store, error) {
 		s.seq = snapSeq
 	}
 	s.acked = s.seq
-	s.stats.Restored = s.man != nil || s.snapState != nil || len(s.pending) > 0
-	s.stats.SnapshotBytes = len(s.snapState)
+	s.stats.Restored = s.man != nil || len(s.pending) > 0
 	return s, nil
-}
-
-// loadSnapshot reads and unseals the legacy snapshot.ppcd, returning its
-// sequence number (0 when absent).
-func (s *Store) loadSnapshot() (uint64, error) {
-	raw, err := os.ReadFile(filepath.Join(s.dir, snapshotName))
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	if !bytes.HasPrefix(raw, snapMagic) {
-		return 0, fmt.Errorf("%w: bad snapshot magic", ErrCorrupt)
-	}
-	plain, err := sym.Decrypt(s.key, raw[len(snapMagic):])
-	if err != nil {
-		return 0, fmt.Errorf("%w: snapshot does not authenticate", ErrCorrupt)
-	}
-	r := codec.NewReader(plain, nil)
-	seq, err := r.U64()
-	if err != nil {
-		return 0, fmt.Errorf("%w: snapshot too short", ErrCorrupt)
-	}
-	state, err := r.Take(r.Remaining())
-	if err != nil {
-		return 0, fmt.Errorf("%w: snapshot too short", ErrCorrupt)
-	}
-	s.snapState = state
-	return seq, nil
 }
 
 // SetSegmentSlots overrides the table-slot span of one snapshot segment
@@ -313,8 +270,9 @@ func (s *Store) SetSegmentSlots(n int) {
 	s.mu.Unlock()
 }
 
-// SetRecoveryWorkers bounds the parallel segment unseal+decode fan-out used
-// by Recover (default GOMAXPROCS). Call before Recover.
+// SetRecoveryWorkers bounds the parallel segment fan-out — unseal+decode in
+// Recover, seal+write+fsync in Snapshot (default GOMAXPROCS). Call before
+// Recover.
 func (s *Store) SetRecoveryWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -342,8 +300,10 @@ func (s *Store) WALRecordsSinceSnapshot() int {
 
 // Recover applies the loaded snapshot and WAL tail to a publisher. It may be
 // called once, before the store is installed as the publisher's journal;
-// the loaded state is released afterwards. Segmented snapshots are unsealed
-// and decoded in parallel across the recovery worker pool.
+// the loaded state is released afterwards. Snapshot segments are unsealed
+// and decoded in parallel across the recovery worker pool, and the manifest
+// they came from becomes the base of the next Snapshot, which therefore
+// rewrites only the segments touched since (by WAL replay or live churn).
 func (s *Store) Recover(p *pubsub.Publisher) (RecoveryStats, error) {
 	// Enforce the Recover-before-SetJournal lifecycle: were this store
 	// already installed, ImportState's durability hook would snapshot —
@@ -353,21 +313,22 @@ func (s *Store) Recover(p *pubsub.Publisher) (RecoveryStats, error) {
 		return s.stats, errors.New("store: Recover must run before SetJournal installs this store")
 	}
 	s.mu.Lock()
-	snap, man, pending, workers := s.snapState, s.man, s.pending, s.recWorkers
-	s.snapState, s.pending = nil, nil
+	man, pending, workers := s.man, s.pending, s.recWorkers
+	s.pending = nil
 	s.mu.Unlock()
 
 	stats := s.stats
-	switch {
-	case man != nil:
-		n, err := s.recoverSegments(p, man, workers)
+	var base *pubsub.SegmentBase
+	if man != nil {
+		n, tabGen, err := s.recoverSegments(p, man, workers)
 		stats.SnapshotBytes, stats.Segments = n, len(man.files)
 		if err != nil {
 			return stats, err
 		}
-	case snap != nil:
-		if err := p.ImportState(snap); err != nil {
-			return stats, fmt.Errorf("store: restoring snapshot: %w", err)
+		base = &pubsub.SegmentBase{
+			Geometry:     pubsub.SegmentGeometry{SegSlots: man.segSlots, TableSegs: man.tableSegs, CacheSegs: man.cacheSegs},
+			TabGen:       tabGen,
+			CacheDigests: man.cacheDigests,
 		}
 	}
 	for _, ev := range pending {
@@ -377,15 +338,16 @@ func (s *Store) Recover(p *pubsub.Publisher) (RecoveryStats, error) {
 		stats.Replayed++
 	}
 	s.mu.Lock()
-	s.stats = stats
+	s.stats, s.base = stats, base
 	s.mu.Unlock()
 	return stats, nil
 }
 
 // recoverSegments restores a segmented snapshot: every referenced segment
 // file is read, digest-checked, unsealed and (inside the publisher) decoded
-// in parallel. Returns the total decrypted payload size.
-func (s *Store) recoverSegments(p *pubsub.Publisher, man *manifest, workers int) (int, error) {
+// in parallel. Returns the total decrypted payload size and the publisher's
+// table generation for the restored segments.
+func (s *Store) recoverSegments(p *pubsub.Publisher, man *manifest, workers int) (int, uint64, error) {
 	payloads := make([][]byte, len(man.files))
 	errs := make([]error, len(man.files))
 	core.Parallel(workers, len(man.files), func(i int) {
@@ -397,7 +359,7 @@ func (s *Store) recoverSegments(p *pubsub.Publisher, man *manifest, workers int)
 	cache := make([][]byte, man.cacheSegs)
 	for i, f := range man.files {
 		if errs[i] != nil {
-			return 0, errs[i]
+			return 0, 0, errs[i]
 		}
 		total += len(payloads[i])
 		switch f.kind {
@@ -409,10 +371,11 @@ func (s *Store) recoverSegments(p *pubsub.Publisher, man *manifest, workers int)
 			cache[f.index] = payloads[i]
 		}
 	}
-	if err := p.ImportStateSegments(meta, table, cache, workers); err != nil {
-		return total, fmt.Errorf("store: restoring snapshot: %w", err)
+	tabGen, err := p.ImportStateSegments(man.segSlots, meta, table, cache, workers)
+	if err != nil {
+		return total, 0, fmt.Errorf("store: restoring snapshot: %w", err)
 	}
-	return total, nil
+	return total, tabGen, nil
 }
 
 // Seq returns the sequence number of the last admitted event.

@@ -60,7 +60,7 @@ type testSystem struct {
 	subs   map[string]*pubsub.Subscriber
 }
 
-func newTestSystem(t *testing.T, groupSize int) *testSystem {
+func newTestSystem(t testing.TB, groupSize int) *testSystem {
 	t.Helper()
 	params, err := pedersen.Setup(schnorr.Must2048(), []byte("store-test"))
 	if err != nil {
@@ -87,7 +87,7 @@ func newTestSystem(t *testing.T, groupSize int) *testSystem {
 
 // newPub builds a fresh publisher incarnation over the same parameters and
 // policies (a restarted process).
-func (ts *testSystem) newPub(t *testing.T, groupSize int) *pubsub.Publisher {
+func (ts *testSystem) newPub(t testing.TB, groupSize int) *pubsub.Publisher {
 	t.Helper()
 	acp, err := policy.New("acp0", "attr0 >= 1", "doc", "sd0")
 	if err != nil {
