@@ -169,6 +169,7 @@ func BenchmarkFig5_HeaderSize(b *testing.B) {
 				_ = hdr.Size()
 			}
 			b.ReportMetric(float64(hdr.Size())/1024, "KB/header")
+			b.ReportMetric(float64(hdr.WireSize())/1024, "KB/shipped")
 		})
 	}
 }

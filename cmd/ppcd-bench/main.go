@@ -199,17 +199,17 @@ func runFig3to5(quick bool) error {
 		ns = []int{100, 300, 500}
 	}
 	fmt.Printf("workload: 25 policies, 2 conditions/policy (paper §VII-B)\n")
-	fmt.Printf("%6s  %5s  %14s  %14s  %12s\n", "N", "fill%", "ACVgen(Fig3)", "derive(Fig4)", "size(Fig5)")
+	fmt.Printf("%6s  %5s  %14s  %14s  %14s  %16s\n", "N", "fill%", "ACVgen(Fig3)", "derive(Fig4)", "Fig5 as built", "Fig5 as shipped")
 	for _, n := range ns {
 		for _, fill := range fills {
 			r, err := experiments.Fig3to5Point(n, fill)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%6d  %5d  %14s  %14s  %10.2fKB\n", n, fill,
+			fmt.Printf("%6d  %5d  %14s  %14s  %12.2fKB  %14.2fKB\n", n, fill,
 				r.ACVGen.Round(time.Millisecond),
 				r.KeyDerive.Round(time.Microsecond),
-				float64(r.HeaderSize)/1024)
+				float64(r.HeaderSize)/1024, float64(r.ShippedSize)/1024)
 		}
 	}
 	return nil

@@ -20,6 +20,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -30,9 +31,22 @@ import (
 )
 
 // NonceSize is the byte length τ/8 of each z_j. The paper requires
-// τ·N > 160 to keep nonce sequences distinct across sessions; a 16-byte
-// nonce satisfies this for every N ≥ 1.
+// τ·N > 160 to keep nonce sequences distinct across sessions; the sequences
+// the engine draws are expansions of a SeedSize seed, which carries that
+// requirement at every N ≥ 1.
 const NonceSize = 16
+
+// SeedSize is the byte length of the seed that names a nonce run: a rekey
+// session draws one seed from crypto/rand and its nonces are ExpandNonces of
+// it, so a header ships, persists and caches as X plus 32 bytes.
+//
+// Nonces are public in §V-C — Pub chooses them and broadcasts them — so
+// deriving them from a public seed gives nothing away. What the
+// random-oracle argument of §VI-B needs is distinct (r, z) inputs: AES under
+// one key is a permutation, so the z_j of one run are distinct, and two
+// sessions draw the same seed with probability ≈ sessions²/2²⁵⁷. A hostile
+// sender gains nothing either: it could already choose any nonces.
+const SeedSize = 32
 
 // CSS is a conditional subscription secret: a random element of the GKM
 // field F_q delivered obliviously to a subscriber for one attribute
@@ -50,26 +64,58 @@ func CSSFromBytes(b []byte) (CSS, error) { return ff64.FromBytes(b) }
 // subdocument: the masked vector X (length N+1) and the nonces z_1…z_N.
 // Publishing it reveals nothing about the key K (key indistinguishability,
 // §VI-B2).
+//
+// Seed, when it holds SeedSize bytes, names the run the nonces come from:
+// Zs is then the first N nonces of ExpandNonces(Seed, ·). Every header the
+// engine builds has one, and the shards of one session share it and differ
+// in N. A header whose nonces were given one by one (decoded by the v1/v2
+// codecs, or built by hand) has none.
 type Header struct {
-	X  linalg.Vector
-	Zs [][]byte
+	X    linalg.Vector
+	Zs   [][]byte
+	Seed []byte
 }
 
 // N returns the maximum-user parameter the header was built for.
 func (h *Header) N() int { return len(h.Zs) }
 
-// Size returns the broadcast overhead of the header in bytes: the
+// Seeded reports whether the header names its nonce run by a seed.
+func (h *Header) Seeded() bool { return len(h.Seed) == SeedSize }
+
+// Size returns the broadcast overhead of the header in bytes as built: the
 // serialized X entries plus the nonces. This is the quantity plotted in
 // Fig. 5 of the paper.
 func (h *Header) Size() int {
-	return 8*len(h.X) + NonceSize*len(h.Zs)
+	n := 8 * len(h.X)
+	for _, z := range h.Zs {
+		n += len(z)
+	}
+	return n
 }
 
-// Clone returns a deep copy of the header.
+// runEntrySize is what a stream frame's run table spends on one seeded run:
+// its length, the seeded marker and the seed.
+const runEntrySize = 8 + SeedSize
+
+// WireSize returns Fig. 5 as shipped: what a stream frame spends on the
+// header when it shares its nonce run with nobody — X, the reference to its
+// run, and the run's table entry, which is the seed for a seeded header and
+// the nonces themselves for any other.
+func (h *Header) WireSize() int {
+	if h.Seeded() {
+		return 8*len(h.X) + 4 + runEntrySize
+	}
+	return h.Size() + 4 + 8
+}
+
+// Clone returns a deep copy of the header, its nonces laid out as a run: one
+// flat buffer of capped windows.
 func (h *Header) Clone() *Header {
-	out := &Header{X: h.X.Clone(), Zs: make([][]byte, len(h.Zs))}
+	out := &Header{X: h.X.Clone(), Zs: make([][]byte, len(h.Zs)), Seed: bytes.Clone(h.Seed)}
+	buf := make([]byte, 0, h.Size()-8*len(h.X))
 	for i, z := range h.Zs {
-		out.Zs[i] = append([]byte(nil), z...)
+		buf = append(buf, z...)
+		out.Zs[i] = buf[len(buf)-len(z) : len(buf) : len(buf)]
 	}
 	return out
 }

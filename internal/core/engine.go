@@ -349,7 +349,7 @@ func (e *Engine) RekeyAll(specs []ConfigSpec) (map[string]ConfigKeys, error) {
 
 	// One nonce sequence for the whole session; a configuration with
 	// capacity n uses the prefix z_1…z_n.
-	zs, err := drawNonces(maxN)
+	run, err := drawNonces(maxN)
 	if err != nil {
 		return nil, err
 	}
@@ -370,7 +370,7 @@ func (e *Engine) RekeyAll(specs []ConfigSpec) (map[string]ConfigKeys, error) {
 			}
 		}
 	}
-	blocks, err := e.hashGroups(groups, groupN, zs)
+	blocks, err := e.hashGroups(groups, groupN, run.zs)
 	if err != nil {
 		return nil, err
 	}
@@ -388,7 +388,7 @@ func (e *Engine) RekeyAll(specs []ConfigSpec) (map[string]ConfigKeys, error) {
 	for i, d := range dirty {
 		e.sched.submit(func(sc *solveScratch) {
 			defer wg.Done()
-			hdr, key, err := e.solveConfig(d.spec, d.n, zs, blocks, sc)
+			hdr, key, err := e.solveConfig(d.spec, d.n, run, blocks, sc)
 			results[i] = solved{id: d.spec.ID, sig: d.spec.Sig, hdr: hdr, key: key, err: err}
 		})
 	}
@@ -450,7 +450,7 @@ func (e *Engine) hashGroups(groups []RowGroup, groupN map[string]int, zs [][]byt
 // solveConfig assembles matrix A for one configuration from the shared hash
 // blocks — into the worker's reusable scratch — and solves for a fresh ACV
 // and key with the blocked elimination path.
-func (e *Engine) solveConfig(s ConfigSpec, n int, zs [][]byte, blocks map[string][]linalg.Vector, sc *solveScratch) (*Header, ff64.Elem, error) {
+func (e *Engine) solveConfig(s ConfigSpec, n int, run nonceRun, blocks map[string][]linalg.Vector, sc *solveScratch) (*Header, ff64.Elem, error) {
 	total := 0
 	for _, g := range s.Groups {
 		total += len(g.Rows)
@@ -481,5 +481,5 @@ func (e *Engine) solveConfig(s ConfigSpec, n int, zs [][]byte, blocks map[string
 		// non-zero tail on every non-zero kernel vector), but stay defensive.
 		return nil, 0, errDegenerate
 	}
-	return &Header{X: x, Zs: zs[:n:n]}, key, nil
+	return run.header(x, n), key, nil
 }

@@ -128,7 +128,7 @@ func (e *Engine) RekeyAllGrouped(specs []GroupedConfigSpec) (map[string]GroupedC
 	// One nonce sequence for all shards solved this session; a shard of n
 	// rows uses the prefix z_1…z_n (the same cross-system nonce sharing the
 	// ungrouped engine applies across configurations).
-	zs, err := drawNonces(maxN)
+	run, err := drawNonces(maxN)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +146,7 @@ func (e *Engine) RekeyAllGrouped(specs []GroupedConfigSpec) (map[string]GroupedC
 	for i, sh := range solveList {
 		e.sched.submit(func(sc *solveScratch) {
 			defer wg.Done()
-			hdr, key, err := e.solveShard(sh, zs, sc)
+			hdr, key, err := e.solveShard(sh, run, sc)
 			results[i] = solvedShard{id: sh.ID, sig: sh.Sig, hdr: hdr, key: key, err: err}
 		})
 	}
@@ -191,7 +191,7 @@ func (e *Engine) RekeyAllGrouped(specs []GroupedConfigSpec) (map[string]GroupedC
 // as small as §VIII-C promises. The system is assembled into the worker's
 // reusable scratch and solved with blocked elimination — after warm-up a
 // shard solve allocates only its result vector.
-func (e *Engine) solveShard(sh ShardSpec, zs [][]byte, sc *solveScratch) (*Header, ff64.Elem, error) {
+func (e *Engine) solveShard(sh ShardSpec, run nonceRun, sc *solveScratch) (*Header, ff64.Elem, error) {
 	n := len(sh.Rows)
 	a := sc.ws.Matrix(n, n+1)
 	for i, css := range sh.Rows {
@@ -200,7 +200,7 @@ func (e *Engine) solveShard(sh ShardSpec, zs [][]byte, sc *solveScratch) (*Heade
 		}
 		row := a.Row(i)
 		row[0] = ff64.One
-		HashRows(row[1:], css, zs[:n])
+		HashRows(row[1:], css, run.zs[:n])
 	}
 	e.stats.solves.Add(1)
 	y, err := a.RandomKernelVectorBlocked(sc.ws)
@@ -217,5 +217,5 @@ func (e *Engine) solveShard(sh ShardSpec, zs [][]byte, sc *solveScratch) (*Heade
 		// As in solveConfig: unreachable with ≥1 row, but stay defensive.
 		return nil, 0, errDegenerate
 	}
-	return &Header{X: x, Zs: zs[:n:n]}, key, nil
+	return run.header(x, n), key, nil
 }

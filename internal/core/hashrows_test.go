@@ -182,10 +182,11 @@ func TestDeriveRoundTripAcrossRowWidths(t *testing.T) {
 // TestDrawNoncesFlatAndCapped pins the layout the publisher hands the kernel:
 // one contiguous buffer, each nonce capped at its own bytes.
 func TestDrawNoncesFlatAndCapped(t *testing.T) {
-	zs, err := drawNonces(5)
+	run, err := drawNonces(5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	zs := run.zs
 	base := uintptr(unsafe.Pointer(&zs[0][0]))
 	for j, z := range zs {
 		if len(z) != NonceSize || cap(z) != NonceSize {
@@ -199,8 +200,8 @@ func TestDrawNoncesFlatAndCapped(t *testing.T) {
 	if grown := append(zs[0], ^next); &grown[0] == &zs[0][0] || zs[1][0] != next {
 		t.Fatal("append to one nonce reached its neighbour")
 	}
-	if zs, err := drawNonces(0); err != nil || len(zs) != 0 {
-		t.Fatalf("drawNonces(0) = %v, %v", zs, err)
+	if run, err := drawNonces(0); err != nil || len(run.zs) != 0 || len(run.seed) != SeedSize {
+		t.Fatalf("drawNonces(0) = %v, %v", run, err)
 	}
 }
 
@@ -209,10 +210,11 @@ func TestDrawNoncesFlatAndCapped(t *testing.T) {
 func BenchmarkHashRows(b *testing.B) {
 	const n = 128
 	rng := rand.New(rand.NewSource(16))
-	zs, err := drawNonces(n)
+	run, err := drawNonces(n)
 	if err != nil {
 		b.Fatal(err)
 	}
+	zs := run.zs
 	dst := make([]ff64.Elem, n)
 	for _, m := range []int{1, 4} {
 		rows := make([][]CSS, n)

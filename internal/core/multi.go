@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
@@ -36,7 +38,7 @@ func BuildMulti(rows [][]CSS, n, count int) ([]*Header, []ff64.Elem, error) {
 		}
 	}
 
-	zs, a, err := buildMatrix(rows, n)
+	run, a, err := buildMatrix(rows, n)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -70,7 +72,7 @@ func BuildMulti(rows [][]CSS, n, count int) ([]*Header, []ff64.Elem, error) {
 			if tailZero(x) {
 				continue
 			}
-			hdr = &Header{X: x, Zs: zs}
+			hdr = run.header(x, n)
 			key = k
 			break
 		}
@@ -84,29 +86,59 @@ func BuildMulti(rows [][]CSS, n, count int) ([]*Header, []ff64.Elem, error) {
 }
 
 // buildMatrix draws the nonces and assembles the subscriber matrix A.
-func buildMatrix(rows [][]CSS, n int) ([][]byte, *linalg.Matrix, error) {
-	zs, err := drawNonces(n)
+func buildMatrix(rows [][]CSS, n int) (nonceRun, *linalg.Matrix, error) {
+	run, err := drawNonces(n)
 	if err != nil {
-		return nil, nil, err
+		return run, nil, err
 	}
 	a := linalg.NewMatrix(len(rows), n+1)
 	for i, css := range rows {
 		row := a.Row(i)
 		row[0] = ff64.One
-		HashRows(row[1:], css, zs)
+		HashRows(row[1:], css, run.zs)
 	}
-	return zs, a, nil
+	return run, a, nil
 }
 
-// drawNonces draws n session nonces with one read of the system's random
-// source into one buffer, windowed by NonceRun so the nonces sit contiguously
-// in memory for the row-hash kernel. Headers only ever read them.
-func drawNonces(n int) ([][]byte, error) {
-	buf := make([]byte, n*NonceSize)
-	if err := fillRandom(buf); err != nil {
-		return nil, err
+// nonceRun is one rekey session's nonces: the seed drawn for the session and
+// its expansion, as long as the session's largest system. Headers only ever
+// read them.
+type nonceRun struct {
+	seed []byte
+	zs   [][]byte
+}
+
+// header returns the header of a system of capacity n solved over the run:
+// its first n nonces, and the seed that names them.
+func (r nonceRun) header(x linalg.Vector, n int) *Header {
+	return &Header{X: x, Zs: r.zs[:n:n], Seed: r.seed}
+}
+
+// drawNonces draws a session's seed from the system's random source and
+// expands it to n nonces.
+func drawNonces(n int) (nonceRun, error) {
+	seed := make([]byte, SeedSize)
+	if err := fillRandom(seed); err != nil {
+		return nonceRun{}, err
 	}
-	return NonceRun(buf, n, NonceSize), nil
+	return nonceRun{seed: seed, zs: ExpandNonces(seed, n)}, nil
+}
+
+// ExpandNonces returns the first n nonces of the run a seed names:
+// z_j = AES-256_seed(BE128(j)) for j = 0…n−1, which is the CTR keystream
+// under a zero IV. They are written into one flat buffer windowed by
+// NonceRun, so they sit contiguously in memory for the row-hash kernel, and
+// ExpandNonces(seed, k) is the front of ExpandNonces(seed, n) for k ≤ n.
+// The seed must hold SeedSize bytes.
+func ExpandNonces(seed []byte, n int) [][]byte {
+	block, err := aes.NewCipher(seed)
+	if err != nil || len(seed) != SeedSize {
+		panic(fmt.Sprintf("core: nonce seed of %d bytes, want %d", len(seed), SeedSize))
+	}
+	buf := make([]byte, n*NonceSize)
+	var iv [aes.BlockSize]byte
+	cipher.NewCTR(block, iv[:]).XORKeyStream(buf, buf)
+	return NonceRun(buf, n, NonceSize)
 }
 
 // NonceRun views a flat buffer of n nonces of size bytes each as a nonce
@@ -200,6 +232,24 @@ func (g *GroupedHeader) Size() int {
 	return n
 }
 
+// WireSize returns what a stream frame spends on the grouped header when it
+// shares its runs with no other configuration: Size with every sub-header at
+// its WireSize, the shards of one session paying for their run's entry once.
+func (g *GroupedHeader) WireSize() int {
+	n := len(g.RekeyNonce)
+	seen := make(map[string]bool)
+	for _, sh := range g.Shards {
+		n += sh.Hdr.WireSize() + 8
+		if sh.Hdr.Seeded() {
+			if seen[string(sh.Hdr.Seed)] {
+				n -= runEntrySize
+			}
+			seen[string(sh.Hdr.Seed)] = true
+		}
+	}
+	return n
+}
+
 // maskShardKey derives the field mask hiding a configuration key from one
 // shard's group key, in the same random-oracle style as HashRow.
 func maskShardKey(s ff64.Elem, rekeyNonce []byte) ff64.Elem {
@@ -276,7 +326,7 @@ func buildWithKey(rows [][]CSS, n int, key ff64.Elem) (*Header, error) {
 		}
 	}
 	for attempt := 0; attempt < 8; attempt++ {
-		zs, a, err := buildMatrix(rows, n)
+		run, a, err := buildMatrix(rows, n)
 		if err != nil {
 			return nil, err
 		}
@@ -289,7 +339,7 @@ func buildWithKey(rows [][]CSS, n int, key ff64.Elem) (*Header, error) {
 		if tailZero(x) {
 			continue
 		}
-		return &Header{X: x, Zs: zs}, nil
+		return run.header(x, n), nil
 	}
 	return nil, errDegenerate
 }

@@ -47,12 +47,13 @@ func GKMWorkload(subs, policies, condsPerPolicy int) ([][]core.CSS, error) {
 
 // GKMResult is one measured point of Figs. 3–6.
 type GKMResult struct {
-	N          int
-	Subs       int
-	CondsPer   int
-	ACVGen     time.Duration // Fig. 3 / Fig. 6 left series
-	KeyDerive  time.Duration // Fig. 4 / Fig. 6 right series
-	HeaderSize int           // bytes, Fig. 5
+	N           int
+	Subs        int
+	CondsPer    int
+	ACVGen      time.Duration // Fig. 3 / Fig. 6 left series
+	KeyDerive   time.Duration // Fig. 4 / Fig. 6 right series
+	HeaderSize  int           // bytes, Fig. 5 as built: X and the nonces
+	ShippedSize int           // bytes, Fig. 5 as shipped in a stream frame: X and the nonces' seed
 }
 
 // MeasureGKM builds one ACV for the workload and measures generation time,
@@ -86,12 +87,13 @@ func MeasureGKM(subs, n, policies, condsPerPolicy, deriveIters int) (*GKMResult,
 	deriveTime := time.Since(start) / time.Duration(deriveIters)
 
 	return &GKMResult{
-		N:          n,
-		Subs:       subs,
-		CondsPer:   condsPerPolicy,
-		ACVGen:     genTime,
-		KeyDerive:  deriveTime,
-		HeaderSize: hdr.Size(),
+		N:           n,
+		Subs:        subs,
+		CondsPer:    condsPerPolicy,
+		ACVGen:      genTime,
+		KeyDerive:   deriveTime,
+		HeaderSize:  hdr.Size(),
+		ShippedSize: hdr.WireSize(),
 	}, nil
 }
 

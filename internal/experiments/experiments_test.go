@@ -39,8 +39,8 @@ func TestMeasureGKMSound(t *testing.T) {
 	if res.ACVGen <= 0 || res.KeyDerive <= 0 {
 		t.Error("non-positive timings")
 	}
-	if res.HeaderSize != 8*26+16*25 {
-		t.Errorf("header size = %d", res.HeaderSize)
+	if res.HeaderSize != 8*26+16*25 || res.ShippedSize != 8*26+4+40 {
+		t.Errorf("header size = %d as built, %d as shipped", res.HeaderSize, res.ShippedSize)
 	}
 }
 

@@ -320,7 +320,7 @@ func TestColdGroupedScanHashesOncePerRun(t *testing.T) {
 	// over a prefix is a prefix of the KEV over the run: a cold subscriber
 	// scanning for its shard hashes its row once, not once per shard —
 	// whether the headers share the run's memory (the publisher's, or one
-	// decoded stream frame's) or only its content.
+	// decoded stream frame's) or only the seed that names it.
 	params, mgr := testEnv(t)
 	acps, doc, state, err := benchutil.Workload(7, 1, 7, 64)
 	if err != nil {
@@ -356,8 +356,8 @@ func TestColdGroupedScanHashesOncePerRun(t *testing.T) {
 		t.Errorf("cold scan over four same-session shards hashed %d KEVs, want 1", sub.kevMisses)
 	}
 
-	// The same broadcast with every header cloned apart: equal runs by
-	// content, no shared memory. Still one hashing for a cold subscriber.
+	// The same broadcast with every header cloned apart: one seed, no shared
+	// memory. Still one hashing for a cold subscriber.
 	apart := *b
 	apart.Configs = append([]ConfigInfo(nil), b.Configs...)
 	ag := *g
@@ -374,10 +374,11 @@ func TestColdGroupedScanHashesOncePerRun(t *testing.T) {
 		t.Errorf("cold scan over cloned same-session shards hashed %d KEVs, want 1", cold.kevMisses)
 	}
 
-	// A header that opens with the run's first nonce and then departs from
-	// it is not served the run's vector.
+	// A header without a seed — one that opens with the run's first nonce and
+	// then departs from it — is hashed, not served the run's vector.
 	row, _ := sub.rowFor(b.Policies[0])
 	forged := g.Shards[0].Hdr.Clone()
+	forged.Seed = nil
 	forged.Zs[1][0] ^= 1
 	kev, err := sub.cachedKEV(row, forged)
 	if err != nil {
@@ -387,34 +388,48 @@ func TestColdGroupedScanHashesOncePerRun(t *testing.T) {
 	if sub.kevMisses != 2 || !reflect.DeepEqual(kev, want) {
 		t.Errorf("a header sharing only the first nonce was served from the cache (misses %d)", sub.kevMisses)
 	}
+
+	// A longer header of a cached run replaces the run's vector; the shorter
+	// ones are then served from it.
+	seed := g.Shards[0].Hdr.Seed
+	long := &core.Header{X: make(linalg.Vector, 10), Zs: core.ExpandNonces(seed, 9), Seed: seed}
+	if kev, err = sub.cachedKEV(row, long); err != nil || len(kev) != 10 || sub.kevMisses != 3 {
+		t.Fatalf("longer header of a cached run: %d entries, %d misses, %v", len(kev), sub.kevMisses, err)
+	}
+	if want, _ = core.KEV(row, g.Shards[3].Hdr); sub.kevMisses != 3 {
+		t.Fatal("core.KEV counted as a miss")
+	}
+	if kev, _ = sub.cachedKEV(row, g.Shards[3].Hdr); sub.kevMisses != 3 || !reflect.DeepEqual(kev, want) {
+		t.Errorf("shorter header after the longer one: misses %d", sub.kevMisses)
+	}
 }
 
 func TestKEVCacheBoundedByBytes(t *testing.T) {
-	// Every rekey session brings a fresh run, and a cache entry keeps its
-	// run alive: the cache is bounded by the bytes it holds, not by a count
-	// of entries whose size grows with N.
+	// Every rekey session brings a fresh run and so a fresh vector: the cache
+	// is bounded by the bytes it holds — the vectors, not the runs they were
+	// hashed against — not by a count of entries whose size grows with N.
 	sub, err := NewSubscriber("pn-0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	row := []core.CSS{3, 5}
 	const n = 512
-	for session := 0; session < 200; session++ {
-		buf := make([]byte, n*core.NonceSize)
-		buf[0], buf[1] = byte(session), byte(session>>8)
-		hdr := &core.Header{X: make(linalg.Vector, n+1), Zs: core.NonceRun(buf, n, core.NonceSize)}
+	for session := 0; session < 600; session++ {
+		seed := make([]byte, core.SeedSize)
+		seed[0], seed[1] = byte(session), byte(session>>8)
+		hdr := &core.Header{X: make(linalg.Vector, n+1), Zs: core.ExpandNonces(seed, n), Seed: seed}
 		if _, err := sub.cachedKEV(row, hdr); err != nil {
 			t.Fatal(err)
 		}
 		held := 0
-		for _, c := range sub.kev {
-			held += c.bytes()
+		for _, kev := range sub.kev {
+			held += 8 * len(kev)
 		}
 		if held != sub.kevBytes || held > maxKEVCacheBytes {
 			t.Fatalf("session %d: cache holds %d bytes, accounts for %d, bound %d", session, held, sub.kevBytes, maxKEVCacheBytes)
 		}
 	}
-	if sub.kevMisses != 200 || len(sub.kev) == 0 {
+	if sub.kevMisses != 600 || len(sub.kev) == 0 || len(sub.kev) >= 600 {
 		t.Fatalf("misses %d, entries %d", sub.kevMisses, len(sub.kev))
 	}
 }

@@ -81,9 +81,12 @@ func (p *Publisher) ImportState(data []byte) error {
 		return fmt.Errorf("pubsub: state of %d bytes exceeds the %d limit", len(data), maxStateBytes)
 	}
 	var err error
-	if bytes.HasPrefix(data, stateMagicV2) {
+	switch magic := stateMagic[:len(stateMagic)-1]; {
+	case bytes.HasPrefix(data, stateMagic):
 		err = p.importStateV2(data)
-	} else {
+	case bytes.HasPrefix(data, magic) && len(data) > len(magic):
+		err = fmt.Errorf("pubsub: unsupported state blob version %d", data[len(magic)])
+	default:
 		err = p.importStateV1(data)
 	}
 	if err != nil {

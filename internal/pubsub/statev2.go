@@ -31,14 +31,20 @@ import (
 //	                   u64 key }
 //	lastPub:   u32 n { str doc, broadcast, u32 digests { str subdoc, 32 bytes } }
 //
-// where header = u32 |X| { u64 elem } u32 |Zs| { bytes z }, and broadcast is
-// the epoch-stamped package with per-config revisions; configuration headers
-// inside it are encoded as references into the cache sections whenever the
-// live objects are shared (the normal case), re-establishing the pointer
-// sharing the delta layer's change detection relies on.
+// where header = u32 |X| { u64 elem } seed — the core.SeedSize bytes that name
+// the header's nonce run; its N = |X| − 1 nonces are their expansion — and
+// broadcast is the epoch-stamped package with per-config revisions;
+// configuration headers inside it are encoded as references into the cache
+// sections whenever the live objects are shared (the normal case),
+// re-establishing the pointer sharing the delta layer's change detection
+// relies on.
 
-// stateMagicV2 prefixes v2 state blobs ("PPCDST" + version 2).
-var stateMagicV2 = []byte{'P', 'P', 'C', 'D', 'S', 'T', 2}
+// stateMagic prefixes v2 state blobs: "PPCDST" and the blob version. Version
+// 3 stores a header's seed where version 2 stored its nonces; there is no
+// reader for version 2.
+var stateMagic = []byte{'P', 'P', 'C', 'D', 'S', 'T', stateBlobVersion}
+
+const stateBlobVersion = 3
 
 // maxStateHeaderBudget bounds the cumulative decoded size of all cached and
 // broadcast headers (plus the per-policy group-count lists) in one state
@@ -75,7 +81,8 @@ func stateErr(err error) error {
 // count to maxStateCount, and header-sized allocations are charged against a
 // codec.Budget that parallel segment decodes share.
 type stateWriter struct {
-	w codec.Writer
+	w   codec.Writer
+	err error // the first header the format cannot hold (writeStateHeader)
 }
 
 func (w *stateWriter) u8(v byte)      { w.w.U8(v) }
@@ -88,6 +95,9 @@ func (w *stateWriter) out() []byte    { return w.w.Out() }
 
 type stateReader struct {
 	r *codec.Reader
+	// runs interns the nonce runs this reader expanded, by seed: the restored
+	// shards of one session share one run in memory, as the live ones do.
+	runs map[string][][]byte
 }
 
 // newStateReader wraps data with the shared allocation budget (nil-safe:
@@ -159,15 +169,17 @@ func (r *stateReader) elem() (ff64.Elem, error) {
 	return ff64.Elem(raw), nil
 }
 
+// writeStateHeader encodes a header as X and the seed of its nonce run. Every
+// header the engine builds has one; any other fails the export.
 func writeStateHeader(w *stateWriter, h *core.Header) {
+	if !h.Seeded() && w.err == nil {
+		w.err = errors.New("pubsub: state cannot hold a header without a nonce seed")
+	}
 	w.u32(len(h.X))
 	for _, e := range h.X {
 		w.u64(uint64(e))
 	}
-	w.u32(len(h.Zs))
-	for _, z := range h.Zs {
-		w.bytes(z)
-	}
+	w.raw(h.Seed)
 }
 
 func readStateHeader(r *stateReader) (*core.Header, error) {
@@ -175,8 +187,14 @@ func readStateHeader(r *stateReader) (*core.Header, error) {
 	if err != nil {
 		return nil, err
 	}
+	if nx == 0 {
+		return nil, errors.New("pubsub: state header shape |X|=0")
+	}
 	if 8*nx > r.r.Remaining() {
 		return nil, errStateTruncated
+	}
+	if err := r.charge(8 * nx); err != nil {
+		return nil, err
 	}
 	x := make(linalg.Vector, nx)
 	for i := range x {
@@ -184,37 +202,35 @@ func readStateHeader(r *stateReader) (*core.Header, error) {
 			return nil, err
 		}
 	}
-	nz, err := r.count()
+	raw, err := r.take(core.SeedSize)
 	if err != nil {
 		return nil, err
 	}
-	if nx != nz+1 {
-		return nil, fmt.Errorf("pubsub: state header shape |X|=%d, N=%d", nx, nz)
-	}
-	if nz*(4+core.NonceSize) > r.r.Remaining() {
-		return nil, errStateTruncated
-	}
-	// One flat buffer for the whole run, each nonce a capped window of it.
-	run := make([]byte, nz*core.NonceSize)
-	for i := 0; i < nz; i++ {
-		n, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if n != core.NonceSize {
-			return nil, fmt.Errorf("pubsub: state header nonce of %d bytes, want %d", n, core.NonceSize)
-		}
-		z, err := r.take(n)
-		if err != nil {
-			return nil, err
-		}
-		copy(run[i*core.NonceSize:], z)
-	}
-	h := &core.Header{X: x, Zs: core.NonceRun(run, nz, core.NonceSize)}
-	if err := r.charge(h.Size()); err != nil {
+	seed := append([]byte(nil), raw...)
+	zs, err := r.run(seed, nx-1)
+	if err != nil {
 		return nil, err
 	}
-	return h, nil
+	return &core.Header{X: x, Zs: zs, Seed: seed}, nil
+}
+
+// run returns the first n nonces of the run seed names, expanding it — or
+// expanding it further — only when no header before has needed as many. An
+// expansion is charged against the budget before it is made: n nonces and
+// their slice headers.
+func (r *stateReader) run(seed []byte, n int) ([][]byte, error) {
+	run := r.runs[string(seed)]
+	if len(run) < n {
+		if err := r.charge(n * (core.NonceSize + 24)); err != nil {
+			return nil, err
+		}
+		if r.runs == nil {
+			r.runs = make(map[string][][]byte)
+		}
+		run = core.ExpandNonces(seed, n)
+		r.runs[string(seed)] = run
+	}
+	return run[:n:n], nil
 }
 
 // Broadcast configuration header encodings inside lastPub.
@@ -237,7 +253,7 @@ func (p *Publisher) exportStateV2() ([]byte, error) {
 	sort.Slice(grouped, func(i, j int) bool { return grouped[i].ID < grouped[j].ID })
 
 	w := &stateWriter{}
-	w.raw(stateMagicV2)
+	w.raw(stateMagic)
 	last := p.writeStateStamp(w)
 
 	// Table T, in sorted order for deterministic output.
@@ -272,7 +288,7 @@ func (p *Publisher) exportStateV2() ([]byte, error) {
 
 	writeStateCaches(w, cfgs, shards, grouped)
 	writeStateBases(w, last, cfgs, grouped)
-	return w.out(), nil
+	return w.out(), w.err
 }
 
 // writeStateStamp encodes the epoch counter and the incarnation generation,
@@ -600,7 +616,7 @@ func writeStateBroadcast(w *stateWriter, b *Broadcast, cfgByHdr map[*core.Header
 }
 
 func (p *Publisher) importStateV2(data []byte) error {
-	r := newStateReader(data[len(stateMagicV2):], codec.NewBudget(maxStateHeaderBudget))
+	r := newStateReader(data[len(stateMagic):], codec.NewBudget(maxStateHeaderBudget))
 
 	epoch, gen, err := readStateStamp(r)
 	if err != nil {

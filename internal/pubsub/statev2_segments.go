@@ -52,9 +52,10 @@ import (
 const DefaultSegmentSlots = 4096
 
 // segPayloadVersion versions every segment payload independently of the
-// store's framing. Version 2 made table segments columnar; there is no reader
-// for version 1.
-const segPayloadVersion = 2
+// store's framing. Version 2 made table segments columnar, version 3 stores a
+// cached header's seed where its nonces were; there is a reader for neither
+// earlier version.
+const segPayloadVersion = 3
 
 // SegmentGeometry is the shape of one segmented export.
 type SegmentGeometry struct {
@@ -184,16 +185,19 @@ func (p *Publisher) ExportStateSegments(segSlots int, base *SegmentBase) (*Segme
 	// bucket's identity, and re-encode only buckets whose digest moved.
 	cfgB, shardB, grpB := partitionCacheEntries(cacheSegs, cfgs, shards, grouped)
 	exp.CacheDigests = make([][32]byte, cacheSegs)
+	var err error
 	for b := 0; b < cacheSegs; b++ {
 		exp.CacheDigests[b] = cacheBucketDigest(cfgB[b], shardB[b], grpB[b])
 		if !rebucket && b < len(base.CacheDigests) && base.CacheDigests[b] == exp.CacheDigests[b] {
 			continue
 		}
-		exp.Cache[b] = encodeCacheBucket(cfgB[b], shardB[b], grpB[b])
+		if exp.Cache[b], err = encodeCacheBucket(cfgB[b], shardB[b], grpB[b]); err != nil {
+			return nil, err
+		}
 	}
 
-	exp.Meta = p.encodeMetaSegment(cfgs, grouped, polIDs)
-	return exp, nil
+	exp.Meta, err = p.encodeMetaSegment(cfgs, grouped, polIDs)
+	return exp, err
 }
 
 // cacheBucketCount picks a power-of-two bucket count targeting ~16 entries
@@ -263,11 +267,7 @@ func cacheBucketDigest(cfgs []core.CachedConfig, shards []core.CachedShard, grou
 		for _, e := range hd.X {
 			wu(uint64(e))
 		}
-		wu(uint64(len(hd.Zs)))
-		for _, z := range hd.Zs {
-			wu(uint64(len(z)))
-			h.Write(z)
-		}
+		h.Write(hd.Seed)
 	}
 	for i := range cfgs {
 		c := &cfgs[i]
@@ -374,17 +374,17 @@ func encodeTableColumns(conds, pols, nyms []string, cells []core.CSS, gids [][]i
 // encodeCacheBucket encodes one bucket's cache entries, in the per-entry
 // encodings of the monolithic v2 blob. Grouped shard references may point at
 // shards in OTHER buckets; resolution happens after all buckets decode.
-func encodeCacheBucket(cfgs []core.CachedConfig, shards []core.CachedShard, grouped []core.CachedGrouped) []byte {
+func encodeCacheBucket(cfgs []core.CachedConfig, shards []core.CachedShard, grouped []core.CachedGrouped) ([]byte, error) {
 	w := &stateWriter{}
 	w.u8(segPayloadVersion)
 	writeStateCaches(w, cfgs, shards, grouped)
-	return w.out()
+	return w.out(), w.err
 }
 
 // encodeMetaSegment encodes the small always-rewritten remainder: epoch,
 // generation, membership versions, per-policy group-universe lengths and the
 // per-document diff bases. Callers hold grpMu.
-func (p *Publisher) encodeMetaSegment(cfgs []core.CachedConfig, grouped []core.CachedGrouped, polIDs []string) []byte {
+func (p *Publisher) encodeMetaSegment(cfgs []core.CachedConfig, grouped []core.CachedGrouped, polIDs []string) ([]byte, error) {
 	r := p.reg
 	w := &stateWriter{}
 	w.u8(segPayloadVersion)
@@ -401,7 +401,7 @@ func (p *Publisher) encodeMetaSegment(cfgs []core.CachedConfig, grouped []core.C
 		w.u32(len(r.grp[pid].counts))
 	}
 	writeStateBases(w, last, cfgs, grouped)
-	return w.out()
+	return w.out(), w.err
 }
 
 // --- import ----------------------------------------------------------------

@@ -264,7 +264,7 @@ func hostileTableSegments(pub *Publisher) map[string][]byte {
 	out := map[string][]byte{
 		"shorter":      good[:len(good)-5],
 		"longer":       append(append([]byte(nil), good...), 0, 0, 0, 0),
-		"v1":           append([]byte{1}, good[1:]...),
+		"v2":           append([]byte{2}, good[1:]...),
 		"too-wide":     encodeTableColumns(conds, pols, append(nyms[:4:4], "pn-d"), append(cells(), 1, 0, 0), [][]int32{{0, gidNone, 0, 1, gidNone}, {0, gidNone, gidNone, gidNone, gidNone}, {gidNone, gidNone, gidNone, 0, gidNone}}),
 		"within":       encodeTableColumns(conds, pols, []string{"pn-a", "", "pn-b", "pn-a"}, cells(), gids()),
 		"across":       encodeTableColumns(conds, pols, []string{"pn-0", "", "pn-b", "pn-c"}, cells(), gids()),
@@ -324,8 +324,8 @@ func TestSegmentedImportHostile(t *testing.T) {
 		_, err := p.ImportStateSegments(4, meta, mut, cache, 2)
 		if err == nil {
 			t.Errorf("%s: hostile table segment imported", name)
-		} else if name == "v1" && !strings.Contains(err.Error(), "unsupported segment version") {
-			t.Errorf("v1 payload refused as %q", err)
+		} else if name == "v2" && !strings.Contains(err.Error(), "unsupported segment version 2") {
+			t.Errorf("v2 payload refused as %q", err)
 		}
 		if p.SubscriberCount() != 0 || p.Epoch() != 0 {
 			t.Errorf("%s: refused import left %d rows, epoch %d", name, p.SubscriberCount(), p.Epoch())
@@ -427,15 +427,15 @@ func FuzzCacheSegment(f *testing.F) {
 	for _, seg := range cache {
 		f.Add(seg)
 		f.Add(seg[:len(seg)/2])
-		f.Add(append([]byte{1}, seg[1:]...))
+		f.Add(append([]byte{2}, seg[1:]...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seg := decodeCacheSegment(data, codec.NewBudget(maxStateHeaderBudget))
 		if seg.err != nil {
 			return
 		}
-		again := encodeCacheBucket(seg.cfgs, seg.shards, seg.grouped)
-		if !bytes.Equal(data, again) {
+		again, err := encodeCacheBucket(seg.cfgs, seg.shards, seg.grouped)
+		if err != nil || !bytes.Equal(data, again) {
 			t.Fatalf("accepted cache bucket re-encodes differently:\n in %x\nout %x", data, again)
 		}
 	})

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"ppcd/internal/codec"
 	"ppcd/internal/core"
 	"ppcd/internal/document"
 	"ppcd/internal/idtoken"
+	"ppcd/internal/linalg"
 	"ppcd/internal/ocbe"
 	"ppcd/internal/policy"
 )
@@ -258,7 +261,7 @@ func TestStateV2Hardening(t *testing.T) {
 	fresh := func() *Publisher { return newDeltaEnv(t, 2, 2).pub }
 
 	// Truncations at every prefix must error, never panic or half-import.
-	for cut := len(stateMagicV2); cut < len(state); cut += 97 {
+	for cut := len(stateMagic); cut < len(state); cut += 97 {
 		if err := fresh().ImportState(state[:cut]); err == nil {
 			t.Fatalf("truncated state (%d of %d bytes) imported", cut, len(state))
 		}
@@ -269,7 +272,7 @@ func TestStateV2Hardening(t *testing.T) {
 	// touch opaque varstrings (policy IDs, signatures) may legitimately
 	// still parse — the point is absence of panics and of silent partial
 	// imports, so exercise a spread of offsets.
-	for off := len(stateMagicV2); off < len(state); off += 131 {
+	for off := len(stateMagic); off < len(state); off += 131 {
 		mut := append([]byte(nil), state...)
 		mut[off] ^= 0x80
 		p := fresh()
@@ -285,7 +288,7 @@ func TestStateV2Hardening(t *testing.T) {
 
 	// Out-of-range CSS, on a hand-built minimal state.
 	w := &stateWriter{}
-	w.raw(stateMagicV2)
+	w.raw(stateMagic)
 	w.u64(1)            // epoch
 	w.u64(7)            // gen
 	w.u32(1)            // one nym
@@ -299,7 +302,7 @@ func TestStateV2Hardening(t *testing.T) {
 
 	// Duplicate pseudonyms.
 	w = &stateWriter{}
-	w.raw(stateMagicV2)
+	w.raw(stateMagic)
 	w.u64(1)
 	w.u64(7)
 	w.u32(2)
@@ -315,7 +318,7 @@ func TestStateV2Hardening(t *testing.T) {
 
 	// Zero generation (would disable the restart-detection stamp).
 	w = &stateWriter{}
-	w.raw(stateMagicV2)
+	w.raw(stateMagic)
 	w.u64(1)
 	w.u64(0)
 	if err := fresh().ImportState(w.out()); err == nil {
@@ -325,7 +328,7 @@ func TestStateV2Hardening(t *testing.T) {
 	// Oversized element count: must be rejected by the clamp before any
 	// allocation of that size is attempted.
 	w = &stateWriter{}
-	w.raw(stateMagicV2)
+	w.raw(stateMagic)
 	w.u64(1)
 	w.u64(7)
 	w.u32(1 << 30) // nym count far beyond maxStateCount
@@ -333,9 +336,17 @@ func TestStateV2Hardening(t *testing.T) {
 		t.Error("oversized count imported")
 	}
 
+	// The version-2 blob — nonces where the seed now is — has no reader and is
+	// refused by name, not parsed as JSON.
+	v2 := append([]byte(nil), state...)
+	v2[len(stateMagic)-1] = 2
+	if err := fresh().ImportState(v2); err == nil || !strings.Contains(err.Error(), "unsupported state blob version 2") {
+		t.Errorf("version-2 blob: %v", err)
+	}
+
 	// Oversized total input.
 	big := make([]byte, maxStateBytes+1)
-	copy(big, stateMagicV2)
+	copy(big, stateMagic)
 	if err := fresh().ImportState(big); err == nil {
 		t.Error("oversized state imported")
 	}
@@ -461,12 +472,72 @@ func TestAdmissionEnforcesStateCaps(t *testing.T) {
 	}
 }
 
+// TestStateHeaderIsXAndSeed pins the header form of the durable state: X and
+// the 32-byte seed of its nonce run, under 1.2 kB for a cached 128-row shard
+// where the nonces written out made it 3.6; decoded headers of one seed share
+// one expansion; a header without a seed fails the export rather than
+// writing a blob no import could read; and the decode charges the expansion
+// before it makes it.
+func TestStateHeaderIsXAndSeed(t *testing.T) {
+	const n = 128
+	seed := bytes.Repeat([]byte{5}, core.SeedSize)
+	hdr := func(n int) *core.Header {
+		return &core.Header{X: make(linalg.Vector, n+1), Zs: core.ExpandNonces(seed, n), Seed: seed}
+	}
+	shards := []core.CachedShard{
+		{ID: "acp0#0", Sig: strings.Repeat("s", 64), Hdr: hdr(n), Key: 7},
+		{ID: "acp0#1", Sig: strings.Repeat("t", 64), Hdr: hdr(n - 9), Key: 8},
+		{ID: "acp0#2", Sig: strings.Repeat("u", 64), Hdr: hdr(n), Key: 9},
+	}
+	seg, err := encodeCacheBucket(nil, shards, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perShard := len(seg) / len(shards); perShard > 1200 || perShard < 8*(n-9)+core.SeedSize {
+		t.Errorf("a cached %d-row shard takes %d B of its cache segment, want X + seed + names ≤ 1200", n, perShard)
+	}
+	budget := codec.NewBudget(maxStateHeaderBudget)
+	dec := decodeCacheSegment(seg, budget)
+	if dec.err != nil || len(dec.shards) != len(shards) {
+		t.Fatalf("decoded %d shards: %v", len(dec.shards), dec.err)
+	}
+	for i, s := range dec.shards {
+		if !reflect.DeepEqual(s, shards[i]) {
+			t.Errorf("shard %d differs across the cache segment", i)
+		}
+	}
+	a, b, c := dec.shards[0].Hdr, dec.shards[1].Hdr, dec.shards[2].Hdr
+	if &a.Zs[0] != &b.Zs[0] || &a.Zs[0] != &c.Zs[0] || cap(b.Zs) != n-9 {
+		t.Error("decoded headers of one seed do not share one expansion, each capped at its own N")
+	}
+	// Charged: every X, and the one expansion (nonces + slice headers).
+	charged := 8*(n+1) + 8*(n-8) + 8*(n+1) + n*(core.NonceSize+24)
+	if err := budget.Charge(maxStateHeaderBudget - charged); err != nil {
+		t.Errorf("decode charged more than %d bytes", charged)
+	}
+	if err := budget.Charge(1); err == nil {
+		t.Errorf("decode charged less than %d bytes", charged)
+	}
+	if dec := decodeCacheSegment(seg, codec.NewBudget(8*(n+1)+n*(core.NonceSize+24)-1)); dec.err == nil {
+		t.Error("an expansion past the budget was made")
+	}
+
+	shards[1].Hdr = &core.Header{X: shards[1].Hdr.X, Zs: shards[1].Hdr.Zs}
+	if _, err := encodeCacheBucket(nil, shards, nil); err == nil {
+		t.Error("a header without a seed was exported")
+	}
+	v2 := append([]byte{2}, seg[1:]...)
+	if dec := decodeCacheSegment(v2, nil); dec.err == nil || !strings.Contains(dec.err.Error(), "unsupported segment version 2") {
+		t.Errorf("version-2 cache segment: %v", dec.err)
+	}
+}
+
 // TestStateV2GroupCountBudget: the per-policy group lists are the one
 // decode allocation not bounded by input bytes; a crafted blob packing many
 // maximum-group policies must hit the shared budget, not the OOM killer.
 func TestStateV2GroupCountBudget(t *testing.T) {
 	w := &stateWriter{}
-	w.raw(stateMagicV2)
+	w.raw(stateMagic)
 	w.u64(1)            // epoch
 	w.u64(7)            // gen
 	w.u32(0)            // no table rows

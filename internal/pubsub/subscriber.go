@@ -46,14 +46,14 @@ type Subscriber struct {
 	tokens map[string]tokenSecret // by tag
 	css    map[string]core.CSS    // by condition ID
 
-	// kev caches key extraction vectors by (CSS row, nonce run) (§VIII-D,
-	// receiver half): a session's headers hold prefixes of one run, and the
-	// KEV over a prefix is a prefix of the KEV over the run, so the shards
-	// of a shared-nonce session, steady-state republishes and the clean
-	// shards of grouped headers hash each row once per run; every later
-	// derivation is a single inner product. kevMisses counts vectors
+	// kev caches key extraction vectors by (CSS row, nonce seed) (§VIII-D,
+	// receiver half): a session's headers hold prefixes of the run its seed
+	// names, and the KEV over a prefix is a prefix of the KEV over the run,
+	// so the shards of a shared-nonce session, steady-state republishes and
+	// the clean shards of grouped headers hash each row once per run; every
+	// later derivation is a single inner product. kevMisses counts vectors
 	// actually hashed (white-box test observability).
-	kev       map[string]cachedKEV
+	kev       map[string]linalg.Vector
 	kevBytes  int
 	kevMisses uint64
 
@@ -70,28 +70,9 @@ type Subscriber struct {
 	stream map[string]*Broadcast
 }
 
-// maxKEVCacheBytes bounds the memory the KEV cache holds — vectors plus the
-// runs they were hashed against; crossing it drops the whole cache (stale
-// runs from dead sessions dominate by then).
+// maxKEVCacheBytes bounds the memory the KEV cache's vectors hold; crossing
+// it drops the whole cache (stale runs from dead sessions dominate by then).
 const maxKEVCacheBytes = 1 << 20
-
-// cachedKEV is one KEV cache entry: the vector and the nonces it was hashed
-// against, kept so that a hit is verified by content — the map key names a
-// run by its first nonce only.
-type cachedKEV struct {
-	zs  [][]byte
-	kev linalg.Vector
-}
-
-// bytes is what the entry keeps alive: the vector, the run's slice headers
-// and its nonces.
-func (c cachedKEV) bytes() int {
-	n := 8*len(c.kev) + 24*len(c.zs)
-	if len(c.zs) > 0 {
-		n += len(c.zs) * len(c.zs[0])
-	}
-	return n
-}
 
 type tokenSecret struct {
 	token  *idtoken.Token
@@ -107,7 +88,7 @@ func NewSubscriber(nym string) (*Subscriber, error) {
 		nym:     nym,
 		tokens:  make(map[string]tokenSecret),
 		css:     make(map[string]core.CSS),
-		kev:     make(map[string]cachedKEV),
+		kev:     make(map[string]linalg.Vector),
 		grpHint: make(map[policy.ConfigKey]int),
 		stream:  make(map[string]*Broadcast),
 	}, nil
@@ -129,7 +110,7 @@ func (s *Subscriber) ApplySnapshot(b *Broadcast) error {
 // ApplyDelta patches the subscriber's held broadcast state with a delta. The
 // cached KEVs and group sub-header keys of clean shards stay valid across
 // the patch (unchanged sub-headers are shared, and the KEV cache is keyed by
-// their content). A mismatched base epoch returns ErrDeltaBaseMismatch —
+// their nonce seed). A mismatched base epoch returns ErrDeltaBaseMismatch —
 // the caller fell behind the retention window and must refetch a snapshot.
 func (s *Subscriber) ApplyDelta(d *BroadcastDelta) error {
 	if d == nil {
@@ -449,34 +430,34 @@ func (s *Subscriber) groupedKey(row []core.CSS, ci ConfigInfo, verifyCT []byte) 
 // cachedKEV returns the key extraction vector of a CSS row against a
 // header's nonces, hashing only on first sight of the row's run (§VIII-D:
 // "the Sub can compute the hash values and cache the resultant vector for
-// future use"). The cache is keyed by the row and the run's first nonce; a
-// vector is served — cut to the header's length — only when the header's
-// nonces are, by content, the front of the ones it was hashed against.
-// Callers hold s.mu.
+// future use"). The cache is keyed by the row and the seed that names the
+// run, and keeps the longest vector hashed over it, served cut to the
+// header's length; a header without a seed is hashed each time. Callers hold
+// s.mu.
 func (s *Subscriber) cachedKEV(row []core.CSS, hdr *core.Header) (linalg.Vector, error) {
+	if !hdr.Seeded() {
+		s.kevMisses++
+		return core.KEV(row, hdr)
+	}
 	key := make([]byte, 0, 64)
 	key = binary.BigEndian.AppendUint32(key, uint32(len(row)))
 	for _, css := range row {
 		key = append(key, css.Bytes()...)
 	}
-	if len(hdr.Zs) > 0 {
-		key = append(key, hdr.Zs[0]...)
-	}
-	n := len(hdr.Zs)
-	if c, ok := s.kev[string(key)]; ok && n <= len(c.zs) && len(c.kev) >= len(hdr.X) && core.SameNonces(hdr.Zs, c.zs[:n]) {
-		return c.kev[:len(hdr.X)], nil
+	key = append(key, hdr.Seed...)
+	if kev, ok := s.kev[string(key)]; ok && len(kev) >= len(hdr.X) {
+		return kev[:len(hdr.X)], nil
 	}
 	kev, err := core.KEV(row, hdr)
 	if err != nil {
 		return nil, err
 	}
-	c := cachedKEV{zs: hdr.Zs, kev: kev}
-	s.kevBytes += c.bytes() - s.kev[string(key)].bytes()
+	s.kevBytes += 8 * (len(kev) - len(s.kev[string(key)]))
 	if s.kevBytes > maxKEVCacheBytes {
-		s.kev = make(map[string]cachedKEV)
-		s.kevBytes = c.bytes()
+		s.kev = make(map[string]linalg.Vector)
+		s.kevBytes = 8 * len(kev)
 	}
-	s.kev[string(key)] = c
+	s.kev[string(key)] = kev
 	s.kevMisses++
 	return kev, nil
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"ppcd/internal/core"
 	"ppcd/internal/policy"
 	"ppcd/internal/pubsub"
+	"ppcd/internal/wire"
 )
 
 // loadRows registers n synthetic rows (pn-00000 …, one CSS for attr0 each)
@@ -162,6 +164,52 @@ func TestRestartResumesGroupsAndSegments(t *testing.T) {
 	}
 	if s := pub.Stats(); s.Solves != 0 || s.FullRegroups != 0 {
 		t.Errorf("publish from the incremental layout: %d solves, %d full regroups; want 0 and 0", s.Solves, s.FullRegroups)
+	}
+}
+
+// TestRestartKeepsSeedsAndSharesRuns: a cached shard header is stored as X and
+// the seed of its nonce run, and comes back with both: the frames of the
+// restarted publisher are the bytes the stopped one would have sent, and the
+// restored shards of one session share one run in memory again.
+func TestRestartKeepsSeedsAndSharesRuns(t *testing.T) {
+	const rows, groupSize = 4000, 128
+	dir := t.TempDir()
+	ts := stoppedStore(t, dir, rows, groupSize, 0)
+	var before [][]byte
+	for _, b := range ts.pub.LastBroadcasts() {
+		before = append(before, wire.MarshalSnapshotFrame(b))
+	}
+
+	st, pub, _ := restart(t, ts, dir, groupSize, 0)
+	defer st.Close()
+	after := pub.LastBroadcasts()
+	if len(after) != len(before) || len(after) == 0 {
+		t.Fatalf("%d diff bases after the restart, %d before", len(after), len(before))
+	}
+	runs, shards := make(map[*byte]bool), (rows+groupSize-1)/groupSize
+	for i, b := range after {
+		if !bytes.Equal(wire.MarshalSnapshotFrame(b), before[i]) {
+			t.Errorf("snapshot frame of %q differs across the restart", b.DocName)
+		}
+		for _, ci := range b.Configs {
+			for _, sh := range ci.Grouped.Shards {
+				if !sh.Hdr.Seeded() {
+					t.Fatalf("restored shard header of N=%d lost its seed", sh.Hdr.N())
+				}
+				runs[&sh.Hdr.Zs[0][0]] = true
+			}
+		}
+	}
+	// One session solved every shard; its run is expanded once per cache
+	// bucket that holds one of its shards, not once per shard.
+	if len(runs) >= shards || len(runs) > st.man.cacheSegs {
+		t.Errorf("%d restored shards of one session hold %d runs in memory (%d cache buckets)", shards, len(runs), st.man.cacheSegs)
+	}
+	if _, err := pub.Publish(ts.doc); err != nil {
+		t.Fatal(err)
+	}
+	if s := pub.Stats(); s.Solves != 0 {
+		t.Errorf("first publish after the restart solved %d shards", s.Solves)
 	}
 }
 

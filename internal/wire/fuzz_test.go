@@ -73,7 +73,8 @@ func fuzzDelta() *pubsub.BroadcastDelta {
 
 // FuzzFrame drives the stream-frame decoder with arbitrary bytes, seeded
 // with well-formed snapshot, delta and heartbeat frames — headers sharing
-// runs, extending them and sharing nothing, nonces of several lengths — their truncated and bit-flipped
+// runs, extending them and sharing nothing, runs named by a seed and runs
+// written out, nonces of several lengths — their truncated and bit-flipped
 // variants, and the hostile run tables of hostileFrames. The decoder must
 // never panic, and every frame it accepts must re-marshal byte-identically —
 // the canonicality the fan-out tier relies on when it reuses one marshaled
@@ -82,6 +83,8 @@ func FuzzFrame(f *testing.F) {
 	mixed := mixedSessionSnapshot(7)
 	uneven := snapshotOf(pubsub.ConfigInfo{Key: "h", Rev: 1, Header: hdrOn([][]byte{{1, 2}, {3}, {}}, 3)})
 	seeds := [][]byte{
+		MarshalSnapshotFrame(everyRunForm()),
+		MarshalDeltaFrame(deltaOf(everyRunForm())),
 		MarshalSnapshotFrame(uneven),
 		MarshalHeartbeatFrame(42),
 		MarshalSnapshotFrame(fuzzSnapshot()),

@@ -24,12 +24,28 @@ func testRun(tag byte, n, size int) [][]byte {
 	return core.NonceRun(buf, n, size)
 }
 
-// hdrOn builds a header of N = n over the front of run.
+// hdrOn builds a header of N = n over the front of run, its nonces given one
+// by one: what the v1/v2 codecs decode, and what a frame writes out.
 func hdrOn(run [][]byte, n int) *core.Header {
 	h := &core.Header{X: make(linalg.Vector, n+1), Zs: run[:n:n]}
 	for i := range h.X {
 		h.X[i] = ff64.Elem(uint64(7*n + i + 1))
 	}
+	return h
+}
+
+// testSeed is the seed of a session told apart from others by tag.
+func testSeed(tag byte) []byte {
+	seed := bytes.Repeat([]byte{tag}, core.SeedSize)
+	seed[1] = ^tag
+	return seed
+}
+
+// hdrSeeded builds a header of N = n the way the engine does: over the front
+// of the run its seed names, each call expanding its own copy.
+func hdrSeeded(seed []byte, n int) *core.Header {
+	h := hdrOn(core.ExpandNonces(seed, n), n)
+	h.Seed = seed
 	return h
 }
 
@@ -85,6 +101,18 @@ func deltaOf(b *pubsub.Broadcast) *pubsub.BroadcastDelta {
 	return d
 }
 
+// everyRunForm is a snapshot whose frame holds a run of every form, two of
+// them lengthened by a later header: seeded, written out, uneven, and a
+// header with no nonces at all.
+func everyRunForm() *pubsub.Broadcast {
+	a, s1 := testRun(1, 9, core.NonceSize), testSeed(1)
+	return snapshotOf(
+		groupedOf("g", hdrSeeded(s1, 5), hdrOn(a, 5), hdrSeeded(s1, 8), hdrOn(a, 9)),
+		pubsub.ConfigInfo{Key: "m", Rev: 1, Header: hdrOn([][]byte{make([]byte, 16), make([]byte, 16), make([]byte, 15), {}}, 4)},
+		pubsub.ConfigInfo{Key: "s2", Rev: 1, Header: hdrSeeded(testSeed(2), 1)},
+		pubsub.ConfigInfo{Key: "none", Rev: 1, Header: &core.Header{X: linalg.Vector{42}, Zs: [][]byte{}}})
+}
+
 // TestFrameRunTableRoundTrip: whatever way a frame's headers share (or do
 // not share) their nonces, snapshot and delta decode to exactly the input,
 // re-marshal to the same bytes, and carry each distinct run once.
@@ -93,6 +121,11 @@ func TestFrameRunTableRoundTrip(t *testing.T) {
 	// What the v1 codec carries a frame carries: no producer draws nonces of
 	// several lengths, but nothing forbids them in an ungrouped header.
 	mixed := [][]byte{make([]byte, 16), make([]byte, 16), make([]byte, 15), {}}
+	s1, s2 := testSeed(1), testSeed(2)
+	session := core.ExpandNonces(s1, 9) // one session's run, as its shards share it
+	onSession := func(n int) *core.Header {
+		return &core.Header{X: hdrOn(session, n).X, Zs: session[:n:n], Seed: s1}
+	}
 	cases := []struct {
 		name string
 		b    *pubsub.Broadcast
@@ -100,6 +133,18 @@ func TestFrameRunTableRoundTrip(t *testing.T) {
 	}{
 		{"same session, the longer shard after the shorter", snapshotOf(
 			groupedOf("g", hdrOn(a, 5), hdrOn(a, 9), hdrOn(a, 3))), 1},
+		{"shards of one seed with different N, sharing the run's memory", snapshotOf(
+			groupedOf("g", onSession(5), onSession(9), onSession(3))), 1},
+		{"one seed, nothing shared but the seed, the run lengthened by a later header", snapshotOf(
+			groupedOf("g", hdrSeeded(s1, 4), hdrSeeded(bytes.Clone(s1), 9)),
+			groupedOf("g2", hdrSeeded(s2, 6), hdrSeeded(s1, 7))), 2},
+		{"seeded, written out and uneven runs in one frame", everyRunForm(), 4},
+		{"a run written out beside the seeded run it equals", snapshotOf(
+			groupedOf("g", hdrSeeded(s1, 5), hdrOn(core.ExpandNonces(s1, 5), 5), hdrOn(session, 7), hdrSeeded(s1, 3))), 2},
+		{"a written-out run that opens with a seed's bytes", snapshotOf(
+			pubsub.ConfigInfo{Key: "z32", Rev: 1, Header: hdrOn([][]byte{s1, s2}, 2)},
+			pubsub.ConfigInfo{Key: "s1", Rev: 1, Header: hdrSeeded(s1, 2)},
+			pubsub.ConfigInfo{Key: "z32 again", Rev: 1, Header: hdrOn([][]byte{s1}, 1)}), 2},
 		{"nothing shared", snapshotOf(
 			groupedOf("g", hdrOn(a, 9), hdrOn(b, 6)),
 			pubsub.ConfigInfo{Key: "h", Rev: 2, Header: hdrOn(c, 4)}), 3},
@@ -161,35 +206,47 @@ func TestFrameRunTableRoundTrip(t *testing.T) {
 }
 
 // TestDecodedHeadersShareTheirRun: the shards of one session decode onto one
-// run — one buffer, one [][]byte — and Header.Clone still copies out of it.
+// run — one expansion of their seed, one buffer, one [][]byte — and
+// Header.Clone still copies out of it, into a run of its own.
 func TestDecodedHeadersShareTheirRun(t *testing.T) {
-	a := testRun(1, 9, core.NonceSize)
-	f, err := UnmarshalFrame(MarshalSnapshotFrame(snapshotOf(groupedOf("g", hdrOn(a, 5), hdrOn(cloneNonces(a), 9)))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := f.Snapshot.Configs[0].Grouped.Shards
-	short, long := sh[0].Hdr, sh[1].Hdr
-	if &short.Zs[0] != &long.Zs[0] || &short.Zs[4][0] != &long.Zs[4][0] {
-		t.Fatal("two headers of one run do not share its backing arrays")
-	}
-	if cap(short.Zs) != 5 || cap(short.Zs[4]) != core.NonceSize {
-		t.Fatalf("a header's window reaches past its own nonces: cap(Zs)=%d cap(z)=%d", cap(short.Zs), cap(short.Zs[4]))
-	}
-	cl := short.Clone()
-	if !reflect.DeepEqual(cl, short) {
-		t.Fatal("Clone differs from its source")
-	}
-	cl.Zs[0][0] ^= 0xff
-	cl.X[0]++
-	if &cl.Zs[0] == &short.Zs[0] || cl.Zs[0][0] == long.Zs[0][0] || cl.X[0] == short.X[0] {
-		t.Fatal("Clone shares memory with the decoded run")
+	a, seed := testRun(1, 9, core.NonceSize), testSeed(1)
+	for name, g := range map[string]pubsub.ConfigInfo{
+		"seeded":      groupedOf("g", hdrSeeded(seed, 5), hdrSeeded(seed, 9)),
+		"written out": groupedOf("g", hdrOn(a, 5), hdrOn(cloneNonces(a), 9)),
+	} {
+		f, err := UnmarshalFrame(MarshalSnapshotFrame(snapshotOf(g)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := f.Snapshot.Configs[0].Grouped.Shards
+		short, long := sh[0].Hdr, sh[1].Hdr
+		if &short.Zs[0] != &long.Zs[0] || &short.Zs[4][0] != &long.Zs[4][0] {
+			t.Fatalf("%s: two headers of one run do not share its backing arrays", name)
+		}
+		if cap(short.Zs) != 5 || cap(short.Zs[4]) != core.NonceSize {
+			t.Fatalf("%s: a header's window reaches past its own nonces: cap(Zs)=%d cap(z)=%d", name, cap(short.Zs), cap(short.Zs[4]))
+		}
+		if short.Seeded() != (name == "seeded") || short.Seeded() && (&short.Seed[0] != &long.Seed[0] || !bytes.Equal(short.Seed, seed)) {
+			t.Fatalf("%s: decoded seeds %x and %x", name, short.Seed, long.Seed)
+		}
+		cl := long.Clone()
+		if !reflect.DeepEqual(cl, long) {
+			t.Fatalf("%s: Clone differs from its source", name)
+		}
+		cl.Zs[0][0] ^= 0xff
+		cl.X[0]++
+		if cl.Seeded() {
+			cl.Seed[0] ^= 0xff
+		}
+		if &cl.Zs[0] == &long.Zs[0] || cl.Zs[0][0] == short.Zs[0][0] || cl.X[0] == long.X[0] || !reflect.DeepEqual(short.Seed, long.Seed) || long.Seeded() && long.Seed[0] != seed[0] {
+			t.Fatalf("%s: Clone shares memory with the decoded run", name)
+		}
 	}
 }
 
 // hostileFrame marshals b as a snapshot around a table and header references
 // of the test's choosing, bypassing the table pass that would repair them.
-func hostileFrame(table [][][]byte, refs []uint32, b *pubsub.Broadcast) []byte {
+func hostileFrame(table []frameRun, refs []uint32, b *pubsub.Broadcast) []byte {
 	t := &runTable{runs: table, refs: refs}
 	w := writer{runs: t}
 	w.u8(VersionStream)
@@ -234,6 +291,27 @@ func emptyNonceRuns(size, runs, n int) []byte {
 	return append(w.out(), make([]byte, size-w.w.Len())...)
 }
 
+// greedySeededRuns is a frame of size bytes whose table is seeded runs to the
+// end of the input, each claiming the largest n the clamp allows (the first
+// leaves the others nothing; they claim one nonce): 40 bytes of input per
+// run, 40·n bytes of nonces and slice headers once expanded.
+func greedySeededRuns(size int) []byte {
+	var w writer
+	w.u8(VersionStream)
+	w.u8(byte(FrameSnapshot))
+	runs := (size - 6) / (8 + core.SeedSize)
+	w.u32(uint32(runs))
+	owed := 0
+	for i := 0; i < runs; i++ {
+		n := max(1, (size-w.w.Len()-owed)/8)
+		owed += 8 * (n + 1)
+		w.u32(uint32(n))
+		w.u32(seededRun)
+		w.w.Raw(testSeed(byte(i)))
+	}
+	return append(w.out(), make([]byte, size-w.w.Len())...)
+}
+
 // hostileFrames is every way a frame's run table can disagree with its
 // headers. The decoder must refuse each; FuzzFrame starts from them too.
 func hostileFrames() map[string][]byte {
@@ -242,28 +320,54 @@ func hostileFrames() map[string][]byte {
 	mixed := snapshotOf(groupedOf("g", hdrOn(a, 9), hdrOn(b, 6)))
 	good := MarshalSnapshotFrame(two)
 	// good opens version ‖ type ‖ count(4) ‖ n(4) ‖ nonceLen(4) ‖ nonces.
-	patch := func(off int, v ...byte) []byte {
+	patch := func(good []byte, off int, v ...byte) []byte {
 		raw := append([]byte(nil), good...)
 		copy(raw[off:], v)
 		return raw
 	}
+	out := func(runs ...[][]byte) (table []frameRun) {
+		for _, zs := range runs {
+			table = append(table, frameRun{zs: zs})
+		}
+		return table
+	}
+	// The same frames over seeded runs: seeded opens version ‖ type ‖ count(4)
+	// ‖ n(4) ‖ seededRun(4) ‖ seed(32).
+	s1, s2 := testSeed(1), testSeed(2)
+	run1, run2 := frameRun{seed: s1, zs: core.ExpandNonces(s1, 9)}, frameRun{seed: s2, zs: core.ExpandNonces(s2, 6)}
+	twoSeeded := snapshotOf(groupedOf("g", hdrSeeded(s1, 5), hdrSeeded(s1, 9)))
+	mixedSeeded := snapshotOf(groupedOf("g", hdrSeeded(s1, 9), hdrSeeded(s2, 6)))
+	seeded := MarshalSnapshotFrame(twoSeeded)
+	cut := hostileFrame([]frameRun{{seed: s1[:core.SeedSize-1], zs: run1.zs}}, []uint32{0, 0}, twoSeeded)
 	return map[string][]byte{
-		"reference past the table":            hostileFrame([][][]byte{a}, []uint32{0, 1}, two),
+		"reference past the table":            hostileFrame(out(a), []uint32{0, 1}, two),
 		"reference into an empty table":       hostileFrame(nil, []uint32{0, 0}, two),
-		"header longer than its run":          hostileFrame([][][]byte{a[:7]}, []uint32{0, 0}, two),
-		"run longer than any header":          hostileFrame([][][]byte{append(cloneNonces(a), b[0])}, []uint32{0, 0}, two),
-		"duplicate runs":                      hostileFrame([][][]byte{a, cloneNonces(a)}, []uint32{0, 1}, two),
-		"a prefix run beside its run":         hostileFrame([][][]byte{a[:5], a}, []uint32{0, 1}, two),
-		"unused run":                          hostileFrame([][][]byte{a, b}, []uint32{0, 0}, two),
-		"runs out of first-use order":         hostileFrame([][][]byte{b, a}, []uint32{1, 0}, mixed),
-		"grouped sub-header on a 15-byte run": hostileFrame([][][]byte{testRun(1, 9, 15)}, []uint32{0, 0}, two),
-		"zero-length run":                     patch(2+4, 0, 0, 0, 0),
-		"run count at the clamp":              patch(2, 0, byte(maxFrameRuns>>16), 0, 0),
-		"run count past the clamp":            patch(2, 0, byte(maxFrameRuns>>16), 0, 1),
-		"nonce length past the input":         patch(2+4+4, 0, 1, 0, 0),
+		"header longer than its run":          hostileFrame(out(a[:7]), []uint32{0, 0}, two),
+		"run longer than any header":          hostileFrame(out(append(cloneNonces(a), b[0])), []uint32{0, 0}, two),
+		"duplicate runs":                      hostileFrame(out(a, cloneNonces(a)), []uint32{0, 1}, two),
+		"a prefix run beside its run":         hostileFrame(out(a[:5], a), []uint32{0, 1}, two),
+		"unused run":                          hostileFrame(out(a, b), []uint32{0, 0}, two),
+		"runs out of first-use order":         hostileFrame(out(b, a), []uint32{1, 0}, mixed),
+		"grouped sub-header on a 15-byte run": hostileFrame(out(testRun(1, 9, 15)), []uint32{0, 0}, two),
+		"zero-length run":                     patch(good, 2+4, 0, 0, 0, 0),
+		"run count at the clamp":              patch(good, 2, 0, byte(maxFrameRuns>>16), 0, 0),
+		"run count past the clamp":            patch(good, 2, 0, byte(maxFrameRuns>>16), 0, 1),
+		"nonce length past the input":         patch(good, 2+4+4, 0, 1, 0, 0),
 		"one length listed nonce by nonce":    unevenForm(a),
 		"runs of empty nonces":                emptyNonceRuns(1<<16, 2000, 5000),
-		"version 3":                           patch(0, 3),
+		"version 4":                           patch(good, 0, 4),
+
+		"seed truncated":                         cut,
+		"seed cut off by the end of the frame":   MarshalSnapshotFrame(snapshotOf(pubsub.ConfigInfo{Key: "h", Header: hdrSeeded(s1, 1)}))[:2+4+4+4+core.SeedSize-1],
+		"seeded run of no nonces":                patch(seeded, 2+4, 0, 0, 0, 0),
+		"seeded run past the clamp":              patch(seeded, 2+4, 0, 0, byte(len(seeded)>>8), byte(len(seeded))),
+		"seeded run longer than any header":      patch(seeded, 2+4, 0, 0, 0, 10),
+		"header longer than its seeded run":      patch(seeded, 2+4, 0, 0, 0, 8),
+		"two entries with one seed":              hostileFrame([]frameRun{run1, run1}, []uint32{0, 1}, twoSeeded),
+		"unused seeded run":                      hostileFrame([]frameRun{run1, run2}, []uint32{0, 0}, twoSeeded),
+		"seeded runs out of first-use order":     hostileFrame([]frameRun{run2, run1}, []uint32{1, 0}, mixedSeeded),
+		"a seeded run written out beside itself": hostileFrame([]frameRun{run1, {zs: run1.zs}}, []uint32{0, 1}, twoSeeded),
+		"seeded runs to the end of the input":    greedySeededRuns(1 << 12),
 	}
 }
 
@@ -273,28 +377,48 @@ func TestFrameRunTableHardening(t *testing.T) {
 			t.Errorf("%s: frame accepted", name)
 		}
 	}
-	if _, err := UnmarshalFrame(hostileFrames()["version 3"]); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("version 3 frame: %v, want ErrBadVersion", err)
+	for name, want := range map[string]error{
+		"version 4":                            ErrBadVersion,
+		"run count past the clamp":             ErrOversize,
+		"seeded run past the clamp":            ErrOversize,
+		"seed truncated":                       nil, // one byte short shifts the body: refused, whatever the reason
+		"seed cut off by the end of the frame": ErrTruncated,
+	} {
+		if _, err := UnmarshalFrame(hostileFrames()[name]); err == nil || want != nil && !errors.Is(err, want) {
+			t.Errorf("%s: %v, want %v", name, err, want)
+		}
 	}
-	if _, err := UnmarshalFrame(hostileFrames()["run count past the clamp"]); !errors.Is(err, ErrOversize) {
-		t.Errorf("run count past the clamp: %v, want ErrOversize", err)
+	// A run draws its bytes and its slice headers from the message budget —
+	// a seeded run what it expands to, before it is expanded — and every
+	// header 8·|X|, whatever its run.
+	a, seed := testRun(1, 9, core.NonceSize), testSeed(1)
+	for name, g := range map[string]pubsub.ConfigInfo{
+		"seeded":      groupedOf("g", hdrSeeded(seed, 5), hdrSeeded(seed, 9)),
+		"written out": groupedOf("g", hdrOn(a, 5), hdrOn(a, 9)),
+	} {
+		r := newReader(MarshalSnapshotFrame(snapshotOf(g))[2:])
+		if err := readRunTable(r); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readSnapshot(r); err != nil {
+			t.Fatal(err)
+		}
+		charged := 9*(core.NonceSize+24) + 8*6 + 8*10
+		if err := r.takeHeaderBudget(maxHeaderBudget - charged); err != nil {
+			t.Fatalf("%s frame charged more than %d bytes: %v", name, charged, err)
+		}
+		if err := r.takeHeaderBudget(1); err == nil {
+			t.Fatalf("%s frame charged less than %d bytes", name, charged)
+		}
 	}
-	// A run draws its bytes and its slice headers from the message budget,
-	// every header 8·|X|, whatever its run.
-	a := testRun(1, 9, core.NonceSize)
-	r := newReader(MarshalSnapshotFrame(snapshotOf(groupedOf("g", hdrOn(a, 5), hdrOn(a, 9))))[2:])
-	if err := readRunTable(r); err != nil {
+	// The charge comes first: a seeded run the budget cannot cover is refused
+	// unexpanded.
+	r := newReader(MarshalSnapshotFrame(snapshotOf(groupedOf("g", hdrSeeded(seed, 9))))[2:])
+	if err := r.takeHeaderBudget(maxHeaderBudget - 9*(core.NonceSize+24) + 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readSnapshot(r); err != nil {
-		t.Fatal(err)
-	}
-	charged := 9*(core.NonceSize+24) + 8*6 + 8*10
-	if err := r.takeHeaderBudget(maxHeaderBudget - charged); err != nil {
-		t.Fatalf("frame charged more than %d bytes: %v", charged, err)
-	}
-	if err := r.takeHeaderBudget(1); err == nil {
-		t.Fatalf("frame charged less than %d bytes", charged)
+	if err := readRunTable(r); !errors.Is(err, ErrOversize) || len(r.runs) != 0 {
+		t.Fatalf("seeded run past the budget: %v, %d runs expanded", err, len(r.runs))
 	}
 }
 
@@ -317,6 +441,25 @@ func TestRunTableAllocatesWithinItsInput(t *testing.T) {
 	}
 }
 
+// TestSeededRunTableAllocatesWithinItsInput is the same bound for the form
+// that amplifies by design: a seeded run costs 40 bytes of input and expands
+// to 40 bytes per nonce. The clamp holds the nonces of all runs together to an
+// eighth of the input's bytes, so a frame of nothing but seeded runs, each
+// claiming the most the clamp allows, expands to five times its size.
+func TestSeededRunTableAllocatesWithinItsInput(t *testing.T) {
+	raw := greedySeededRuns(1 << 20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := UnmarshalFrame(raw)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("frame of seeded runs and no headers accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got < uint64(len(raw)) || got > 8*uint64(len(raw)) {
+		t.Fatalf("decoder allocated %d bytes on a hostile frame of %d, want between 1× (the runs are expanded) and 8×", got, len(raw))
+	}
+}
+
 // mixedSessionSnapshot is the snapshot of a table under churn: shards of
 // 128 spread over a few dozen rekey sessions, the oldest session still
 // holding most of them.
@@ -324,11 +467,7 @@ func mixedSessionSnapshot(shards int) *pubsub.Broadcast {
 	const n = 128
 	var runs [][][]byte
 	for s := 0; s < 40; s++ {
-		buf := make([]byte, n*core.NonceSize)
-		for i := range buf {
-			buf[i] = byte(s*131 + i*7 + i/core.NonceSize)
-		}
-		runs = append(runs, core.NonceRun(buf, n, core.NonceSize))
+		runs = append(runs, core.ExpandNonces(testSeed(byte(s)), n))
 	}
 	var hdrs []*core.Header
 	for i := 0; i < shards; i++ {
@@ -336,7 +475,9 @@ func mixedSessionSnapshot(shards int) *pubsub.Broadcast {
 		if i%3 == 0 {
 			s = (i / 3) % len(runs)
 		}
-		hdrs = append(hdrs, hdrOn(runs[s], n-i%5))
+		h := hdrOn(runs[s], n-i%5)
+		h.Seed = testSeed(byte(s))
+		hdrs = append(hdrs, h)
 	}
 	return snapshotOf(groupedOf("g0", hdrs[:shards/2]...), groupedOf("g1", hdrs[shards/2:]...))
 }

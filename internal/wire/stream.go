@@ -8,15 +8,18 @@
 // nonce sequence across a rekey session, so the k same-session shards of a
 // frame hold prefixes of one run; a data frame therefore opens with a table
 // of its distinct nonce runs and every header body is its X plus an index
-// into that table:
+// into that table. A run the engine drew is the expansion of a seed
+// (core.ExpandNonces), and its table entry is that seed:
 //
-//	frame   = version(4) ‖ type ‖ runs ‖ snapshot | delta      (heartbeat: version ‖ type ‖ epoch)
-//	runs    = count ‖ per run: n ‖ nonceLen ‖ n·nonceLen bytes
+//	frame   = version(5) ‖ type ‖ runs ‖ snapshot | delta      (heartbeat: version ‖ type ‖ epoch)
+//	runs    = count ‖ per run: n ‖ seededRun ‖ seed             (40 bytes)
 //	header  = |X| ‖ X… ‖ run index                              (N = |X| − 1; no index when N = 0)
 //
-// (A run whose nonces differ in length — the v1 codec carries such a header,
-// nothing produces one — has the marker mixedLen for nonceLen, then its n
-// lengths, then the nonces.)
+// A header without a seed — the v1/v2 codecs decode such headers, nothing
+// builds one — has its run written out: n ‖ nonceLen ‖ n·nonceLen bytes, or,
+// when its nonces differ in length, the marker mixedLen for nonceLen, then
+// the n lengths, then the nonces. Nothing chooses between the forms; the
+// header's own data does.
 //
 // A frame has one encoding: runs appear in the order the headers first use
 // them, each exactly as long as its longest header, none a duplicate of
@@ -27,8 +30,9 @@
 // Decoding applies the same hardening discipline as v2: every count, length
 // and reference is clamped before use — a run's length by the X entries its
 // longest header still has to bring — what a run allocates (its bytes, 24 per
-// nonce of slice header) and 8·|X| per header are charged against the
-// per-message 64 MiB budget, and field elements must arrive reduced.
+// nonce of slice header; charged before a seed is expanded) and 8·|X| per
+// header are charged against the per-message 64 MiB budget, and field
+// elements must arrive reduced.
 package wire
 
 import (
@@ -44,7 +48,7 @@ import (
 // VersionStream marks epoch-versioned stream frames (snapshot | delta |
 // heartbeat). Frames are never persisted, so there is exactly one frame
 // version; the v1/v2 broadcast messages remain valid and byte-identical.
-const VersionStream = 4
+const VersionStream = 5
 
 // FrameType discriminates the stream frame kinds.
 type FrameType byte
@@ -85,36 +89,57 @@ const maxFrameRuns = 1 << 20
 // a run, but the v1 codec carries such a header and so does a frame.
 const mixedLen = ^uint32(0)
 
+// seededRun in a run's nonceLen field marks a run named by its seed:
+// core.SeedSize bytes follow, and the nonces are their expansion.
+const seededRun = mixedLen - 1
+
+// frameRun is one run of a frame's table.
+type frameRun struct {
+	seed []byte   // the seed naming the run; nil for a run written out
+	zs   [][]byte // the longest Zs seen of the run
+}
+
 // runTable collects the distinct nonce runs of one frame's headers, in the
 // order the headers first use them. It is built from the headers alone, by
 // marshalFrame and again by the decoder, which is what makes the table
 // canonical.
 type runTable struct {
-	runs    [][][]byte     // runs[i]: the longest Zs seen of run i
-	byFirst map[string]int // first nonce → the newest run opening with it
-	refs    []uint32       // the run of every header with nonces, in frame order
+	runs  []frameRun
+	index map[runKey]int // the newest run of that name
+	refs  []uint32       // the run of every header with nonces, in frame order
 }
 
-// add returns the run of zs (non-empty): the run it is a prefix of, the run
-// it extends, or a new one. Same-session headers hold windows of one
-// [][]byte and match without a look at the nonces; headers that were
-// decoded, recovered or cloned apart match by content.
-func (t *runTable) add(zs [][]byte) int {
-	if i, ok := t.byFirst[string(zs[0])]; ok {
-		run := t.runs[i]
-		m := min(len(zs), len(run))
-		if core.SameNonces(zs[:m], run[:m]) {
-			if len(zs) > len(run) {
-				t.runs[i] = zs
+// runKey names a run in the table's index: a seeded run by its seed, a run
+// written out by its first nonce (which its content then has to confirm).
+type runKey struct {
+	seeded bool
+	name   string
+}
+
+// add returns the run of h (N > 0): the run it is a prefix of, the run it
+// extends, or a new one. A seeded header belongs to the run of its seed.
+// Headers without one that hold windows of one [][]byte match without a look
+// at the nonces; those decoded or cloned apart match by content.
+func (t *runTable) add(h *core.Header) int {
+	seed, name := []byte(nil), h.Zs[0]
+	if h.Seeded() {
+		seed, name = h.Seed, h.Seed
+	}
+	if i, ok := t.index[runKey{seed != nil, string(name)}]; ok {
+		run := &t.runs[i]
+		m := min(len(h.Zs), len(run.zs))
+		if seed != nil || core.SameNonces(h.Zs[:m], run.zs[:m]) {
+			if len(h.Zs) > len(run.zs) {
+				run.zs = h.Zs
 			}
 			return i
 		}
 	}
-	if t.byFirst == nil {
-		t.byFirst = make(map[string]int)
+	if t.index == nil {
+		t.index = make(map[runKey]int)
 	}
-	t.runs = append(t.runs, zs)
-	t.byFirst[string(zs[0])] = len(t.runs) - 1
+	t.runs = append(t.runs, frameRun{seed: seed, zs: h.Zs})
+	t.index[runKey{seed != nil, string(name)}] = len(t.runs) - 1
 	return len(t.runs) - 1
 }
 
@@ -131,15 +156,20 @@ func nonceLen(run [][]byte) uint32 {
 func (t *runTable) write(w *writer) {
 	w.u32(uint32(len(t.runs)))
 	for _, run := range t.runs {
-		w.u32(uint32(len(run)))
-		size := nonceLen(run)
+		w.u32(uint32(len(run.zs)))
+		if run.seed != nil {
+			w.u32(seededRun)
+			w.w.Raw(run.seed)
+			continue
+		}
+		size := nonceLen(run.zs)
 		w.u32(size)
 		if size == mixedLen {
-			for _, z := range run {
+			for _, z := range run.zs {
 				w.u32(uint32(len(z)))
 			}
 		}
-		for _, z := range run {
+		for _, z := range run.zs {
 			w.w.Raw(z)
 		}
 	}
@@ -154,7 +184,7 @@ func readRunTable(r *reader) error {
 	if err != nil {
 		return err
 	}
-	r.runs = make([][][]byte, 0, capHint(uint32(nr)))
+	r.runs = make([]frameRun, 0, capHint(uint32(nr)))
 	// Every run is as long as its longest header, and no two runs share that
 	// header: the n + 1 X entries it still has to bring bound n, summed over
 	// the runs read so far, by the input that remains.
@@ -178,51 +208,65 @@ func readRunTable(r *reader) error {
 }
 
 // readRun decodes one run of n nonces and charges what it allocates — the
-// nonce bytes and n slice headers — against the message budget.
-func readRun(r *reader, n int) ([][]byte, error) {
+// nonce bytes and n slice headers — against the message budget; a seeded run
+// is charged in full before its seed is expanded.
+func readRun(r *reader, n int) (run frameRun, err error) {
 	if err := r.takeHeaderBudget(24 * n); err != nil {
-		return nil, err
+		return run, err
 	}
 	size, err := r.u32()
 	if err != nil {
-		return nil, err
+		return run, err
 	}
 	lens, total := []int(nil), 0
 	switch {
+	case size == seededRun:
+		if err := r.takeHeaderBudget(core.NonceSize * n); err != nil {
+			return run, err
+		}
+		raw, err := r.r.Take(core.SeedSize)
+		if err != nil {
+			return run, wireErr(err)
+		}
+		run.seed = append([]byte(nil), raw...)
+		run.zs = core.ExpandNonces(run.seed, n)
+		return run, nil
 	case size == mixedLen:
 		if err := r.takeHeaderBudget(8 * n); err != nil {
-			return nil, err
+			return run, err
 		}
 		lens = make([]int, n)
 		for j := range lens {
 			if lens[j], err = r.count(r.r.Remaining() - total); err != nil {
-				return nil, err
+				return run, err
 			}
 			total += lens[j]
 		}
 	case int64(size) > int64(r.r.Remaining()/n):
-		return nil, ErrOversize
+		return run, ErrOversize
 	default:
 		total = n * int(size)
 	}
 	raw, err := r.r.Take(total)
 	if err != nil {
-		return nil, wireErr(err)
+		return run, wireErr(err)
 	}
 	if err := r.takeHeaderBudget(total); err != nil {
-		return nil, err
+		return run, err
 	}
 	buf := append([]byte(nil), raw...)
 	if lens == nil {
-		return core.NonceRun(buf, n, int(size)), nil
+		run.zs = core.NonceRun(buf, n, int(size))
+		return run, nil
 	}
-	run, off := make([][]byte, n), 0
+	run.zs = make([][]byte, n)
+	off := 0
 	for j, l := range lens {
-		run[j] = buf[off : off+l : off+l]
+		run.zs[j] = buf[off : off+l : off+l]
 		off += l
 	}
-	if nonceLen(run) != mixedLen {
-		return nil, errors.New("nonces of one length listed one by one")
+	if nonceLen(run.zs) != mixedLen {
+		return run, errors.New("nonces of one length listed one by one")
 	}
 	return run, nil
 }
@@ -235,8 +279,8 @@ func checkRunTable(r *reader) error {
 		return fmt.Errorf("wire: %d nonce runs for the %d the headers use", len(r.runs), len(r.check.runs))
 	}
 	for i, run := range r.runs {
-		if len(r.check.runs[i]) != len(run) {
-			return fmt.Errorf("wire: nonce run %d has %d nonces, its longest header %d", i, len(run), len(r.check.runs[i]))
+		if len(r.check.runs[i].zs) != len(run.zs) {
+			return fmt.Errorf("wire: nonce run %d has %d nonces, its longest header %d", i, len(run.zs), len(r.check.runs[i].zs))
 		}
 	}
 	return nil
@@ -287,11 +331,11 @@ func readFrameHeader(r *reader) (*core.Header, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > len(r.runs[i]) {
-		return nil, fmt.Errorf("wire: header of N=%d references a run of %d nonces", n, len(r.runs[i]))
+	if n > len(r.runs[i].zs) {
+		return nil, fmt.Errorf("wire: header of N=%d references a run of %d nonces", n, len(r.runs[i].zs))
 	}
-	h.Zs = r.runs[i][:n:n]
-	if r.check.add(h.Zs) != i {
+	h.Zs, h.Seed = r.runs[i].zs[:n:n], r.runs[i].seed
+	if r.check.add(h) != i {
 		return nil, fmt.Errorf("wire: header references nonce run %d out of canonical order", i)
 	}
 	return h, nil
@@ -306,7 +350,7 @@ func marshalFrame(t FrameType, headers []*core.Header, body func(*writer)) []byt
 	var runs runTable
 	for _, h := range headers {
 		if len(h.Zs) > 0 {
-			runs.refs = append(runs.refs, uint32(runs.add(h.Zs)))
+			runs.refs = append(runs.refs, uint32(runs.add(h)))
 		}
 	}
 	w := writer{runs: &runs}

@@ -90,7 +90,7 @@ func (w *writer) vec(x linalg.Vector) {
 // headers to hold the frame to its canonical form (stream.go).
 type reader struct {
 	r     *codec.Reader
-	runs  [][][]byte
+	runs  []frameRun
 	check runTable
 }
 
