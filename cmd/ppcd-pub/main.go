@@ -315,6 +315,9 @@ func dispatch(pub *ppcd.Publisher, srv *ppcd.Server, fields []string) error {
 			pub.SubscriberCount(), len(pub.Conditions()), len(pub.Policies()))
 		log.Printf("rekey engine: %d publishes, %d ACV rebuilds, %d cache hits, %d solves",
 			s.Rekeys, s.Rebuilds, s.CacheHits, s.Solves)
+		built, held := srv.Snapshots()
+		log.Printf("retention ring: %d epochs, %d snapshot frames built, %d snapshot bytes held",
+			srv.RingLen(), built, held)
 		return nil
 	case "quit", "exit":
 		return errQuit

@@ -87,8 +87,9 @@ func main() {
 			for range t.C {
 				s := r.Stats()
 				frames, bytes := r.Egress()
-				log.Printf("epoch %d, %d downstream streams, egress %d frames / %d bytes, upstream %d snapshots + %d deltas (%d reconnects, %d resets)",
-					r.LastEpoch(), r.Streams(), frames, bytes, s.Snapshots, s.Deltas, s.Reconnects, s.Resets)
+				log.Printf("epoch %d, %d downstream streams, egress %d frames / %d bytes, upstream %d snapshots + %d deltas (%d reconnects, %d resets), %d snapshot frames built / %d snapshot bytes held",
+					r.LastEpoch(), r.Streams(), frames, bytes, s.Snapshots, s.Deltas, s.Reconnects, s.Resets,
+					s.SnapshotsBuilt, s.SnapshotBytesHeld)
 			}
 		}()
 	}

@@ -65,37 +65,50 @@ func TestRingRetentionAndCatchup(t *testing.T) {
 	}
 
 	// The ring retains the frames it marshals in buffers of exactly their
-	// size — the codec sizes a frame before it writes it — so a retained
-	// epoch pins its frames and nothing grown past them.
+	// size — the codec sizes a frame before it writes it, and the lazily
+	// built snapshot frame is not a pooled buffer grown by an earlier use —
+	// so a retained epoch pins its frames and nothing grown past them. Only
+	// the newest entry holds a snapshot at all.
+	NewFrame(make([]byte, 1<<16)).Release() // a larger buffer waiting in the pool
+	snap := cur.snap.frame()
+	if want := wire.MarshalSnapshotFrame(cur.b); !bytes.Equal(snap.Payload(), want) || cap(snap.buf) != len(snap.buf) {
+		t.Fatalf("lazily built snapshot: %d/%d bytes (len/cap), want the %d-byte marshal behind a 4-byte prefix",
+			len(snap.buf), cap(snap.buf), len(want))
+	}
 	for _, ent := range r.entries {
-		if cap(ent.snapshot) != len(ent.snapshot) || cap(ent.delta) != len(ent.delta) {
-			t.Fatalf("epoch %d retains %d/%d snapshot and %d/%d delta bytes (len/cap)", ent.epoch,
-				len(ent.snapshot), cap(ent.snapshot), len(ent.delta), cap(ent.delta))
+		if cap(ent.delta) != len(ent.delta) {
+			t.Fatalf("epoch %d retains %d/%d delta bytes (len/cap)", ent.epoch, len(ent.delta), cap(ent.delta))
 		}
+		if (ent.snap != nil) != (ent == cur) {
+			t.Fatalf("epoch %d holds a snapshot: %v, newest is %d", ent.epoch, ent.snap != nil, cur.epoch)
+		}
+	}
+	if got := r.built.Load(); got != 1 {
+		t.Fatalf("%d snapshots built for one demand over 10 epochs", got)
 	}
 
 	// Already current: nothing to send.
-	if got := r.catchup(cur, 10, 7); got != nil {
+	if delta, current := r.catchup(cur, 10, 7); delta != nil || !current {
 		t.Fatal("current subscriber got a catch-up frame")
 	}
 	// One epoch behind: the stored adjacent delta.
-	if got := r.catchup(cur, 9, 7); !bytes.Equal(got, cur.delta) {
+	if got, _ := r.catchup(cur, 9, 7); !bytes.Equal(got, cur.delta) {
 		t.Fatal("adjacent catch-up is not the stored delta")
 	}
 	// Older retained base: a fresh diff, cached for the next reconnect.
-	first := r.catchup(cur, 7, 7)
+	first, _ := r.catchup(cur, 7, 7)
 	f, err := wire.UnmarshalFrame(first)
 	if err != nil || f.Type != wire.FrameDelta || f.Delta.BaseEpoch != 7 {
 		t.Fatalf("retained-base catch-up: err %v, frame %+v", err, f)
 	}
-	if second := r.catchup(cur, 7, 7); &second[0] != &first[0] {
+	if second, _ := r.catchup(cur, 7, 7); &second[0] != &first[0] {
 		t.Fatal("catch-up diff not cached across reconnects")
 	}
 	// Rotated-out base or wrong generation: full snapshot.
-	if got := r.catchup(cur, 2, 7); !bytes.Equal(got, cur.snapshot) {
+	if delta, current := r.catchup(cur, 2, 7); delta != nil || current {
 		t.Fatal("rotated-out base did not get the snapshot")
 	}
-	if got := r.catchup(cur, 9, 8); !bytes.Equal(got, cur.snapshot) {
+	if delta, current := r.catchup(cur, 9, 8); delta != nil || current {
 		t.Fatal("generation mismatch did not get the snapshot")
 	}
 
@@ -120,8 +133,12 @@ func TestRingRawFramesPreserved(t *testing.T) {
 	b1 := bcast("news", 1, 3)
 	rawSnap := wire.MarshalSnapshotFrame(b1)
 	ent := r.add(b1, rawSnap, nil, 0)
-	if &ent.snapshot[0] != &rawSnap[0] {
-		t.Fatal("relay-provided snapshot bytes were re-marshaled")
+	if &ent.snap.raw[0] != &rawSnap[0] || ent.snap.held() != len(rawSnap) {
+		t.Fatal("relay-provided snapshot bytes were not retained as-is")
+	}
+	if f := ent.snap.frame(); !bytes.Equal(f.Payload(), rawSnap) || ent.snap.raw != nil ||
+		ent.snap.held() != len(rawSnap) || r.built.Load() != 0 {
+		t.Fatalf("relay-provided snapshot: re-marshaled (%d built) or held twice (%d bytes)", r.built.Load(), ent.snap.held())
 	}
 	b2 := bcast("news", 2, 3)
 	d, err := pubsub.Diff(b1, b2)
@@ -132,6 +149,9 @@ func TestRingRawFramesPreserved(t *testing.T) {
 	ent2 := r.add(b2, nil, rawDelta, 1)
 	if &ent2.delta[0] != &rawDelta[0] || ent2.prevEpoch != 1 {
 		t.Fatal("relay-provided delta bytes were not retained as-is")
+	}
+	if ent.snap != nil {
+		t.Fatal("superseded entry still holds the upstream snapshot")
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package fanout is the shared dissemination edge used by both the origin
 // transport server and the relay tier: a bounded retention ring of recent
-// epochs (snapshot + delta wire frames, marshaled once) and a fan-out hub
+// epochs (the delta wire frame marshaled once, the snapshot frame on first
+// demand and kept for a document's newest epoch alone) and a fan-out hub
 // that re-serves those frames to any number of downstream subscriber
 // connections.
 //
@@ -34,8 +35,14 @@ var framePool = sync.Pool{New: func() any { return new(Frame) }}
 // NewFrame acquires a frame holding the given payload with a reference
 // count of one. Callers release their reference with Release once every
 // Offer has been issued.
-func NewFrame(payload []byte) *Frame {
-	f := framePool.Get().(*Frame)
+func NewFrame(payload []byte) *Frame { return framePool.Get().(*Frame).set(payload) }
+
+// heldFrame is NewFrame for a ring entry's snapshot, whose reference is never
+// released: the buffer is exactly the frame's size and never enters framePool
+// (a fetch may still be encoding it after the entry is superseded).
+func heldFrame(payload []byte) *Frame { return new(Frame).set(payload) }
+
+func (f *Frame) set(payload []byte) *Frame {
 	need := 4 + len(payload)
 	if cap(f.buf) < need {
 		f.buf = make([]byte, need)

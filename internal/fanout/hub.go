@@ -151,11 +151,24 @@ func (h *Hub) Egress() (frames, bytes int64) {
 	return h.egressFrames.Load(), h.egressBytes.Load()
 }
 
+// Snapshots reports the snapshot frames this hub has marshaled and the
+// snapshot bytes its ring holds now (at most one frame per document).
+func (h *Hub) Snapshots() (built, heldBytes int64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, ent := range h.ring.entries {
+		if ent.snap != nil {
+			heldBytes += int64(ent.snap.held())
+		}
+	}
+	return h.ring.built.Load(), heldBytes
+}
+
 // Publish retains a broadcast and fans its frame out to every matching
 // connection: subscribers current at the delta's base epoch receive only
-// the delta bytes, everyone else the snapshot. rawSnapshot/rawDelta/
-// deltaBase follow ring.add semantics (nil = marshal/diff locally; a relay
-// passes the exact bytes it received upstream).
+// the delta bytes, everyone else the snapshot (built here if there is such
+// a subscriber). rawSnapshot/rawDelta/deltaBase follow ring.add semantics
+// (nil = marshal/diff locally; a relay passes the bytes it received upstream).
 func (h *Hub) Publish(b *pubsub.Broadcast, rawSnapshot, rawDelta []byte, deltaBase uint64) {
 	h.mu.Lock()
 	if h.closed {
@@ -163,9 +176,9 @@ func (h *Hub) Publish(b *pubsub.Broadcast, rawSnapshot, rawDelta []byte, deltaBa
 		return
 	}
 	ent := h.ring.add(b, rawSnapshot, rawDelta, deltaBase)
-	// The snapshot and delta frames are acquired at most once per publish
-	// and shared by reference across every queue.
-	var snapFrame, deltaFrame *Frame
+	// The delta frame is acquired at most once per publish and shared by
+	// reference across every queue, as the entry's snapshot frame is.
+	var deltaFrame *Frame
 	for c := range h.conns {
 		if c.doc != "" && c.doc != ent.doc {
 			continue
@@ -183,18 +196,12 @@ func (h *Hub) Publish(b *pubsub.Broadcast, rawSnapshot, rawDelta []byte, deltaBa
 			}
 		}
 		if f == nil {
-			if snapFrame == nil {
-				snapFrame = NewFrame(ent.snapshot)
-			}
-			f = snapFrame
+			f = ent.snap.frame()
 		}
 		c.epochs[ent.doc] = lastSeen{epoch: ent.epoch, gen: ent.b.Gen}
 		h.offer(c, f)
 	}
 	h.mu.Unlock()
-	if snapFrame != nil {
-		snapFrame.Release()
-	}
 	if deltaFrame != nil {
 		deltaFrame.Release()
 	}
@@ -203,18 +210,22 @@ func (h *Hub) Publish(b *pubsub.Broadcast, rawSnapshot, rawDelta []byte, deltaBa
 // Lookup serves the fetch path: the newest retained epoch for the named
 // document ("" = latest overall), substituting the nearest retained
 // snapshot for rotated-out documents. known is false for names never
-// published; raw is nil while the ring is empty.
+// published; raw is nil while the ring is empty. The frame is built outside
+// the hub lock (a join storm's fetches do not stall the next delta's
+// fan-out) and raw stays valid after a newer epoch supersedes it.
 func (h *Hub) Lookup(doc string) (known bool, raw []byte, b *pubsub.Broadcast) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.ring.known(doc) {
-		return false, nil, nil
+	var snap *snapshot
+	if known = h.ring.known(doc); known {
+		if ent := h.ring.nearest(doc); ent != nil {
+			snap, b = ent.snap, ent.b
+		}
 	}
-	ent := h.ring.nearest(doc)
-	if ent == nil {
-		return true, nil, nil
+	h.mu.Unlock()
+	if snap != nil {
+		raw = snap.frame().Payload()
 	}
-	return true, ent.snapshot, ent.b
+	return known, raw, b
 }
 
 // Current returns the decoded broadcast of the newest retained epoch for
@@ -253,10 +264,10 @@ func (h *Hub) drop(c *Conn) {
 // ServeConn turns an accepted connection into a one-way frame stream: it
 // registers the conn, enqueues the catch-up frame for every retained
 // document the subscriber is behind on (one delta when (lastEpoch, lastGen)
-// is exactly retained, else a snapshot), then writes queued frames until
-// the consumer goes away or the hub closes. Blocks on the caller's
-// goroutine; a watchdog goroutine detects consumer hangup (subscribers
-// never send after the subscribe request).
+// is exactly retained, else the epoch's shared snapshot), then writes
+// queued frames until the consumer goes away or the hub closes. Blocks on
+// the caller's goroutine; a watchdog goroutine detects consumer hangup
+// (subscribers never send after the subscribe request).
 func (h *Hub) ServeConn(nc net.Conn, doc string, lastEpoch, lastGen uint64) {
 	h.mu.Lock()
 	if h.closed {
@@ -275,10 +286,12 @@ func (h *Hub) ServeConn(nc net.Conn, doc string, lastEpoch, lastGen uint64) {
 	h.conns[c] = struct{}{}
 	for d, ent := range h.ring.latest(doc) {
 		c.epochs[d] = lastSeen{epoch: ent.epoch, gen: ent.b.Gen}
-		if payload := h.ring.catchup(ent, lastEpoch, lastGen); payload != nil {
-			f := NewFrame(payload)
+		if delta, current := h.ring.catchup(ent, lastEpoch, lastGen); delta != nil {
+			f := NewFrame(delta)
 			h.offer(c, f)
 			f.Release()
+		} else if !current {
+			h.offer(c, ent.snap.frame())
 		}
 	}
 	h.mu.Unlock()

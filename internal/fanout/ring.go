@@ -1,12 +1,16 @@
 // The bounded epoch retention ring, extracted from internal/transport so
 // the origin server and the relay tier share one implementation. Each entry
-// keeps the decoded broadcast plus its wire frames: the snapshot marshaled
-// once, the delta against the previous retained epoch of the same document,
-// and a per-base cache of catch-up deltas so a reconnect storm diffs each
-// (base, target) pair once.
+// keeps the decoded broadcast plus the delta frame against the previous
+// retained epoch of the same document, marshaled once, and a per-base cache
+// of catch-up deltas so a reconnect storm diffs each (base, target) pair
+// once. The snapshot frame is built on first demand, once per epoch, and
+// only a document's newest entry keeps one: current streams consume deltas.
 package fanout
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"ppcd/internal/pubsub"
 	"ppcd/internal/wire"
 )
@@ -15,15 +19,54 @@ import (
 // and delta catch-ups.
 const DefaultRetention = 8
 
+// snapshot is one epoch's snapshot frame, built on first demand and shared
+// by every joiner, out-of-window reconnect, fetch and off-base recipient. Its
+// own lock lets a fetch marshal outside the hub's; order Hub.mu → snapshot.mu.
+type snapshot struct {
+	b     *pubsub.Broadcast
+	built *atomic.Int64 // the ring's count of frames marshaled here
+
+	mu  sync.Mutex
+	raw []byte // the frame as the caller of add already held it, until wrapped
+	f   *Frame
+}
+
+// frame returns the shared frame, the bytes of wire.MarshalSnapshotFrame(b).
+// Callers borrow the entry's reference (see heldFrame); offer takes its own.
+func (s *snapshot) frame() *Frame {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.f == nil {
+		raw := s.raw
+		if raw == nil {
+			raw = wire.MarshalSnapshotFrame(s.b)
+			s.built.Add(1)
+		}
+		s.f, s.raw = heldFrame(raw), nil
+	}
+	return s.f
+}
+
+// held is the number of snapshot bytes the entry pins right now.
+func (s *snapshot) held() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.f != nil {
+		return len(s.f.Payload())
+	}
+	return len(s.raw)
+}
+
 // entry is one retained epoch. Guarded by the owning hub's mutex.
 type entry struct {
 	epoch uint64
 	doc   string
 	b     *pubsub.Broadcast
-	// snapshot is the snapshot frame; delta the delta frame against
-	// the previous retained epoch of the same document (nil for the first),
-	// with prevEpoch naming that base.
-	snapshot  []byte
+	// snap is nil once a newer epoch of the document is retained (only the
+	// newest is ever served as a snapshot): one frame per document per ring.
+	snap *snapshot
+	// delta is the delta frame against the previous retained epoch of the
+	// same document (nil for the first), with prevEpoch naming that base.
 	delta     []byte
 	prevEpoch uint64
 	// catchup caches marshaled delta frames for older retained bases
@@ -40,6 +83,7 @@ type ring struct {
 	retain  int
 	entries []*entry
 	docs    map[string]bool
+	built   atomic.Int64 // snapshot frames marshaled by this ring's entries
 }
 
 func newRing(retain int) *ring {
@@ -51,17 +95,21 @@ func newRing(retain int) *ring {
 
 // add retains a broadcast. rawSnapshot and rawDelta are optional
 // pre-marshaled frames (a relay passes the bytes it received upstream, the
-// origin passes nil): a nil snapshot is marshaled here, a nil delta is
-// diffed against the newest retained epoch of the same document. deltaBase
-// names rawDelta's base epoch and is ignored when rawDelta is nil.
+// origin passes nil): a nil snapshot is marshaled when first asked for, a
+// nil delta is diffed against the newest retained epoch of the same document.
+// deltaBase names rawDelta's base epoch and is ignored when rawDelta is nil.
 func (r *ring) add(b *pubsub.Broadcast, rawSnapshot, rawDelta []byte, deltaBase uint64) *entry {
-	ent := &entry{epoch: b.Epoch, doc: b.DocName, b: b, snapshot: rawSnapshot}
-	if ent.snapshot == nil {
-		ent.snapshot = wire.MarshalSnapshotFrame(b)
+	ent := &entry{epoch: b.Epoch, doc: b.DocName, b: b,
+		snap: &snapshot{b: b, built: &r.built, raw: rawSnapshot}}
+	prev := r.nearest(b.DocName)
+	if prev != nil && prev.doc == b.DocName {
+		prev.snap = nil
+	} else {
+		prev = nil
 	}
 	if rawDelta != nil {
 		ent.delta, ent.prevEpoch = rawDelta, deltaBase
-	} else if prev := r.nearest(b.DocName); prev != nil && prev.doc == b.DocName && prev.epoch < b.Epoch {
+	} else if prev != nil && prev.epoch < b.Epoch {
 		if d, err := pubsub.Diff(prev.b, b); err == nil {
 			ent.delta = wire.MarshalDeltaFrame(d)
 			ent.prevEpoch = prev.epoch
@@ -126,34 +174,34 @@ func (r *ring) latest(docFilter string) map[string]*entry {
 	return out
 }
 
-// catchup returns the frame bytes bringing a subscriber that last applied
-// (lastEpoch, lastGen) up to ent, or nil when it is already current. The
+// catchup returns the delta frame bytes bringing a subscriber that last
+// applied (lastEpoch, lastGen) up to ent; current reports that it needs
+// nothing, and a nil delta otherwise that only ent's snapshot will do. The
 // delta path is taken only against the exact retained state the subscriber
 // holds: same document, same epoch, same publisher generation (a restarted
-// publisher renumbers epochs under a fresh generation); anything else gets
-// the snapshot.
-func (r *ring) catchup(ent *entry, lastEpoch, lastGen uint64) []byte {
+// publisher renumbers epochs under a fresh generation).
+func (r *ring) catchup(ent *entry, lastEpoch, lastGen uint64) (delta []byte, current bool) {
 	if lastEpoch == ent.epoch && lastGen == ent.b.Gen {
-		return nil
+		return nil, true
 	}
 	base := r.find(ent.doc, lastEpoch)
 	if base == nil || base.epoch >= ent.epoch || base.b.Gen != lastGen {
-		return ent.snapshot
+		return nil, false
 	}
 	if ent.delta != nil && base.epoch == ent.prevEpoch {
-		return ent.delta
+		return ent.delta, false
 	}
 	if cached, ok := ent.catchup[base.epoch]; ok {
-		return cached
+		return cached, false
 	}
 	d, err := pubsub.Diff(base.b, ent.b)
 	if err != nil {
-		return ent.snapshot
+		return nil, false
 	}
 	raw := wire.MarshalDeltaFrame(d)
 	if ent.catchup == nil {
 		ent.catchup = make(map[uint64][]byte)
 	}
 	ent.catchup[base.epoch] = raw
-	return raw
+	return raw, false
 }

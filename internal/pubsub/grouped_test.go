@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -422,8 +423,8 @@ func TestKEVCacheBoundedByBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		held := 0
-		for _, kev := range sub.kev {
-			held += 8 * len(kev)
+		for _, e := range sub.kev {
+			held += 8 * len(e.vec)
 		}
 		if held != sub.kevBytes || held > maxKEVCacheBytes {
 			t.Fatalf("session %d: cache holds %d bytes, accounts for %d, bound %d", session, held, sub.kevBytes, maxKEVCacheBytes)
@@ -431,6 +432,73 @@ func TestKEVCacheBoundedByBytes(t *testing.T) {
 	}
 	if sub.kevMisses != 600 || len(sub.kev) == 0 || len(sub.kev) >= 600 {
 		t.Fatalf("misses %d, entries %d", sub.kevMisses, len(sub.kev))
+	}
+}
+
+func TestKEVCacheHoldsWhatIsInUse(t *testing.T) {
+	// Every rekey session brings a fresh run. A subscriber following a
+	// document keeps the vectors its last Decrypt used and drops those of the
+	// sessions rekeyed since, so what it holds does not grow with the epochs
+	// it has seen (§V-C: one N×N header per configuration, a miss per epoch);
+	// another document's vectors are not this one's to drop.
+	params, mgr := testEnv(t)
+	acps, doc, state, err := benchutil.Workload(7, 2, 0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := NewPublisher(params, mgr.PublicKey(), acps, Options{Ell: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.ImportState(state); err != nil {
+		t.Fatal(err)
+	}
+	var sf struct {
+		Table map[string]map[string]uint64 `json:"table"`
+	}
+	if err := json.Unmarshal(state, &sf); err != nil {
+		t.Fatal(err)
+	}
+	sub := subFromRow(t, "pn-3", sf.Table["pn-3"])
+	decrypt := func(b *Broadcast) {
+		t.Helper()
+		if got, err := sub.Decrypt(b); err != nil || len(got) != 2 {
+			t.Fatalf("epoch %d of %q: %d subdocs, %v", b.Epoch, b.DocName, len(got), err)
+		}
+		held := 0
+		for _, e := range sub.kev {
+			held += 8 * len(e.vec)
+		}
+		if held != sub.kevBytes {
+			t.Fatalf("epoch %d: cache holds %d bytes, accounts for %d", b.Epoch, held, sub.kevBytes)
+		}
+	}
+	b, err := pub.Publish(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Configs[0].Header == nil {
+		t.Fatal("want ungrouped headers")
+	}
+	other := *b
+	other.DocName = "other"
+	decrypt(&other)
+	perDoc := len(sub.kev)
+	for epoch := 0; epoch < 20; epoch++ {
+		pub.ResetRekeyCache()
+		if b, err = pub.Publish(doc); err != nil {
+			t.Fatal(err)
+		}
+		decrypt(b)
+		if len(sub.kev) != 2*perDoc {
+			t.Fatalf("after %d rekeys the cache holds %d vectors, want %d per document", epoch+1, len(sub.kev), perDoc)
+		}
+	}
+	misses := sub.kevMisses
+	decrypt(&other)
+	decrypt(b)
+	if sub.kevMisses != misses {
+		t.Errorf("vectors still in use were dropped: %d fresh hashings", sub.kevMisses-misses)
 	}
 }
 
@@ -601,5 +669,57 @@ func TestGroupedBroadcastGobRoundTrip(t *testing.T) {
 	}
 	if got, _ := subFromRow(t, "pn-4", sf.Table["pn-4"]).Decrypt(&dec); len(got) != 2 {
 		t.Errorf("decrypted %d subdocs from gob copy, want 2", len(got))
+	}
+}
+
+func TestGroupedScanReusesOneVerifierBuffer(t *testing.T) {
+	// A subscriber that is in no shard — revoked but still listening, or a
+	// joiner before its hint exists — tries every shard against the
+	// configuration's verifier ciphertext. Every attempt fails its tag, and
+	// none of them may cost a plaintext-sized buffer: the scan opens into one.
+	const subdocBytes = 64 << 10
+	params, mgr := testEnv(t)
+	acps, doc, state, err := benchutil.Workload(17, 1, 17, subdocBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := NewPublisher(params, mgr.PublicKey(), acps, Options{Ell: 8, GroupSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.ImportState(state); err != nil {
+		t.Fatal(err)
+	}
+	var sf struct {
+		Table map[string]map[string]uint64 `json:"table"`
+	}
+	if err := json.Unmarshal(state, &sf); err != nil {
+		t.Fatal(err)
+	}
+	sub := subFromRow(t, "pn-5", sf.Table["pn-5"])
+	if err := pub.RevokeSubscription("pn-5"); err != nil {
+		t.Fatal(err)
+	}
+	b, err := pub.Publish(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := len(b.Configs[0].Grouped.Shards)
+	if shards < 8 {
+		t.Fatalf("want at least 8 shards to scan, got %d", shards)
+	}
+	scan := func() {
+		if got, err := sub.Decrypt(b); err != nil || len(got) != 0 {
+			t.Fatalf("revoked subscriber decrypted %d subdocs (err %v)", len(got), err)
+		}
+	}
+	scan() // fills the KEV cache, so the measured scan is dot products and tag checks
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	scan()
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 2*subdocBytes {
+		t.Errorf("a scan over %d wrong shards of a %d-byte verifier allocated %d bytes, want one buffer's worth",
+			shards, subdocBytes, got)
 	}
 }

@@ -51,11 +51,18 @@ type Subscriber struct {
 	// names, and the KEV over a prefix is a prefix of the KEV over the run,
 	// so the shards of a shared-nonce session, steady-state republishes and
 	// the clean shards of grouped headers hash each row once per run; every
-	// later derivation is a single inner product. kevMisses counts vectors
+	// later derivation is a single inner product. A vector lives as long as
+	// its document's Decrypts keep using it: kevUsed collects what the running
+	// Decrypt (number kevPass) used, kevLast holds that of each document's
+	// previous one, and what a Decrypt no longer uses — the run of a session
+	// since rekeyed — is dropped when it ends. kevMisses counts vectors
 	// actually hashed (white-box test observability).
-	kev       map[string]linalg.Vector
+	kev       map[string]*kevEntry
 	kevBytes  int
 	kevMisses uint64
+	kevPass   uint64
+	kevUsed   []*kevEntry
+	kevLast   map[string][]*kevEntry
 
 	// grpHint remembers, per configuration, the shard index that last
 	// decrypted successfully. Sticky grouping keeps the index stable across
@@ -70,8 +77,17 @@ type Subscriber struct {
 	stream map[string]*Broadcast
 }
 
+// kevEntry is one cached key extraction vector: the longest hashed so far
+// over its (row, seed) key, stamped with the Decrypt that last used it.
+type kevEntry struct {
+	key  string
+	vec  linalg.Vector
+	pass uint64
+}
+
 // maxKEVCacheBytes bounds the memory the KEV cache's vectors hold; crossing
-// it drops the whole cache (stale runs from dead sessions dominate by then).
+// it drops the whole cache (the vectors still in use do not fit by then: a
+// non-member's scan over thousands of shards, or a great many documents).
 const maxKEVCacheBytes = 1 << 20
 
 type tokenSecret struct {
@@ -88,7 +104,8 @@ func NewSubscriber(nym string) (*Subscriber, error) {
 		nym:     nym,
 		tokens:  make(map[string]tokenSecret),
 		css:     make(map[string]core.CSS),
-		kev:     make(map[string]linalg.Vector),
+		kev:     make(map[string]*kevEntry),
+		kevLast: make(map[string][]*kevEntry),
 		grpHint: make(map[policy.ConfigKey]int),
 		stream:  make(map[string]*Broadcast),
 	}, nil
@@ -310,6 +327,8 @@ func (s *Subscriber) Decrypt(b *Broadcast) (map[string][]byte, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.kevPass++
+	defer s.retireKEVs(b.DocName)
 
 	polByID := make(map[string]PolicyInfo, len(b.Policies))
 	for _, pi := range b.Policies {
@@ -409,6 +428,9 @@ func (s *Subscriber) groupedKey(row []core.CSS, ci ConfigInfo, verifyCT []byte) 
 		}
 		order = append(order, i)
 	}
+	// One verifier-sized buffer serves the whole scan: a wrong shard fails
+	// its tag check without a plaintext allocated for it.
+	scratch := make([]byte, 0, len(verifyCT))
 	for _, i := range order {
 		kev, err := s.cachedKEV(row, g.Shards[i].Hdr)
 		if err != nil {
@@ -419,7 +441,7 @@ func (s *Subscriber) groupedKey(row []core.CSS, ci ConfigInfo, verifyCT []byte) 
 			return [sym.KeySize]byte{}, false, err
 		}
 		key := core.ExpandKey(g.Unwrap(i, shardKey))
-		if _, err := sym.Decrypt(key, verifyCT); err == nil {
+		if _, err := sym.Open(scratch, key, verifyCT); err == nil {
 			s.grpHint[ci.Key] = i
 			return key, true, nil
 		}
@@ -445,21 +467,46 @@ func (s *Subscriber) cachedKEV(row []core.CSS, hdr *core.Header) (linalg.Vector,
 		key = append(key, css.Bytes()...)
 	}
 	key = append(key, hdr.Seed...)
-	if kev, ok := s.kev[string(key)]; ok && len(kev) >= len(hdr.X) {
-		return kev[:len(hdr.X)], nil
+	e := s.kev[string(key)]
+	if e == nil || len(e.vec) < len(hdr.X) {
+		kev, err := core.KEV(row, hdr)
+		if err != nil {
+			return nil, err
+		}
+		if e != nil {
+			s.kevBytes -= 8 * len(e.vec)
+		}
+		e = &kevEntry{key: string(key), vec: kev}
+		if s.kevBytes += 8 * len(kev); s.kevBytes > maxKEVCacheBytes {
+			s.kev = make(map[string]*kevEntry)
+			s.kevBytes = 8 * len(kev)
+			clear(s.kevLast)
+			s.kevUsed = nil
+		}
+		s.kev[e.key] = e
+		s.kevMisses++
 	}
-	kev, err := core.KEV(row, hdr)
-	if err != nil {
-		return nil, err
+	if e.pass != s.kevPass {
+		e.pass = s.kevPass
+		s.kevUsed = append(s.kevUsed, e)
 	}
-	s.kevBytes += 8 * (len(kev) - len(s.kev[string(key)]))
-	if s.kevBytes > maxKEVCacheBytes {
-		s.kev = make(map[string]linalg.Vector)
-		s.kevBytes = 8 * len(kev)
+	return e.vec[:len(hdr.X)], nil
+}
+
+// retireKEVs ends a Decrypt of doc: the vectors the document's previous
+// Decrypt used and this one did not belong to sessions rekeyed since and are
+// dropped, so the cache holds what is in use and not a history of runs.
+// Callers hold s.mu.
+func (s *Subscriber) retireKEVs(doc string) {
+	last := s.kevLast[doc]
+	for _, e := range last {
+		if e.pass != s.kevPass && s.kev[e.key] == e {
+			s.kevBytes -= 8 * len(e.vec)
+			delete(s.kev, e.key)
+		}
 	}
-	s.kev[string(key)] = kev
-	s.kevMisses++
-	return kev, nil
+	clear(last)
+	s.kevLast[doc], s.kevUsed = s.kevUsed, last[:0]
 }
 
 // ExportCSS serializes the subscriber's extracted CSSs so a command-line

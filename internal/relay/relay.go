@@ -2,9 +2,12 @@
 // subscribe stream, retains the raw stream frames it receives in its own
 // bounded epoch ring (internal/fanout — the same hub the origin server
 // uses), and re-serves snapshot/delta/heartbeat frames plus reconnect
-// catch-up to any number of downstream subscribers. Because every frame is
-// publicly distributable by construction (all secrecy lives inside the ACV
-// headers), the relay needs no key material and never decrypts anything.
+// catch-up to any number of downstream subscribers. An epoch that arrived
+// as a delta has its snapshot frame marshaled only if a downstream joins or
+// fetches at it (the canonical encoding makes those the origin's bytes).
+// Because every frame is publicly distributable by construction (all
+// secrecy lives inside the ACV headers), the relay needs no key material
+// and never decrypts anything.
 //
 // A relay's downstream side speaks exactly the protocol its upstream side
 // consumes, so relays chain into a tree: origin → relay → relay → … → subs,
@@ -88,6 +91,11 @@ type Stats struct {
 	Deltas     int64 // delta frames applied from upstream
 	Reconnects int64 // upstream dials (first connect included)
 	Resets     int64 // catch-up resets after base/Gen mismatch
+	// SnapshotsBuilt counts the snapshot frames the relay marshaled itself
+	// (a downstream asked for an epoch that arrived as a delta);
+	// SnapshotBytesHeld is what its ring holds now, built or received.
+	SnapshotsBuilt    int64
+	SnapshotBytesHeld int64
 }
 
 // Relay is one edge process: an upstream consumer loop feeding a local
@@ -232,10 +240,9 @@ func (r *Relay) consumeUpstream() error {
 		switch f.Type {
 		case wire.FrameSnapshot:
 			b := f.Snapshot
-			r.lastEpoch.Store(b.Epoch)
-			r.lastGen.Store(b.Gen)
 			r.snapshots.Add(1)
 			r.srv.PublishRaw(b, raw, nil, 0)
+			r.applied(b)
 		case wire.FrameDelta:
 			d := f.Delta
 			base := r.srv.Current(d.DocName)
@@ -256,15 +263,21 @@ func (r *Relay) consumeUpstream() error {
 				r.resets.Add(1)
 				return fmt.Errorf("relay: applying delta: %w", err)
 			}
-			r.lastEpoch.Store(b.Epoch)
-			r.lastGen.Store(b.Gen)
 			r.deltas.Add(1)
 			r.srv.PublishRaw(b, nil, raw, d.BaseEpoch)
+			r.applied(b)
 		case wire.FrameHeartbeat:
 			// Upstream liveness only; the relay runs its own downstream
 			// heartbeat cadence.
 		}
 	}
+}
+
+// applied records b as the relay's position. It runs after PublishRaw, so
+// LastEpoch never names an epoch a Fetch would not yet be served.
+func (r *Relay) applied(b *pubsub.Broadcast) {
+	r.lastEpoch.Store(b.Epoch)
+	r.lastGen.Store(b.Gen)
 }
 
 // LastEpoch reports the newest epoch applied from upstream.
@@ -278,11 +291,14 @@ func (r *Relay) Egress() (frames, bytes int64) { return r.srv.Egress() }
 
 // Stats snapshots the upstream-side counters.
 func (r *Relay) Stats() Stats {
+	built, held := r.srv.Snapshots()
 	return Stats{
-		Snapshots:  r.snapshots.Load(),
-		Deltas:     r.deltas.Load(),
-		Reconnects: r.reconnects.Load(),
-		Resets:     r.resets.Load(),
+		Snapshots:         r.snapshots.Load(),
+		Deltas:            r.deltas.Load(),
+		Reconnects:        r.reconnects.Load(),
+		Resets:            r.resets.Load(),
+		SnapshotsBuilt:    built,
+		SnapshotBytesHeld: held,
 	}
 }
 

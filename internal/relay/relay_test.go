@@ -3,6 +3,7 @@ package relay
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -495,5 +496,199 @@ func TestRelaySlowDownstreamEviction(t *testing.T) {
 			t.Fatal("slow downstream never evicted at the relay")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// nextData reads the stream's next snapshot or delta frame with its bytes.
+func nextData(t *testing.T, st *transport.Stream) (*wire.Frame, []byte) {
+	t.Helper()
+	for {
+		if err := st.SetReadDeadline(time.Now().Add(15 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		f, raw, err := st.NextRaw()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != wire.FrameHeartbeat {
+			return f, raw
+		}
+	}
+}
+
+// TestRelaySnapshotsOnDemand: a relay serves the snapshot frame it received
+// upstream without marshaling, lets go of it when the next delta lands,
+// marshals nothing while its streams are current — nor does the origin
+// behind it — and builds an epoch's snapshot once when a joiner or fetch
+// asks, as the origin's bytes.
+func TestRelaySnapshotsOnDemand(t *testing.T) {
+	srv, originAddr, pub := startOrigin(t)
+	p, _ := env(t)
+	registerVia(t, originAddr, "pn-lazy")
+	b := publish(t, srv, pub, "edition 0")
+	r, rAddr := startRelay(t, originAddr, nil)
+	waitEpoch(t, r, b.Epoch)
+
+	upstream := wire.MarshalSnapshotFrame(b)
+	if s := r.Stats(); s.Snapshots != 1 || s.SnapshotsBuilt != 0 || s.SnapshotBytesHeld != int64(len(upstream)) {
+		t.Fatalf("relay holding the upstream snapshot: %+v, want %d bytes held and none built", s, len(upstream))
+	}
+	client, err := transport.Dial(rAddr, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	st, err := client.Subscribe("news.txt", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if f, raw := nextData(t, st); f.Type != wire.FrameSnapshot || !bytes.Equal(raw, upstream) {
+		t.Fatalf("join at the relay: frame type %d, %d bytes; want the upstream's %d", f.Type, len(raw), len(upstream))
+	}
+	if fetched, err := client.Fetch("news.txt"); err != nil || !bytes.Equal(wire.MarshalSnapshotFrame(fetched), upstream) {
+		t.Fatalf("fetch at the relay: %v", err)
+	}
+	if s := r.Stats(); s.SnapshotsBuilt != 0 || s.SnapshotBytesHeld != int64(len(upstream)) {
+		t.Fatalf("serving the upstream snapshot: %+v, want it held once and none built", s)
+	}
+	originBuilt, _ := srv.Snapshots() // the relay's own join
+
+	for k := 1; k <= 50; k++ {
+		b = publish(t, srv, pub, fmt.Sprintf("edition %d", k))
+		if f, _ := nextData(t, st); f.Type != wire.FrameDelta || f.Epoch != b.Epoch {
+			t.Fatalf("publish %d reached the relay's stream as frame type %d epoch %d", k, f.Type, f.Epoch)
+		}
+		if k == 1 {
+			if s := r.Stats(); s.SnapshotBytesHeld != 0 {
+				t.Fatalf("upstream snapshot still held after the next delta landed: %+v", s)
+			}
+		}
+	}
+	built, held := srv.Snapshots()
+	if s := r.Stats(); built != originBuilt || held != 0 || s.SnapshotsBuilt != 0 || s.SnapshotBytesHeld != 0 || s.Deltas != 50 {
+		t.Fatalf("50 publishes to current streams: origin %d built (was %d) / %d held, relay %+v", built, originBuilt, held, s)
+	}
+
+	// A fetch and a joiner at the newest epoch: one build, the origin's bytes.
+	want := wire.MarshalSnapshotFrame(b)
+	if fetched, err := client.Fetch("news.txt"); err != nil || !bytes.Equal(wire.MarshalSnapshotFrame(fetched), want) {
+		t.Fatalf("fetch at the relay after churn: %v", err)
+	}
+	st2, err := client.Subscribe("news.txt", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if f, raw := nextData(t, st2); f.Type != wire.FrameSnapshot || !bytes.Equal(raw, want) {
+		t.Fatalf("late join at the relay: frame type %d, %d bytes; want the origin's %d", f.Type, len(raw), len(want))
+	}
+	if s := r.Stats(); s.SnapshotsBuilt != 1 || s.SnapshotBytesHeld != int64(len(want)) {
+		t.Fatalf("a fetch and a join at one epoch: %+v, want one build of %d bytes", s, len(want))
+	}
+	if built, _ := srv.Snapshots(); built != originBuilt {
+		t.Fatalf("the relay's demand built %d snapshots at the origin", built-originBuilt)
+	}
+}
+
+// TestRelayChainMiddleRestart: origin → r1 → r2 → subscriber. The middle
+// relay dies, epochs pass, and a fresh r1 (stateless: empty ring) takes its
+// address. r2 reconnects, is reset onto a snapshot r1 builds or forwards,
+// and the subscriber behind it converges; later epochs flow as deltas
+// again and the edge serves the origin's bytes.
+func TestRelayChainMiddleRestart(t *testing.T) {
+	srv, originAddr, pub := startOrigin(t)
+	p, _ := env(t)
+	opt := &Options{ReconnectDelay: 20 * time.Millisecond}
+	r1, r1Addr := startRelay(t, originAddr, opt)
+	r2, r2Addr := startRelay(t, r1Addr, opt)
+	reader := registerVia(t, r2Addr, "pn-middle")
+
+	client, err := transport.Dial(r2Addr, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	st, err := client.Subscribe("news.txt", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// follow applies frames until the subscriber decrypts body.
+	follow := func(body string) {
+		t.Helper()
+		for {
+			f, _ := nextData(t, st)
+			var err error
+			if f.Type == wire.FrameSnapshot {
+				err = reader.ApplySnapshot(f.Snapshot)
+			} else {
+				err = reader.ApplyDelta(f.Delta)
+			}
+			if err != nil {
+				t.Fatalf("applying frame type %d epoch %d: %v", f.Type, f.Epoch, err)
+			}
+			if got, err := reader.DecryptCurrent("news.txt"); err == nil && string(got["body"]) == body {
+				return
+			}
+		}
+	}
+	publish(t, srv, pub, "before")
+	follow("before")
+
+	r1.Close()
+	publish(t, srv, pub, "missed 1")
+	publish(t, srv, pub, "missed 2")
+	fresh, err := New(originAddr, p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Listen(r1Addr); err != nil {
+		t.Fatalf("rebinding the middle relay's address: %v", err)
+	}
+	defer fresh.Close()
+	follow("missed 2")
+
+	last := publish(t, srv, pub, "after")
+	follow("after")
+	waitEpoch(t, r2, last.Epoch)
+	viaEdge, err := client.Fetch("news.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wire.MarshalSnapshotFrame(viaEdge), wire.MarshalSnapshotFrame(last)) {
+		t.Fatal("edge relay serves different bytes from the origin's after the middle restarted")
+	}
+	if s := r2.Stats(); s.Reconnects < 2 {
+		t.Fatalf("edge relay never reconnected: %+v", s)
+	}
+}
+
+// TestRelayLastEpochNotAheadOfFetch: once LastEpoch names an epoch, a fetch
+// at the relay is served that epoch (or a later one) — the position is
+// recorded after the ring has it, not before.
+func TestRelayLastEpochNotAheadOfFetch(t *testing.T) {
+	srv, originAddr, pub := startOrigin(t)
+	r, rAddr := startRelay(t, originAddr, nil)
+	p, _ := env(t)
+	registerVia(t, rAddr, "pn-position")
+	client, err := transport.Dial(rAddr, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for k := 0; k < 40; k++ {
+		b := publish(t, srv, pub, fmt.Sprintf("edition %d", k))
+		deadline := time.Now().Add(10 * time.Second)
+		for r.LastEpoch() < b.Epoch && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		got, err := client.Fetch("news.txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Epoch < b.Epoch {
+			t.Fatalf("relay reports epoch %d and serves %d", r.LastEpoch(), got.Epoch)
+		}
 	}
 }

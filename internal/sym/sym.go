@@ -56,6 +56,15 @@ func Encrypt(key [KeySize]byte, plaintext []byte) ([]byte, error) {
 // Decrypt opens a ciphertext produced by Encrypt. It returns ErrDecrypt when
 // the key is wrong or the data was modified.
 func Decrypt(key [KeySize]byte, ciphertext []byte) ([]byte, error) {
+	return Open(nil, key, ciphertext)
+}
+
+// Open is Decrypt appending the plaintext to dst, so a caller that tries
+// many keys against one ciphertext (a grouped-header shard scan, where every
+// wrong shard fails here) reuses one buffer instead of allocating a
+// plaintext per attempt. dst's spare capacity may be overwritten even when
+// ErrDecrypt is returned.
+func Open(dst []byte, key [KeySize]byte, ciphertext []byte) ([]byte, error) {
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		return nil, fmt.Errorf("sym: %w", err)
@@ -68,7 +77,7 @@ func Decrypt(key [KeySize]byte, ciphertext []byte) ([]byte, error) {
 		return nil, ErrDecrypt
 	}
 	nonce, body := ciphertext[:gcm.NonceSize()], ciphertext[gcm.NonceSize():]
-	pt, err := gcm.Open(nil, nonce, body, nil)
+	pt, err := gcm.Open(dst, nonce, body, nil)
 	if err != nil {
 		return nil, ErrDecrypt
 	}

@@ -88,3 +88,47 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestOpenIntoScratch pins the open-into-dst form a shard scan uses: a hit
+// appends the plaintext to dst without reallocating, and a miss — the wrong
+// key, which is every shard but one — allocates no plaintext-sized buffer,
+// only what building the cipher costs whatever the ciphertext's length.
+func TestOpenIntoScratch(t *testing.T) {
+	right, wrong := DeriveKey([]byte("right")), DeriveKey([]byte("wrong"))
+	pt := bytes.Repeat([]byte("subdocument "), 4096) // 48 kB
+	big, err := Encrypt(right, pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := Encrypt(right, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := make([]byte, 0, len(big))
+
+	got, err := Open(scratch, right, big)
+	if err != nil || !bytes.Equal(got, pt) || &got[0] != &scratch[:1][0] {
+		t.Fatalf("hit: err %v, %d bytes, in scratch %v", err, len(got), len(got) > 0 && &got[0] == &scratch[:1][0])
+	}
+	if _, err := Open(scratch, wrong, big); err != ErrDecrypt {
+		t.Fatalf("miss: got %v, want ErrDecrypt", err)
+	}
+	if _, err := Open(scratch, right, big[:5]); err != ErrDecrypt {
+		t.Fatalf("truncated: got %v, want ErrDecrypt", err)
+	}
+
+	miss := func(dst, ct []byte) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, err := Open(dst, wrong, ct); err != ErrDecrypt {
+				t.Fatal("wrong key opened the ciphertext")
+			}
+		})
+	}
+	base := miss(scratch, small)
+	if got := miss(scratch, big); got != base {
+		t.Errorf("a miss on %d bytes into scratch makes %.0f allocations, %.0f on an empty plaintext: it allocated for the plaintext", len(big), got, base)
+	}
+	if got := miss(nil, big); got != base+1 {
+		t.Errorf("a miss with no dst makes %.0f allocations, want the cipher's %.0f plus the plaintext", got, base)
+	}
+}

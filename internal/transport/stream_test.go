@@ -627,3 +627,112 @@ func TestRestartReseededRingServesDelta(t *testing.T) {
 		t.Fatalf("decrypt across restart: %q err=%v", got["body"], err)
 	}
 }
+
+// TestSnapshotBuiltOncePerEpochOverTCP: over real sockets, publishes to a
+// stream that is current marshal no snapshot, and any number of concurrent
+// fetches, joins and an out-of-window reconnect at one epoch marshal one —
+// every one of them served wire.MarshalSnapshotFrame's bytes.
+func TestSnapshotBuiltOncePerEpochOverTCP(t *testing.T) {
+	const fetches, joins = 6, 4
+	srv, addr, pub, subs := startGroupedServer(t, 4, func(s *Server) { s.SetRetention(2) })
+	p, _ := env(t)
+	publish := func(body string) *pubsub.Broadcast {
+		t.Helper()
+		b, err := pub.Publish(newsDoc(t, body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.PublishBroadcast(b); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	first := publish("edition 0")
+
+	client, err := Dial(addr, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	st, err := client.Subscribe("news.txt", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if f := nextFrame(t, st); f.Type != wire.FrameSnapshot {
+		t.Fatalf("join answered with frame type %d", f.Type)
+	}
+	if built, held := srv.Snapshots(); built != 1 || held != int64(len(wire.MarshalSnapshotFrame(first))) {
+		t.Fatalf("after one join: %d built, %d bytes held", built, held)
+	}
+
+	var last *pubsub.Broadcast
+	for k := 1; k <= 5; k++ {
+		if k == 3 {
+			if err := pub.RevokeSubscription(subs[3].Nym()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		last = publish(fmt.Sprintf("edition %d", k))
+		if f := nextFrame(t, st); f.Type != wire.FrameDelta || f.Epoch != last.Epoch {
+			t.Fatalf("publish %d reached the current stream as frame type %d epoch %d", k, f.Type, f.Epoch)
+		}
+	}
+	if built, held := srv.Snapshots(); built != 1 || held != 0 {
+		t.Fatalf("five publishes to a current stream: %d built, %d bytes held; want the join's 1 and 0", built, held)
+	}
+
+	want := wire.MarshalSnapshotFrame(last)
+	var wg sync.WaitGroup
+	errs := make(chan error, fetches+joins+1)
+	for i := 0; i < fetches+joins+1; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := Dial(addr, p)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
+			if i < fetches {
+				b, err := c.Fetch("news.txt")
+				if err == nil && !bytes.Equal(wire.MarshalSnapshotFrame(b), want) {
+					err = fmt.Errorf("fetch %d decoded to epoch %d, not the newest frame", i, b.Epoch)
+				}
+				errs <- err
+				return
+			}
+			lastEpoch, lastGen := uint64(0), uint64(0)
+			if i == fetches+joins {
+				lastEpoch, lastGen = first.Epoch, first.Gen // rotated out of a ring of 2
+			}
+			js, err := c.Subscribe("news.txt", lastEpoch, lastGen)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer js.Close()
+			if err := js.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+				errs <- err
+				return
+			}
+			f, raw, err := js.NextRaw()
+			if err == nil && (f.Type != wire.FrameSnapshot || !bytes.Equal(raw, want)) {
+				err = fmt.Errorf("join %d received frame type %d, %d bytes; want the %d-byte snapshot", i, f.Type, len(raw), len(want))
+			}
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if built, held := srv.Snapshots(); built != 2 || held != int64(len(want)) {
+		t.Fatalf("%d fetches, %d joins and a reconnect at one epoch: %d built in all, %d bytes held; want 2 and %d",
+			fetches, joins, built, held, len(want))
+	}
+}

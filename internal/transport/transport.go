@@ -1,8 +1,8 @@
 // Package transport puts the registration and dissemination phases on the
 // wire: a publisher-side TCP server and a subscriber-side client. Requests
 // travel as gob envelopes; broadcast payloads travel as the deterministic
-// stream-frame encoding, marshaled ONCE per epoch on the server and fanned out
-// as the same bytes to every connection (gob remains as a per-connection
+// stream-frame encoding, marshaled at most ONCE per epoch on the server and
+// fanned out as the same bytes to every connection (gob remains as a per-connection
 // fallback for clients predating the wire path, negotiated through the
 // "info" capability advertisement).
 //
@@ -172,6 +172,12 @@ func (s *Server) RingLen() int { return s.hub.RingLen() }
 // the measured cost of this node's fan-out.
 func (s *Server) Egress() (frames, bytes int64) { return s.hub.Egress() }
 
+// Snapshots reports the snapshot frames this server has marshaled — none
+// while every stream is current, at most one per (document, epoch) however
+// many joiners, fetches and reconnects ask — and the snapshot bytes its ring
+// holds now.
+func (s *Server) Snapshots() (built, heldBytes int64) { return s.hub.Snapshots() }
+
 // Current returns the decoded broadcast of the newest retained epoch for
 // the named document, nil when none is retained. A relay uses it as the
 // application base for incoming upstream deltas.
@@ -301,11 +307,12 @@ func (s *Server) dispatch(req *request) *response {
 	}
 }
 
-// PublishBroadcast makes a broadcast available to clients: it is marshaled
-// once (snapshot frame, plus a delta frame against the previous epoch of
-// the same document), appended to the bounded retention ring, and fanned
-// out to every connected stream — subscribers current at the previous epoch
-// receive only the delta bytes.
+// PublishBroadcast makes a broadcast available to clients: its delta frame
+// against the previous epoch of the same document is marshaled once, it is
+// appended to the bounded retention ring, and fanned out to every connected
+// stream — subscribers current at the previous epoch receive only the delta
+// bytes. Its snapshot frame is marshaled only when a stream that is not at
+// that base, a joiner or a fetch first needs it.
 func (s *Server) PublishBroadcast(b *pubsub.Broadcast) error {
 	return s.PublishRaw(b, nil, nil, 0)
 }
@@ -313,7 +320,8 @@ func (s *Server) PublishBroadcast(b *pubsub.Broadcast) error {
 // PublishRaw is PublishBroadcast for callers that already hold the exact
 // wire frames — a relay retains and re-serves the bytes it received
 // upstream rather than re-marshaling. rawSnapshot and rawDelta are optional
-// (nil = marshal/diff locally); deltaBase names rawDelta's base epoch.
+// (nil = marshal on demand / diff locally); deltaBase names rawDelta's base
+// epoch.
 func (s *Server) PublishRaw(b *pubsub.Broadcast, rawSnapshot, rawDelta []byte, deltaBase uint64) error {
 	if b == nil {
 		return errors.New("transport: nil broadcast")
@@ -428,6 +436,8 @@ func (c *Client) Ell() int {
 	if err := c.ensureInfo(); err != nil {
 		return 0
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.ell
 }
 
@@ -436,6 +446,8 @@ func (c *Client) Conditions() []policy.Condition {
 	if err := c.ensureInfo(); err != nil {
 		return nil
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return append([]policy.Condition(nil), c.conds...)
 }
 
