@@ -268,5 +268,12 @@ func (w *Writer) Grow(n int) { w.buf.Grow(n) }
 // Len returns the number of bytes written so far.
 func (w *Writer) Len() int { return w.buf.Len() }
 
+// Cap returns the capacity of the writer's buffer.
+func (w *Writer) Cap() int { return w.buf.Cap() }
+
+// Reset empties the writer and keeps its buffer, for a writer that is reused:
+// whatever Out returned before is overwritten by the next writes.
+func (w *Writer) Reset() { w.buf.Reset() }
+
 // Out returns the accumulated buffer (owned by the writer until discarded).
 func (w *Writer) Out() []byte { return w.buf.Bytes() }

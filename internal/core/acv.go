@@ -17,6 +17,15 @@
 // and recovers K = ν·X, because ν·Y = 0 and the first entry of ν is 1.
 // Rekeying is just a re-run with a fresh key and fresh nonces: no message is
 // sent to any individual subscriber.
+//
+// The nonces of a session are the expansion of a 32-byte seed (ExpandNonces),
+// and the seed is what is kept: a Header at rest — solved by the Engine,
+// decoded from a frame or a state segment, cached, diffed, relayed — is X and
+// the seed. The 16N bytes of nonces are scratch: the publisher expands a
+// session's seed once into the run its solves share, KEV expands into a
+// pooled buffer for the time it hashes a row, and neither result outlives
+// the call. Build, BuildMulti and BuildGrouped, the literal §V-C leaf the
+// figures and the benchmark call, still list the nonces in Header.Zs.
 package core
 
 import (
@@ -65,11 +74,21 @@ func CSSFromBytes(b []byte) (CSS, error) { return ff64.FromBytes(b) }
 // Publishing it reveals nothing about the key K (key indistinguishability,
 // §VI-B2).
 //
-// Seed, when it holds SeedSize bytes, names the run the nonces come from:
-// Zs is then the first N nonces of ExpandNonces(Seed, ·). Every header the
-// engine builds has one, and the shards of one session share it and differ
-// in N. A header whose nonces were given one by one (decoded by the v1/v2
-// codecs, or built by hand) has none.
+// At rest a header is X and a seed. Seed, when it holds SeedSize bytes,
+// names the run the nonces come from — the first N of ExpandNonces(Seed, ·),
+// N = |X| − 1 — and that is all of them the header keeps: what the engine
+// solves, what a stream frame or a state segment decodes to and what the
+// caches hold is X plus 32 bytes, the shards of one session sharing the seed
+// and differing in N. The nonces exist only while a row is hashed against
+// them: the publisher expands a session's seed once into the run its solves
+// share, KEV expands into pooled scratch, and nothing stores the result.
+//
+// Zs is the listed form, for nonces no seed names: headers decoded by the
+// v1/v2 interchange codecs or from a frame run written out, and those built
+// by hand. Build, BuildMulti and BuildGrouped — the literal §V-C leaf — list
+// the nonces beside the seed, because their callers index them. A header is
+// not written after it is built: it is shared between caches, broadcasts and
+// goroutines, which is also why it memoises no expansion.
 type Header struct {
 	X    linalg.Vector
 	Zs   [][]byte
@@ -77,16 +96,32 @@ type Header struct {
 }
 
 // N returns the maximum-user parameter the header was built for.
-func (h *Header) N() int { return len(h.Zs) }
+func (h *Header) N() int { return max(len(h.X)-1, 0) }
 
 // Seeded reports whether the header names its nonce run by a seed.
 func (h *Header) Seeded() bool { return len(h.Seed) == SeedSize }
 
+// Nonces returns z_1…z_N: the nonces the header lists, else the expansion of
+// its seed, freshly allocated (KEV expands into scratch instead). It is the
+// one reader of Zs; a header that lists the wrong number of nonces for its X
+// gets them back as listed, and KEV refuses it.
+func (h *Header) Nonces() [][]byte { return h.nonces(new(nonceScratch)) }
+
+func (h *Header) nonces(sc *nonceScratch) [][]byte {
+	if len(h.Zs) > 0 || !h.Seeded() {
+		return h.Zs
+	}
+	return sc.expand(h.Seed, h.N())
+}
+
 // Size returns the broadcast overhead of the header in bytes as built: the
-// serialized X entries plus the nonces. This is the quantity plotted in
-// Fig. 5 of the paper.
+// serialized X entries plus the nonces, listed or named by the seed. This is
+// the quantity plotted in Fig. 5 of the paper.
 func (h *Header) Size() int {
 	n := 8 * len(h.X)
+	if len(h.Zs) == 0 && h.Seeded() {
+		return n + NonceSize*h.N()
+	}
 	for _, z := range h.Zs {
 		n += len(z)
 	}
@@ -108,10 +143,14 @@ func (h *Header) WireSize() int {
 	return h.Size() + 4 + 8
 }
 
-// Clone returns a deep copy of the header, its nonces laid out as a run: one
-// flat buffer of capped windows.
+// Clone returns a deep copy of the header: X, the seed, and the nonces it
+// lists, laid out as a run — one flat buffer of capped windows.
 func (h *Header) Clone() *Header {
-	out := &Header{X: h.X.Clone(), Zs: make([][]byte, len(h.Zs)), Seed: bytes.Clone(h.Seed)}
+	out := &Header{X: h.X.Clone(), Seed: bytes.Clone(h.Seed)}
+	if h.Zs == nil {
+		return out
+	}
+	out.Zs = make([][]byte, len(h.Zs))
 	buf := make([]byte, 0, h.Size()-8*len(h.X))
 	for i, z := range h.Zs {
 		buf = append(buf, z...)
@@ -146,17 +185,23 @@ func HashRow(css []CSS, z []byte) ff64.Elem {
 }
 
 // KEV computes the key extraction vector (1, a_1, …, a_N) for a subscriber
-// whose CSSs for the chosen policy are css, against the nonces in hdr.
+// whose CSSs for the chosen policy are css, against the header's nonces. A
+// seeded header's nonces are expanded into pooled scratch for the hashing and
+// dropped with it, so a caller that caches the vector (§VIII-D) pays the
+// expansion only on a miss.
 func KEV(css []CSS, hdr *Header) (linalg.Vector, error) {
 	if len(css) == 0 {
 		return nil, ErrEmptyCSS
 	}
-	if len(hdr.X) != len(hdr.Zs)+1 {
-		return nil, fmt.Errorf("%w: |X|=%d, N=%d", ErrBadHeader, len(hdr.X), len(hdr.Zs))
+	sc := nonceScratchPool.Get().(*nonceScratch)
+	defer nonceScratchPool.Put(sc)
+	zs := hdr.nonces(sc)
+	if len(hdr.X) != len(zs)+1 {
+		return nil, fmt.Errorf("%w: |X|=%d, N=%d", ErrBadHeader, len(hdr.X), len(zs))
 	}
-	v := linalg.NewVector(len(hdr.Zs) + 1)
+	v := linalg.NewVector(len(zs) + 1)
 	v[0] = ff64.One
-	HashRows(v[1:], css, hdr.Zs)
+	HashRows(v[1:], css, zs)
 	return v, nil
 }
 

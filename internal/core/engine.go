@@ -481,5 +481,5 @@ func (e *Engine) solveConfig(s ConfigSpec, n int, run nonceRun, blocks map[strin
 		// non-zero tail on every non-zero kernel vector), but stay defensive.
 		return nil, 0, errDegenerate
 	}
-	return run.header(x, n), key, nil
+	return run.header(x), key, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"ppcd/internal/ff64"
@@ -55,8 +56,9 @@ func TestEngineRekeyAndDerive(t *testing.T) {
 			t.Error("non-member row derived config A's key")
 		}
 	}
-	// Shared session: both configurations were rebuilt over one nonce set.
-	if string(out["A"].Hdr.Zs[0]) != string(out["A|B"].Hdr.Zs[0]) {
+	// Shared session: both configurations were rebuilt over one nonce set,
+	// named by one seed.
+	if a, ab := out["A"].Hdr, out["A|B"].Hdr; !a.Seeded() || !bytes.Equal(a.Seed, ab.Seed) {
 		t.Error("session nonces not shared across configurations")
 	}
 }

@@ -217,5 +217,5 @@ func (e *Engine) solveShard(sh ShardSpec, run nonceRun, sc *solveScratch) (*Head
 		// As in solveConfig: unreachable with ≥1 row, but stay defensive.
 		return nil, 0, errDegenerate
 	}
-	return run.header(x, n), key, nil
+	return run.header(x), key, nil
 }

@@ -8,6 +8,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"ppcd/internal/ff64"
 	"ppcd/internal/linalg"
@@ -72,7 +74,7 @@ func BuildMulti(rows [][]CSS, n, count int) ([]*Header, []ff64.Elem, error) {
 			if tailZero(x) {
 				continue
 			}
-			hdr = run.header(x, n)
+			hdr = run.listed(x, n)
 			key = k
 			break
 		}
@@ -101,16 +103,23 @@ func buildMatrix(rows [][]CSS, n int) (nonceRun, *linalg.Matrix, error) {
 }
 
 // nonceRun is one rekey session's nonces: the seed drawn for the session and
-// its expansion, as long as the session's largest system. Headers only ever
-// read them.
+// its expansion, as long as the session's largest system. The session's
+// solves read the expansion and it goes when they are done; the headers keep
+// the seed.
 type nonceRun struct {
 	seed []byte
 	zs   [][]byte
 }
 
-// header returns the header of a system of capacity n solved over the run:
-// its first n nonces, and the seed that names them.
-func (r nonceRun) header(x linalg.Vector, n int) *Header {
+// header returns the header of a system of capacity len(x) − 1 solved over
+// the run, as it rests: X and the seed that names its nonces.
+func (r nonceRun) header(x linalg.Vector) *Header {
+	return &Header{X: x, Seed: r.seed}
+}
+
+// listed is header with the first n nonces listed beside the seed: what
+// Build, BuildMulti and BuildGrouped return.
+func (r nonceRun) listed(x linalg.Vector, n int) *Header {
 	return &Header{X: x, Zs: r.zs[:n:n], Seed: r.seed}
 }
 
@@ -126,26 +135,67 @@ func drawNonces(n int) (nonceRun, error) {
 
 // ExpandNonces returns the first n nonces of the run a seed names:
 // z_j = AES-256_seed(BE128(j)) for j = 0…n−1, which is the CTR keystream
-// under a zero IV. They are written into one flat buffer windowed by
-// NonceRun, so they sit contiguously in memory for the row-hash kernel, and
-// ExpandNonces(seed, k) is the front of ExpandNonces(seed, n) for k ≤ n.
-// The seed must hold SeedSize bytes.
+// under a zero IV. They are written into one freshly allocated flat buffer
+// windowed by NonceRun, so they sit contiguously in memory for the row-hash
+// kernel, and ExpandNonces(seed, k) is the front of ExpandNonces(seed, n) for
+// k ≤ n. The seed must hold SeedSize bytes. It is what a rekey session calls
+// once for the run its solves share; a header's reader goes through
+// Header.Nonces or KEV.
 func ExpandNonces(seed []byte, n int) [][]byte {
-	block, err := aes.NewCipher(seed)
-	if err != nil || len(seed) != SeedSize {
+	if len(seed) != SeedSize {
 		panic(fmt.Sprintf("core: nonce seed of %d bytes, want %d", len(seed), SeedSize))
 	}
-	buf := make([]byte, n*NonceSize)
+	return new(nonceScratch).expand(seed, n)
+}
+
+// nonceScratch is where a seed's nonces live while rows are hashed against
+// them: a flat buffer and its windows, cut again only when a longer run is
+// asked for, so a scan over the shards of a broadcast expands every seed into
+// the same few kilobytes.
+type nonceScratch struct {
+	buf []byte
+	zs  [][]byte
+}
+
+var nonceScratchPool = sync.Pool{New: func() any { return new(nonceScratch) }}
+
+// expansions counts seeds expanded (NonceExpansions).
+var expansions atomic.Uint64
+
+// NonceExpansions returns how many nonce seeds this process has expanded.
+// Tests pin with it where the expansion is paid: once per rekey session at
+// the publisher, once per KEV-cache miss at a subscriber, never by a relay,
+// a decoder, a diff or a marshal.
+func NonceExpansions() uint64 { return expansions.Load() }
+
+// expand overwrites the scratch with the first n nonces of the run a
+// SeedSize seed names and returns them; they are valid until the next expand.
+//
+//ppcd:hotpath
+func (sc *nonceScratch) expand(seed []byte, n int) [][]byte {
+	if n == 0 {
+		return nil
+	}
+	block, err := aes.NewCipher(seed)
+	if err != nil {
+		panic(err) // not an AES key size: callers pass SeedSize bytes
+	}
+	if n > len(sc.zs) {
+		sc.buf = make([]byte, n*NonceSize)
+		sc.zs = NonceRun(sc.buf, n, NonceSize)
+	}
+	buf := sc.buf[:n*NonceSize]
+	clear(buf)
 	var iv [aes.BlockSize]byte
 	cipher.NewCTR(block, iv[:]).XORKeyStream(buf, buf)
-	return NonceRun(buf, n, NonceSize)
+	expansions.Add(1)
+	return sc.zs[:n:n]
 }
 
 // NonceRun views a flat buffer of n nonces of size bytes each as a nonce
 // run: zs[j] is a window of buf capped at its own bytes, so an append to one
-// nonce cannot reach the next. A session's headers each hold a prefix
-// zs[:k:k] of one run — on the publisher that drew it and on every receiver
-// that decoded it from a stream frame's run table.
+// nonce cannot reach the next. It is the layout of every expansion and of a
+// run a stream frame wrote out, whose headers each list a prefix zs[:k:k].
 func NonceRun(buf []byte, n, size int) [][]byte {
 	zs := make([][]byte, n)
 	for j := range zs {
@@ -339,7 +389,7 @@ func buildWithKey(rows [][]CSS, n int, key ff64.Elem) (*Header, error) {
 		if tailZero(x) {
 			continue
 		}
-		return run.header(x, n), nil
+		return run.listed(x, n), nil
 	}
 	return nil, errDegenerate
 }

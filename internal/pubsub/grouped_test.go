@@ -375,25 +375,24 @@ func TestColdGroupedScanHashesOncePerRun(t *testing.T) {
 		t.Errorf("cold scan over cloned same-session shards hashed %d KEVs, want 1", cold.kevMisses)
 	}
 
-	// A header without a seed — one that opens with the run's first nonce and
-	// then departs from it — is hashed, not served the run's vector.
+	// A header of another seed — one bit from the run's — is hashed, not served
+	// the run's vector.
 	row, _ := sub.rowFor(b.Policies[0])
 	forged := g.Shards[0].Hdr.Clone()
-	forged.Seed = nil
-	forged.Zs[1][0] ^= 1
+	forged.Seed[0] ^= 1
 	kev, err := sub.cachedKEV(row, forged)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := core.KEV(row, forged)
-	if sub.kevMisses != 2 || !reflect.DeepEqual(kev, want) {
-		t.Errorf("a header sharing only the first nonce was served from the cache (misses %d)", sub.kevMisses)
+	if honest, _ := core.KEV(row, g.Shards[0].Hdr); sub.kevMisses != 2 || !reflect.DeepEqual(kev, want) || reflect.DeepEqual(kev, honest) {
+		t.Errorf("a header of a forged seed was served from the cache (misses %d)", sub.kevMisses)
 	}
 
 	// A longer header of a cached run replaces the run's vector; the shorter
 	// ones are then served from it.
 	seed := g.Shards[0].Hdr.Seed
-	long := &core.Header{X: make(linalg.Vector, 10), Zs: core.ExpandNonces(seed, 9), Seed: seed}
+	long := &core.Header{X: make(linalg.Vector, 10), Seed: seed}
 	if kev, err = sub.cachedKEV(row, long); err != nil || len(kev) != 10 || sub.kevMisses != 3 {
 		t.Fatalf("longer header of a cached run: %d entries, %d misses, %v", len(kev), sub.kevMisses, err)
 	}
@@ -418,7 +417,7 @@ func TestKEVCacheBoundedByBytes(t *testing.T) {
 	for session := 0; session < 600; session++ {
 		seed := make([]byte, core.SeedSize)
 		seed[0], seed[1] = byte(session), byte(session>>8)
-		hdr := &core.Header{X: make(linalg.Vector, n+1), Zs: core.ExpandNonces(seed, n), Seed: seed}
+		hdr := &core.Header{X: make(linalg.Vector, n+1), Seed: seed}
 		if _, err := sub.cachedKEV(row, hdr); err != nil {
 			t.Fatal(err)
 		}

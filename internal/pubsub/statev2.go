@@ -1,6 +1,7 @@
 package pubsub
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -95,9 +96,6 @@ func (w *stateWriter) out() []byte    { return w.w.Out() }
 
 type stateReader struct {
 	r *codec.Reader
-	// runs interns the nonce runs this reader expanded, by seed: the restored
-	// shards of one session share one run in memory, as the live ones do.
-	runs map[string][][]byte
 }
 
 // newStateReader wraps data with the shared allocation budget (nil-safe:
@@ -182,6 +180,8 @@ func writeStateHeader(w *stateWriter, h *core.Header) {
 	w.raw(h.Seed)
 }
 
+// readStateHeader decodes a header to what it rests as, X and the seed:
+// restoring a cache expands nothing.
 func readStateHeader(r *stateReader) (*core.Header, error) {
 	nx, err := r.count()
 	if err != nil {
@@ -202,35 +202,11 @@ func readStateHeader(r *stateReader) (*core.Header, error) {
 			return nil, err
 		}
 	}
-	raw, err := r.take(core.SeedSize)
+	seed, err := r.take(core.SeedSize)
 	if err != nil {
 		return nil, err
 	}
-	seed := append([]byte(nil), raw...)
-	zs, err := r.run(seed, nx-1)
-	if err != nil {
-		return nil, err
-	}
-	return &core.Header{X: x, Zs: zs, Seed: seed}, nil
-}
-
-// run returns the first n nonces of the run seed names, expanding it — or
-// expanding it further — only when no header before has needed as many. An
-// expansion is charged against the budget before it is made: n nonces and
-// their slice headers.
-func (r *stateReader) run(seed []byte, n int) ([][]byte, error) {
-	run := r.runs[string(seed)]
-	if len(run) < n {
-		if err := r.charge(n * (core.NonceSize + 24)); err != nil {
-			return nil, err
-		}
-		if r.runs == nil {
-			r.runs = make(map[string][][]byte)
-		}
-		run = core.ExpandNonces(seed, n)
-		r.runs[string(seed)] = run
-	}
-	return run[:n:n], nil
+	return &core.Header{X: x, Seed: bytes.Clone(seed)}, nil
 }
 
 // Broadcast configuration header encodings inside lastPub.

@@ -2,6 +2,8 @@ package pubsub
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -474,15 +476,17 @@ func TestAdmissionEnforcesStateCaps(t *testing.T) {
 
 // TestStateHeaderIsXAndSeed pins the header form of the durable state: X and
 // the 32-byte seed of its nonce run, under 1.2 kB for a cached 128-row shard
-// where the nonces written out made it 3.6; decoded headers of one seed share
-// one expansion; a header without a seed fails the export rather than
-// writing a blob no import could read; and the decode charges the expansion
-// before it makes it.
+// where the nonces written out made it 3.6, byte for byte what the commit
+// before headers stopped holding their nonces wrote; a header decodes to what
+// it rests as — X and the seed, no nonce expanded, nothing charged but X; a
+// header listed beside its seed exports as the same bytes; and a header
+// without a seed fails the export rather than writing a blob no import could
+// read.
 func TestStateHeaderIsXAndSeed(t *testing.T) {
 	const n = 128
 	seed := bytes.Repeat([]byte{5}, core.SeedSize)
 	hdr := func(n int) *core.Header {
-		return &core.Header{X: make(linalg.Vector, n+1), Zs: core.ExpandNonces(seed, n), Seed: seed}
+		return &core.Header{X: make(linalg.Vector, n+1), Seed: seed}
 	}
 	shards := []core.CachedShard{
 		{ID: "acp0#0", Sig: strings.Repeat("s", 64), Hdr: hdr(n), Key: 7},
@@ -496,6 +500,11 @@ func TestStateHeaderIsXAndSeed(t *testing.T) {
 	if perShard := len(seg) / len(shards); perShard > 1200 || perShard < 8*(n-9)+core.SeedSize {
 		t.Errorf("a cached %d-row shard takes %d B of its cache segment, want X + seed + names ≤ 1200", n, perShard)
 	}
+	const golden = "8c0391bfc4a784d5ec951fe09d1363752da67cc8b03f4667c54a5793b74f0f7d"
+	if sum := sha256.Sum256(seg); len(seg) != 3403 || hex.EncodeToString(sum[:]) != golden {
+		t.Errorf("cache segment is %d bytes with SHA-256 %x, want 3403 and %s", len(seg), sum, golden)
+	}
+	before := core.NonceExpansions()
 	budget := codec.NewBudget(maxStateHeaderBudget)
 	dec := decodeCacheSegment(seg, budget)
 	if dec.err != nil || len(dec.shards) != len(shards) {
@@ -505,23 +514,26 @@ func TestStateHeaderIsXAndSeed(t *testing.T) {
 		if !reflect.DeepEqual(s, shards[i]) {
 			t.Errorf("shard %d differs across the cache segment", i)
 		}
+		if s.Hdr.Zs != nil || s.Hdr.N() != shards[i].Hdr.N() || &s.Hdr.Seed[0] == &seed[0] {
+			t.Errorf("shard %d decoded to %d nonces, N=%d", i, len(s.Hdr.Zs), s.Hdr.N())
+		}
 	}
-	a, b, c := dec.shards[0].Hdr, dec.shards[1].Hdr, dec.shards[2].Hdr
-	if &a.Zs[0] != &b.Zs[0] || &a.Zs[0] != &c.Zs[0] || cap(b.Zs) != n-9 {
-		t.Error("decoded headers of one seed do not share one expansion, each capped at its own N")
+	if got := core.NonceExpansions() - before; got != 0 {
+		t.Errorf("decoding a cache segment expanded %d seeds", got)
 	}
-	// Charged: every X, and the one expansion (nonces + slice headers).
-	charged := 8*(n+1) + 8*(n-8) + 8*(n+1) + n*(core.NonceSize+24)
+	// Charged: every X, and nothing else.
+	charged := 8*(n+1) + 8*(n-8) + 8*(n+1)
 	if err := budget.Charge(maxStateHeaderBudget - charged); err != nil {
 		t.Errorf("decode charged more than %d bytes", charged)
 	}
 	if err := budget.Charge(1); err == nil {
 		t.Errorf("decode charged less than %d bytes", charged)
 	}
-	if dec := decodeCacheSegment(seg, codec.NewBudget(8*(n+1)+n*(core.NonceSize+24)-1)); dec.err == nil {
-		t.Error("an expansion past the budget was made")
-	}
 
+	shards[1].Hdr = &core.Header{X: shards[1].Hdr.X, Zs: shards[1].Hdr.Nonces(), Seed: seed}
+	if listed, err := encodeCacheBucket(nil, shards, nil); err != nil || !bytes.Equal(listed, seg) {
+		t.Errorf("a header listed beside its seed exports differently: %v", err)
+	}
 	shards[1].Hdr = &core.Header{X: shards[1].Hdr.X, Zs: shards[1].Hdr.Zs}
 	if _, err := encodeCacheBucket(nil, shards, nil); err == nil {
 		t.Error("a header without a seed was exported")

@@ -47,8 +47,10 @@ type Subscriber struct {
 	css    map[string]core.CSS    // by condition ID
 
 	// kev caches key extraction vectors by (CSS row, nonce seed) (§VIII-D,
-	// receiver half): a session's headers hold prefixes of the run its seed
-	// names, and the KEV over a prefix is a prefix of the KEV over the run,
+	// receiver half): a session's headers name prefixes of the run their seed
+	// expands to — they hold the seed, not the nonces, and core.KEV expands
+	// it only when a vector is hashed, so a hit touches no nonce — and the
+	// KEV over a prefix is a prefix of the KEV over the run,
 	// so the shards of a shared-nonce session, steady-state republishes and
 	// the clean shards of grouped headers hash each row once per run; every
 	// later derivation is a single inner product. A vector lives as long as

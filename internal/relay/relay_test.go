@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"ppcd/internal/core"
+	"ppcd/internal/core/coretest"
 	"ppcd/internal/document"
 	"ppcd/internal/idtoken"
 	"ppcd/internal/pedersen"
@@ -588,6 +590,91 @@ func TestRelaySnapshotsOnDemand(t *testing.T) {
 	}
 	if built, _ := srv.Snapshots(); built != originBuilt {
 		t.Fatalf("the relay's demand built %d snapshots at the origin", built-originBuilt)
+	}
+}
+
+// TestRelayExpandsNoNonces: a relay decodes, applies, diffs and re-marshals
+// headers as X and a seed. Five membership changes and fifteen republishes flow
+// origin → relay → stream; the publisher expands one seed per session that
+// solves anything, and between a publish returning and its delta leaving the
+// relay — the relay's whole share of the work — nothing does. A joiner's
+// snapshot, built by the relay, costs none either, and neither the frames nor
+// the state behind them hold a nonce.
+func TestRelayExpandsNoNonces(t *testing.T) {
+	srv, originAddr, pub := startOrigin(t)
+	p, _ := env(t)
+	var nyms []string
+	for i := 0; i < 6; i++ {
+		nyms = append(nyms, registerVia(t, originAddr, fmt.Sprintf("pn-seed-%d", i)).Nym())
+	}
+	b := publish(t, srv, pub, "edition 0")
+	r, rAddr := startRelay(t, originAddr, nil)
+	waitEpoch(t, r, b.Epoch)
+	client, err := transport.Dial(rAddr, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	st, err := client.Subscribe("news.txt", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if f, _ := nextData(t, st); f.Type != wire.FrameSnapshot || coretest.ListedNonces(f) != 0 {
+		t.Fatalf("join at the relay: frame type %d holding %d nonces", f.Type, coretest.ListedNonces(f))
+	}
+
+	headers := 0
+	for k := 1; k <= 20; k++ {
+		solves := pub.Stats().Solves
+		if k%2 == 1 && k/2 < len(nyms)-1 {
+			if err := pub.RevokeSubscription(nyms[k/2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := core.NonceExpansions()
+		b = publish(t, srv, pub, fmt.Sprintf("edition %d", k))
+		published := core.NonceExpansions()
+		want := uint64(0)
+		if pub.Stats().Solves > solves {
+			want = 1
+		}
+		if published-before != want {
+			t.Fatalf("publish %d: the origin expanded %d seeds for %d solves", k, published-before, pub.Stats().Solves-solves)
+		}
+		f, _ := nextData(t, st)
+		if f.Type != wire.FrameDelta || f.Epoch != b.Epoch {
+			t.Fatalf("publish %d reached the relay's stream as frame type %d epoch %d", k, f.Type, f.Epoch)
+		}
+		if n := core.NonceExpansions() - published; n != 0 {
+			t.Fatalf("publish %d: %d seeds expanded on the way through the relay", k, n)
+		}
+		if n := coretest.ListedNonces(f); n != 0 {
+			t.Fatalf("publish %d: the decoded delta holds %d nonces", k, n)
+		}
+		for _, cp := range f.Delta.Configs {
+			if cp.Grouped != nil {
+				headers += len(cp.Grouped.Headers)
+			}
+		}
+	}
+	if headers < 3 {
+		t.Fatalf("20 publishes shipped %d headers through the relay; the churn did not reach it", headers)
+	}
+	before := core.NonceExpansions()
+	st2, err := client.Subscribe("news.txt", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if f, raw := nextData(t, st2); f.Type != wire.FrameSnapshot || !bytes.Equal(raw, wire.MarshalSnapshotFrame(b)) || coretest.ListedNonces(f) != 0 {
+		t.Fatalf("late join at the relay: frame type %d, %d bytes", f.Type, len(raw))
+	}
+	if n := core.NonceExpansions() - before; n != 0 || r.Stats().SnapshotsBuilt != 1 {
+		t.Fatalf("a snapshot built at the relay expanded %d seeds (%d built)", n, r.Stats().SnapshotsBuilt)
+	}
+	if n := coretest.ListedNonces(pub.LastBroadcasts()); n != 0 {
+		t.Fatalf("the origin's diff bases hold %d nonces", n)
 	}
 }
 

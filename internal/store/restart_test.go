@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ppcd/internal/core"
+	"ppcd/internal/core/coretest"
 	"ppcd/internal/policy"
 	"ppcd/internal/pubsub"
 	"ppcd/internal/wire"
@@ -167,11 +168,12 @@ func TestRestartResumesGroupsAndSegments(t *testing.T) {
 	}
 }
 
-// TestRestartKeepsSeedsAndSharesRuns: a cached shard header is stored as X and
-// the seed of its nonce run, and comes back with both: the frames of the
-// restarted publisher are the bytes the stopped one would have sent, and the
-// restored shards of one session share one run in memory again.
-func TestRestartKeepsSeedsAndSharesRuns(t *testing.T) {
+// TestRestartKeepsSeedsAndNoNonces: a cached shard header is stored as X and
+// the seed of its nonce run and comes back as exactly that — recovery expands
+// no seed and the restored headers hold no nonce — and the frames of the
+// restarted publisher, the first it publishes included, are the bytes the
+// stopped one would have sent.
+func TestRestartKeepsSeedsAndNoNonces(t *testing.T) {
 	const rows, groupSize = 4000, 128
 	dir := t.TempDir()
 	ts := stoppedStore(t, dir, rows, groupSize, 0)
@@ -180,13 +182,19 @@ func TestRestartKeepsSeedsAndSharesRuns(t *testing.T) {
 		before = append(before, wire.MarshalSnapshotFrame(b))
 	}
 
+	expanded := core.NonceExpansions()
 	st, pub, _ := restart(t, ts, dir, groupSize, 0)
 	defer st.Close()
+	if got := core.NonceExpansions() - expanded; got != 0 {
+		t.Errorf("recovery expanded %d nonce seeds", got)
+	}
 	after := pub.LastBroadcasts()
 	if len(after) != len(before) || len(after) == 0 {
 		t.Fatalf("%d diff bases after the restart, %d before", len(after), len(before))
 	}
-	runs, shards := make(map[*byte]bool), (rows+groupSize-1)/groupSize
+	if n := coretest.ListedNonces(after); n != 0 {
+		t.Errorf("the restored diff bases hold %d nonces", n)
+	}
 	for i, b := range after {
 		if !bytes.Equal(wire.MarshalSnapshotFrame(b), before[i]) {
 			t.Errorf("snapshot frame of %q differs across the restart", b.DocName)
@@ -196,20 +204,29 @@ func TestRestartKeepsSeedsAndSharesRuns(t *testing.T) {
 				if !sh.Hdr.Seeded() {
 					t.Fatalf("restored shard header of N=%d lost its seed", sh.Hdr.N())
 				}
-				runs[&sh.Hdr.Zs[0][0]] = true
 			}
 		}
 	}
-	// One session solved every shard; its run is expanded once per cache
-	// bucket that holds one of its shards, not once per shard.
-	if len(runs) >= shards || len(runs) > st.man.cacheSegs {
-		t.Errorf("%d restored shards of one session hold %d runs in memory (%d cache buckets)", shards, len(runs), st.man.cacheSegs)
-	}
-	if _, err := pub.Publish(ts.doc); err != nil {
+	// The restarted publisher's first publish re-solves and re-keys nothing, so
+	// its frame is the one the stopped publisher would have sent next: its last
+	// but for the epoch stamp and the freshly sealed items.
+	first, err := pub.Publish(ts.doc)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if s := pub.Stats(); s.Solves != 0 {
 		t.Errorf("first publish after the restart solved %d shards", s.Solves)
+	}
+	unstamped := func(b *pubsub.Broadcast) []byte {
+		c := *b
+		c.Epoch, c.Items = 0, nil
+		return wire.MarshalSnapshotFrame(&c)
+	}
+	if !bytes.Equal(unstamped(first), unstamped(ts.pub.LastBroadcasts()[0])) {
+		t.Error("the restarted publisher's first frame is not what the stopped one would have sent")
+	}
+	if n := coretest.ListedNonces(first); n != 0 {
+		t.Errorf("the first broadcast after the restart holds %d nonces", n)
 	}
 }
 

@@ -2,12 +2,16 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"ppcd/internal/core"
+	"ppcd/internal/core/coretest"
 	"ppcd/internal/ff64"
 	"ppcd/internal/linalg"
 	"ppcd/internal/policy"
@@ -27,10 +31,8 @@ func testRun(tag byte, n, size int) [][]byte {
 // hdrOn builds a header of N = n over the front of run, its nonces given one
 // by one: what the v1/v2 codecs decode, and what a frame writes out.
 func hdrOn(run [][]byte, n int) *core.Header {
-	h := &core.Header{X: make(linalg.Vector, n+1), Zs: run[:n:n]}
-	for i := range h.X {
-		h.X[i] = ff64.Elem(uint64(7*n + i + 1))
-	}
+	h := hdrSeeded(nil, n)
+	h.Zs = run[:n:n]
 	return h
 }
 
@@ -41,11 +43,21 @@ func testSeed(tag byte) []byte {
 	return seed
 }
 
-// hdrSeeded builds a header of N = n the way the engine does: over the front
-// of the run its seed names, each call expanding its own copy.
+// hdrSeeded builds a header of N = n the way the engine does and the way it
+// rests everywhere: X and the seed that names its nonces.
 func hdrSeeded(seed []byte, n int) *core.Header {
-	h := hdrOn(core.ExpandNonces(seed, n), n)
-	h.Seed = seed
+	h := &core.Header{X: make(linalg.Vector, n+1), Seed: seed}
+	for i := range h.X {
+		h.X[i] = ff64.Elem(uint64(7*n + i + 1))
+	}
+	return h
+}
+
+// hdrListed is hdrSeeded as core.Build returns it: the nonces listed beside
+// the seed.
+func hdrListed(seed []byte, n int) *core.Header {
+	h := hdrSeeded(seed, n)
+	h.Zs = h.Nonces()
 	return h
 }
 
@@ -110,7 +122,7 @@ func everyRunForm() *pubsub.Broadcast {
 		groupedOf("g", hdrSeeded(s1, 5), hdrOn(a, 5), hdrSeeded(s1, 8), hdrOn(a, 9)),
 		pubsub.ConfigInfo{Key: "m", Rev: 1, Header: hdrOn([][]byte{make([]byte, 16), make([]byte, 16), make([]byte, 15), {}}, 4)},
 		pubsub.ConfigInfo{Key: "s2", Rev: 1, Header: hdrSeeded(testSeed(2), 1)},
-		pubsub.ConfigInfo{Key: "none", Rev: 1, Header: &core.Header{X: linalg.Vector{42}, Zs: [][]byte{}}})
+		pubsub.ConfigInfo{Key: "none", Rev: 1, Header: &core.Header{X: linalg.Vector{42}}})
 }
 
 // TestFrameRunTableRoundTrip: whatever way a frame's headers share (or do
@@ -122,10 +134,7 @@ func TestFrameRunTableRoundTrip(t *testing.T) {
 	// several lengths, but nothing forbids them in an ungrouped header.
 	mixed := [][]byte{make([]byte, 16), make([]byte, 16), make([]byte, 15), {}}
 	s1, s2 := testSeed(1), testSeed(2)
-	session := core.ExpandNonces(s1, 9) // one session's run, as its shards share it
-	onSession := func(n int) *core.Header {
-		return &core.Header{X: hdrOn(session, n).X, Zs: session[:n:n], Seed: s1}
-	}
+	session := core.ExpandNonces(s1, 9)
 	cases := []struct {
 		name string
 		b    *pubsub.Broadcast
@@ -134,7 +143,7 @@ func TestFrameRunTableRoundTrip(t *testing.T) {
 		{"same session, the longer shard after the shorter", snapshotOf(
 			groupedOf("g", hdrOn(a, 5), hdrOn(a, 9), hdrOn(a, 3))), 1},
 		{"shards of one seed with different N, sharing the run's memory", snapshotOf(
-			groupedOf("g", onSession(5), onSession(9), onSession(3))), 1},
+			groupedOf("g", hdrSeeded(s1, 5), hdrSeeded(s1, 9), hdrSeeded(s1, 3))), 1},
 		{"one seed, nothing shared but the seed, the run lengthened by a later header", snapshotOf(
 			groupedOf("g", hdrSeeded(s1, 4), hdrSeeded(bytes.Clone(s1), 9)),
 			groupedOf("g2", hdrSeeded(s2, 6), hdrSeeded(s1, 7))), 2},
@@ -157,7 +166,7 @@ func TestFrameRunTableRoundTrip(t *testing.T) {
 			pubsub.ConfigInfo{Key: "z0", Rev: 1, Header: hdrOn(make([][]byte, 3), 3)},
 			pubsub.ConfigInfo{Key: "z15", Rev: 1, Header: hdrOn(testRun(4, 2, 15), 2)},
 			pubsub.ConfigInfo{Key: "z17", Rev: 1, Header: hdrOn(testRun(5, 5, 17), 5)},
-			pubsub.ConfigInfo{Key: "none", Rev: 1, Header: &core.Header{X: linalg.Vector{42}, Zs: [][]byte{}}},
+			pubsub.ConfigInfo{Key: "none", Rev: 1, Header: &core.Header{X: linalg.Vector{42}}},
 			pubsub.ConfigInfo{Key: "z17 again", Rev: 1, Header: hdrOn(testRun(5, 5, 17), 4)},
 			pubsub.ConfigInfo{Key: "bare", Rev: 1}), 3},
 		{"one shard", snapshotOf(groupedOf("g", hdrOn(a, 9))), 1},
@@ -206,12 +215,14 @@ func TestFrameRunTableRoundTrip(t *testing.T) {
 }
 
 // TestDecodedHeadersShareTheirRun: the shards of one session decode onto one
-// run — one expansion of their seed, one buffer, one [][]byte — and
-// Header.Clone still copies out of it, into a run of its own.
+// run. Named by a seed it is the seed they share — one 32-byte copy, no nonce
+// anywhere — and written out it is one buffer and one [][]byte of which each
+// lists its own capped prefix. Header.Clone copies out of either.
 func TestDecodedHeadersShareTheirRun(t *testing.T) {
 	a, seed := testRun(1, 9, core.NonceSize), testSeed(1)
 	for name, g := range map[string]pubsub.ConfigInfo{
 		"seeded":      groupedOf("g", hdrSeeded(seed, 5), hdrSeeded(seed, 9)),
+		"listed":      groupedOf("g", hdrListed(seed, 5), hdrListed(seed, 9)),
 		"written out": groupedOf("g", hdrOn(a, 5), hdrOn(cloneNonces(a), 9)),
 	} {
 		f, err := UnmarshalFrame(MarshalSnapshotFrame(snapshotOf(g)))
@@ -220,26 +231,81 @@ func TestDecodedHeadersShareTheirRun(t *testing.T) {
 		}
 		sh := f.Snapshot.Configs[0].Grouped.Shards
 		short, long := sh[0].Hdr, sh[1].Hdr
-		if &short.Zs[0] != &long.Zs[0] || &short.Zs[4][0] != &long.Zs[4][0] {
-			t.Fatalf("%s: two headers of one run do not share its backing arrays", name)
+		if name == "written out" {
+			if short.Seed != nil || &short.Zs[0] != &long.Zs[0] || &short.Zs[4][0] != &long.Zs[4][0] {
+				t.Fatalf("%s: two headers of one run do not share its backing arrays", name)
+			}
+			if cap(short.Zs) != 5 || cap(short.Zs[4]) != core.NonceSize {
+				t.Fatalf("%s: a header's window reaches past its own nonces: cap(Zs)=%d cap(z)=%d", name, cap(short.Zs), cap(short.Zs[4]))
+			}
+		} else if short.Zs != nil || long.Zs != nil || &short.Seed[0] != &long.Seed[0] || !bytes.Equal(short.Seed, seed) || &short.Seed[0] == &seed[0] {
+			t.Fatalf("%s: decoded headers hold nonces %v, %v or seeds %x, %x that are not one copy of the run's", name, short.Zs, long.Zs, short.Seed, long.Seed)
 		}
-		if cap(short.Zs) != 5 || cap(short.Zs[4]) != core.NonceSize {
-			t.Fatalf("%s: a header's window reaches past its own nonces: cap(Zs)=%d cap(z)=%d", name, cap(short.Zs), cap(short.Zs[4]))
-		}
-		if short.Seeded() != (name == "seeded") || short.Seeded() && (&short.Seed[0] != &long.Seed[0] || !bytes.Equal(short.Seed, seed)) {
-			t.Fatalf("%s: decoded seeds %x and %x", name, short.Seed, long.Seed)
+		if !core.SameNonces(short.Nonces(), long.Nonces()[:5]) || short.N() != 5 || long.N() != 9 {
+			t.Fatalf("%s: the shorter header's nonces are not the front of the longer's", name)
 		}
 		cl := long.Clone()
 		if !reflect.DeepEqual(cl, long) {
 			t.Fatalf("%s: Clone differs from its source", name)
 		}
-		cl.Zs[0][0] ^= 0xff
 		cl.X[0]++
 		if cl.Seeded() {
 			cl.Seed[0] ^= 0xff
+		} else {
+			cl.Zs[0][0] ^= 0xff
 		}
-		if &cl.Zs[0] == &long.Zs[0] || cl.Zs[0][0] == short.Zs[0][0] || cl.X[0] == long.X[0] || !reflect.DeepEqual(short.Seed, long.Seed) || long.Seeded() && long.Seed[0] != seed[0] {
+		if cl.X[0] == long.X[0] || reflect.DeepEqual(cl.Nonces(), long.Nonces()) || !reflect.DeepEqual(short.Seed, long.Seed) || long.Seeded() && long.Seed[0] != seed[0] {
 			t.Fatalf("%s: Clone shares memory with the decoded run", name)
+		}
+	}
+}
+
+// goldenFrames are frames and interchange messages as the commit before
+// headers stopped holding their nonces marshalled them, by length and
+// SHA-256: what rests in a header is this program's business, what it sends
+// is not.
+var goldenFrames = map[string]struct {
+	size int
+	sum  string
+}{
+	"snapshot, every run form":            {905, "2b20eba3dd7dfc4694bd608d3dc8f5b523dd2b689ebfee1d4169fe108d3d0d43"},
+	"delta, every run form":               {914, "f97d2d7c77aa4a147b486926ea3b54e62aceab6d5af8a0a293c12f046479857c"},
+	"snapshot, 294 shards of 40 sessions": {307549, "b6360014a749479e4dc906e17867aa1941f0ae8c3b17efc22a5a314c74059bf0"},
+	"delta, 294 shards of 40 sessions":    {308718, "ef5a1bf3a874b845c8eb6a978b90f0dd805b2ce7faa15a2b45a309c7639011a0"},
+	"v2 broadcast of seeded headers":      {633, "bf869f05cb1aa415c847c077787f445d5f27324242c976e9a59357a009fd199f"},
+	"v2 grouped header of seeded shards":  {465, "831a9050a427f0bef2a82511806d083dd78cf1a2bf65328dd16be9ae139ec6c5"},
+	"v1 header of a seeded header":        {129, "6bc8bf34489c512622802caf99d566cbfde4cdfca892380922dc35082176de90"},
+}
+
+// TestFramesAreByteIdentical holds every encoder to goldenFrames, over
+// headers that rest as a seed and over the same headers listed the way
+// core.Build returns them.
+func TestFramesAreByteIdentical(t *testing.T) {
+	for form, hdr := range map[string]func([]byte, int) *core.Header{"seeded": hdrSeeded, "listed": hdrListed} {
+		all, mixed := everyRunForm(), mixedSessionSnapshot(294)
+		three := snapshotOf(groupedOf("g", hdr(testSeed(1), 5), hdr(testSeed(1), 9)), pubsub.ConfigInfo{Key: "h", Rev: 2, Header: hdr(testSeed(2), 3)})
+		if form == "listed" {
+			for _, b := range []*pubsub.Broadcast{all, mixed} {
+				for _, h := range snapshotHeaders(b) {
+					if h.Seeded() {
+						h.Zs = h.Nonces()
+					}
+				}
+			}
+		}
+		for name, raw := range map[string][]byte{
+			"snapshot, every run form":            MarshalSnapshotFrame(all),
+			"delta, every run form":               MarshalDeltaFrame(deltaOf(all)),
+			"snapshot, 294 shards of 40 sessions": MarshalSnapshotFrame(mixed),
+			"delta, 294 shards of 40 sessions":    MarshalDeltaFrame(deltaOf(mixed)),
+			"v2 broadcast of seeded headers":      MarshalBroadcast(three),
+			"v2 grouped header of seeded shards":  MarshalGroupedHeader(three.Configs[0].Grouped),
+			"v1 header of a seeded header":        MarshalHeader(hdr(testSeed(3), 4)),
+		} {
+			want := goldenFrames[name]
+			if sum := sha256.Sum256(raw); len(raw) != want.size || hex.EncodeToString(sum[:]) != want.sum {
+				t.Errorf("%s, %s headers: %d bytes with SHA-256 %x, want %d and %s", name, form, len(raw), sum, want.size, want.sum)
+			}
 		}
 	}
 }
@@ -294,7 +360,7 @@ func emptyNonceRuns(size, runs, n int) []byte {
 // greedySeededRuns is a frame of size bytes whose table is seeded runs to the
 // end of the input, each claiming the largest n the clamp allows (the first
 // leaves the others nothing; they claim one nonce): 40 bytes of input per
-// run, 40·n bytes of nonces and slice headers once expanded.
+// run, 40·n bytes of nonces and slice headers if the decoder expanded them.
 func greedySeededRuns(size int) []byte {
 	var w writer
 	w.u8(VersionStream)
@@ -327,18 +393,18 @@ func hostileFrames() map[string][]byte {
 	}
 	out := func(runs ...[][]byte) (table []frameRun) {
 		for _, zs := range runs {
-			table = append(table, frameRun{zs: zs})
+			table = append(table, frameRun{zs: zs, n: len(zs)})
 		}
 		return table
 	}
 	// The same frames over seeded runs: seeded opens version ‖ type ‖ count(4)
 	// ‖ n(4) ‖ seededRun(4) ‖ seed(32).
 	s1, s2 := testSeed(1), testSeed(2)
-	run1, run2 := frameRun{seed: s1, zs: core.ExpandNonces(s1, 9)}, frameRun{seed: s2, zs: core.ExpandNonces(s2, 6)}
+	run1, run2 := frameRun{seed: s1, n: 9}, frameRun{seed: s2, n: 6}
 	twoSeeded := snapshotOf(groupedOf("g", hdrSeeded(s1, 5), hdrSeeded(s1, 9)))
 	mixedSeeded := snapshotOf(groupedOf("g", hdrSeeded(s1, 9), hdrSeeded(s2, 6)))
 	seeded := MarshalSnapshotFrame(twoSeeded)
-	cut := hostileFrame([]frameRun{{seed: s1[:core.SeedSize-1], zs: run1.zs}}, []uint32{0, 0}, twoSeeded)
+	cut := hostileFrame([]frameRun{{seed: s1[:core.SeedSize-1], n: 9}}, []uint32{0, 0}, twoSeeded)
 	return map[string][]byte{
 		"reference past the table":            hostileFrame(out(a), []uint32{0, 1}, two),
 		"reference into an empty table":       hostileFrame(nil, []uint32{0, 0}, two),
@@ -357,17 +423,18 @@ func hostileFrames() map[string][]byte {
 		"runs of empty nonces":                emptyNonceRuns(1<<16, 2000, 5000),
 		"version 4":                           patch(good, 0, 4),
 
-		"seed truncated":                         cut,
-		"seed cut off by the end of the frame":   MarshalSnapshotFrame(snapshotOf(pubsub.ConfigInfo{Key: "h", Header: hdrSeeded(s1, 1)}))[:2+4+4+4+core.SeedSize-1],
-		"seeded run of no nonces":                patch(seeded, 2+4, 0, 0, 0, 0),
-		"seeded run past the clamp":              patch(seeded, 2+4, 0, 0, byte(len(seeded)>>8), byte(len(seeded))),
-		"seeded run longer than any header":      patch(seeded, 2+4, 0, 0, 0, 10),
-		"header longer than its seeded run":      patch(seeded, 2+4, 0, 0, 0, 8),
-		"two entries with one seed":              hostileFrame([]frameRun{run1, run1}, []uint32{0, 1}, twoSeeded),
-		"unused seeded run":                      hostileFrame([]frameRun{run1, run2}, []uint32{0, 0}, twoSeeded),
-		"seeded runs out of first-use order":     hostileFrame([]frameRun{run2, run1}, []uint32{1, 0}, mixedSeeded),
-		"a seeded run written out beside itself": hostileFrame([]frameRun{run1, {zs: run1.zs}}, []uint32{0, 1}, twoSeeded),
-		"seeded runs to the end of the input":    greedySeededRuns(1 << 12),
+		"seed truncated":                                         cut,
+		"seed cut off by the end of the frame":                   MarshalSnapshotFrame(snapshotOf(pubsub.ConfigInfo{Key: "h", Header: hdrSeeded(s1, 1)}))[:2+4+4+4+core.SeedSize-1],
+		"seeded run of no nonces":                                patch(seeded, 2+4, 0, 0, 0, 0),
+		"seeded run past the clamp":                              patch(seeded, 2+4, 0, 0, byte(len(seeded)>>8), byte(len(seeded))),
+		"seeded run longer than any header":                      patch(seeded, 2+4, 0, 0, 0, 10),
+		"header longer than its seeded run":                      patch(seeded, 2+4, 0, 0, 0, 8),
+		"two entries with one seed":                              hostileFrame([]frameRun{run1, run1}, []uint32{0, 1}, twoSeeded),
+		"unused seeded run":                                      hostileFrame([]frameRun{run1, run2}, []uint32{0, 0}, twoSeeded),
+		"seeded runs out of first-use order":                     hostileFrame([]frameRun{run2, run1}, []uint32{1, 0}, mixedSeeded),
+		"a seeded run written out beside itself":                 hostileFrame(append([]frameRun{run1}, out(core.ExpandNonces(s1, 9))...), []uint32{0, 1}, twoSeeded),
+		"seeded run longer than every header that references it": hostileFrame([]frameRun{run1, {seed: s2, n: 9}}, []uint32{0, 1}, mixedSeeded),
+		"seeded runs to the end of the input":                    greedySeededRuns(1 << 12),
 	}
 }
 
@@ -388,37 +455,42 @@ func TestFrameRunTableHardening(t *testing.T) {
 			t.Errorf("%s: %v, want %v", name, err, want)
 		}
 	}
-	// A run draws its bytes and its slice headers from the message budget —
-	// a seeded run what it expands to, before it is expanded — and every
-	// header 8·|X|, whatever its run.
+	// A run written out draws its bytes and its slice headers from the message
+	// budget; a seeded run draws nothing, because it allocates nothing but its
+	// seed; and every header draws 8·|X|, whatever its run.
 	a, seed := testRun(1, 9, core.NonceSize), testSeed(1)
-	for name, g := range map[string]pubsub.ConfigInfo{
-		"seeded":      groupedOf("g", hdrSeeded(seed, 5), hdrSeeded(seed, 9)),
-		"written out": groupedOf("g", hdrOn(a, 5), hdrOn(a, 9)),
+	for name, tc := range map[string]struct {
+		g       pubsub.ConfigInfo
+		charged int
+	}{
+		"seeded":      {groupedOf("g", hdrSeeded(seed, 5), hdrSeeded(seed, 9)), 8*6 + 8*10},
+		"written out": {groupedOf("g", hdrOn(a, 5), hdrOn(a, 9)), 9*(core.NonceSize+24) + 8*6 + 8*10},
 	} {
-		r := newReader(MarshalSnapshotFrame(snapshotOf(g))[2:])
+		r := newReader(MarshalSnapshotFrame(snapshotOf(tc.g))[2:])
 		if err := readRunTable(r); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := readSnapshot(r); err != nil {
 			t.Fatal(err)
 		}
-		charged := 9*(core.NonceSize+24) + 8*6 + 8*10
-		if err := r.takeHeaderBudget(maxHeaderBudget - charged); err != nil {
-			t.Fatalf("%s frame charged more than %d bytes: %v", name, charged, err)
+		if err := r.takeHeaderBudget(maxHeaderBudget - tc.charged); err != nil {
+			t.Fatalf("%s frame charged more than %d bytes: %v", name, tc.charged, err)
 		}
 		if err := r.takeHeaderBudget(1); err == nil {
-			t.Fatalf("%s frame charged less than %d bytes", name, charged)
+			t.Fatalf("%s frame charged less than %d bytes", name, tc.charged)
 		}
 	}
-	// The charge comes first: a seeded run the budget cannot cover is refused
-	// unexpanded.
+	// With the budget spent, a seeded run table still decodes — to seeds — and
+	// the first header is what fails.
 	r := newReader(MarshalSnapshotFrame(snapshotOf(groupedOf("g", hdrSeeded(seed, 9))))[2:])
-	if err := r.takeHeaderBudget(maxHeaderBudget - 9*(core.NonceSize+24) + 1); err != nil {
+	if err := r.takeHeaderBudget(maxHeaderBudget); err != nil {
 		t.Fatal(err)
 	}
-	if err := readRunTable(r); !errors.Is(err, ErrOversize) || len(r.runs) != 0 {
-		t.Fatalf("seeded run past the budget: %v, %d runs expanded", err, len(r.runs))
+	if err := readRunTable(r); err != nil || len(r.runs) != 1 || r.runs[0].zs != nil || r.runs[0].n != 9 || !bytes.Equal(r.runs[0].seed, seed) {
+		t.Fatalf("seeded run table with no budget left: %v, runs %+v", err, r.runs)
+	}
+	if _, err := readSnapshot(r); !errors.Is(err, ErrOversize) {
+		t.Fatalf("header past the budget: %v, want ErrOversize", err)
 	}
 }
 
@@ -441,11 +513,11 @@ func TestRunTableAllocatesWithinItsInput(t *testing.T) {
 	}
 }
 
-// TestSeededRunTableAllocatesWithinItsInput is the same bound for the form
-// that amplifies by design: a seeded run costs 40 bytes of input and expands
-// to 40 bytes per nonce. The clamp holds the nonces of all runs together to an
-// eighth of the input's bytes, so a frame of nothing but seeded runs, each
-// claiming the most the clamp allows, expands to five times its size.
+// TestSeededRunTableAllocatesWithinItsInput: a seeded run costs 40 bytes of
+// input and the decoder its 32-byte seed and a table entry, whatever n it
+// claims — nothing is expanded at decode — so a frame of nothing but seeded
+// runs, each claiming the most the clamp allows, costs a fraction of its size
+// before it is refused for the headers it does not bring.
 func TestSeededRunTableAllocatesWithinItsInput(t *testing.T) {
 	raw := greedySeededRuns(1 << 20)
 	var before, after runtime.MemStats
@@ -455,8 +527,8 @@ func TestSeededRunTableAllocatesWithinItsInput(t *testing.T) {
 	if err == nil {
 		t.Fatal("frame of seeded runs and no headers accepted")
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got < uint64(len(raw)) || got > 8*uint64(len(raw)) {
-		t.Fatalf("decoder allocated %d bytes on a hostile frame of %d, want between 1× (the runs are expanded) and 8×", got, len(raw))
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(raw))/4 {
+		t.Fatalf("decoder allocated %d bytes on a hostile frame of %d, want under a quarter of it", got, len(raw))
 	}
 }
 
@@ -464,22 +536,114 @@ func TestSeededRunTableAllocatesWithinItsInput(t *testing.T) {
 // 128 spread over a few dozen rekey sessions, the oldest session still
 // holding most of them.
 func mixedSessionSnapshot(shards int) *pubsub.Broadcast {
-	const n = 128
-	var runs [][][]byte
-	for s := 0; s < 40; s++ {
-		runs = append(runs, core.ExpandNonces(testSeed(byte(s)), n))
+	const n, sessions = 128, 40
+	var seeds [sessions][]byte
+	for s := range seeds {
+		seeds[s] = testSeed(byte(s))
 	}
 	var hdrs []*core.Header
 	for i := 0; i < shards; i++ {
 		s := 0
 		if i%3 == 0 {
-			s = (i / 3) % len(runs)
+			s = (i / 3) % sessions
 		}
-		h := hdrOn(runs[s], n-i%5)
-		h.Seed = testSeed(byte(s))
-		hdrs = append(hdrs, h)
+		hdrs = append(hdrs, hdrSeeded(seeds[s], n-i%5))
 	}
 	return snapshotOf(groupedOf("g0", hdrs[:shards/2]...), groupedOf("g1", hdrs[shards/2:]...))
+}
+
+// TestDecodedSnapshotWeighsItsX: a decoded frame holds X and seeds. The
+// snapshot of the churn-stream table late in a run — 294 shards of 128 rows
+// under two policies, every shard re-solved in a session of its own — decoded
+// and held grows the heap by its X entries and a fixed cost per shard (the
+// header, its seed, the shard and revision entries: under 300 bytes), where
+// 294 expanded runs would be another 5 kB each; decoding it, as a snapshot or
+// as a delta, expands no seed.
+func TestDecodedSnapshotWeighsItsX(t *testing.T) {
+	const shards, n = 294, 128
+	var hdrs []*core.Header
+	for i := 0; i < shards; i++ {
+		seed := testSeed(byte(i))
+		seed[2] = byte(i >> 8)
+		hdrs = append(hdrs, hdrSeeded(seed, n))
+	}
+	snap := snapshotOf(groupedOf("g0", hdrs[:shards/2]...), groupedOf("g1", hdrs[shards/2:]...))
+	raw, rawDelta := MarshalSnapshotFrame(snap), MarshalDeltaFrame(deltaOf(snap))
+	expanded := core.NonceExpansions()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // twice: the pooled frame encoder outlives one collection
+	runtime.ReadMemStats(&before)
+	f, err := UnmarshalFrame(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(raw)
+	x := 8 * (n + 1) * shards
+	grown, limit := int(after.HeapAlloc)-int(before.HeapAlloc), x*5/4+300*shards
+	t.Logf("decoded snapshot of %d shards: heap +%d bytes for %d of X", shards, grown, x)
+	if grown > limit {
+		t.Errorf("a decoded snapshot of %d shards holds %d bytes; its X is %d, want ≤ 1.25 × X + 300 per shard = %d", shards, grown, x, limit)
+	}
+	d, err := UnmarshalFrame(rawDelta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := coretest.ListedNonces(f) + coretest.ListedNonces(d); n != 0 || core.NonceExpansions() != expanded {
+		t.Errorf("decoding holds %d nonces and expanded %d seeds", n, core.NonceExpansions()-expanded)
+	}
+	if !reflect.DeepEqual(f.Snapshot, snap) {
+		t.Error("decoded snapshot differs from its input")
+	}
+}
+
+// TestMarshalAllocatesItsFrame gates what BenchmarkSnapshotFrame/marshal
+// reports: a frame is written into a pooled encoder, so once that has grown a
+// marshal allocates the exact-size result and a constant — not the 4.5 frames
+// a buffer that doubles and is then copied out of cost.
+func TestMarshalAllocatesItsFrame(t *testing.T) {
+	if coretest.RaceEnabled {
+		t.Skip("sync.Pool drops a share of what it is given under -race")
+	}
+	snap, delta := mixedSessionSnapshot(294), deltaOf(mixedSessionSnapshot(14))
+	for name, marshal := range map[string]func() []byte{
+		"snapshot": func() []byte { return MarshalSnapshotFrame(snap) },
+		"delta":    func() []byte { return MarshalDeltaFrame(delta) },
+	} {
+		var raw []byte
+		got := coretest.MedianAllocated(9, func() { raw = marshal() })
+		if limit := uint64(len(raw))*11/10 + 1024; got > limit {
+			t.Errorf("marshalling a %s frame of %d bytes allocates %d, want ≤ 1.1 × frame + 1 kB", name, len(raw), got)
+		}
+	}
+}
+
+// TestConcurrentMarshalsShareEncoders: origin, relays and fetches marshal at
+// once, each into an encoder taken from one pool; every frame must still be
+// its own bytes (run under -race).
+func TestConcurrentMarshalsShareEncoders(t *testing.T) {
+	snaps := []*pubsub.Broadcast{everyRunForm(), mixedSessionSnapshot(7), mixedSessionSnapshot(40), fuzzSnapshot()}
+	var want [][2][]byte
+	for _, b := range snaps {
+		want = append(want, [2][]byte{MarshalSnapshotFrame(b), MarshalDeltaFrame(deltaOf(b))})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				k := (g + i) % len(snaps)
+				if !bytes.Equal(MarshalSnapshotFrame(snaps[k]), want[k][0]) || !bytes.Equal(MarshalDeltaFrame(deltaOf(snaps[k])), want[k][1]) {
+					t.Errorf("goroutine %d, marshal %d: frame %d differs from the one marshalled alone", g, i, k)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // BenchmarkSnapshotFrame marshals and decodes a 294-shard snapshot of mixed

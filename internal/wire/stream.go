@@ -6,7 +6,7 @@
 //
 // A header's nonces are not written with the header. §VIII-D shares one
 // nonce sequence across a rekey session, so the k same-session shards of a
-// frame hold prefixes of one run; a data frame therefore opens with a table
+// frame use prefixes of one run; a data frame therefore opens with a table
 // of its distinct nonce runs and every header body is its X plus an index
 // into that table. A run the engine drew is the expansion of a seed
 // (core.ExpandNonces), and its table entry is that seed:
@@ -15,11 +15,19 @@
 //	runs    = count ‖ per run: n ‖ seededRun ‖ seed             (40 bytes)
 //	header  = |X| ‖ X… ‖ run index                              (N = |X| − 1; no index when N = 0)
 //
+// Nothing here expands a seed. A seeded header rests as X and the seed
+// (core.Header), the table is collected from seeds and lengths, and a
+// decoded header is its X plus the one copy of the seed its run's entry
+// decoded to: a relay, which decodes, diffs and re-marshals and never
+// hashes, never pays the AES, and a subscriber pays it in core.KEV, on a
+// KEV-cache miss.
+//
 // A header without a seed — the v1/v2 codecs decode such headers, nothing
 // builds one — has its run written out: n ‖ nonceLen ‖ n·nonceLen bytes, or,
 // when its nonces differ in length, the marker mixedLen for nonceLen, then
-// the n lengths, then the nonces. Nothing chooses between the forms; the
-// header's own data does.
+// the n lengths, then the nonces; it decodes to the listed form, the headers
+// of the run listing prefixes of one buffer. Nothing chooses between the
+// forms; the header's own data does.
 //
 // A frame has one encoding: runs appear in the order the headers first use
 // them, each exactly as long as its longest header, none a duplicate of
@@ -29,15 +37,16 @@
 //
 // Decoding applies the same hardening discipline as v2: every count, length
 // and reference is clamped before use — a run's length by the X entries its
-// longest header still has to bring — what a run allocates (its bytes, 24 per
-// nonce of slice header; charged before a seed is expanded) and 8·|X| per
-// header are charged against the per-message 64 MiB budget, and field
-// elements must arrive reduced.
+// longest header still has to bring. A seeded run allocates its 32 bytes
+// whatever length it claims; what a run written out allocates (its bytes, 24
+// per nonce of slice header) and 8·|X| per header are charged against the
+// per-message 64 MiB budget, and field elements must arrive reduced.
 package wire
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"ppcd/internal/core"
 	"ppcd/internal/ff64"
@@ -93,10 +102,12 @@ const mixedLen = ^uint32(0)
 // core.SeedSize bytes follow, and the nonces are their expansion.
 const seededRun = mixedLen - 1
 
-// frameRun is one run of a frame's table.
+// frameRun is one run of a frame's table: the seed that names it, or — for a
+// run written out — its nonces, and how many of them its longest header uses.
 type frameRun struct {
-	seed []byte   // the seed naming the run; nil for a run written out
-	zs   [][]byte // the longest Zs seen of the run
+	seed []byte   // nil for a run written out
+	zs   [][]byte // a run written out: the longest Zs seen of it
+	n    int
 }
 
 // runTable collects the distinct nonce runs of one frame's headers, in the
@@ -107,30 +118,45 @@ type runTable struct {
 	runs  []frameRun
 	index map[runKey]int // the newest run of that name
 	refs  []uint32       // the run of every header with nonces, in frame order
+	next  int            // the reference writeFrameHeader writes next
 }
 
 // runKey names a run in the table's index: a seeded run by its seed, a run
 // written out by its first nonce (which its content then has to confirm).
 type runKey struct {
 	seeded bool
-	name   string
+	seed   [core.SeedSize]byte
+	first  string
 }
 
-// add returns the run of h (N > 0): the run it is a prefix of, the run it
-// extends, or a new one. A seeded header belongs to the run of its seed.
-// Headers without one that hold windows of one [][]byte match without a look
-// at the nonces; those decoded or cloned apart match by content.
-func (t *runTable) add(h *core.Header) int {
-	seed, name := []byte(nil), h.Zs[0]
+// runLen returns how many nonces of its run h uses: N off the front of its
+// seed's expansion, or the nonces it lists when it has no seed.
+func runLen(h *core.Header) int {
 	if h.Seeded() {
-		seed, name = h.Seed, h.Seed
+		return h.N()
 	}
-	if i, ok := t.index[runKey{seed != nil, string(name)}]; ok {
+	return len(h.Zs)
+}
+
+// add returns the run of h (runLen > 0): the run it is a prefix of, the run
+// it extends, or a new one. A seeded header belongs to the run of its seed,
+// whatever its length, and no nonce is looked at. Headers without a seed that
+// list windows of one [][]byte match without a look at the nonces either;
+// those decoded or cloned apart match by content.
+func (t *runTable) add(h *core.Header) int {
+	key, n := runKey{seeded: h.Seeded()}, runLen(h)
+	var zs [][]byte
+	if key.seeded {
+		copy(key.seed[:], h.Seed)
+	} else {
+		zs = h.Zs
+		key.first = string(zs[0])
+	}
+	if i, ok := t.index[key]; ok {
 		run := &t.runs[i]
-		m := min(len(h.Zs), len(run.zs))
-		if seed != nil || core.SameNonces(h.Zs[:m], run.zs[:m]) {
-			if len(h.Zs) > len(run.zs) {
-				run.zs = h.Zs
+		if m := min(n, run.n); key.seeded || core.SameNonces(zs[:m], run.zs[:m]) {
+			if n > run.n {
+				run.n, run.zs = n, zs
 			}
 			return i
 		}
@@ -138,8 +164,12 @@ func (t *runTable) add(h *core.Header) int {
 	if t.index == nil {
 		t.index = make(map[runKey]int)
 	}
-	t.runs = append(t.runs, frameRun{seed: seed, zs: h.Zs})
-	t.index[runKey{seed != nil, string(name)}] = len(t.runs) - 1
+	run := frameRun{zs: zs, n: n}
+	if key.seeded {
+		run.seed = h.Seed
+	}
+	t.runs = append(t.runs, run)
+	t.index[key] = len(t.runs) - 1
 	return len(t.runs) - 1
 }
 
@@ -156,7 +186,7 @@ func nonceLen(run [][]byte) uint32 {
 func (t *runTable) write(w *writer) {
 	w.u32(uint32(len(t.runs)))
 	for _, run := range t.runs {
-		w.u32(uint32(len(run.zs)))
+		w.u32(uint32(run.n))
 		if run.seed != nil {
 			w.u32(seededRun)
 			w.w.Raw(run.seed)
@@ -175,10 +205,9 @@ func (t *runTable) write(w *writer) {
 	}
 }
 
-// readRunTable decodes the frame's runs, each into one flat buffer of
-// capacity-capped windows — what the publisher's session drew. Headers take
-// prefixes of these, so a frame's same-session shards share one run in
-// memory as they do on the wire.
+// readRunTable decodes the frame's runs: a seeded run to its seed and its
+// length, a run written out into one flat buffer of capacity-capped windows,
+// of which its headers list prefixes.
 func readRunTable(r *reader) error {
 	nr, err := r.count(maxFrameRuns)
 	if err != nil {
@@ -207,30 +236,29 @@ func readRunTable(r *reader) error {
 	return nil
 }
 
-// readRun decodes one run of n nonces and charges what it allocates — the
-// nonce bytes and n slice headers — against the message budget; a seeded run
-// is charged in full before its seed is expanded.
-func readRun(r *reader, n int) (run frameRun, err error) {
-	if err := r.takeHeaderBudget(24 * n); err != nil {
-		return run, err
-	}
+// readRun decodes one run of n nonces. A seeded run is its 32 bytes whatever
+// n it claims — nothing is expanded here. A run written out is charged what
+// it allocates, the nonce bytes and n slice headers, against the message
+// budget.
+func readRun(r *reader, n int) (frameRun, error) {
+	run := frameRun{n: n}
 	size, err := r.u32()
 	if err != nil {
 		return run, err
 	}
-	lens, total := []int(nil), 0
-	switch {
-	case size == seededRun:
-		if err := r.takeHeaderBudget(core.NonceSize * n); err != nil {
-			return run, err
-		}
+	if size == seededRun {
 		raw, err := r.r.Take(core.SeedSize)
 		if err != nil {
 			return run, wireErr(err)
 		}
 		run.seed = append([]byte(nil), raw...)
-		run.zs = core.ExpandNonces(run.seed, n)
 		return run, nil
+	}
+	if err := r.takeHeaderBudget(24 * n); err != nil {
+		return run, err
+	}
+	lens, total := []int(nil), 0
+	switch {
 	case size == mixedLen:
 		if err := r.takeHeaderBudget(8 * n); err != nil {
 			return run, err
@@ -279,8 +307,8 @@ func checkRunTable(r *reader) error {
 		return fmt.Errorf("wire: %d nonce runs for the %d the headers use", len(r.runs), len(r.check.runs))
 	}
 	for i, run := range r.runs {
-		if len(r.check.runs[i].zs) != len(run.zs) {
-			return fmt.Errorf("wire: nonce run %d has %d nonces, its longest header %d", i, len(run.zs), len(r.check.runs[i].zs))
+		if r.check.runs[i].n != run.n {
+			return fmt.Errorf("wire: nonce run %d has %d nonces, its longest header %d", i, run.n, r.check.runs[i].n)
 		}
 	}
 	return nil
@@ -303,14 +331,15 @@ func readTabled[T any](r *reader, body func(*reader) (*T, error)) (*T, error) {
 // nonce run, which marshalFrame assigned in the same frame order.
 func writeFrameHeader(w *writer, h *core.Header) {
 	w.vec(h.X)
-	if len(h.Zs) > 0 {
-		w.u32(w.runs.refs[0])
-		w.runs.refs = w.runs.refs[1:]
+	if runLen(h) > 0 {
+		w.u32(w.runs.refs[w.runs.next])
+		w.runs.next++
 	}
 }
 
-// readFrameHeader decodes a header inside a frame: N = |X| − 1 nonces off the
-// front of the referenced run. 8·|X| is charged against the message budget.
+// readFrameHeader decodes a header inside a frame: X, and for its N = |X| − 1
+// nonces the seed of the referenced run, or the run's first N when it was
+// written out. 8·|X| is charged against the message budget.
 func readFrameHeader(r *reader) (*core.Header, error) {
 	x, err := readX(r)
 	if err != nil {
@@ -322,7 +351,7 @@ func readFrameHeader(r *reader) (*core.Header, error) {
 	if err := r.takeHeaderBudget(8 * len(x)); err != nil {
 		return nil, err
 	}
-	h := &core.Header{X: x, Zs: [][]byte{}}
+	h := &core.Header{X: x}
 	n := len(x) - 1
 	if n == 0 {
 		return h, nil
@@ -331,15 +360,33 @@ func readFrameHeader(r *reader) (*core.Header, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > len(r.runs[i].zs) {
-		return nil, fmt.Errorf("wire: header of N=%d references a run of %d nonces", n, len(r.runs[i].zs))
+	run := &r.runs[i]
+	if n > run.n {
+		return nil, fmt.Errorf("wire: header of N=%d references a run of %d nonces", n, run.n)
 	}
-	h.Zs, h.Seed = r.runs[i].zs[:n:n], r.runs[i].seed
+	if h.Seed = run.seed; run.seed == nil {
+		h.Zs = run.zs[:n:n]
+	}
 	if r.check.add(h) != i {
 		return nil, fmt.Errorf("wire: header references nonce run %d out of canonical order", i)
 	}
 	return h, nil
 }
+
+// frameEncoder is what a data frame is marshalled in: the writer with its
+// buffer and the run table. Both grow by doubling and would be garbage after
+// every frame — at the origin and again at every relay — so they are pooled,
+// and a marshal allocates the frame it returns and the list of its headers.
+type frameEncoder struct {
+	w    writer
+	runs runTable
+}
+
+var frameEncoders = sync.Pool{New: func() any { return new(frameEncoder) }}
+
+// maxPooledFrame is the largest buffer an encoder takes back to the pool: a
+// million-row snapshot's tens of megabytes are not kept for the next delta.
+const maxPooledFrame = 1 << 20
 
 // marshalFrame encodes a data frame: one walk over its headers, in the order
 // body encodes them, collects the run table and every header's reference;
@@ -347,19 +394,26 @@ func readFrameHeader(r *reader) (*core.Header, error) {
 // of exactly its size — the retention rings keep these frames, and the
 // writer's buffer, grown by doubling, would pin up to twice the frame.
 func marshalFrame(t FrameType, headers []*core.Header, body func(*writer)) []byte {
-	var runs runTable
+	e := frameEncoders.Get().(*frameEncoder)
+	e.w.runs = &e.runs
 	for _, h := range headers {
-		if len(h.Zs) > 0 {
-			runs.refs = append(runs.refs, uint32(runs.add(h)))
+		if runLen(h) > 0 {
+			e.runs.refs = append(e.runs.refs, uint32(e.runs.add(h)))
 		}
 	}
-	w := writer{runs: &runs}
-	w.u8(VersionStream)
-	w.u8(byte(t))
-	runs.write(&w)
-	body(&w)
-	out := make([]byte, w.w.Len())
-	copy(out, w.out())
+	e.w.u8(VersionStream)
+	e.w.u8(byte(t))
+	e.runs.write(&e.w)
+	body(&e.w)
+	out := make([]byte, e.w.w.Len())
+	copy(out, e.w.out())
+	if e.w.w.Cap() <= maxPooledFrame {
+		e.w.w.Reset()
+		clear(e.runs.runs) // the seeds and nonces belong to the headers
+		clear(e.runs.index)
+		e.runs = runTable{runs: e.runs.runs[:0], index: e.runs.index, refs: e.runs.refs[:0]}
+		frameEncoders.Put(e)
+	}
 	return out
 }
 

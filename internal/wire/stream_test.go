@@ -302,7 +302,7 @@ func TestFrameByteBudget(t *testing.T) {
 	}
 	bare := *d
 	bare.Configs = []pubsub.ConfigPatch{d.Configs[0]}
-	bare.Configs[0].Header = &core.Header{X: hdr.X, Zs: hdr.Zs}
+	bare.Configs[0].Header = &core.Header{X: hdr.X, Zs: hdr.Nonces()}
 	if got := len(MarshalDeltaFrame(&bare)); got != want+8160 {
 		t.Errorf("the same delta with its run written out is %d B, want %d + 8160", got, want)
 	}

@@ -167,10 +167,13 @@ func MarshalHeader(h *core.Header) []byte {
 	return w.out()
 }
 
+// writeHeaderBody encodes a header in the v1/v2 form, which lists the
+// nonces: those of a header that rests as a seed are expanded for it.
 func writeHeaderBody(w *writer, h *core.Header) {
 	w.vec(h.X)
-	w.u32(uint32(len(h.Zs)))
-	for _, z := range h.Zs {
+	zs := h.Nonces()
+	w.u32(uint32(len(zs)))
+	for _, z := range zs {
 		w.bytes(z)
 	}
 }
@@ -354,7 +357,8 @@ func readGroupedBody(r *reader, hdr func(*reader) (*core.Header, error)) (*core.
 	return g, nil
 }
 
-// checkNonceSize holds a grouped sub-header to NonceSize nonces.
+// checkNonceSize holds a grouped sub-header to NonceSize nonces; those a seed
+// names have that length by construction.
 func checkNonceSize(h *core.Header) error {
 	for _, z := range h.Zs {
 		if len(z) != core.NonceSize {
