@@ -315,6 +315,10 @@ func dispatch(pub *ppcd.Publisher, srv *ppcd.Server, fields []string) error {
 			pub.SubscriberCount(), len(pub.Conditions()), len(pub.Policies()))
 		log.Printf("rekey engine: %d publishes, %d ACV rebuilds, %d cache hits, %d solves",
 			s.Rekeys, s.Rebuilds, s.CacheHits, s.Solves)
+		_, tableBytes := pub.TableMemory()
+		policyRows, groupBytes := pub.GroupMemory()
+		log.Printf("memory: table T %d bytes, group state %d bytes for %d policy rows",
+			tableBytes, groupBytes, policyRows)
 		built, held := srv.Snapshots()
 		log.Printf("retention ring: %d epochs, %d snapshot frames built, %d snapshot bytes held",
 			srv.RingLen(), built, held)

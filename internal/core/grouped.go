@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -35,12 +36,20 @@ import (
 // ShardSpec describes one row shard of a grouped configuration. ID is stable
 // across sessions and configurations (shards are shared between
 // configurations that contain the same policy, exactly like RowGroups in the
-// ungrouped path); Sig changes iff the shard's row content changes.
+// ungrouped path); Sig changes iff the shard's row content changes. Rows are
+// the N rows Sig digests; a caller that has seen HasShard(ID, Sig) may leave
+// them out, and a shard that must be solved after all fails the session with
+// ErrShardRows.
 type ShardSpec struct {
 	ID   string
 	Sig  string
+	N    int
 	Rows [][]CSS
 }
+
+// ErrShardRows reports a shard the engine holds no solve for and got no (or
+// not N) rows for: its cache moved; the caller rebuilds its specs and retries.
+var ErrShardRows = errors.New("core: shard must be solved but its rows were not supplied")
 
 // GroupedConfigSpec describes one policy configuration to rekey in grouped
 // mode. The shard order is the caller's (deterministic) order; it defines
@@ -75,6 +84,15 @@ func groupedSig(s GroupedConfigSpec) string {
 	return b.String()
 }
 
+// HasShard reports whether the shard cache holds a solve of shard id for the
+// rows sig digests, i.e. whether a ShardSpec for it needs no rows.
+func (e *Engine) HasShard(id, sig string) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ent, ok := e.shardCache[id]
+	return ok && ent.sig == sig
+}
+
 // RekeyAllGrouped is the grouped counterpart of RekeyAll: it produces a
 // grouped header and key for every configuration, re-solving only shards
 // whose row content changed and reassembling only configurations touched by
@@ -85,37 +103,46 @@ func (e *Engine) RekeyAllGrouped(specs []GroupedConfigSpec) (map[string]GroupedC
 	out := make(map[string]GroupedConfigKeys, len(specs))
 
 	var dirty []GroupedConfigSpec
+	var dirtySigs []string
 	var solveList []ShardSpec
-	queued := make(map[string]bool)
+	// held is every shard of a dirty configuration with the solve its wraps are
+	// made under: the cached one as matched here (a Reset in mid-session cannot
+	// pull it away) or the fresh one.
+	held := make(map[string]shardEntry)
 	maxN := 0
 
 	e.mu.Lock()
 	for _, s := range specs {
-		if ent, ok := e.groupedCache[s.ID]; ok && ent.sig == groupedSig(s) {
+		sig := groupedSig(s)
+		if ent, ok := e.groupedCache[s.ID]; ok && ent.sig == sig {
 			out[s.ID] = GroupedConfigKeys{Hdr: ent.hdr, Key: ent.key}
 			continue
 		}
 		total := 0
 		for _, sh := range s.Shards {
-			total += len(sh.Rows)
+			total += sh.N
 		}
 		if total == 0 {
 			e.mu.Unlock()
 			return nil, fmt.Errorf("core: configuration %q has no rows: %w", s.ID, ErrNoRows)
 		}
-		dirty = append(dirty, s)
+		dirty, dirtySigs = append(dirty, s), append(dirtySigs, sig)
 		for _, sh := range s.Shards {
-			if queued[sh.ID] {
+			if _, seen := held[sh.ID]; seen {
 				continue
 			}
-			queued[sh.ID] = true
-			if ent, ok := e.shardCache[sh.ID]; ok && ent.sig == sh.Sig {
-				continue // clean shard: sub-header and group key reused
+			ent, ok := e.shardCache[sh.ID]
+			if ok && ent.sig == sh.Sig {
+				held[sh.ID] = ent // clean shard: sub-header and group key reused
+				continue
+			}
+			held[sh.ID] = shardEntry{}
+			if len(sh.Rows) != sh.N {
+				e.mu.Unlock()
+				return nil, fmt.Errorf("core: shard %q (%d rows supplied of %d): %w", sh.ID, len(sh.Rows), sh.N, ErrShardRows)
 			}
 			solveList = append(solveList, sh)
-			if len(sh.Rows) > maxN {
-				maxN = len(sh.Rows)
-			}
+			maxN = max(maxN, sh.N)
 		}
 	}
 	e.mu.Unlock()
@@ -133,34 +160,28 @@ func (e *Engine) RekeyAllGrouped(specs []GroupedConfigSpec) (map[string]GroupedC
 		return nil, err
 	}
 
-	type solvedShard struct {
-		id  string
-		sig string
-		hdr *Header
-		key ff64.Elem
-		err error
-	}
-	results := make([]solvedShard, len(solveList))
+	solved := make([]shardEntry, len(solveList))
+	errs := make([]error, len(solveList))
 	var wg sync.WaitGroup
 	wg.Add(len(solveList))
 	for i, sh := range solveList {
 		e.sched.submit(func(sc *solveScratch) {
 			defer wg.Done()
 			hdr, key, err := e.solveShard(sh, run, sc)
-			results[i] = solvedShard{id: sh.ID, sig: sh.Sig, hdr: hdr, key: key, err: err}
+			solved[i], errs[i] = shardEntry{sig: sh.Sig, hdr: hdr, key: key}, err
 		})
 	}
 	wg.Wait()
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, r := range results {
-		if r.err != nil {
-			return nil, fmt.Errorf("core: rekeying shard %q: %w", r.id, r.err)
+	for i, sh := range solveList {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("core: rekeying shard %q: %w", sh.ID, errs[i])
 		}
-		e.shardCache[r.id] = shardEntry{sig: r.sig, hdr: r.hdr, key: r.key}
+		held[sh.ID], e.shardCache[sh.ID] = solved[i], solved[i]
 	}
-	for _, s := range dirty {
+	for d, s := range dirty {
 		key, err := ff64.RandNonZero()
 		if err != nil {
 			return nil, err
@@ -171,13 +192,10 @@ func (e *Engine) RekeyAllGrouped(specs []GroupedConfigSpec) (map[string]GroupedC
 		}
 		hdr := &GroupedHeader{RekeyNonce: nonce, Shards: make([]GroupShard, len(s.Shards))}
 		for i, sh := range s.Shards {
-			ent, ok := e.shardCache[sh.ID]
-			if !ok {
-				return nil, fmt.Errorf("core: configuration %q references unsolved shard %q", s.ID, sh.ID)
-			}
+			ent := held[sh.ID]
 			hdr.Shards[i] = GroupShard{Hdr: ent.hdr, Wrap: hdr.WrapKey(key, ent.key)}
 		}
-		e.groupedCache[s.ID] = groupedEntry{sig: groupedSig(s), hdr: hdr, key: key}
+		e.groupedCache[s.ID] = groupedEntry{sig: dirtySigs[d], hdr: hdr, key: key}
 		out[s.ID] = GroupedConfigKeys{Hdr: hdr, Key: key, Rebuilt: true}
 		e.stats.rebuilds.Add(1)
 	}

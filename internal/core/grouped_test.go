@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"ppcd/internal/ff64"
@@ -19,6 +20,11 @@ func deriveGrouped(t *testing.T, row []CSS, ck GroupedConfigKeys) {
 	}
 }
 
+// shardOf is the spec of a shard handed over with its rows.
+func shardOf(id, sig string, rows [][]CSS) ShardSpec {
+	return ShardSpec{ID: id, Sig: sig, N: len(rows), Rows: rows}
+}
+
 func groupedSpecs(shA1, shA2, shB ShardSpec) []GroupedConfigSpec {
 	return []GroupedConfigSpec{
 		{ID: "A", Shards: []ShardSpec{shA1, shA2}},
@@ -28,9 +34,9 @@ func groupedSpecs(shA1, shA2, shB ShardSpec) []GroupedConfigSpec {
 
 func TestEngineGroupedRekeyAndDerive(t *testing.T) {
 	e := NewEngine(2)
-	shA1 := ShardSpec{ID: "acpA/0", Sig: "s1", Rows: engRows(0, 3, 2)}
-	shA2 := ShardSpec{ID: "acpA/1", Sig: "s2", Rows: engRows(50, 2, 2)}
-	shB := ShardSpec{ID: "acpB/0", Sig: "s3", Rows: engRows(100, 2, 2)}
+	shA1 := shardOf("acpA/0", "s1", engRows(0, 3, 2))
+	shA2 := shardOf("acpA/1", "s2", engRows(50, 2, 2))
+	shB := shardOf("acpB/0", "s3", engRows(100, 2, 2))
 
 	out, err := e.RekeyAllGrouped(groupedSpecs(shA1, shA2, shB))
 	if err != nil {
@@ -65,9 +71,9 @@ func TestEngineGroupedRekeyAndDerive(t *testing.T) {
 
 func TestEngineGroupedIncrementalShardSolve(t *testing.T) {
 	e := NewEngine(0)
-	shA1 := ShardSpec{ID: "acpA/0", Sig: "s1", Rows: engRows(0, 3, 2)}
-	shA2 := ShardSpec{ID: "acpA/1", Sig: "s2", Rows: engRows(50, 2, 2)}
-	shB := ShardSpec{ID: "acpB/0", Sig: "s3", Rows: engRows(100, 2, 2)}
+	shA1 := shardOf("acpA/0", "s1", engRows(0, 3, 2))
+	shA2 := shardOf("acpA/1", "s2", engRows(50, 2, 2))
+	shB := shardOf("acpB/0", "s3", engRows(100, 2, 2))
 
 	first, err := e.RekeyAllGrouped(groupedSpecs(shA1, shA2, shB))
 	if err != nil {
@@ -90,7 +96,7 @@ func TestEngineGroupedIncrementalShardSolve(t *testing.T) {
 	// One shard's content changes (a leave): exactly one shard re-solves,
 	// but every configuration containing it gets a fresh key and fresh
 	// wraps while the clean shards keep their sub-headers.
-	shA2dirty := ShardSpec{ID: "acpA/1", Sig: "s2'", Rows: engRows(50, 1, 2)}
+	shA2dirty := shardOf("acpA/1", "s2'", engRows(50, 1, 2))
 	third, err := e.RekeyAllGrouped(groupedSpecs(shA1, shA2dirty, shB))
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +153,74 @@ func TestEngineGroupedRejectsEmptyConfig(t *testing.T) {
 	if _, err := e.RekeyAllGrouped([]GroupedConfigSpec{{ID: "A"}}); err == nil {
 		t.Fatal("zero-row grouped configuration accepted")
 	}
-	sh := ShardSpec{ID: "acpA/0", Sig: "s", Rows: [][]CSS{{}}}
+	sh := shardOf("acpA/0", "s", [][]CSS{{}})
 	if _, err := e.RekeyAllGrouped([]GroupedConfigSpec{{ID: "A", Shards: []ShardSpec{sh}}}); err == nil {
 		t.Fatal("empty CSS row accepted")
+	}
+}
+
+// TestEngineGroupedRowsOnlyWhenUnsolved: a shard the engine holds a solve for
+// is served from its ID, signature and row count alone — across a steady
+// state, a reassembly and a neighbour's re-solve — and a shard it must solve
+// without (all of) its rows fails the session with ErrShardRows before any
+// solve runs.
+func TestEngineGroupedRowsOnlyWhenUnsolved(t *testing.T) {
+	e := NewEngine(2)
+	shA1 := shardOf("acpA/0", "s1", engRows(0, 3, 2))
+	shA2 := shardOf("acpA/1", "s2", engRows(50, 2, 2))
+	shB := shardOf("acpB/0", "s3", engRows(100, 2, 2))
+	bare := func(sh ShardSpec) ShardSpec { return ShardSpec{ID: sh.ID, Sig: sh.Sig, N: sh.N} }
+
+	if e.HasShard(shA1.ID, shA1.Sig) {
+		t.Fatal("a fresh engine reports a solve")
+	}
+	first, err := e.RekeyAllGrouped(groupedSpecs(shA1, shA2, shB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.HasShard(shA1.ID, shA1.Sig) || e.HasShard(shA1.ID, "s1'") || e.HasShard("acpC/0", "s1") {
+		t.Fatal("HasShard does not answer for exactly the solved (ID, Sig)")
+	}
+	base := e.Stats().Solves
+
+	// Steady state, then a forced reassembly, without a single row.
+	e.Forget("A")
+	second, err := e.RekeyAllGrouped(groupedSpecs(bare(shA1), bare(shA2), bare(shB)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second["A"].Rebuilt || second["A|B"].Rebuilt || second["A"].Hdr.Shards[1].Hdr != first["A"].Hdr.Shards[1].Hdr {
+		t.Error("rowless specs: want A reassembled over its cached shards and A|B a cache hit")
+	}
+	// One dirty shard brings its rows; its clean neighbours need none.
+	shA2dirty := shardOf("acpA/1", "s2'", engRows(50, 1, 2))
+	third, err := e.RekeyAllGrouped(groupedSpecs(bare(shA1), shA2dirty, bare(shB)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().Solves; got != base+1 {
+		t.Errorf("%d solves for one dirty shard among rowless clean ones, want 1", got-base)
+	}
+	deriveGrouped(t, shA1.Rows[0], third["A"])
+	deriveGrouped(t, shA2dirty.Rows[0], third["A|B"])
+
+	// Must solve, cannot: a changed signature without rows, rows that are not
+	// the N the signature digests, and a cache that was reset in between.
+	short := shardOf("acpB/0", "s3'", shB.Rows[:1])
+	short.N = 2
+	for name, specs := range map[string][]GroupedConfigSpec{
+		"dirty":    groupedSpecs(bare(shA1), bare(shardOf("acpA/1", "s2''", shA2.Rows)), bare(shB)),
+		"mismatch": groupedSpecs(bare(shA1), shA2dirty, short),
+	} {
+		if _, err := e.RekeyAllGrouped(specs); !errors.Is(err, ErrShardRows) {
+			t.Errorf("%s shard without its rows: %v, want ErrShardRows", name, err)
+		}
+	}
+	e.Reset()
+	if _, err := e.RekeyAllGrouped(groupedSpecs(bare(shA1), shA2dirty, bare(shB))); !errors.Is(err, ErrShardRows) {
+		t.Errorf("rowless specs after a Reset: %v, want ErrShardRows", err)
+	}
+	if got := e.Stats().Solves; got != base+1 {
+		t.Errorf("refused sessions ran %d solves", got-base-1)
 	}
 }

@@ -155,8 +155,8 @@ func TestDeriveRoundTripAcrossRowWidths(t *testing.T) {
 
 		t.Run(fmt.Sprintf("grouped/m=%d", m), func(t *testing.T) {
 			out, err := e.RekeyAllGrouped([]GroupedConfigSpec{{ID: "c", Shards: []ShardSpec{
-				{ID: "g/0", Sig: "1", Rows: rows[:4]},
-				{ID: "g/1", Sig: "1", Rows: rows[4:]},
+				shardOf("g/0", "1", rows[:4]),
+				shardOf("g/1", "1", rows[4:]),
 			}}})
 			if err != nil {
 				t.Fatal(err)

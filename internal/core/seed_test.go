@@ -139,7 +139,7 @@ func TestBuiltHeadersCarryTheirSeed(t *testing.T) {
 	}
 
 	grouped, err := e.RekeyAllGrouped([]GroupedConfigSpec{{ID: "G", Shards: []ShardSpec{
-		{ID: "s0", Sig: "1", Rows: rows[:4]}, {ID: "s1", Sig: "1", Rows: rows[4:]},
+		shardOf("s0", "1", rows[:4]), shardOf("s1", "1", rows[4:]),
 	}}})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestBuiltHeadersCarryTheirSeed(t *testing.T) {
 	// A later session re-solves one shard: a fresh seed for it, the clean
 	// shard keeps its header.
 	again, err := e.RekeyAllGrouped([]GroupedConfigSpec{{ID: "G", Shards: []ShardSpec{
-		{ID: "s0", Sig: "1", Rows: rows[:4]}, {ID: "s1", Sig: "2", Rows: rows[5:]},
+		shardOf("s0", "1", rows[:4]), shardOf("s1", "2", rows[5:]),
 	}}})
 	if err != nil {
 		t.Fatal(err)

@@ -129,7 +129,20 @@ func (p *Publisher) Publish(doc *document.Document) (*Broadcast, error) {
 	var keys map[policy.ConfigKey][sym.KeySize]byte
 	var err error
 	if p.opts.GroupSize > 0 {
-		infos, keys, err = p.keys.configKeysGrouped(cfgs, p.reg.snapshotGrouped(relevant))
+		// The grouped snapshot hands over rows only for shards the engine held
+		// no solve for at that moment. When the engine misses one after all
+		// (ResetRekeyCache, a concurrent publish that re-solved it for a later
+		// table state) the rows are not re-read outside the registry's locks:
+		// the snapshot is taken again, a bounded number of times.
+		for try := 0; try < 8; try++ {
+			var shards map[string][]core.ShardSpec
+			if shards, err = p.reg.snapshotGrouped(relevant, p.keys.engine.HasShard); err != nil {
+				break
+			}
+			if infos, keys, err = p.keys.configKeysGrouped(cfgs, shards); !errors.Is(err, core.ErrShardRows) {
+				break
+			}
+		}
 	} else {
 		rowsByACP, vers := p.reg.snapshot(relevant)
 		infos, keys, err = p.keys.configKeys(cfgs, rowsByACP, vers)

@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -9,21 +10,17 @@ import (
 	"ppcd/internal/core"
 )
 
-// cssTable is the flat columnar backing of table T. The previous
-// representation — map[nym]map[condID]CSS — cost two map headers, a bucket
-// chain and a string key per cell; at the ROADMAP's million-row scale the
-// overhead dwarfed the 8-byte CSS payload and every scan chased pointers
-// across the heap. The columnar layout interns the condition universe once
-// (it is fixed at construction: the publisher's policy set defines it, and
-// every import path drops unknown conditions before reaching the registry)
-// and stores the cells as one dense row-major []core.CSS block:
+// cssTable is the flat columnar backing of table T. The condition universe is
+// interned once (it is fixed at construction: the publisher's policy set
+// defines it, and every import path drops unknown conditions before reaching
+// the registry) and the cells are one dense row-major []core.CSS block:
 //
 //	cell(nym, cond) = cells[slot(nym)*width + condIdx[cond]]
 //
 // A zero cell means "no CSS" (a CSS is never zero: every writer validates
 // against ff64.Modulus and draws non-zero secrets), so presence needs no
-// side bitmap. Policy qualification and row assembly become contiguous
-// array reads instead of nested map lookups.
+// side bitmap, and policy qualification and row assembly are contiguous
+// array reads.
 //
 // Slot lifecycle: a new pseudonym takes a slot from the free list or appends
 // one. Deletion zeroes the row and marks the slot dead, but the slot is NOT
@@ -39,6 +36,15 @@ import (
 //
 // A segmented state import keeps every slot where it was (index, below): the
 // table comes back compacted, its dead slots already on the free list.
+//
+// Beside the cells sits one gid column per grouped policy (§VIII-C,
+// grouping.go): gids[policy][slot] is the slot's group in that policy, gidNone
+// without one — what a table segment stores, so an export slices the column and
+// an import installs it. The grouping layer reads a group's rows through slot
+// lists, so a column entry pins its slot: a dead slot is NOT recycled while any
+// policy's column still holds a gid for it (its leave has not reached that
+// policy's group yet). compact() parks it instead; a member list can then name
+// a dead slot — a gather fails on it — but never another pseudonym's row.
 type cssTable struct {
 	conds   []string
 	condIdx map[string]int
@@ -52,7 +58,12 @@ type cssTable struct {
 	sorted  []int32 // nym-sorted slots as of the last compact (may include dead)
 	pendAdd []int32 // slots added since the last compact (unsorted)
 	dead    int     // dead slots not yet compacted away
-	freed   []int32 // reusable slots (zeroed, absent from sorted and pendAdd)
+	freed   []int32 // reusable slots (zeroed, absent from sorted and pendAdd, no gid)
+	parked  []int32 // dead slots compact() could not free: a gid column names them
+
+	// gids holds one group-ID column per grouped policy, each as long as nyms;
+	// the values belong to the grouping layer (grpMu, and the write lock).
+	gids map[string][]int32
 
 	// dirty is a per-slot bitmap of rows mutated since the last segmented
 	// export stole it (statev2_segments.go). Live slots never move — compact
@@ -63,6 +74,9 @@ type cssTable struct {
 	// all mark here, under the registry write lock.
 	dirty []uint64
 }
+
+// gidNone marks a slot without a group in one policy's gid column.
+const gidNone = int32(-1)
 
 // markDirty records that slot s's row (cells, presence or group assignment)
 // changed. Callers hold the registry write lock.
@@ -91,6 +105,7 @@ func newCSSTable(conds []string) *cssTable {
 		condIdx: make(map[string]int, len(conds)),
 		width:   len(conds),
 		slotOf:  make(map[string]int32),
+		gids:    make(map[string][]int32),
 	}
 	for i, c := range conds {
 		t.condIdx[c] = i
@@ -111,6 +126,9 @@ func (t *cssTable) ensureRow(nym string) int32 {
 		s = int32(len(t.nyms))
 		t.nyms = append(t.nyms, "")
 		t.cells = append(t.cells, make([]core.CSS, t.width)...)
+		for id, col := range t.gids {
+			t.gids[id] = append(col, gidNone)
+		}
 	}
 	t.nyms[s] = nym
 	t.slotOf[nym] = s
@@ -190,23 +208,44 @@ func (t *cssTable) needsCompact() bool {
 	return len(t.pendAdd)+t.dead > 64+t.live/8
 }
 
+// grouped reports whether any policy's gid column names slot s.
+func (t *cssTable) grouped(s int32) bool {
+	for _, col := range t.gids {
+		if col[s] != gidNone {
+			return true
+		}
+	}
+	return false
+}
+
+// addGidColumn gives policy id an all-gidNone column. Callers hold the
+// registry write lock.
+func (t *cssTable) addGidColumn(id string) []int32 {
+	t.gids[id] = slices.Repeat([]int32{gidNone}, len(t.nyms))
+	return t.gids[id]
+}
+
 // compact folds pendAdd into sorted, drops dead slots and recycles them
-// through the free list. Callers hold the registry write lock.
+// through the free list — except those a gid column still names, parked until
+// a later compaction finds them released. Callers hold the registry write lock.
 func (t *cssTable) compact() {
-	if len(t.pendAdd) == 0 && t.dead == 0 {
+	if len(t.pendAdd) == 0 && t.dead == 0 && len(t.parked) == 0 {
 		return
 	}
-	for _, s := range t.sorted {
-		if t.nyms[s] == "" {
-			t.freed = append(t.freed, s)
-		}
-	}
-	for _, s := range t.pendAdd {
-		if t.nyms[s] == "" {
-			t.freed = append(t.freed, s)
-		}
-	}
 	merged := t.sortedLive()
+	parked := t.parked[:0]
+	for _, slots := range [][]int32{t.parked, t.sorted, t.pendAdd} {
+		for _, s := range slots {
+			switch {
+			case t.nyms[s] != "":
+			case t.grouped(s):
+				parked = append(parked, s)
+			default:
+				t.freed = append(t.freed, s)
+			}
+		}
+	}
+	t.parked = parked
 	out := make([]int32, 0, t.live)
 	for _, s := range merged {
 		if t.nyms[s] != "" {

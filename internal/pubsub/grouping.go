@@ -4,7 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/binary"
-	"sort"
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"ppcd/internal/core"
 	"ppcd/internal/policy"
@@ -12,446 +15,358 @@ import (
 
 // This file is the registry's grouping layer (§VIII-C): each policy's
 // qualified rows are partitioned into sticky groups of at most groupSize
-// members, so the keymgr can hand the engine per-shard row blocks whose
-// content signatures change only when that shard's membership does.
+// members, so the keymgr can hand the engine per-shard specs whose content
+// signatures change only when that shard's membership does.
 //
 // Assignment is STICKY under churn: a (nym, policy) row keeps its group for
-// as long as the row exists; a departing row frees its slot (later joiners
+// as long as the row exists; a departing row frees its place (later joiners
 // refill it) without moving anyone else. A single join/leave/credential
 // update therefore changes exactly one group's content per affected policy,
 // which is what turns the engine's per-shard cache into "one small solve per
 // churn event".
 //
+// What is held per grouped policy is what a table segment stores plus an index
+// over it: the gid column of table T (columnar.go), every group's member SLOTS
+// in pseudonym order, a least-full tracker and one {GID, Sig, N} per non-empty
+// group — no names, no rows, no name → group map. A group's rows are a
+// per-publish value: snapshotGrouped copies them out of T only for a shard the
+// engine holds no solve for, under the lock hold that digested them. Slots
+// stay meaningful because a slot a gid column names is never recycled
+// (cssTable.compact).
+//
 // The snapshot itself is incremental too. Mutations record churn hints — the
-// (policy, nym) pairs they touched (registry.hint) — and snapshotGrouped
-// re-qualifies just those pseudonyms against the columnar table, updates the
-// affected groups' membership, and re-digests only the dirty groups' row
-// blocks. At a million rows a single join costs one row qualification plus
-// one group re-assembly instead of a full-table scan and regroup. The scan
-// path (fullRegroup) remains for the cases hints cannot describe: the first
-// snapshot of a policy, a monolithic state import, and bumpAll. A segmented
-// import is not one of them: it restores the group state valid
-// (regroupRestored), so the publish after a restart scans nothing.
+// (policy, slot) pairs they touched (registry.hint) — and snapshotGrouped
+// re-qualifies just those slots, updates the affected groups and re-digests
+// only the dirty ones: at a million rows a single join costs one row
+// qualification plus one group digest. The scan (a full regroup) remains for
+// what hints cannot describe: a policy's first snapshot, a monolithic state
+// import, bumpAll. A segmented import installs the stored columns and rebuilds
+// the index over them (regroup): the publish after a restart scans nothing.
 
-// shardRows is one group's row block for one policy: the stable group
-// number, a digest of the block's content (the engine's dirtiness signal),
-// and the member rows in deterministic (sorted-nym) order.
-type shardRows struct {
-	GID  int
-	Sig  string
-	Rows [][]core.CSS
+// groupShard is one non-empty group as the last snapshot left it: its stable
+// number, the digest of its content (the engine's dirtiness signal), its size.
+type groupShard struct {
+	GID int
+	Sig string
+	N   int
 }
 
-// groupState is the grouping state of one policy: the sticky assignment, the
+// groupState is the grouping index of one policy over its gid column: the
 // per-group occupancy (len(counts) is the number of groups ever created —
 // empty groups keep their numbers), a constant-time least-full tracker, the
-// sorted member list per group, and the cached shard assembly tagged with
-// the membership version it reflects. valid=false forces a full regroup
-// (fresh policy, monolithic import, bumpAll); afterwards the state stays
-// valid and advances through churn hints alone. Guarded by grpMu.
+// member slots per group in pseudonym order, and the non-empty groups by
+// ascending number, tagged with the membership version they reflect.
+// valid=false forces a full regroup (fresh policy, monolithic import, bumpAll,
+// a failed snapshot); afterwards the state advances through churn hints alone.
+// Guarded by grpMu.
 type groupState struct {
-	assign  map[string]int
 	counts  []int
 	tracker *minTracker
-	members [][]string
-	shards  []shardRows
+	members [][]int32
+	shards  []groupShard
 	ver     uint64
 	valid   bool
 }
 
-// shardSig digests one group's content: policy, group number and the
-// ordered (nym, CSS row) members. Length prefixes keep crafted nyms from
-// colliding across boundaries.
-func shardSig(acpID string, gid int, nyms []string, rows [][]core.CSS) string {
+// shardID names one policy's group across configurations and sessions.
+func shardID(acpID string, gid int) string { return acpID + "/" + strconv.Itoa(gid) }
+
+// memberCells appends member slot s's cells for the condition columns cis to
+// dst. A dead slot or a missing CSS is an error, never a row: H(0‖z) is
+// computable by anyone.
+func (t *cssTable) memberCells(dst []core.CSS, s int32, cis []int) ([]core.CSS, error) {
+	if t.nyms[s] == "" {
+		return nil, fmt.Errorf("pubsub: group member slot %d is dead", s)
+	}
+	row := t.row(s)
+	for _, ci := range cis {
+		if row[ci] == 0 {
+			return nil, fmt.Errorf("pubsub: group member slot %d holds no CSS for %q", s, t.conds[ci])
+		}
+		dst = append(dst, row[ci])
+	}
+	return dst, nil
+}
+
+// groupSig digests one group's content: policy, group number and the ordered
+// (nym, CSS row) members. Length prefixes keep crafted nyms from colliding
+// across boundaries.
+func (t *cssTable) groupSig(acpID string, gid int, members []int32, cis []int) (string, error) {
 	h := sha256.New()
 	var num [8]byte
-	writeStr := func(s string) {
-		binary.BigEndian.PutUint64(num[:], uint64(len(s)))
+	writeNum := func(v int) {
+		binary.BigEndian.PutUint64(num[:], uint64(v))
 		h.Write(num[:])
+	}
+	writeStr := func(s string) {
+		writeNum(len(s))
 		h.Write([]byte(s))
 	}
 	writeStr(acpID)
-	binary.BigEndian.PutUint64(num[:], uint64(gid))
-	h.Write(num[:])
-	for i, nym := range nyms {
-		writeStr(nym)
-		binary.BigEndian.PutUint64(num[:], uint64(len(rows[i])))
-		h.Write(num[:])
-		for _, css := range rows[i] {
-			h.Write(css.Bytes())
+	writeNum(gid)
+	cells := make([]core.CSS, 0, len(cis))
+	for _, s := range members {
+		var err error
+		if cells, err = t.memberCells(cells[:0], s, cis); err != nil {
+			return "", fmt.Errorf("%w (policy %q, group %d)", err, acpID, gid)
+		}
+		writeStr(t.nyms[s])
+		writeNum(len(cells))
+		for _, css := range cells {
+			writeNum(int(css))
 		}
 	}
-	return base64.RawStdEncoding.EncodeToString(h.Sum(nil))
+	return base64.RawStdEncoding.EncodeToString(h.Sum(nil)), nil
 }
 
-// trackOcc clamps an occupancy to the tracker's range. Occupancies above
-// capacity can only arrive through inconsistent imported state; clamping
-// parks such groups in the "full" bucket where they are never picked.
-func trackOcc(c, capacity int) int {
-	if c > capacity {
-		return capacity
+// gatherRows copies the members' rows out of the table for one solve: one
+// flat block, one window per row.
+func (t *cssTable) gatherRows(members []int32, cis []int) (rows [][]core.CSS, err error) {
+	rows = make([][]core.CSS, 0, len(members))
+	block := make([]core.CSS, 0, len(members)*len(cis))
+	for _, s := range members {
+		k := len(block)
+		if block, err = t.memberCells(block, s, cis); err != nil {
+			return nil, err
+		}
+		rows = append(rows, block[k:len(block):len(block)])
 	}
-	return c
+	return rows, nil
 }
 
-// snapshotGrouped is the grouped counterpart of snapshot: for every policy
-// it returns the qualified rows partitioned into sticky groups, with a
-// content signature per group. Policies whose membership version is
-// unchanged reuse their cached shard assembly; changed policies with valid
-// group state replay just their churn hints. The returned shard slices are
-// immutable once cached; callers use them lock-free.
-func (r *registry) snapshotGrouped(acps []*policy.ACP) map[string][]shardRows {
-	out := make(map[string][]shardRows, len(acps))
-
-	// grpMu serializes grouped assembly (concurrent publishes) and guards
-	// the group state. The incremental path additionally holds the write
-	// lock for its (small) qualify-and-gather step so the hint steal, the
-	// version read and the row reads are one atomic unit; the full-regroup
-	// scan holds only the shared read lock, so a big rebuild does not stall
-	// registrations.
+// snapshotGrouped is the grouped counterpart of snapshot: for every policy it
+// returns the specs of its non-empty groups, in group order — ID, content
+// signature, row count, and the rows themselves for every shard solved reports
+// no solve for. A policy whose membership version is unchanged keeps its
+// signatures; a changed one with valid group state replays just its hints.
+//
+// grpMu serializes grouped assembly (concurrent publishes) and guards the
+// group state. The policies are advanced, digested and gathered under one hold
+// of the registry write lock: the snapshot is of one table state, and the rows
+// a solve hashes are the rows its Sig digests; solved is asked under both
+// locks (grpMu → mu → Engine.mu). The hold is proportional to the churn,
+// except for a full regroup, which scans and digests a policy while
+// registrations wait — once per policy and process, or after a monolithic
+// import.
+func (r *registry) snapshotGrouped(acps []*policy.ACP, solved func(id, sig string) bool) (map[string][]core.ShardSpec, error) {
+	out := make(map[string][]core.ShardSpec, len(acps))
 	r.grpMu.Lock()
 	defer r.grpMu.Unlock()
-
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for _, a := range acps {
 		gs := r.grp[a.ID]
 		if gs == nil {
-			gs = &groupState{assign: make(map[string]int)}
+			gs = &groupState{}
 			r.grp[a.ID] = gs
+			r.tab.addGidColumn(a.ID)
 		}
-		if gs.valid {
-			r.mu.Lock()
-			ver := r.memVer[a.ID]
-			if gs.ver == ver {
-				r.mu.Unlock()
-				out[a.ID] = gs.shards
-				continue
-			}
-			hints := r.pend[a.ID]
-			delete(r.pend, a.ID)
-			r.applyChurn(gs, a.ID, ver, hints)
-			r.maybeCompact()
-			r.mu.Unlock()
-			out[a.ID] = gs.shards
-			continue
-		}
-		// Full regroup: discard any pending hints first — the scan below
-		// subsumes them. A mutation racing with the scan re-adds its hint
-		// and bumps memVer past the version read inside the scan's lock, so
-		// the next snapshot replays it.
-		r.mu.Lock()
+		ver, hints := r.memVer[a.ID], r.pend[a.ID]
 		delete(r.pend, a.ID)
-		r.mu.Unlock()
-		r.fullRegroup(gs, a)
-		out[a.ID] = gs.shards
+		var err error
+		switch {
+		case !gs.valid: // the scan subsumes the hints
+			r.fullRegroups.Add(1)
+			var changed []int32
+			changed, err = r.regroup(r.tab, r.tab.sortedLive(), a.ID, gs)
+			for _, s := range changed { // see applyChurn
+				r.tab.markDirty(s)
+			}
+		case gs.ver != ver:
+			err = r.applyChurn(gs, a.ID, hints)
+		}
+		gs.ver = ver
+		if err == nil {
+			out[a.ID], err = r.shardSpecs(gs, a.ID, solved)
+		}
+		if err != nil {
+			gs.valid = false // the next snapshot rebuilds it from the table
+			return nil, err
+		}
 	}
-	return out
+	r.maybeCompact()
+	return out, nil
+}
+
+// shardSpecs turns the policy's shard list into the engine's specs, gathering
+// rows for the shards the engine cannot serve from its cache.
+func (r *registry) shardSpecs(gs *groupState, acpID string, solved func(id, sig string) bool) ([]core.ShardSpec, error) {
+	cis := r.polConds[acpID]
+	specs := make([]core.ShardSpec, len(gs.shards))
+	for i, sh := range gs.shards {
+		sp := core.ShardSpec{ID: shardID(acpID, sh.GID), Sig: sh.Sig, N: sh.N}
+		if !solved(sp.ID, sp.Sig) {
+			rows, err := r.tab.gatherRows(gs.members[sh.GID], cis)
+			if err != nil {
+				return nil, fmt.Errorf("%w (shard %q)", err, sp.ID)
+			}
+			sp.Rows = rows
+		}
+		specs[i] = sp
+	}
+	return specs, nil
 }
 
 // applyChurn advances one policy's group state by its churn hints: each
-// hinted pseudonym is re-qualified against the table, departures free their
-// slots, arrivals fill the least-full group (sorted-nym order, exactly as
-// the full regroup assigns newcomers), and only groups whose membership or
-// member content changed are re-assembled and re-digested. Callers hold
-// grpMu and the registry write lock.
-func (r *registry) applyChurn(gs *groupState, acpID string, ver uint64, hints map[string]struct{}) {
-	cis := r.polConds[acpID]
-	dirty := make(map[int]bool)
-	var leavers, joiners []string
-	for nym := range hints {
-		qualified := false
-		if s, ok := r.tab.slotOf[nym]; ok {
-			qualified = qualifiesRow(r.tab.row(s), cis)
-		}
-		gid, assigned := gs.assign[nym]
-		switch {
-		case assigned && !qualified:
-			leavers = append(leavers, nym)
-		case !assigned && qualified:
-			joiners = append(joiners, nym)
-		case assigned && qualified:
-			// Still a member, but its cells may have changed: re-digest.
-			dirty[gid] = true
-		}
-	}
-
-	// Departures first, so their slots are refillable by this batch's
-	// arrivals — the same order the full regroup uses. Assignment changes
-	// re-dirty the owning table row: the segmented state export stores each
-	// row's group IDs alongside its cells, so a row whose assignment moved
-	// must land in the next snapshot's dirty segments even if its cells were
-	// exported (and its dirty bit cleared) between the mutation and this
-	// grouped assembly.
-	for _, nym := range leavers {
-		gid := gs.assign[nym]
-		delete(gs.assign, nym)
-		gs.tracker.move(gid, trackOcc(gs.counts[gid], r.groupSize), trackOcc(gs.counts[gid]-1, r.groupSize))
-		gs.counts[gid]--
-		gs.members[gid] = removeSorted(gs.members[gid], nym)
-		dirty[gid] = true
-		if s, ok := r.tab.slotOf[nym]; ok {
-			r.tab.markDirty(s)
-		}
-	}
-	sort.Strings(joiners)
-	for _, nym := range joiners {
-		gid, ok := gs.tracker.least()
-		if !ok {
-			gid = len(gs.counts)
-			gs.counts = append(gs.counts, 0)
-			gs.members = append(gs.members, nil)
-			gs.tracker.addAt(gid, 0)
-		}
-		gs.assign[nym] = gid
-		gs.tracker.move(gid, trackOcc(gs.counts[gid], r.groupSize), trackOcc(gs.counts[gid]+1, r.groupSize))
-		gs.counts[gid]++
-		gs.members[gid] = insertSorted(gs.members[gid], nym)
-		dirty[gid] = true
-		if s, ok := r.tab.slotOf[nym]; ok {
-			r.tab.markDirty(s)
-		}
-	}
-
-	if len(dirty) > 0 {
-		r.assembleShards(gs, acpID, dirty)
-	}
-	gs.ver = ver
-}
-
-// assembleShards rebuilds the policy's shard list, re-reading rows and
-// recomputing signatures only for the dirty groups; clean groups keep their
-// existing (immutable) shardRows. Callers hold grpMu and the registry write
-// lock.
-func (r *registry) assembleShards(gs *groupState, acpID string, dirty map[int]bool) {
-	prev := make(map[int]shardRows, len(gs.shards))
-	for _, sh := range gs.shards {
-		prev[sh.GID] = sh
-	}
-	cis := r.polConds[acpID]
-	shards := make([]shardRows, 0, len(gs.shards)+len(dirty))
-	for gid, c := range gs.counts {
-		if c <= 0 {
-			continue
-		}
-		if !dirty[gid] {
-			if sh, ok := prev[gid]; ok {
-				shards = append(shards, sh)
-				continue
-			}
-		}
-		members := gs.members[gid]
-		rows := make([][]core.CSS, len(members))
-		for j, nym := range members {
-			row := r.tab.row(r.tab.slotOf[nym])
-			css := make([]core.CSS, len(cis))
-			for k, ci := range cis {
-				css[k] = row[ci]
-			}
-			rows[j] = css
-		}
-		shards = append(shards, shardRows{GID: gid, Sig: shardSig(acpID, gid, members, rows), Rows: rows})
-	}
-	gs.shards = shards
-}
-
-// fullRegroup rebuilds one policy's group state from a full table scan: the
-// sticky assignment keeps everyone still qualified in place, departures are
-// released, newcomers fill least-full groups in sorted order, and occupancy,
-// tracker, member lists and shards are reconstructed. Callers hold grpMu
-// (but NOT the registry lock — the scan takes the read lock itself).
-func (r *registry) fullRegroup(gs *groupState, a *policy.ACP) {
-	r.fullRegroups.Add(1)
-	r.mu.RLock()
-	ver := r.memVer[a.ID]
-	nyms, rows := r.collectQualified(a)
-	r.mu.RUnlock()
-
-	if gs.assign == nil {
-		gs.assign = make(map[string]int)
-	}
-	present := make(map[string]bool, len(nyms))
-	for _, nym := range nyms {
-		present[nym] = true
-	}
-	for nym := range gs.assign {
-		if !present[nym] {
-			delete(gs.assign, nym)
-		}
-	}
-	// Rebuild occupancy from the surviving assignment. The group universe —
-	// including empty groups — keeps its numbering, so restored members
-	// never move shards.
-	ngroups := len(gs.counts)
-	for _, gid := range gs.assign {
-		if gid >= ngroups {
-			ngroups = gid + 1
-		}
-	}
-	counts := make([]int, ngroups)
-	for _, gid := range gs.assign {
-		counts[gid]++
-	}
-	tracker := newMinTracker(r.groupSize)
-	for gid, c := range counts {
-		tracker.addAt(gid, trackOcc(c, r.groupSize))
-	}
-	// Assign newcomers to the least-full group with spare capacity (lowest
-	// group number on ties, so refills are deterministic), opening a new
-	// group once all are full. nyms arrive sorted.
-	var newcomers []string
-	for _, nym := range nyms {
-		if _, ok := gs.assign[nym]; ok {
-			continue
-		}
-		gid, ok := tracker.least()
-		if !ok {
-			gid = len(counts)
-			counts = append(counts, 0)
-			tracker.addAt(gid, 0)
-		}
-		gs.assign[nym] = gid
-		tracker.move(gid, trackOcc(counts[gid], r.groupSize), trackOcc(counts[gid]+1, r.groupSize))
-		counts[gid]++
-		newcomers = append(newcomers, nym)
-	}
-	gs.counts = counts
-	gs.tracker = tracker
-	if len(newcomers) > 0 {
-		// Fresh assignments re-dirty their rows so the next segmented
-		// snapshot exports the new group IDs (see applyChurn). A row deleted
-		// since the scan already marked itself on deletion.
-		r.mu.Lock()
-		for _, nym := range newcomers {
-			if s, ok := r.tab.slotOf[nym]; ok {
-				r.tab.markDirty(s)
-			}
-		}
-		r.mu.Unlock()
-	}
-
-	// Per-group member lists and row blocks, in sorted-nym order.
-	byGid := make([][]int, len(counts))
-	for i, nym := range nyms {
-		gid := gs.assign[nym]
-		byGid[gid] = append(byGid[gid], i)
-	}
-	gs.members = make([][]string, len(counts))
-	shards := make([]shardRows, 0, len(byGid))
-	for gid, idx := range byGid {
-		if len(idx) == 0 {
-			continue
-		}
-		gNyms := make([]string, len(idx))
-		gRows := make([][]core.CSS, len(idx))
-		for j, i := range idx {
-			gNyms[j] = nyms[i]
-			gRows[j] = rows[i]
-		}
-		gs.members[gid] = gNyms
-		shards = append(shards, shardRows{
-			GID:  gid,
-			Sig:  shardSig(a.ID, gid, gNyms, gRows),
-			Rows: gRows,
-		})
-	}
-	gs.shards = shards
-	gs.ver = ver
-	gs.valid = true
-}
-
-// restoredGroups is one policy's group state rebuilt by a segmented import,
-// with what the stored assignment and cells disagreed on (churn exported
-// before a grouped snapshot saw it): joiners qualify without a group, stale
-// slots held a group they no longer qualify for.
-type restoredGroups struct {
-	gs      *groupState
-	joiners map[string]struct{}
-	stale   []int32
-}
-
-// regroupRestored rebuilds one policy's group state from its restored gid
-// column, valid at the restored membership version — what fullRegroup would
-// derive from the same assignment, without the scan-and-reconcile (sorted is
-// the table's pseudonym order, so members fall into their groups sorted).
-// tab is not yet shared; col is consumed.
-func (r *registry) regroupRestored(tab *cssTable, sorted []int32, acpID string, col []int32, universe int, ver uint64) restoredGroups {
-	cis := r.polConds[acpID]
-	var out restoredGroups
-	counts := make([]int, universe)
-	assigned := 0
-	for _, s := range sorted {
-		switch g, q := col[s], qualifiesRow(tab.row(s), cis); {
-		case g != gidNone && q:
-			counts[g]++
-			assigned++
-		case g != gidNone:
+// hinted slot is re-qualified against the table, departures free their
+// places, arrivals fill the least-full group (pseudonym order, exactly as
+// regroup assigns newcomers), and only groups whose membership or member
+// content changed are re-digested.
+func (r *registry) applyChurn(gs *groupState, acpID string, hints map[int32]struct{}) error {
+	tab, cis, col := r.tab, r.polConds[acpID], r.tab.gids[acpID]
+	var dirty []int
+	var joiners []int32
+	// Departures first, so their places are refillable by this batch's
+	// arrivals — the order regroup uses. Assignment changes re-dirty the
+	// owning table row: a table segment stores a row's group IDs beside its
+	// cells, so the row must land in the next snapshot's dirty segments even
+	// if its cells were exported between the mutation and this assembly.
+	for s := range hints {
+		live := tab.nyms[s] != ""
+		qualified := live && qualifiesRow(tab.row(s), cis)
+		switch gid := int(col[s]); {
+		case gid >= 0 && !qualified:
 			col[s] = gidNone
-			out.stale = append(out.stale, s)
-		case q:
-			if out.joiners == nil {
-				out.joiners = make(map[string]struct{})
+			gs.occupy(gid, -1, r.groupSize)
+			gs.members[gid] = slices.DeleteFunc(gs.members[gid], func(m int32) bool { return m == s })
+			dirty = append(dirty, gid)
+			if live {
+				tab.markDirty(s)
 			}
-			out.joiners[tab.nyms[s]] = struct{}{}
+		case gid < 0 && qualified:
+			joiners = append(joiners, s)
+		case gid >= 0:
+			// Still a member, but its cells may have changed: re-digest.
+			dirty = append(dirty, gid)
 		}
 	}
-	gs := &groupState{
-		assign:  make(map[string]int, assigned),
-		counts:  counts,
-		tracker: newMinTracker(r.groupSize),
-		members: make([][]string, universe),
-		ver:     ver,
-		valid:   true,
+	byNym := func(a, b int32) int { return strings.Compare(tab.nyms[a], tab.nyms[b]) }
+	slices.SortFunc(joiners, byNym)
+	for _, s := range joiners {
+		gid := gs.place(r.groupSize)
+		col[s] = int32(gid)
+		at, _ := slices.BinarySearchFunc(gs.members[gid], s, byNym)
+		gs.members[gid] = slices.Insert(gs.members[gid], at, s)
+		dirty = append(dirty, gid)
+		tab.markDirty(s)
 	}
-	// One row-block allocation per group (its rows are windows of it), so a
-	// re-solved group later releases exactly its own block.
-	rows := make([][][]core.CSS, universe)
-	blocks := make([][]core.CSS, universe)
-	for gid, c := range counts {
-		gs.tracker.addAt(gid, trackOcc(c, r.groupSize))
-		if c > 0 {
-			gs.members[gid] = make([]string, 0, c)
-			rows[gid] = make([][]core.CSS, 0, c)
-			blocks[gid] = make([]core.CSS, 0, c*len(cis))
+
+	slices.Sort(dirty)
+	for _, gid := range slices.Compact(dirty) {
+		if err := gs.redigest(tab, acpID, gid, cis); err != nil {
+			return err
 		}
 	}
-	for _, s := range sorted {
-		g := col[s]
-		if g == gidNone {
+	return nil
+}
+
+// redigest brings group gid's entry in the shard list up to its member list.
+func (gs *groupState) redigest(tab *cssTable, acpID string, gid int, cis []int) error {
+	at, had := slices.BinarySearchFunc(gs.shards, gid, func(sh groupShard, gid int) int { return sh.GID - gid })
+	members := gs.members[gid]
+	if len(members) == 0 {
+		if had {
+			gs.shards = slices.Delete(gs.shards, at, at+1)
+		}
+		return nil
+	}
+	sig, err := tab.groupSig(acpID, gid, members, cis)
+	if err != nil {
+		return err
+	}
+	if !had {
+		gs.shards = slices.Insert(gs.shards, at, groupShard{})
+	}
+	gs.shards[at] = groupShard{GID: gid, Sig: sig, N: len(members)}
+	return nil
+}
+
+// occupy moves group gid's occupancy by delta. The tracker sees it clamped to
+// the capacity: more can only arrive through inconsistent imported state, and
+// lands such a group in the "full" bucket where it is never picked.
+func (gs *groupState) occupy(gid, delta, groupSize int) {
+	gs.tracker.move(gid, min(gs.counts[gid], groupSize), min(gs.counts[gid]+delta, groupSize))
+	gs.counts[gid] += delta
+}
+
+// place picks the group for one newcomer — the least-full one with spare
+// capacity, lowest number on ties, a new group once all are full — and counts
+// the newcomer in; the caller lists it as a member.
+func (gs *groupState) place(groupSize int) int {
+	gid, ok := gs.tracker.least()
+	if !ok {
+		gid = len(gs.counts)
+		gs.counts = append(gs.counts, 0)
+		gs.members = append(gs.members, nil)
+		gs.tracker.addAt(gid, 0)
+	}
+	gs.occupy(gid, 1, groupSize)
+	return gid
+}
+
+// regroup rebuilds one policy's group state from its gid column and table tab
+// (sorted = the live slots in pseudonym order, dead ones tolerated): whoever
+// holds a group and still qualifies stays put, a gid on a dead or unqualified
+// slot is released, newcomers fill least-full groups in pseudonym order, and
+// occupancy, tracker, member lists and signatures are reconstructed.
+// len(gs.counts) on entry is the group universe — empty groups included, so
+// nobody ever moves shards. It returns the live slots whose assignment
+// changed. A full regroup runs it on the live table; a segmented import on a
+// table nobody shares yet, where a clean stop left nothing to release or place.
+func (r *registry) regroup(tab *cssTable, sorted []int32, acpID string, gs *groupState) (changed []int32, err error) {
+	cis, col := r.polConds[acpID], tab.gids[acpID]
+	for s, gid := range col {
+		if gid == gidNone {
 			continue
 		}
-		gs.assign[tab.nyms[s]] = int(g)
-		gs.members[g] = append(gs.members[g], tab.nyms[s])
-		row, k := tab.row(s), len(blocks[g])
-		for _, ci := range cis {
-			blocks[g] = append(blocks[g], row[ci])
-		}
-		rows[g] = append(rows[g], blocks[g][k:len(blocks[g]):len(blocks[g])])
-	}
-	for gid, c := range counts {
-		if c > 0 {
-			gs.shards = append(gs.shards, shardRows{GID: gid, Sig: shardSig(acpID, gid, gs.members[gid], rows[gid]), Rows: rows[gid]})
+		if live := tab.nyms[s] != ""; !live || !qualifiesRow(tab.row(int32(s)), cis) {
+			col[s] = gidNone
+			if live {
+				changed = append(changed, int32(s))
+			}
 		}
 	}
-	out.gs = gs
-	return out
-}
-
-// insertSorted inserts nym into a sorted slice (no-op if already present).
-func insertSorted(s []string, nym string) []string {
-	i := sort.SearchStrings(s, nym)
-	if i < len(s) && s[i] == nym {
-		return s
+	clear(gs.counts)
+	var newcomers []int32
+	for _, s := range sorted {
+		switch gid := col[s]; {
+		case gid != gidNone:
+			gs.counts[gid]++
+		case tab.nyms[s] != "" && qualifiesRow(tab.row(s), cis):
+			newcomers = append(newcomers, s)
+		}
 	}
-	s = append(s, "")
-	copy(s[i+1:], s[i:])
-	s[i] = nym
-	return s
-}
-
-// removeSorted removes nym from a sorted slice (no-op if absent).
-func removeSorted(s []string, nym string) []string {
-	i := sort.SearchStrings(s, nym)
-	if i >= len(s) || s[i] != nym {
-		return s
+	gs.tracker = newMinTracker(r.groupSize)
+	for gid, c := range gs.counts {
+		gs.tracker.addAt(gid, min(c, r.groupSize))
 	}
-	return append(s[:i], s[i+1:]...)
+	gs.members = make([][]int32, len(gs.counts))
+	for _, s := range newcomers {
+		col[s] = int32(gs.place(r.groupSize))
+	}
+	changed = append(changed, newcomers...)
+
+	// Member lists are windows of one block, each with exactly its group's
+	// capacity: a group that grows later reallocates only itself.
+	total := 0
+	for _, c := range gs.counts {
+		total += c
+	}
+	block := make([]int32, total)
+	for gid, c := range gs.counts {
+		gs.members[gid], block = block[:0:c], block[c:]
+	}
+	for _, s := range sorted {
+		if gid := col[s]; gid != gidNone {
+			gs.members[gid] = append(gs.members[gid], s)
+		}
+	}
+	gs.shards = gs.shards[:0]
+	for gid := range gs.members {
+		if err := gs.redigest(tab, acpID, gid, cis); err != nil {
+			return nil, err
+		}
+	}
+	gs.valid = true
+	return changed, nil
 }

@@ -3,7 +3,6 @@ package pubsub
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -217,23 +216,19 @@ func (km *keyManager) configKeys(cfgs map[policy.ConfigKey][]string, rowsByACP m
 }
 
 // configKeysGrouped is the grouped counterpart of configKeys: each
-// configuration's shards are the sticky per-policy groups from the registry,
-// identified across configurations and sessions by "policy/group" so shared
-// shards solve once and clean shards never re-solve.
-func (km *keyManager) configKeysGrouped(cfgs map[policy.ConfigKey][]string, shardsByACP map[string][]shardRows) ([]ConfigInfo, map[policy.ConfigKey][sym.KeySize]byte, error) {
+// configuration's shards are the sticky per-policy groups of the registry's
+// grouped snapshot, identified across configurations and sessions by
+// "policy/group" so shared shards solve once and clean shards never re-solve.
+// A shard the snapshot found solved carries no rows (core.ErrShardRows if the
+// engine's cache moved since: Publish takes a new snapshot).
+func (km *keyManager) configKeysGrouped(cfgs map[policy.ConfigKey][]string, shardsByACP map[string][]core.ShardSpec) ([]ConfigInfo, map[policy.ConfigKey][sym.KeySize]byte, error) {
 	solo, throwaway, aliases := km.splitByDominance(cfgs, func(acpID string) bool { return len(shardsByACP[acpID]) > 0 })
 
 	specs := make([]core.GroupedConfigSpec, 0, len(solo))
 	for _, key := range solo {
 		var shards []core.ShardSpec
 		for _, acpID := range key.IDs() {
-			for _, sh := range shardsByACP[acpID] {
-				shards = append(shards, core.ShardSpec{
-					ID:   acpID + "/" + strconv.Itoa(sh.GID),
-					Sig:  sh.Sig,
-					Rows: sh.Rows,
-				})
-			}
+			shards = append(shards, shardsByACP[acpID]...)
 		}
 		specs = append(specs, core.GroupedConfigSpec{ID: string(key), Shards: shards})
 	}

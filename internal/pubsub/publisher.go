@@ -555,3 +555,10 @@ func (p *Publisher) SubscriberCount() int {
 func (p *Publisher) TableMemory() (subscribers int, bytes int64) {
 	return p.reg.tableMemory()
 }
+
+// GroupMemory returns the number of grouped policy rows — §VIII-C group
+// members summed over the policies — and the estimated resident bytes of the
+// grouping layer that indexes them, beside TableMemory's table T.
+func (p *Publisher) GroupMemory() (policyRows int, bytes int64) {
+	return p.reg.groupMemory()
+}

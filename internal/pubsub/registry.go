@@ -26,9 +26,9 @@ import (
 // condition of the policy, or the disappearance of a whole row. The keymgr
 // layer compares version vectors to decide which configurations actually
 // need a fresh ACV solve (incremental rekeying). In grouped mode the same
-// mutations additionally record WHICH pseudonym was touched (pend), so the
-// grouped snapshot can re-qualify just the churned rows instead of rescanning
-// the table.
+// mutations additionally record WHICH slot was touched (pend), so the grouped
+// snapshot can re-qualify just the churned rows instead of rescanning the
+// table.
 type registry struct {
 	mu  sync.RWMutex
 	tab *cssTable
@@ -49,16 +49,18 @@ type registry struct {
 	// the membership version they were built at; a steady-state snapshot is
 	// then O(policies) instead of a full table scan.
 	rowsCache map[string]policyRows
-	// pend accumulates, per policy, the pseudonyms whose cells for that
-	// policy changed since the last grouped snapshot consumed them. Only
+	// pend accumulates, per policy, the slots whose cells for that policy
+	// changed since the last grouped snapshot consumed them (a deleted row's
+	// slot still names its leaver: the gid column pins it, columnar.go). Only
 	// maintained in grouped mode (groupSize > 0); guarded by mu.
-	pend map[string]map[string]struct{}
+	pend map[string]map[int32]struct{}
 
 	// Grouped mode (§VIII-C, grouping.go): groupSize > 0 partitions each
 	// policy's rows into sticky groups of at most groupSize members. grpMu
 	// guards the per-policy group state; it is independent of mu so
 	// mutations never wait on a grouped assembly. Lock order: grpMu → mu
-	// (never the reverse while holding mu).
+	// (never the reverse while holding mu) → Engine.mu, which a grouped
+	// snapshot takes through core.Engine.HasShard; the engine never calls back.
 	groupSize    int
 	grpMu        sync.Mutex
 	grp          map[string]*groupState
@@ -79,7 +81,7 @@ func newRegistry(acps []*policy.ACP, groupSize int) *registry {
 		byCond:    make(map[string][]string),
 		polConds:  make(map[string][]int, len(acps)),
 		rowsCache: make(map[string]policyRows, len(acps)),
-		pend:      make(map[string]map[string]struct{}),
+		pend:      make(map[string]map[int32]struct{}),
 		groupSize: groupSize,
 		grp:       make(map[string]*groupState),
 	}
@@ -111,19 +113,19 @@ func (r *registry) bump(condID string) {
 	}
 }
 
-// hint records that nym's cells for condID's policies changed, feeding the
+// hint records that slot s's cells for condID's policies changed, feeding the
 // grouped snapshot's incremental churn path. Callers hold the write lock.
-func (r *registry) hint(nym, condID string) {
+func (r *registry) hint(s int32, condID string) {
 	if r.groupSize <= 0 {
 		return
 	}
 	for _, acpID := range r.byCond[condID] {
 		m := r.pend[acpID]
 		if m == nil {
-			m = make(map[string]struct{})
+			m = make(map[int32]struct{})
 			r.pend[acpID] = m
 		}
-		m[nym] = struct{}{}
+		m[s] = struct{}{}
 	}
 }
 
@@ -172,7 +174,7 @@ func (r *registry) setCells(nym string, cells map[string]core.CSS) {
 		}
 		row[ci] = css
 		r.bump(condID)
-		r.hint(nym, condID)
+		r.hint(s, condID)
 	}
 	r.tab.markDirty(s)
 	r.maybeCompact()
@@ -190,7 +192,7 @@ func (r *registry) revokeSubscription(nym string) error {
 	for ci, v := range r.tab.row(s) {
 		if v != 0 {
 			r.bump(r.tab.conds[ci])
-			r.hint(nym, r.tab.conds[ci])
+			r.hint(s, r.tab.conds[ci])
 		}
 	}
 	r.tab.deleteRow(nym)
@@ -216,7 +218,7 @@ func (r *registry) revokeCredential(nym, condID string) error {
 	}
 	row[ci] = 0
 	r.bump(condID)
-	r.hint(nym, condID)
+	r.hint(s, condID)
 	r.tab.markDirty(s)
 	if rowEmpty(row) {
 		r.tab.deleteRow(nym)
@@ -241,6 +243,27 @@ func (r *registry) tableMemory() (int, int64) {
 	return r.tab.live, r.tab.memBytes()
 }
 
+// groupMemory returns the number of grouped policy rows (group members over
+// all policies) and the estimated resident bytes of the grouping layer around
+// them: gid columns, member slot lists, per-group occupancy and slice headers,
+// shard entries with their 43-byte signatures, unconsumed hints, and the
+// tracker's one bitset of the groups per occupancy level.
+func (r *registry) groupMemory() (rows int, b int64) {
+	r.grpMu.Lock()
+	defer r.grpMu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for id, gs := range r.grp {
+		b += int64(4*cap(r.tab.gids[id]) + 8*cap(gs.counts) + 24*cap(gs.members) + (40+43)*cap(gs.shards) + 16*len(r.pend[id]))
+		b += int64((r.groupSize + 1) * (56 + len(gs.counts)/8))
+		for _, m := range gs.members {
+			rows += len(m)
+			b += int64(4 * cap(m))
+		}
+	}
+	return rows, b
+}
+
 // qualifiesRow reports whether a columnar row holds a CSS for every listed
 // condition column.
 func qualifiesRow(row []core.CSS, cis []int) bool {
@@ -252,16 +275,13 @@ func qualifiesRow(row []core.CSS, cis []int) bool {
 	return true
 }
 
-// collectQualified assembles, in sorted-pseudonym order, the qualified
-// member nyms and CSS rows of one policy. Callers hold at least the read
-// lock.
-func (r *registry) collectQualified(a *policy.ACP) ([]string, [][]core.CSS) {
+// collectQualified assembles, in sorted-pseudonym order, the qualified CSS
+// rows of one policy. Callers hold at least the read lock.
+func (r *registry) collectQualified(a *policy.ACP) [][]core.CSS {
 	cis := r.polConds[a.ID]
-	var nyms []string
 	var rows [][]core.CSS
 	for _, s := range r.tab.sortedLive() {
-		nym := r.tab.nyms[s]
-		if nym == "" {
+		if r.tab.nyms[s] == "" {
 			continue
 		}
 		row := r.tab.row(s)
@@ -276,11 +296,10 @@ func (r *registry) collectQualified(a *policy.ACP) ([]string, [][]core.CSS) {
 			css[k] = v
 		}
 		if ok {
-			nyms = append(nyms, nym)
 			rows = append(rows, css)
 		}
 	}
-	return nyms, rows
+	return rows
 }
 
 // snapshot assembles, for every given policy, the subscriber CSS rows of
@@ -323,8 +342,7 @@ func (r *registry) snapshot(acps []*policy.ACP) (map[string][][]core.CSS, map[st
 			vers[a.ID] = e.ver
 			continue
 		}
-		_, acpRows := r.collectQualified(a)
-		e := policyRows{ver: r.memVer[a.ID], rows: acpRows}
+		e := policyRows{ver: r.memVer[a.ID], rows: r.collectQualified(a)}
 		rebuilt[a.ID] = e
 		rows[a.ID] = e.rows
 		vers[a.ID] = e.ver
@@ -350,14 +368,14 @@ func (r *registry) snapshot(acps []*policy.ACP) (map[string][][]core.CSS, map[st
 
 // registryState is a full snapshot of the registry's durable state: table T,
 // the per-policy membership versions, and the sticky group assignment (§VIII-C)
-// with its per-group occupancy counts. It keeps the serialization-friendly
-// map-of-maps shape; the live registry converts to and from the columnar
-// layout at this boundary.
+// with the number of groups each policy ever created. It keeps the
+// serialization-friendly map-of-maps shape; the live registry converts to and
+// from the columnar layout at this boundary.
 type registryState struct {
 	table     map[string]map[string]core.CSS
 	memVer    map[string]uint64
 	grpAssign map[string]map[string]int
-	grpCounts map[string][]int
+	grpGroups map[string]int
 }
 
 // exportFull deep-copies the durable registry state (state v2 export).
@@ -365,9 +383,12 @@ func (r *registry) exportFull() registryState {
 	st := registryState{
 		memVer:    make(map[string]uint64),
 		grpAssign: make(map[string]map[string]int),
-		grpCounts: make(map[string][]int),
+		grpGroups: make(map[string]int),
 	}
+	r.grpMu.Lock()
+	defer r.grpMu.Unlock()
 	r.mu.RLock()
+	defer r.mu.RUnlock()
 	st.table = make(map[string]map[string]core.CSS, r.tab.live)
 	for nym, s := range r.tab.slotOf {
 		row := r.tab.row(s)
@@ -382,28 +403,30 @@ func (r *registry) exportFull() registryState {
 	for id, v := range r.memVer {
 		st.memVer[id] = v
 	}
-	r.mu.RUnlock()
-	r.grpMu.Lock()
 	for id, gs := range r.grp {
-		cp := make(map[string]int, len(gs.assign))
-		for nym, gid := range gs.assign {
-			cp[nym] = gid
+		assign := make(map[string]int)
+		for s, gid := range r.tab.gids[id] {
+			if nym := r.tab.nyms[s]; gid != gidNone && nym != "" {
+				assign[nym] = int(gid)
+			}
 		}
-		st.grpAssign[id] = cp
-		st.grpCounts[id] = append([]int(nil), gs.counts...)
+		st.grpAssign[id] = assign
+		st.grpGroups[id] = len(gs.counts)
 	}
-	r.grpMu.Unlock()
 	return st
 }
 
 // restore replaces the registry's durable state wholesale (state v2 import).
 // Membership versions are restored exactly as exported so that engine cache
-// signatures computed against them keep matching; assignments for policies
-// the publisher no longer has are dropped. Caches are cleared — the next
-// snapshot reassembles rows (a table scan, no solves), and the next grouped
-// snapshot regroups from the restored sticky assignment.
+// signatures computed against them keep matching; assignments of policies the
+// publisher no longer has, or of pseudonyms without a row, are dropped. Caches
+// are cleared — the next snapshot reassembles rows (a table scan, no solves),
+// the next grouped snapshot regroups around the restored sticky assignment.
 func (r *registry) restore(st registryState) {
+	r.grpMu.Lock()
+	defer r.grpMu.Unlock()
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	tab := newCSSTable(r.tab.conds)
 	for nym, row := range st.table {
 		dst := tab.row(tab.ensureRow(nym))
@@ -415,19 +438,20 @@ func (r *registry) restore(st registryState) {
 	}
 	tab.compact()
 	r.replaceTable(tab, st.memVer) // slot layout changed wholesale; segmented bases are void
-	r.mu.Unlock()
-
-	r.grpMu.Lock()
 	r.grp = make(map[string]*groupState)
 	for id, assign := range st.grpAssign {
 		if _, known := r.polConds[id]; !known {
 			continue
 		}
-		// valid stays false: the next grouped snapshot rebuilds occupancy,
-		// members and shards around the restored sticky assignment.
-		r.grp[id] = &groupState{assign: assign, counts: st.grpCounts[id]}
+		col := tab.addGidColumn(id)
+		for nym, gid := range assign {
+			if s, ok := tab.slotOf[nym]; ok {
+				col[s] = int32(gid)
+			}
+		}
+		// Not valid: the next grouped snapshot regroups around the column.
+		r.grp[id] = &groupState{counts: make([]int, st.grpGroups[id])}
 	}
-	r.grpMu.Unlock()
 }
 
 // replaceTable swaps in a wholesale new table under a new table generation,
@@ -443,28 +467,21 @@ func (r *registry) replaceTable(tab *cssTable, memVer map[string]uint64) {
 	clear(r.pend)
 }
 
-// installRestored swaps in the table and group states a segmented import
-// rebuilt (statev2_segments.go). Slots are where the segments had them and
-// nothing is dirty, so the returned table generation makes those segments a
-// sound base for the next segmented export. What the stored columns disagreed
-// on is settled the ordinary way: a stale assignment re-dirties its row,
-// joiners go through applyChurn.
-func (r *registry) installRestored(tab *cssTable, memVer map[string]uint64, polIDs []string, groups []restoredGroups) uint64 {
+// installRestored swaps in the table a segmented import rebuilt
+// (statev2_segments.go) with the group states regrouped over its gid columns.
+// Slots are where the segments had them, so the returned table generation
+// makes those segments a sound base for the next segmented export; only rows
+// whose stored assignment the import had to change (churn exported before a
+// grouped snapshot saw it) are dirty.
+func (r *registry) installRestored(tab *cssTable, memVer map[string]uint64, groups map[string]*groupState, changed []int32) uint64 {
 	r.grpMu.Lock()
 	defer r.grpMu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.replaceTable(tab, memVer)
-	r.grp = make(map[string]*groupState, len(polIDs))
-	for i, id := range polIDs {
-		g := &groups[i]
-		r.grp[id] = g.gs
-		for _, s := range g.stale {
-			tab.markDirty(s)
-		}
-		if len(g.joiners) > 0 {
-			r.applyChurn(g.gs, id, g.gs.ver, g.joiners)
-		}
+	r.grp = groups
+	for _, s := range changed {
+		tab.markDirty(s)
 	}
 	return r.tabGen
 }
@@ -480,12 +497,10 @@ func (r *registry) replaceDiff(table map[string]map[string]core.CSS) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	changed := make(map[string]bool)
-	touch := func(nym, cond string) {
+	touch := func(s int32, cond string) {
 		changed[cond] = true
-		r.hint(nym, cond)
-		if s, ok := r.tab.slotOf[nym]; ok {
-			r.tab.markDirty(s) // brand-new rows are marked by ensureRow below
-		}
+		r.hint(s, cond)
+		r.tab.markDirty(s)
 	}
 	// Diff existing rows (including removals) against the incoming table.
 	for s, nym := range r.tab.nyms {
@@ -495,24 +510,12 @@ func (r *registry) replaceDiff(table map[string]map[string]core.CSS) {
 		newRow := table[nym]
 		for ci, old := range r.tab.row(int32(s)) {
 			if old != newRow[r.tab.conds[ci]] { // absent cells read as 0, never a valid CSS
-				touch(nym, r.tab.conds[ci])
+				touch(int32(s), r.tab.conds[ci])
 			}
 		}
 	}
-	// Cells of brand-new rows.
-	for nym, newRow := range table {
-		if _, ok := r.tab.slotOf[nym]; ok {
-			continue
-		}
-		for cond, v := range newRow {
-			if v != 0 {
-				if _, known := r.tab.condIdx[cond]; known {
-					touch(nym, cond)
-				}
-			}
-		}
-	}
-	// Apply: drop rows absent from the new table, then overwrite the rest.
+	// Apply: drop rows absent from the new table, then overwrite the rest;
+	// every cell of a brand-new row is a change.
 	var drop []string
 	for nym := range r.tab.slotOf {
 		if _, ok := table[nym]; !ok {
@@ -523,11 +526,16 @@ func (r *registry) replaceDiff(table map[string]map[string]core.CSS) {
 		r.tab.deleteRow(nym)
 	}
 	for nym, newRow := range table {
-		dst := r.tab.row(r.tab.ensureRow(nym))
+		_, existed := r.tab.slotOf[nym]
+		s := r.tab.ensureRow(nym)
+		dst := r.tab.row(s)
 		clear(dst)
 		for cond, v := range newRow {
 			if ci, ok := r.tab.condIdx[cond]; ok {
 				dst[ci] = v
+				if !existed && v != 0 {
+					touch(s, cond)
+				}
 			}
 		}
 	}
@@ -556,7 +564,7 @@ func (r *registry) setCellsDiff(nym string, cells map[string]core.CSS) {
 		}
 		row[ci] = css
 		r.bump(condID)
-		r.hint(nym, condID)
+		r.hint(s, condID)
 		r.tab.markDirty(s)
 	}
 	r.maybeCompact()

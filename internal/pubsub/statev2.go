@@ -253,7 +253,7 @@ func (p *Publisher) exportStateV2() ([]byte, error) {
 	w.u32(len(ids))
 	for _, id := range ids {
 		w.str(id)
-		w.u32(len(reg.grpCounts[id]))
+		w.u32(reg.grpGroups[id])
 		members := sortedKeys(reg.grpAssign[id])
 		w.u32(len(members))
 		for _, nym := range members {
@@ -664,7 +664,7 @@ func (p *Publisher) importStateV2(data []byte) error {
 		return err
 	}
 	grpAssign := make(map[string]map[string]int, n)
-	grpCounts := make(map[string][]int, n)
+	grpGroups := make(map[string]int, n)
 	for i := 0; i < n; i++ {
 		id, err := r.str(maxStateCondLen)
 		if err != nil {
@@ -687,7 +687,6 @@ func (p *Publisher) importStateV2(data []byte) error {
 			return err
 		}
 		assign := make(map[string]int, members)
-		counts := make([]int, groups)
 		for j := 0; j < members; j++ {
 			nym, err := r.str(maxStateNymLen)
 			if err != nil {
@@ -704,13 +703,12 @@ func (p *Publisher) importStateV2(data []byte) error {
 				return fmt.Errorf("pubsub: state assigns %q twice in policy %q", nym, id)
 			}
 			assign[nym] = gid
-			// Occupancy is recomputed from the assignments rather than
-			// trusted, preserving the fill invariant; only the group-list
-			// length (which fixes future group numbering) is taken as stored.
-			counts[gid]++
 		}
+		// Occupancy is recomputed from the assignments rather than trusted,
+		// preserving the fill invariant; only the number of groups (which
+		// fixes future group numbering) is taken as stored.
 		grpAssign[id] = assign
-		grpCounts[id] = counts
+		grpGroups[id] = groups
 	}
 
 	cfgs, shards, grouped, err := readStateCaches(r)
@@ -735,7 +733,7 @@ func (p *Publisher) importStateV2(data []byte) error {
 		restoredGrp: restoredGrp, last: last, dropped: dropped,
 	}
 	return p.installState(st, func() {
-		p.reg.restore(registryState{table: table, memVer: memVer, grpAssign: grpAssign, grpCounts: grpCounts})
+		p.reg.restore(registryState{table: table, memVer: memVer, grpAssign: grpAssign, grpGroups: grpGroups})
 	})
 }
 

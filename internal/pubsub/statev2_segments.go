@@ -28,9 +28,10 @@ import (
 //     decodes back into the slots its index names) — so the per-slot dirty
 //     bitmap the registry maintains maps straight onto "which segments must
 //     be rewritten", before and after a recovery. Assignment changes
-//     re-dirty the row (grouping.go), so a restored assignment is exact;
-//     pseudonym order and index, member lists, row blocks and signatures are
-//     not stored but rebuilt.
+//     re-dirty the row (grouping.go), so a restored assignment is exact: a
+//     segment's gid columns are windows of the live ones (columnar.go), which
+//     an import installs. Pseudonym order and index, member slot lists and
+//     group signatures are not stored but rebuilt.
 //   - CACHE segments partition the engine's exported cache entries into
 //     hash buckets by entry ID. Each bucket has an identity digest (over
 //     ID, content signature, key material — all of which change on any
@@ -309,22 +310,21 @@ func cacheBucketDigest(cfgs []core.CachedConfig, shards []core.CachedShard, grou
 	return out
 }
 
-// gidNone marks a slot without a group in one policy's gid column.
-const gidNone = int32(-1)
-
 // encodeTableSegment encodes slots [lo, hi): the table's own columns plus one
-// gid column per grouped policy. Callers hold grpMu and at least the registry
-// read lock.
+// gid column per grouped policy: a window of the live column, copied only to
+// blank the gid a leaver's dead slot holds until its hint is consumed (a dead
+// slot stores no group). Callers hold grpMu and at least the registry read lock.
 func (r *registry) encodeTableSegment(lo, hi int, polIDs []string) []byte {
 	nyms := r.tab.nyms[lo:hi]
 	gids := make([][]int32, len(polIDs))
 	for k, pid := range polIDs {
-		assign := r.grp[pid].assign
-		col := make([]int32, len(nyms))
+		col, own := r.tab.gids[pid][lo:hi], false
 		for i, nym := range nyms {
-			col[i] = gidNone
-			if gid, ok := assign[nym]; ok {
-				col[i] = int32(gid)
+			if nym == "" && col[i] != gidNone {
+				if !own {
+					col, own = slices.Clone(col), true
+				}
+				col[i] = gidNone
 			}
 		}
 		gids[k] = col
@@ -484,37 +484,45 @@ func (p *Publisher) ImportStateSegments(segSlots int, meta []byte, table, cache 
 		return 0, err
 	}
 
-	polIDs := sortedKeys(tr.gids)
-	groups := make([]restoredGroups, len(polIDs))
+	// The pseudonym index, and beside it every policy's group state regrouped
+	// over its restored gid column (changed: the slots whose assignment moved).
+	polIDs := sortedKeys(tr.tab.gids)
+	groups := make(map[string]*groupState, len(polIDs))
+	for _, pid := range polIDs {
+		groups[pid] = &groupState{counts: make([]int, st.grpUniverse[pid]), ver: st.memVer[pid]}
+	}
+	changed := make([][]int32, len(polIDs))
+	errs = make([]error, len(polIDs))
 	core.Parallel(workers, 1+len(polIDs), func(i int) {
 		if i == 0 {
 			tr.tab.index(sorted)
 			return
 		}
-		pid := polIDs[i-1]
-		groups[i-1] = p.reg.regroupRestored(tr.tab, sorted, pid, tr.gids[pid], st.grpUniverse[pid], st.memVer[pid])
+		changed[i-1], errs[i-1] = p.reg.regroup(tr.tab, sorted, polIDs[i-1], groups[polIDs[i-1]])
 	})
+	if err := errors.Join(errs...); err != nil {
+		return 0, err
+	}
 
 	st.dropped = tr.dropped.Load()
 	var tabGen uint64
 	err = p.installState(st, func() {
-		tabGen = p.reg.installRestored(tr.tab, st.memVer, polIDs, groups)
+		tabGen = p.reg.installRestored(tr.tab, st.memVer, groups, slices.Concat(changed...))
 	})
 	return tabGen, err
 }
 
 // tableRestore is table T under reconstruction by a segmented import.
-// Segments own disjoint slot ranges of tab, gids and runs, so they decode
-// concurrently without synchronization.
+// Segments own disjoint slot ranges of tab, its gid columns and runs, so they
+// decode concurrently without synchronization.
 type tableRestore struct {
 	tab      *cssTable
 	segSlots int
-	segs     []*stateReader     // one per segment, positioned past its slot count
-	counts   []int              // slots each segment declares
-	universe map[string]int     // declared group-universe length per policy (meta segment)
-	gids     map[string][]int32 // grouped policy the publisher still has → slot → group ID
-	runs     [][]int32          // per segment: live slots in pseudonym order
-	dropped  atomic.Bool        // a condition the publisher no longer has held cells
+	segs     []*stateReader // one per segment, positioned past its slot count
+	counts   []int          // slots each segment declares
+	universe map[string]int // declared group-universe length per policy (meta segment)
+	runs     [][]int32      // per segment: live slots in pseudonym order
+	dropped  atomic.Bool    // a condition the publisher no longer has held cells
 }
 
 // newTableRestore sizes the table from the segments' declared slot counts:
@@ -550,15 +558,10 @@ func (r *registry) newTableRestore(segSlots int, table [][]byte, universe map[st
 	r.mu.RUnlock()
 	tr.tab.nyms = make([]string, slots)
 	tr.tab.cells = make([]core.CSS, slots*tr.tab.width)
-	tr.gids = make(map[string][]int32)
 	if r.groupSize > 0 {
 		for id := range r.polConds {
 			if _, ok := universe[id]; ok {
-				col := make([]int32, slots)
-				for i := range col {
-					col[i] = gidNone
-				}
-				tr.gids[id] = col
+				tr.tab.addGidColumn(id)
 			}
 		}
 	}
@@ -616,7 +619,7 @@ func (tr *tableRestore) decodeSegment(seg int) error {
 	}
 	// Charge what the segment's length does not bound: slot bookkeeping and
 	// columns its own dictionaries lack.
-	if err := r.charge(n * (16 + 8*max(0, tab.width-nd) + 4*max(0, len(tr.gids)-np))); err != nil {
+	if err := r.charge(n * (16 + 8*max(0, tab.width-nd) + 4*max(0, len(tab.gids)-np))); err != nil {
 		return err
 	}
 
@@ -684,7 +687,7 @@ func (tr *tableRestore) decodeSegment(seg int) error {
 		if err := codec.ReadU32s(r.r, col); err != nil {
 			return stateErr(err)
 		}
-		universe, dst := tr.universe[pid], tr.gids[pid]
+		universe, dst := tr.universe[pid], tab.gids[pid]
 		for i, g := range col {
 			if g == gidNone {
 				continue

@@ -194,8 +194,7 @@ func TestSegmentedRestartPendingChurn(t *testing.T) {
 	if env2.pub.reg.has(nyms[0], "") {
 		t.Fatal("row without a credential came back")
 	}
-	gs := env2.pub.reg.grp["acp0"]
-	if _, ok := gs.assign[joiner]; !ok {
+	if s := env2.pub.reg.tab.slotOf[joiner]; env2.pub.reg.tab.gids["acp0"][s] == gidNone {
 		t.Error("pending joiner has no group after the import")
 	}
 	if s := env2.pub.reg.tab.slotOf[joiner]; env2.pub.reg.tab.dirty[s>>6]&(1<<(uint(s)&63)) == 0 {
@@ -410,7 +409,7 @@ func FuzzTableSegment(f *testing.F) {
 		}
 		gids := make([][]int32, len(pols))
 		for k, pid := range pols {
-			gids[k] = tr.gids[pid]
+			gids[k] = tr.tab.gids[pid]
 		}
 		again := encodeTableColumns(reg.tab.conds, pols, tr.tab.nyms, tr.tab.cells, gids)
 		if len(data) >= 5+dicts && bytes.Equal(data[5:5+dicts], again[5:5+dicts]) && !bytes.Equal(data, again) {
