@@ -1,9 +1,8 @@
 // Command ppcd-pub runs a publisher daemon: it loads a policy file, serves
 // registrations over TCP, publishes documents dropped on stdin commands, and
-// persists its CSS table across restarts. With -stream (the default) every
-// publish is also pushed over long-lived subscriber streams as an epoch
-// delta — reconnecting clients catch up from their last epoch (ppcd-sub
-// stream is the consumer side).
+// persists its CSS table across restarts. Every publish is also pushed over
+// long-lived subscriber streams as an epoch delta — reconnecting clients
+// catch up from their last epoch (ppcd-sub stream is the consumer side).
 //
 // With -state-dir the publisher is durable: on start it recovers table T,
 // sticky group assignments, the epoch counter and its incarnation generation
@@ -64,7 +63,6 @@ func main() {
 		ell        = flag.Int("ell", 16, "bit bound for inequality conditions")
 		groupName  = flag.String("group", "schnorr", "commitment group: schnorr or jacobian")
 		groupSize  = flag.Int("group-size", 0, "shard each policy's subscribers into groups of at most this many rows (§VIII-C; 0 = one ACV per configuration)")
-		stream     = flag.Bool("stream", true, "serve push streams: every publish fans epoch deltas out to subscribed clients")
 		heartbeat  = flag.Duration("stream-heartbeat", 30*time.Second, "stream heartbeat interval (0 disables)")
 		retain     = flag.Int("retain", 8, "recent epochs kept for fetches and stream delta catch-ups")
 		queueDepth = flag.Int("queue-depth", 32, "per-stream outbound frame queue depth before a slow consumer is evicted")
@@ -158,7 +156,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv.SetStreaming(*stream)
 	srv.SetHeartbeatInterval(*heartbeat)
 	srv.SetRetention(*retain)
 	srv.SetQueueDepth(*queueDepth)
@@ -221,11 +218,8 @@ func main() {
 			}
 		}()
 	}
-	mode := "fetch only"
-	if *stream {
-		mode = fmt.Sprintf("fetch + push streams (heartbeat %v, %d epochs retained)", *heartbeat, *retain)
-	}
-	log.Printf("serving registrations and broadcasts on %s (%s)", bound, mode)
+	log.Printf("serving registrations and broadcasts on %s (fetch + push streams, heartbeat %v, %d epochs retained)",
+		bound, *heartbeat, *retain)
 
 	sc := bufio.NewScanner(os.Stdin)
 	fmt.Print("> ")

@@ -1,7 +1,8 @@
 // Newsroom: tiered subscription content over a real TCP connection. A news
 // service publishes stories with free / premium / enterprise tiers; clients
 // register over the network (the server is a separate goroutine here, but
-// the wire protocol is plain gob-over-TCP and works across machines). The
+// the protocol is length-prefixed binary messages over TCP and works across
+// machines). The
 // example then walks through subscription churn: a premium reader joins
 // mid-stream and an enterprise reader is revoked, each rekey being a single
 // broadcast.

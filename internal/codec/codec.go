@@ -1,7 +1,7 @@
 // Package codec holds the hardened binary-decode primitives shared by the
 // repo's hand-rolled formats (the durable state v2 blobs and segments in
 // internal/pubsub, the WAL records and snapshot manifests in internal/store,
-// the interchange codecs and stream frames in internal/wire).
+// the stream frames and RPC messages in internal/wire).
 //
 // Every format built on it gets the same discipline for free:
 //

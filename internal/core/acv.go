@@ -83,9 +83,8 @@ func CSSFromBytes(b []byte) (CSS, error) { return ff64.FromBytes(b) }
 // them: the publisher expands a session's seed once into the run its solves
 // share, KEV expands into pooled scratch, and nothing stores the result.
 //
-// Zs is the listed form, for nonces no seed names: headers decoded by the
-// v1/v2 interchange codecs or from a frame run written out, and those built
-// by hand. Build, BuildMulti and BuildGrouped — the literal §V-C leaf — list
+// Zs is the listed form, for nonces no seed names: headers decoded from a
+// frame run written out, and those built by hand. Build, BuildMulti and BuildGrouped — the literal §V-C leaf — list
 // the nonces beside the seed, because their callers index them. A header is
 // not written after it is built: it is shared between caches, broadcasts and
 // goroutines, which is also why it memoises no expansion.

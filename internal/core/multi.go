@@ -264,9 +264,7 @@ type GroupShard struct {
 // GroupedHeader is the broadcast material of a grouped build: one sub-header
 // per row shard, all delivering the same configuration key through per-shard
 // wraps W_i = K + H(S_i ‖ RekeyNonce). RekeyNonce is fresh whenever K is, so
-// reused group keys never reuse a mask. A nil RekeyNonce marks a legacy
-// direct-mode header (decoded from the old single-header wire format) whose
-// shards deliver the configuration key itself.
+// reused group keys never reuse a mask.
 type GroupedHeader struct {
 	RekeyNonce []byte
 	Shards     []GroupShard
@@ -316,12 +314,8 @@ func (g *GroupedHeader) WrapKey(key, shardKey ff64.Elem) ff64.Elem {
 	return ff64.Add(key, maskShardKey(shardKey, g.RekeyNonce))
 }
 
-// Unwrap recovers the configuration key from shard i's group key. In legacy
-// direct mode (nil RekeyNonce) the group key IS the configuration key.
+// Unwrap recovers the configuration key from shard i's group key.
 func (g *GroupedHeader) Unwrap(i int, shardKey ff64.Elem) ff64.Elem {
-	if g.RekeyNonce == nil {
-		return shardKey
-	}
 	return ff64.Sub(g.Shards[i].Wrap, maskShardKey(shardKey, g.RekeyNonce))
 }
 

@@ -243,9 +243,4 @@ func TestGroupedWrapHidesKeyFromOtherShards(t *testing.T) {
 	if g.Unwrap(1, s0) == key {
 		t.Error("shard-0 group key unwraps shard 1's wrap")
 	}
-	// A direct-mode header (nil RekeyNonce) passes the shard key through.
-	direct := &GroupedHeader{Shards: []GroupShard{{Hdr: g.Shards[0].Hdr}}}
-	if direct.Unwrap(0, s0) != s0 {
-		t.Error("direct mode did not pass the shard key through")
-	}
 }

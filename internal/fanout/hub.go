@@ -267,12 +267,13 @@ func (h *Hub) drop(c *Conn) {
 // is exactly retained, else the epoch's shared snapshot), then writes
 // queued frames until the consumer goes away or the hub closes. Blocks on
 // the caller's goroutine; a watchdog goroutine detects consumer hangup
-// (subscribers never send after the subscribe request).
-func (h *Hub) ServeConn(nc net.Conn, doc string, lastEpoch, lastGen uint64) {
+// (subscribers never send after the subscribe request). It returns false,
+// having written nothing, when the hub is already closed.
+func (h *Hub) ServeConn(nc net.Conn, doc string, lastEpoch, lastGen uint64) bool {
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
-		return
+		return false
 	}
 	c := &Conn{
 		nc:      nc,
@@ -304,6 +305,7 @@ func (h *Hub) ServeConn(nc net.Conn, doc string, lastEpoch, lastGen uint64) {
 		h.drop(c)
 	}()
 	h.writeLoop(c)
+	return true
 }
 
 // writeLoop drains the connection's queue. Each wakeup batches every

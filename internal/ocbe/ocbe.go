@@ -239,9 +239,10 @@ func (r *Receiver) Prepare(pred Predicate, ell int) (*Witness, *Request, error) 
 	wit := &Witness{}
 	for _, s := range subs {
 		if s.kind == 0 {
-			// Equality needs no bit commitments; use an empty (not nil)
-			// placeholder so requests survive gob encoding, which rejects
-			// nil pointers inside slices.
+			// Equality needs no bit commitments; an empty (not nil)
+			// placeholder keeps Bits one entry per sub-predicate, and it is
+			// what the registration codec decodes an empty entry to, so a
+			// request crosses the wire unchanged.
 			req.Bits = append(req.Bits, &BitCommitments{})
 			wit.wits = append(wit.wits, nil)
 			continue

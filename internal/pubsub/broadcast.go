@@ -87,7 +87,7 @@ type lastBroadcast struct {
 //
 // Publish never blocks registration traffic: it reads a consistent table
 // snapshot under a read lock and performs all crypto outside any lock, so
-// concurrent Register/Revoke* calls proceed while ACVs are being solved.
+// concurrent RegisterBatch/Revoke* calls proceed while ACVs are being solved.
 //
 // Each broadcast is stamped with the next epoch and with per-configuration
 // (and per-shard) revisions derived from the engine's cache state, so the

@@ -634,8 +634,8 @@ func TestConcurrentRegisterDuringGroupedPublish(t *testing.T) {
 }
 
 func TestGroupedBroadcastGobRoundTrip(t *testing.T) {
-	// The TCP transport moves broadcasts as gob; grouped headers must
-	// survive it.
+	// Grouped headers are plain exported values too: a reflection codec
+	// carries them unchanged.
 	params, mgr := testEnv(t)
 	acps, doc, state, err := benchutil.Workload(5, 2, 2, 64)
 	if err != nil {

@@ -17,8 +17,8 @@
 //     keys and assembles the public broadcast package.
 //
 // Registration is batched end to end: Subscriber.RegisterAll sends all
-// matching conditions in one RegisterBatch round trip when the registrar
-// supports it.
+// matching conditions in one RegisterBatch call, the only way a
+// registration reaches the publisher.
 package pubsub
 
 import (
@@ -204,86 +204,41 @@ type RegistrationRequest struct {
 	OCBE   *ocbe.Request
 }
 
-// Errors returned by Register.
+// Per-item refusals of RegisterBatch; BatchResult.Err carries their text.
 var (
 	ErrUnknownCondition   = errors.New("pubsub: condition not in any policy")
 	ErrTagMismatch        = errors.New("pubsub: token tag does not match condition attribute")
 	ErrCommitmentMismatch = errors.New("pubsub: OCBE commitment does not match the token's certified commitment")
 )
 
-// Register handles one registration request: it verifies the token, draws a
-// fresh CSS, records it in table T under (nym, condition), and returns the
-// OCBE envelope containing the CSS. The subscriber can extract the CSS iff
-// its committed attribute value satisfies the condition; the publisher never
-// learns whether it could (§V-B).
-func (p *Publisher) Register(req *RegistrationRequest) (*ocbe.Envelope, error) {
-	env, css, err := p.compose(req, true)
-	if err != nil {
-		return nil, err
-	}
-	cells := map[string]core.CSS{req.CondID: css}
-	// Write-ahead: the cells must be durable before they become visible in T
-	// (a crash after the subscriber received its envelope but before the
-	// journal entry would silently lose the registration). Under a pipelined
-	// journal concurrent registrations share one group flush.
-	err = p.commitMutation(nil,
-		func() { p.reg.setCells(req.Token.Nym, cells) },
-		StateEvent{Kind: StateEventRegister, Nym: req.Token.Nym, Cells: cells})
-	if err != nil {
-		return nil, err
-	}
-	return env, nil
-}
-
-// validateRegistration checks everything about one request except the
-// envelope crypto — shape, condition, pseudonym cap, tag, certified
-// commitment and (optionally) the token signature — and draws the fresh
-// CSS for a request that passes. verifyToken can be skipped when the same
-// token was already verified earlier in a batch.
-func (p *Publisher) validateRegistration(req *RegistrationRequest, verifyToken bool) (core.CSS, error) {
+// validateRegistration checks everything about one request that needs no
+// signature or group arithmetic: shape, condition, pseudonym cap, tag and
+// certified commitment.
+func (p *Publisher) validateRegistration(req *RegistrationRequest) error {
 	if req == nil || req.Token == nil || req.OCBE == nil {
-		return 0, errors.New("pubsub: incomplete registration request")
+		return errors.New("pubsub: incomplete registration request")
 	}
 	cond, ok := p.condByID[req.CondID]
 	if !ok {
-		return 0, ErrUnknownCondition
+		return ErrUnknownCondition
 	}
 	// Enforce the durable-state pseudonym cap at admission: a longer nym
 	// would register fine but poison every later state import/WAL replay
 	// (a one-request persistent denial of recovery).
 	if err := validateStateNym(req.Token.Nym); err != nil {
-		return 0, err
+		return err
 	}
 	if req.Token.Tag != cond.Attr {
-		return 0, ErrTagMismatch
+		return ErrTagMismatch
 	}
 	// The OCBE exchange must run against the IdMgr-certified commitment —
 	// otherwise a subscriber could attach a valid token while running OCBE
 	// on a self-chosen commitment to a satisfying value, bypassing the
 	// access control entirely.
 	if !bytes.Equal(req.OCBE.Commitment, req.Token.Commitment) {
-		return 0, ErrCommitmentMismatch
+		return ErrCommitmentMismatch
 	}
-	if verifyToken {
-		if err := idtoken.Verify(p.params, p.idmgrKey, req.Token); err != nil {
-			return 0, fmt.Errorf("pubsub: token rejected: %w", err)
-		}
-	}
-	return core.NewCSS()
-}
-
-// compose validates one registration request and builds its envelope
-// without touching table T.
-func (p *Publisher) compose(req *RegistrationRequest, verifyToken bool) (*ocbe.Envelope, core.CSS, error) {
-	css, err := p.validateRegistration(req, verifyToken)
-	if err != nil {
-		return nil, 0, err
-	}
-	env, err := ocbe.Compose(p.params, p.predByID[req.CondID], p.opts.Ell, req.OCBE, css.Bytes())
-	if err != nil {
-		return nil, 0, fmt.Errorf("pubsub: composing envelope: %w", err)
-	}
-	return env, css, nil
+	return nil
 }
 
 // BatchResult is the outcome of one item of a RegisterBatch call: either an
@@ -301,14 +256,20 @@ type BatchResult struct {
 // below it).
 const MaxRegistrationBatch = 4096
 
-// RegisterBatch handles many registration requests in one call — one round
-// trip on the wire instead of one per condition. Each distinct token is
-// verified once, envelope composition runs through ocbe.ComposeBatch in
-// bounded chunks — pooling every envelope's σ exponentiations into the
-// group's lane-batched multi-exponentiation kernel — and all resulting CSS
-// cells are committed to table T under a single write-lock acquisition per
-// pseudonym. Item-level failures are reported in the corresponding
-// BatchResult; the call errs only on an empty or oversized batch.
+// RegisterBatch handles the registration requests of a subscriber in one
+// call — one round trip on the wire. For each request that passes, it draws
+// a fresh CSS, records it in table T under (nym, condition), and returns the
+// OCBE envelope containing the CSS. The subscriber can extract the CSS iff
+// its committed attribute value satisfies the condition; the publisher never
+// learns whether it could (§V-B).
+//
+// Each distinct token is verified once, envelope composition runs through
+// ocbe.ComposeBatch in bounded chunks — pooling every envelope's σ
+// exponentiations into the group's lane-batched multi-exponentiation kernel
+// — and all resulting CSS cells are committed to table T under a single
+// write-lock acquisition per pseudonym. Item-level failures are reported in
+// the corresponding BatchResult; the call errs only on an empty or
+// oversized batch.
 func (p *Publisher) RegisterBatch(reqs []*RegistrationRequest) ([]BatchResult, error) {
 	if len(reqs) == 0 {
 		return nil, errors.New("pubsub: empty registration batch")
@@ -317,13 +278,29 @@ func (p *Publisher) RegisterBatch(reqs []*RegistrationRequest) ([]BatchResult, e
 		return nil, fmt.Errorf("pubsub: registration batch of %d exceeds limit %d", len(reqs), MaxRegistrationBatch)
 	}
 
-	// Verify each distinct token once (the paper's Sub registers one token
-	// against many conditions).
-	byKey := make(map[string]error)
-	tokErrs := make([]error, len(reqs))
+	type outcome struct {
+		css core.CSS
+		ok  bool
+	}
+	results := make([]BatchResult, len(reqs))
+	outcomes := make([]outcome, len(reqs))
+	// Validate every item up front — the cheap checks first, then the token
+	// signature, each distinct token once (the paper's Sub registers one
+	// token against many conditions) — and collect the survivors into one
+	// compose batch, so ocbe.ComposeBatch can pool every envelope's σ
+	// exponentiations into shared lanes instead of composing one envelope
+	// per worker.
+	tokErrs := make(map[string]error)
+	items := make([]ocbe.ComposeItem, 0, len(reqs))
+	itemIdx := make([]int, 0, len(reqs)) // items[j] composes reqs[itemIdx[j]]
+	cssFor := make([]core.CSS, len(reqs))
 	for i, req := range reqs {
-		if req == nil || req.Token == nil {
-			continue // compose reports the incomplete request per item
+		if req != nil {
+			results[i].CondID = req.CondID
+		}
+		if err := p.validateRegistration(req); err != nil {
+			results[i].Err = err.Error()
+			continue
 		}
 		tok := req.Token
 		// Length-prefixed fields: a plain-separator join would let crafted
@@ -332,40 +309,18 @@ func (p *Publisher) RegisterBatch(reqs []*RegistrationRequest) ([]BatchResult, e
 		key := fmt.Sprintf("%d:%s|%d:%s|%d:%x|%d:%x",
 			len(tok.Nym), tok.Nym, len(tok.Tag), tok.Tag,
 			len(tok.Commitment), tok.Commitment, len(tok.Sig), tok.Sig)
-		err, ok := byKey[key]
+		err, ok := tokErrs[key]
 		if !ok {
-			err = idtoken.Verify(p.params, p.idmgrKey, tok)
-			if err != nil {
+			if err = idtoken.Verify(p.params, p.idmgrKey, tok); err != nil {
 				err = fmt.Errorf("pubsub: token rejected: %w", err)
 			}
-			byKey[key] = err
+			tokErrs[key] = err
 		}
-		tokErrs[i] = err
-	}
-
-	type outcome struct {
-		css core.CSS
-		ok  bool
-	}
-	results := make([]BatchResult, len(reqs))
-	outcomes := make([]outcome, len(reqs))
-	// Validate every item up front (cheap: map lookups and byte compares;
-	// signatures were checked above) and collect the survivors into one
-	// compose batch, so ocbe.ComposeBatch can pool every envelope's σ
-	// exponentiations into shared lanes instead of composing one envelope
-	// per worker.
-	items := make([]ocbe.ComposeItem, 0, len(reqs))
-	itemIdx := make([]int, 0, len(reqs)) // items[j] composes reqs[itemIdx[j]]
-	cssFor := make([]core.CSS, len(reqs))
-	for i, req := range reqs {
-		if req != nil {
-			results[i].CondID = req.CondID
-		}
-		if err := tokErrs[i]; err != nil {
+		if err != nil {
 			results[i].Err = err.Error()
 			continue
 		}
-		css, err := p.validateRegistration(req, false)
+		css, err := core.NewCSS()
 		if err != nil {
 			results[i].Err = err.Error()
 			continue

@@ -13,8 +13,8 @@ import (
 )
 
 func TestBroadcastGobRoundTrip(t *testing.T) {
-	// Broadcast packages must survive serialization unchanged — the
-	// transport layer depends on it.
+	// A broadcast package is a plain exported value: a reflection codec
+	// carries it unchanged, and the copy still decrypts.
 	pub := newEHRPublisher(t)
 	newSub(t, pub, "pn-gob", map[string]string{"role": "doc"})
 	b, err := pub.Publish(ehrDoc(t))
@@ -215,13 +215,13 @@ func TestRegisterRejectsInvalidOCBERequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Garbage commitment bytes must be rejected by the OCBE layer.
-	_, err = pub.Register(&RegistrationRequest{
+	// Garbage commitment bytes must be rejected: they are not the token's
+	// certified commitment, let alone a group element.
+	if registerOne(t, pub, &RegistrationRequest{
 		Token:  tok,
 		CondID: "role = doc",
 		OCBE:   &ocbe.Request{Commitment: []byte("not-a-group-element")},
-	})
-	if err == nil {
+	}) == "" {
 		t.Error("garbage OCBE request accepted")
 	}
 }

@@ -319,25 +319,39 @@ func TestPublisherValidation(t *testing.T) {
 	}
 }
 
+// registerOne registers req as a batch of one and returns the item's
+// refusal ("" when it got an envelope).
+func registerOne(t *testing.T, pub *Publisher, req *RegistrationRequest) string {
+	t.Helper()
+	results, err := pub.RegisterBatch([]*RegistrationRequest{req})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].Err == "" && results[0].Envelope == nil {
+		t.Fatal("item neither refused nor answered")
+	}
+	return results[0].Err
+}
+
 func TestRegisterValidation(t *testing.T) {
 	pub := newEHRPublisher(t)
 	_, mgr := testEnv(t)
-	if _, err := pub.Register(nil); err == nil {
+	if registerOne(t, pub, nil) == "" {
 		t.Error("nil request accepted")
 	}
 	tok, _, err := mgr.IssueString("pn-v", "role", "doc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pub.Register(&RegistrationRequest{Token: tok, CondID: "nonexistent = 1", OCBE: nil}); err == nil {
+	if registerOne(t, pub, &RegistrationRequest{Token: tok, CondID: "nonexistent = 1", OCBE: nil}) == "" {
 		t.Error("incomplete request accepted")
 	}
 	// Tag mismatch: role token against level condition.
-	if _, err := pub.Register(&RegistrationRequest{Token: tok, CondID: "level >= 59", OCBE: &ocbe.Request{}}); err != ErrTagMismatch {
-		t.Errorf("expected ErrTagMismatch, got %v", err)
+	if got := registerOne(t, pub, &RegistrationRequest{Token: tok, CondID: "level >= 59", OCBE: &ocbe.Request{}}); got != ErrTagMismatch.Error() {
+		t.Errorf("expected ErrTagMismatch, got %q", got)
 	}
-	if _, err := pub.Register(&RegistrationRequest{Token: tok, CondID: "ghost = 1", OCBE: &ocbe.Request{}}); err != ErrUnknownCondition {
-		t.Errorf("expected ErrUnknownCondition, got %v", err)
+	if got := registerOne(t, pub, &RegistrationRequest{Token: tok, CondID: "ghost = 1", OCBE: &ocbe.Request{}}); got != ErrUnknownCondition.Error() {
+		t.Errorf("expected ErrUnknownCondition, got %q", got)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // registry is the publisher's table-T layer: it owns the (nym, condition) →
 // CSS table together with per-policy membership versions, behind a read-write
-// lock. Mutations (Register, Revoke*) take the write lock only for the table
+// lock. Mutations (RegisterBatch, Revoke*) take the write lock only for the table
 // update itself — never across crypto — and Publish reads a consistent
 // snapshot under the read lock, so registration traffic and broadcast
 // encryption proceed concurrently.
@@ -331,7 +331,7 @@ func (r *registry) snapshot(acps []*policy.ACP) (map[string][][]core.CSS, map[st
 
 	// Rebuild the stale assemblies under the shared lock — the table scan
 	// must not hold the exclusive lock, or a big rebuild would serialize
-	// every Register/Revoke behind it. Mutations take the write lock, so
+	// every RegisterBatch/Revoke behind it. Mutations take the write lock, so
 	// the versions read here are consistent with the scanned rows.
 	rebuilt := make(map[string]policyRows, len(stale))
 	r.mu.RLock()

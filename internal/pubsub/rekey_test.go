@@ -1,7 +1,6 @@
 package pubsub
 
 import (
-	"errors"
 	"fmt"
 	"math/big"
 	"sync"
@@ -325,12 +324,12 @@ func TestRegisterBatchDirect(t *testing.T) {
 	}
 }
 
-// flakyBatchRegistrar forwards to the real publisher but reports the first
+// flakyRegistrar forwards to the real publisher but reports the first
 // item as failed, simulating a partial batch failure AFTER the publisher
 // committed the other cells.
-type flakyBatchRegistrar struct{ *Publisher }
+type flakyRegistrar struct{ *Publisher }
 
-func (f flakyBatchRegistrar) RegisterBatch(reqs []*RegistrationRequest) ([]BatchResult, error) {
+func (f flakyRegistrar) RegisterBatch(reqs []*RegistrationRequest) ([]BatchResult, error) {
 	res, err := f.Publisher.RegisterBatch(reqs)
 	if err == nil && len(res) > 0 {
 		res[0] = BatchResult{CondID: res[0].CondID, Err: "injected item failure"}
@@ -355,7 +354,7 @@ func TestRegisterAllKeepsExtractionsOnPartialBatchFailure(t *testing.T) {
 	if err := sub.AddToken(tok, sec); err != nil {
 		t.Fatal(err)
 	}
-	n, err := sub.RegisterAll(flakyBatchRegistrar{pub})
+	n, err := sub.RegisterAll(flakyRegistrar{pub})
 	if err == nil {
 		t.Fatal("item failure not reported")
 	}
@@ -404,17 +403,13 @@ func TestRegisterRejectsForeignCommitment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = pub.Register(&RegistrationRequest{Token: tok, CondID: cond.ID(), OCBE: req})
-	if !errors.Is(err, ErrCommitmentMismatch) {
-		t.Fatalf("forged commitment not rejected: %v", err)
-	}
-	// The same forgery inside a batch fails that item.
+	// The forgery fails its item, with the certified commitment named.
 	results, err := pub.RegisterBatch([]*RegistrationRequest{{Token: tok, CondID: cond.ID(), OCBE: req}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Err == "" || results[0].Envelope != nil {
-		t.Errorf("forged commitment accepted in batch: %+v", results[0])
+	if results[0].Err != ErrCommitmentMismatch.Error() || results[0].Envelope != nil {
+		t.Errorf("forged commitment not rejected: %+v", results[0])
 	}
 	if pub.SubscriberCount() != 0 {
 		t.Errorf("forged registration left a table row")

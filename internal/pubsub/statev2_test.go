@@ -445,13 +445,12 @@ func TestAdmissionEnforcesStateCaps(t *testing.T) {
 	env := newDeltaEnv(t, 1, 0)
 	long := strings.Repeat("x", maxStateNymLen+1)
 
-	_, err := env.pub.Register(&RegistrationRequest{
+	if got := registerOne(t, env.pub, &RegistrationRequest{
 		Token:  &idtoken.Token{Nym: long, Tag: "attr0", Commitment: []byte{1}},
 		CondID: "attr0 >= 1",
 		OCBE:   &ocbe.Request{Commitment: []byte{1}},
-	})
-	if err == nil {
-		t.Error("oversized pseudonym registered")
+	}); !strings.Contains(got, "pseudonym") {
+		t.Errorf("oversized pseudonym registered: %q", got)
 	}
 	if err := env.pub.ApplyStateEvent(StateEvent{Kind: StateEventRegister, Nym: long,
 		Cells: map[string]core.CSS{"attr0 >= 1": 5}}); err == nil {

@@ -17,22 +17,14 @@ import (
 	"ppcd/internal/sym"
 )
 
-// Registrar is the publisher-side interface a subscriber registers against.
-// *Publisher satisfies it directly for in-process use; the transport package
-// provides a network client with the same shape.
+// Registrar is the publisher-side interface a subscriber registers against:
+// the public setup, then every registration of one subscriber as one batch —
+// one network round trip. *Publisher satisfies it directly for in-process
+// use; the transport package provides a network client with the same shape.
 type Registrar interface {
 	Params() *pedersen.Params
 	Ell() int
 	Conditions() []policy.Condition
-	Register(*RegistrationRequest) (*ocbe.Envelope, error)
-}
-
-// BatchRegistrar is a Registrar that additionally accepts a whole
-// registration batch in one call — one network round trip instead of one
-// per condition. *Publisher and the transport client both implement it;
-// Subscriber.RegisterAll uses the batched path whenever available.
-type BatchRegistrar interface {
-	Registrar
 	RegisterBatch([]*RegistrationRequest) ([]BatchResult, error)
 }
 
@@ -206,11 +198,8 @@ func (s *Subscriber) HasCSS(condID string) bool {
 // subscriber registers for ALL matching conditions — including mutually
 // exclusive ones — so the publisher cannot infer which condition it actually
 // satisfies (§V-B, Example 3). Envelopes that fail to open are skipped
-// silently. It returns the number of CSSs extracted.
-//
-// When the registrar supports batching (BatchRegistrar — both *Publisher and
-// the transport client do), all matching conditions travel in a single
-// RegisterBatch round trip; otherwise one Register call runs per condition.
+// silently. It returns the number of CSSs extracted. All matching
+// conditions travel in a single RegisterBatch call.
 func (s *Subscriber) RegisterAll(r Registrar) (int, error) {
 	params := r.Params()
 	ell := r.Ell()
@@ -221,9 +210,9 @@ func (s *Subscriber) RegisterAll(r Registrar) (int, error) {
 		cond policy.Condition
 		recv *ocbe.Receiver
 		wit  *ocbe.Witness
-		req  *RegistrationRequest
 	}
 	var items []prepared
+	var reqs []*RegistrationRequest
 	for _, cond := range conds {
 		s.mu.Lock()
 		ts, ok := s.tokens[cond.Attr]
@@ -237,64 +226,38 @@ func (s *Subscriber) RegisterAll(r Registrar) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("pubsub: preparing for %q: %w", cond.ID(), err)
 		}
-		items = append(items, prepared{
-			cond: cond,
-			recv: recv,
-			wit:  wit,
-			req:  &RegistrationRequest{Token: ts.token, CondID: cond.ID(), OCBE: req},
-		})
+		items = append(items, prepared{cond: cond, recv: recv, wit: wit})
+		reqs = append(reqs, &RegistrationRequest{Token: ts.token, CondID: cond.ID(), OCBE: req})
 	}
 	if len(items) == 0 {
 		return 0, nil
 	}
 
-	// Collect the envelopes: one batched round trip when possible. An
-	// item-level failure is remembered but must not discard the other
+	results, err := r.RegisterBatch(reqs)
+	if err != nil {
+		return 0, fmt.Errorf("pubsub: batch registration: %w", err)
+	}
+	if len(results) != len(items) {
+		return 0, fmt.Errorf("pubsub: batch returned %d results for %d requests", len(results), len(items))
+	}
+	// An item-level failure is remembered but must not discard the other
 	// envelopes — the publisher has already committed their CSS cells to
 	// table T, so dropping them here would leave this subscriber counted in
 	// ACVs it cannot use.
-	envs := make([]*ocbe.Envelope, len(items))
 	var itemErr error
-	if br, ok := r.(BatchRegistrar); ok {
-		reqs := make([]*RegistrationRequest, len(items))
-		for i, it := range items {
-			reqs[i] = it.req
-		}
-		results, err := br.RegisterBatch(reqs)
-		if err != nil {
-			return 0, fmt.Errorf("pubsub: batch registration: %w", err)
-		}
-		if len(results) != len(items) {
-			return 0, fmt.Errorf("pubsub: batch returned %d results for %d requests", len(results), len(items))
-		}
-		for i, res := range results {
-			if res.Err != "" {
-				if itemErr == nil {
-					itemErr = fmt.Errorf("pubsub: registering for %q: %s", items[i].cond.ID(), res.Err)
-				}
-				continue
-			}
-			envs[i] = res.Envelope
-		}
-	} else {
-		for i, it := range items {
-			env, err := r.Register(it.req)
-			if err != nil {
-				if itemErr == nil {
-					itemErr = fmt.Errorf("pubsub: registering for %q: %w", it.cond.ID(), err)
-				}
-				continue
-			}
-			envs[i] = env
-		}
-	}
-
 	extracted := 0
 	for i, it := range items {
-		if envs[i] == nil {
-			continue // item failed; error already recorded
+		res := results[i]
+		if res.Err != "" {
+			if itemErr == nil {
+				itemErr = fmt.Errorf("pubsub: registering for %q: %s", it.cond.ID(), res.Err)
+			}
+			continue
 		}
-		payload, err := it.recv.Open(envs[i], it.wit)
+		if res.Envelope == nil {
+			continue
+		}
+		payload, err := it.recv.Open(res.Envelope, it.wit)
 		if err != nil {
 			continue // condition not satisfied; indistinguishable to the publisher
 		}

@@ -12,9 +12,9 @@
 // A relay's downstream side speaks exactly the protocol its upstream side
 // consumes, so relays chain into a tree: origin → relay → relay → … → subs,
 // with the origin's egress O(direct children), not O(total subscribers).
-// Registration and fetch-capability RPCs are proxied to the upstream (which
-// forwards again if it is itself a relay), so an unmodified subscriber
-// works against a relay address.
+// Registration and info requests are proxied to the upstream (which forwards
+// again if it is itself a relay), so an unmodified subscriber works against
+// a relay address.
 //
 // Restart discipline: the upstream loop reconnects with its last applied
 // (epoch, Gen) for a one-delta catch-up; any base or generation mismatch —
@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ppcd/internal/ocbe"
 	"ppcd/internal/pedersen"
 	"ppcd/internal/policy"
 	"ppcd/internal/pubsub"
@@ -323,10 +322,11 @@ func (r *Relay) Close() error {
 }
 
 // proxyBackend forwards registration RPCs to the upstream over a lazily
-// dialed request/response connection, making the relay transparent to
-// registering subscribers. It implements pubsub.BatchRegistrar.
-// Registration is the cold path, so the error handling is simple: any
-// upstream failure drops the connection and the next call redials.
+// dialed request/reply connection, making the relay transparent to
+// registering subscribers. It implements pubsub.Registrar. A refusal the
+// upstream sends (a *wire.RemoteError: an empty or oversized batch) is
+// passed on with the connection kept; any other failure drops the
+// connection and the next call redials.
 type proxyBackend struct {
 	addr   string
 	params *pedersen.Params
@@ -393,32 +393,18 @@ func (p *proxyBackend) Conditions() []policy.Condition {
 	return conds
 }
 
-// Register implements pubsub.Registrar.
-func (p *proxyBackend) Register(reg *pubsub.RegistrationRequest) (*ocbe.Envelope, error) {
-	c, err := p.client()
-	if err != nil {
-		return nil, err
-	}
-	env, err := c.Register(reg)
-	if err != nil {
-		p.fail(c)
-		return nil, err
-	}
-	return env, nil
-}
-
-// RegisterBatch implements pubsub.BatchRegistrar.
+// RegisterBatch implements pubsub.Registrar.
 func (p *proxyBackend) RegisterBatch(reqs []*pubsub.RegistrationRequest) ([]pubsub.BatchResult, error) {
 	c, err := p.client()
 	if err != nil {
 		return nil, err
 	}
 	results, err := c.RegisterBatch(reqs)
-	if err != nil {
+	var refused *wire.RemoteError
+	if err != nil && !errors.As(err, &refused) {
 		p.fail(c)
-		return nil, err
 	}
-	return results, nil
+	return results, err
 }
 
-var _ pubsub.BatchRegistrar = (*proxyBackend)(nil)
+var _ pubsub.Registrar = (*proxyBackend)(nil)

@@ -2,9 +2,13 @@ package relay
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -748,6 +752,79 @@ func TestRelayChainMiddleRestart(t *testing.T) {
 	}
 	if s := r2.Stats(); s.Reconnects < 2 {
 		t.Fatalf("edge relay never reconnected: %+v", s)
+	}
+}
+
+// countingForwarder relays TCP connections to addr and counts the ones it
+// accepted.
+func countingForwarder(t *testing.T, addr string) (string, *atomic.Int64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	accepted := new(atomic.Int64)
+	go func() {
+		for {
+			in, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			out, err := net.Dial("tcp", addr)
+			if err != nil {
+				in.Close()
+				continue
+			}
+			go func() { io.Copy(out, in); out.Close() }()
+			go func() { io.Copy(in, out); in.Close() }()
+		}
+	}()
+	return ln.Addr().String(), accepted
+}
+
+// TestRelayKeepsUpstreamOnRefusal: the origin's refusals of an empty batch
+// and of one past the 4096-item cap reach the subscriber through the relay
+// as the origin's own text, and the relay's registration proxy keeps its
+// upstream connection across them — after both refusals and a good
+// registration the origin has accepted exactly one connection from it.
+func TestRelayKeepsUpstreamOnRefusal(t *testing.T) {
+	_, originAddr, _ := startOrigin(t)
+	upstream, accepted := countingForwarder(t, originAddr)
+	p, _ := env(t)
+	r, err := New(upstream, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	// The relay's downstream side alone: its upstream stream would be
+	// another connection through the forwarder.
+	addr, err := r.srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := transport.Dial(addr, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	over := pubsub.MaxRegistrationBatch + 1
+	for _, tc := range []struct {
+		batch []*pubsub.RegistrationRequest
+		want  string
+	}{
+		{nil, "pubsub: empty registration batch"},
+		{make([]*pubsub.RegistrationRequest, over), fmt.Sprintf("pubsub: registration batch of %d exceeds limit %d", over, pubsub.MaxRegistrationBatch)},
+	} {
+		var refused *wire.RemoteError
+		if _, err := client.RegisterBatch(tc.batch); !errors.As(err, &refused) || refused.Msg != tc.want {
+			t.Fatalf("a batch of %d through the relay: %v, want the refusal %q", len(tc.batch), err, tc.want)
+		}
+	}
+	registerVia(t, addr, "pn-after-refusals")
+	if n := accepted.Load(); n != 1 {
+		t.Fatalf("the origin accepted %d connections from the relay's proxy, want 1", n)
 	}
 }
 

@@ -7,11 +7,7 @@ package transport
 
 import (
 	"bufio"
-	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync/atomic"
 	"time"
@@ -21,16 +17,12 @@ import (
 
 const defaultHeartbeat = 30 * time.Second
 
-// ErrStreamUnsupported is returned by Subscribe against servers that
-// predate (or disabled) the streaming RPC.
-var ErrStreamUnsupported = errors.New("transport: server does not support streaming")
-
 // Stream is a subscriber-side broadcast stream: a dedicated connection on
 // which the server pushes snapshot, delta and heartbeat frames.
 type Stream struct {
 	conn      net.Conn
-	br        *bufio.Reader
-	bytesRead int64
+	in        msgReader
+	bytesRead atomic.Int64
 }
 
 // Subscribe opens a streaming connection. doc filters to one document ("" =
@@ -39,32 +31,24 @@ type Stream struct {
 // Epoch and Snapshot.Gen / Delta.Gen) — the server catches the stream up
 // with a delta when it still retains exactly that state, else with a full
 // snapshot, then pushes every subsequent publish. The stream is independent
-// of the client's request/response connection.
+// of the client's request/reply connection.
 func (c *Client) Subscribe(doc string, lastEpoch, lastGen uint64) (*Stream, error) {
-	if err := c.ensureInfo(); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	hasStream := c.hasStream
-	c.mu.Unlock()
-	if !hasStream {
-		return nil, ErrStreamUnsupported
-	}
 	conn, err := net.Dial("tcp", c.addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
-	if err := gob.NewEncoder(conn).Encode(&request{Kind: "subscribe", Doc: doc, LastEpoch: lastEpoch, LastGen: lastGen}); err != nil {
+	req := wire.MarshalRequest(&wire.Request{Kind: wire.KindSubscribe, Doc: doc, LastEpoch: lastEpoch, LastGen: lastGen})
+	if err := writeMsg(conn, req); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("transport: subscribe: %w", err)
 	}
-	return &Stream{conn: conn, br: bufio.NewReader(conn)}, nil
+	return &Stream{conn: conn, in: msgReader{r: bufio.NewReader(conn)}}, nil
 }
 
 // Next blocks until the server pushes the next frame and returns it
 // decoded. It returns an error when the connection drops (server restart,
 // slow-consumer eviction) — reconnect with Subscribe and the last applied
-// epoch.
+// epoch — and a *wire.RemoteError when the server refused the subscribe.
 func (st *Stream) Next() (*wire.Frame, error) {
 	f, _, err := st.NextRaw()
 	return f, err
@@ -75,19 +59,16 @@ func (st *Stream) Next() (*wire.Frame, error) {
 // subtree sees the origin's marshal. The returned slice is owned by the
 // caller.
 func (st *Stream) NextRaw() (*wire.Frame, []byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(st.br, lenBuf[:]); err != nil {
-		return nil, nil, fmt.Errorf("transport: stream closed: %w", err)
+	payload, err := st.in.next()
+	if err != nil {
+		return nil, nil, fmt.Errorf("transport: stream: %w", err)
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n == 0 || n > maxRequestBytes {
-		return nil, nil, fmt.Errorf("transport: stream frame of %d bytes exceeds limits", n)
+	st.bytesRead.Add(int64(len(payload)) + 4)
+	if payload[0] != wire.VersionStream {
+		// Not a frame: the server's answer to the subscribe itself.
+		_, err := wire.UnmarshalReply(wire.KindSubscribe, payload)
+		return nil, nil, err
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(st.br, payload); err != nil {
-		return nil, nil, fmt.Errorf("transport: stream truncated: %w", err)
-	}
-	atomic.AddInt64(&st.bytesRead, int64(n)+4)
 	f, err := wire.UnmarshalFrame(payload)
 	if err != nil {
 		return nil, nil, fmt.Errorf("transport: decoding stream frame: %w", err)
@@ -101,7 +82,7 @@ func (st *Stream) SetReadDeadline(t time.Time) error { return st.conn.SetReadDea
 
 // BytesRead reports the total stream bytes consumed (frames + length
 // prefixes) — the measured cost of push dissemination.
-func (st *Stream) BytesRead() int64 { return atomic.LoadInt64(&st.bytesRead) }
+func (st *Stream) BytesRead() int64 { return st.bytesRead.Load() }
 
 // Close terminates the stream.
 func (st *Stream) Close() error { return st.conn.Close() }

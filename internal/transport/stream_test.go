@@ -318,47 +318,6 @@ func TestRingBounded(t *testing.T) {
 	}
 }
 
-// TestFetchGobFallback: a client that does not advertise the wire path (an
-// old client) still gets the broadcast via per-connection gob.
-func TestFetchGobFallback(t *testing.T) {
-	srv, addr, pub, subs := startGroupedServer(t, 2, nil)
-	b, err := pub.Publish(newsDoc(t, "compat"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.PublishBroadcast(b); err != nil {
-		t.Fatal(err)
-	}
-	p, _ := env(t)
-	client, err := Dial(addr, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	// Old client: a plain fetch request without the Wire flag.
-	resp, err := client.roundTrip(&request{Kind: "fetch", Doc: "news.txt"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Broadcast == nil || len(resp.Raw) != 0 {
-		t.Fatalf("gob fallback answered raw=%d broadcast=%v", len(resp.Raw), resp.Broadcast != nil)
-	}
-	if got, err := subs[0].Decrypt(resp.Broadcast); err != nil || string(got["body"]) != "compat" {
-		t.Fatalf("gob-fetched broadcast decrypt: %q err=%v", got["body"], err)
-	}
-	// New client: the wire path serves the same content.
-	viaWire, err := client.Fetch("news.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaWire.Epoch != b.Epoch {
-		t.Errorf("wire fetch at epoch %d, want %d", viaWire.Epoch, b.Epoch)
-	}
-	if got, err := subs[0].Decrypt(viaWire); err != nil || string(got["body"]) != "compat" {
-		t.Fatalf("wire-fetched broadcast decrypt: %q err=%v", got["body"], err)
-	}
-}
-
 // TestStreamingHeartbeat: idle streams receive heartbeat frames carrying
 // the server's newest epoch.
 func TestStreamingHeartbeat(t *testing.T) {
@@ -525,21 +484,6 @@ func TestStreamingChurnRace(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// TestSubscribeUnsupported: disabling streaming makes Subscribe fail with
-// ErrStreamUnsupported via the info advertisement, not a hang.
-func TestSubscribeUnsupported(t *testing.T) {
-	_, addr, _, _ := startGroupedServer(t, 2, func(s *Server) { s.SetStreaming(false) })
-	p, _ := env(t)
-	client, err := Dial(addr, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if _, err := client.Subscribe("", 0, 0); err != ErrStreamUnsupported {
-		t.Fatalf("Subscribe against non-streaming server: %v", err)
 	}
 }
 

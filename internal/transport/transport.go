@@ -1,19 +1,26 @@
 // Package transport puts the registration and dissemination phases on the
-// wire: a publisher-side TCP server and a subscriber-side client. Requests
-// travel as gob envelopes; broadcast payloads travel as the deterministic
-// stream-frame encoding, marshaled at most ONCE per epoch on the server and
-// fanned out as the same bytes to every connection (gob remains as a per-connection
-// fallback for clients predating the wire path, negotiated through the
-// "info" capability advertisement).
+// network: a publisher-side TCP server and a subscriber-side client. It
+// moves bytes and owns none of their layout. Every message on a connection
+// is
 //
-// The client implements pubsub.BatchRegistrar, so a subscriber registering
-// over the network sends all matching conditions in a single register-batch
-// round trip. Dissemination is either pull (Fetch, served from a bounded
-// ring of recent epochs) or push: Subscribe opens a long-lived stream over
-// which the server sends epoch-stamped snapshot/delta/heartbeat frames; a
-// reconnecting subscriber presents its last applied epoch and receives a
-// delta catch-up when the server still retains that epoch, else a fresh
-// snapshot (see stream.go).
+//	u32 length ‖ payload        (big-endian; the payload's length, at most 64 MiB)
+//
+// and every payload is an internal/wire message: a request (kind ‖ body), a
+// reply (status ‖ body) or a stream frame. One bounded reader takes all
+// three off the network (msgReader). A connection carries requests and their
+// replies until it subscribes; from then on the server pushes
+// epoch-stamped snapshot, delta and heartbeat frames over it (see
+// stream.go). A refused request is answered with the error status and the
+// refusal's text, which the client returns as a *wire.RemoteError.
+//
+// The client implements pubsub.Registrar, so a subscriber registering over
+// the network sends all matching conditions in a single register-batch
+// round trip. Dissemination is either pull (Fetch, served the retained
+// snapshot frame) or push (Subscribe): a reconnecting subscriber presents its
+// last applied epoch and receives a delta catch-up when the server still
+// retains that epoch, else a fresh snapshot. A broadcast's frames are
+// marshaled at most once per epoch on the server and fanned out as the same
+// bytes to every connection.
 //
 // The retention ring and the per-connection fan-out live in
 // internal/fanout, shared with the relay tier (internal/relay): the server
@@ -26,7 +33,7 @@
 package transport
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -35,70 +42,90 @@ import (
 	"time"
 
 	"ppcd/internal/fanout"
-	"ppcd/internal/ocbe"
 	"ppcd/internal/pedersen"
 	"ppcd/internal/policy"
 	"ppcd/internal/pubsub"
 	"ppcd/internal/wire"
 )
 
-// request is the single wire request envelope.
-type request struct {
-	Kind  string // "info", "register", "register-batch", "fetch", "subscribe"
-	Reg   *pubsub.RegistrationRequest
-	Batch []*pubsub.RegistrationRequest
-	Doc   string // fetch: document name ("" = latest); subscribe: doc filter ("" = all)
-	// Wire asks for the broadcast as stream-frame bytes (marshaled once
-	// per epoch server-side) instead of a per-connection gob encode. Old
-	// servers ignore the field and answer with gob.
-	Wire bool
-	// LastEpoch / LastGen are the subscriber's last applied epoch and its
-	// publisher generation ("subscribe"): the server answers with a delta
-	// catch-up when it retains that exact state, else a snapshot.
-	LastEpoch uint64
-	LastGen   uint64
-}
-
-// response is the single wire response envelope.
-type response struct {
-	Err        string
-	Conditions []policy.Condition
-	Ell        int
-	// HasBatch advertises the register-batch RPC in "info" responses;
-	// servers that predate it leave the field unset, steering clients to
-	// the per-condition path without error-text sniffing.
-	HasBatch bool
-	// HasWire / HasStream advertise the stream-frame fetch encoding and the
-	// subscribe stream RPC, with the same unset-means-absent convention.
-	HasWire   bool
-	HasStream bool
-	// Origin names the authoritative publisher address when this server is
-	// a relay ("" when the server IS the origin, and on servers predating
-	// the relay tier). Clients may use it for logging or to reach the
-	// origin directly.
-	Origin    string
-	Envelope  *ocbe.Envelope
-	Batch     []pubsub.BatchResult
-	Broadcast *pubsub.Broadcast
-	// Raw is the snapshot frame of the fetched broadcast (when the
-	// request set Wire and the server supports it).
-	Raw []byte
-}
-
 // DefaultRetention is the number of recent epochs the server keeps for
 // fetch serving and delta catch-ups.
 const DefaultRetention = fanout.DefaultRetention
+
+// maxRequestBytes bounds one message's payload — a request, a reply or a
+// stream frame — before any of it is decoded: a hostile peer cannot stream
+// an arbitrarily large batch that is fully materialized before the
+// publisher's batch-size cap can reject it.
+const maxRequestBytes = 64 << 20
+
+// readChunk is what a message's buffer starts at and the most it grows by
+// ahead of the bytes that fill it.
+const readChunk = 1 << 20
+
+// msgReader takes messages off one connection. The prefix buffer lives as
+// long as the connection, so a message costs one allocation: its payload.
+type msgReader struct {
+	r      io.Reader
+	prefix [4]byte
+}
+
+// next reads one message and returns its payload. The announced length is
+// bounded by maxRequestBytes and does not size the allocation: the buffer
+// starts at min(n, readChunk) and doubles only as bytes arrive, so a peer
+// that announces 64 MiB and stalls costs 1 MiB, and a payload of at most
+// readChunk costs exactly one allocation.
+func (m *msgReader) next() ([]byte, error) {
+	if _, err := io.ReadFull(m.r, m.prefix[:]); err != nil {
+		return nil, err
+	}
+	n := int(binary.BigEndian.Uint32(m.prefix[:]))
+	if n == 0 || n > maxRequestBytes {
+		return nil, fmt.Errorf("message of %d bytes exceeds limits", n)
+	}
+	buf := make([]byte, min(n, readChunk))
+	for off := 0; ; off = len(buf) {
+		if _, err := io.ReadFull(m.r, buf[off:]); err != nil {
+			return nil, fmt.Errorf("message truncated: %w", err)
+		}
+		if len(buf) == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(n-len(buf), len(buf)))...)
+	}
+}
+
+// writeMsg writes one message whose payload is parts, concatenated, in one
+// vectored write.
+func writeMsg(w io.Writer, parts ...[]byte) error {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n > maxRequestBytes {
+		return fmt.Errorf("transport: message of %d bytes exceeds limits", n)
+	}
+	var prefix [4]byte
+	binary.BigEndian.PutUint32(prefix[:], uint32(n))
+	bufs := append(net.Buffers{prefix[:]}, parts...)
+	_, err := bufs.WriteTo(w)
+	return err
+}
+
+// The status bytes that open a reply's payload.
+var (
+	statusOK    = []byte{wire.StatusOK}
+	statusError = []byte{wire.StatusError}
+)
 
 // Server exposes a registration backend plus a broadcast fan-out over TCP.
 // At the origin the backend is the local *pubsub.Publisher; at a relay it
 // is a proxy that forwards registrations upstream while broadcasts are
 // re-served from the relay's own retention ring.
 type Server struct {
-	reg pubsub.BatchRegistrar
+	reg pubsub.Registrar
 	hub *fanout.Hub
 
 	heartbeat time.Duration
-	streaming bool
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -118,8 +145,8 @@ func NewServer(pub *pubsub.Publisher) (*Server, error) {
 
 // NewServerWithBackend wraps any registration backend — a relay passes its
 // upstream proxy and the origin's address (advertised to clients in "info"
-// responses; "" when this server is itself the origin).
-func NewServerWithBackend(reg pubsub.BatchRegistrar, origin string) (*Server, error) {
+// replies; "" when this server is itself the origin).
+func NewServerWithBackend(reg pubsub.Registrar, origin string) (*Server, error) {
 	if reg == nil {
 		return nil, errors.New("transport: nil registration backend")
 	}
@@ -127,7 +154,6 @@ func NewServerWithBackend(reg pubsub.BatchRegistrar, origin string) (*Server, er
 		reg:       reg,
 		hub:       fanout.NewHub(),
 		heartbeat: defaultHeartbeat,
-		streaming: true,
 		conns:     make(map[net.Conn]struct{}),
 		origin:    origin,
 	}, nil
@@ -150,11 +176,7 @@ func (s *Server) SetWriteTimeout(d time.Duration) { s.hub.SetWriteTimeout(d) }
 // consumers want deeper queues than origin-attached subscribers.
 func (s *Server) SetQueueDepth(d int) { s.hub.SetQueueDepth(d) }
 
-// SetStreaming enables or disables the subscribe stream RPC (default
-// enabled). Call before Listen.
-func (s *Server) SetStreaming(on bool) { s.streaming = on }
-
-// SetOrigin updates the origin address advertised in "info" responses (a
+// SetOrigin updates the origin address advertised in "info" replies (a
 // relay learns it from its upstream after connecting).
 func (s *Server) SetOrigin(addr string) {
 	s.mu.Lock()
@@ -195,9 +217,7 @@ func (s *Server) Listen(addr string) (string, error) {
 	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.acceptLoop(ln)
-	if s.streaming {
-		s.hub.StartHeartbeats(s.heartbeat)
-	}
+	s.hub.StartHeartbeats(s.heartbeat)
 	return ln.Addr().String(), nil
 }
 
@@ -208,7 +228,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // listener closed
 		}
-		// Track the conn so Close can unblock a handler idling in Decode
+		// Track the conn so Close can unblock a handler idling in a read
 		// (e.g. a relay's long-lived registration-proxy connection).
 		s.mu.Lock()
 		if s.closed {
@@ -232,78 +252,65 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// maxRequestBytes bounds how much a single gob-encoded request may read
-// from the connection before it is decoded — without it, a hostile client
-// could stream an arbitrarily large batch that is fully materialized before
-// the publisher's batch-size cap can reject it. The same constant bounds a
-// stream frame on the client side.
-const maxRequestBytes = 64 << 20
-
+// handle serves one connection's requests in order. A message over the
+// bound, one that does not decode and a peer that goes away all end the
+// connection; a request the backend refuses is answered with its error.
 func (s *Server) handle(conn net.Conn) {
-	lim := &io.LimitedReader{R: conn}
-	dec := gob.NewDecoder(lim)
-	enc := gob.NewEncoder(conn)
+	in := &msgReader{r: conn}
 	for {
-		lim.N = maxRequestBytes
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			return // client closed, over-limit, or garbage; drop the connection
-		}
-		if req.Kind == "subscribe" && s.streaming {
-			// The connection leaves the request/response protocol and
-			// becomes a one-way frame stream until either side closes it.
-			s.hub.ServeConn(conn, req.Doc, req.LastEpoch, req.LastGen)
+		msg, err := in.next()
+		if err != nil {
 			return
 		}
-		resp := s.dispatch(&req)
-		if err := enc.Encode(resp); err != nil {
+		req, err := wire.UnmarshalRequest(msg)
+		if err != nil {
+			return
+		}
+		if req.Kind == wire.KindSubscribe {
+			// The connection leaves the request/reply protocol and becomes a
+			// one-way frame stream until either side closes it.
+			if !s.hub.ServeConn(conn, req.Doc, req.LastEpoch, req.LastGen) {
+				writeMsg(conn, statusError, []byte("transport: server closing"))
+			}
+			return
+		}
+		body, err := s.serve(req)
+		if err != nil {
+			err = writeMsg(conn, statusError, []byte(err.Error()))
+		} else {
+			err = writeMsg(conn, statusOK, body)
+		}
+		if err != nil {
 			return
 		}
 	}
 }
 
-func (s *Server) dispatch(req *request) *response {
+// serve answers an info, register-batch or fetch request with its reply
+// body. A fetch is answered with the retained snapshot frame as the ring
+// holds it.
+func (s *Server) serve(req *wire.Request) ([]byte, error) {
 	switch req.Kind {
-	case "info":
+	case wire.KindInfo:
 		s.mu.Lock()
 		origin := s.origin
 		s.mu.Unlock()
-		return &response{
-			Conditions: s.reg.Conditions(),
-			Ell:        s.reg.Ell(),
-			HasBatch:   true,
-			HasWire:    true,
-			HasStream:  s.streaming,
-			Origin:     origin,
-		}
-	case "register":
-		env, err := s.reg.Register(req.Reg)
-		if err != nil {
-			return &response{Err: err.Error()}
-		}
-		return &response{Envelope: env}
-	case "register-batch":
+		return wire.MarshalInfo(&wire.Info{Ell: s.reg.Ell(), Origin: origin, Conditions: s.reg.Conditions()}), nil
+	case wire.KindRegisterBatch:
 		results, err := s.reg.RegisterBatch(req.Batch)
 		if err != nil {
-			return &response{Err: err.Error()}
+			return nil, err
 		}
-		return &response{Batch: results}
-	case "fetch":
-		known, raw, b := s.hub.Lookup(req.Doc)
+		return wire.MarshalBatchReply(results), nil
+	default: // wire.KindFetch
+		known, raw, _ := s.hub.Lookup(req.Doc)
 		if !known {
-			return &response{Err: fmt.Sprintf("transport: no broadcast for %q", req.Doc)}
+			return nil, fmt.Errorf("transport: no broadcast for %q", req.Doc)
 		}
 		if raw == nil {
-			return &response{Err: "transport: no broadcast published yet"}
+			return nil, errors.New("transport: no broadcast published yet")
 		}
-		if req.Wire {
-			return &response{Raw: raw}
-		}
-		return &response{Broadcast: b}
-	case "subscribe":
-		return &response{Err: "transport: streaming disabled on this server"}
-	default:
-		return &response{Err: fmt.Sprintf("transport: unknown request kind %q", req.Kind)}
+		return raw, nil
 	}
 }
 
@@ -357,20 +364,13 @@ func (s *Server) Close() error {
 // Client is the subscriber-side connection to a publisher server (or a
 // relay re-serving one). It implements pubsub.Registrar.
 type Client struct {
-	addr string
+	addr   string
+	params *pedersen.Params
 
-	mu        sync.Mutex
-	conn      net.Conn
-	enc       *gob.Encoder
-	dec       *gob.Decoder
-	params    *pedersen.Params
-	ell       int
-	conds     []policy.Condition
-	hasBatch  bool
-	hasWire   bool
-	hasStream bool
-	origin    string
-	haveIn    bool
+	mu   sync.Mutex // one request and its reply at a time
+	conn net.Conn
+	in   msgReader
+	info *wire.Info // the server's, from its first info reply
 }
 
 // Dial connects to a publisher server. params must match the system-wide
@@ -383,49 +383,43 @@ func Dial(addr string, params *pedersen.Params) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
-	return &Client{addr: addr, conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn), params: params}, nil
+	return &Client{addr: addr, conn: conn, in: msgReader{r: conn}, params: params}, nil
 }
 
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-func (c *Client) roundTrip(req *request) (*response, error) {
+func (c *Client) roundTrip(req *wire.Request) (*wire.Reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.enc.Encode(req); err != nil {
-		return nil, fmt.Errorf("transport: send: %w", err)
-	}
-	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
-		return nil, fmt.Errorf("transport: receive: %w", err)
-	}
-	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
-	}
-	return &resp, nil
+	return c.exchange(req)
 }
 
-func (c *Client) ensureInfo() error {
-	c.mu.Lock()
-	have := c.haveIn
-	c.mu.Unlock()
-	if have {
-		return nil
+// exchange sends req and decodes its reply; the caller holds c.mu. A refusal
+// is returned as the *wire.RemoteError carrying the server's text.
+func (c *Client) exchange(req *wire.Request) (*wire.Reply, error) {
+	if err := writeMsg(c.conn, wire.MarshalRequest(req)); err != nil {
+		return nil, fmt.Errorf("transport: send: %w", err)
 	}
-	resp, err := c.roundTrip(&request{Kind: "info"})
+	msg, err := c.in.next()
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("transport: receive: %w", err)
 	}
+	return wire.UnmarshalReply(req.Kind, msg)
+}
+
+// serverInfo returns the server's info, asking for it on first use.
+func (c *Client) serverInfo() (*wire.Info, error) {
 	c.mu.Lock()
-	c.conds = resp.Conditions
-	c.ell = resp.Ell
-	c.hasBatch = resp.HasBatch
-	c.hasWire = resp.HasWire
-	c.hasStream = resp.HasStream
-	c.origin = resp.Origin
-	c.haveIn = true
-	c.mu.Unlock()
-	return nil
+	defer c.mu.Unlock()
+	if c.info == nil {
+		rep, err := c.exchange(&wire.Request{Kind: wire.KindInfo})
+		if err != nil {
+			return nil, err
+		}
+		c.info = rep.Info
+	}
+	return c.info, nil
 }
 
 // Params implements pubsub.Registrar.
@@ -433,118 +427,56 @@ func (c *Client) Params() *pedersen.Params { return c.params }
 
 // Ell implements pubsub.Registrar.
 func (c *Client) Ell() int {
-	if err := c.ensureInfo(); err != nil {
+	info, err := c.serverInfo()
+	if err != nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ell
+	return info.Ell
 }
 
 // Conditions implements pubsub.Registrar.
 func (c *Client) Conditions() []policy.Condition {
-	if err := c.ensureInfo(); err != nil {
+	info, err := c.serverInfo()
+	if err != nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]policy.Condition(nil), c.conds...)
+	return append([]policy.Condition(nil), info.Conditions...)
 }
 
 // Origin reports the authoritative publisher address advertised by the
-// server, "" when the dialed server is itself the origin (or predates the
-// relay tier). Useful to detect that a connection landed on a relay.
+// server, "" when the dialed server is itself the origin. Useful to detect
+// that a connection landed on a relay.
 func (c *Client) Origin() string {
-	if err := c.ensureInfo(); err != nil {
+	info, err := c.serverInfo()
+	if err != nil {
 		return ""
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.origin
+	return info.Origin
 }
 
-// Register implements pubsub.Registrar.
-func (c *Client) Register(reg *pubsub.RegistrationRequest) (*ocbe.Envelope, error) {
-	resp, err := c.roundTrip(&request{Kind: "register", Reg: reg})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Envelope == nil {
-		return nil, errors.New("transport: empty envelope in response")
-	}
-	return resp.Envelope, nil
-}
-
-// RegisterBatch implements pubsub.BatchRegistrar: all registrations of one
-// subscriber travel in a single round trip instead of one per condition.
-// Against a server whose "info" response does not advertise the batch RPC
-// (one predating it), it transparently degrades to one Register round trip
-// per item.
+// RegisterBatch implements pubsub.Registrar: all registrations of one
+// subscriber travel in a single round trip.
 func (c *Client) RegisterBatch(reqs []*pubsub.RegistrationRequest) ([]pubsub.BatchResult, error) {
-	if err := c.ensureInfo(); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	hasBatch := c.hasBatch
-	c.mu.Unlock()
-	if !hasBatch {
-		// Old server: fall back to the per-condition RPC.
-		results := make([]pubsub.BatchResult, len(reqs))
-		for i, req := range reqs {
-			if req == nil {
-				results[i].Err = "pubsub: incomplete registration request"
-				continue
-			}
-			results[i].CondID = req.CondID
-			env, err := c.Register(req)
-			if err != nil {
-				results[i].Err = err.Error()
-				continue
-			}
-			results[i].Envelope = env
-		}
-		return results, nil
-	}
-	resp, err := c.roundTrip(&request{Kind: "register-batch", Batch: reqs})
+	rep, err := c.roundTrip(&wire.Request{Kind: wire.KindRegisterBatch, Batch: reqs})
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Batch) != len(reqs) {
-		return nil, fmt.Errorf("transport: %d batch results for %d requests", len(resp.Batch), len(reqs))
+	if len(rep.Batch) != len(reqs) {
+		return nil, fmt.Errorf("transport: %d batch results for %d requests", len(rep.Batch), len(reqs))
 	}
-	return resp.Batch, nil
+	return rep.Batch, nil
 }
 
-// Fetch retrieves the broadcast for a document name ("" = latest published).
-// Against a stream-frame server the payload arrives as the server's per-epoch wire
-// bytes; older servers answer with per-connection gob. A fetch naming a
+// Fetch retrieves the broadcast for a document name ("" = latest published),
+// decoded from the server's per-epoch snapshot frame. A fetch naming a
 // document that rotated out of the server's retention ring is answered with
 // the nearest retained snapshot — check Broadcast.DocName when that matters.
 func (c *Client) Fetch(docName string) (*pubsub.Broadcast, error) {
-	// Capability discovery is best-effort: if info fails the fetch round
-	// trip below will surface the real error.
-	_ = c.ensureInfo()
-	c.mu.Lock()
-	hasWire := c.hasWire
-	c.mu.Unlock()
-	resp, err := c.roundTrip(&request{Kind: "fetch", Doc: docName, Wire: hasWire})
+	rep, err := c.roundTrip(&wire.Request{Kind: wire.KindFetch, Doc: docName})
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Raw) > 0 {
-		f, err := wire.UnmarshalFrame(resp.Raw)
-		if err != nil {
-			return nil, fmt.Errorf("transport: decoding fetched snapshot: %w", err)
-		}
-		if f.Type != wire.FrameSnapshot || f.Snapshot == nil {
-			return nil, fmt.Errorf("transport: fetch answered with frame type %d", f.Type)
-		}
-		return f.Snapshot, nil
-	}
-	if resp.Broadcast == nil {
-		return nil, errors.New("transport: empty broadcast in response")
-	}
-	return resp.Broadcast, nil
+	return rep.Snapshot, nil
 }
 
-var _ pubsub.BatchRegistrar = (*Client)(nil)
+var _ pubsub.Registrar = (*Client)(nil)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"ppcd/internal/policy"
 	"ppcd/internal/pubsub"
 	"ppcd/internal/schnorr"
+	"ppcd/internal/wire"
 )
 
 var (
@@ -19,7 +21,7 @@ var (
 	mgr    *idtoken.Manager
 )
 
-func env(t *testing.T) (*pedersen.Params, *idtoken.Manager) {
+func env(t testing.TB) (*pedersen.Params, *idtoken.Manager) {
 	t.Helper()
 	once.Do(func() {
 		p, err := pedersen.Setup(schnorr.Must2048(), []byte("transport-test"))
@@ -226,9 +228,8 @@ func TestBatchedRegistrationOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Equality condition: its OCBE request carries no bit commitments and
-	// must still survive the gob-encoded batch (regression: nil Bits
-	// placeholder broke gob).
+	// Equality condition: its OCBE request carries an empty bit-commitment
+	// placeholder, which the batch must carry as it is.
 	acp3, err := policy.New("staff", "role = vip", "mag.txt", "extra")
 	if err != nil {
 		t.Fatal(err)
@@ -293,8 +294,13 @@ func TestBatchedRegistrationOverTCP(t *testing.T) {
 		t.Errorf("expected per-item error, got %+v", results)
 	}
 
-	// Empty batches are rejected server-side.
-	if _, err := client.RegisterBatch(nil); err == nil {
-		t.Error("empty batch accepted over the wire")
+	// Empty batches are rejected server-side, as a typed refusal carrying the
+	// publisher's text — and the connection stays usable.
+	var refused *wire.RemoteError
+	if _, err := client.RegisterBatch(nil); !errors.As(err, &refused) || refused.Msg != "pubsub: empty registration batch" {
+		t.Errorf("empty batch over the wire: %v", err)
+	}
+	if len(client.Conditions()) != 3 {
+		t.Error("connection unusable after a refusal")
 	}
 }

@@ -25,13 +25,15 @@ func buildGroupedHeader(t *testing.T) (*core.GroupedHeader, [][]core.CSS, ff64.E
 	return g, rows, key
 }
 
+// groupedSnapshot is a snapshot of the one grouped configuration g.
+func groupedSnapshot(g *core.GroupedHeader) *pubsub.Broadcast {
+	ci := pubsub.ConfigInfo{Key: "g", Rev: 1, Grouped: g, ShardRevs: make([]uint64, len(g.Shards))}
+	return snapshotOf(ci)
+}
+
 func TestGroupedHeaderRoundTrip(t *testing.T) {
 	g, rows, key := buildGroupedHeader(t)
-	enc := MarshalGroupedHeader(g)
-	dec, err := UnmarshalGroupedHeader(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := throughFrame(t, groupedSnapshot(g)).Configs[0].Grouped
 	if len(dec.Shards) != len(g.Shards) || !bytes.Equal(dec.RekeyNonce, g.RekeyNonce) {
 		t.Fatal("shape changed")
 	}
@@ -59,97 +61,55 @@ func DeriveGrouped(row []core.CSS, g *core.GroupedHeader, want ff64.Elem) (ff64.
 	return core.DeriveKeyGrouped(row, g, func(k ff64.Elem) bool { return k == want })
 }
 
-func TestGroupedHeaderLegacyFallback(t *testing.T) {
-	// A Version-1 single header decodes as a one-shard direct-mode grouped
-	// header: the shard key IS the configuration key.
-	hdr, rows, key := buildHeader(t)
-	g, err := UnmarshalGroupedHeader(MarshalHeader(hdr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Shards) != 1 || g.RekeyNonce != nil {
-		t.Fatalf("legacy fallback shape: %d shards, nonce %v", len(g.Shards), g.RekeyNonce)
-	}
-	k, idx, err := DeriveGrouped(rows[0], g, key)
-	if err != nil || k != key || idx != 0 {
-		t.Fatalf("legacy derivation failed: %v", err)
-	}
-	// The direct-mode header re-encodes as the Version 1 message it came
-	// from: decode→encode→decode is stable.
-	re := MarshalGroupedHeader(g)
-	if !bytes.Equal(re, MarshalHeader(hdr)) {
-		t.Fatal("direct-mode re-encoding diverged from the original message")
-	}
-	if _, err := UnmarshalGroupedHeader(re); err != nil {
-		t.Fatalf("re-encoded direct-mode header undecodable: %v", err)
-	}
+// groupedPrefix writes a snapshot frame up to the shard count of its one
+// grouped configuration: what follows is the caller's.
+func groupedPrefix(nonce []byte, shards uint32) *writer {
+	w := &writer{}
+	w.u8(VersionStream)
+	w.u8(byte(FrameSnapshot))
+	w.u32(0) // no nonce runs
+	w.str("doc")
+	w.u64(1)
+	w.u64(1)
+	w.u32(0) // no policies
+	w.u32(1) // one configuration
+	w.str(string(policy.ConfigOf("p")))
+	w.u64(1)
+	w.u8(2)
+	w.bytes(nonce)
+	w.u32(shards)
+	return w
 }
 
 func TestGroupedHeaderRejectsCorruption(t *testing.T) {
 	g, _, _ := buildGroupedHeader(t)
-	enc := MarshalGroupedHeader(g)
-
-	if _, err := UnmarshalGroupedHeader(nil); err != ErrTruncated {
-		t.Errorf("empty: %v", err)
-	}
-	bad := append([]byte(nil), enc...)
-	bad[0] = VersionGrouped + 1
-	if _, err := UnmarshalGroupedHeader(bad); err != ErrBadVersion {
-		t.Errorf("version: %v", err)
-	}
-	if _, err := UnmarshalGroupedHeader(enc[:len(enc)-2]); err == nil {
+	enc := MarshalSnapshotFrame(groupedSnapshot(g))
+	if _, err := UnmarshalFrame(enc[:len(enc)-2]); err == nil {
 		t.Error("truncated accepted")
 	}
-	if _, err := UnmarshalGroupedHeader(append(append([]byte(nil), enc...), 0)); err == nil {
+	if _, err := UnmarshalFrame(append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
-
-	// Rekey nonce of the wrong length.
-	var w writer
-	w.u8(VersionGrouped)
-	w.bytes([]byte("short"))
-	w.u32(1)
-	writeHeaderBody(&w, g.Shards[0].Hdr)
-	w.u64(uint64(g.Shards[0].Wrap))
-	if _, err := UnmarshalGroupedHeader(w.out()); err == nil {
-		t.Error("bad rekey nonce length accepted")
+	refuse := func(what string, mutate func(*core.GroupedHeader)) {
+		t.Helper()
+		bad := *g
+		bad.Shards = append([]core.GroupShard(nil), g.Shards...)
+		mutate(&bad)
+		if _, err := UnmarshalFrame(MarshalSnapshotFrame(groupedSnapshot(&bad))); err == nil {
+			t.Errorf("%s accepted", what)
+		}
 	}
+	refuse("bad rekey nonce length", func(g *core.GroupedHeader) { g.RekeyNonce = []byte("short") })
+	refuse("sub-header with a non-NonceSize nonce", func(g *core.GroupedHeader) {
+		g.Shards[0].Hdr = &core.Header{X: g.Shards[0].Hdr.X[:2], Zs: [][]byte{[]byte("tiny")}}
+	})
+	refuse("unreduced wrap", func(g *core.GroupedHeader) { g.Shards[0].Wrap = ff64.Elem(^uint64(0)) })
 
 	// Zero and absurd shard counts.
 	for _, count := range []uint32{0, maxGroupShards + 1} {
-		var w writer
-		w.u8(VersionGrouped)
-		w.bytes(g.RekeyNonce)
-		w.u32(count)
-		if _, err := UnmarshalGroupedHeader(w.out()); err == nil {
-			t.Errorf("shard count %d accepted", count)
+		if _, err := UnmarshalFrame(groupedPrefix(g.RekeyNonce, count).out()); err != ErrOversize {
+			t.Errorf("shard count %d: %v", count, err)
 		}
-	}
-
-	// A sub-header whose nonce length disagrees with the grouped shape.
-	var w2 writer
-	w2.u8(VersionGrouped)
-	w2.bytes(g.RekeyNonce)
-	w2.u32(1)
-	odd := &core.Header{
-		X:  g.Shards[0].Hdr.X[:2],
-		Zs: [][]byte{[]byte("tiny")},
-	}
-	writeHeaderBody(&w2, odd)
-	w2.u64(uint64(g.Shards[0].Wrap))
-	if _, err := UnmarshalGroupedHeader(w2.out()); err == nil {
-		t.Error("sub-header with non-NonceSize nonce accepted")
-	}
-
-	// Unreduced wrap.
-	var w3 writer
-	w3.u8(VersionGrouped)
-	w3.bytes(g.RekeyNonce)
-	w3.u32(1)
-	writeHeaderBody(&w3, g.Shards[0].Hdr)
-	w3.u64(^uint64(0))
-	if _, err := UnmarshalGroupedHeader(w3.out()); err == nil {
-		t.Error("unreduced wrap accepted")
 	}
 
 	// Fuzz: mutations must never panic.
@@ -159,85 +119,19 @@ func TestGroupedHeaderRejectsCorruption(t *testing.T) {
 		for k := 0; k < 1+rng.Intn(4); k++ {
 			bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
 		}
-		_, _ = UnmarshalGroupedHeader(bad)
+		_, _ = UnmarshalFrame(bad)
 	}
 }
 
 func TestGroupedHeaderBudgetClamp(t *testing.T) {
-	// A crafted message whose sub-headers sum past the 64 MiB budget must be
-	// rejected before the decoder allocates that much. Each claimed
-	// sub-header advertises the maximum X the per-field clamp allows; a few
-	// shards of those exceed the budget while the message itself stays tiny
-	// (the decode fails on truncation at the latest — the budget check must
-	// fire first and report ErrOversize).
-	var w writer
-	w.u8(VersionGrouped)
-	nonce := make([]byte, core.NonceSize)
-	w.bytes(nonce)
-	w.u32(64)
-	// One huge well-formed-looking sub-header prefix: claim 2^25 X entries
-	// (256 MiB of vector) — the reader errors with ErrOversize from the
-	// budget/clamp path, never attempting the allocation of all 64 shards.
+	// A crafted frame whose sub-headers claim far more X than it brings must
+	// be refused before the decoder allocates for the claim: 64 shards, the
+	// first claiming 2^25 X entries (256 MiB of vector) over 4 KiB of input.
+	w := groupedPrefix(make([]byte, core.NonceSize), 64)
 	w.u32(1 << 25)
-	data := w.out()
-	// Pad with zero bytes so the first entries "exist".
-	data = append(data, make([]byte, 4096)...)
-	_, err := UnmarshalGroupedHeader(data)
-	if err == nil {
+	data := append(w.out(), make([]byte, 4096)...)
+	if _, err := UnmarshalFrame(data); err == nil {
 		t.Fatal("oversized grouped header accepted")
-	}
-}
-
-func TestBroadcastGroupedRoundTripAndV1Fallback(t *testing.T) {
-	g, rows, key := buildGroupedHeader(t)
-	hdr, _, _ := buildHeader(t)
-	b := &pubsub.Broadcast{
-		DocName: "doc",
-		Policies: []pubsub.PolicyInfo{
-			{ID: "acpA", CondIDs: []string{"attr >= 1"}},
-		},
-		Configs: []pubsub.ConfigInfo{
-			{Key: policy.ConfigOf("acpA"), Grouped: g},
-			{Key: policy.ConfigOf("acpB"), Header: hdr},
-			{Key: policy.ConfigOf("acpC")},
-		},
-		Items: []pubsub.Item{
-			{Subdoc: "sd", Config: policy.ConfigOf("acpA"), Ciphertext: []byte{9, 9}},
-		},
-	}
-	enc := MarshalBroadcast(b)
-	if enc[0] != VersionGrouped {
-		t.Fatalf("version byte %d, want %d", enc[0], VersionGrouped)
-	}
-	dec, err := UnmarshalBroadcast(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Configs[0].Grouped == nil || dec.Configs[1].Header == nil || dec.Configs[2].Grouped != nil || dec.Configs[2].Header != nil {
-		t.Fatal("config header presence changed")
-	}
-	if k, _, err := DeriveGrouped(rows[0], dec.Configs[0].Grouped, key); err != nil || k != key {
-		t.Fatalf("grouped derivation through broadcast failed: %v", err)
-	}
-
-	// An ungrouped broadcast still encodes byte-identically to Version 1 and
-	// old-format messages still decode.
-	b.Configs[0] = pubsub.ConfigInfo{Key: policy.ConfigOf("acpA"), Header: hdr}
-	enc = MarshalBroadcast(b)
-	if enc[0] != Version {
-		t.Fatalf("ungrouped broadcast emitted version %d", enc[0])
-	}
-	if _, err := UnmarshalBroadcast(enc); err != nil {
-		t.Fatal(err)
-	}
-
-	// A grouped presence byte inside a Version 1 message is rejected.
-	b.Configs[0] = pubsub.ConfigInfo{Key: policy.ConfigOf("acpA"), Grouped: g}
-	enc = MarshalBroadcast(b)
-	forged := append([]byte(nil), enc...)
-	forged[0] = Version
-	if _, err := UnmarshalBroadcast(forged); err == nil {
-		t.Error("grouped config accepted in a Version 1 message")
 	}
 }
 

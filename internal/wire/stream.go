@@ -1,8 +1,7 @@
 // Stream frames: the units of the epoch-versioned dissemination pipeline —
 // full snapshots stamped with epoch and revisions, deltas that ship only
-// what changed since a base epoch, and heartbeats. Where the v1/v2 codecs
-// encode one self-contained broadcast, a frame is marshalled once per epoch
-// and the same bytes fan out to every connected subscriber.
+// what changed since a base epoch, and heartbeats. A frame is marshalled
+// once per epoch and the same bytes fan out to every connected subscriber.
 //
 // A header's nonces are not written with the header. §VIII-D shares one
 // nonce sequence across a rekey session, so the k same-session shards of a
@@ -22,8 +21,8 @@
 // hashes, never pays the AES, and a subscriber pays it in core.KEV, on a
 // KEV-cache miss.
 //
-// A header without a seed — the v1/v2 codecs decode such headers, nothing
-// builds one — has its run written out: n ‖ nonceLen ‖ n·nonceLen bytes, or,
+// A header without a seed — core.Build returns such headers, the engine
+// builds none — has its run written out: n ‖ nonceLen ‖ n·nonceLen bytes, or,
 // when its nonces differ in length, the marker mixedLen for nonceLen, then
 // the n lengths, then the nonces; it decodes to the listed form, the headers
 // of the run listing prefixes of one buffer. Nothing chooses between the
@@ -35,8 +34,8 @@
 // and rejects a frame whose table differs, so an accepted frame re-marshals
 // byte-identically.
 //
-// Decoding applies the same hardening discipline as v2: every count, length
-// and reference is clamped before use — a run's length by the X entries its
+// Decoding is hardened: every count, length and reference is clamped before
+// use — a run's length by the X entries its
 // longest header still has to bring. A seeded run allocates its 32 bytes
 // whatever length it claims; what a run written out allocates (its bytes, 24
 // per nonce of slice header) and 8·|X| per header are charged against the
@@ -56,7 +55,7 @@ import (
 
 // VersionStream marks epoch-versioned stream frames (snapshot | delta |
 // heartbeat). Frames are never persisted, so there is exactly one frame
-// version; the v1/v2 broadcast messages remain valid and byte-identical.
+// version.
 const VersionStream = 5
 
 // FrameType discriminates the stream frame kinds.
@@ -95,7 +94,7 @@ const maxFrameRuns = 1 << 20
 
 // mixedLen in a run's nonceLen field marks a run whose nonces differ in
 // length: n length fields follow it, then the nonces. No producer draws such
-// a run, but the v1 codec carries such a header and so does a frame.
+// a run, but a listed header can hold one and a frame carries it.
 const mixedLen = ^uint32(0)
 
 // seededRun in a run's nonceLen field marks a run named by its seed:
@@ -552,17 +551,54 @@ func readPolicies(r *reader) ([]pubsub.PolicyInfo, error) {
 // writeGroupedFrame encodes a grouped header plus its parallel shard
 // revisions.
 func writeGroupedFrame(w *writer, g *core.GroupedHeader, revs []uint64) {
-	writeGroupedBody(w, g, writeFrameHeader)
+	w.bytes(g.RekeyNonce)
+	w.u32(uint32(len(g.Shards)))
+	for _, sh := range g.Shards {
+		writeFrameHeader(w, sh.Hdr)
+		w.u64(uint64(sh.Wrap))
+	}
 	w.u32(uint32(len(revs)))
 	for _, rv := range revs {
 		w.u64(rv)
 	}
 }
 
+// readGroupedFrame decodes a grouped header and its shard revisions with the
+// hardened clamps: shard count bounded, every sub-header well-shaped with
+// NonceSize nonces (readFrameHeader charges it against the message budget),
+// wraps reduced, one revision per shard.
 func readGroupedFrame(r *reader) (*core.GroupedHeader, []uint64, error) {
-	g, err := readGroupedBody(r, readFrameHeader)
+	nonce, err := r.bytes()
 	if err != nil {
 		return nil, nil, err
+	}
+	if len(nonce) != core.NonceSize {
+		return nil, nil, fmt.Errorf("wire: grouped rekey nonce of %d bytes, want %d", len(nonce), core.NonceSize)
+	}
+	ns, err := r.u32()
+	if err != nil {
+		return nil, nil, err
+	}
+	if ns == 0 || ns > maxGroupShards {
+		return nil, nil, ErrOversize
+	}
+	g := &core.GroupedHeader{RekeyNonce: nonce, Shards: make([]core.GroupShard, 0, capHint(ns))}
+	for i := uint32(0); i < ns; i++ {
+		h, err := readFrameHeader(r)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := checkNonceSize(h); err != nil {
+			return nil, nil, fmt.Errorf("wire: grouped sub-header %d: %w", i, err)
+		}
+		raw, err := r.u64()
+		if err != nil {
+			return nil, nil, err
+		}
+		if raw >= ff64.Modulus {
+			return nil, nil, fmt.Errorf("wire: shard %d wrap not a reduced field element", i)
+		}
+		g.Shards = append(g.Shards, core.GroupShard{Hdr: h, Wrap: ff64.Elem(raw)})
 	}
 	nr, err := r.u32()
 	if err != nil {
@@ -941,5 +977,16 @@ func readGroupedPatch(r *reader, cp *pubsub.ConfigPatch) error {
 		p.Headers = append(p.Headers, h)
 	}
 	cp.Grouped = p
+	return nil
+}
+
+// checkNonceSize holds a grouped sub-header to NonceSize nonces; those a seed
+// names have that length by construction.
+func checkNonceSize(h *core.Header) error {
+	for _, z := range h.Zs {
+		if len(z) != core.NonceSize {
+			return fmt.Errorf("%d-byte nonce, want %d", len(z), core.NonceSize)
+		}
+	}
 	return nil
 }

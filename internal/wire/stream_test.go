@@ -324,29 +324,3 @@ func TestFrameByteBudget(t *testing.T) {
 		t.Errorf("GroupedHeader.WireSize = %d, want %d", got, want)
 	}
 }
-
-// TestLegacyBroadcastBytesUnchanged pins the v1/v2 encodings: stamping
-// epochs and revisions must not leak into the v1/v2 formats.
-func TestLegacyBroadcastBytesUnchanged(t *testing.T) {
-	_, publish, _ := streamEnv(t, 8, 2, 0)
-	b := publish()
-	if b.Epoch == 0 {
-		t.Fatal("publish did not stamp an epoch")
-	}
-	raw := MarshalBroadcast(b)
-	if raw[0] != Version {
-		t.Fatalf("ungrouped broadcast marshals as version %d", raw[0])
-	}
-	got, err := UnmarshalBroadcast(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Epoch != 0 {
-		t.Error("v1 decode invented an epoch")
-	}
-	for _, ci := range got.Configs {
-		if ci.Rev != 0 || ci.ShardRevs != nil {
-			t.Error("v1 decode invented revisions")
-		}
-	}
-}

@@ -2,14 +2,15 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/big"
 	"math/rand"
 	"testing"
-
-	"math/big"
 
 	"ppcd/internal/core"
 	"ppcd/internal/ff64"
 	"ppcd/internal/idtoken"
+	"ppcd/internal/linalg"
 	"ppcd/internal/ocbe"
 	"ppcd/internal/policy"
 	"ppcd/internal/pubsub"
@@ -29,14 +30,22 @@ func buildHeader(t *testing.T) (*core.Header, [][]core.CSS, ff64.Elem) {
 	return hdr, rows, key
 }
 
-func TestHeaderRoundTrip(t *testing.T) {
-	hdr, rows, key := buildHeader(t)
-	enc := MarshalHeader(hdr)
-	dec, err := UnmarshalHeader(enc)
+// throughFrame carries b across a snapshot frame and returns what decodes.
+func throughFrame(t *testing.T, b *pubsub.Broadcast) *pubsub.Broadcast {
+	t.Helper()
+	f, err := UnmarshalFrame(MarshalSnapshotFrame(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dec.X) != len(hdr.X) || len(dec.Zs) != len(hdr.Zs) {
+	return f.Snapshot
+}
+
+// TestHeaderRoundTrip: a header core.Build returns — its nonces listed, no
+// seed — crosses a frame with its shape and still derives the key.
+func TestHeaderRoundTrip(t *testing.T) {
+	hdr, rows, key := buildHeader(t)
+	dec := throughFrame(t, snapshotOf(pubsub.ConfigInfo{Key: "h", Rev: 1, Header: hdr})).Configs[0].Header
+	if len(dec.X) != len(hdr.X) || dec.N() != hdr.N() {
 		t.Fatal("shape changed")
 	}
 	for i := range hdr.X {
@@ -44,53 +53,62 @@ func TestHeaderRoundTrip(t *testing.T) {
 			t.Fatal("X changed")
 		}
 	}
-	// The decoded header still derives the key.
 	k, err := core.DeriveKey(rows[0], dec)
 	if err != nil || k != key {
 		t.Fatalf("derivation through wire failed: %v", err)
 	}
 }
 
+// TestHeaderRejectsCorruption: a header inside a frame is refused when its
+// input is cut, padded, versioned wrongly, holds an unreduced field element
+// or claims more X entries than the input has.
 func TestHeaderRejectsCorruption(t *testing.T) {
 	hdr, _, _ := buildHeader(t)
-	enc := MarshalHeader(hdr)
+	enc := MarshalSnapshotFrame(snapshotOf(pubsub.ConfigInfo{Key: "h", Rev: 1, Header: hdr}))
 
-	if _, err := UnmarshalHeader(nil); err != ErrTruncated {
+	if _, err := UnmarshalFrame(nil); err != ErrTruncated {
 		t.Errorf("empty: %v", err)
 	}
 	bad := append([]byte(nil), enc...)
 	bad[0] = 99
-	if _, err := UnmarshalHeader(bad); err != ErrBadVersion {
+	if _, err := UnmarshalFrame(bad); err != ErrBadVersion {
 		t.Errorf("version: %v", err)
 	}
-	if _, err := UnmarshalHeader(enc[:len(enc)-3]); err == nil {
+	if _, err := UnmarshalFrame(enc[:len(enc)-3]); err == nil {
 		t.Error("truncated accepted")
 	}
-	if _, err := UnmarshalHeader(append(append([]byte(nil), enc...), 0xAA)); err == nil {
+	if _, err := UnmarshalFrame(append(append([]byte(nil), enc...), 0xAA)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
-	// Unreduced field element.
-	bad = append([]byte(nil), enc...)
-	for i := 5; i < 13; i++ {
-		bad[i] = 0xff
+	var x0 [8]byte
+	binary.BigEndian.PutUint64(x0[:], uint64(hdr.X[0]))
+	at := bytes.Index(enc, x0[:])
+	if at < 4 {
+		t.Fatal("X[0] not found in the frame")
 	}
-	if _, err := UnmarshalHeader(bad); err == nil {
+	bad = append([]byte(nil), enc...)
+	copy(bad[at:], bytes.Repeat([]byte{0xff}, 8))
+	if _, err := UnmarshalFrame(bad); err == nil {
 		t.Error("unreduced field element accepted")
 	}
-	// Absurd length prefix.
 	bad = append([]byte(nil), enc...)
-	bad[1], bad[2], bad[3], bad[4] = 0xff, 0xff, 0xff, 0xff
-	if _, err := UnmarshalHeader(bad); err == nil {
-		t.Error("oversize length accepted")
+	copy(bad[at-4:], []byte{0xff, 0xff, 0xff, 0xff})
+	if _, err := UnmarshalFrame(bad); err == nil {
+		t.Error("oversize X count accepted")
 	}
 }
 
+// TestHeaderShapeValidation: a header is N + 1 entries of X over the first N
+// nonces of its run — an empty X, or a run too short for N, is refused.
 func TestHeaderShapeValidation(t *testing.T) {
-	// |X| must equal N+1.
-	h := &core.Header{X: make([]ff64.Elem, 3), Zs: [][]byte{{1, 2}}}
-	enc := MarshalHeader(h)
-	if _, err := UnmarshalHeader(enc); err == nil {
-		t.Error("mismatched header shape accepted")
+	if _, err := UnmarshalFrame(MarshalSnapshotFrame(snapshotOf(pubsub.ConfigInfo{Key: "h", Rev: 1, Header: &core.Header{}}))); err == nil {
+		t.Error("header of |X| = 0 accepted")
+	}
+	run := testRun(1, 2, core.NonceSize)
+	long := &core.Header{X: make(linalg.Vector, 4), Zs: run}
+	raw := hostileFrame([]frameRun{{zs: run, n: 2}}, []uint32{0}, snapshotOf(pubsub.ConfigInfo{Key: "h", Rev: 1, Header: long}))
+	if _, err := UnmarshalFrame(raw); err == nil {
+		t.Error("header of N = 3 over a run of 2 accepted")
 	}
 }
 
@@ -99,30 +117,28 @@ func testBroadcast(t *testing.T) *pubsub.Broadcast {
 	hdr, _, _ := buildHeader(t)
 	return &pubsub.Broadcast{
 		DocName: "EHR.xml",
+		Epoch:   4,
+		Gen:     7,
 		Policies: []pubsub.PolicyInfo{
 			{ID: "acp3", CondIDs: []string{"role = doc"}},
 			{ID: "acp4", CondIDs: []string{"role = nur", "level >= 59"}},
 		},
 		Configs: []pubsub.ConfigInfo{
-			{Key: policy.ConfigOf("acp3", "acp4"), Header: hdr},
-			{Key: policy.EmptyConfig, Header: nil},
+			{Key: policy.ConfigOf("acp3", "acp4"), Rev: 4, Header: hdr},
+			{Key: policy.EmptyConfig, Rev: 1, Header: nil},
 		},
 		Items: []pubsub.Item{
-			{Subdoc: "Plan", Config: policy.ConfigOf("acp3", "acp4"), Ciphertext: []byte{1, 2, 3}},
-			{Subdoc: "Other", Config: policy.EmptyConfig, Ciphertext: []byte{9}},
+			{Subdoc: "Plan", Config: policy.ConfigOf("acp3", "acp4"), Ciphertext: []byte{1, 2, 3}, Rev: 4},
+			{Subdoc: "Other", Config: policy.EmptyConfig, Ciphertext: []byte{9}, Rev: 1},
 		},
 	}
 }
 
 func TestBroadcastRoundTrip(t *testing.T) {
 	b := testBroadcast(t)
-	enc := MarshalBroadcast(b)
-	dec, err := UnmarshalBroadcast(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.DocName != b.DocName {
-		t.Error("doc name changed")
+	dec := throughFrame(t, b)
+	if dec.DocName != b.DocName || dec.Epoch != b.Epoch || dec.Gen != b.Gen {
+		t.Error("document, epoch or generation changed")
 	}
 	if len(dec.Policies) != 2 || dec.Policies[1].CondIDs[1] != "level >= 59" {
 		t.Errorf("policies changed: %+v", dec.Policies)
@@ -136,77 +152,60 @@ func TestBroadcastRoundTrip(t *testing.T) {
 	if len(dec.Items) != 2 || !bytes.Equal(dec.Items[0].Ciphertext, []byte{1, 2, 3}) {
 		t.Error("items changed")
 	}
-	if dec.Items[0].Config != b.Items[0].Config {
-		t.Error("config key changed")
+	if dec.Items[0].Config != b.Items[0].Config || dec.Items[0].Rev != b.Items[0].Rev {
+		t.Error("config key or revision changed")
 	}
 }
 
 func TestBroadcastDeterministic(t *testing.T) {
 	b := testBroadcast(t)
-	if !bytes.Equal(MarshalBroadcast(b), MarshalBroadcast(b)) {
+	if !bytes.Equal(MarshalSnapshotFrame(b), MarshalSnapshotFrame(b)) {
 		t.Error("encoding not deterministic")
 	}
 }
 
 func TestBroadcastRejectsCorruption(t *testing.T) {
-	b := testBroadcast(t)
-	enc := MarshalBroadcast(b)
-	if _, err := UnmarshalBroadcast(enc[:10]); err == nil {
+	enc := MarshalSnapshotFrame(testBroadcast(t))
+	if _, err := UnmarshalFrame(enc[:10]); err == nil {
 		t.Error("truncated accepted")
 	}
 	bad := append([]byte(nil), enc...)
-	bad[0] = VersionGrouped + 1
-	if _, err := UnmarshalBroadcast(bad); err != ErrBadVersion {
+	bad[0] = VersionStream + 1
+	if _, err := UnmarshalFrame(bad); err != ErrBadVersion {
 		t.Errorf("version: %v", err)
 	}
-	// An ungrouped broadcast re-labelled VersionGrouped still decodes (the
-	// grouped format is a superset), but a grouped presence byte inside a
-	// Version 1 message does not.
-	relabel := append([]byte(nil), enc...)
-	relabel[0] = VersionGrouped
-	if _, err := UnmarshalBroadcast(relabel); err != nil {
-		t.Errorf("relabelled v2: %v", err)
-	}
-	if _, err := UnmarshalBroadcast(append(enc, 0)); err == nil {
+	if _, err := UnmarshalFrame(append(enc, 0)); err == nil {
 		t.Error("trailing accepted")
 	}
 }
 
 func TestBroadcastFuzzResilience(t *testing.T) {
 	// Random mutations must never panic, only error or decode cleanly.
-	b := testBroadcast(t)
-	enc := MarshalBroadcast(b)
+	enc := MarshalSnapshotFrame(testBroadcast(t))
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 500; trial++ {
 		bad := append([]byte(nil), enc...)
 		for k := 0; k < 1+rng.Intn(4); k++ {
 			bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
 		}
-		_, _ = UnmarshalBroadcast(bad) // must not panic
+		_, _ = UnmarshalFrame(bad) // must not panic
 	}
 	for trial := 0; trial < 200; trial++ {
 		junk := make([]byte, rng.Intn(200))
 		rng.Read(junk)
-		_, _ = UnmarshalBroadcast(junk)
-		_, _ = UnmarshalHeader(junk)
+		_, _ = UnmarshalFrame(junk)
 	}
 }
 
 func TestEndToEndThroughWire(t *testing.T) {
-	// A broadcast produced by a real publisher survives the wire format and
-	// still decrypts.
-	// (Constructed via the pubsub test helpers would create an import cycle;
-	// build a minimal real one here.)
+	// A header produced by the §V-C construction survives the wire and every
+	// row it was built over still derives the key from the decoded copy.
 	rows := [][]core.CSS{{ff64.New(1111)}, {ff64.New(2222)}}
 	hdr, key, err := core.Build(rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := MarshalHeader(hdr)
-	dec, err := UnmarshalHeader(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := throughFrame(t, snapshotOf(pubsub.ConfigInfo{Key: "h", Rev: 1, Header: hdr})).Configs[0].Header
 	for _, row := range rows {
 		k, err := core.DeriveKey(row, dec)
 		if err != nil || k != key {
@@ -217,7 +216,7 @@ func TestEndToEndThroughWire(t *testing.T) {
 
 func TestRegistrationBatchRoundTrip(t *testing.T) {
 	// A synthetic batch covering both OCBE request shapes (equality: bare
-	// commitment; inequality: bit commitments) and both envelope shapes.
+	// commitment; inequality: bit commitments).
 	reqs := []*pubsub.RegistrationRequest{
 		{
 			Token:  &idtoken.Token{Nym: "pn-1", Tag: "role", Commitment: []byte{1, 2, 3}, Sig: []byte{9}},
@@ -233,13 +232,14 @@ func TestRegistrationBatchRoundTrip(t *testing.T) {
 			},
 		},
 	}
-	enc := MarshalRegistrationBatch(reqs)
-	dec, err := UnmarshalRegistrationBatch(enc)
+	enc := MarshalRequest(&Request{Kind: KindRegisterBatch, Batch: reqs})
+	req, err := UnmarshalRequest(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dec) != 2 {
-		t.Fatalf("decoded %d requests", len(dec))
+	dec := req.Batch
+	if req.Kind != KindRegisterBatch || len(dec) != 2 {
+		t.Fatalf("decoded kind %d, %d requests", req.Kind, len(dec))
 	}
 	if dec[0].Token.Nym != "pn-1" || dec[0].CondID != "role = doc" || !bytes.Equal(dec[0].OCBE.Commitment, []byte{1, 2, 3}) {
 		t.Errorf("request 0 mangled: %+v", dec[0])
@@ -249,7 +249,7 @@ func TestRegistrationBatchRoundTrip(t *testing.T) {
 	}
 
 	// Re-encoding the decoded batch is byte-identical (deterministic format).
-	if !bytes.Equal(MarshalRegistrationBatch(dec), enc) {
+	if !bytes.Equal(MarshalRequest(req), enc) {
 		t.Error("round trip not deterministic")
 	}
 }
@@ -270,11 +270,13 @@ func TestBatchReplyRoundTrip(t *testing.T) {
 			},
 		}},
 	}
-	enc := MarshalBatchReply(results)
-	dec, err := UnmarshalBatchReply(enc)
+	body := MarshalBatchReply(results)
+	enc := append([]byte{StatusOK}, body...)
+	rep, err := UnmarshalReply(KindRegisterBatch, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dec := rep.Batch
 	if len(dec) != 3 {
 		t.Fatalf("decoded %d results", len(dec))
 	}
@@ -288,7 +290,7 @@ func TestBatchReplyRoundTrip(t *testing.T) {
 	if len(sub) != 2 || sub[1].X0.Int64() != -3 || len(sub[0].Bits) != 1 {
 		t.Errorf("nested envelopes mangled: %+v", dec[2].Envelope)
 	}
-	if !bytes.Equal(MarshalBatchReply(dec), enc) {
+	if !bytes.Equal(MarshalBatchReply(dec), body) {
 		t.Error("round trip not deterministic")
 	}
 
@@ -302,9 +304,7 @@ func TestBatchReplyRoundTrip(t *testing.T) {
 					t.Fatalf("panic on corrupt byte %d: %v", i, r)
 				}
 			}()
-			dec2, err := UnmarshalBatchReply(bad)
-			_ = dec2
-			_ = err
+			_, _ = UnmarshalReply(KindRegisterBatch, bad)
 		}()
 	}
 }

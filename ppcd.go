@@ -135,14 +135,10 @@ func NewPublisher(params *CommitmentParams, idmgrKey []byte, acps []*Policy, opt
 // Subscriber registers identity tokens and decrypts authorized subdocuments.
 type Subscriber = pubsub.Subscriber
 
-// Registrar is the publisher-side interface a subscriber registers against
-// (satisfied by *Publisher and by the transport client).
+// Registrar is the publisher-side interface a subscriber registers against,
+// one batch per subscriber (satisfied by *Publisher and by the transport
+// client).
 type Registrar = pubsub.Registrar
-
-// BatchRegistrar is a Registrar that accepts a whole registration batch in
-// one round trip; Subscriber.RegisterAll uses it automatically when
-// available (both *Publisher and the transport client provide it).
-type BatchRegistrar = pubsub.BatchRegistrar
 
 // RekeyStats are the publisher's rekey work counters (see Publisher.Stats):
 // configurations re-solved vs. served from the incremental ACV cache (shard
