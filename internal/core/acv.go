@@ -34,6 +34,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"ppcd/internal/ff64"
 	"ppcd/internal/linalg"
@@ -140,6 +141,12 @@ func (h *Header) WireSize() int {
 		return 8*len(h.X) + 4 + runEntrySize
 	}
 	return h.Size() + 4 + 8
+}
+
+// sameSolve reports whether two seeded headers hold one solve: the same X
+// over the same seed (a solve draws a fresh seed and key).
+func (h *Header) sameSolve(o *Header) bool {
+	return h.Seeded() && bytes.Equal(h.Seed, o.Seed) && slices.Equal(h.X, o.X)
 }
 
 // Clone returns a deep copy of the header: X, the seed, and the nonces it

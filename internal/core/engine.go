@@ -301,6 +301,63 @@ func (e *Engine) RestoreCache(cfgs []CachedConfig, shards []CachedShard, grouped
 	return nil
 }
 
+// Install merges the entries one rekey session created back into the caches
+// (crash recovery replaying a journaled publish), where RestoreCache replaces
+// them wholesale. Configurations and shards are installed as given, shards
+// first. A grouped entry names its shards by ID in Shards[i].ShardID and
+// carries its header in Hdr, whose slots Install re-points at the shard
+// cache's objects — so the caller must not have shared the header yet — and
+// its signature is computed from the shard signatures as RekeyAllGrouped
+// computes it. That needs every slot to hold the solve the cache holds for its
+// ID (the same object, or the same X and seed): a slot holding another solve
+// (a later session re-solved the shard) leaves the entry out, since a
+// signature of the cached solve would vouch for a header not built from it.
+func (e *Engine) Install(cfgs []CachedConfig, shards []CachedShard, grouped []CachedGrouped) error {
+	for _, c := range cfgs {
+		if c.ID == "" || c.Hdr == nil {
+			return fmt.Errorf("core: installing config cache: empty entry %q", c.ID)
+		}
+	}
+	for _, s := range shards {
+		if s.ID == "" || s.Hdr == nil {
+			return fmt.Errorf("core: installing shard cache: empty entry %q", s.ID)
+		}
+	}
+	for _, g := range grouped {
+		if g.ID == "" || g.Hdr == nil || len(g.Hdr.Shards) != len(g.Shards) {
+			return fmt.Errorf("core: installing grouped cache: malformed entry %q", g.ID)
+		}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, c := range cfgs {
+		e.cache[c.ID] = engineEntry{sig: c.Sig, hdr: c.Hdr, key: c.Key}
+	}
+	for _, s := range shards {
+		e.shardCache[s.ID] = shardEntry{sig: s.Sig, hdr: s.Hdr, key: s.Key}
+	}
+	for _, g := range grouped {
+		spec := GroupedConfigSpec{ID: g.ID, Shards: make([]ShardSpec, len(g.Shards))}
+		held := true
+		for i, sh := range g.Shards {
+			ent, ok := e.shardCache[sh.ShardID]
+			if h := g.Hdr.Shards[i].Hdr; !ok || (ent.hdr != h && !ent.hdr.sameSolve(h)) {
+				held = false
+				break
+			}
+			spec.Shards[i] = ShardSpec{ID: sh.ShardID, Sig: ent.sig}
+		}
+		if !held {
+			continue
+		}
+		for i, sh := range g.Shards {
+			g.Hdr.Shards[i].Hdr = e.shardCache[sh.ShardID].hdr
+		}
+		e.groupedCache[g.ID] = groupedEntry{sig: groupedSig(spec), hdr: g.Hdr, key: g.Key}
+	}
+	return nil
+}
+
 // RekeyAll produces a header and key for every configuration, reusing cached
 // builds for configurations whose signature is unchanged and re-solving the
 // rest concurrently over a shared nonce session. Specs with zero total rows

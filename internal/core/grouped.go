@@ -69,6 +69,10 @@ type GroupedConfigKeys struct {
 	// Rebuilt reports whether this session reassembled the grouped header
 	// (false = full cache hit).
 	Rebuilt bool
+	// Solved lists the shards of a rebuilt configuration that this session
+	// solved: with the configuration, the entries the session created in the
+	// caches — what a journal records so Install can put them back.
+	Solved []CachedShard
 }
 
 // groupedSig combines the shard identities and signatures into the
@@ -175,11 +179,13 @@ func (e *Engine) RekeyAllGrouped(specs []GroupedConfigSpec) (map[string]GroupedC
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	fresh := make(map[string]bool, len(solveList))
 	for i, sh := range solveList {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("core: rekeying shard %q: %w", sh.ID, errs[i])
 		}
 		held[sh.ID], e.shardCache[sh.ID] = solved[i], solved[i]
+		fresh[sh.ID] = true
 	}
 	for d, s := range dirty {
 		key, err := ff64.RandNonZero()
@@ -191,12 +197,16 @@ func (e *Engine) RekeyAllGrouped(specs []GroupedConfigSpec) (map[string]GroupedC
 			return nil, err
 		}
 		hdr := &GroupedHeader{RekeyNonce: nonce, Shards: make([]GroupShard, len(s.Shards))}
+		ck := GroupedConfigKeys{Hdr: hdr, Key: key, Rebuilt: true}
 		for i, sh := range s.Shards {
 			ent := held[sh.ID]
 			hdr.Shards[i] = GroupShard{Hdr: ent.hdr, Wrap: hdr.WrapKey(key, ent.key)}
+			if fresh[sh.ID] {
+				ck.Solved = append(ck.Solved, CachedShard{ID: sh.ID, Sig: ent.sig, Hdr: ent.hdr, Key: ent.key})
+			}
 		}
 		e.groupedCache[s.ID] = groupedEntry{sig: dirtySigs[d], hdr: hdr, key: key}
-		out[s.ID] = GroupedConfigKeys{Hdr: hdr, Key: key, Rebuilt: true}
+		out[s.ID] = ck
 		e.stats.rebuilds.Add(1)
 	}
 	return out, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -222,5 +223,122 @@ func TestEngineGroupedRowsOnlyWhenUnsolved(t *testing.T) {
 	}
 	if got := e.Stats().Solves; got != base+1 {
 		t.Errorf("refused sessions ran %d solves", got-base-1)
+	}
+}
+
+// decoded copies a grouped header the way a decoder hands it over: equal
+// content, no object shared with the engine that built it.
+func decoded(g *GroupedHeader) *GroupedHeader {
+	out := &GroupedHeader{RekeyNonce: g.RekeyNonce, Shards: make([]GroupShard, len(g.Shards))}
+	for i, sh := range g.Shards {
+		out.Shards[i] = GroupShard{Hdr: sh.Hdr.Clone(), Wrap: sh.Wrap}
+	}
+	return out
+}
+
+// installSession installs what one session reported into e, from decoded
+// copies of its headers: a solved shard once, with the sub-header of the first
+// slot naming it.
+func installSession(t *testing.T, e *Engine, specs []GroupedConfigSpec, out map[string]GroupedConfigKeys) {
+	t.Helper()
+	var grouped []CachedGrouped
+	var shards []CachedShard
+	seen := make(map[string]bool)
+	for _, spec := range specs {
+		ck := out[spec.ID]
+		hdr := decoded(ck.Hdr)
+		g := CachedGrouped{ID: spec.ID, Key: ck.Key, Hdr: hdr, Shards: make([]CachedGroupedShard, len(spec.Shards))}
+		for i, sh := range spec.Shards {
+			g.Shards[i].ShardID = sh.ID
+			for _, s := range ck.Solved {
+				if s.ID == sh.ID && !seen[s.ID] {
+					seen[s.ID] = true
+					shards = append(shards, CachedShard{ID: s.ID, Sig: s.Sig, Hdr: hdr.Shards[i].Hdr, Key: s.Key})
+				}
+			}
+		}
+		grouped = append(grouped, g)
+	}
+	if err := e.Install(nil, shards, grouped); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEngineInstallReplaysSessions: the entries sessions report, installed in
+// order into an engine that never solved, make the next session with the
+// same signatures a full cache hit on the installed objects — a re-solved
+// shard's sub-header shared between the configurations naming it, a clean
+// one's re-pointed at the cache's — and a grouped entry one slot of which
+// holds another solve than the cache's is left out.
+func TestEngineInstallReplaysSessions(t *testing.T) {
+	e := NewEngine(2)
+	shA1 := shardOf("acpA/0", "s1", engRows(0, 3, 2))
+	shA2 := shardOf("acpA/1", "s2", engRows(50, 2, 2))
+	shB := shardOf("acpB/0", "s3", engRows(100, 2, 2))
+	shA2dirty := shardOf("acpA/1", "s2'", engRows(50, 1, 2))
+	first, err := e.RekeyAllGrouped(groupedSpecs(shA1, shA2, shB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	third, err := e.RekeyAllGrouped(groupedSpecs(shA1, shA2dirty, shB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first["A|B"].Solved) != 3 || len(third["A"].Solved) != 1 || third["A"].Solved[0].ID != "acpA/1" {
+		t.Fatalf("sessions report %d and %d solved shards, want 3 and the one dirty shard", len(first["A|B"].Solved), len(third["A"].Solved))
+	}
+
+	r := NewEngine(2)
+	installSession(t, r, groupedSpecs(shA1, shA2, shB), first)
+	installSession(t, r, groupedSpecs(shA1, shA2dirty, shB), third)
+	bare := func(sh ShardSpec) ShardSpec { return ShardSpec{ID: sh.ID, Sig: sh.Sig, N: sh.N} }
+	out, err := r.RekeyAllGrouped(groupedSpecs(bare(shA1), bare(shA2dirty), bare(shB)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := r.Stats(); s.Solves != 0 || s.Rebuilds != 0 {
+		t.Fatalf("replayed engine: %d solves, %d rebuilds; want a full cache hit", s.Solves, s.Rebuilds)
+	}
+	for _, id := range []string{"A", "A|B"} {
+		if out[id].Key != third[id].Key || !bytes.Equal(out[id].Hdr.RekeyNonce, third[id].Hdr.RekeyNonce) {
+			t.Errorf("config %s: replayed key or nonce differs from the session's", id)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if out["A"].Hdr.Shards[i].Hdr != out["A|B"].Hdr.Shards[i].Hdr {
+			t.Errorf("shard %d: the configurations hold two objects of one solve", i)
+		}
+	}
+	deriveGrouped(t, shA2dirty.Rows[0], out["A|B"])
+
+	// Another solve in a slot: shard acpA/1 is cached at s2' with the first
+	// session's sub-header, while the grouped entry carries the third's.
+	x := NewEngine(2)
+	if err := x.Install(nil, []CachedShard{
+		{ID: "acpA/0", Sig: "s1", Hdr: first["A"].Hdr.Shards[0].Hdr, Key: first["A|B"].Solved[0].Key},
+		{ID: "acpA/1", Sig: "s2'", Hdr: first["A"].Hdr.Shards[1].Hdr, Key: third["A"].Solved[0].Key},
+	}, []CachedGrouped{{ID: "A", Key: third["A"].Key, Hdr: decoded(third["A"].Hdr),
+		Shards: []CachedGroupedShard{{ShardID: "acpA/0"}, {ShardID: "acpA/1"}}}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := x.RekeyAllGrouped([]GroupedConfigSpec{{ID: "A", Shards: []ShardSpec{bare(shA1), bare(shA2dirty)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got["A"].Rebuilt {
+		t.Error("a grouped entry holding another solve than the cache's was installed")
+	}
+
+	for name, g := range map[string]CachedGrouped{
+		"no ID":        {Hdr: decoded(first["A"].Hdr), Shards: make([]CachedGroupedShard, 2)},
+		"no header":    {ID: "A", Shards: make([]CachedGroupedShard, 2)},
+		"slots differ": {ID: "A", Hdr: decoded(first["A"].Hdr), Shards: make([]CachedGroupedShard, 1)},
+	} {
+		if err := x.Install(nil, nil, []CachedGrouped{g}); err == nil {
+			t.Errorf("%s: malformed grouped entry installed", name)
+		}
+	}
+	if err := x.Install([]CachedConfig{{ID: "A"}}, nil, nil); err == nil {
+		t.Error("config entry without a header installed")
 	}
 }

@@ -127,6 +127,7 @@ func (p *Publisher) Publish(doc *document.Document) (*Broadcast, error) {
 	// that work (§VIII-A: eliminate redundant calculations at the Pub).
 	var infos []ConfigInfo
 	var keys map[policy.ConfigKey][sym.KeySize]byte
+	var secrets sessionSecrets
 	var err error
 	if p.opts.GroupSize > 0 {
 		// The grouped snapshot hands over rows only for shards the engine held
@@ -139,13 +140,13 @@ func (p *Publisher) Publish(doc *document.Document) (*Broadcast, error) {
 			if shards, err = p.reg.snapshotGrouped(relevant, p.keys.engine.HasShard); err != nil {
 				break
 			}
-			if infos, keys, err = p.keys.configKeysGrouped(cfgs, shards); !errors.Is(err, core.ErrShardRows) {
+			if infos, keys, secrets, err = p.keys.configKeysGrouped(cfgs, shards); !errors.Is(err, core.ErrShardRows) {
 				break
 			}
 		}
 	} else {
 		rowsByACP, vers := p.reg.snapshot(relevant)
-		infos, keys, err = p.keys.configKeys(cfgs, rowsByACP, vers)
+		infos, keys, secrets, err = p.keys.configKeys(cfgs, rowsByACP, vers)
 	}
 	if err != nil {
 		return nil, err
@@ -176,16 +177,7 @@ func (p *Publisher) Publish(doc *document.Document) (*Broadcast, error) {
 	// concurrent Publish calls serialize here.
 	p.pubMu.Lock()
 	defer p.pubMu.Unlock()
-	p.epoch++
-	// Journal the epoch bump before the broadcast escapes: after a crash the
-	// restored counter must stay ahead of every epoch subscribers have seen
-	// under this generation, or a restarted publisher could re-number. Nobody
-	// observed the bump yet, so a journal failure rolls it back cleanly.
-	if err := p.journalPublish(StateEvent{Kind: StateEventPublish, Doc: doc.Name, Epoch: p.epoch}); err != nil {
-		p.epoch--
-		return nil, err
-	}
-	b.Epoch = p.epoch
+	b.Epoch = p.epoch + 1
 	b.Gen = p.gen
 	prev := p.lastPub[doc.Name]
 	stampConfigRevs(b, prev)
@@ -216,7 +208,19 @@ func (p *Publisher) Publish(doc *document.Document) (*Broadcast, error) {
 		}
 		b.Items = append(b.Items, Item{Subdoc: sd.Name, Config: k, Ciphertext: ct, Rev: b.Epoch})
 	}
-	p.lastPub[doc.Name] = &lastBroadcast{b: b, digests: digests}
+	// Journal the publish before the broadcast escapes: after a crash the
+	// restored counter must stay ahead of every epoch subscribers have seen
+	// under this generation, or a restarted publisher could re-number, and
+	// the record's outcome restores this broadcast as the diff base and what
+	// the session solved into the engine cache. The epoch and the diff base
+	// are committed only once the record is durable, so a journal failure
+	// leaves them as they were.
+	cur := &lastBroadcast{b: b, digests: digests}
+	if err := p.journalPublish(prev, cur, secrets); err != nil {
+		return nil, err
+	}
+	p.epoch = b.Epoch
+	p.lastPub[doc.Name] = cur
 	return b, nil
 }
 

@@ -266,7 +266,7 @@ func TestPublishRetakesSnapshotWhenCacheMoves(t *testing.T) {
 	}
 	env.pub.ResetRekeyCache()
 	s0 := env.pub.Stats()
-	if _, _, err := env.pub.keys.configKeysGrouped(cfgs, shards); !errors.Is(err, core.ErrShardRows) {
+	if _, _, _, err := env.pub.keys.configKeysGrouped(cfgs, shards); !errors.Is(err, core.ErrShardRows) {
 		t.Fatalf("rekey from a snapshot older than the cache reset: %v, want ErrShardRows", err)
 	}
 	if s1 := env.pub.Stats(); s1.Solves != s0.Solves {

@@ -178,9 +178,28 @@ func assemble(cfgs map[policy.ConfigKey][]string, throwaway []policy.ConfigKey, 
 	return infos, keys, nil
 }
 
+// sessionSecrets lists the cache entries one publish's rekey session created:
+// the configurations it rebuilt and the shards it solved, the secret half of
+// the publish's journal record. Publish calls it only when a journal is
+// attached.
+type sessionSecrets func() ([]SolvedConfig, []SolvedShard)
+
+// aliasesOf returns the configurations reusing rep's build (§VIII-B), in
+// deterministic order.
+func aliasesOf(rep policy.ConfigKey, aliases map[policy.ConfigKey]policy.ConfigKey) []policy.ConfigKey {
+	var out []policy.ConfigKey
+	for key, r := range aliases {
+		if r == rep {
+			out = append(out, key)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
 // configKeys produces the ordered ConfigInfo list and the symmetric key per
 // configuration for one publish, given an ungrouped registry snapshot.
-func (km *keyManager) configKeys(cfgs map[policy.ConfigKey][]string, rowsByACP map[string][][]core.CSS, vers map[string]uint64) ([]ConfigInfo, map[policy.ConfigKey][sym.KeySize]byte, error) {
+func (km *keyManager) configKeys(cfgs map[policy.ConfigKey][]string, rowsByACP map[string][][]core.CSS, vers map[string]uint64) ([]ConfigInfo, map[policy.ConfigKey][sym.KeySize]byte, sessionSecrets, error) {
 	solo, throwaway, aliases := km.splitByDominance(cfgs, func(acpID string) bool { return len(rowsByACP[acpID]) > 0 })
 
 	specs := make([]core.ConfigSpec, 0, len(solo))
@@ -205,14 +224,23 @@ func (km *keyManager) configKeys(cfgs map[policy.ConfigKey][]string, rowsByACP m
 	if len(specs) > 0 {
 		var err error
 		if built, err = km.engine.RekeyAll(specs); err != nil {
-			return nil, nil, fmt.Errorf("pubsub: building ACVs: %w", err)
+			return nil, nil, nil, fmt.Errorf("pubsub: building ACVs: %w", err)
 		}
 	}
-	return assemble(cfgs, throwaway, solo, aliases, func(key, rep policy.ConfigKey) (ConfigInfo, ff64.Elem) {
+	secrets := func() (out []SolvedConfig, _ []SolvedShard) {
+		for _, s := range specs {
+			if ck := built[s.ID]; ck.Rebuilt {
+				out = append(out, SolvedConfig{ID: s.ID, Key: ck.Key, Sig: s.Sig, Aliases: aliasesOf(policy.ConfigKey(s.ID), aliases)})
+			}
+		}
+		return out, nil
+	}
+	infos, keys, err := assemble(cfgs, throwaway, solo, aliases, func(key, rep policy.ConfigKey) (ConfigInfo, ff64.Elem) {
 		ck := built[string(rep)]
 		km.noteDominanceSkip(key, rep, ck.Rebuilt)
 		return ConfigInfo{Key: key, Header: ck.Hdr}, ck.Key
 	})
+	return infos, keys, secrets, err
 }
 
 // configKeysGrouped is the grouped counterpart of configKeys: each
@@ -221,7 +249,7 @@ func (km *keyManager) configKeys(cfgs map[policy.ConfigKey][]string, rowsByACP m
 // "policy/group" so shared shards solve once and clean shards never re-solve.
 // A shard the snapshot found solved carries no rows (core.ErrShardRows if the
 // engine's cache moved since: Publish takes a new snapshot).
-func (km *keyManager) configKeysGrouped(cfgs map[policy.ConfigKey][]string, shardsByACP map[string][]core.ShardSpec) ([]ConfigInfo, map[policy.ConfigKey][sym.KeySize]byte, error) {
+func (km *keyManager) configKeysGrouped(cfgs map[policy.ConfigKey][]string, shardsByACP map[string][]core.ShardSpec) ([]ConfigInfo, map[policy.ConfigKey][sym.KeySize]byte, sessionSecrets, error) {
 	solo, throwaway, aliases := km.splitByDominance(cfgs, func(acpID string) bool { return len(shardsByACP[acpID]) > 0 })
 
 	specs := make([]core.GroupedConfigSpec, 0, len(solo))
@@ -236,12 +264,34 @@ func (km *keyManager) configKeysGrouped(cfgs map[policy.ConfigKey][]string, shar
 	if len(specs) > 0 {
 		var err error
 		if built, err = km.engine.RekeyAllGrouped(specs); err != nil {
-			return nil, nil, fmt.Errorf("pubsub: building grouped ACVs: %w", err)
+			return nil, nil, nil, fmt.Errorf("pubsub: building grouped ACVs: %w", err)
 		}
 	}
-	return assemble(cfgs, throwaway, solo, aliases, func(key, rep policy.ConfigKey) (ConfigInfo, ff64.Elem) {
+	secrets := func() (configs []SolvedConfig, shards []SolvedShard) {
+		seen := make(map[string]bool)
+		for _, s := range specs {
+			ck := built[s.ID]
+			if !ck.Rebuilt {
+				continue
+			}
+			sc := SolvedConfig{ID: s.ID, Key: ck.Key, Aliases: aliasesOf(policy.ConfigKey(s.ID), aliases), Shards: make([]string, len(s.Shards))}
+			for i, sh := range s.Shards {
+				sc.Shards[i] = sh.ID
+			}
+			configs = append(configs, sc)
+			for _, sh := range ck.Solved {
+				if !seen[sh.ID] {
+					seen[sh.ID] = true
+					shards = append(shards, SolvedShard{ID: sh.ID, Sig: sh.Sig, Key: sh.Key})
+				}
+			}
+		}
+		return configs, shards
+	}
+	infos, keys, err := assemble(cfgs, throwaway, solo, aliases, func(key, rep policy.ConfigKey) (ConfigInfo, ff64.Elem) {
 		ck := built[string(rep)]
 		km.noteDominanceSkip(key, rep, ck.Rebuilt)
 		return ConfigInfo{Key: key, Grouped: ck.Hdr}, ck.Key
 	})
+	return infos, keys, secrets, err
 }

@@ -169,15 +169,20 @@ const (
 )
 
 // StateEvent is one durable-journal entry: a registration (freshly drawn CSS
-// cells for one pseudonym), a revocation, or a publish epoch bump. Register
-// cells are SECRET material.
+// cells for one pseudonym), a revocation, or a publish. A publish carries its
+// epoch and, when the journal can hold it, its Outcome: the broadcast as a
+// delta against the document's previous diff base and what its rekey session
+// solved, so replay restores the diff base and the engine cache as of that
+// epoch instead of the last snapshot's. Register cells and the outcome's
+// secrets are SECRET material.
 type StateEvent struct {
-	Kind  StateEventKind
-	Nym   string
-	Cond  string              // StateEventRevokeCredential
-	Cells map[string]core.CSS // StateEventRegister
-	Doc   string              // StateEventPublish
-	Epoch uint64              // StateEventPublish
+	Kind    StateEventKind
+	Nym     string
+	Cond    string              // StateEventRevokeCredential
+	Cells   map[string]core.CSS // StateEventRegister
+	Doc     string              // StateEventPublish
+	Epoch   uint64              // StateEventPublish
+	Outcome *PublishOutcome     // StateEventPublish; nil = the epoch alone
 }
 
 // Journal receives every successful durable mutation for write-ahead
@@ -252,10 +257,13 @@ func (p *Publisher) Journal() Journal {
 // applies run before acks, so after the drain every table mutation at or
 // below the captured sequence is reflected in memory — then reads the
 // sequence. Skipping those records on recovery can then never drop a
-// mutation. (Publish epoch bumps don't need the barrier: the counter is
-// advanced before the event is journaled and read under the same lock the
-// export takes, so an unflushed publish at or below the captured sequence is
-// still covered.)
+// mutation. (Publishes don't need the barrier: a publish holds the publish
+// lock from before its record enters the journal order until its epoch and
+// diff base are committed, its rekey session ran before that, and the export
+// reads the engine cache after the drain and the epoch and diff bases under
+// the same lock — so a publish at or below the captured sequence is in the
+// export, and one above it whose broadcast the export already holds is
+// skipped on replay, its epoch being no newer than the restored base.)
 func (p *Publisher) JournalBarrier(fn func()) {
 	p.mutMu.Lock()
 	defer p.mutMu.Unlock()
@@ -324,17 +332,22 @@ func (p *Publisher) commitMutation(check func() error, apply func(), evs ...Stat
 	return nil
 }
 
-// journalPublish journals a publish epoch bump. Unlike table mutations it
-// needs no mutation-lock ordering — the epoch counter is advanced in memory
-// before the event is journaled and replay is a max() — so against a
-// CommitJournal it simply joins whatever group flush is forming.
-func (p *Publisher) journalPublish(ev StateEvent) error {
+// journalPublish journals the publish of cur, whose diff base was prev, and
+// the entries its rekey session created. Called under pubMu before the
+// publish commits its epoch and diff base. The outcome — what Diff ships
+// against prev, the plaintext digests and the session's secrets — is built
+// only when a journal is attached. Unlike table mutations a publish needs no
+// mutation-lock ordering (replay of its epoch is a max() and of its outcome a
+// no-op unless it extends the restored base), so against a CommitJournal it
+// simply joins whatever group flush is forming.
+func (p *Publisher) journalPublish(prev, cur *lastBroadcast, secrets sessionSecrets) error {
 	p.jmu.RLock()
 	j := p.journal
 	p.jmu.RUnlock()
 	if j == nil {
 		return nil
 	}
+	ev := StateEvent{Kind: StateEventPublish, Doc: cur.b.DocName, Epoch: cur.b.Epoch, Outcome: publishOutcome(prev, cur, secrets)}
 	if cj, ok := j.(CommitJournal); ok {
 		t, err := cj.Begin([]StateEvent{ev}, func() {})
 		if err == nil {
@@ -355,7 +368,9 @@ func (p *Publisher) journalPublish(ev StateEvent) error {
 // recovery). Replay is idempotent and never journals: re-applying an event
 // already reflected in the restored snapshot changes nothing — a register
 // with identical cells bumps no membership version, a revocation of an
-// absent row is a no-op, an epoch bump is a max().
+// absent row is a no-op, an epoch bump is a max(), and a publish outcome is
+// skipped whole unless its epoch is newer than its document's restored diff
+// base (replayPublish).
 func (p *Publisher) ApplyStateEvent(ev StateEvent) error {
 	switch ev.Kind {
 	case StateEventRegister:
@@ -398,12 +413,13 @@ func (p *Publisher) ApplyStateEvent(ev StateEvent) error {
 		_ = p.reg.revokeCredential(ev.Nym, ev.Cond)
 		return nil
 	case StateEventPublish:
-		p.pubMu.Lock()
-		if ev.Epoch > p.epoch {
-			p.epoch = ev.Epoch
+		if len(ev.Doc) == 0 || len(ev.Doc) > maxStateCondLen {
+			return fmt.Errorf("pubsub: event document name of %d bytes (want 1..%d)", len(ev.Doc), maxStateCondLen)
 		}
-		p.pubMu.Unlock()
-		return nil
+		p.pubMu.Lock()
+		defer p.pubMu.Unlock()
+		p.epoch = max(p.epoch, ev.Epoch)
+		return p.replayPublish(ev)
 	default:
 		return fmt.Errorf("pubsub: unknown state event kind %d", ev.Kind)
 	}

@@ -17,11 +17,11 @@ import (
 // "torn", "CRC mismatch" and "authenticated but malformed inside".
 func fuzzKey() [sym.KeySize]byte { return DeriveKey([]byte("store-fuzz")) }
 
-func sealRecord(t *testing.T, seq uint64, ev pubsub.StateEvent) []byte {
+func sealRecord(t testing.TB, seq uint64, ev pubsub.StateEvent) []byte {
 	t.Helper()
 	plain := make([]byte, 8, 64)
 	binary.BigEndian.PutUint64(plain, seq)
-	plain = appendEvent(plain, ev)
+	plain = append(plain, encodeEvent(t, ev)...)
 	sealed, err := sym.Encrypt(fuzzKey(), plain)
 	if err != nil {
 		t.Fatal(err)
@@ -31,21 +31,66 @@ func sealRecord(t *testing.T, seq uint64, ev pubsub.StateEvent) []byte {
 	return append(rec, sealed...)
 }
 
+// encodeEvent is appendEvent for an event that encodes, as every decoded one
+// does.
+func encodeEvent(t testing.TB, ev pubsub.StateEvent) []byte {
+	t.Helper()
+	b, err := appendEvent(nil, ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// eventLog is a journal that keeps what it is handed.
+type eventLog []pubsub.StateEvent
+
+func (l *eventLog) Append(ev pubsub.StateEvent) error {
+	*l = append(*l, ev)
+	return nil
+}
+
+// livePublishEvents returns the journal events of two live publishes of a
+// grouped 20-row table: the cold one, whose outcome ships every shard, and one
+// after a revocation, which ships the one re-solved shard.
+func livePublishEvents(t testing.TB) (cold, churn pubsub.StateEvent) {
+	t.Helper()
+	ts := newTestSystem(t, 4)
+	loadRows(t, ts.pub, 20)
+	var log eventLog
+	ts.pub.SetJournal(&log)
+	if _, err := ts.pub.Publish(ts.doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.pub.RevokeSubscription("pn-00005"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ts.pub.Publish(ts.doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(log) != 3 || log[0].Outcome == nil || log[2].Outcome == nil {
+		t.Fatalf("journal holds %d events, want two publishes with outcomes around a revocation", len(log))
+	}
+	return log[0], log[2]
+}
+
 // FuzzWALRecord drives parseRecord with arbitrary bytes: it must never
 // panic, never report a record longer than its input, and classify every
 // outcome as a record, a torn tail, or corruption.
 func FuzzWALRecord(f *testing.F) {
-	t := &testing.T{}
 	f.Add([]byte{})
-	f.Add(sealRecord(t, 1, pubsub.StateEvent{Kind: pubsub.StateEventRevokeSubscription, Nym: "pn-a"}))
-	f.Add(sealRecord(t, 7, pubsub.StateEvent{Kind: pubsub.StateEventRegister, Nym: "pn-b",
+	f.Add(sealRecord(f, 1, pubsub.StateEvent{Kind: pubsub.StateEventRevokeSubscription, Nym: "pn-a"}))
+	f.Add(sealRecord(f, 7, pubsub.StateEvent{Kind: pubsub.StateEventRegister, Nym: "pn-b",
 		Cells: map[string]core.CSS{"attr0 >= 1": 3}}))
-	f.Add(sealRecord(t, 9, pubsub.StateEvent{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: 12}))
-	torn := sealRecord(t, 2, pubsub.StateEvent{Kind: pubsub.StateEventRevokeCredential, Nym: "pn-c", Cond: "attr0 >= 1"})
+	f.Add(sealRecord(f, 9, pubsub.StateEvent{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: 12}))
+	torn := sealRecord(f, 2, pubsub.StateEvent{Kind: pubsub.StateEventRevokeCredential, Nym: "pn-c", Cond: "attr0 >= 1"})
 	f.Add(torn[:len(torn)-3])
 	flipped := append([]byte(nil), torn...)
 	flipped[len(flipped)-1] ^= 0x80
 	f.Add(flipped)
+	cold, churn := livePublishEvents(f)
+	f.Add(sealRecord(f, 3, cold))
+	f.Add(sealRecord(f, 5, churn))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, n, err := parseRecord(data, fuzzKey())
@@ -56,7 +101,7 @@ func FuzzWALRecord(f *testing.F) {
 			t.Fatalf("record length %d out of range for %d input bytes", n, len(data))
 		}
 		// A parsed record must round-trip through the event codec.
-		if _, err := decodeEvent(appendEvent(nil, rec.ev)); err != nil {
+		if _, err := decodeEvent(encodeEvent(t, rec.ev)); err != nil {
 			t.Fatalf("accepted event does not re-encode: %v", err)
 		}
 	})
@@ -69,18 +114,21 @@ func FuzzWALRecord(f *testing.F) {
 // the same event and re-encodes sorted.)
 func FuzzEvent(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(appendEvent(nil, pubsub.StateEvent{Kind: pubsub.StateEventRevokeSubscription, Nym: "pn-a"}))
-	f.Add(appendEvent(nil, pubsub.StateEvent{Kind: pubsub.StateEventRegister, Nym: "pn-b",
+	f.Add(encodeEvent(f, pubsub.StateEvent{Kind: pubsub.StateEventRevokeSubscription, Nym: "pn-a"}))
+	f.Add(encodeEvent(f, pubsub.StateEvent{Kind: pubsub.StateEventRegister, Nym: "pn-b",
 		Cells: map[string]core.CSS{"attr0 >= 1": 3, "attr1 >= 2": 5}}))
-	f.Add(appendEvent(nil, pubsub.StateEvent{Kind: pubsub.StateEventRevokeCredential, Nym: "pn-c", Cond: "attr0 >= 1"}))
-	f.Add(appendEvent(nil, pubsub.StateEvent{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: 12}))
+	f.Add(encodeEvent(f, pubsub.StateEvent{Kind: pubsub.StateEventRevokeCredential, Nym: "pn-c", Cond: "attr0 >= 1"}))
+	f.Add(encodeEvent(f, pubsub.StateEvent{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: 12}))
+	cold, churn := livePublishEvents(f)
+	f.Add(encodeEvent(f, cold))
+	f.Add(encodeEvent(f, churn))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ev, err := decodeEvent(data)
 		if err != nil {
 			return
 		}
-		ev2, err := decodeEvent(appendEvent(nil, ev))
+		ev2, err := decodeEvent(encodeEvent(t, ev))
 		if err != nil {
 			t.Fatalf("accepted event does not re-encode: %v", err)
 		}

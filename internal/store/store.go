@@ -9,13 +9,14 @@
 // its table, its sticky group assignments, its epoch counter and its
 // incarnation generation, so the first post-restart publish is a zero-solve
 // steady-state publish and streaming subscribers catch up with small deltas
-// instead of re-downloading snapshots.
+// instead of re-downloading snapshots — after a crash as after a clean stop,
+// because a publish's WAL record carries what the publish solved.
 //
 // On-disk layout inside the state directory (created mode 0700):
 //
 //	manifest.ppcd      "PPCDMF1" ‖ AEAD( manifest body )
 //	seg-<k><i>-<r>.ppcd "PPCDSG1" ‖ AEAD( kind:u8 ‖ index:u32 ‖ payload )
-//	wal.ppcd           "PPCDWL1" ‖ records…
+//	wal.ppcd           "PPCDWL2" ‖ records…
 //
 // A snapshot is SEGMENTED: the publisher state splits into one meta segment
 // (kind 'm'), table segments (kind 't') covering contiguous columnar slot
@@ -46,7 +47,18 @@
 //	len:u32 ‖ crc32(sealed):u32 ‖ sealed
 //	sealed = AEAD( seq:u64 ‖ event )
 //
-// All integers are big-endian. The sequence number inside the AEAD envelope
+// All integers are big-endian. An event is a registration, a revocation or a
+// publish; a publish is its document and epoch, then its outcome
+// (pubsub.PublishOutcome: the broadcast as a delta against the document's
+// previous diff base, and the keys, shard IDs and row signatures of what its
+// rekey session solved), so that replay restores the diff base and the engine
+// cache as of that epoch. A cold publish's outcome ships every shard — about
+// 9 bytes per grouped policy row at shards of 128 — so it reaches the
+// maxWALRecord limit near 7 million policy rows; an outcome that would exceed
+// it is journaled as the epoch alone and replays as one, leaving that
+// document's diff base and the cache at their previous state. A log written
+// before publish records carried an outcome ("PPCDWL1") has no reader and is
+// refused by name. The sequence number inside the AEAD envelope
 // orders events totally: a snapshot taken at sequence s makes every record
 // with seq ≤ s redundant, so recovery replays only the strictly-newer tail —
 // which is also what makes the crash window between writing a snapshot and
@@ -92,8 +104,10 @@ const (
 	walName      = "wal.ppcd"
 	lockName     = "lock"
 
-	// maxWALRecord bounds one sealed record; the largest legitimate event (a
-	// maximum-size registration batch for one pseudonym) stays far below it.
+	// maxWALRecord bounds one sealed record. The largest legitimate event is
+	// a cold publish of a very large table (see the package doc); a publish
+	// outcome that would not fit is dropped to its epoch rather than the
+	// publish failing.
 	maxWALRecord = 64 << 20
 	// maxEventString bounds one decoded string field; the publisher applies
 	// its own (tighter) semantic caps on replay.
@@ -103,9 +117,10 @@ const (
 )
 
 var (
-	walMagic = []byte("PPCDWL1")
-	manMagic = []byte("PPCDMF1")
-	segMagic = []byte("PPCDSG1")
+	walMagic   = []byte("PPCDWL2")
+	walMagicV1 = []byte("PPCDWL1")
+	manMagic   = []byte("PPCDMF1")
+	segMagic   = []byte("PPCDSG1")
 )
 
 // Errors reported by Open.

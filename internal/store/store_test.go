@@ -129,7 +129,7 @@ func TestEventCodecRoundTrip(t *testing.T) {
 		{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: 42},
 	}
 	for _, ev := range events {
-		got, err := decodeEvent(appendEvent(nil, ev))
+		got, err := decodeEvent(encodeEvent(t, ev))
 		if err != nil {
 			t.Fatalf("%+v: %v", ev, err)
 		}
@@ -148,7 +148,7 @@ func TestEventCodecRoundTrip(t *testing.T) {
 	if _, err := decodeEvent([]byte{99}); err == nil {
 		t.Error("unknown event kind accepted")
 	}
-	if _, err := decodeEvent(append(appendEvent(nil, events[1]), 0)); err == nil {
+	if _, err := decodeEvent(append(encodeEvent(t, events[1]), 0)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 }
@@ -265,8 +265,11 @@ func TestCorruptionDetected(t *testing.T) {
 // fresh incarnation, and the recovered publisher must (a) publish a
 // steady-state broadcast whose immediate republish is byte-identical modulo
 // epoch with zero null-space solves and valid subscriber KEV caches, (b)
-// keep exactly the members whose revocations did not survive the cut, and
-// (c) never reuse an epoch a subscriber may have seen.
+// keep exactly the members whose revocations did not survive the cut, (c)
+// never reuse an epoch a subscriber may have seen, (d) hold as its diff base
+// the last broadcast whose publish record survived — the same snapshot-frame
+// bytes — and (e) re-solve nothing on its first publish unless a table
+// mutation survived after that record.
 func TestCrashRecoveryProperty(t *testing.T) {
 	ts := newTestSystem(t, 4)
 	dir := t.TempDir()
@@ -293,19 +296,23 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Post-snapshot WAL tail: two revocations, a publish, one more join.
+	live := map[uint64]*pubsub.Broadcast{preSnap.Epoch: preSnap}
 	if err := ts.pub.RevokeSubscription(nyms[2]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ts.pub.Publish(ts.doc); err != nil {
+	b, err := ts.pub.Publish(ts.doc)
+	if err != nil {
 		t.Fatal(err)
 	}
+	live[b.Epoch] = b
 	if err := ts.pub.RevokeSubscription(nyms[7]); err != nil {
 		t.Fatal(err)
 	}
 	ts.join(t, "pn-late")
-	if _, err := ts.pub.Publish(ts.doc); err != nil {
+	if b, err = ts.pub.Publish(ts.doc); err != nil {
 		t.Fatal(err)
 	}
+	live[b.Epoch] = b
 	st.Close()
 
 	walBytes, err := os.ReadFile(filepath.Join(dir, walName))
@@ -338,15 +345,17 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		// incarnation must reflect.
 		revoked := make(map[string]bool)
 		joined := make(map[string]bool)
-		var walEpoch uint64
+		walEpoch, lastBase, mutated := uint64(0), preSnap.Epoch, 0
 		for _, ev := range rst.pending {
 			switch ev.Kind {
 			case pubsub.StateEventRevokeSubscription:
 				revoked[ev.Nym] = true
+				mutated++
 			case pubsub.StateEventRegister:
 				joined[ev.Nym] = true
+				mutated++
 			case pubsub.StateEventPublish:
-				walEpoch = ev.Epoch
+				walEpoch, lastBase, mutated = ev.Epoch, ev.Epoch, 0
 			}
 		}
 
@@ -356,9 +365,16 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		}
 		rst.Close()
 
+		bases := rpub.LastBroadcasts()
+		if len(bases) != 1 || !bytes.Equal(wire.MarshalSnapshotFrame(bases[0]), wire.MarshalSnapshotFrame(live[lastBase])) {
+			t.Fatalf("cut=%d: the recovered diff base is not the broadcast of epoch %d", cut, lastBase)
+		}
 		b1, err := rpub.Publish(ts.doc)
 		if err != nil {
 			t.Fatalf("cut=%d: publish after recovery: %v", cut, err)
+		}
+		if solves := rpub.Stats().Solves; (mutated == 0) != (solves == 0) || solves > uint64(mutated) {
+			t.Errorf("cut=%d: first publish solved %d shards with %d mutations journaled after the last publish", cut, solves, mutated)
 		}
 		if b1.Gen != preSnap.Gen {
 			t.Fatalf("cut=%d: generation rotated across recovery", cut)

@@ -44,6 +44,9 @@ func (s *Store) openWAL(snapSeq uint64) error {
 		return nil
 	}
 	if !bytes.HasPrefix(raw, walMagic) {
+		if bytes.HasPrefix(raw, walMagicV1) {
+			return fmt.Errorf("%w: WAL format %s has no reader (its publish records carry no outcome)", ErrCorrupt, walMagicV1)
+		}
 		return fmt.Errorf("%w: bad WAL magic", ErrCorrupt)
 	}
 
@@ -230,21 +233,16 @@ func (s *Store) Begin(evs []pubsub.StateEvent, apply func()) (pubsub.CommitTicke
 	}
 	c := &walCommit{apply: apply, done: make(chan struct{})}
 	for i, ev := range evs {
-		plain := make([]byte, 8, 64)
-		binary.BigEndian.PutUint64(plain, s.seq+uint64(i)+1)
-		plain = appendEvent(plain, ev)
-		sealed, err := sym.Encrypt(s.key, plain)
+		sealed, err := s.seal(s.seq+uint64(i)+1, ev)
+		if err != nil && ev.Outcome != nil {
+			// A publish whose outcome does not fit a record (or cannot be
+			// encoded) is journaled as its epoch alone and replays as one.
+			ev.Outcome = nil
+			sealed, err = s.seal(s.seq+uint64(i)+1, ev)
+		}
 		if err != nil {
 			s.mu.Unlock()
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		// Recovery refuses records above maxWALRecord as corrupt, so an
-		// event that would encode past it must be rejected HERE — failing
-		// the triggering operation — never written and fsynced into a log
-		// that can no longer be opened.
-		if len(sealed) > maxWALRecord {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("store: event of %d sealed bytes exceeds the %d WAL record limit", len(sealed), maxWALRecord)
+			return nil, err
 		}
 		var hdr [8]byte
 		binary.BigEndian.PutUint32(hdr[:], uint32(len(sealed)))
@@ -262,6 +260,27 @@ func (s *Store) Begin(evs []pubsub.StateEvent, apply func()) (pubsub.CommitTicke
 	}
 	s.mu.Unlock()
 	return commitTicket{c}, nil
+}
+
+// seal encodes and seals one event as the record of sequence number seq.
+// Recovery refuses records above maxWALRecord as corrupt, so an event that
+// would encode past it is rejected here — failing the triggering operation —
+// never written and fsynced into a log that can no longer be opened.
+func (s *Store) seal(seq uint64, ev pubsub.StateEvent) ([]byte, error) {
+	plain := make([]byte, 8, 64)
+	binary.BigEndian.PutUint64(plain, seq)
+	plain, err := appendEvent(plain, ev)
+	if err != nil {
+		return nil, fmt.Errorf("store: encoding event: %w", err)
+	}
+	sealed, err := sym.Encrypt(s.key, plain)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	if len(sealed) > maxWALRecord {
+		return nil, fmt.Errorf("store: event of %d sealed bytes exceeds the %d WAL record limit", len(sealed), maxWALRecord)
+	}
+	return sealed, nil
 }
 
 // flushLoop drains the commit queue: each pass takes every queued commit and
@@ -350,10 +369,15 @@ func (s *Store) failFlush(batch []*walCommit, werr error) {
 // the sequence number an upcoming snapshot may claim coverage of. It runs
 // inside the publisher's journal barrier: table mutators are blocked, so
 // every table mutation with seq ≤ the returned value is applied and will be
-// captured by the export. Publish events can still be admitted DURING the
+// captured by the export. Publish records can still be admitted DURING the
 // drain (they commit outside the mutation lock), and claiming them is sound
-// too: a publish's memory effect (the epoch bump) precedes its Begin, so the
-// export reflects any publish sequence the snapshot covers.
+// too. A publish's rekey session writes the engine cache before its Begin,
+// and the export reads the cache after this drain. Its epoch and diff base
+// are committed after its ticket resolves, but under the publish lock it has
+// held since before its Begin, which the export's epoch and diff-base read
+// takes — so the export holds every publish whose sequence the snapshot
+// claims. A publish above the claim whose broadcast the export nonetheless
+// holds is skipped on replay: its epoch is not newer than the restored base.
 func (s *Store) drainCommits() (seqBefore uint64, closed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -401,8 +425,10 @@ func appendStr(b []byte, s string) []byte {
 	return append(appendU32(b, uint32(len(s))), s...)
 }
 
-// appendEvent encodes one event (the plaintext body sealed into a record).
-func appendEvent(b []byte, ev pubsub.StateEvent) []byte {
+// appendEvent encodes one event (the plaintext body sealed into a record). A
+// publish is its document and epoch, then 0, or 1 and its outcome
+// (pubsub.AppendPublishOutcome) to the end of the record.
+func appendEvent(b []byte, ev pubsub.StateEvent) ([]byte, error) {
 	b = append(b, byte(ev.Kind))
 	switch ev.Kind {
 	case pubsub.StateEventRegister:
@@ -425,8 +451,12 @@ func appendEvent(b []byte, ev pubsub.StateEvent) []byte {
 	case pubsub.StateEventPublish:
 		b = appendStr(b, ev.Doc)
 		b = appendU64(b, ev.Epoch)
+		if ev.Outcome == nil {
+			return append(b, 0), nil
+		}
+		return pubsub.AppendPublishOutcome(append(b, 1), ev.Outcome)
 	}
-	return b
+	return b, nil
 }
 
 // evErr maps a codec decode error into the store's corruption sentinel.
@@ -483,6 +513,17 @@ func decodeEvent(buf []byte) (pubsub.StateEvent, error) {
 		}
 		if ev.Epoch, err = r.U64(); err != nil {
 			return ev, evErr(err)
+		}
+		switch has, err := r.U8(); {
+		case err != nil:
+			return ev, evErr(err)
+		case has == 1:
+			rest, _ := r.Take(r.Remaining())
+			if ev.Outcome, err = pubsub.DecodePublishOutcome(ev.Doc, ev.Epoch, rest); err != nil {
+				return ev, evErr(err)
+			}
+		case has != 0:
+			return ev, fmt.Errorf("%w: bad publish outcome flag %d", ErrCorrupt, has)
 		}
 	default:
 		return ev, fmt.Errorf("%w: unknown event kind %d", ErrCorrupt, kind)

@@ -10,6 +10,7 @@ import (
 	"ppcd/internal/document"
 	"ppcd/internal/policy"
 	"ppcd/internal/pubsub"
+	"ppcd/internal/store"
 	"ppcd/internal/wire"
 )
 
@@ -569,6 +570,119 @@ func TestRestartReseededRingServesDelta(t *testing.T) {
 	}
 	if got, err := reader.DecryptCurrent("news.txt"); err != nil || string(got["body"]) != "post-restart" {
 		t.Fatalf("decrypt across restart: %q err=%v", got["body"], err)
+	}
+}
+
+// TestCrashReseededRingServesDelta is the hard-crash counterpart: the
+// publisher journals to a store and dies without a snapshot after a publish
+// that re-solved a shard (a revocation preceded it). Recovery replays that
+// publish's record, so the re-seeded ring holds the pre-crash epoch, the
+// first post-crash publish re-solves nothing, and a subscriber reconnecting at
+// the pre-crash epoch receives one delta frame and decrypts.
+func TestCrashReseededRingServesDelta(t *testing.T) {
+	srv, _, pub, subs := startGroupedServer(t, 3, nil)
+	dir := t.TempDir()
+	key := store.DeriveKey([]byte("transport-crash"))
+	st, err := store.Open(dir, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recover(pub); err != nil {
+		t.Fatal(err)
+	}
+	pub.SetJournal(st)
+	if err := st.Snapshot(pub); err != nil { // the registrations predate the journal
+		t.Fatal(err)
+	}
+	if _, err := pub.Publish(newsDoc(t, "before the leave")); err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.RevokeSubscription(subs[2].Nym()); err != nil {
+		t.Fatal(err)
+	}
+	b1, err := pub.Publish(newsDoc(t, "pre-crash"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.PublishBroadcast(b1); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	if err := st.Close(); err != nil { // no snapshot: the crash
+		t.Fatal(err)
+	}
+
+	p, m := env(t)
+	acp, err := policy.New("adult", "age >= 18", "news.txt", "body")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub2, err := pubsub.NewPublisher(p, m.PublicKey(), []*policy.ACP{acp}, pubsub.Options{Ell: 8, GroupSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, err := store.Open(dir, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if rec, err := st2.Recover(pub2); err != nil || rec.Replayed == 0 {
+		t.Fatalf("crash recovery replayed %d events: %v", rec.Replayed, err)
+	}
+	pub2.SetJournal(st2)
+	srv2, err := NewServer(pub2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range pub2.LastBroadcasts() {
+		if err := srv2.PublishBroadcast(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addr2, err := srv2.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+
+	client, err := Dial(addr2, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	stream, err := client.Subscribe("news.txt", b1.Epoch, b1.Gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	waitStreams(t, srv2, 1)
+
+	b2, err := pub2.Publish(newsDoc(t, "post-crash"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := pub2.Stats(); s.Solves != 0 {
+		t.Errorf("first publish after the crash solved %d shards", s.Solves)
+	}
+	if err := srv2.PublishBroadcast(b2); err != nil {
+		t.Fatal(err)
+	}
+	f := nextFrame(t, stream)
+	if f.Type != wire.FrameDelta || f.Delta.BaseEpoch != b1.Epoch || f.Epoch != b2.Epoch {
+		t.Fatalf("post-crash frame type %d epoch %d, want delta %d→%d", f.Type, f.Epoch, b1.Epoch, b2.Epoch)
+	}
+	if len(f.Delta.Configs) != 0 {
+		t.Errorf("post-crash delta re-ships %d configurations", len(f.Delta.Configs))
+	}
+	reader := subs[0]
+	if err := reader.ApplySnapshot(b1); err != nil {
+		t.Fatal(err)
+	}
+	if err := reader.ApplyDelta(f.Delta); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := reader.DecryptCurrent("news.txt"); err != nil || string(got["body"]) != "post-crash" {
+		t.Fatalf("decrypt across the crash: %q err=%v", got["body"], err)
 	}
 }
 
