@@ -143,10 +143,11 @@ func (h *Header) WireSize() int {
 	return h.Size() + 4 + 8
 }
 
-// sameSolve reports whether two seeded headers hold one solve: the same X
-// over the same seed (a solve draws a fresh seed and key).
+// sameSolve reports whether two headers hold one solve: they are one object,
+// or seeded with the same X over the same seed (a solve draws a fresh seed
+// and key).
 func (h *Header) sameSolve(o *Header) bool {
-	return h.Seeded() && bytes.Equal(h.Seed, o.Seed) && slices.Equal(h.X, o.X)
+	return h == o || (o != nil && h.Seeded() && bytes.Equal(h.Seed, o.Seed) && slices.Equal(h.X, o.X))
 }
 
 // Clone returns a deep copy of the header: X, the seed, and the nonces it

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -248,25 +249,36 @@ func (e *Engine) ExportCache() ([]CachedConfig, []CachedShard, []CachedGrouped) 
 	return cfgs, shards, grouped
 }
 
-// RestoreCache replaces the engine's caches wholesale with previously
-// exported entries (durable-state recovery). Grouped shard references are
-// resolved against the restored shard cache, re-establishing the shared
-// header objects; an unresolvable reference is an error — the state is
-// internally inconsistent and the caller should fall back to a cold engine.
-func (e *Engine) RestoreCache(cfgs []CachedConfig, shards []CachedShard, grouped []CachedGrouped) error {
+// cacheEntries validates exported configuration and shard entries and builds
+// the engine's entries from them, for RestoreCache to swap in and Install to
+// merge.
+func cacheEntries(cfgs []CachedConfig, shards []CachedShard) (map[string]engineEntry, map[string]shardEntry, error) {
 	cache := make(map[string]engineEntry, len(cfgs))
 	for _, c := range cfgs {
 		if c.ID == "" || c.Hdr == nil {
-			return fmt.Errorf("core: restoring config cache: empty entry %q", c.ID)
+			return nil, nil, fmt.Errorf("core: config cache: empty entry %q", c.ID)
 		}
 		cache[c.ID] = engineEntry{sig: c.Sig, hdr: c.Hdr, key: c.Key}
 	}
 	shardCache := make(map[string]shardEntry, len(shards))
 	for _, s := range shards {
 		if s.ID == "" || s.Hdr == nil {
-			return fmt.Errorf("core: restoring shard cache: empty entry %q", s.ID)
+			return nil, nil, fmt.Errorf("core: shard cache: empty entry %q", s.ID)
 		}
 		shardCache[s.ID] = shardEntry{sig: s.Sig, hdr: s.Hdr, key: s.Key}
+	}
+	return cache, shardCache, nil
+}
+
+// RestoreCache replaces the engine's caches wholesale with previously
+// exported entries (durable-state recovery). Grouped shard references are
+// resolved against the restored shard cache, re-establishing the shared
+// header objects; an unresolvable reference is an error — the state is
+// internally inconsistent and the caller should fall back to a cold engine.
+func (e *Engine) RestoreCache(cfgs []CachedConfig, shards []CachedShard, grouped []CachedGrouped) error {
+	cache, shardCache, err := cacheEntries(cfgs, shards)
+	if err != nil {
+		return err
 	}
 	groupedCache := make(map[string]groupedEntry, len(grouped))
 	for _, g := range grouped {
@@ -309,19 +321,13 @@ func (e *Engine) RestoreCache(cfgs []CachedConfig, shards []CachedShard, grouped
 // cache's objects — so the caller must not have shared the header yet — and
 // its signature is computed from the shard signatures as RekeyAllGrouped
 // computes it. That needs every slot to hold the solve the cache holds for its
-// ID (the same object, or the same X and seed): a slot holding another solve
-// (a later session re-solved the shard) leaves the entry out, since a
-// signature of the cached solve would vouch for a header not built from it.
+// ID: a slot holding another solve (a later session re-solved the shard)
+// leaves the entry out, since a signature of the cached solve would vouch for
+// a header not built from it.
 func (e *Engine) Install(cfgs []CachedConfig, shards []CachedShard, grouped []CachedGrouped) error {
-	for _, c := range cfgs {
-		if c.ID == "" || c.Hdr == nil {
-			return fmt.Errorf("core: installing config cache: empty entry %q", c.ID)
-		}
-	}
-	for _, s := range shards {
-		if s.ID == "" || s.Hdr == nil {
-			return fmt.Errorf("core: installing shard cache: empty entry %q", s.ID)
-		}
+	cache, shardCache, err := cacheEntries(cfgs, shards)
+	if err != nil {
+		return err
 	}
 	for _, g := range grouped {
 		if g.ID == "" || g.Hdr == nil || len(g.Hdr.Shards) != len(g.Shards) {
@@ -330,18 +336,14 @@ func (e *Engine) Install(cfgs []CachedConfig, shards []CachedShard, grouped []Ca
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, c := range cfgs {
-		e.cache[c.ID] = engineEntry{sig: c.Sig, hdr: c.Hdr, key: c.Key}
-	}
-	for _, s := range shards {
-		e.shardCache[s.ID] = shardEntry{sig: s.Sig, hdr: s.Hdr, key: s.Key}
-	}
+	maps.Copy(e.cache, cache)
+	maps.Copy(e.shardCache, shardCache)
 	for _, g := range grouped {
 		spec := GroupedConfigSpec{ID: g.ID, Shards: make([]ShardSpec, len(g.Shards))}
 		held := true
 		for i, sh := range g.Shards {
 			ent, ok := e.shardCache[sh.ShardID]
-			if h := g.Hdr.Shards[i].Hdr; !ok || (ent.hdr != h && !ent.hdr.sameSolve(h)) {
+			if !ok || !ent.hdr.sameSolve(g.Hdr.Shards[i].Hdr) {
 				held = false
 				break
 			}
@@ -356,6 +358,22 @@ func (e *Engine) Install(cfgs []CachedConfig, shards []CachedShard, grouped []Ca
 		e.groupedCache[g.ID] = groupedEntry{sig: groupedSig(spec), hdr: g.Hdr, key: g.Key}
 	}
 	return nil
+}
+
+// Shared returns the configuration cache's header objects for id in place of
+// h and g where they hold the same solve, and h and g otherwise. A replayed
+// publish decodes its own objects; handing the cache's back to the diff base
+// keeps the next publish's unchanged configurations unchanged by identity.
+func (e *Engine) Shared(id string, h *Header, g *GroupedHeader) (*Header, *GroupedHeader) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if ent, ok := e.cache[id]; ok && h != nil && ent.hdr.sameSolve(h) {
+		h = ent.hdr
+	}
+	if ent, ok := e.groupedCache[id]; ok && g != nil && ent.hdr.sameSolve(g) {
+		g = ent.hdr
+	}
+	return h, g
 }
 
 // RekeyAll produces a header and key for every configuration, reusing cached

@@ -319,6 +319,24 @@ func (g *GroupedHeader) Unwrap(i int, shardKey ff64.Elem) ff64.Elem {
 	return ff64.Sub(g.Shards[i].Wrap, maskShardKey(shardKey, g.RekeyNonce))
 }
 
+// sameSolve reports whether two grouped headers hold one build: they are one
+// object, or carry the same rekey nonce (a build draws a fresh one) over the
+// same shard solves and wraps.
+func (g *GroupedHeader) sameSolve(o *GroupedHeader) bool {
+	if g == o {
+		return true
+	}
+	if !bytes.Equal(g.RekeyNonce, o.RekeyNonce) || len(g.Shards) != len(o.Shards) {
+		return false
+	}
+	for i, sh := range g.Shards {
+		if sh.Wrap != o.Shards[i].Wrap || !sh.Hdr.sameSolve(o.Shards[i].Hdr) {
+			return false
+		}
+	}
+	return true
+}
+
 // BuildGrouped splits the subscriber rows into shards of at most groupSize
 // and computes an independent small ACV per shard — the scalability strategy
 // of §VIII-C: solving g small systems costs g·(N/g)³ = N³/g² field

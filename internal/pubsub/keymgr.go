@@ -178,24 +178,12 @@ func assemble(cfgs map[policy.ConfigKey][]string, throwaway []policy.ConfigKey, 
 	return infos, keys, nil
 }
 
-// sessionSecrets lists the cache entries one publish's rekey session created:
-// the configurations it rebuilt and the shards it solved, the secret half of
-// the publish's journal record. Publish calls it only when a journal is
-// attached.
-type sessionSecrets func() ([]SolvedConfig, []SolvedShard)
-
-// aliasesOf returns the configurations reusing rep's build (§VIII-B), in
-// deterministic order.
-func aliasesOf(rep policy.ConfigKey, aliases map[policy.ConfigKey]policy.ConfigKey) []policy.ConfigKey {
-	var out []policy.ConfigKey
-	for key, r := range aliases {
-		if r == rep {
-			out = append(out, key)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// sessionSecrets lists the cache entries one publish's rekey session created
+// — the configurations it rebuilt and the shards it solved, the secret half of
+// the publish's journal record — and the §VIII-B aliases it assembled
+// (configuration → the one whose build it reuses). Publish calls it only when
+// a journal is attached.
+type sessionSecrets func() ([]SolvedConfig, []SolvedShard, map[policy.ConfigKey]policy.ConfigKey)
 
 // configKeys produces the ordered ConfigInfo list and the symmetric key per
 // configuration for one publish, given an ungrouped registry snapshot.
@@ -227,13 +215,13 @@ func (km *keyManager) configKeys(cfgs map[policy.ConfigKey][]string, rowsByACP m
 			return nil, nil, nil, fmt.Errorf("pubsub: building ACVs: %w", err)
 		}
 	}
-	secrets := func() (out []SolvedConfig, _ []SolvedShard) {
+	secrets := func() (out []SolvedConfig, _ []SolvedShard, _ map[policy.ConfigKey]policy.ConfigKey) {
 		for _, s := range specs {
 			if ck := built[s.ID]; ck.Rebuilt {
-				out = append(out, SolvedConfig{ID: s.ID, Key: ck.Key, Sig: s.Sig, Aliases: aliasesOf(policy.ConfigKey(s.ID), aliases)})
+				out = append(out, SolvedConfig{ID: s.ID, Key: ck.Key, Sig: s.Sig})
 			}
 		}
-		return out, nil
+		return out, nil, aliases
 	}
 	infos, keys, err := assemble(cfgs, throwaway, solo, aliases, func(key, rep policy.ConfigKey) (ConfigInfo, ff64.Elem) {
 		ck := built[string(rep)]
@@ -267,14 +255,14 @@ func (km *keyManager) configKeysGrouped(cfgs map[policy.ConfigKey][]string, shar
 			return nil, nil, nil, fmt.Errorf("pubsub: building grouped ACVs: %w", err)
 		}
 	}
-	secrets := func() (configs []SolvedConfig, shards []SolvedShard) {
+	secrets := func() (configs []SolvedConfig, shards []SolvedShard, _ map[policy.ConfigKey]policy.ConfigKey) {
 		seen := make(map[string]bool)
 		for _, s := range specs {
 			ck := built[s.ID]
 			if !ck.Rebuilt {
 				continue
 			}
-			sc := SolvedConfig{ID: s.ID, Key: ck.Key, Aliases: aliasesOf(policy.ConfigKey(s.ID), aliases), Shards: make([]string, len(s.Shards))}
+			sc := SolvedConfig{ID: s.ID, Key: ck.Key, Shards: make([]string, len(s.Shards))}
 			for i, sh := range s.Shards {
 				sc.Shards[i] = sh.ID
 			}
@@ -286,7 +274,7 @@ func (km *keyManager) configKeysGrouped(cfgs map[policy.ConfigKey][]string, shar
 				}
 			}
 		}
-		return configs, shards
+		return configs, shards, aliases
 	}
 	infos, keys, err := assemble(cfgs, throwaway, solo, aliases, func(key, rep policy.ConfigKey) (ConfigInfo, ff64.Elem) {
 		ck := built[string(rep)]

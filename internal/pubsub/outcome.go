@@ -1,10 +1,8 @@
 package pubsub
 
 import (
-	"errors"
 	"fmt"
 
-	"ppcd/internal/codec"
 	"ppcd/internal/core"
 	"ppcd/internal/ff64"
 	"ppcd/internal/policy"
@@ -28,6 +26,10 @@ type PublishOutcome struct {
 	// SHA-256), which decide whether a later publish may carry an item's
 	// ciphertext forward.
 	Digests map[string][32]byte
+	// Aliases maps each configuration the delta patches that reuses another's
+	// build (§VIII-B) to that configuration, whose ID its header is cached
+	// under.
+	Aliases map[policy.ConfigKey]policy.ConfigKey
 	// Configs and Shards are the entries the publish's rekey session created
 	// in the engine cache. Their headers are in Delta.
 	Configs []SolvedConfig
@@ -38,14 +40,12 @@ type PublishOutcome struct {
 // ID (the key of the configuration whose build it is, §VIII-B), its key K,
 // and what recomputes its cache signature — the membership signature of an
 // ungrouped configuration, the shard IDs in header order of a grouped one
-// (the signature is then theirs, core.Engine.Install). Aliases are the
-// configurations that share its header. SECRET (Key).
+// (the signature is then theirs, core.Engine.Install). SECRET (Key).
 type SolvedConfig struct {
-	ID      string
-	Key     ff64.Elem
-	Sig     string
-	Shards  []string
-	Aliases []policy.ConfigKey
+	ID     string
+	Key    ff64.Elem
+	Sig    string
+	Shards []string
 }
 
 // SolvedShard is one shard a rekey session solved: its ID, the signature of
@@ -71,7 +71,16 @@ func publishOutcome(prev, cur *lastBroadcast, secrets sessionSecrets) *PublishOu
 		return nil
 	}
 	o := &PublishOutcome{Delta: d, Digests: cur.digests}
-	o.Configs, o.Shards = secrets()
+	var aliases map[policy.ConfigKey]policy.ConfigKey
+	o.Configs, o.Shards, aliases = secrets()
+	for _, cp := range d.Configs {
+		if rep, ok := aliases[cp.Key]; ok {
+			if o.Aliases == nil {
+				o.Aliases = make(map[policy.ConfigKey]policy.ConfigKey)
+			}
+			o.Aliases[cp.Key] = rep
+		}
+	}
 	return o
 }
 
@@ -88,9 +97,12 @@ func emptyBase(doc string, gen uint64) *Broadcast {
 // another base (the record before it carried its epoch alone, or another
 // incarnation wrote it) replays as its epoch alone: the base stays behind and
 // the next publish diffs against it, as after any recovery that lost a
-// broadcast. Otherwise the delta is applied with the Apply subscribers use
-// and the session's entries return to the engine cache sharing the applied
-// broadcast's header objects, as a restored snapshot's do.
+// broadcast. Otherwise the delta is applied with the Apply subscribers use,
+// the session's entries return to the engine cache, and every configuration
+// of the applied broadcast whose solve the cache holds — the one this session
+// built, or one an earlier record or the snapshot put there — takes the
+// cache's header object, as a restored snapshot's diff base does: a publish
+// tells a configuration unchanged by its header's identity.
 func (p *Publisher) replayPublish(ev StateEvent) error {
 	o := ev.Outcome
 	if o == nil {
@@ -118,14 +130,22 @@ func (p *Publisher) replayPublish(ev StateEvent) error {
 	if err != nil {
 		return fmt.Errorf("pubsub: replaying the publish of %q at epoch %d: %w", ev.Doc, ev.Epoch, err)
 	}
+	for i := range b.Configs {
+		ci := &b.Configs[i]
+		id, ok := o.Aliases[ci.Key]
+		if !ok {
+			id = ci.Key
+		}
+		ci.Header, ci.Grouped = p.keys.engine.Shared(string(id), ci.Header, ci.Grouped)
+	}
 	p.lastPub[ev.Doc] = &lastBroadcast{b: b, digests: o.Digests}
 	return nil
 }
 
 // solvedEntries turns an outcome's secrets into engine cache entries whose
 // headers are the applied broadcast b's: a rebuilt configuration's is its
-// own configuration's (which its aliases are made to share, as they do live),
-// a solved shard's the sub-header of the first rebuilt slot naming it.
+// own configuration's, a solved shard's the sub-header of the first rebuilt
+// slot naming it.
 func solvedEntries(b *Broadcast, o *PublishOutcome) ([]core.CachedConfig, []core.CachedShard, []core.CachedGrouped, error) {
 	idx := make(map[policy.ConfigKey]int, len(b.Configs))
 	for i := range b.Configs {
@@ -158,13 +178,6 @@ func solvedEntries(b *Broadcast, o *PublishOutcome) ([]core.CachedConfig, []core
 		default:
 			return nil, nil, nil, fmt.Errorf("solved configuration %q does not match its header", sc.ID)
 		}
-		for _, a := range sc.Aliases {
-			j, ok := idx[a]
-			if !ok {
-				return nil, nil, nil, fmt.Errorf("alias %q of %q is not in the broadcast", a, sc.ID)
-			}
-			b.Configs[j].Header, b.Configs[j].Grouped = ci.Header, ci.Grouped
-		}
 	}
 	shards := make([]core.CachedShard, len(o.Shards))
 	for i, s := range o.Shards {
@@ -175,345 +188,4 @@ func solvedEntries(b *Broadcast, o *PublishOutcome) ([]core.CachedConfig, []core
 		shards[i] = core.CachedShard{ID: s.ID, Sig: s.Sig, Hdr: h, Key: s.Key}
 	}
 	return cfgs, shards, grouped, nil
-}
-
-// Publish outcome encoding — the tail of a journaled publish record, which
-// carries the document name and the epoch before it. Integers big-endian,
-// strings and byte fields u32-length-prefixed:
-//
-//	u64 base epoch | u64 gen | u8 policies changed [| policies]
-//	patches:  u32 n { str key, u64 rev, u8 kind, body }
-//	          kind 0 inaccessible | 1 header | 2 grouped:
-//	          bytes rekey nonce, u32 n { u64 wrap, u64 shard rev, u32 from }, u32 n { header }
-//	removed:  u32 n { str key }
-//	items:    u32 n { str subdoc, str config, bytes ciphertext, u64 rev }
-//	removed:  u32 n { str subdoc }
-//	digests:  u32 n { str subdoc, 32 bytes }
-//	configs:  u32 n { str id, u64 key, str sig, u32 n { str alias }, u32 n { str shard id } }
-//	shards:   u32 n { str id, str sig, u64 key }
-//
-// where policies and header are as in the state blob (statev2.go) — a
-// re-solved sub-header is its X and the seed of its nonce run — and from is
-// the base shard a clean slot keeps, outcomeFresh for a shipped one.
-const (
-	outcomeCfgNone    = 0
-	outcomeCfgHeader  = 1
-	outcomeCfgGrouped = 2
-
-	outcomeFresh = ^uint32(0)
-)
-
-// AppendPublishOutcome appends o's encoding to dst.
-func AppendPublishOutcome(dst []byte, o *PublishOutcome) ([]byte, error) {
-	d := o.Delta
-	w := &stateWriter{}
-	w.raw(dst)
-	w.u64(d.BaseEpoch)
-	w.u64(d.Gen)
-	if d.PoliciesChanged {
-		w.u8(1)
-		writeStatePolicies(w, d.Policies)
-	} else {
-		w.u8(0)
-	}
-	w.u32(len(d.Configs))
-	for i := range d.Configs {
-		cp := &d.Configs[i]
-		w.str(string(cp.Key))
-		w.u64(cp.Rev)
-		switch {
-		case cp.Grouped != nil:
-			g := cp.Grouped
-			if len(cp.ShardRevs) != len(g.From) || len(g.Wraps) != len(g.From) {
-				return nil, fmt.Errorf("pubsub: patch of %q has %d wraps and %d revisions for %d shards", cp.Key, len(g.Wraps), len(cp.ShardRevs), len(g.From))
-			}
-			w.u8(outcomeCfgGrouped)
-			w.bytes(g.RekeyNonce)
-			w.u32(len(g.From))
-			for k, from := range g.From {
-				w.u64(uint64(g.Wraps[k]))
-				w.u64(cp.ShardRevs[k])
-				if from < 0 {
-					w.w.U32(int(outcomeFresh))
-				} else {
-					w.u32(from)
-				}
-			}
-			w.u32(len(g.Headers))
-			for _, h := range g.Headers {
-				writeStateHeader(w, h)
-			}
-		case cp.Header != nil:
-			w.u8(outcomeCfgHeader)
-			writeStateHeader(w, cp.Header)
-		default:
-			w.u8(outcomeCfgNone)
-		}
-	}
-	w.u32(len(d.RemovedConfigs))
-	for _, k := range d.RemovedConfigs {
-		w.str(string(k))
-	}
-	writeStateItems(w, d.Items)
-	w.u32(len(d.RemovedItems))
-	for _, name := range d.RemovedItems {
-		w.str(name)
-	}
-	subdocs := sortedKeys(o.Digests)
-	w.u32(len(subdocs))
-	for _, sd := range subdocs {
-		w.str(sd)
-		dg := o.Digests[sd]
-		w.raw(dg[:])
-	}
-	w.u32(len(o.Configs))
-	for _, sc := range o.Configs {
-		w.str(sc.ID)
-		w.u64(uint64(sc.Key))
-		w.str(sc.Sig)
-		w.u32(len(sc.Aliases))
-		for _, a := range sc.Aliases {
-			w.str(string(a))
-		}
-		w.u32(len(sc.Shards))
-		for _, id := range sc.Shards {
-			w.str(id)
-		}
-	}
-	w.u32(len(o.Shards))
-	for _, s := range o.Shards {
-		w.str(s.ID)
-		w.str(s.Sig)
-		w.u64(uint64(s.Key))
-	}
-	return w.out(), w.err
-}
-
-// DecodePublishOutcome decodes the outcome of the publish of doc at epoch from
-// the tail of its record. Only shape is checked here — counts clamped against
-// the input, field elements reduced, sub-header counts matching the shipped
-// slots; whether the outcome fits the restored state is replay's question.
-func DecodePublishOutcome(doc string, epoch uint64, data []byte) (*PublishOutcome, error) {
-	r := newStateReader(data, codec.NewBudget(maxStateHeaderBudget))
-	d := &BroadcastDelta{DocName: doc, Epoch: epoch}
-	var err error
-	if d.BaseEpoch, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if d.Gen, err = r.u64(); err != nil {
-		return nil, err
-	}
-	switch pc, err := r.u8(); {
-	case err != nil:
-		return nil, err
-	case pc == 1:
-		d.PoliciesChanged = true
-		if d.Policies, err = readStatePolicies(r); err != nil {
-			return nil, err
-		}
-	case pc != 0:
-		return nil, fmt.Errorf("pubsub: bad policies-changed byte %d", pc)
-	}
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		cp, err := readOutcomePatch(r)
-		if err != nil {
-			return nil, err
-		}
-		d.Configs = append(d.Configs, cp)
-	}
-	if n, err = r.count(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		k, err := r.str(maxStateSigLen)
-		if err != nil {
-			return nil, err
-		}
-		d.RemovedConfigs = append(d.RemovedConfigs, policy.ConfigKey(k))
-	}
-	if d.Items, err = readStateItems(r); err != nil {
-		return nil, err
-	}
-	if n, err = r.count(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		name, err := r.str(maxStateCondLen)
-		if err != nil {
-			return nil, err
-		}
-		d.RemovedItems = append(d.RemovedItems, name)
-	}
-
-	o := &PublishOutcome{Delta: d}
-	if n, err = r.count(); err != nil {
-		return nil, err
-	}
-	o.Digests = make(map[string][32]byte)
-	for i := 0; i < n; i++ {
-		sd, err := r.str(maxStateCondLen)
-		if err != nil {
-			return nil, err
-		}
-		raw, err := r.take(32)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := o.Digests[sd]; dup {
-			return nil, fmt.Errorf("pubsub: outcome lists subdocument %q twice", sd)
-		}
-		o.Digests[sd] = [32]byte(raw)
-	}
-	if n, err = r.count(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var sc SolvedConfig
-		if sc.ID, err = r.str(maxStateSigLen); err != nil {
-			return nil, err
-		}
-		if sc.Key, err = r.elem(); err != nil {
-			return nil, err
-		}
-		if sc.Sig, err = r.str(maxStateSigLen); err != nil {
-			return nil, err
-		}
-		na, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < na; j++ {
-			a, err := r.str(maxStateSigLen)
-			if err != nil {
-				return nil, err
-			}
-			sc.Aliases = append(sc.Aliases, policy.ConfigKey(a))
-		}
-		ns, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < ns; j++ {
-			id, err := r.str(maxStateSigLen)
-			if err != nil {
-				return nil, err
-			}
-			sc.Shards = append(sc.Shards, id)
-		}
-		o.Configs = append(o.Configs, sc)
-	}
-	if n, err = r.count(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var s SolvedShard
-		if s.ID, err = r.str(maxStateSigLen); err != nil {
-			return nil, err
-		}
-		if s.Sig, err = r.str(maxStateSigLen); err != nil {
-			return nil, err
-		}
-		if s.Key, err = r.elem(); err != nil {
-			return nil, err
-		}
-		o.Shards = append(o.Shards, s)
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return o, nil
-}
-
-// readOutcomePatch decodes one configuration patch.
-func readOutcomePatch(r *stateReader) (ConfigPatch, error) {
-	var cp ConfigPatch
-	key, err := r.str(maxStateSigLen)
-	if err != nil {
-		return cp, err
-	}
-	cp.Key = policy.ConfigKey(key)
-	if cp.Rev, err = r.u64(); err != nil {
-		return cp, err
-	}
-	kind, err := r.u8()
-	if err != nil {
-		return cp, err
-	}
-	switch kind {
-	case outcomeCfgNone:
-	case outcomeCfgHeader:
-		cp.Header, err = readStateHeader(r)
-	case outcomeCfgGrouped:
-		cp.Grouped, cp.ShardRevs, err = readOutcomeGrouped(r)
-	default:
-		err = fmt.Errorf("pubsub: bad outcome patch kind %d", kind)
-	}
-	return cp, err
-}
-
-// readOutcomeGrouped decodes a grouped patch: its shard count bounded by the
-// 20 bytes each slot takes, wraps reduced, and exactly one sub-header per
-// shipped slot.
-func readOutcomeGrouped(r *stateReader) (*GroupedPatch, []uint64, error) {
-	g := &GroupedPatch{}
-	var err error
-	if g.RekeyNonce, err = r.bytes(); err != nil {
-		return nil, nil, err
-	}
-	if len(g.RekeyNonce) != core.NonceSize {
-		return nil, nil, fmt.Errorf("pubsub: outcome rekey nonce of %d bytes, want %d", len(g.RekeyNonce), core.NonceSize)
-	}
-	ns, err := r.count()
-	if err != nil {
-		return nil, nil, err
-	}
-	if ns == 0 {
-		return nil, nil, errors.New("pubsub: outcome grouped patch without shards")
-	}
-	if 20*ns > r.r.Remaining() {
-		return nil, nil, errStateTruncated
-	}
-	g.Wraps, g.From = make([]ff64.Elem, ns), make([]int, ns)
-	revs := make([]uint64, ns)
-	fresh := 0
-	for k := range g.From {
-		if g.Wraps[k], err = r.elem(); err != nil {
-			return nil, nil, err
-		}
-		if revs[k], err = r.u64(); err != nil {
-			return nil, nil, err
-		}
-		from, err := r.r.U32()
-		if err != nil {
-			return nil, nil, stateErr(err)
-		}
-		switch {
-		case from == outcomeFresh:
-			g.From[k] = -1
-			fresh++
-		case from > maxStateCount:
-			return nil, nil, errStateOversize
-		default:
-			g.From[k] = int(from)
-		}
-	}
-	nh, err := r.count()
-	if err != nil {
-		return nil, nil, err
-	}
-	if nh != fresh {
-		return nil, nil, fmt.Errorf("pubsub: outcome patch ships %d sub-headers for %d fresh shards", nh, fresh)
-	}
-	for k := 0; k < nh; k++ {
-		h, err := readStateHeader(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		g.Headers = append(g.Headers, h)
-	}
-	return g, revs, nil
 }

@@ -538,7 +538,14 @@ func writeStateBroadcast(w *stateWriter, b *Broadcast, cfgByHdr map[*core.Header
 	w.str(b.DocName)
 	w.u64(b.Epoch)
 	w.u64(b.Gen)
-	writeStatePolicies(w, b.Policies)
+	w.u32(len(b.Policies))
+	for _, pi := range b.Policies {
+		w.str(pi.ID)
+		w.u32(len(pi.CondIDs))
+		for _, c := range pi.CondIDs {
+			w.str(c)
+		}
+	}
 	w.u32(len(b.Configs))
 	for i := range b.Configs {
 		ci := &b.Configs[i]
@@ -574,83 +581,14 @@ func writeStateBroadcast(w *stateWriter, b *Broadcast, cfgByHdr map[*core.Header
 			w.u8(stCfgNone)
 		}
 	}
-	writeStateItems(w, b.Items)
-}
-
-func writeStatePolicies(w *stateWriter, ps []PolicyInfo) {
-	w.u32(len(ps))
-	for _, pi := range ps {
-		w.str(pi.ID)
-		w.u32(len(pi.CondIDs))
-		for _, c := range pi.CondIDs {
-			w.str(c)
-		}
-	}
-}
-
-func readStatePolicies(r *stateReader) ([]PolicyInfo, error) {
-	np, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	var out []PolicyInfo
-	for i := 0; i < np; i++ {
-		var pi PolicyInfo
-		if pi.ID, err = r.str(maxStateCondLen); err != nil {
-			return nil, err
-		}
-		nc, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < nc; j++ {
-			c, err := r.str(maxStateCondLen)
-			if err != nil {
-				return nil, err
-			}
-			pi.CondIDs = append(pi.CondIDs, c)
-		}
-		out = append(out, pi)
-	}
-	return out, nil
-}
-
-func writeStateItems(w *stateWriter, items []Item) {
-	w.u32(len(items))
-	for i := range items {
-		it := &items[i]
+	w.u32(len(b.Items))
+	for i := range b.Items {
+		it := &b.Items[i]
 		w.str(it.Subdoc)
 		w.str(string(it.Config))
 		w.bytes(it.Ciphertext)
 		w.u64(it.Rev)
 	}
-}
-
-func readStateItems(r *stateReader) ([]Item, error) {
-	ni, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	var out []Item
-	for i := 0; i < ni; i++ {
-		var it Item
-		if it.Subdoc, err = r.str(maxStateCondLen); err != nil {
-			return nil, err
-		}
-		cfg, err := r.str(maxStateSigLen)
-		if err != nil {
-			return nil, err
-		}
-		it.Config = policy.ConfigKey(cfg)
-		if it.Ciphertext, err = r.bytes(); err != nil {
-			return nil, err
-		}
-		if it.Rev, err = r.u64(); err != nil {
-			return nil, err
-		}
-		out = append(out, it)
-	}
-	return out, nil
 }
 
 func (p *Publisher) importStateV2(data []byte) error {
@@ -882,8 +820,27 @@ func readStateBroadcast(r *stateReader, cfgHdrByID map[string]*core.Header, grpB
 	if b.Gen, err = r.u64(); err != nil {
 		return nil, err
 	}
-	if b.Policies, err = readStatePolicies(r); err != nil {
+	np, err := r.count()
+	if err != nil {
 		return nil, err
+	}
+	for i := 0; i < np; i++ {
+		var pi PolicyInfo
+		if pi.ID, err = r.str(maxStateCondLen); err != nil {
+			return nil, err
+		}
+		nc, err := r.count()
+		if err != nil {
+			return nil, err
+		}
+		for j := 0; j < nc; j++ {
+			c, err := r.str(maxStateCondLen)
+			if err != nil {
+				return nil, err
+			}
+			pi.CondIDs = append(pi.CondIDs, c)
+		}
+		b.Policies = append(b.Policies, pi)
 	}
 	ncfg, err := r.count()
 	if err != nil {
@@ -974,8 +931,27 @@ func readStateBroadcast(r *stateReader, cfgHdrByID map[string]*core.Header, grpB
 		}
 		b.Configs = append(b.Configs, ci)
 	}
-	if b.Items, err = readStateItems(r); err != nil {
+	ni, err := r.count()
+	if err != nil {
 		return nil, err
+	}
+	for i := 0; i < ni; i++ {
+		var it Item
+		if it.Subdoc, err = r.str(maxStateCondLen); err != nil {
+			return nil, err
+		}
+		cfg, err := r.str(maxStateSigLen)
+		if err != nil {
+			return nil, err
+		}
+		it.Config = policy.ConfigKey(cfg)
+		if it.Ciphertext, err = r.bytes(); err != nil {
+			return nil, err
+		}
+		if it.Rev, err = r.u64(); err != nil {
+			return nil, err
+		}
+		b.Items = append(b.Items, it)
 	}
 	return b, nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ppcd/internal/core"
@@ -242,6 +243,49 @@ func TestWALv1Refused(t *testing.T) {
 	}
 }
 
+// TestPublishEventCodec: a live publish record round-trips through its
+// encoding byte for byte, its delta as the frame the hub ships; a cut or an
+// extra byte is refused, and so is a frame of another document or epoch than
+// its record's.
+func TestPublishEventCodec(t *testing.T) {
+	cold, churn := livePublishEvents(t)
+	for _, ev := range []pubsub.StateEvent{cold, churn} {
+		raw := appendEvent(nil, ev)
+		got, err := decodeEvent(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(appendEvent(nil, got), raw) {
+			t.Error("decoded publish record does not re-encode to its bytes")
+		}
+		o, want := got.Outcome, ev.Outcome
+		if !reflect.DeepEqual(o.Digests, want.Digests) || !reflect.DeepEqual(o.Configs, want.Configs) || !reflect.DeepEqual(o.Shards, want.Shards) {
+			t.Error("decoded outcome differs from the journaled one")
+		}
+		if !bytes.Equal(wire.MarshalDeltaFrame(o.Delta), wire.MarshalDeltaFrame(want.Delta)) {
+			t.Error("decoded delta differs from the journaled one")
+		}
+		for cut := 0; cut < len(raw); cut += 7 {
+			if _, err := decodeEvent(raw[:cut]); err == nil {
+				t.Fatalf("publish record cut at %d of %d bytes decoded", cut, len(raw))
+			}
+		}
+		if _, err := decodeEvent(append(raw, 0)); err == nil {
+			t.Error("publish record with a trailing byte decoded")
+		}
+	}
+	for name, mutate := range map[string]func(*pubsub.StateEvent){
+		"another document": func(ev *pubsub.StateEvent) { ev.Doc = "other" },
+		"another epoch":    func(ev *pubsub.StateEvent) { ev.Epoch++ },
+	} {
+		ev := churn
+		mutate(&ev)
+		if _, err := decodeEvent(appendEvent(nil, ev)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 // TestPublishRecordSize pins what a publish record costs at the
 // durable-restart shape (50k rows, shards of 128): after 8 leaves the sealed
 // record is at most twice the delta frame the hub ships for the epoch, and a
@@ -275,7 +319,11 @@ func TestPublishRecordSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	seal := func(ev pubsub.StateEvent) int {
-		sealed, err := st.seal(1, ev)
+		plain, err := record(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed, err := st.seal(1, plain)
 		if err != nil {
 			t.Fatal(err)
 		}

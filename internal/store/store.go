@@ -50,9 +50,13 @@
 // All integers are big-endian. An event is a registration, a revocation or a
 // publish; a publish is its document and epoch, then its outcome
 // (pubsub.PublishOutcome: the broadcast as a delta against the document's
-// previous diff base, and the keys, shard IDs and row signatures of what its
-// rekey session solved), so that replay restores the diff base and the engine
-// cache as of that epoch. A cold publish's outcome ships every shard — about
+// previous diff base, encoded as the delta stream frame the hub ships, then
+// the plaintext digests, the aliases among the patched configurations and
+// the keys, shard IDs and row signatures of what its rekey session solved —
+// appendOutcome), so that replay restores the diff base and the engine cache
+// as of that epoch. A record is encoded before the log's lock is taken; only
+// its sequence number and seal are added under it. A cold publish's outcome
+// ships every shard — about
 // 9 bytes per grouped policy row at shards of 128 — so it reaches the
 // maxWALRecord limit near 7 million policy rows; an outcome that would exceed
 // it is journaled as the epoch alone and replays as one, leaving that

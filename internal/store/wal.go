@@ -6,14 +6,19 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"ppcd/internal/codec"
 	"ppcd/internal/core"
+	"ppcd/internal/ff64"
+	"ppcd/internal/policy"
 	"ppcd/internal/pubsub"
 	"ppcd/internal/sym"
+	"ppcd/internal/wire"
 )
 
 // openWAL opens wal.ppcd, scans it, retains the events newer than snapSeq
@@ -222,6 +227,13 @@ func (s *Store) Begin(evs []pubsub.StateEvent, apply func()) (pubsub.CommitTicke
 	if apply == nil {
 		apply = func() {}
 	}
+	plains := make([][]byte, len(evs))
+	for i, ev := range evs {
+		var err error
+		if plains[i], err = record(ev); err != nil {
+			return nil, err
+		}
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -232,14 +244,8 @@ func (s *Store) Begin(evs []pubsub.StateEvent, apply func()) (pubsub.CommitTicke
 		return nil, errors.New("store: WAL unusable after an unrecoverable append failure")
 	}
 	c := &walCommit{apply: apply, done: make(chan struct{})}
-	for i, ev := range evs {
-		sealed, err := s.seal(s.seq+uint64(i)+1, ev)
-		if err != nil && ev.Outcome != nil {
-			// A publish whose outcome does not fit a record (or cannot be
-			// encoded) is journaled as its epoch alone and replays as one.
-			ev.Outcome = nil
-			sealed, err = s.seal(s.seq+uint64(i)+1, ev)
-		}
+	for i, plain := range plains {
+		sealed, err := s.seal(s.seq+uint64(i)+1, plain)
 		if err != nil {
 			s.mu.Unlock()
 			return nil, err
@@ -262,23 +268,35 @@ func (s *Store) Begin(evs []pubsub.StateEvent, apply func()) (pubsub.CommitTicke
 	return commitTicket{c}, nil
 }
 
-// seal encodes and seals one event as the record of sequence number seq.
-// Recovery refuses records above maxWALRecord as corrupt, so an event that
-// would encode past it is rejected here — failing the triggering operation —
-// never written and fsynced into a log that can no longer be opened.
-func (s *Store) seal(seq uint64, ev pubsub.StateEvent) ([]byte, error) {
-	plain := make([]byte, 8, 64)
-	binary.BigEndian.PutUint64(plain, seq)
-	plain, err := appendEvent(plain, ev)
-	if err != nil {
-		return nil, fmt.Errorf("store: encoding event: %w", err)
+// sealOverhead is what sealing adds to a record's plaintext: the AES-GCM
+// nonce and tag.
+const sealOverhead = 12 + 16
+
+// record encodes ev as the plaintext of its record, its first 8 bytes left
+// for the sequence number seal stamps. Recovery refuses records above
+// maxWALRecord as corrupt, so a publish whose outcome would take its record
+// past the limit is encoded as its epoch alone, and replays as one, and any
+// other event that large is rejected here — failing the triggering
+// operation — never written and fsynced into a log that can no longer be
+// opened.
+func record(ev pubsub.StateEvent) ([]byte, error) {
+	plain := appendEvent(make([]byte, 8, 64), ev)
+	if len(plain)+sealOverhead > maxWALRecord && ev.Outcome != nil {
+		ev.Outcome = nil
+		plain = appendEvent(make([]byte, 8, 64), ev)
 	}
+	if n := len(plain) + sealOverhead; n > maxWALRecord {
+		return nil, fmt.Errorf("store: event of %d sealed bytes exceeds the %d WAL record limit", n, maxWALRecord)
+	}
+	return plain, nil
+}
+
+// seal stamps a record's plaintext with its sequence number and seals it.
+func (s *Store) seal(seq uint64, plain []byte) ([]byte, error) {
+	binary.BigEndian.PutUint64(plain, seq)
 	sealed, err := sym.Encrypt(s.key, plain)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
-	}
-	if len(sealed) > maxWALRecord {
-		return nil, fmt.Errorf("store: event of %d sealed bytes exceeds the %d WAL record limit", len(sealed), maxWALRecord)
 	}
 	return sealed, nil
 }
@@ -427,8 +445,8 @@ func appendStr(b []byte, s string) []byte {
 
 // appendEvent encodes one event (the plaintext body sealed into a record). A
 // publish is its document and epoch, then 0, or 1 and its outcome
-// (pubsub.AppendPublishOutcome) to the end of the record.
-func appendEvent(b []byte, ev pubsub.StateEvent) ([]byte, error) {
+// (appendOutcome).
+func appendEvent(b []byte, ev pubsub.StateEvent) []byte {
 	b = append(b, byte(ev.Kind))
 	switch ev.Kind {
 	case pubsub.StateEventRegister:
@@ -452,11 +470,46 @@ func appendEvent(b []byte, ev pubsub.StateEvent) ([]byte, error) {
 		b = appendStr(b, ev.Doc)
 		b = appendU64(b, ev.Epoch)
 		if ev.Outcome == nil {
-			return append(b, 0), nil
+			return append(b, 0)
 		}
-		return pubsub.AppendPublishOutcome(append(b, 1), ev.Outcome)
+		b = appendOutcome(append(b, 1), ev.Outcome)
 	}
-	return b, nil
+	return b
+}
+
+// appendOutcome encodes a publish's outcome: its delta as the stream frame
+// the hub ships (wire.MarshalDeltaFrame), then what the frame does not carry.
+//
+//	outcome = len:u32 ‖ delta frame
+//	        ‖ u32 n { str subdoc ‖ digest:32 }
+//	        ‖ u32 n { str config ‖ str config whose build it reuses }
+//	        ‖ u32 n { str id ‖ key:u64 ‖ str sig ‖ u32 n { str shard id } }   rebuilt configurations
+//	        ‖ u32 n { str id ‖ str sig ‖ key:u64 }                           solved shards
+func appendOutcome(b []byte, o *pubsub.PublishOutcome) []byte {
+	frame := wire.MarshalDeltaFrame(o.Delta)
+	b = append(appendU32(b, uint32(len(frame))), frame...)
+	b = appendU32(b, uint32(len(o.Digests)))
+	for _, sd := range slices.Sorted(maps.Keys(o.Digests)) {
+		dg := o.Digests[sd]
+		b = append(appendStr(b, sd), dg[:]...)
+	}
+	b = appendU32(b, uint32(len(o.Aliases)))
+	for _, key := range slices.Sorted(maps.Keys(o.Aliases)) {
+		b = appendStr(appendStr(b, string(key)), string(o.Aliases[key]))
+	}
+	b = appendU32(b, uint32(len(o.Configs)))
+	for _, sc := range o.Configs {
+		b = appendStr(appendU64(appendStr(b, sc.ID), uint64(sc.Key)), sc.Sig)
+		b = appendU32(b, uint32(len(sc.Shards)))
+		for _, id := range sc.Shards {
+			b = appendStr(b, id)
+		}
+	}
+	b = appendU32(b, uint32(len(o.Shards)))
+	for _, sh := range o.Shards {
+		b = appendU64(appendStr(appendStr(b, sh.ID), sh.Sig), uint64(sh.Key))
+	}
+	return b
 }
 
 // evErr maps a codec decode error into the store's corruption sentinel.
@@ -518,9 +571,8 @@ func decodeEvent(buf []byte) (pubsub.StateEvent, error) {
 		case err != nil:
 			return ev, evErr(err)
 		case has == 1:
-			rest, _ := r.Take(r.Remaining())
-			if ev.Outcome, err = pubsub.DecodePublishOutcome(ev.Doc, ev.Epoch, rest); err != nil {
-				return ev, evErr(err)
+			if ev.Outcome, err = decodeOutcome(r, ev.Doc, ev.Epoch); err != nil {
+				return ev, err
 			}
 		case has != 0:
 			return ev, fmt.Errorf("%w: bad publish outcome flag %d", ErrCorrupt, has)
@@ -532,4 +584,114 @@ func decodeEvent(buf []byte) (pubsub.StateEvent, error) {
 		return ev, fmt.Errorf("%w: event has trailing bytes", ErrCorrupt)
 	}
 	return ev, nil
+}
+
+// decodeOutcome decodes the outcome of the publish of doc at epoch. Its frame
+// must decode (wire.UnmarshalFrame, with the hub's clamps and budget) to a
+// delta of doc to epoch; counts are clamped by the input left, a key must
+// arrive reduced and a subdocument or alias be listed once. Whether the
+// outcome fits the restored state is replay's question.
+func decodeOutcome(r *codec.Reader, doc string, epoch uint64) (*pubsub.PublishOutcome, error) {
+	n, err := r.Len(r.Remaining())
+	if err != nil {
+		return nil, evErr(err)
+	}
+	raw, _ := r.Take(n)
+	f, err := wire.UnmarshalFrame(raw)
+	if err != nil {
+		return nil, evErr(err)
+	}
+	if f.Delta == nil || f.Delta.DocName != doc || f.Delta.Epoch != epoch {
+		return nil, fmt.Errorf("%w: publish outcome is no delta of %q to epoch %d", ErrCorrupt, doc, epoch)
+	}
+	o := &pubsub.PublishOutcome{
+		Delta:   f.Delta,
+		Digests: make(map[string][32]byte),
+		Aliases: make(map[policy.ConfigKey]policy.ConfigKey),
+	}
+	elem := func() (ff64.Elem, error) {
+		v, err := r.U64()
+		if err == nil && v >= ff64.Modulus {
+			err = errors.New("key not a reduced field element")
+		}
+		return ff64.Elem(v), err
+	}
+	if n, err = r.Len(r.Remaining()); err != nil {
+		return nil, evErr(err)
+	}
+	for i := 0; i < n; i++ {
+		sd, err := r.Str(maxEventString)
+		if err != nil {
+			return nil, evErr(err)
+		}
+		dg, err := r.Take(32)
+		if err != nil {
+			return nil, evErr(err)
+		}
+		if _, dup := o.Digests[sd]; dup {
+			return nil, fmt.Errorf("%w: publish outcome lists subdocument %q twice", ErrCorrupt, sd)
+		}
+		o.Digests[sd] = [32]byte(dg)
+	}
+	if n, err = r.Len(r.Remaining()); err != nil {
+		return nil, evErr(err)
+	}
+	for i := 0; i < n; i++ {
+		key, err := r.Str(maxEventString)
+		if err != nil {
+			return nil, evErr(err)
+		}
+		rep, err := r.Str(maxEventString)
+		if err != nil {
+			return nil, evErr(err)
+		}
+		if _, dup := o.Aliases[policy.ConfigKey(key)]; dup {
+			return nil, fmt.Errorf("%w: publish outcome lists alias %q twice", ErrCorrupt, key)
+		}
+		o.Aliases[policy.ConfigKey(key)] = policy.ConfigKey(rep)
+	}
+	if n, err = r.Len(r.Remaining()); err != nil {
+		return nil, evErr(err)
+	}
+	for i := 0; i < n; i++ {
+		var sc pubsub.SolvedConfig
+		if sc.ID, err = r.Str(maxEventString); err != nil {
+			return nil, evErr(err)
+		}
+		if sc.Key, err = elem(); err != nil {
+			return nil, evErr(err)
+		}
+		if sc.Sig, err = r.Str(maxEventString); err != nil {
+			return nil, evErr(err)
+		}
+		ns, err := r.Len(r.Remaining())
+		if err != nil {
+			return nil, evErr(err)
+		}
+		for j := 0; j < ns; j++ {
+			id, err := r.Str(maxEventString)
+			if err != nil {
+				return nil, evErr(err)
+			}
+			sc.Shards = append(sc.Shards, id)
+		}
+		o.Configs = append(o.Configs, sc)
+	}
+	if n, err = r.Len(r.Remaining()); err != nil {
+		return nil, evErr(err)
+	}
+	for i := 0; i < n; i++ {
+		var sh pubsub.SolvedShard
+		if sh.ID, err = r.Str(maxEventString); err != nil {
+			return nil, evErr(err)
+		}
+		if sh.Sig, err = r.Str(maxEventString); err != nil {
+			return nil, evErr(err)
+		}
+		if sh.Key, err = elem(); err != nil {
+			return nil, evErr(err)
+		}
+		o.Shards = append(o.Shards, sh)
+	}
+	return o, nil
 }
