@@ -215,23 +215,15 @@ func KEV(css []CSS, hdr *Header) (linalg.Vector, error) {
 // Build generates a fresh key K and the public header for one policy
 // configuration. rows holds, for each qualified subscriber×policy pair, the
 // ordered CSS list for that policy's conditions. n is the maximum-user
-// parameter N and must satisfy n ≥ len(rows) (paper eq. (1)).
+// parameter N and must satisfy n ≥ len(rows) (paper eq. (1)). It is
+// BuildMulti for one document: A is solved by the engine's blocked
+// elimination, not the reference Gauss–Jordan.
 func Build(rows [][]CSS, n int) (*Header, ff64.Elem, error) {
-	if len(rows) == 0 {
-		return nil, 0, ErrNoRows
-	}
-	if n < len(rows) {
-		return nil, 0, fmt.Errorf("%w: N=%d < %d rows", ErrNTooSmall, n, len(rows))
-	}
-	key, err := ff64.RandNonZero()
+	hdrs, keys, err := BuildMulti(rows, n, 1)
 	if err != nil {
 		return nil, 0, err
 	}
-	hdr, err := buildWithKey(rows, n, key)
-	if err != nil {
-		return nil, 0, err
-	}
-	return hdr, key, nil
+	return hdrs[0], keys[0], nil
 }
 
 func tailZero(x linalg.Vector) bool {

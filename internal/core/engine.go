@@ -36,6 +36,11 @@ import (
 //     systems; their kernel solves fan out across one shared bounded worker
 //     pool (scheduler.go) fed by every rekey session at once, with blocked
 //     elimination (linalg blocked path) over per-worker reusable scratch.
+//     One large configuration uses every worker too: its rows hash in
+//     hashChunk-row tasks, and its elimination stripes each panel's trailing
+//     update over up to the pool's cap of goroutines once the panel's work
+//     passes linalg's split threshold — the paper's §VII N = 512 system on
+//     both cores, where no shard of ≤ 128 rows ever splits.
 type Engine struct {
 	workers int
 	sched   *solveScheduler
@@ -482,43 +487,45 @@ func (e *Engine) RekeyAll(specs []ConfigSpec) (map[string]ConfigKeys, error) {
 	return out, nil
 }
 
+// hashChunk is how many rows one hashing task covers, so one large policy
+// hashes on every worker: the paper's N = 512 system is eight tasks.
+const hashChunk = 64
+
 // hashGroups computes, for every distinct row group, the hash block
-// a[i][j] = H(row_i ‖ z_j) once, fanning groups across the shared scheduler.
-// Each group is hashed only against the first groupN[id] session nonces —
-// the largest capacity among the configurations containing it.
+// a[i][j] = H(row_i ‖ z_j) once, fanning the groups' rows across the shared
+// scheduler hashChunk at a time. Each group is hashed only against the first
+// groupN[id] session nonces — the largest capacity among the configurations
+// containing it — into one block of its own.
 func (e *Engine) hashGroups(groups []RowGroup, groupN map[string]int, zs [][]byte) (map[string][]linalg.Vector, error) {
+	for _, g := range groups {
+		for _, css := range g.Rows {
+			if len(css) == 0 {
+				return nil, ErrEmptyCSS
+			}
+		}
+	}
 	blocks := make(map[string][]linalg.Vector, len(groups))
-	var mu sync.Mutex
-	var firstErr error
 	var wg sync.WaitGroup
-	wg.Add(len(groups))
 	for _, g := range groups {
 		nz := groupN[g.ID]
-		e.sched.submit(func(*solveScratch) {
-			defer wg.Done()
-			rows := make([]linalg.Vector, len(g.Rows))
-			for i, css := range g.Rows {
-				if len(css) == 0 {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = ErrEmptyCSS
-					}
-					mu.Unlock()
-					return
+		block := linalg.NewVector(len(g.Rows) * nz)
+		rows := make([]linalg.Vector, len(g.Rows))
+		for i := range rows {
+			rows[i] = block[i*nz : (i+1)*nz : (i+1)*nz]
+		}
+		blocks[g.ID] = rows
+		for lo := 0; lo < len(rows); lo += hashChunk {
+			hi := min(lo+hashChunk, len(rows))
+			wg.Add(1)
+			e.sched.submit(func(*solveScratch) {
+				defer wg.Done()
+				for i := lo; i < hi; i++ {
+					HashRows(rows[i], g.Rows[i], zs[:nz])
 				}
-				v := linalg.NewVector(nz)
-				HashRows(v, css, zs[:nz])
-				rows[i] = v
-			}
-			mu.Lock()
-			blocks[g.ID] = rows
-			mu.Unlock()
-		})
+			})
+		}
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
 	return blocks, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"ppcd/internal/ff64"
@@ -136,5 +137,54 @@ func TestEngineMinN(t *testing.T) {
 	}
 	if k, err := DeriveKey(g.Rows[0], out["A"].Hdr); err != nil || k != out["A"].Key {
 		t.Errorf("derive under padded N failed: %v", err)
+	}
+}
+
+// TestEngineRekeyPaperN is §V-C at the paper's N = 512 through the engine: one
+// ungrouped configuration, whose elimination stripes over the pool's two
+// workers and whose rows hash in several tasks. Every row derives K; after a
+// revocation every remaining row derives the new K and the revoked row does
+// not, and neither K opens to a random CSS.
+func TestEngineRekeyPaperN(t *testing.T) {
+	const n = 512
+	rows := make([][]CSS, n)
+	for i := range rows {
+		c, err := NewCSS()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i] = []CSS{c}
+	}
+	stranger, err := NewCSS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(2)
+	rekey := func(sig string, rows [][]CSS) ConfigKeys {
+		t.Helper()
+		out, err := e.RekeyAll([]ConfigSpec{{ID: "P", Sig: sig, Groups: []RowGroup{{ID: "acp", Rows: rows}}, MinN: n}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck := out["P"]
+		if !ck.Rebuilt || ck.Hdr.N() != n {
+			t.Fatalf("%s: rebuilt %v at N = %d, want a rebuild at %d", sig, ck.Rebuilt, ck.Hdr.N(), n)
+		}
+		for i, row := range rows {
+			if k, err := DeriveKey(row, ck.Hdr); err != nil || k != ck.Key {
+				t.Fatalf("%s: row %d does not derive K (%v)", sig, i, err)
+			}
+		}
+		if k, _ := DeriveKey([]CSS{stranger}, ck.Hdr); k == ck.Key {
+			t.Fatalf("%s: a random CSS derives K", sig)
+		}
+		return ck
+	}
+	rekey("full", rows)
+	const revoked = 7
+	rest := append(slices.Clone(rows[:revoked]), rows[revoked+1:]...)
+	after := rekey("revoked", rest)
+	if k, _ := DeriveKey(rows[revoked], after.Hdr); k == after.Key {
+		t.Fatal("the revoked row derives the key published after its revocation")
 	}
 }

@@ -367,43 +367,13 @@ func BuildGrouped(rows [][]CSS, groupSize int) (*GroupedHeader, ff64.Elem, error
 			end = len(rows)
 		}
 		chunk := rows[start:end]
-		skey, err := ff64.RandNonZero()
-		if err != nil {
-			return nil, 0, err
-		}
-		hdr, err := buildWithKey(chunk, len(chunk), skey)
+		hdrs, skeys, err := BuildMulti(chunk, len(chunk), 1)
 		if err != nil {
 			return nil, 0, fmt.Errorf("core: group starting at %d: %w", start, err)
 		}
-		out.Shards = append(out.Shards, GroupShard{Hdr: hdr, Wrap: out.WrapKey(key, skey)})
+		out.Shards = append(out.Shards, GroupShard{Hdr: hdrs[0], Wrap: out.WrapKey(key, skeys[0])})
 	}
 	return out, key, nil
-}
-
-// buildWithKey is the Build core with a caller-fixed key.
-func buildWithKey(rows [][]CSS, n int, key ff64.Elem) (*Header, error) {
-	for _, r := range rows {
-		if len(r) == 0 {
-			return nil, ErrEmptyCSS
-		}
-	}
-	for attempt := 0; attempt < 8; attempt++ {
-		run, a, err := buildMatrix(rows, n)
-		if err != nil {
-			return nil, err
-		}
-		y, err := a.RandomKernelVector()
-		if err != nil {
-			return nil, fmt.Errorf("core: solving AY=0: %w", err)
-		}
-		x := y.Clone()
-		x[0] = ff64.Add(x[0], key)
-		if tailZero(x) {
-			continue
-		}
-		return run.listed(x, n), nil
-	}
-	return nil, errDegenerate
 }
 
 // DeriveKeyGrouped recovers the configuration key from a grouped header by

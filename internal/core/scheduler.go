@@ -22,6 +22,12 @@ import (
 //     linalg.Workspace and matrix backing, so shard solves after warm-up
 //     allocate only their result vectors. Scratches are pooled process-wide
 //     (sync.Pool), surviving worker exit and engine churn.
+//   - The cap also bounds the goroutines one large solve stripes its
+//     elimination over (linalg.Workspace.Workers): a worker hands its
+//     scratch the pool's cap, so an engine of one worker solves strictly
+//     serially. Those helpers are plain goroutines, not tasks, and the
+//     solving worker claims stripes beside them, so no task waits on
+//     another task.
 type solveScheduler struct {
 	cap int
 
@@ -99,6 +105,7 @@ func Parallel(workers, n int, fn func(i int)) {
 func (s *solveScheduler) work() {
 	sc := scratchPool.Get().(*solveScratch)
 	defer scratchPool.Put(sc)
+	sc.ws.Workers = s.cap
 	for {
 		s.mu.Lock()
 		if s.head == len(s.queue) {

@@ -3,6 +3,9 @@ package linalg
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"ppcd/internal/ff64"
 )
@@ -33,6 +36,20 @@ import (
 // kernel distribution — are identical to the reference path: for a fixed
 // free-column coefficient vector both parameterizations determine the same
 // unique kernel element, which is what the differential tests pin.
+//
+// One large system runs on every core. The panel factorization is serial —
+// each pivot search depends on the last — but once a panel is done, the rows
+// below its block are independent of one another: each reads only its own
+// multipliers and the panel block's rows, which the solving goroutine has
+// already updated. Past splitWork multiply-accumulates of trailing work, those
+// rows are cut into stripes of stripeRows and claimed through an atomic cursor
+// by the solving goroutine and up to Workspace.Workers − 1 helper goroutines,
+// each with its own accumulators. Every row is updated by the same code
+// whichever goroutine claims it, so the echelon form, the pivots, their
+// inverses — and every kernel sample for given free coefficients — are
+// bit-identical to the serial path. The solving goroutine claims stripes too,
+// so no stripe waits for a helper to be scheduled; at the end of a panel it
+// waits only for the helpers to report in.
 
 // panelWidth is the panel (block) width of the factorization. It must stay
 // ≤ ff64.MaxVecMulAcc so a panel's delayed-reduction accumulators cannot
@@ -40,20 +57,46 @@ import (
 // bytes) stays resident in L1 alongside the source row.
 const panelWidth = 32
 
+// splitWork is the trailing-update work, in multiply-accumulates, from which a
+// panel's rows below its block are striped across goroutines: 2²⁰ of them take
+// one to two milliseconds on one core, three orders of magnitude above the
+// cost of handing a panel to a helper. The work of a panel is (rows below) ×
+// (columns right of it) × (pivots in it), a property of the input alone. An
+// engine shard never reaches it — at most 96 × 97 × 32 ≈ 0.3 M at 128 rows —
+// so shard solves run serially; the paper's N = 512 system splits its first
+// ten panels, which hold 96 % of its trailing-update work.
+const splitWork = 1 << 20
+
+// stripeRows is how many rows a goroutine claims at a time: small enough that
+// the last stripe of a panel leaves no core idle for long, large enough that
+// the cursor is touched once per ≈ 10⁵ multiply-accumulates.
+const stripeRows = 8
+
 // Workspace holds the reusable scratch of the blocked path: the 128-bit
-// accumulator arrays, pivot/free bookkeeping, and an optional matrix backing
-// for callers that assemble a throwaway system per solve. A Workspace is
-// owned by one goroutine at a time (the engine keeps one per pool worker);
+// accumulator arrays (one pair per goroutine a factorization runs on, grown
+// once to the widest system), pivot/free bookkeeping, and an optional matrix
+// backing for callers that assemble a throwaway system per solve. A Workspace
+// is owned by one goroutine at a time (the engine keeps one per pool worker);
 // the zero value is ready to use.
 type Workspace struct {
-	lo, hi []uint64
-	pivots []int
-	free   []int
-	invs   []ff64.Elem
+	// Workers bounds the goroutines one factorization runs on, the caller's
+	// included: 1 is strictly serial, 0 means GOMAXPROCS. Only a panel with
+	// splitWork of trailing work starts any.
+	Workers int
+
+	accs    []accumulators // [0] the caller's, then one per helper
+	pivots  []int
+	free    []int
+	invs    []ff64.Elem
+	trail   trailing
+	sampler KernelSampler
 
 	matData []ff64.Elem
 	mat     Matrix
 }
+
+// accumulators is one goroutine's delayed-reduction scratch.
+type accumulators struct{ hi, lo []uint64 }
 
 // NewWorkspace returns an empty workspace. Buffers grow on first use and are
 // reused across solves.
@@ -77,12 +120,102 @@ func (ws *Workspace) Matrix(rows, cols int) *Matrix {
 	return &ws.mat
 }
 
-func (ws *Workspace) accumulators(n int) (hi, lo []uint64) {
-	if cap(ws.lo) < n {
-		ws.lo = make([]uint64, n)
-		ws.hi = make([]uint64, n)
+// growAccumulators makes sure ws holds n accumulator pairs of at least cols
+// entries each.
+func (ws *Workspace) growAccumulators(n, cols int) {
+	for len(ws.accs) < n {
+		ws.accs = append(ws.accs, accumulators{})
 	}
-	return ws.hi[:n], ws.lo[:n]
+	for i := range ws.accs[:n] {
+		if acc := &ws.accs[i]; len(acc.lo) < cols {
+			acc.hi, acc.lo = make([]uint64, cols), make([]uint64, cols)
+		}
+	}
+}
+
+// helpers returns how many goroutines beside the caller a factorization
+// through ws may stripe over.
+func (ws *Workspace) helpers() int {
+	w := ws.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return w - 1
+}
+
+// trailing is one panel's trailing update: the matrix, the panel block
+// [start, start+len(pcols)) with its pivot columns, the first trailing column
+// c1, and the rows left to update, handed out stripe by stripe through next.
+type trailing struct {
+	m     *Matrix
+	start int
+	c1    int
+	pcols []int
+	next  atomic.Int64 // first row nobody has claimed
+	end   int
+	done  sync.WaitGroup // helpers still on this panel, or not yet exited
+}
+
+// update applies the panel's rank-1 updates to rows [i0, i1) of the trailing
+// columns: each row absorbs them in one delayed-reduction sweep, the sources
+// batched four at a time so each accumulator element is loaded once per four
+// multiplies. A row inside the panel block takes updates only from the
+// pivots above it; a row below takes all of them. It is the one update loop
+// of the factorization, run serially or on a stripe.
+//
+//ppcd:hotpath
+func (t *trailing) update(i0, i1 int, hi, lo []uint64) {
+	m, cols := t.m, t.m.Cols
+	npiv := len(t.pcols)
+	hi, lo = hi[:cols-t.c1], lo[:cols-t.c1]
+	var fs [panelWidth]ff64.Elem
+	var srcs [panelWidth][]ff64.Elem
+	for i := i0; i < i1; i++ {
+		nj := min(npiv, i-t.start)
+		cnt := 0
+		for j := 0; j < nj; j++ {
+			if f := m.data[i*cols+t.pcols[j]]; f != ff64.Zero {
+				fs[cnt] = f
+				srcs[cnt] = m.data[(t.start+j)*cols+t.c1 : (t.start+j+1)*cols]
+				cnt++
+			}
+		}
+		if cnt == 0 {
+			continue
+		}
+		row := m.data[i*cols+t.c1 : (i+1)*cols]
+		ff64.VecLoad(hi, lo, row)
+		j := 0
+		for ; j+4 <= cnt; j += 4 {
+			ff64.VecMulAcc4(hi, lo, fs[j], fs[j+1], fs[j+2], fs[j+3], srcs[j], srcs[j+1], srcs[j+2], srcs[j+3])
+		}
+		for ; j < cnt; j++ {
+			ff64.VecMulAcc(hi, lo, fs[j], srcs[j])
+		}
+		ff64.VecReduce(row, hi, lo)
+	}
+}
+
+// claim updates stripes of the panel's rows until none is left unclaimed.
+func (t *trailing) claim(acc accumulators) {
+	for {
+		i := int(t.next.Add(stripeRows)) - stripeRows
+		if i >= t.end {
+			return
+		}
+		t.update(i, min(i+stripeRows, t.end), acc.hi, acc.lo)
+	}
+}
+
+// help is a helper goroutine: each time it is handed the next panel of t, it
+// claims stripes with its own accumulators until the panel has none left. It
+// reports each panel, and its own exit once panels closes, on t.done.
+func help(panels <-chan struct{}, t *trailing, acc accumulators) {
+	defer t.done.Done()
+	for range panels {
+		t.claim(acc)
+		t.done.Done()
+	}
 }
 
 // blockedEchelon reduces m in place to unnormalized row-echelon form with
@@ -95,11 +228,20 @@ func (ws *Workspace) accumulators(n int) (hi, lo []uint64) {
 // inverse in the same order (a pivot entry is final once its panel step has
 // run, and back-substitution needs the inverse again).
 //
+// A panel whose rows below its block carry at least minWork
+// multiply-accumulates of trailing update stripes them over the caller and
+// up to helpers goroutines, started at the first such panel and gone before
+// it returns; helpers ≤ 0 is the serial path. Factorize passes ws.helpers()
+// and splitWork; the differential tests force either way.
+//
 //ppcd:hotpath
-func (m *Matrix) blockedEchelon(ws *Workspace) []int {
+func (m *Matrix) blockedEchelon(ws *Workspace, helpers, minWork int) []int {
 	rows, cols := m.Rows, m.Cols
 	ws.pivots = ws.pivots[:0]
 	ws.invs = ws.invs[:0]
+	ws.growAccumulators(1, cols)
+	acc := ws.accs[0]
+	var panels chan struct{}
 	r := 0
 	for c0 := 0; c0 < cols && r < rows; c0 += panelWidth {
 		c1 := c0 + panelWidth
@@ -146,49 +288,54 @@ func (m *Matrix) blockedEchelon(ws *Workspace) []int {
 			continue
 		}
 
-		// Trailing update: each row absorbs the panel's rank-1 updates with
-		// one delayed-reduction sweep, the sources batched four at a time so
-		// each accumulator element is loaded once per four multiplies. A row
-		// inside the panel block only takes updates from pivots above it;
-		// rows below take all npiv.
-		hi, lo := ws.accumulators(cols - c1)
-		pcols := ws.pivots[len(ws.pivots)-npiv:]
-		var fs [panelWidth]ff64.Elem
-		var srcs [panelWidth][]ff64.Elem
-		for i := panelStart + 1; i < rows; i++ {
-			nj := npiv
-			if i < panelStart+npiv {
-				nj = i - panelStart
-			}
-			cnt := 0
-			for j := 0; j < nj; j++ {
-				if f := m.data[i*cols+pcols[j]]; f != ff64.Zero {
-					fs[cnt] = f
-					srcs[cnt] = m.data[(panelStart+j)*cols+c1 : (panelStart+j+1)*cols]
-					cnt++
-				}
-			}
-			if cnt == 0 {
-				continue
-			}
-			row := m.data[i*cols+c1 : (i+1)*cols]
-			ff64.VecLoad(hi, lo, row)
-			j := 0
-			for ; j+4 <= cnt; j += 4 {
-				ff64.VecMulAcc4(hi, lo, fs[j], fs[j+1], fs[j+2], fs[j+3], srcs[j], srcs[j+1], srcs[j+2], srcs[j+3])
-			}
-			for ; j < cnt; j++ {
-				ff64.VecMulAcc(hi, lo, fs[j], srcs[j])
-			}
-			ff64.VecReduce(row, hi, lo)
+		// Trailing update. The rows inside the panel block are the sources of
+		// the rows below, so they are brought up to date first, here; the
+		// rows below are then independent of one another.
+		t := &ws.trail
+		t.m, t.start, t.c1 = m, panelStart, c1
+		t.pcols = ws.pivots[len(ws.pivots)-npiv:]
+		t.update(panelStart+1, r, acc.hi, acc.lo)
+		if helpers <= 0 || (rows-r)*(cols-c1)*npiv < minWork {
+			t.update(r, rows, acc.hi, acc.lo)
+			continue
 		}
+		if panels == nil {
+			panels = ws.startHelpers(helpers, cols)
+		}
+		t.next.Store(int64(r))
+		t.end = rows
+		t.done.Add(helpers)
+		for range helpers {
+			panels <- struct{}{}
+		}
+		t.claim(acc)
+		t.done.Wait()
+	}
+	if panels != nil {
+		ws.trail.done.Add(helpers)
+		close(panels)
+		ws.trail.done.Wait()
 	}
 	return ws.pivots
 }
 
+// startHelpers starts n helper goroutines for one factorization of a matrix
+// with cols columns, each with accumulators of its own, and returns the
+// channel that hands them the panels of ws.trail; closing it stops them. It
+// has a slot per helper, so handing out a panel never blocks.
+func (ws *Workspace) startHelpers(n, cols int) chan struct{} {
+	ws.growAccumulators(1+n, cols)
+	panels := make(chan struct{}, n)
+	for _, acc := range ws.accs[1 : 1+n] {
+		go help(panels, &ws.trail, acc)
+	}
+	return panels
+}
+
 // KernelSampler draws independent random kernel elements of a matrix
-// factorized once through Workspace.Factorize. Its bookkeeping lives in the
-// workspace, so a later Factorize through the same workspace invalidates it.
+// factorized once through Workspace.Factorize. It lives in the workspace with
+// its bookkeeping, so a later Factorize through the same workspace replaces it
+// and a warm factorization allocates nothing for it.
 type KernelSampler struct {
 	m  *Matrix
 	ws *Workspace
@@ -198,7 +345,7 @@ type KernelSampler struct {
 // elimination and returns a sampler for its null space. It fails with
 // ErrTrivialKernel when the null space is {0}.
 func (ws *Workspace) Factorize(m *Matrix) (*KernelSampler, error) {
-	pivots := m.blockedEchelon(ws)
+	pivots := m.blockedEchelon(ws, ws.helpers(), splitWork)
 	if len(pivots) == m.Cols {
 		return nil, ErrTrivialKernel
 	}
@@ -211,7 +358,8 @@ func (ws *Workspace) Factorize(m *Matrix) (*KernelSampler, error) {
 		}
 		ws.free = append(ws.free, c)
 	}
-	return &KernelSampler{m: m, ws: ws}, nil
+	ws.sampler = KernelSampler{m: m, ws: ws}
+	return &ws.sampler, nil
 }
 
 // SampleInPlace fills out with a fresh uniformly random non-zero element of

@@ -1,8 +1,11 @@
 package linalg
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"ppcd/internal/core/coretest"
 	"ppcd/internal/ff64"
 )
 
@@ -65,7 +68,7 @@ func TestBlockedEchelonPivotsMatchRREF(t *testing.T) {
 		plantDeficiency(t, m, sh.planted)
 		ref := m.Clone()
 		refPivots := ref.rref()
-		gotPivots := m.Clone().blockedEchelon(ws)
+		gotPivots := m.Clone().blockedEchelon(ws, 0, 0)
 		if len(gotPivots) != len(refPivots) {
 			t.Fatalf("%dx%d planted=%d: blocked rank %d, reference rank %d",
 				sh.rows, sh.cols, sh.planted, len(gotPivots), len(refPivots))
@@ -152,6 +155,78 @@ func TestWorkspaceReuseAcrossShapes(t *testing.T) {
 		}
 		if !prod.IsZero() || v.IsZero() {
 			t.Fatalf("n=%d: bad kernel sample from reused workspace", n)
+		}
+	}
+}
+
+// TestStripedEchelonMatchesSerial holds the striped trailing update to the
+// serial one bit for bit: the echelon form (multipliers included), the pivots
+// and their inverses. The striped runs split every panel, with one helper and
+// with more helpers than cores, and once at the production threshold; the
+// shapes are square, wide, tall, rank-deficient, and one with a zero column
+// inside a panel, so a panel block holds fewer pivots than columns.
+func TestStripedEchelonMatchesSerial(t *testing.T) {
+	type shape struct {
+		name string
+		m    *Matrix
+	}
+	var shapes []shape
+	for _, sh := range []struct{ rows, cols int }{{300, 301}, {512, 513}, {400, 300}, {260, 700}} {
+		for _, planted := range []int{0, 37} {
+			m := cryptoRandMatrix(t, sh.rows, sh.cols)
+			plantDeficiency(t, m, planted)
+			shapes = append(shapes, shape{fmt.Sprintf("%dx%d planted=%d", sh.rows, sh.cols, planted), m})
+		}
+	}
+	zeroCol := cryptoRandMatrix(t, 300, 301)
+	for i := 0; i < zeroCol.Rows; i++ {
+		zeroCol.Set(i, 40, ff64.Zero)
+	}
+	shapes = append(shapes, shape{"300x301 zero column 40", zeroCol})
+
+	for _, sh := range shapes {
+		serial := sh.m.Clone()
+		wsSerial := NewWorkspace()
+		want := slices.Clone(serial.blockedEchelon(wsSerial, 0, 0))
+		for _, run := range []struct{ helpers, minWork int }{{1, 0}, {3, 0}, {1, splitWork}} {
+			striped := sh.m.Clone()
+			ws := NewWorkspace()
+			got := striped.blockedEchelon(ws, run.helpers, run.minWork)
+			switch {
+			case !slices.Equal(got, want):
+				t.Fatalf("%s, %d helpers, split at %d: pivots differ from the serial path", sh.name, run.helpers, run.minWork)
+			case !slices.Equal(ws.invs, wsSerial.invs):
+				t.Fatalf("%s, %d helpers, split at %d: pivot inverses differ from the serial path", sh.name, run.helpers, run.minWork)
+			case !slices.Equal(striped.data, serial.data):
+				t.Fatalf("%s, %d helpers, split at %d: echelon form differs from the serial path", sh.name, run.helpers, run.minWork)
+			}
+		}
+	}
+}
+
+// TestFactorizeAllocs pins what a warm factorization allocates: nothing at
+// shard size, where no panel splits, and at N = 512 one goroutine per helper
+// and the channel that hands them panels — within the helpers + 2 budget.
+func TestFactorizeAllocs(t *testing.T) {
+	if coretest.RaceEnabled {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
+	for _, c := range []struct{ n, workers, max int }{{128, 3, 0}, {512, 3, 2 + 2}, {512, 1, 0}} {
+		src := shardMatrix(t, c.n)
+		ws := NewWorkspace()
+		ws.Workers = c.workers // AllocsPerRun runs at GOMAXPROCS 1
+		work := NewMatrix(c.n, c.n+1)
+		factorize := func() {
+			copy(work.data, src.data)
+			if _, err := ws.Factorize(work); err != nil {
+				t.Fatal(err)
+			}
+		}
+		factorize()
+		got := testing.AllocsPerRun(5, factorize)
+		t.Logf("%d×%d on %d workers: %.0f allocations", c.n, c.n+1, c.workers, got)
+		if got > float64(c.max) {
+			t.Errorf("%d×%d on %d workers: %.0f allocations per factorization, want ≤ %d", c.n, c.n+1, c.workers, got, c.max)
 		}
 	}
 }

@@ -4,7 +4,9 @@
 // (paper §V-C). The implementation mirrors the paper's use of NTL's kernel()
 // routine: Gauss–Jordan elimination to reduced row-echelon form, a null-space
 // basis read off the free columns, and a random linear combination of basis
-// vectors.
+// vectors. That Gauss–Jordan path is the reference: every solve in the system
+// runs the blocked elimination of blocked.go, and the differential tests and
+// the root reference benchmark hold it to this one.
 package linalg
 
 import (
