@@ -28,13 +28,10 @@ import (
 // both nil means the configuration became inaccessible (no qualified rows —
 // subscribers drop their header for it).
 type ConfigPatch struct {
-	Key policy.ConfigKey
-	Rev uint64
-	// ShardRevs carries the target epoch's per-shard revisions when the
-	// patch is grouped (parallel to the reconstructed shard list).
-	ShardRevs []uint64
-	Header    *core.Header
-	Grouped   *GroupedPatch
+	Key     policy.ConfigKey
+	Rev     uint64
+	Header  *core.Header
+	Grouped *GroupedPatch
 }
 
 // GroupedPatch rebuilds a grouped header incrementally: the fresh rekey
@@ -43,11 +40,19 @@ type ConfigPatch struct {
 // From[i] names the shard of the BASE configuration whose sub-header shard i
 // keeps (clean shard), or -1 to consume the next entry of Headers (dirty or
 // new shard).
+//
+// A patch carries no revision of a clean shard: it keeps its sub-header and
+// with it the revision the base holds for it. Revs, parallel to Headers, is
+// the revision of each shipped sub-header — the delta's epoch, unless the
+// delta spans several epochs and the shard re-solved before its last. Apply
+// rebuilds the configuration's ShardRevs from the two, so they equal the
+// publisher's exactly.
 type GroupedPatch struct {
 	RekeyNonce []byte
 	Wraps      []ff64.Elem
 	From       []int
 	Headers    []*core.Header
+	Revs       []uint64
 }
 
 // BroadcastDelta is everything that changed between two epochs of one
@@ -80,9 +85,10 @@ var (
 // be broadcasts of the same document with base.Epoch < cur.Epoch; the
 // revisions stamped by Publish decide what travels. Clean grouped shards are
 // referenced by their index in the base configuration (located by sub-header
-// identity); a shard whose sub-header cannot be found in the base — e.g.
-// when diffing across wire-decoded broadcasts that share no pointers — is
-// shipped in full, trading delta size for correctness, never the reverse.
+// identity, at the same index first); a shard whose sub-header cannot be
+// found in the base under the revision cur gives it — e.g. when diffing
+// across wire-decoded broadcasts that share no pointers — is shipped in
+// full, trading delta size for correctness, never the reverse.
 func Diff(base, cur *Broadcast) (*BroadcastDelta, error) {
 	if base == nil || cur == nil {
 		return nil, errors.New("pubsub: nil broadcast")
@@ -114,7 +120,7 @@ func Diff(base, cur *Broadcast) (*BroadcastDelta, error) {
 		if bc != nil && ci.Rev <= base.Epoch {
 			continue // unchanged since the base epoch
 		}
-		patch := ConfigPatch{Key: ci.Key, Rev: ci.Rev, ShardRevs: ci.ShardRevs, Header: ci.Header}
+		patch := ConfigPatch{Key: ci.Key, Rev: ci.Rev, Header: ci.Header}
 		if ci.Grouped != nil {
 			if len(ci.ShardRevs) != len(ci.Grouped.Shards) {
 				return nil, fmt.Errorf("pubsub: configuration %q has %d shard revisions for %d shards", ci.Key, len(ci.ShardRevs), len(ci.Grouped.Shards))
@@ -151,8 +157,10 @@ func Diff(base, cur *Broadcast) (*BroadcastDelta, error) {
 }
 
 // groupedPatch expresses one grouped configuration against its base
-// revision: clean shards (rev ≤ base epoch, sub-header present in the base)
-// become index references, the rest ship their sub-header.
+// revision: clean shards (rev ≤ base epoch, sub-header present in the base
+// under the same revision) become index references, the rest ship their
+// sub-header and revision. A clean shard is looked for at its own index
+// first; the base's sub-headers are indexed only when one has moved.
 func groupedPatch(ci, bc *ConfigInfo, baseEpoch uint64) *GroupedPatch {
 	g := ci.Grouped
 	p := &GroupedPatch{
@@ -160,21 +168,36 @@ func groupedPatch(ci, bc *ConfigInfo, baseEpoch uint64) *GroupedPatch {
 		Wraps:      make([]ff64.Elem, len(g.Shards)),
 		From:       make([]int, len(g.Shards)),
 	}
+	var base []core.GroupShard
+	if bc != nil && bc.Grouped != nil && len(bc.ShardRevs) == len(bc.Grouped.Shards) {
+		base = bc.Grouped.Shards
+	}
 	var baseIdx map[*core.Header]int
-	if bc != nil && bc.Grouped != nil {
-		baseIdx = make(map[*core.Header]int, len(bc.Grouped.Shards))
-		for j, sh := range bc.Grouped.Shards {
-			baseIdx[sh.Hdr] = j
+	find := func(i int, h *core.Header) (int, bool) {
+		if i < len(base) && base[i].Hdr == h {
+			return i, true
 		}
+		if baseIdx == nil {
+			baseIdx = make(map[*core.Header]int, len(base))
+			for j, sh := range base {
+				baseIdx[sh.Hdr] = j
+			}
+		}
+		j, ok := baseIdx[h]
+		return j, ok
 	}
 	for i, sh := range g.Shards {
 		p.Wraps[i] = sh.Wrap
-		if j, ok := baseIdx[sh.Hdr]; ok && i < len(ci.ShardRevs) && ci.ShardRevs[i] <= baseEpoch {
-			p.From[i] = j
-			continue
+		rev := ci.ShardRevs[i]
+		if rev <= baseEpoch {
+			if j, ok := find(i, sh.Hdr); ok && bc.ShardRevs[j] == rev {
+				p.From[i] = j
+				continue
+			}
 		}
 		p.From[i] = -1
 		p.Headers = append(p.Headers, sh.Hdr)
+		p.Revs = append(p.Revs, rev)
 	}
 	return p
 }
@@ -183,7 +206,9 @@ func groupedPatch(ci, bc *ConfigInfo, baseEpoch uint64) *GroupedPatch {
 // validates that the base matches the delta's document and base epoch and
 // never mutates its input: unchanged configurations, shards and items are
 // shared between the two broadcasts, so a subscriber's cached KEVs (keyed by
-// sub-header content) stay valid across patches.
+// sub-header content) stay valid across patches. A patched grouped
+// configuration's shard revisions are derived: a kept shard's from the base,
+// a shipped one's from the patch.
 func (d *BroadcastDelta) Apply(base *Broadcast) (*Broadcast, error) {
 	if base == nil {
 		return nil, errors.New("pubsub: nil base broadcast")
@@ -214,24 +239,20 @@ func (d *BroadcastDelta) Apply(base *Broadcast) (*Broadcast, error) {
 		cfgIdx[out.Configs[i].Key] = i
 	}
 	for _, patch := range d.Configs {
-		ci := ConfigInfo{Key: patch.Key, Rev: patch.Rev, ShardRevs: patch.ShardRevs, Header: patch.Header}
+		ci := ConfigInfo{Key: patch.Key, Rev: patch.Rev, Header: patch.Header}
 		if patch.Grouped != nil {
-			var baseGrouped *core.GroupedHeader
+			var bc *ConfigInfo
 			if i, ok := cfgIdx[patch.Key]; ok {
 				// Resolve clean-shard references against the BASE config
 				// (base.Configs and out.Configs share elements until
 				// patched, and each config is patched at most once per
 				// delta, so the lookup still sees the base material).
-				baseGrouped = out.Configs[i].Grouped
+				bc = &out.Configs[i]
 			}
-			g, err := patch.Grouped.rebuild(baseGrouped)
-			if err != nil {
+			var err error
+			if ci.Grouped, ci.ShardRevs, err = patch.Grouped.rebuild(bc); err != nil {
 				return nil, fmt.Errorf("pubsub: patching configuration %q: %w", patch.Key, err)
 			}
-			if len(patch.ShardRevs) != len(g.Shards) {
-				return nil, fmt.Errorf("pubsub: patching configuration %q: %d shard revisions for %d shards", patch.Key, len(patch.ShardRevs), len(g.Shards))
-			}
-			ci.Grouped = g
 		}
 		if i, ok := cfgIdx[patch.Key]; ok {
 			out.Configs[i] = ci
@@ -285,37 +306,46 @@ func (d *BroadcastDelta) Apply(base *Broadcast) (*Broadcast, error) {
 	return out, nil
 }
 
-// rebuild reconstructs the full grouped header from a patch and the base
-// configuration's grouped header (nil when the configuration is new or was
-// ungrouped — then every shard must ship its sub-header).
-func (p *GroupedPatch) rebuild(base *core.GroupedHeader) (*core.GroupedHeader, error) {
+// rebuild reconstructs the full grouped header and its shard revisions from
+// a patch and the base configuration (nil when the configuration is new;
+// without a grouped header every shard must ship its sub-header).
+func (p *GroupedPatch) rebuild(bc *ConfigInfo) (*core.GroupedHeader, []uint64, error) {
 	if len(p.Wraps) != len(p.From) {
-		return nil, fmt.Errorf("%d wraps for %d shards", len(p.Wraps), len(p.From))
+		return nil, nil, fmt.Errorf("%d wraps for %d shards", len(p.Wraps), len(p.From))
+	}
+	if len(p.Revs) != len(p.Headers) {
+		return nil, nil, fmt.Errorf("%d revisions for %d shipped sub-headers", len(p.Revs), len(p.Headers))
+	}
+	var base []core.GroupShard
+	if bc != nil && bc.Grouped != nil {
+		base = bc.Grouped.Shards
+		if len(bc.ShardRevs) != len(base) {
+			return nil, nil, fmt.Errorf("base holds %d shard revisions for %d shards", len(bc.ShardRevs), len(base))
+		}
 	}
 	g := &core.GroupedHeader{RekeyNonce: p.RekeyNonce, Shards: make([]core.GroupShard, len(p.From))}
+	revs := make([]uint64, len(p.From))
 	next := 0
 	for i, from := range p.From {
 		var hdr *core.Header
 		switch {
 		case from < 0:
 			if next >= len(p.Headers) {
-				return nil, errors.New("patch ships fewer sub-headers than it references")
+				return nil, nil, errors.New("patch ships fewer sub-headers than it references")
 			}
-			hdr = p.Headers[next]
+			hdr, revs[i] = p.Headers[next], p.Revs[next]
 			next++
+		case base == nil:
+			return nil, nil, errors.New("patch references base shards but the state has no grouped header")
+		case from >= len(base):
+			return nil, nil, fmt.Errorf("patch references base shard %d of %d", from, len(base))
 		default:
-			if base == nil {
-				return nil, errors.New("patch references base shards but the state has no grouped header")
-			}
-			if from >= len(base.Shards) {
-				return nil, fmt.Errorf("patch references base shard %d of %d", from, len(base.Shards))
-			}
-			hdr = base.Shards[from].Hdr
+			hdr, revs[i] = base[from].Hdr, bc.ShardRevs[from]
 		}
 		g.Shards[i] = core.GroupShard{Hdr: hdr, Wrap: p.Wraps[i]}
 	}
 	if next != len(p.Headers) {
-		return nil, fmt.Errorf("patch ships %d sub-headers, references %d", len(p.Headers), next)
+		return nil, nil, fmt.Errorf("patch ships %d sub-headers, references %d", len(p.Headers), next)
 	}
-	return g, nil
+	return g, revs, nil
 }

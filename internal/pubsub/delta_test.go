@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ppcd/internal/core"
@@ -528,5 +529,147 @@ func TestWrapSecrecyAcrossDelta(t *testing.T) {
 		}); err == nil {
 			t.Error("revoked subscriber derived the configuration key from the patched header")
 		}
+	}
+}
+
+// TestApplyDerivesShardRevisions: a grouped patch carries no revision of a
+// kept shard and none of a shard re-solved at its own epoch, yet a state
+// reached by applying deltas — one epoch at a time, as a stream consumes them,
+// or a catch-up over several, as a reconnect does — holds exactly the
+// broadcast the publisher stamped, revisions included.
+func TestApplyDerivesShardRevisions(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	env := newDeltaEnv(t, 2, 3)
+	var members []string
+	for i := 0; i < 12; i++ {
+		members = append(members, env.join(t, 1+rng.Intn(2)))
+	}
+	b, err := env.pub.Publish(env.doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	published, held := []*Broadcast{b}, []*Broadcast{b}
+	var kept, moved, fresh, earlier int
+	for step := 0; step < 40; step++ {
+		switch {
+		case rng.Intn(3) == 0 || len(members) < 4:
+			members = append(members, env.join(t, 1+rng.Intn(2)))
+		case rng.Intn(2) == 0:
+			i := rng.Intn(len(members))
+			if err := env.pub.RevokeSubscription(members[i]); err != nil {
+				t.Fatal(err)
+			}
+			members = append(members[:i], members[i+1:]...)
+		}
+		cur, err := env.pub.Publish(env.doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var next *Broadcast // cur as a stream reaches it, one epoch at a time
+		for back := 1; back <= min(3, len(published)); back++ {
+			d, err := Diff(published[len(published)-back], cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cp := range d.Configs {
+				if cp.Grouped == nil {
+					continue
+				}
+				for i, from := range cp.Grouped.From {
+					switch {
+					case from == i:
+						kept++
+					case from >= 0:
+						moved++
+					}
+				}
+				for _, rev := range cp.Grouped.Revs {
+					if rev == d.Epoch {
+						fresh++
+					} else {
+						earlier++
+					}
+				}
+			}
+			got, err := d.Apply(held[len(held)-back])
+			if err != nil {
+				t.Fatalf("step %d, %d epochs back: %v", step, back, err)
+			}
+			if !reflect.DeepEqual(got, cur) {
+				t.Fatalf("step %d: the state applied over %d epochs differs from the broadcast (revisions %v, want %v)", step, back, shardRevs(got), shardRevs(cur))
+			}
+			if back == 1 {
+				next = got
+			}
+		}
+		published, held = append(published, cur), append(held, next)
+	}
+	t.Logf("shards kept in place %d, moved %d, shipped at the delta's epoch %d, shipped re-solved earlier %d", kept, moved, fresh, earlier)
+	if kept == 0 || fresh == 0 || earlier == 0 {
+		t.Errorf("the churn exercised kept %d, shipped %d and caught-up %d shards; want each", kept, fresh, earlier)
+	}
+}
+
+// shardRevs lists a broadcast's shard revisions by configuration.
+func shardRevs(b *Broadcast) map[policy.ConfigKey][]uint64 {
+	out := make(map[policy.ConfigKey][]uint64)
+	for _, ci := range b.Configs {
+		out[ci.Key] = ci.ShardRevs
+	}
+	return out
+}
+
+// TestGroupedPatchReferences pins what a grouped patch says about each shard
+// of a reassembled configuration: a kept shard at its own index or moved to
+// another, one re-solved at the delta's epoch or earlier, and a shard whose
+// sub-header the base holds under another revision, which is shipped — a
+// reference would hand the receiver the base's revision.
+func TestGroupedPatchReferences(t *testing.T) {
+	hdr := func(x uint64) *core.Header { return &core.Header{X: []ff64.Elem{ff64.Elem(x)}} }
+	a, b, c, d, e := hdr(1), hdr(2), hdr(3), hdr(4), hdr(5)
+	grouped := func(epoch uint64, hs []*core.Header, revs []uint64) *Broadcast {
+		g := &core.GroupedHeader{RekeyNonce: []byte{byte(epoch)}}
+		for i, h := range hs {
+			g.Shards = append(g.Shards, core.GroupShard{Hdr: h, Wrap: ff64.Elem(10*epoch + uint64(i))})
+		}
+		return &Broadcast{DocName: "doc", Epoch: epoch, Gen: 1, Configs: []ConfigInfo{{Key: "k", Rev: epoch, Grouped: g, ShardRevs: revs}}}
+	}
+	base := grouped(3, []*core.Header{a, b, c, e}, []uint64{1, 2, 3, 3})
+	cases := []struct {
+		name string
+		cur  *Broadcast
+		from []int
+		revs []uint64
+	}{
+		{"kept, moved, re-solved at the epoch", grouped(5, []*core.Header{a, c, d}, []uint64{1, 3, 5}), []int{0, 2, -1}, []uint64{5}},
+		{"re-solved before the epoch", grouped(7, []*core.Header{a, b, d}, []uint64{1, 2, 6}), []int{0, 1, -1}, []uint64{6}},
+		{"in the base under another revision", grouped(5, []*core.Header{a, b, c, e}, []uint64{1, 2, 3, 2}), []int{0, 1, 2, -1}, []uint64{2}},
+	}
+	for _, tc := range cases {
+		delta, err := Diff(base, tc.cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := delta.Configs[0].Grouped
+		if !reflect.DeepEqual(p.From, tc.from) || !reflect.DeepEqual(p.Revs, tc.revs) {
+			t.Errorf("%s: patch From %v Revs %v, want %v and %v", tc.name, p.From, p.Revs, tc.from, tc.revs)
+		}
+		got, err := delta.Apply(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, tc.cur) {
+			t.Errorf("%s: applied revisions %v, want %v", tc.name, got.Configs[0].ShardRevs, tc.cur.Configs[0].ShardRevs)
+		}
+	}
+	// A base without revisions for its shards can back no reference.
+	torn := grouped(3, []*core.Header{a, b}, []uint64{1})
+	delta, err := Diff(base, grouped(5, []*core.Header{a, b}, []uint64{1, 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta.BaseEpoch = torn.Epoch
+	if _, err := delta.Apply(torn); err == nil {
+		t.Error("a patch applied over a base holding 1 revision for 2 shards")
 	}
 }

@@ -231,15 +231,18 @@ func TestCrashReusesNoWrapMask(t *testing.T) {
 	}
 }
 
-// TestWALv1Refused: a log of the format whose publish records carry no
-// outcome has no reader and is refused by name.
+// TestWALv1Refused: a log of a retired format — publish records without an
+// outcome, or with outcomes embedding version-5 delta frames — has no reader
+// and is refused by name.
 func TestWALv1Refused(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, walName), []byte("PPCDWL1"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, testKey()); !errors.Is(err, ErrCorrupt) || !bytes.Contains([]byte(err.Error()), []byte("PPCDWL1")) {
-		t.Errorf("PPCDWL1 log: %v, want ErrCorrupt naming the format", err)
+	for _, magic := range []string{"PPCDWL1", "PPCDWL2"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, walName), []byte(magic), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, testKey()); !errors.Is(err, ErrCorrupt) || !bytes.Contains([]byte(err.Error()), []byte(magic)) {
+			t.Errorf("%s log: %v, want ErrCorrupt naming the format", magic, err)
+		}
 	}
 }
 

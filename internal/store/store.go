@@ -16,7 +16,7 @@
 //
 //	manifest.ppcd      "PPCDMF1" ‖ AEAD( manifest body )
 //	seg-<k><i>-<r>.ppcd "PPCDSG1" ‖ AEAD( kind:u8 ‖ index:u32 ‖ payload )
-//	wal.ppcd           "PPCDWL2" ‖ records…
+//	wal.ppcd           "PPCDWL3" ‖ records…
 //
 // A snapshot is SEGMENTED: the publisher state splits into one meta segment
 // (kind 'm'), table segments (kind 't') covering contiguous columnar slot
@@ -61,8 +61,9 @@
 // maxWALRecord limit near 7 million policy rows; an outcome that would exceed
 // it is journaled as the epoch alone and replays as one, leaving that
 // document's diff base and the cache at their previous state. A log written
-// before publish records carried an outcome ("PPCDWL1") has no reader and is
-// refused by name. The sequence number inside the AEAD envelope
+// before publish records carried an outcome ("PPCDWL1"), or whose outcomes
+// embed version-5 delta frames ("PPCDWL2"), has no reader and is refused by
+// name. The sequence number inside the AEAD envelope
 // orders events totally: a snapshot taken at sequence s makes every record
 // with seq ≤ s redundant, so recovery replays only the strictly-newer tail —
 // which is also what makes the crash window between writing a snapshot and
@@ -121,10 +122,9 @@ const (
 )
 
 var (
-	walMagic   = []byte("PPCDWL2")
-	walMagicV1 = []byte("PPCDWL1")
-	manMagic   = []byte("PPCDMF1")
-	segMagic   = []byte("PPCDSG1")
+	walMagic = []byte("PPCDWL3")
+	manMagic = []byte("PPCDMF1")
+	segMagic = []byte("PPCDSG1")
 )
 
 // Errors reported by Open.

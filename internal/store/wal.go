@@ -49,8 +49,10 @@ func (s *Store) openWAL(snapSeq uint64) error {
 		return nil
 	}
 	if !bytes.HasPrefix(raw, walMagic) {
-		if bytes.HasPrefix(raw, walMagicV1) {
-			return fmt.Errorf("%w: WAL format %s has no reader (its publish records carry no outcome)", ErrCorrupt, walMagicV1)
+		for magic, why := range retiredWALs {
+			if bytes.HasPrefix(raw, []byte(magic)) {
+				return fmt.Errorf("%w: WAL format %s has no reader (%s)", ErrCorrupt, magic, why)
+			}
 		}
 		return fmt.Errorf("%w: bad WAL magic", ErrCorrupt)
 	}
@@ -116,6 +118,12 @@ func (s *Store) openWAL(snapSeq uint64) error {
 		s.seq = lastSeq
 	}
 	return nil
+}
+
+// retiredWALs names the earlier log formats, which are refused by name.
+var retiredWALs = map[string]string{
+	"PPCDWL1": "its publish records carry no outcome",
+	"PPCDWL2": "its publish records embed version-5 delta frames",
 }
 
 // allZero reports whether every byte of b is zero (the signature of a file

@@ -58,11 +58,12 @@ func fuzzDelta() *pubsub.BroadcastDelta {
 		Policies:        []pubsub.PolicyInfo{{ID: "p0", CondIDs: []string{"attr0 >= 1"}}},
 		Configs: []pubsub.ConfigPatch{
 			{Key: "cfg-plain", Rev: 4, Header: fuzzHeader(2)},
-			{Key: "cfg-grouped", Rev: 4, ShardRevs: []uint64{1, 4}, Grouped: &pubsub.GroupedPatch{
+			{Key: "cfg-grouped", Rev: 4, Grouped: &pubsub.GroupedPatch{
 				RekeyNonce: bytes.Repeat([]byte{8}, core.NonceSize),
-				Wraps:      []ff64.Elem{11, 12},
-				From:       []int{0, -1},
-				Headers:    []*core.Header{fuzzHeader(1)},
+				Wraps:      []ff64.Elem{11, 12, 13, 14},
+				From:       []int{0, -1, 1, -1},
+				Headers:    []*core.Header{fuzzHeader(1), fuzzHeader(2)},
+				Revs:       []uint64{4, 2},
 			}},
 		},
 		RemovedConfigs: []policy.ConfigKey{"cfg-old"},
@@ -93,6 +94,9 @@ func FuzzFrame(f *testing.F) {
 		MarshalDeltaFrame(deltaOf(mixed)),
 	}
 	for _, raw := range hostileFrames() {
+		f.Add(raw)
+	}
+	for _, raw := range hostilePatches() {
 		f.Add(raw)
 	}
 	for _, s := range seeds {

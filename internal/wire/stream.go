@@ -10,9 +10,22 @@
 // into that table. A run the engine drew is the expansion of a seed
 // (core.ExpandNonces), and its table entry is that seed:
 //
-//	frame   = version(5) ‖ type ‖ runs ‖ snapshot | delta      (heartbeat: version ‖ type ‖ epoch)
+//	frame   = version(6) ‖ type ‖ runs ‖ snapshot | delta      (heartbeat: version ‖ type ‖ epoch)
 //	runs    = count ‖ per run: n ‖ seededRun ‖ seed             (40 bytes)
 //	header  = |X| ‖ X… ‖ run index                              (N = |X| − 1; no index when N = 0)
+//
+// A grouped configuration in a delta ships its rekey nonce and every wrap,
+// and for its shards only what the subscriber's base does not already say:
+//
+//	patch     = nonce ‖ n ‖ n × wrap ‖ m ‖ m × exception           (indices increasing)
+//	exception = index ‖ base index                                 (a kept shard that moved)
+//	          | index ‖ fromFresh ‖ header                         (re-solved at the delta's epoch)
+//	          | index ‖ fromFreshAt ‖ revision ‖ header            (re-solved earlier: a catch-up)
+//
+// A shard no exception names keeps the base's shard at its own index, and
+// with it the base's revision; a shard shipped at the delta's epoch has that
+// epoch for revision. Apply derives both, so a patch carries neither, and a
+// reference to the same index is never written.
 //
 // Nothing here expands a seed. A seeded header rests as X and the seed
 // (core.Header), the table is collected from seeds and lengths, and a
@@ -54,9 +67,13 @@ import (
 )
 
 // VersionStream marks epoch-versioned stream frames (snapshot | delta |
-// heartbeat). Frames are never persisted, so there is exactly one frame
-// version.
-const VersionStream = 5
+// heartbeat). There is exactly one frame version: a delta frame rests in
+// every WAL publish record, and the store names its format by its own magic.
+const VersionStream = 6
+
+// versionRevPatch is the frame version whose grouped patches carried every
+// shard's revision and base index; it has no reader.
+const versionRevPatch = 5
 
 // FrameType discriminates the stream frame kinds.
 type FrameType byte
@@ -84,9 +101,13 @@ type Frame struct {
 // maxGroupShards of a grouped header.
 const maxDeltaShards = maxGroupShards
 
-// fromFresh is the on-wire sentinel for GroupedPatch.From entries that ship
-// a fresh sub-header instead of referencing a base shard.
-const fromFresh = ^uint32(0)
+// fromFresh and fromFreshAt are the on-wire sentinels of an exception that
+// ships a sub-header instead of referencing a base shard: re-solved at the
+// delta's epoch, or at the revision that follows.
+const (
+	fromFresh   = ^uint32(0)
+	fromFreshAt = fromFresh - 1
+)
 
 // maxFrameRuns clamps the run count of one frame's table. A run is used by
 // at least one header, so it sits at the per-message config and shard clamps.
@@ -472,6 +493,9 @@ func UnmarshalFrame(data []byte) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
+	if v == versionRevPatch {
+		return nil, fmt.Errorf("%w: stream frame version %d has no reader (its grouped patches carry every shard's revision)", ErrBadVersion, v)
+	}
 	if v != VersionStream {
 		return nil, ErrBadVersion
 	}
@@ -755,7 +779,7 @@ func writeDelta(w *writer, d *pubsub.BroadcastDelta) {
 		switch {
 		case cp.Grouped != nil:
 			w.u8(2)
-			writeGroupedPatch(w, &cp, cp.Grouped)
+			writeGroupedPatch(w, cp.Grouped, d.Epoch)
 		case cp.Header != nil:
 			w.u8(1)
 			writeFrameHeader(w, cp.Header)
@@ -777,21 +801,35 @@ func writeDelta(w *writer, d *pubsub.BroadcastDelta) {
 	}
 }
 
-func writeGroupedPatch(w *writer, cp *pubsub.ConfigPatch, p *pubsub.GroupedPatch) {
+func writeGroupedPatch(w *writer, p *pubsub.GroupedPatch, epoch uint64) {
 	w.bytes(p.RekeyNonce)
 	w.u32(uint32(len(p.From)))
+	exceptions := 0
 	for i, from := range p.From {
 		w.u64(uint64(p.Wraps[i]))
-		w.u64(cp.ShardRevs[i])
-		if from < 0 {
-			w.u32(fromFresh)
-		} else {
-			w.u32(uint32(from))
+		if from != i {
+			exceptions++
 		}
 	}
-	w.u32(uint32(len(p.Headers)))
-	for _, h := range p.Headers {
-		writeFrameHeader(w, h)
+	w.u32(uint32(exceptions))
+	next := 0
+	for i, from := range p.From {
+		if from == i {
+			continue
+		}
+		w.u32(uint32(i))
+		if from >= 0 {
+			w.u32(uint32(from))
+			continue
+		}
+		if rev := p.Revs[next]; rev == epoch {
+			w.u32(fromFresh)
+		} else {
+			w.u32(fromFreshAt)
+			w.u64(rev)
+		}
+		writeFrameHeader(w, p.Headers[next])
+		next++
 	}
 }
 
@@ -852,7 +890,7 @@ func readDelta(r *reader) (*pubsub.BroadcastDelta, error) {
 				return nil, err
 			}
 		case 2:
-			if err := readGroupedPatch(r, &cp); err != nil {
+			if cp.Grouped, err = readGroupedPatch(r, d.Epoch); err != nil {
 				return nil, err
 			}
 		default:
@@ -905,79 +943,93 @@ func readDelta(r *reader) (*pubsub.BroadcastDelta, error) {
 	return d, nil
 }
 
-// readGroupedPatch decodes one grouped config patch with the hardened
-// clamps: shard count bounded, wraps reduced, From references either the
-// fresh sentinel or a sane base index, shipped sub-header count matching the
-// fresh references exactly, every sub-header well-shaped with NonceSize
-// nonces (readFrameHeader charges it against the message's header budget).
-func readGroupedPatch(r *reader, cp *pubsub.ConfigPatch) error {
+// readGroupedPatch decodes one grouped config patch of a delta to epoch with
+// the hardened clamps: shard count bounded, wraps reduced, exceptions at
+// increasing indices below the shard count, each a base index other than its
+// own or a sub-header with NonceSize nonces (readFrameHeader charges it
+// against the message's header budget) whose revision, when written, is
+// below the epoch — a canonical patch writes the epoch as fromFresh.
+func readGroupedPatch(r *reader, epoch uint64) (*pubsub.GroupedPatch, error) {
 	p := &pubsub.GroupedPatch{}
 	var err error
 	if p.RekeyNonce, err = r.bytes(); err != nil {
-		return err
+		return nil, err
 	}
 	if len(p.RekeyNonce) != core.NonceSize {
-		return fmt.Errorf("wire: grouped patch rekey nonce of %d bytes, want %d", len(p.RekeyNonce), core.NonceSize)
+		return nil, fmt.Errorf("wire: grouped patch rekey nonce of %d bytes, want %d", len(p.RekeyNonce), core.NonceSize)
 	}
 	ns, err := r.u32()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if ns == 0 || ns > maxDeltaShards {
-		return ErrOversize
+		return nil, ErrOversize
 	}
-	fresh := 0
 	p.Wraps = make([]ff64.Elem, 0, capHint(ns))
-	p.From = make([]int, 0, capHint(ns))
-	cp.ShardRevs = make([]uint64, 0, capHint(ns))
 	for i := uint32(0); i < ns; i++ {
 		raw, err := r.u64()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if raw >= ff64.Modulus {
-			return fmt.Errorf("wire: patch shard %d wrap not a reduced field element", i)
-		}
-		rev, err := r.u64()
-		if err != nil {
-			return err
-		}
-		from, err := r.u32()
-		if err != nil {
-			return err
-		}
-		idx := -1
-		if from != fromFresh {
-			if from > maxGroupShards {
-				return ErrOversize
-			}
-			idx = int(from)
-		} else {
-			fresh++
+			return nil, fmt.Errorf("wire: patch shard %d wrap not a reduced field element", i)
 		}
 		p.Wraps = append(p.Wraps, ff64.Elem(raw))
-		cp.ShardRevs = append(cp.ShardRevs, rev)
-		p.From = append(p.From, idx)
 	}
-	nh, err := r.u32()
+	// The wraps are read: the shard count is backed by input.
+	p.From = make([]int, ns)
+	for i := range p.From {
+		p.From[i] = i
+	}
+	m, err := r.count(int(ns))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if int(nh) != fresh {
-		return fmt.Errorf("wire: patch ships %d sub-headers for %d fresh shards", nh, fresh)
-	}
-	for i := uint32(0); i < nh; i++ {
+	prev := -1
+	for k := 0; k < m; k++ {
+		i, err := r.count(int(ns) - 1)
+		if err != nil {
+			return nil, err
+		}
+		if i <= prev {
+			return nil, fmt.Errorf("wire: patch exception for shard %d after shard %d", i, prev)
+		}
+		prev = i
+		from, err := r.u32()
+		if err != nil {
+			return nil, err
+		}
+		if from != fromFresh && from != fromFreshAt {
+			switch {
+			case from > maxGroupShards:
+				return nil, ErrOversize
+			case int(from) == i:
+				return nil, fmt.Errorf("wire: patch shard %d references its own base index", i)
+			}
+			p.From[i] = int(from)
+			continue
+		}
+		rev := epoch
+		if from == fromFreshAt {
+			if rev, err = r.u64(); err != nil {
+				return nil, err
+			}
+			if rev >= epoch {
+				return nil, fmt.Errorf("wire: patch shard %d re-solved at %d, not before the delta's epoch %d", i, rev, epoch)
+			}
+		}
 		h, err := readFrameHeader(r)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := checkNonceSize(h); err != nil {
-			return fmt.Errorf("wire: patch sub-header %d: %w", i, err)
+			return nil, fmt.Errorf("wire: patch sub-header of shard %d: %w", i, err)
 		}
+		p.From[i] = -1
 		p.Headers = append(p.Headers, h)
+		p.Revs = append(p.Revs, rev)
 	}
-	cp.Grouped = p
-	return nil
+	return p, nil
 }
 
 // checkNonceSize holds a grouped sub-header to NonceSize nonces; those a seed

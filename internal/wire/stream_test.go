@@ -182,8 +182,8 @@ func TestFrameDecodeHardening(t *testing.T) {
 		t.Error("trailing bytes accepted")
 	}
 
-	// A delta whose grouped patch claims more shipped headers than fresh
-	// references must be rejected (mismatch between From and Headers).
+	// The truncations above cut through a grouped patch; the defects a patch
+	// can carry whole are TestGroupedPatchHardening's.
 	var found bool
 	for _, cp := range d.Configs {
 		if cp.Grouped != nil {
@@ -193,30 +193,6 @@ func TestFrameDecodeHardening(t *testing.T) {
 	if !found {
 		t.Fatal("test workload produced no grouped patch")
 	}
-	// Flip a From entry from "fresh" to a base reference without removing
-	// the shipped header: re-encode manually by corrupting the count is
-	// fiddly at the byte level, so instead corrupt via the typed path.
-	bad := *d
-	bad.Configs = append([]pubsub.ConfigPatch(nil), d.Configs...)
-	for i, cp := range bad.Configs {
-		if cp.Grouped == nil {
-			continue
-		}
-		gp := *cp.Grouped
-		gp.From = append([]int(nil), gp.From...)
-		for j, from := range gp.From {
-			if from < 0 {
-				gp.From[j] = 0 // now references base shard 0, header count no longer matches
-				break
-			}
-		}
-		cp.Grouped = &gp
-		bad.Configs[i] = cp
-		break
-	}
-	if _, err := UnmarshalFrame(MarshalDeltaFrame(&bad)); err == nil {
-		t.Error("grouped patch with mismatched header count accepted")
-	}
 }
 
 // TestDeltaByteRatioSingleLeave256 is the acceptance criterion of the
@@ -224,10 +200,10 @@ func TestFrameDecodeHardening(t *testing.T) {
 // the delta for a single-leave churn publish must ship a small fraction of
 // what the snapshot's headers and ciphertexts weigh as built (Header.Size —
 // every header with its own nonces, which is what a snapshot frame shipped
-// before the run table). Measured: 922 B of 19 460 B, held to 5 %. The frame
+// before the run table). Measured: 882 B of 19 460 B, held to 5 %. The frame
 // itself ships a session's nonces as one 40-byte seed, so it weighs 7 911 B,
 // nearly all of it X, and the delta — one re-solved shard of four, its X and
-// one run entry, 11.7 % of it — is held to 13 %.
+// one run entry, 11.1 % of it — is held to 13 %.
 func TestDeltaByteRatioSingleLeave256(t *testing.T) {
 	const subs, groups = 256, 4
 	pub, publish, victim := streamEnv(t, subs, 5, (subs+groups-1)/groups)
