@@ -34,7 +34,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
+	"hash/maphash"
+	"unsafe"
 
 	"ppcd/internal/ff64"
 	"ppcd/internal/linalg"
@@ -143,11 +144,39 @@ func (h *Header) WireSize() int {
 	return h.Size() + 4 + 8
 }
 
-// sameSolve reports whether two headers hold one solve: they are one object,
-// or seeded with the same X over the same seed (a solve draws a fresh seed
-// and key).
-func (h *Header) sameSolve(o *Header) bool {
-	return h == o || (o != nil && h.Seeded() && bytes.Equal(h.Seed, o.Seed) && slices.Equal(h.X, o.X))
+// nameSeed keys every header name of this process: names are compared, never
+// stored, so they need agree only within one run.
+var nameSeed = maphash.MakeSeed()
+
+// Name names the solve the header holds: a 64-bit hash of its nonces — the
+// seed that names them, else the nonces it lists — and X. A solve draws a
+// fresh seed and key, so two headers share a name exactly when they hold one
+// solve, whichever objects they are: the engine's, a decoded frame's, a
+// restored state's or a Clone. The nil header's name is 0.
+func (h *Header) Name() uint64 {
+	if h == nil {
+		return 0
+	}
+	var m maphash.Hash
+	m.SetSeed(nameSeed)
+	var buf [8]byte
+	m.Write(binary.LittleEndian.AppendUint64(buf[:0], uint64(len(h.X))))
+	if len(h.X) > 0 {
+		// X as it lies in memory: a name never leaves the process, so the
+		// byte order it sees is its own.
+		m.Write(unsafe.Slice((*byte)(unsafe.Pointer(&h.X[0])), 8*len(h.X)))
+	}
+	if h.Seeded() {
+		m.WriteByte('s')
+		m.Write(h.Seed)
+		return m.Sum64()
+	}
+	m.WriteByte('z')
+	for _, z := range h.Zs {
+		m.Write(binary.LittleEndian.AppendUint32(buf[:0], uint32(len(z))))
+		m.Write(z)
+	}
+	return m.Sum64()
 }
 
 // Clone returns a deep copy of the header: X, the seed, and the nonces it

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
+	"hash/maphash"
 	"maps"
 	"runtime"
 	"sync"
@@ -186,37 +186,31 @@ type CachedShard struct {
 	Key ff64.Elem
 }
 
-// CachedGroupedShard is one shard slot of an exported grouped configuration.
-// ShardID references the CachedShard owning the sub-header (the normal case —
-// assembled grouped headers share the shard cache's header objects); Hdr is
-// the inline fallback for a sub-header no longer present in the shard cache.
+// CachedGroupedShard is one shard slot of an exported grouped configuration:
+// the CachedShard whose sub-header it holds and the wrap of the configuration
+// key under that shard's group key.
 type CachedGroupedShard struct {
 	ShardID string
-	Hdr     *Header
 	Wrap    ff64.Elem
 }
 
 // CachedGrouped is one exported grouped-configuration cache entry: the shard
-// signature vector, rekey nonce, shard slots and configuration key K. Hdr is
-// the live assembled header object — callers serializing the cache use the
-// slots, while callers restoring may pre-resolve the slots into a header and
-// hand it back so the engine shares the object with them (pointer identity
-// across the engine cache and the publisher's diff bases is what keeps
-// post-restore publishes delta-small).
+// signature vector, rekey nonce, shard slots and configuration key K.
 type CachedGrouped struct {
 	ID         string
 	Sig        string
 	RekeyNonce []byte
 	Shards     []CachedGroupedShard
 	Key        ff64.Elem
-	Hdr        *GroupedHeader
 }
 
+// Name is the name of the assembly the entry holds: its grouped header's.
+func (g *CachedGrouped) Name() uint64 { return maphash.Bytes(nameSeed, g.RekeyNonce) }
+
 // ExportCache snapshots the engine's three cache levels for durable-state
-// serialization. Grouped shard sub-headers are exported as references into
-// the shard cache wherever the pointer still lives there, so the restored
-// caches share header objects exactly like the live ones do (which is what
-// keeps post-restore publishes pointer-identical for the delta layer).
+// serialization. A grouped entry's slots name the shard whose solve they
+// hold, found by the sub-header's name; an entry is exported only when every
+// slot holds the solve the shard cache holds — the rule Install applies.
 func (e *Engine) ExportCache() ([]CachedConfig, []CachedShard, []CachedGrouped) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -225,39 +219,31 @@ func (e *Engine) ExportCache() ([]CachedConfig, []CachedShard, []CachedGrouped) 
 		cfgs = append(cfgs, CachedConfig{ID: id, Sig: ent.sig, Hdr: ent.hdr, Key: ent.key})
 	}
 	shards := make([]CachedShard, 0, len(e.shardCache))
-	byHdr := make(map[*Header]string, len(e.shardCache))
+	byName := make(map[uint64]string, len(e.shardCache))
 	for id, ent := range e.shardCache {
 		shards = append(shards, CachedShard{ID: id, Sig: ent.sig, Hdr: ent.hdr, Key: ent.key})
-		byHdr[ent.hdr] = id
+		byName[ent.hdr.Name()] = id
 	}
 	grouped := make([]CachedGrouped, 0, len(e.groupedCache))
+next:
 	for id, ent := range e.groupedCache {
-		g := CachedGrouped{
-			ID:         id,
-			Sig:        ent.sig,
-			RekeyNonce: ent.hdr.RekeyNonce,
-			Shards:     make([]CachedGroupedShard, len(ent.hdr.Shards)),
-			Key:        ent.key,
-			Hdr:        ent.hdr,
-		}
+		slots := make([]CachedGroupedShard, len(ent.hdr.Shards))
 		for i, sh := range ent.hdr.Shards {
-			slot := CachedGroupedShard{Wrap: sh.Wrap}
-			if sid, ok := byHdr[sh.Hdr]; ok {
-				slot.ShardID = sid
-			} else {
-				slot.Hdr = sh.Hdr
+			sid, ok := byName[sh.Hdr.Name()]
+			if !ok {
+				continue next
 			}
-			g.Shards[i] = slot
+			slots[i] = CachedGroupedShard{ShardID: sid, Wrap: sh.Wrap}
 		}
-		grouped = append(grouped, g)
+		grouped = append(grouped, CachedGrouped{ID: id, Sig: ent.sig, RekeyNonce: ent.hdr.RekeyNonce, Shards: slots, Key: ent.key})
 	}
 	return cfgs, shards, grouped
 }
 
-// cacheEntries validates exported configuration and shard entries and builds
-// the engine's entries from them, for RestoreCache to swap in and Install to
-// merge.
-func cacheEntries(cfgs []CachedConfig, shards []CachedShard) (map[string]engineEntry, map[string]shardEntry, error) {
+// cacheEntries validates exported entries and builds the engine's
+// configuration and shard entries from them, for RestoreCache to swap in and
+// Install to merge.
+func cacheEntries(cfgs []CachedConfig, shards []CachedShard, grouped []CachedGrouped) (map[string]engineEntry, map[string]shardEntry, error) {
 	cache := make(map[string]engineEntry, len(cfgs))
 	for _, c := range cfgs {
 		if c.ID == "" || c.Hdr == nil {
@@ -272,41 +258,51 @@ func cacheEntries(cfgs []CachedConfig, shards []CachedShard) (map[string]engineE
 		}
 		shardCache[s.ID] = shardEntry{sig: s.Sig, hdr: s.Hdr, key: s.Key}
 	}
+	for _, g := range grouped {
+		if g.ID == "" || len(g.Shards) == 0 {
+			return nil, nil, fmt.Errorf("core: grouped cache: empty entry %q", g.ID)
+		}
+	}
 	return cache, shardCache, nil
 }
 
+// Header assembles the grouped header g describes over the sub-headers of
+// the shard cache entries shard returns by ID.
+func (g *CachedGrouped) Header(shard func(id string) (*Header, bool)) (*GroupedHeader, error) {
+	hdr := &GroupedHeader{RekeyNonce: g.RekeyNonce, Shards: make([]GroupShard, len(g.Shards))}
+	for i, sh := range g.Shards {
+		h, ok := shard(sh.ShardID)
+		if !ok {
+			return nil, fmt.Errorf("core: grouped configuration %q references unknown shard %q", g.ID, sh.ShardID)
+		}
+		hdr.Shards[i] = GroupShard{Hdr: h, Wrap: sh.Wrap}
+	}
+	return hdr, nil
+}
+
+// shardLookup resolves shard IDs against a shard cache, for CachedGrouped.Header.
+func shardLookup(shardCache map[string]shardEntry) func(string) (*Header, bool) {
+	return func(id string) (*Header, bool) {
+		ent, ok := shardCache[id]
+		return ent.hdr, ok
+	}
+}
+
 // RestoreCache replaces the engine's caches wholesale with previously
-// exported entries (durable-state recovery). Grouped shard references are
-// resolved against the restored shard cache, re-establishing the shared
-// header objects; an unresolvable reference is an error — the state is
-// internally inconsistent and the caller should fall back to a cold engine.
+// exported entries (durable-state recovery), assembling every grouped header
+// over the restored shard cache; an unresolvable shard reference is an error
+// — the state is internally inconsistent and the caller should fall back to
+// a cold engine.
 func (e *Engine) RestoreCache(cfgs []CachedConfig, shards []CachedShard, grouped []CachedGrouped) error {
-	cache, shardCache, err := cacheEntries(cfgs, shards)
+	cache, shardCache, err := cacheEntries(cfgs, shards, grouped)
 	if err != nil {
 		return err
 	}
 	groupedCache := make(map[string]groupedEntry, len(grouped))
 	for _, g := range grouped {
-		if g.ID == "" {
-			return errors.New("core: restoring grouped cache: empty configuration ID")
-		}
-		hdr := g.Hdr // pre-resolved by the caller (shared with its own state)
-		if hdr == nil {
-			hdr = &GroupedHeader{RekeyNonce: g.RekeyNonce, Shards: make([]GroupShard, len(g.Shards))}
-			for i, sh := range g.Shards {
-				h := sh.Hdr
-				if sh.ShardID != "" {
-					ent, ok := shardCache[sh.ShardID]
-					if !ok {
-						return fmt.Errorf("core: grouped configuration %q references unknown shard %q", g.ID, sh.ShardID)
-					}
-					h = ent.hdr
-				}
-				if h == nil {
-					return fmt.Errorf("core: grouped configuration %q shard %d has no sub-header", g.ID, i)
-				}
-				hdr.Shards[i] = GroupShard{Hdr: h, Wrap: sh.Wrap}
-			}
+		hdr, err := g.Header(shardLookup(shardCache))
+		if err != nil {
+			return err
 		}
 		groupedCache[g.ID] = groupedEntry{sig: g.Sig, hdr: hdr, key: g.Key}
 	}
@@ -321,64 +317,40 @@ func (e *Engine) RestoreCache(cfgs []CachedConfig, shards []CachedShard, grouped
 // Install merges the entries one rekey session created back into the caches
 // (crash recovery replaying a journaled publish), where RestoreCache replaces
 // them wholesale. Configurations and shards are installed as given, shards
-// first. A grouped entry names its shards by ID in Shards[i].ShardID and
-// carries its header in Hdr, whose slots Install re-points at the shard
-// cache's objects — so the caller must not have shared the header yet — and
-// its signature is computed from the shard signatures as RekeyAllGrouped
-// computes it. That needs every slot to hold the solve the cache holds for its
-// ID: a slot holding another solve (a later session re-solved the shard)
-// leaves the entry out, since a signature of the cached solve would vouch for
-// a header not built from it.
+// first; a grouped entry is assembled over the shard cache, and its signature
+// computed from the shard signatures as RekeyAllGrouped computes it. That
+// needs every slot to hold the solve the cache holds for its ID, which the
+// wrap tells: it is made under the group key of the solve the slot held. A
+// slot naming a shard the cache lacks, or whose wrap the cached group key
+// does not reproduce (a later session re-solved the shard), leaves the entry
+// out, since a signature of the cached solve would vouch for a header not
+// built from it.
 func (e *Engine) Install(cfgs []CachedConfig, shards []CachedShard, grouped []CachedGrouped) error {
-	cache, shardCache, err := cacheEntries(cfgs, shards)
+	cache, shardCache, err := cacheEntries(cfgs, shards, grouped)
 	if err != nil {
 		return err
-	}
-	for _, g := range grouped {
-		if g.ID == "" || g.Hdr == nil || len(g.Hdr.Shards) != len(g.Shards) {
-			return fmt.Errorf("core: installing grouped cache: malformed entry %q", g.ID)
-		}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	maps.Copy(e.cache, cache)
 	maps.Copy(e.shardCache, shardCache)
+next:
 	for _, g := range grouped {
+		hdr, err := g.Header(shardLookup(e.shardCache))
+		if err != nil {
+			continue
+		}
 		spec := GroupedConfigSpec{ID: g.ID, Shards: make([]ShardSpec, len(g.Shards))}
-		held := true
 		for i, sh := range g.Shards {
-			ent, ok := e.shardCache[sh.ShardID]
-			if !ok || !ent.hdr.sameSolve(g.Hdr.Shards[i].Hdr) {
-				held = false
-				break
+			ent := e.shardCache[sh.ShardID]
+			if hdr.WrapKey(g.Key, ent.key) != sh.Wrap {
+				continue next
 			}
 			spec.Shards[i] = ShardSpec{ID: sh.ShardID, Sig: ent.sig}
 		}
-		if !held {
-			continue
-		}
-		for i, sh := range g.Shards {
-			g.Hdr.Shards[i].Hdr = e.shardCache[sh.ShardID].hdr
-		}
-		e.groupedCache[g.ID] = groupedEntry{sig: groupedSig(spec), hdr: g.Hdr, key: g.Key}
+		e.groupedCache[g.ID] = groupedEntry{sig: groupedSig(spec), hdr: hdr, key: g.Key}
 	}
 	return nil
-}
-
-// Shared returns the configuration cache's header objects for id in place of
-// h and g where they hold the same solve, and h and g otherwise. A replayed
-// publish decodes its own objects; handing the cache's back to the diff base
-// keeps the next publish's unchanged configurations unchanged by identity.
-func (e *Engine) Shared(id string, h *Header, g *GroupedHeader) (*Header, *GroupedHeader) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ent, ok := e.cache[id]; ok && h != nil && ent.hdr.sameSolve(h) {
-		h = ent.hdr
-	}
-	if ent, ok := e.groupedCache[id]; ok && g != nil && ent.hdr.sameSolve(g) {
-		g = ent.hdr
-	}
-	return h, g
 }
 
 // RekeyAll produces a header and key for every configuration, reusing cached

@@ -226,19 +226,9 @@ func TestEngineGroupedRowsOnlyWhenUnsolved(t *testing.T) {
 	}
 }
 
-// decoded copies a grouped header the way a decoder hands it over: equal
-// content, no object shared with the engine that built it.
-func decoded(g *GroupedHeader) *GroupedHeader {
-	out := &GroupedHeader{RekeyNonce: g.RekeyNonce, Shards: make([]GroupShard, len(g.Shards))}
-	for i, sh := range g.Shards {
-		out.Shards[i] = GroupShard{Hdr: sh.Hdr.Clone(), Wrap: sh.Wrap}
-	}
-	return out
-}
-
 // installSession installs what one session reported into e, from decoded
-// copies of its headers: a solved shard once, with the sub-header of the first
-// slot naming it.
+// copies of its sub-headers: a solved shard once, with the sub-header of the
+// first slot naming it.
 func installSession(t *testing.T, e *Engine, specs []GroupedConfigSpec, out map[string]GroupedConfigKeys) {
 	t.Helper()
 	var grouped []CachedGrouped
@@ -246,14 +236,13 @@ func installSession(t *testing.T, e *Engine, specs []GroupedConfigSpec, out map[
 	seen := make(map[string]bool)
 	for _, spec := range specs {
 		ck := out[spec.ID]
-		hdr := decoded(ck.Hdr)
-		g := CachedGrouped{ID: spec.ID, Key: ck.Key, Hdr: hdr, Shards: make([]CachedGroupedShard, len(spec.Shards))}
+		g := CachedGrouped{ID: spec.ID, Key: ck.Key, RekeyNonce: ck.Hdr.RekeyNonce, Shards: make([]CachedGroupedShard, len(spec.Shards))}
 		for i, sh := range spec.Shards {
-			g.Shards[i].ShardID = sh.ID
+			g.Shards[i] = CachedGroupedShard{ShardID: sh.ID, Wrap: ck.Hdr.Shards[i].Wrap}
 			for _, s := range ck.Solved {
 				if s.ID == sh.ID && !seen[s.ID] {
 					seen[s.ID] = true
-					shards = append(shards, CachedShard{ID: s.ID, Sig: s.Sig, Hdr: hdr.Shards[i].Hdr, Key: s.Key})
+					shards = append(shards, CachedShard{ID: s.ID, Sig: s.Sig, Hdr: ck.Hdr.Shards[i].Hdr.Clone(), Key: s.Key})
 				}
 			}
 		}
@@ -264,12 +253,20 @@ func installSession(t *testing.T, e *Engine, specs []GroupedConfigSpec, out map[
 	}
 }
 
+// slotsOf lists a session's grouped header as the slots of a cache entry.
+func slotsOf(g *GroupedHeader, ids ...string) []CachedGroupedShard {
+	out := make([]CachedGroupedShard, len(ids))
+	for i, id := range ids {
+		out[i] = CachedGroupedShard{ShardID: id, Wrap: g.Shards[i].Wrap}
+	}
+	return out
+}
+
 // TestEngineInstallReplaysSessions: the entries sessions report, installed in
 // order into an engine that never solved, make the next session with the
-// same signatures a full cache hit on the installed objects — a re-solved
-// shard's sub-header shared between the configurations naming it, a clean
-// one's re-pointed at the cache's — and a grouped entry one slot of which
-// holds another solve than the cache's is left out.
+// same signatures a full cache hit, every grouped header assembled over the
+// shard cache's sub-headers — and a grouped entry one slot of which holds
+// another solve than the cache's is left out.
 func TestEngineInstallReplaysSessions(t *testing.T) {
 	e := NewEngine(2)
 	shA1 := shardOf("acpA/0", "s1", engRows(0, 3, 2))
@@ -312,13 +309,13 @@ func TestEngineInstallReplaysSessions(t *testing.T) {
 	deriveGrouped(t, shA2dirty.Rows[0], out["A|B"])
 
 	// Another solve in a slot: shard acpA/1 is cached at s2' with the first
-	// session's sub-header, while the grouped entry carries the third's.
+	// session's solve, while the grouped entry's wrap is made under the third's.
 	x := NewEngine(2)
 	if err := x.Install(nil, []CachedShard{
 		{ID: "acpA/0", Sig: "s1", Hdr: first["A"].Hdr.Shards[0].Hdr, Key: first["A|B"].Solved[0].Key},
-		{ID: "acpA/1", Sig: "s2'", Hdr: first["A"].Hdr.Shards[1].Hdr, Key: third["A"].Solved[0].Key},
-	}, []CachedGrouped{{ID: "A", Key: third["A"].Key, Hdr: decoded(third["A"].Hdr),
-		Shards: []CachedGroupedShard{{ShardID: "acpA/0"}, {ShardID: "acpA/1"}}}}); err != nil {
+		{ID: "acpA/1", Sig: "s2'", Hdr: first["A"].Hdr.Shards[1].Hdr, Key: first["A|B"].Solved[1].Key},
+	}, []CachedGrouped{{ID: "A", Key: third["A"].Key, RekeyNonce: third["A"].Hdr.RekeyNonce,
+		Shards: slotsOf(third["A"].Hdr, "acpA/0", "acpA/1")}}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := x.RekeyAllGrouped([]GroupedConfigSpec{{ID: "A", Shards: []ShardSpec{bare(shA1), bare(shA2dirty)}}})
@@ -330,9 +327,8 @@ func TestEngineInstallReplaysSessions(t *testing.T) {
 	}
 
 	for name, g := range map[string]CachedGrouped{
-		"no ID":        {Hdr: decoded(first["A"].Hdr), Shards: make([]CachedGroupedShard, 2)},
-		"no header":    {ID: "A", Shards: make([]CachedGroupedShard, 2)},
-		"slots differ": {ID: "A", Hdr: decoded(first["A"].Hdr), Shards: make([]CachedGroupedShard, 1)},
+		"no ID":    {Shards: slotsOf(first["A"].Hdr, "acpA/0", "acpA/1")},
+		"no slots": {ID: "A"},
 	} {
 		if err := x.Install(nil, nil, []CachedGrouped{g}); err == nil {
 			t.Errorf("%s: malformed grouped entry installed", name)
@@ -340,5 +336,50 @@ func TestEngineInstallReplaysSessions(t *testing.T) {
 	}
 	if err := x.Install([]CachedConfig{{ID: "A"}}, nil, nil); err == nil {
 		t.Error("config entry without a header installed")
+	}
+}
+
+// TestExportCacheNamesHeldSolves: an exported grouped entry names, slot by
+// slot, the shard whose cached solve it holds, found by the sub-header's name
+// whichever object holds it; an entry one slot of which holds a solve the
+// shard cache no longer does — another configuration's session re-solved the
+// shard — is not exported, and the restored engine reassembles it.
+func TestExportCacheNamesHeldSolves(t *testing.T) {
+	e := NewEngine(2)
+	shA1 := shardOf("acpA/0", "s1", engRows(0, 3, 2))
+	shA2 := shardOf("acpA/1", "s2", engRows(50, 2, 2))
+	shB := shardOf("acpB/0", "s3", engRows(100, 2, 2))
+	if _, err := e.RekeyAllGrouped(groupedSpecs(shA1, shA2, shB)); err != nil {
+		t.Fatal(err)
+	}
+	shA2dirty := shardOf("acpA/1", "s2'", engRows(50, 1, 2))
+	if _, err := e.RekeyAllGrouped(groupedSpecs(shA1, shA2dirty, shB)[1:]); err != nil {
+		t.Fatal(err)
+	}
+	for i := range e.shardCache {
+		ent := e.shardCache[i]
+		ent.hdr = ent.hdr.Clone()
+		e.shardCache[i] = ent
+	}
+	cfgs, shards, grouped := e.ExportCache()
+	if len(grouped) != 1 || grouped[0].ID != "A|B" {
+		t.Fatalf("exported %d grouped entries, want A|B alone", len(grouped))
+	}
+	for i, id := range []string{"acpA/0", "acpA/1", "acpB/0"} {
+		if grouped[0].Shards[i].ShardID != id {
+			t.Errorf("slot %d names %q, want %q", i, grouped[0].Shards[i].ShardID, id)
+		}
+	}
+	r := NewEngine(2)
+	if err := r.RestoreCache(cfgs, shards, grouped); err != nil {
+		t.Fatal(err)
+	}
+	bare := func(sh ShardSpec) ShardSpec { return ShardSpec{ID: sh.ID, Sig: sh.Sig, N: sh.N} }
+	out, err := r.RekeyAllGrouped(groupedSpecs(bare(shA1), bare(shA2dirty), bare(shB)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := r.Stats(); !out["A"].Rebuilt || out["A|B"].Rebuilt || s.Solves != 0 {
+		t.Errorf("restored engine: A rebuilt %v, A|B rebuilt %v, %d solves; want A reassembled over the cached solves alone", out["A"].Rebuilt, out["A|B"].Rebuilt, s.Solves)
 	}
 }

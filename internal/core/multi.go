@@ -8,6 +8,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -319,22 +320,14 @@ func (g *GroupedHeader) Unwrap(i int, shardKey ff64.Elem) ff64.Elem {
 	return ff64.Sub(g.Shards[i].Wrap, maskShardKey(shardKey, g.RekeyNonce))
 }
 
-// sameSolve reports whether two grouped headers hold one build: they are one
-// object, or carry the same rekey nonce (a build draws a fresh one) over the
-// same shard solves and wraps.
-func (g *GroupedHeader) sameSolve(o *GroupedHeader) bool {
-	if g == o {
-		return true
+// Name names the assembly the grouped header holds: a hash of its rekey
+// nonce, which every assembly draws fresh along with the key its wraps carry.
+// The nil header's name is 0, as Header's.
+func (g *GroupedHeader) Name() uint64 {
+	if g == nil {
+		return 0
 	}
-	if !bytes.Equal(g.RekeyNonce, o.RekeyNonce) || len(g.Shards) != len(o.Shards) {
-		return false
-	}
-	for i, sh := range g.Shards {
-		if sh.Wrap != o.Shards[i].Wrap || !sh.Hdr.sameSolve(o.Shards[i].Hdr) {
-			return false
-		}
-	}
-	return true
+	return maphash.Bytes(nameSeed, g.RekeyNonce)
 }
 
 // BuildGrouped splits the subscriber rows into shards of at most groupSize

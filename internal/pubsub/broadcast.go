@@ -225,13 +225,13 @@ func (p *Publisher) Publish(doc *document.Document) (*Broadcast, error) {
 }
 
 // stampConfigRevs fills Rev and ShardRevs for every configuration of a fresh
-// broadcast against the previous broadcast of the same document. Change
-// detection is pointer identity on the header objects: the engine returns
-// the same cached *Header / *GroupedHeader for an untouched configuration
-// and the same shard *Header for a clean shard inside a reassembled grouped
-// header, so an unchanged pointer means bit-identical broadcast material.
-// Two nil headers (an inaccessible configuration staying inaccessible) also
-// compare unchanged — nobody can decrypt it at either epoch.
+// broadcast against the previous broadcast of the same document. A
+// configuration is unchanged when its header holds the solve — its grouped
+// header the assembly — the previous one held, as their names tell; two nil
+// headers (an inaccessible configuration staying inaccessible) also compare
+// unchanged, since nobody can decrypt it at either epoch. A reassembled
+// grouped header's shards that hold a solve the previous one held inherit
+// the revision they last solved at.
 func stampConfigRevs(b *Broadcast, prev *lastBroadcast) {
 	var prevCfg map[policy.ConfigKey]*ConfigInfo
 	if prev != nil {
@@ -243,8 +243,7 @@ func stampConfigRevs(b *Broadcast, prev *lastBroadcast) {
 	for i := range b.Configs {
 		ci := &b.Configs[i]
 		pc := prevCfg[ci.Key]
-		unchanged := pc != nil && pc.Header == ci.Header && pc.Grouped == ci.Grouped
-		if unchanged {
+		if pc != nil && pc.Header.Name() == ci.Header.Name() && pc.Grouped.Name() == ci.Grouped.Name() {
 			ci.Rev = pc.Rev
 			ci.ShardRevs = pc.ShardRevs
 			continue
@@ -253,19 +252,11 @@ func stampConfigRevs(b *Broadcast, prev *lastBroadcast) {
 		if ci.Grouped == nil {
 			continue
 		}
-		// Reassembled grouped header: clean shards keep their sub-header
-		// objects, so they inherit the revision they last solved at.
-		var prevShard map[*core.Header]uint64
-		if pc != nil && pc.Grouped != nil && len(pc.ShardRevs) == len(pc.Grouped.Shards) {
-			prevShard = make(map[*core.Header]uint64, len(pc.Grouped.Shards))
-			for j, sh := range pc.Grouped.Shards {
-				prevShard[sh.Hdr] = pc.ShardRevs[j]
-			}
-		}
+		prevShards := baseShards(pc)
 		revs := make([]uint64, len(ci.Grouped.Shards))
 		for j, sh := range ci.Grouped.Shards {
-			if r, ok := prevShard[sh.Hdr]; ok {
-				revs[j] = r
+			if k, ok := prevShards.find(j, sh.Hdr); ok {
+				revs[j] = pc.ShardRevs[k]
 			} else {
 				revs[j] = b.Epoch
 			}

@@ -84,11 +84,10 @@ var (
 // Diff computes the delta that turns the base broadcast into cur. Both must
 // be broadcasts of the same document with base.Epoch < cur.Epoch; the
 // revisions stamped by Publish decide what travels. Clean grouped shards are
-// referenced by their index in the base configuration (located by sub-header
-// identity, at the same index first); a shard whose sub-header cannot be
-// found in the base under the revision cur gives it — e.g. when diffing
-// across wire-decoded broadcasts that share no pointers — is shipped in
-// full, trading delta size for correctness, never the reverse.
+// referenced by their index in the base configuration, located by the name
+// of the solve they hold, so the delta depends on the material alone: Diff
+// over decoded copies of two broadcasts ships what Diff over the originals
+// does.
 func Diff(base, cur *Broadcast) (*BroadcastDelta, error) {
 	if base == nil || cur == nil {
 		return nil, errors.New("pubsub: nil broadcast")
@@ -157,10 +156,9 @@ func Diff(base, cur *Broadcast) (*BroadcastDelta, error) {
 }
 
 // groupedPatch expresses one grouped configuration against its base
-// revision: clean shards (rev ≤ base epoch, sub-header present in the base
+// revision: clean shards (rev ≤ base epoch, their solve present in the base
 // under the same revision) become index references, the rest ship their
-// sub-header and revision. A clean shard is looked for at its own index
-// first; the base's sub-headers are indexed only when one has moved.
+// sub-header and revision.
 func groupedPatch(ci, bc *ConfigInfo, baseEpoch uint64) *GroupedPatch {
 	g := ci.Grouped
 	p := &GroupedPatch{
@@ -168,29 +166,12 @@ func groupedPatch(ci, bc *ConfigInfo, baseEpoch uint64) *GroupedPatch {
 		Wraps:      make([]ff64.Elem, len(g.Shards)),
 		From:       make([]int, len(g.Shards)),
 	}
-	var base []core.GroupShard
-	if bc != nil && bc.Grouped != nil && len(bc.ShardRevs) == len(bc.Grouped.Shards) {
-		base = bc.Grouped.Shards
-	}
-	var baseIdx map[*core.Header]int
-	find := func(i int, h *core.Header) (int, bool) {
-		if i < len(base) && base[i].Hdr == h {
-			return i, true
-		}
-		if baseIdx == nil {
-			baseIdx = make(map[*core.Header]int, len(base))
-			for j, sh := range base {
-				baseIdx[sh.Hdr] = j
-			}
-		}
-		j, ok := baseIdx[h]
-		return j, ok
-	}
+	base := baseShards(bc)
 	for i, sh := range g.Shards {
 		p.Wraps[i] = sh.Wrap
 		rev := ci.ShardRevs[i]
 		if rev <= baseEpoch {
-			if j, ok := find(i, sh.Hdr); ok && bc.ShardRevs[j] == rev {
+			if j, ok := base.find(i, sh.Hdr); ok && bc.ShardRevs[j] == rev {
 				p.From[i] = j
 				continue
 			}
@@ -200,6 +181,49 @@ func groupedPatch(ci, bc *ConfigInfo, baseEpoch uint64) *GroupedPatch {
 		p.Revs = append(p.Revs, rev)
 	}
 	return p
+}
+
+// shardIndex locates solves among the shards of a base configuration by
+// name: at the same index until one misses, then through a name-keyed map.
+// One object holds one solve, so a shard that is the base's object at its
+// own index is found without hashing either; objects that differ — decoded,
+// restored or replayed copies — are told apart by their names alone.
+type shardIndex struct {
+	shards []core.GroupShard
+	byName map[uint64]int
+}
+
+// baseShards indexes the shards of bc, a configuration of a diff base; one
+// without a revision for each of its shards can back no reference.
+func baseShards(bc *ConfigInfo) *shardIndex {
+	x := &shardIndex{}
+	if bc != nil && bc.Grouped != nil && len(bc.ShardRevs) == len(bc.Grouped.Shards) {
+		x.shards = bc.Grouped.Shards
+	}
+	return x
+}
+
+// find returns the index of the base shard holding h's solve, h being the
+// shard at index i of the configuration diffed against the base.
+func (x *shardIndex) find(i int, h *core.Header) (int, bool) {
+	if len(x.shards) == 0 {
+		return 0, false
+	}
+	if i < len(x.shards) && x.shards[i].Hdr == h {
+		return i, true
+	}
+	name := h.Name()
+	if x.byName == nil {
+		if i < len(x.shards) && x.shards[i].Hdr.Name() == name {
+			return i, true
+		}
+		x.byName = make(map[uint64]int, len(x.shards))
+		for j, sh := range x.shards {
+			x.byName[sh.Hdr.Name()] = j
+		}
+	}
+	j, ok := x.byName[name]
+	return j, ok
 }
 
 // Apply produces the broadcast state at d.Epoch from the base state. It

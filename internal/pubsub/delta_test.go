@@ -623,7 +623,8 @@ func shardRevs(b *Broadcast) map[policy.ConfigKey][]uint64 {
 // of a reassembled configuration: a kept shard at its own index or moved to
 // another, one re-solved at the delta's epoch or earlier, and a shard whose
 // sub-header the base holds under another revision, which is shipped — a
-// reference would hand the receiver the base's revision.
+// reference would hand the receiver the base's revision. A shard is found in
+// the base by the solve it holds, not by the object holding it.
 func TestGroupedPatchReferences(t *testing.T) {
 	hdr := func(x uint64) *core.Header { return &core.Header{X: []ff64.Elem{ff64.Elem(x)}} }
 	a, b, c, d, e := hdr(1), hdr(2), hdr(3), hdr(4), hdr(5)
@@ -644,6 +645,7 @@ func TestGroupedPatchReferences(t *testing.T) {
 		{"kept, moved, re-solved at the epoch", grouped(5, []*core.Header{a, c, d}, []uint64{1, 3, 5}), []int{0, 2, -1}, []uint64{5}},
 		{"re-solved before the epoch", grouped(7, []*core.Header{a, b, d}, []uint64{1, 2, 6}), []int{0, 1, -1}, []uint64{6}},
 		{"in the base under another revision", grouped(5, []*core.Header{a, b, c, e}, []uint64{1, 2, 3, 2}), []int{0, 1, 2, -1}, []uint64{2}},
+		{"the base's solves in other objects", grouped(5, []*core.Header{a.Clone(), c.Clone(), b.Clone()}, []uint64{1, 3, 2}), []int{0, 2, 1}, nil},
 	}
 	for _, tc := range cases {
 		delta, err := Diff(base, tc.cur)

@@ -28,7 +28,9 @@ type PublishOutcome struct {
 	Digests map[string][32]byte
 	// Aliases maps each configuration the delta patches that reuses another's
 	// build (§VIII-B) to that configuration, whose ID its header is cached
-	// under.
+	// under. Replay reads none of it — an alias's header carries its
+	// representative's name — and the record format keeps it until its next
+	// version.
 	Aliases map[policy.ConfigKey]policy.ConfigKey
 	// Configs and Shards are the entries the publish's rekey session created
 	// in the engine cache. Their headers are in Delta.
@@ -98,11 +100,9 @@ func emptyBase(doc string, gen uint64) *Broadcast {
 // incarnation wrote it) replays as its epoch alone: the base stays behind and
 // the next publish diffs against it, as after any recovery that lost a
 // broadcast. Otherwise the delta is applied with the Apply subscribers use,
-// the session's entries return to the engine cache, and every configuration
-// of the applied broadcast whose solve the cache holds — the one this session
-// built, or one an earlier record or the snapshot put there — takes the
-// cache's header object, as a restored snapshot's diff base does: a publish
-// tells a configuration unchanged by its header's identity.
+// the session's entries return to the engine cache, and the applied broadcast
+// becomes the diff base: the next publish tells its configurations unchanged
+// by the names of the solves they hold, whichever objects hold them.
 func (p *Publisher) replayPublish(ev StateEvent) error {
 	o := ev.Outcome
 	if o == nil {
@@ -129,14 +129,6 @@ func (p *Publisher) replayPublish(ev StateEvent) error {
 	}
 	if err != nil {
 		return fmt.Errorf("pubsub: replaying the publish of %q at epoch %d: %w", ev.Doc, ev.Epoch, err)
-	}
-	for i := range b.Configs {
-		ci := &b.Configs[i]
-		id, ok := o.Aliases[ci.Key]
-		if !ok {
-			id = ci.Key
-		}
-		ci.Header, ci.Grouped = p.keys.engine.Shared(string(id), ci.Header, ci.Grouped)
 	}
 	p.lastPub[ev.Doc] = &lastBroadcast{b: b, digests: o.Digests}
 	return nil
@@ -165,9 +157,9 @@ func solvedEntries(b *Broadcast, o *PublishOutcome) ([]core.CachedConfig, []core
 		ci := &b.Configs[i]
 		switch {
 		case ci.Grouped != nil && len(sc.Shards) == len(ci.Grouped.Shards):
-			g := core.CachedGrouped{ID: sc.ID, Key: sc.Key, Hdr: ci.Grouped, Shards: make([]core.CachedGroupedShard, len(sc.Shards))}
+			g := core.CachedGrouped{ID: sc.ID, Key: sc.Key, RekeyNonce: ci.Grouped.RekeyNonce, Shards: make([]core.CachedGroupedShard, len(sc.Shards))}
 			for k, id := range sc.Shards {
-				g.Shards[k].ShardID = id
+				g.Shards[k] = core.CachedGroupedShard{ShardID: id, Wrap: ci.Grouped.Shards[k].Wrap}
 				if h, ok := subHdr[id]; ok && h == nil {
 					subHdr[id] = ci.Grouped.Shards[k].Hdr
 				}

@@ -129,12 +129,12 @@ func recoded(t *testing.T, ev StateEvent) StateEvent {
 
 // TestPublishRecordsRestoreDiffBaseAndCache: replaying the journal of a cold
 // publish, two re-solving ones and a revocation after the last restores the
-// last broadcast exactly, with the engine cache sharing its header objects —
-// aliases included — so the next publish re-solves only the revocation's
+// last broadcast exactly — an alias carrying its representative's name —
+// and the engine cache, so the next publish re-solves only the revocation's
 // shard, and with nothing journaled after the last publish re-solves nothing
 // and changes no configuration. That holds for a second document too, whose
 // publish reused configurations the first one's rebuilt: its record installs
-// nothing, and replay hands its diff base the cache's objects.
+// nothing, and its diff base holds the solves the cache holds.
 func TestPublishRecordsRestoreDiffBaseAndCache(t *testing.T) {
 	rp := newRecordedPublisher(t, 8)
 	rp.publish(t, "first")
@@ -177,8 +177,8 @@ func TestPublishRecordsRestoreDiffBaseAndCache(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("replayed diff base of %q differs from its last broadcast", want.DocName)
 		}
-		if got.Configs[0].Grouped != got.Configs[1].Grouped {
-			t.Errorf("%q: the alias does not share its representative's header", want.DocName)
+		if got.Configs[0].Grouped.Name() != got.Configs[1].Grouped.Name() {
+			t.Errorf("%q: the alias does not carry its representative's name", want.DocName)
 		}
 		next, err := p.Publish(rp.edition(t, want.DocName, "fourth"))
 		if err != nil {

@@ -28,17 +28,17 @@ import (
 //	cfgCache:  u32 n { str id, str sig, header, u64 key }
 //	shardCache:u32 n { str id, str sig, header, u64 key }
 //	grpCache:  u32 n { str id, str sig, bytes nonce,
-//	                   u32 shards { u8 kind(0 ref|1 inline), str shardID | header, u64 wrap },
+//	                   u32 shards { u8 kind(0), str shardID, u64 wrap },
 //	                   u64 key }
 //	lastPub:   u32 n { str doc, broadcast, u32 digests { str subdoc, 32 bytes } }
 //
 // where header = u32 |X| { u64 elem } seed — the core.SeedSize bytes that name
 // the header's nonce run; its N = |X| − 1 nonces are their expansion — and
 // broadcast is the epoch-stamped package with per-config revisions;
-// configuration headers inside it are encoded as references into the cache
-// sections whenever the live objects are shared (the normal case),
-// re-establishing the pointer sharing the delta layer's change detection
-// relies on.
+// a configuration header inside it is encoded as a reference into the cache
+// sections whenever the cache holds its solve (the normal case). A grouped
+// shard's kind 1, an inline sub-header, is retired: the cache exports only
+// entries whose every slot holds the shard cache's solve.
 
 // stateMagic prefixes v2 state blobs: "PPCDST" and the blob version. Version
 // 3 stores a header's seed where version 2 stored its nonces; there is no
@@ -209,6 +209,13 @@ func readStateHeader(r *stateReader) (*core.Header, error) {
 	return &core.Header{X: x, Seed: bytes.Clone(seed)}, nil
 }
 
+// Grouped cache slot kinds: a reference into the shard cache, and the retired
+// inline sub-header.
+const (
+	stShardRef    = 0
+	stShardInline = 1
+)
+
 // Broadcast configuration header encodings inside lastPub.
 const (
 	stCfgNone       = 0 // inaccessible configuration
@@ -347,13 +354,8 @@ func writeStateCaches(w *stateWriter, cfgs []core.CachedConfig, shards []core.Ca
 		w.bytes(g.RekeyNonce)
 		w.u32(len(g.Shards))
 		for _, sh := range g.Shards {
-			if sh.ShardID != "" {
-				w.u8(0)
-				w.str(sh.ShardID)
-			} else {
-				w.u8(1)
-				writeStateHeader(w, sh.Hdr)
-			}
+			w.u8(stShardRef)
+			w.str(sh.ShardID)
 			w.u64(uint64(sh.Wrap))
 		}
 		w.u64(uint64(g.Key))
@@ -361,8 +363,8 @@ func writeStateCaches(w *stateWriter, cfgs []core.CachedConfig, shards []core.Ca
 }
 
 // readStateCaches decodes what writeStateCaches wrote. Grouped shard
-// references stay unresolved (restoreCacheHeaders): in a segmented state
-// they may point into another bucket.
+// references stay unresolved: in a segmented state they may point into
+// another bucket.
 func readStateCaches(r *stateReader) (cfgs []core.CachedConfig, shards []core.CachedShard, grouped []core.CachedGrouped, err error) {
 	n, err := r.count()
 	if err != nil {
@@ -414,19 +416,17 @@ func readStateCaches(r *stateReader) (cfgs []core.CachedConfig, shards []core.Ca
 				return nil, nil, nil, err
 			}
 			switch kind {
-			case 0:
-				if sh.ShardID, err = r.str(maxStateSigLen); err != nil {
-					return nil, nil, nil, err
-				}
-				if sh.ShardID == "" {
-					return nil, nil, nil, errors.New("pubsub: state shard reference is empty")
-				}
-			case 1:
-				if sh.Hdr, err = readStateHeader(r); err != nil {
-					return nil, nil, nil, err
-				}
+			case stShardRef:
+			case stShardInline:
+				return nil, nil, nil, errors.New("pubsub: state holds an inline grouped sub-header, a retired slot kind")
 			default:
 				return nil, nil, nil, fmt.Errorf("pubsub: bad state shard kind %d", kind)
+			}
+			if sh.ShardID, err = r.str(maxStateSigLen); err != nil {
+				return nil, nil, nil, err
+			}
+			if sh.ShardID == "" {
+				return nil, nil, nil, errors.New("pubsub: state shard reference is empty")
 			}
 			if sh.Wrap, err = r.elem(); err != nil {
 				return nil, nil, nil, err
@@ -457,23 +457,23 @@ func readStateCacheEntry(r *stateReader) (id, sig string, hdr *core.Header, key 
 }
 
 // writeStateBases encodes the per-document diff bases (the lastPub section).
-// Configuration headers the engine cache also holds are written as references
-// into it, which is what re-establishes the pointer sharing on import.
+// A configuration header whose solve the engine cache also holds is written
+// as a reference into it, found by name.
 func writeStateBases(w *stateWriter, last map[string]*lastBroadcast, cfgs []core.CachedConfig, grouped []core.CachedGrouped) {
-	cfgByHdr := make(map[*core.Header]string, len(cfgs))
+	cfgByName := make(map[uint64]string, len(cfgs))
 	for i := range cfgs {
-		cfgByHdr[cfgs[i].Hdr] = cfgs[i].ID
+		cfgByName[cfgs[i].Hdr.Name()] = cfgs[i].ID
 	}
-	grpIDByPtr := make(map[*core.GroupedHeader]string, len(grouped))
+	grpByName := make(map[uint64]string, len(grouped))
 	for i := range grouped {
-		grpIDByPtr[grouped[i].Hdr] = grouped[i].ID
+		grpByName[grouped[i].Name()] = grouped[i].ID
 	}
 	docs := sortedKeys(last)
 	w.u32(len(docs))
 	for _, name := range docs {
 		lb := last[name]
 		w.str(name)
-		writeStateBroadcast(w, lb.b, cfgByHdr, grpIDByPtr)
+		writeStateBroadcast(w, lb.b, cfgByName, grpByName)
 		subdocs := sortedKeys(lb.digests)
 		w.u32(len(subdocs))
 		for _, sd := range subdocs {
@@ -484,12 +484,9 @@ func writeStateBases(w *stateWriter, last map[string]*lastBroadcast, cfgs []core
 	}
 }
 
-// readStateBases decodes the diff bases of a state of generation gen. Header
-// references resolve against the decoded caches, so the restored broadcasts
-// share objects with the restored engine exactly like the live ones did —
-// which is what keeps the first post-restart publish pointer-identical
-// (revisions carry forward, deltas stay small).
-func readStateBases(r *stateReader, gen uint64, cfgHdrByID map[string]*core.Header, grpByID map[string]*core.GroupedHeader) (map[string]*lastBroadcast, error) {
+// readStateBases decodes the diff bases of a state of generation gen, their
+// header references resolved against the decoded caches.
+func readStateBases(r *stateReader, gen uint64, refs *cacheRefs) (map[string]*lastBroadcast, error) {
 	n, err := r.count()
 	if err != nil {
 		return nil, err
@@ -503,7 +500,7 @@ func readStateBases(r *stateReader, gen uint64, cfgHdrByID map[string]*core.Head
 		if _, dup := last[name]; dup {
 			return nil, fmt.Errorf("pubsub: state contains duplicate document %q", name)
 		}
-		b, err := readStateBroadcast(r, cfgHdrByID, grpByID)
+		b, err := readStateBroadcast(r, refs)
 		if err != nil {
 			return nil, err
 		}
@@ -534,7 +531,7 @@ func readStateBases(r *stateReader, gen uint64, cfgHdrByID map[string]*core.Head
 	return last, nil
 }
 
-func writeStateBroadcast(w *stateWriter, b *Broadcast, cfgByHdr map[*core.Header]string, grpIDByPtr map[*core.GroupedHeader]string) {
+func writeStateBroadcast(w *stateWriter, b *Broadcast, cfgByName, grpByName map[uint64]string) {
 	w.str(b.DocName)
 	w.u64(b.Epoch)
 	w.u64(b.Gen)
@@ -553,7 +550,7 @@ func writeStateBroadcast(w *stateWriter, b *Broadcast, cfgByHdr map[*core.Header
 		w.u64(ci.Rev)
 		switch {
 		case ci.Grouped != nil:
-			if id, ok := grpIDByPtr[ci.Grouped]; ok {
+			if id, ok := grpByName[ci.Grouped.Name()]; ok {
 				w.u8(stCfgGroupedRef)
 				w.str(id)
 			} else {
@@ -570,7 +567,7 @@ func writeStateBroadcast(w *stateWriter, b *Broadcast, cfgByHdr map[*core.Header
 				w.u64(rv)
 			}
 		case ci.Header != nil:
-			if id, ok := cfgByHdr[ci.Header]; ok {
+			if id, ok := cfgByName[ci.Header.Name()]; ok {
 				w.u8(stCfgRef)
 				w.str(id)
 			} else {
@@ -715,11 +712,7 @@ func (p *Publisher) importStateV2(data []byte) error {
 	if err != nil {
 		return err
 	}
-	cfgHdrByID, restoredGrp, err := restoreCacheHeaders(cfgs, shards, grouped)
-	if err != nil {
-		return err
-	}
-	last, err := readStateBases(r, gen, cfgHdrByID, restoredGrp)
+	last, err := readStateBases(r, gen, newCacheRefs(cfgs, shards, grouped))
 	if err != nil {
 		return err
 	}
@@ -730,7 +723,7 @@ func (p *Publisher) importStateV2(data []byte) error {
 	st := &decodedState{
 		epoch: epoch, gen: gen, memVer: memVer,
 		cfgs: cfgs, shards: shards, grouped: grouped,
-		restoredGrp: restoredGrp, last: last, dropped: dropped,
+		last: last, dropped: dropped,
 	}
 	return p.installState(st, func() {
 		p.reg.restore(registryState{table: table, memVer: memVer, grpAssign: grpAssign, grpGroups: grpGroups})
@@ -748,19 +741,13 @@ type decodedState struct {
 	cfgs        []core.CachedConfig
 	shards      []core.CachedShard
 	grouped     []core.CachedGrouped
-	restoredGrp map[string]*core.GroupedHeader
 	last        map[string]*lastBroadcast
 	dropped     bool
 }
 
 // installState installs a decoded state into the publisher; restoreReg
-// installs the registry's share. The grouped cache entries carry the
-// pre-resolved header objects, so the engine shares them with the restored
-// diff bases (pointer identity = delta-small publishes).
+// installs the registry's share.
 func (p *Publisher) installState(st *decodedState, restoreReg func()) error {
-	for i := range st.grouped {
-		st.grouped[i].Hdr = st.restoredGrp[st.grouped[i].ID]
-	}
 	if err := p.keys.engine.RestoreCache(st.cfgs, st.shards, st.grouped); err != nil {
 		return err
 	}
@@ -778,37 +765,39 @@ func (p *Publisher) installState(st *decodedState, restoreReg func()) error {
 	return nil
 }
 
-// restoreCacheHeaders indexes the decoded configuration headers by ID and
-// rebuilds the grouped cache's live header objects, resolving shard references
-// against the decoded shard cache so the pointers are shared.
-func restoreCacheHeaders(cfgs []core.CachedConfig, shards []core.CachedShard, grouped []core.CachedGrouped) (map[string]*core.Header, map[string]*core.GroupedHeader, error) {
-	cfgHdrByID := make(map[string]*core.Header, len(cfgs))
-	for _, c := range cfgs {
-		cfgHdrByID[c.ID] = c.Hdr
-	}
-	byID := make(map[string]*core.Header, len(shards))
-	for _, s := range shards {
-		byID[s.ID] = s.Hdr
-	}
-	out := make(map[string]*core.GroupedHeader, len(grouped))
-	for _, g := range grouped {
-		hdr := &core.GroupedHeader{RekeyNonce: g.RekeyNonce, Shards: make([]core.GroupShard, len(g.Shards))}
-		for i, sh := range g.Shards {
-			h := sh.Hdr
-			if sh.ShardID != "" {
-				var ok bool
-				if h, ok = byID[sh.ShardID]; !ok {
-					return nil, nil, fmt.Errorf("pubsub: state configuration %q references unknown shard %q", g.ID, sh.ShardID)
-				}
-			}
-			hdr.Shards[i] = core.GroupShard{Hdr: h, Wrap: sh.Wrap}
-		}
-		out[g.ID] = hdr
-	}
-	return cfgHdrByID, out, nil
+// cacheRefs resolves the diff bases' references into the decoded cache
+// sections: a configuration's to its cached header, a grouped one's to a
+// header assembled over the decoded shard headers.
+type cacheRefs struct {
+	cfgs    map[string]*core.Header
+	shards  map[string]*core.Header
+	grouped map[string]*core.CachedGrouped
 }
 
-func readStateBroadcast(r *stateReader, cfgHdrByID map[string]*core.Header, grpByID map[string]*core.GroupedHeader) (*Broadcast, error) {
+func newCacheRefs(cfgs []core.CachedConfig, shards []core.CachedShard, grouped []core.CachedGrouped) *cacheRefs {
+	refs := &cacheRefs{
+		cfgs:    make(map[string]*core.Header, len(cfgs)),
+		shards:  make(map[string]*core.Header, len(shards)),
+		grouped: make(map[string]*core.CachedGrouped, len(grouped)),
+	}
+	for _, c := range cfgs {
+		refs.cfgs[c.ID] = c.Hdr
+	}
+	for _, s := range shards {
+		refs.shards[s.ID] = s.Hdr
+	}
+	for i := range grouped {
+		refs.grouped[grouped[i].ID] = &grouped[i]
+	}
+	return refs
+}
+
+func (refs *cacheRefs) shard(id string) (*core.Header, bool) {
+	h, ok := refs.shards[id]
+	return h, ok
+}
+
+func readStateBroadcast(r *stateReader, refs *cacheRefs) (*Broadcast, error) {
 	b := &Broadcast{}
 	var err error
 	if b.DocName, err = r.str(maxStateCondLen); err != nil {
@@ -871,7 +860,7 @@ func readStateBroadcast(r *stateReader, cfgHdrByID map[string]*core.Header, grpB
 			if err != nil {
 				return nil, err
 			}
-			h, ok := cfgHdrByID[id]
+			h, ok := refs.cfgs[id]
 			if !ok {
 				return nil, fmt.Errorf("pubsub: state broadcast references unknown configuration %q", id)
 			}
@@ -882,11 +871,13 @@ func readStateBroadcast(r *stateReader, cfgHdrByID map[string]*core.Header, grpB
 				if err != nil {
 					return nil, err
 				}
-				g, ok := grpByID[id]
+				g, ok := refs.grouped[id]
 				if !ok {
 					return nil, fmt.Errorf("pubsub: state broadcast references unknown grouped configuration %q", id)
 				}
-				ci.Grouped = g
+				if ci.Grouped, err = g.Header(refs.shard); err != nil {
+					return nil, err
+				}
 			} else {
 				nonce, err := r.bytes()
 				if err != nil {

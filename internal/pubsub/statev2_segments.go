@@ -246,10 +246,10 @@ func partitionCacheEntries(nbuckets int, cfgs []core.CachedConfig, shards []core
 // shard references — pins a specific solved build: signatures are content
 // digests of the membership and keys/nonces are drawn fresh on every solve,
 // so any re-solve (even one reproducing the same signature after a cache
-// reset) moves the digest. Ungrouped configuration headers and inline shard
-// fallbacks are hashed in full — they are few. Shard sub-headers are pinned
-// by (Sig, Key) instead of content, which is what keeps this digest pass
-// O(entries), not O(state bytes). Digests cover SECRET key material; the
+// reset) moves the digest. Ungrouped configuration headers are hashed in
+// full — they are few. Shard sub-headers are pinned by (Sig, Key) instead of
+// content, which is what keeps this digest pass O(entries), not O(state
+// bytes). Digests cover SECRET key material; the
 // store persists them only inside the sealed manifest.
 func cacheBucketDigest(cfgs []core.CachedConfig, shards []core.CachedShard, grouped []core.CachedGrouped) [32]byte {
 	h := sha256.New()
@@ -296,13 +296,8 @@ func cacheBucketDigest(cfgs []core.CachedConfig, shards []core.CachedShard, grou
 		wu(uint64(len(g.Shards)))
 		for _, sh := range g.Shards {
 			wu(uint64(sh.Wrap))
-			if sh.ShardID != "" {
-				h.Write([]byte{'r'})
-				ws(sh.ShardID)
-			} else {
-				h.Write([]byte{'i'})
-				whdr(sh.Hdr)
-			}
+			h.Write([]byte{'r'})
+			ws(sh.ShardID)
 		}
 	}
 	var out [32]byte
@@ -456,15 +451,11 @@ func (p *Publisher) ImportStateSegments(segSlots int, meta []byte, table, cache 
 		shards = append(shards, cacheSegs[i].shards...)
 		grouped = append(grouped, cacheSegs[i].grouped...)
 	}
-	cfgHdrByID, restoredGrp, err := restoreCacheHeaders(cfgs, shards, grouped)
-	if err != nil {
-		return 0, err
-	}
-	st, err := decodeMetaSegment(meta, budget, cfgHdrByID, restoredGrp)
+	st, err := decodeMetaSegment(meta, budget, newCacheRefs(cfgs, shards, grouped))
 	if err != nil {
 		return 0, fmt.Errorf("pubsub: meta segment: %w", err)
 	}
-	st.cfgs, st.shards, st.grouped, st.restoredGrp = cfgs, shards, grouped, restoredGrp
+	st.cfgs, st.shards, st.grouped = cfgs, shards, grouped
 
 	tr, err := p.reg.newTableRestore(segSlots, table, st.grpUniverse, budget)
 	if err != nil {
@@ -772,7 +763,7 @@ func decodeCacheSegment(data []byte, budget *codec.Budget) (out decodedCacheSeg)
 	return out
 }
 
-func decodeMetaSegment(data []byte, budget *codec.Budget, cfgHdrByID map[string]*core.Header, restoredGrp map[string]*core.GroupedHeader) (*decodedState, error) {
+func decodeMetaSegment(data []byte, budget *codec.Budget, refs *cacheRefs) (*decodedState, error) {
 	r, err := segmentReader(data, budget)
 	if err != nil {
 		return nil, err
@@ -806,7 +797,7 @@ func decodeMetaSegment(data []byte, budget *codec.Budget, cfgHdrByID map[string]
 		}
 		st.grpUniverse[id] = groups
 	}
-	if st.last, err = readStateBases(r, st.gen, cfgHdrByID, restoredGrp); err != nil {
+	if st.last, err = readStateBases(r, st.gen, refs); err != nil {
 		return nil, err
 	}
 	if err := r.done(); err != nil {

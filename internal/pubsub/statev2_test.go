@@ -543,6 +543,43 @@ func TestStateHeaderIsXAndSeed(t *testing.T) {
 	}
 }
 
+// TestStateCodecKeepsNames: a header read back from the state codec holds
+// the solve it was written from, as its name tells, and a grouped cache entry
+// keeps its name and its slots; the retired inline slot kind is refused by
+// name.
+func TestStateCodecKeepsNames(t *testing.T) {
+	hdr, _, err := core.Build([][]core.CSS{{1, 2}, {3, 4}}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &stateWriter{}
+	writeStateHeader(w, hdr)
+	got, err := readStateHeader(newStateReader(w.out(), nil))
+	if err != nil || w.err != nil || got.Name() != hdr.Name() {
+		t.Fatalf("state header round trip: %v, %v; name kept %v", err, w.err, got != nil && got.Name() == hdr.Name())
+	}
+
+	g := core.CachedGrouped{ID: "A", Sig: "s", RekeyNonce: bytes.Repeat([]byte{3}, core.NonceSize),
+		Shards: []core.CachedGroupedShard{{ShardID: "acpA/0", Wrap: 5}}, Key: 6}
+	seg, err := encodeCacheBucket(nil, nil, []core.CachedGrouped{g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := decodeCacheSegment(seg, nil)
+	if dec.err != nil || !reflect.DeepEqual(dec.grouped, []core.CachedGrouped{g}) || dec.grouped[0].Name() != g.Name() {
+		t.Fatalf("grouped cache entry round trip: %v", dec.err)
+	}
+	// version, three section counts, ID, Sig, nonce, slot count: the slot kind.
+	kind := 1 + 3*4 + (4 + len(g.ID)) + (4 + len(g.Sig)) + (4 + core.NonceSize) + 4
+	if seg[kind] != stShardRef {
+		t.Fatalf("slot kind at %d is %d", kind, seg[kind])
+	}
+	seg[kind] = stShardInline
+	if dec := decodeCacheSegment(seg, nil); dec.err == nil || !strings.Contains(dec.err.Error(), "retired") {
+		t.Errorf("an inline grouped sub-header: %v, want it refused as retired", dec.err)
+	}
+}
+
 // TestStateV2GroupCountBudget: the per-policy group lists are the one
 // decode allocation not bounded by input bytes; a crafted blob packing many
 // maximum-group policies must hit the shared budget, not the OOM killer.

@@ -350,3 +350,34 @@ func TestPublishRecordSize(t *testing.T) {
 		t.Errorf("cold publish record of %d B at %d rows", cold, rows)
 	}
 }
+
+// TestOversizedPublishRecordDropsItsOutcome: a publish whose outcome would
+// take its record past maxWALRecord is journaled as its epoch alone, and
+// decodes as one; any other event that large is refused.
+func TestOversizedPublishRecordDropsItsOutcome(t *testing.T) {
+	if testing.Short() {
+		t.Skip("encodes a 64 MiB outcome")
+	}
+	item := pubsub.Item{Subdoc: "s", Config: "acp0", Ciphertext: make([]byte, maxWALRecord), Rev: 7}
+	ev := pubsub.StateEvent{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: 7, Outcome: &pubsub.PublishOutcome{
+		Delta: &pubsub.BroadcastDelta{DocName: "doc", Epoch: 7, Items: []pubsub.Item{item}},
+	}}
+	plain, err := record(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeEvent(plain[8:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Kind != pubsub.StateEventPublish || got.Doc != "doc" || got.Epoch != 7 || got.Outcome != nil {
+		t.Errorf("oversized publish record decoded to %+v, want epoch 7 of doc without an outcome", got)
+	}
+	if len(plain)+sealOverhead > 64 {
+		t.Errorf("the epoch-alone record takes %d sealed bytes", len(plain)+sealOverhead)
+	}
+	huge := pubsub.StateEvent{Kind: pubsub.StateEventRevokeSubscription, Nym: string(item.Ciphertext)}
+	if _, err := record(huge); err == nil {
+		t.Error("a revocation past the WAL record limit was encoded")
+	}
+}

@@ -194,3 +194,63 @@ func TestGroupedPatchHardening(t *testing.T) {
 		t.Errorf("version-5 frame: %v, want ErrBadVersion naming version 5", err)
 	}
 }
+
+// TestDecodedBroadcastsDiffLikeTheOriginals: a relay diffs the broadcasts it
+// decoded from frames, which share no object with the publisher's or with
+// each other. Over decoded copies of two consecutive grouped broadcasts —
+// one shard kept in place, one moved, one re-solved, and an alias holding its
+// representative's build — Diff must write the delta frame Diff over the
+// originals writes, byte for byte; every decoded header keeps its name.
+func TestDecodedBroadcastsDiffLikeTheOriginals(t *testing.T) {
+	s1, s2 := testSeed(1), testSeed(2)
+	kept, moved, dropped, fresh := hdrSeeded(s1, 3), hdrSeeded(s1, 4), hdrSeeded(s1, 5), hdrSeeded(s2, 3)
+	broadcast := func(epoch uint64, nonce byte, hs []*core.Header, revs []uint64) *pubsub.Broadcast {
+		g := &core.GroupedHeader{RekeyNonce: bytes.Repeat([]byte{nonce}, core.NonceSize)}
+		for i, h := range hs {
+			g.Shards = append(g.Shards, core.GroupShard{Hdr: h, Wrap: ff64.Elem(100*epoch + uint64(i))})
+		}
+		return &pubsub.Broadcast{DocName: "doc", Epoch: epoch, Gen: 3,
+			Policies: []pubsub.PolicyInfo{{ID: "acp0", CondIDs: []string{"c0"}}, {ID: "acp1", CondIDs: []string{"c1"}}},
+			Configs: []pubsub.ConfigInfo{
+				{Key: "acp0", Rev: epoch, Grouped: g, ShardRevs: revs},
+				{Key: "acp0|acp1", Rev: epoch, Grouped: g, ShardRevs: revs}, // an alias of acp0's build
+			},
+			Items: []pubsub.Item{{Subdoc: "s", Config: "acp0", Ciphertext: []byte{byte(epoch)}, Rev: epoch}},
+		}
+	}
+	base := broadcast(4, 1, []*core.Header{kept, moved, dropped}, []uint64{1, 2, 4})
+	cur := broadcast(5, 2, []*core.Header{kept, fresh, moved}, []uint64{1, 5, 2})
+	decoded := func(b *pubsub.Broadcast) *pubsub.Broadcast {
+		t.Helper()
+		f, err := UnmarshalFrame(MarshalSnapshotFrame(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ci := range f.Snapshot.Configs {
+			if ci.Grouped.Name() != b.Configs[i].Grouped.Name() {
+				t.Fatalf("configuration %q lost its grouped header's name across the frame", ci.Key)
+			}
+			for j, sh := range ci.Grouped.Shards {
+				if sh.Hdr == b.Configs[i].Grouped.Shards[j].Hdr || sh.Hdr.Name() != b.Configs[i].Grouped.Shards[j].Hdr.Name() {
+					t.Fatalf("configuration %q shard %d: decoded to the same object, or lost its name", ci.Key, j)
+				}
+			}
+		}
+		return f.Snapshot
+	}
+	want, err := pubsub.Diff(base, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := want.Configs[0].Grouped; !reflect.DeepEqual(p.From, []int{0, -1, 1}) {
+		t.Fatalf("the originals' patch references %v, want a kept, a shipped and a moved shard", p.From)
+	}
+	got, err := pubsub.Diff(decoded(base), decoded(cur))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(MarshalDeltaFrame(got), MarshalDeltaFrame(want)) {
+		t.Errorf("Diff over decoded broadcasts writes another delta frame: references %v, want %v",
+			got.Configs[0].Grouped.From, want.Configs[0].Grouped.From)
+	}
+}
