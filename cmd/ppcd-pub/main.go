@@ -229,7 +229,7 @@ func main() {
 			fmt.Print("> ")
 			continue
 		}
-		if err := dispatch(pub, srv, fields); err != nil {
+		if err := dispatch(pub, srv, st, fields); err != nil {
 			if err == errQuit {
 				shutdown(0)
 			}
@@ -244,7 +244,7 @@ func main() {
 
 var errQuit = fmt.Errorf("quit")
 
-func dispatch(pub *ppcd.Publisher, srv *ppcd.Server, fields []string) error {
+func dispatch(pub *ppcd.Publisher, srv *ppcd.Server, st *ppcd.StateStore, fields []string) error {
 	switch fields[0] {
 	case "publish":
 		if len(fields) < 3 {
@@ -316,6 +316,10 @@ func dispatch(pub *ppcd.Publisher, srv *ppcd.Server, fields []string) error {
 		built, held := srv.Snapshots()
 		log.Printf("retention ring: %d epochs, %d snapshot frames built, %d snapshot bytes held",
 			srv.RingLen(), built, held)
+		if st != nil {
+			log.Printf("durable state: %d publishes journaled without their outcome (too large for a WAL record)",
+				st.OutcomesDropped())
+		}
 		return nil
 	case "quit", "exit":
 		return errQuit

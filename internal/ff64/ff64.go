@@ -104,45 +104,41 @@ func MulAdd(acc, a, b Elem) Elem {
 	return Elem(reduce128(hi, lo))
 }
 
-// MaxVecMulAcc bounds the number of VecMulAcc accumulations a (hi,lo) pair
+// MaxVecMulAcc bounds the number of VecMulAcc4 accumulations a (hi,lo) pair
 // can absorb before VecReduce must run. Each product of reduced operands has
 // a high limb below 2⁵⁸, so 63 accumulations (with their carries) stay below
 // 2⁶⁴ in the high limb; callers batching more must reduce in between.
 const MaxVecMulAcc = 63
 
-// VecMulAcc accumulates a·b[k] into the 128-bit accumulator pair
-// (hi[k], lo[k]) for every k, WITHOUT reducing. It is the delayed-reduction
-// inner loop of blocked elimination (package linalg): a panel of up to
-// MaxVecMulAcc rank-1 updates costs one 64×64 multiply and two adds per
-// element, with a single VecReduce at the end instead of one reduce128 per
-// multiply. hi and lo must be at least len(b) long.
-func VecMulAcc(hi, lo []uint64, a Elem, b []Elem) {
-	av := uint64(a)
-	if len(b) == 0 {
-		return
-	}
-	_ = hi[len(b)-1]
-	_ = lo[len(b)-1]
-	for k, bv := range b {
-		h, l := bits.Mul64(av, uint64(bv))
-		var c uint64
-		lo[k], c = bits.Add64(lo[k], l, 0)
-		hi[k] += h + c
-	}
-}
-
 // VecMulAcc4 accumulates four rank-1 contributions a_i·b_i[k] into the
-// accumulator pair in one sweep, loading and storing each (hi, lo) element
-// once instead of four times. The trailing-update loop of blocked
-// elimination is bound by accumulator traffic, not multiplies, so batching
-// sources quadruples its arithmetic density. Counts as four accumulations
-// against the MaxVecMulAcc budget. All b_i and hi/lo must be at least as
-// long as b0.
+// 128-bit accumulator pair (hi[k], lo[k]) for every k, WITHOUT reducing. It
+// is the delayed-reduction inner loop of blocked elimination (package
+// linalg): a panel of up to MaxVecMulAcc rank-1 updates costs one 64×64
+// multiply and two adds per element and source, with a single VecReduce at
+// the end instead of one reduce128 per multiply, and each accumulator
+// element is loaded and stored once per four sources. A caller with fewer
+// than four sources passes zero multipliers, which add nothing. Counts as
+// four accumulations against the MaxVecMulAcc budget. All b_i and hi/lo must
+// be at least as long as b0.
+//
+// On amd64 the body is assembly (ff64_amd64.s) that keeps an element's
+// accumulator pair in two registers across the four multiplies; the Go
+// compiler spills every product and carry of vecMulAcc4Generic to the
+// stack. Both bodies compute the same 128-bit sums.
 func VecMulAcc4(hi, lo []uint64, a0, a1, a2, a3 Elem, b0, b1, b2, b3 []Elem) {
 	n := len(b0)
 	if n == 0 {
 		return
 	}
+	vecMulAcc4(hi[:n], lo[:n], a0, a1, a2, a3, b0, b1[:n], b2[:n], b3[:n])
+}
+
+// vecMulAcc4Generic is the portable body of VecMulAcc4, compiled on every
+// build so tests can hold the assembly to it. Its slices obey VecMulAcc4's
+// length rule; reslicing them to len(b0) lets the compiler drop the bounds
+// checks in the loop.
+func vecMulAcc4Generic(hi, lo []uint64, a0, a1, a2, a3 Elem, b0, b1, b2, b3 []Elem) {
+	n := len(b0)
 	v0, v1, v2, v3 := uint64(a0), uint64(a1), uint64(a2), uint64(a3)
 	b1, b2, b3 = b1[:n], b2[:n], b3[:n]
 	hi, lo = hi[:n], lo[:n]
@@ -166,7 +162,7 @@ func VecMulAcc4(hi, lo []uint64, a0, a1, a2, a3 Elem, b0, b1, b2, b3 []Elem) {
 }
 
 // VecLoad seeds the accumulator pair with the current row contents
-// (hi[k] = 0, lo[k] = out[k]) ahead of a VecMulAcc batch.
+// (hi[k] = 0, lo[k] = out[k]) ahead of a VecMulAcc4 batch.
 func VecLoad(hi, lo []uint64, v []Elem) {
 	for k, e := range v {
 		lo[k] = uint64(e)

@@ -22,10 +22,12 @@ import (
 //     columns (hot in cache), producing the panel's pivots and storing each
 //     row's NEGATED multipliers in place below the pivots.
 //   - The trailing columns then receive all of the panel's rank-1 updates in
-//     one sweep per row: products accumulate into 128-bit (hi,lo) pairs
-//     (ff64.VecMulAcc) and are reduced ONCE per element per panel instead of
-//     once per multiply. panelWidth ≤ ff64.MaxVecMulAcc keeps the
-//     accumulators from overflowing.
+//     one sweep per row: products accumulate into 128-bit (hi,lo) pairs,
+//     four sources per pass (ff64.VecMulAcc4, assembly on amd64, which keeps
+//     an element's pair in registers across the four multiplies), and are
+//     reduced ONCE per element per panel instead of once per multiply.
+//     panelWidth ≤ ff64.MaxVecMulAcc keeps the accumulators from
+//     overflowing.
 //
 // The result is an (unnormalized) row-echelon form rather than RREF; kernel
 // sampling substitutes back from the last pivot upward, which costs
@@ -59,12 +61,13 @@ const panelWidth = 32
 
 // splitWork is the trailing-update work, in multiply-accumulates, from which a
 // panel's rows below its block are striped across goroutines: 2²⁰ of them take
-// one to two milliseconds on one core, three orders of magnitude above the
-// cost of handing a panel to a helper. The work of a panel is (rows below) ×
-// (columns right of it) × (pivots in it), a property of the input alone. An
-// engine shard never reaches it — at most 96 × 97 × 32 ≈ 0.3 M at 128 rows —
-// so shard solves run serially; the paper's N = 512 system splits its first
-// ten panels, which hold 96 % of its trailing-update work.
+// about a millisecond on one core (≈ 0.8–1 ns each through ff64.VecMulAcc4 on
+// a 2-vCPU Xeon), three orders of magnitude above the cost of handing a panel
+// to a helper. The work of a panel is (rows below) × (columns right of it) ×
+// (pivots in it), a property of the input alone. An engine shard never
+// reaches it — at most 96 × 97 × 32 ≈ 0.3 M at 128 rows — so shard solves run
+// serially; the paper's N = 512 system splits its first ten panels, which
+// hold 96 % of its trailing-update work.
 const splitWork = 1 << 20
 
 // stripeRows is how many rows a goroutine claims at a time: small enough that
@@ -159,9 +162,10 @@ type trailing struct {
 // update applies the panel's rank-1 updates to rows [i0, i1) of the trailing
 // columns: each row absorbs them in one delayed-reduction sweep, the sources
 // batched four at a time so each accumulator element is loaded once per four
-// multiplies. A row inside the panel block takes updates only from the
-// pivots above it; a row below takes all of them. It is the one update loop
-// of the factorization, run serially or on a stripe.
+// multiplies; a count that is not a multiple of four is padded with zero
+// multipliers, which add nothing. A row inside the panel block takes updates
+// only from the pivots above it; a row below takes all of them. It is the one
+// update loop of the factorization, run serially or on a stripe.
 //
 //ppcd:hotpath
 func (t *trailing) update(i0, i1 int, hi, lo []uint64) {
@@ -183,14 +187,13 @@ func (t *trailing) update(i0, i1 int, hi, lo []uint64) {
 		if cnt == 0 {
 			continue
 		}
+		for ; cnt%4 != 0; cnt++ {
+			fs[cnt], srcs[cnt] = ff64.Zero, srcs[0]
+		}
 		row := m.data[i*cols+t.c1 : (i+1)*cols]
 		ff64.VecLoad(hi, lo, row)
-		j := 0
-		for ; j+4 <= cnt; j += 4 {
+		for j := 0; j < cnt; j += 4 {
 			ff64.VecMulAcc4(hi, lo, fs[j], fs[j+1], fs[j+2], fs[j+3], srcs[j], srcs[j+1], srcs[j+2], srcs[j+3])
-		}
-		for ; j < cnt; j++ {
-			ff64.VecMulAcc(hi, lo, fs[j], srcs[j])
 		}
 		ff64.VecReduce(row, hi, lo)
 	}

@@ -322,7 +322,7 @@ func TestPublishRecordSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	seal := func(ev pubsub.StateEvent) int {
-		plain, err := record(ev)
+		plain, _, err := record(ev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,8 +352,9 @@ func TestPublishRecordSize(t *testing.T) {
 }
 
 // TestOversizedPublishRecordDropsItsOutcome: a publish whose outcome would
-// take its record past maxWALRecord is journaled as its epoch alone, and
-// decodes as one; any other event that large is refused.
+// take its record past maxWALRecord is journaled as its epoch alone, decodes
+// as one and is counted by Store.OutcomesDropped; any other event that large
+// is refused.
 func TestOversizedPublishRecordDropsItsOutcome(t *testing.T) {
 	if testing.Short() {
 		t.Skip("encodes a 64 MiB outcome")
@@ -362,9 +363,12 @@ func TestOversizedPublishRecordDropsItsOutcome(t *testing.T) {
 	ev := pubsub.StateEvent{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: 7, Outcome: &pubsub.PublishOutcome{
 		Delta: &pubsub.BroadcastDelta{DocName: "doc", Epoch: 7, Items: []pubsub.Item{item}},
 	}}
-	plain, err := record(ev)
+	plain, dropped, err := record(ev)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !dropped {
+		t.Error("record did not report the dropped outcome")
 	}
 	got, err := decodeEvent(plain[8:])
 	if err != nil {
@@ -377,7 +381,29 @@ func TestOversizedPublishRecordDropsItsOutcome(t *testing.T) {
 		t.Errorf("the epoch-alone record takes %d sealed bytes", len(plain)+sealOverhead)
 	}
 	huge := pubsub.StateEvent{Kind: pubsub.StateEventRevokeSubscription, Nym: string(item.Ciphertext)}
-	if _, err := record(huge); err == nil {
+	if _, _, err := record(huge); err == nil {
 		t.Error("a revocation past the WAL record limit was encoded")
+	}
+
+	st, err := Open(t.TempDir(), testKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	small := pubsub.StateEvent{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: 6, Outcome: &pubsub.PublishOutcome{
+		Delta: &pubsub.BroadcastDelta{DocName: "doc", Epoch: 6},
+	}}
+	tk, err := st.Begin([]pubsub.StateEvent{small, ev}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Begin([]pubsub.StateEvent{huge}, nil); err == nil {
+		t.Error("the store admitted a revocation past the WAL record limit")
+	}
+	if got := st.OutcomesDropped(); got != 1 {
+		t.Errorf("OutcomesDropped = %d after one oversized and one small publish, want 1", got)
 	}
 }

@@ -207,6 +207,9 @@ type Store struct {
 	broken     bool // a flush failed; log unusable until a snapshot compacts
 	closed     bool
 	walRecords int // events admitted since the last snapshot's coverage
+	// outcomesDropped counts publishes journaled as their epoch alone
+	// because their outcome would have overflowed a WAL record (record).
+	outcomesDropped int
 
 	// base/man describe the last durably installed segmented snapshot: the
 	// publisher-side base for the next incremental export, and the manifest
@@ -315,6 +318,15 @@ func (s *Store) WALRecordsSinceSnapshot() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.walRecords
+}
+
+// OutcomesDropped returns how many publishes this store has journaled as
+// their epoch alone, without the outcome that lets replay skip their solves,
+// because the outcome would have taken the record past the WAL record limit.
+func (s *Store) OutcomesDropped() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.outcomesDropped
 }
 
 // Recover applies the loaded snapshot and WAL tail to a publisher. It may be

@@ -236,10 +236,15 @@ func (s *Store) Begin(evs []pubsub.StateEvent, apply func()) (pubsub.CommitTicke
 		apply = func() {}
 	}
 	plains := make([][]byte, len(evs))
+	dropped := 0
 	for i, ev := range evs {
-		var err error
-		if plains[i], err = record(ev); err != nil {
+		plain, outcomeDropped, err := record(ev)
+		if err != nil {
 			return nil, err
+		}
+		plains[i] = plain
+		if outcomeDropped {
+			dropped++
 		}
 	}
 	s.mu.Lock()
@@ -266,6 +271,7 @@ func (s *Store) Begin(evs []pubsub.StateEvent, apply func()) (pubsub.CommitTicke
 	}
 	s.seq += uint64(len(evs))
 	s.walRecords += len(evs)
+	s.outcomesDropped += dropped
 	c.lastSeq = s.seq
 	s.queue = append(s.queue, c)
 	if !s.flushing {
@@ -283,20 +289,22 @@ const sealOverhead = 12 + 16
 // record encodes ev as the plaintext of its record, its first 8 bytes left
 // for the sequence number seal stamps. Recovery refuses records above
 // maxWALRecord as corrupt, so a publish whose outcome would take its record
-// past the limit is encoded as its epoch alone, and replays as one, and any
+// past the limit is encoded as its epoch alone, and replays as one —
+// outcomeDropped reports it, and Store.OutcomesDropped counts it — and any
 // other event that large is rejected here — failing the triggering
 // operation — never written and fsynced into a log that can no longer be
 // opened.
-func record(ev pubsub.StateEvent) ([]byte, error) {
-	plain := appendEvent(make([]byte, 8, 64), ev)
+func record(ev pubsub.StateEvent) (plain []byte, outcomeDropped bool, err error) {
+	plain = appendEvent(make([]byte, 8, 64), ev)
 	if len(plain)+sealOverhead > maxWALRecord && ev.Outcome != nil {
 		ev.Outcome = nil
 		plain = appendEvent(make([]byte, 8, 64), ev)
+		outcomeDropped = true
 	}
 	if n := len(plain) + sealOverhead; n > maxWALRecord {
-		return nil, fmt.Errorf("store: event of %d sealed bytes exceeds the %d WAL record limit", n, maxWALRecord)
+		return nil, false, fmt.Errorf("store: event of %d sealed bytes exceeds the %d WAL record limit", n, maxWALRecord)
 	}
-	return plain, nil
+	return plain, outcomeDropped, nil
 }
 
 // seal stamps a record's plaintext with its sequence number and seals it.
