@@ -359,3 +359,59 @@ func BenchmarkFanoutWrite(b *testing.B) {
 		}
 	}
 }
+
+// TestOnlyNewestEntryHoldsDeltaFrames: after a run of publishes to two
+// documents, with catch-ups served along the way, only each document's
+// newest entry holds a delta frame, a catch-up cache or ciphertexts, and a
+// catch-up from every retained base is still the bytes a fresh diff of the
+// full broadcasts marshals.
+func TestOnlyNewestEntryHoldsDeltaFrames(t *testing.T) {
+	r := newRing(DefaultRetention)
+	docs := []string{"a", "b"}
+	full := make(map[uint64]*pubsub.Broadcast)
+	for e := uint64(1); e <= 13; e++ {
+		full[e] = bcast(docs[e%2], e, 7)
+		ent := r.add(full[e], nil, nil, 0)
+		for _, base := range r.entries {
+			r.catchup(ent, base.epoch, 7) // fills ent.catchup for older bases
+		}
+	}
+	newest := r.latest("")
+	for _, ent := range r.entries {
+		if ent == newest[ent.doc] {
+			if ent.delta == nil {
+				t.Fatalf("newest epoch %d of %q holds no delta frame", ent.epoch, ent.doc)
+			}
+			continue
+		}
+		if ent.delta != nil || ent.catchup != nil || ent.snap != nil {
+			t.Fatalf("superseded epoch %d of %q holds %d delta bytes, %d cached catch-ups, snapshot %v",
+				ent.epoch, ent.doc, len(ent.delta), len(ent.catchup), ent.snap != nil)
+		}
+		for _, it := range ent.b.Items {
+			if it.Ciphertext != nil {
+				t.Fatalf("superseded epoch %d of %q holds the ciphertext of %q", ent.epoch, ent.doc, it.Subdoc)
+			}
+		}
+	}
+	for doc, ent := range newest {
+		bases := 0
+		for _, base := range r.entries {
+			if base.doc != doc || base.epoch >= ent.epoch {
+				continue
+			}
+			bases++
+			d, err := pubsub.Diff(full[base.epoch], full[ent.epoch])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, current := r.catchup(ent, base.epoch, 7)
+			if current || !bytes.Equal(got, wire.MarshalDeltaFrame(d)) {
+				t.Fatalf("catch-up of %q from epoch %d to %d is not the marshaled diff", doc, base.epoch, ent.epoch)
+			}
+		}
+		if bases < 2 {
+			t.Fatalf("%q has %d older retained bases; the fixture should keep several", doc, bases)
+		}
+	}
+}

@@ -1,10 +1,12 @@
 // The bounded epoch retention ring, extracted from internal/transport so
 // the origin server and the relay tier share one implementation. Each entry
-// keeps the decoded broadcast plus the delta frame against the previous
-// retained epoch of the same document, marshaled once, and a per-base cache
-// of catch-up deltas so a reconnect storm diffs each (base, target) pair
-// once. The snapshot frame is built on first demand, once per epoch, and
-// only a document's newest entry keeps one: current streams consume deltas.
+// keeps the decoded broadcast; a document's newest entry also keeps the
+// delta frame against the previous retained epoch of the document, marshaled
+// once, and a per-base cache of catch-up deltas so a reconnect storm diffs
+// each (base, target) pair once. The snapshot frame is built on first
+// demand, once per epoch. An older entry keeps only what a diff reads of its
+// broadcast (pubsub.Broadcast.DiffBase), as the base a catch-up to the newest
+// is diffed from: current streams consume deltas.
 package fanout
 
 import (
@@ -61,9 +63,12 @@ func (s *snapshot) held() int {
 type entry struct {
 	epoch uint64
 	doc   string
-	b     *pubsub.Broadcast
-	// snap is nil once a newer epoch of the document is retained (only the
-	// newest is ever served as a snapshot): one frame per document per ring.
+	// b is the broadcast, cut down to its DiffBase once a newer epoch of the
+	// document is retained.
+	b *pubsub.Broadcast
+	// snap, delta and catchup are nil once a newer epoch of the document is
+	// retained: only the newest entry is ever served, so a ring holds one
+	// snapshot frame and one delta frame per document.
 	snap *snapshot
 	// delta is the delta frame against the previous retained epoch of the
 	// same document (nil for the first), with prevEpoch naming that base.
@@ -103,7 +108,12 @@ func (r *ring) add(b *pubsub.Broadcast, rawSnapshot, rawDelta []byte, deltaBase 
 		snap: &snapshot{b: b, built: &r.built, raw: rawSnapshot}}
 	prev := r.nearest(b.DocName)
 	if prev != nil && prev.doc == b.DocName {
-		prev.snap = nil
+		// Nothing serves prev's frames once it is superseded: publishes send
+		// the newest entry's delta and catch-ups target the newest entry. It
+		// stays only as the base a catch-up is diffed from, and keeps only
+		// what a diff reads of it.
+		prev.snap, prev.delta, prev.catchup = nil, nil, nil
+		prev.b = prev.b.DiffBase()
 	} else {
 		prev = nil
 	}

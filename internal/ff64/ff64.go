@@ -104,81 +104,6 @@ func MulAdd(acc, a, b Elem) Elem {
 	return Elem(reduce128(hi, lo))
 }
 
-// MaxVecMulAcc bounds the number of VecMulAcc4 accumulations a (hi,lo) pair
-// can absorb before VecReduce must run. Each product of reduced operands has
-// a high limb below 2⁵⁸, so 63 accumulations (with their carries) stay below
-// 2⁶⁴ in the high limb; callers batching more must reduce in between.
-const MaxVecMulAcc = 63
-
-// VecMulAcc4 accumulates four rank-1 contributions a_i·b_i[k] into the
-// 128-bit accumulator pair (hi[k], lo[k]) for every k, WITHOUT reducing. It
-// is the delayed-reduction inner loop of blocked elimination (package
-// linalg): a panel of up to MaxVecMulAcc rank-1 updates costs one 64×64
-// multiply and two adds per element and source, with a single VecReduce at
-// the end instead of one reduce128 per multiply, and each accumulator
-// element is loaded and stored once per four sources. A caller with fewer
-// than four sources passes zero multipliers, which add nothing. Counts as
-// four accumulations against the MaxVecMulAcc budget. All b_i and hi/lo must
-// be at least as long as b0.
-//
-// On amd64 the body is assembly (ff64_amd64.s) that keeps an element's
-// accumulator pair in two registers across the four multiplies; the Go
-// compiler spills every product and carry of vecMulAcc4Generic to the
-// stack. Both bodies compute the same 128-bit sums.
-func VecMulAcc4(hi, lo []uint64, a0, a1, a2, a3 Elem, b0, b1, b2, b3 []Elem) {
-	n := len(b0)
-	if n == 0 {
-		return
-	}
-	vecMulAcc4(hi[:n], lo[:n], a0, a1, a2, a3, b0, b1[:n], b2[:n], b3[:n])
-}
-
-// vecMulAcc4Generic is the portable body of VecMulAcc4, compiled on every
-// build so tests can hold the assembly to it. Its slices obey VecMulAcc4's
-// length rule; reslicing them to len(b0) lets the compiler drop the bounds
-// checks in the loop.
-func vecMulAcc4Generic(hi, lo []uint64, a0, a1, a2, a3 Elem, b0, b1, b2, b3 []Elem) {
-	n := len(b0)
-	v0, v1, v2, v3 := uint64(a0), uint64(a1), uint64(a2), uint64(a3)
-	b1, b2, b3 = b1[:n], b2[:n], b3[:n]
-	hi, lo = hi[:n], lo[:n]
-	for k, bv := range b0 {
-		lk, hk := lo[k], hi[k]
-		var c uint64
-		h, l := bits.Mul64(v0, uint64(bv))
-		lk, c = bits.Add64(lk, l, 0)
-		hk += h + c
-		h, l = bits.Mul64(v1, uint64(b1[k]))
-		lk, c = bits.Add64(lk, l, 0)
-		hk += h + c
-		h, l = bits.Mul64(v2, uint64(b2[k]))
-		lk, c = bits.Add64(lk, l, 0)
-		hk += h + c
-		h, l = bits.Mul64(v3, uint64(b3[k]))
-		lk, c = bits.Add64(lk, l, 0)
-		hk += h + c
-		lo[k], hi[k] = lk, hk
-	}
-}
-
-// VecLoad seeds the accumulator pair with the current row contents
-// (hi[k] = 0, lo[k] = out[k]) ahead of a VecMulAcc4 batch.
-func VecLoad(hi, lo []uint64, v []Elem) {
-	for k, e := range v {
-		lo[k] = uint64(e)
-		hi[k] = 0
-	}
-}
-
-// VecReduce folds each accumulator pair back into canonical field elements:
-// out[k] = (hi[k]·2⁶⁴ + lo[k]) mod q. Unlike reduce128 it accepts the full
-// 128-bit range, so it is safe after up to MaxVecMulAcc accumulations.
-func VecReduce(out []Elem, hi, lo []uint64) {
-	for k := range out {
-		out[k] = Reduce128Wide(hi[k], lo[k])
-	}
-}
-
 // Reduce128Wide reduces an arbitrary 128-bit value hi·2⁶⁴ + lo into F_q. It
 // is reduce128 without the hi < 2⁶¹ precondition (the high limb is split
 // before shifting), for delayed-reduction accumulators.
@@ -213,12 +138,33 @@ func Exp(a Elem, e uint64) Elem {
 var ErrNoInverse = errors.New("ff64: zero has no multiplicative inverse")
 
 // Inv returns a⁻¹ in F_q, or an error if a is zero. It uses Fermat's little
-// theorem: a^(q-2) = a⁻¹ for a ≠ 0.
+// theorem, a^(q−2) = a⁻¹ for a ≠ 0, by a fixed addition chain: q − 2 =
+// 2⁶¹ − 3 = (2⁵⁹ − 1)·2² + 1, and x_k = a^(2^k − 1) is built as x_{j+k} =
+// x_j^(2^k)·x_k. That is 60 squarings and 11 multiplies, where Exp's
+// square-and-multiply over the 61 bits takes 61 and 59.
 func Inv(a Elem) (Elem, error) {
 	if a == 0 {
 		return 0, ErrNoInverse
 	}
-	return Exp(a, Modulus-2), nil
+	x2 := Mul(Sq(a), a)        // a^(2²−1)
+	x3 := Mul(Sq(x2), a)       // a^(2³−1)
+	x5 := Mul(sqn(x3, 2), x2)  // a^(2⁵−1)
+	x10 := Mul(sqn(x5, 5), x5) // a^(2¹⁰−1)
+	x20 := Mul(sqn(x10, 10), x10)
+	x40 := Mul(sqn(x20, 20), x20)
+	x50 := Mul(sqn(x40, 10), x10)
+	x55 := Mul(sqn(x50, 5), x5)
+	x58 := Mul(sqn(x55, 3), x3)
+	x59 := Mul(Sq(x58), a)
+	return Mul(sqn(x59, 2), a), nil
+}
+
+// sqn returns a^(2^n), n squarings of a.
+func sqn(a Elem, n int) Elem {
+	for range n {
+		a = Sq(a)
+	}
+	return a
 }
 
 // MustInv is Inv for callers that have already excluded zero; it panics on

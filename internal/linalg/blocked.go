@@ -20,14 +20,22 @@ import (
 //
 //   - Pivoting and elimination run within a narrow panel of panelWidth
 //     columns (hot in cache), producing the panel's pivots and storing each
-//     row's NEGATED multipliers in place below the pivots.
-//   - The trailing columns then receive all of the panel's rank-1 updates in
-//     one sweep per row: products accumulate into 128-bit (hi,lo) pairs,
-//     four sources per pass (ff64.VecMulAcc4, assembly on amd64, which keeps
-//     an element's pair in registers across the four multiplies), and are
-//     reduced ONCE per element per panel instead of once per multiply.
-//     panelWidth ≤ ff64.MaxVecMulAcc keeps the accumulators from
-//     overflowing.
+//     row's NEGATED multipliers in place below the pivots. The panel itself
+//     is factorized in sub-panels of subWidth columns: only a sub-panel's
+//     own columns are eliminated one product at a time (ff64.MulAdd, a full
+//     reduction each); its updates to the rest of the panel go through the
+//     same update loop as the trailing columns.
+//   - That loop gives each row all of a block's rank-1 updates in one sweep:
+//     products accumulate without reduction in an ff64.Accumulator, four
+//     sources per pass, and are reduced ONCE per element per block instead
+//     of once per multiply. panelWidth ≤ ff64.MaxVecMulAcc keeps the
+//     accumulators from overflowing.
+//
+// The accumulator's body is chosen once, at start-up, by CPUID: AVX-512 IFMA
+// assembly (eight elements per instruction in 52-bit limbs) where the CPU
+// and OS support it, baseline x86-64 MULQ assembly on other amd64 CPUs, and
+// Go under the purego tag or on other architectures. Every body's sums are
+// exact, so the choice changes no output.
 //
 // The result is an (unnormalized) row-echelon form rather than RREF; kernel
 // sampling substitutes back from the last pivot upward, which costs
@@ -46,7 +54,7 @@ import (
 // already updated. Past splitWork multiply-accumulates of trailing work, those
 // rows are cut into stripes of stripeRows and claimed through an atomic cursor
 // by the solving goroutine and up to Workspace.Workers − 1 helper goroutines,
-// each with its own accumulators. Every row is updated by the same code
+// each with its own accumulator. Every row is updated by the same code
 // whichever goroutine claims it, so the echelon form, the pivots, their
 // inverses — and every kernel sample for given free coefficients — are
 // bit-identical to the serial path. The solving goroutine claims stripes too,
@@ -59,15 +67,22 @@ import (
 // bytes) stays resident in L1 alongside the source row.
 const panelWidth = 32
 
+// subWidth is the sub-panel width of a panel's factorization, a divisor of
+// panelWidth. A narrower sub-panel leaves less to the scalar elimination and
+// more to the update loop, in shorter rows that pay its per-row cost more
+// often; 4 measured no faster than 8 on a 128-row solve.
+const subWidth = 8
+
 // splitWork is the trailing-update work, in multiply-accumulates, from which a
 // panel's rows below its block are striped across goroutines: 2²⁰ of them take
-// about a millisecond on one core (≈ 0.8–1 ns each through ff64.VecMulAcc4 on
-// a 2-vCPU Xeon), three orders of magnitude above the cost of handing a panel
-// to a helper. The work of a panel is (rows below) × (columns right of it) ×
-// (pivots in it), a property of the input alone. An engine shard never
-// reaches it — at most 96 × 97 × 32 ≈ 0.3 M at 128 rows — so shard solves run
-// serially; the paper's N = 512 system splits its first ten panels, which
-// hold 96 % of its trailing-update work.
+// ≈ 0.4 ms on one core of a 2-vCPU Xeon through the IFMA body (≈ 0.37 ns each,
+// Load and Reduce included; ≈ 0.8 ns through the MULQ body), still two orders
+// of magnitude above the cost of handing a panel to a helper. The work of a
+// panel is (rows below) × (columns right of it) × (pivots in it), a property
+// of the input alone. An engine shard never reaches it — at most 96 × 97 × 32
+// ≈ 0.3 M at 128 rows — so shard solves run serially; the paper's N = 512
+// system splits its first ten panels, which hold 96 % of its trailing-update
+// work.
 const splitWork = 1 << 20
 
 // stripeRows is how many rows a goroutine claims at a time: small enough that
@@ -75,19 +90,19 @@ const splitWork = 1 << 20
 // the cursor is touched once per ≈ 10⁵ multiply-accumulates.
 const stripeRows = 8
 
-// Workspace holds the reusable scratch of the blocked path: the 128-bit
-// accumulator arrays (one pair per goroutine a factorization runs on, grown
-// once to the widest system), pivot/free bookkeeping, and an optional matrix
-// backing for callers that assemble a throwaway system per solve. A Workspace
-// is owned by one goroutine at a time (the engine keeps one per pool worker);
-// the zero value is ready to use.
+// Workspace holds the reusable scratch of the blocked path: the
+// delayed-reduction accumulators (one per goroutine a factorization runs on,
+// grown once to the widest system), pivot/free bookkeeping, and an optional
+// matrix backing for callers that assemble a throwaway system per solve. A
+// Workspace is owned by one goroutine at a time (the engine keeps one per
+// pool worker); the zero value is ready to use.
 type Workspace struct {
 	// Workers bounds the goroutines one factorization runs on, the caller's
 	// included: 1 is strictly serial, 0 means GOMAXPROCS. Only a panel with
 	// splitWork of trailing work starts any.
 	Workers int
 
-	accs    []accumulators // [0] the caller's, then one per helper
+	accs    []*ff64.Accumulator // [0] the caller's, then one per helper
 	pivots  []int
 	free    []int
 	invs    []ff64.Elem
@@ -97,9 +112,6 @@ type Workspace struct {
 	matData []ff64.Elem
 	mat     Matrix
 }
-
-// accumulators is one goroutine's delayed-reduction scratch.
-type accumulators struct{ hi, lo []uint64 }
 
 // NewWorkspace returns an empty workspace. Buffers grow on first use and are
 // reused across solves.
@@ -123,16 +135,14 @@ func (ws *Workspace) Matrix(rows, cols int) *Matrix {
 	return &ws.mat
 }
 
-// growAccumulators makes sure ws holds n accumulator pairs of at least cols
-// entries each.
+// growAccumulators makes sure ws holds n accumulators for rows of at least
+// cols entries each.
 func (ws *Workspace) growAccumulators(n, cols int) {
 	for len(ws.accs) < n {
-		ws.accs = append(ws.accs, accumulators{})
+		ws.accs = append(ws.accs, new(ff64.Accumulator))
 	}
-	for i := range ws.accs[:n] {
-		if acc := &ws.accs[i]; len(acc.lo) < cols {
-			acc.hi, acc.lo = make([]uint64, cols), make([]uint64, cols)
-		}
+	for _, acc := range ws.accs[:n] {
+		acc.Grow(cols)
 	}
 }
 
@@ -146,32 +156,39 @@ func (ws *Workspace) helpers() int {
 	return w - 1
 }
 
-// trailing is one panel's trailing update: the matrix, the panel block
-// [start, start+len(pcols)) with its pivot columns, the first trailing column
-// c1, and the rows left to update, handed out stripe by stripe through next.
+// trailing is one block's update: the matrix, the block's rows [start,
+// start+len(pcols)) with their pivot columns, the columns [c1, c2) that
+// receive it, and the rows left to update, handed out stripe by stripe
+// through next. The block is a sub-panel, updating the rest of its panel, or
+// a whole panel, updating the trailing columns.
 type trailing struct {
-	m     *Matrix
-	start int
-	c1    int
-	pcols []int
-	next  atomic.Int64 // first row nobody has claimed
-	end   int
-	done  sync.WaitGroup // helpers still on this panel, or not yet exited
+	m      *Matrix
+	start  int
+	c1, c2 int
+	pcols  []int
+	next   atomic.Int64 // first row nobody has claimed
+	end    int
+	done   sync.WaitGroup // helpers still on this panel, or not yet exited
 }
 
-// update applies the panel's rank-1 updates to rows [i0, i1) of the trailing
-// columns: each row absorbs them in one delayed-reduction sweep, the sources
-// batched four at a time so each accumulator element is loaded once per four
-// multiplies; a count that is not a multiple of four is padded with zero
-// multipliers, which add nothing. A row inside the panel block takes updates
+// set points t at the block whose pivot rows start at row start, with pivot
+// columns pcols, and at the columns [c1, c2).
+func (t *trailing) set(start, c1, c2 int, pcols []int) {
+	t.start, t.c1, t.c2, t.pcols = start, c1, c2, pcols
+}
+
+// update applies the block's rank-1 updates to rows [i0, i1) of columns
+// [c1, c2): each row absorbs them in one delayed-reduction sweep of acc, the
+// sources batched four at a time so each accumulator element is loaded once
+// per four multiplies; a count that is not a multiple of four is padded with
+// zero multipliers, which add nothing. A row inside the block takes updates
 // only from the pivots above it; a row below takes all of them. It is the one
 // update loop of the factorization, run serially or on a stripe.
 //
 //ppcd:hotpath
-func (t *trailing) update(i0, i1 int, hi, lo []uint64) {
+func (t *trailing) update(i0, i1 int, acc *ff64.Accumulator) {
 	m, cols := t.m, t.m.Cols
 	npiv := len(t.pcols)
-	hi, lo = hi[:cols-t.c1], lo[:cols-t.c1]
 	var fs [panelWidth]ff64.Elem
 	var srcs [panelWidth][]ff64.Elem
 	for i := i0; i < i1; i++ {
@@ -180,7 +197,7 @@ func (t *trailing) update(i0, i1 int, hi, lo []uint64) {
 		for j := 0; j < nj; j++ {
 			if f := m.data[i*cols+t.pcols[j]]; f != ff64.Zero {
 				fs[cnt] = f
-				srcs[cnt] = m.data[(t.start+j)*cols+t.c1 : (t.start+j+1)*cols]
+				srcs[cnt] = m.data[(t.start+j)*cols+t.c1 : (t.start+j)*cols+t.c2]
 				cnt++
 			}
 		}
@@ -190,30 +207,30 @@ func (t *trailing) update(i0, i1 int, hi, lo []uint64) {
 		for ; cnt%4 != 0; cnt++ {
 			fs[cnt], srcs[cnt] = ff64.Zero, srcs[0]
 		}
-		row := m.data[i*cols+t.c1 : (i+1)*cols]
-		ff64.VecLoad(hi, lo, row)
+		row := m.data[i*cols+t.c1 : i*cols+t.c2]
+		acc.Load(row)
 		for j := 0; j < cnt; j += 4 {
-			ff64.VecMulAcc4(hi, lo, fs[j], fs[j+1], fs[j+2], fs[j+3], srcs[j], srcs[j+1], srcs[j+2], srcs[j+3])
+			acc.MulAcc4(fs[j], fs[j+1], fs[j+2], fs[j+3], srcs[j], srcs[j+1], srcs[j+2], srcs[j+3])
 		}
-		ff64.VecReduce(row, hi, lo)
+		acc.Reduce(row)
 	}
 }
 
 // claim updates stripes of the panel's rows until none is left unclaimed.
-func (t *trailing) claim(acc accumulators) {
+func (t *trailing) claim(acc *ff64.Accumulator) {
 	for {
 		i := int(t.next.Add(stripeRows)) - stripeRows
 		if i >= t.end {
 			return
 		}
-		t.update(i, min(i+stripeRows, t.end), acc.hi, acc.lo)
+		t.update(i, min(i+stripeRows, t.end), acc)
 	}
 }
 
 // help is a helper goroutine: each time it is handed the next panel of t, it
-// claims stripes with its own accumulators until the panel has none left. It
+// claims stripes with its own accumulator until the panel has none left. It
 // reports each panel, and its own exit once panels closes, on t.done.
-func help(panels <-chan struct{}, t *trailing, acc accumulators) {
+func help(panels <-chan struct{}, t *trailing, acc *ff64.Accumulator) {
 	defer t.done.Done()
 	for range panels {
 		t.claim(acc)
@@ -244,46 +261,56 @@ func (m *Matrix) blockedEchelon(ws *Workspace, helpers, minWork int) []int {
 	ws.invs = ws.invs[:0]
 	ws.growAccumulators(1, cols)
 	acc := ws.accs[0]
+	t := &ws.trail
+	t.m = m
 	var panels chan struct{}
 	r := 0
 	for c0 := 0; c0 < cols && r < rows; c0 += panelWidth {
-		c1 := c0 + panelWidth
-		if c1 > cols {
-			c1 = cols
-		}
+		c1 := min(c0+panelWidth, cols)
 		panelStart := r
 
-		// Panel factorization: full elimination restricted to the panel's
-		// columns. Multipliers land in place below each pivot.
-		for c := c0; c < c1 && r < rows; c++ {
-			p := -1
-			for i := r; i < rows; i++ {
-				if m.data[i*cols+c] != ff64.Zero {
-					p = i
-					break
+		// Panel factorization, one sub-panel of subWidth columns at a time:
+		// full elimination restricted to the sub-panel's columns, with the
+		// multipliers landing in place below each pivot, then the
+		// sub-panel's updates to the rest of the panel through the update
+		// loop.
+		for s0 := c0; s0 < c1 && r < rows; s0 += subWidth {
+			s1 := min(s0+subWidth, c1)
+			subStart := r
+			for c := s0; c < s1 && r < rows; c++ {
+				p := -1
+				for i := r; i < rows; i++ {
+					if m.data[i*cols+c] != ff64.Zero {
+						p = i
+						break
+					}
 				}
-			}
-			if p < 0 {
-				continue
-			}
-			m.swapRows(p, r)
-			inv := ff64.MustInv(m.data[r*cols+c])
-			src := m.data[r*cols+c+1 : r*cols+c1]
-			for i := r + 1; i < rows; i++ {
-				ri := m.data[i*cols : i*cols+c1]
-				f := ri[c]
-				if f == ff64.Zero {
+				if p < 0 {
 					continue
 				}
-				nf := ff64.Neg(ff64.Mul(f, inv))
-				ri[c] = nf
-				for k, sv := range src {
-					ri[c+1+k] = ff64.MulAdd(ri[c+1+k], nf, sv)
+				m.swapRows(p, r)
+				inv := ff64.MustInv(m.data[r*cols+c])
+				src := m.data[r*cols+c+1 : r*cols+s1]
+				for i := r + 1; i < rows; i++ {
+					ri := m.data[i*cols : i*cols+s1]
+					f := ri[c]
+					if f == ff64.Zero {
+						continue
+					}
+					nf := ff64.Neg(ff64.Mul(f, inv))
+					ri[c] = nf
+					for k, sv := range src {
+						ri[c+1+k] = ff64.MulAdd(ri[c+1+k], nf, sv)
+					}
 				}
+				ws.pivots = append(ws.pivots, c)
+				ws.invs = append(ws.invs, inv)
+				r++
 			}
-			ws.pivots = append(ws.pivots, c)
-			ws.invs = append(ws.invs, inv)
-			r++
+			if r > subStart && s1 < c1 {
+				t.set(subStart, s1, c1, ws.pivots[subStart:])
+				t.update(subStart+1, rows, acc)
+			}
 		}
 
 		npiv := r - panelStart
@@ -294,12 +321,10 @@ func (m *Matrix) blockedEchelon(ws *Workspace, helpers, minWork int) []int {
 		// Trailing update. The rows inside the panel block are the sources of
 		// the rows below, so they are brought up to date first, here; the
 		// rows below are then independent of one another.
-		t := &ws.trail
-		t.m, t.start, t.c1 = m, panelStart, c1
-		t.pcols = ws.pivots[len(ws.pivots)-npiv:]
-		t.update(panelStart+1, r, acc.hi, acc.lo)
+		t.set(panelStart, c1, cols, ws.pivots[panelStart:])
+		t.update(panelStart+1, r, acc)
 		if helpers <= 0 || (rows-r)*(cols-c1)*npiv < minWork {
-			t.update(r, rows, acc.hi, acc.lo)
+			t.update(r, rows, acc)
 			continue
 		}
 		if panels == nil {
@@ -315,9 +340,9 @@ func (m *Matrix) blockedEchelon(ws *Workspace, helpers, minWork int) []int {
 		t.done.Wait()
 	}
 	if panels != nil {
-		ws.trail.done.Add(helpers)
+		t.done.Add(helpers)
 		close(panels)
-		ws.trail.done.Wait()
+		t.done.Wait()
 	}
 	return ws.pivots
 }

@@ -204,6 +204,109 @@ func TestStripedEchelonMatchesSerial(t *testing.T) {
 	}
 }
 
+// unblockedEchelon is the elimination blockedEchelon restructures, one pivot
+// at a time over whole rows with a reduction per product: the same pivots,
+// inverses and row swaps, and the same echelon form with the negated
+// multipliers stored below each pivot.
+func unblockedEchelon(m *Matrix) (pivots []int, invs []ff64.Elem) {
+	r := 0
+	for c := 0; c < m.Cols && r < m.Rows; c++ {
+		p := r
+		for p < m.Rows && m.At(p, c) == ff64.Zero {
+			p++
+		}
+		if p == m.Rows {
+			continue
+		}
+		m.swapRows(p, r)
+		inv := ff64.MustInv(m.At(r, c))
+		src := m.Row(r)
+		for i := r + 1; i < m.Rows; i++ {
+			ri := m.Row(i)
+			if ri[c] == ff64.Zero {
+				continue
+			}
+			nf := ff64.Neg(ff64.Mul(ri[c], inv))
+			ri[c] = nf
+			for k := c + 1; k < m.Cols; k++ {
+				ri[k] = ff64.MulAdd(ri[k], nf, src[k])
+			}
+		}
+		pivots, invs = append(pivots, c), append(invs, inv)
+		r++
+	}
+	return pivots, invs
+}
+
+// TestSubPanelShapes holds blockedEchelon to the unblocked elimination word
+// for word, and its pivots to the reference RREF, on the shapes a sub-panel
+// boundary could get wrong: a column that loses its pivot in the middle of a
+// sub-panel, zero columns on both sides of a sub-panel edge and of a panel
+// edge, rows that run out inside a sub-panel, fewer rows than a sub-panel,
+// and a planted row deficiency, serially and striped.
+func TestSubPanelShapes(t *testing.T) {
+	type shape struct {
+		name string
+		m    *Matrix
+	}
+	// dependentCol makes column c a random combination of the columns
+	// before it, so no row can pivot there.
+	dependentCol := func(m *Matrix, c int) {
+		for i := range m.Rows {
+			row := m.Row(i)
+			row[c] = ff64.Zero
+			for j := range c {
+				row[c] = ff64.MulAdd(row[c], ff64.Elem(j*7919+1), row[j])
+			}
+		}
+	}
+	zeroCols := func(m *Matrix, cs ...int) {
+		for _, c := range cs {
+			for i := range m.Rows {
+				m.Set(i, c, ff64.Zero)
+			}
+		}
+	}
+	var shapes []shape
+	for _, sh := range []struct{ rows, cols int }{{40, 41}, {100, 101}, {70, 140}} {
+		m := cryptoRandMatrix(t, sh.rows, sh.cols)
+		dependentCol(m, subWidth+subWidth/2)
+		dependentCol(m, panelWidth+3)
+		shapes = append(shapes, shape{fmt.Sprintf("%dx%d pivotless columns %d, %d", sh.rows, sh.cols, subWidth+subWidth/2, panelWidth+3), m})
+
+		m = cryptoRandMatrix(t, sh.rows, sh.cols)
+		zeroCols(m, subWidth-1, subWidth, panelWidth-1, panelWidth, panelWidth+subWidth)
+		shapes = append(shapes, shape{fmt.Sprintf("%dx%d zero columns at the edges", sh.rows, sh.cols), m})
+
+		m = cryptoRandMatrix(t, sh.rows, sh.cols)
+		plantDeficiency(t, m, sh.rows/3)
+		shapes = append(shapes, shape{fmt.Sprintf("%dx%d planted=%d", sh.rows, sh.cols, sh.rows/3), m})
+	}
+	for _, sh := range []struct{ rows, cols int }{{1, 9}, {3, 9}, {5, 40}, {subWidth - 1, 70}, {subWidth + 3, 90}, {panelWidth + 4, 90}, {36, 37}} {
+		shapes = append(shapes, shape{fmt.Sprintf("%dx%d", sh.rows, sh.cols), cryptoRandMatrix(t, sh.rows, sh.cols)})
+	}
+	ws := NewWorkspace()
+	for _, sh := range shapes {
+		want := sh.m.Clone()
+		wantPivots, wantInvs := unblockedEchelon(want)
+		if refPivots := sh.m.Clone().rref(); !slices.Equal(refPivots, wantPivots) {
+			t.Fatalf("%s: the unblocked elimination's pivots %v differ from RREF's %v", sh.name, wantPivots, refPivots)
+		}
+		for _, helpers := range []int{0, 2} {
+			got := sh.m.Clone()
+			pivots := got.blockedEchelon(ws, helpers, 0)
+			switch {
+			case !slices.Equal(pivots, wantPivots):
+				t.Fatalf("%s, %d helpers: pivots %v, want %v", sh.name, helpers, pivots, wantPivots)
+			case !slices.Equal(ws.invs, wantInvs):
+				t.Fatalf("%s, %d helpers: pivot inverses differ", sh.name, helpers)
+			case !slices.Equal(got.data, want.data):
+				t.Fatalf("%s, %d helpers: echelon form differs from the unblocked elimination", sh.name, helpers)
+			}
+		}
+	}
+}
+
 // TestFactorizeAllocs pins what a warm factorization allocates: nothing at
 // shard size, where no panel splits, and at N = 512 one goroutine per helper
 // and the channel that hands them panels — within the helpers + 2 budget.

@@ -155,6 +155,24 @@ func Diff(base, cur *Broadcast) (*BroadcastDelta, error) {
 	return d, nil
 }
 
+// DiffBase returns a copy of b holding only what Diff reads of a base: the
+// document, epoch, generation and policies, each configuration's key,
+// revision, grouped header and shard revisions, and each item's subdocument
+// and revision. An ungrouped configuration's header and every ciphertext —
+// the bulk of a broadcast — are left out, so Diff(b.DiffBase(), cur) equals
+// Diff(b, cur) at a fraction of the memory. b itself is not modified.
+func (b *Broadcast) DiffBase() *Broadcast {
+	d := &Broadcast{DocName: b.DocName, Epoch: b.Epoch, Gen: b.Gen, Policies: b.Policies,
+		Configs: make([]ConfigInfo, len(b.Configs)), Items: make([]Item, len(b.Items))}
+	for i, c := range b.Configs {
+		d.Configs[i] = ConfigInfo{Key: c.Key, Rev: c.Rev, Grouped: c.Grouped, ShardRevs: c.ShardRevs}
+	}
+	for i, it := range b.Items {
+		d.Items[i] = Item{Subdoc: it.Subdoc, Rev: it.Rev}
+	}
+	return d
+}
+
 // groupedPatch expresses one grouped configuration against its base
 // revision: clean shards (rev ≤ base epoch, their solve present in the base
 // under the same revision) become index references, the rest ship their

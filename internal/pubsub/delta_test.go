@@ -675,3 +675,71 @@ func TestGroupedPatchReferences(t *testing.T) {
 		t.Error("a patch applied over a base holding 1 revision for 2 shards")
 	}
 }
+
+// TestDiffBaseDiffsLikeItsBroadcast: through random churn, grouped and
+// ungrouped, a delta from every earlier broadcast's DiffBase equals the delta
+// from the broadcast itself, and the DiffBase holds no ciphertext and no
+// ungrouped header.
+func TestDiffBaseDiffsLikeItsBroadcast(t *testing.T) {
+	for _, groupSize := range []int{0, 3} {
+		t.Run(fmt.Sprintf("groupSize=%d", groupSize), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11 + int64(groupSize)))
+			env := newDeltaEnv(t, 3, groupSize)
+			var members []string
+			for range 8 {
+				members = append(members, env.join(t, 1+rng.Intn(3)))
+			}
+			var history []*Broadcast
+			grouped := 0
+			for step := 0; step < 12; step++ {
+				if step%3 != 2 && len(members) > 1 {
+					i := rng.Intn(len(members))
+					if err := env.pub.RevokeSubscription(members[i]); err != nil {
+						t.Fatal(err)
+					}
+					members = append(members[:i], members[i+1:]...)
+				}
+				if step%2 == 0 {
+					members = append(members, env.join(t, 1+rng.Intn(3)))
+				}
+				cur, err := env.pub.Publish(env.doc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, old := range history {
+					base := old.DiffBase()
+					for _, c := range base.Configs {
+						if c.Header != nil {
+							t.Fatalf("DiffBase of epoch %d keeps the header of %q", old.Epoch, c.Key)
+						}
+					}
+					for _, it := range base.Items {
+						if it.Ciphertext != nil {
+							t.Fatalf("DiffBase of epoch %d keeps the ciphertext of %q", old.Epoch, it.Subdoc)
+						}
+					}
+					want, err := Diff(old, cur)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := Diff(base, cur)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("step %d: the delta from epoch %d's DiffBase differs from the delta from the broadcast", step, old.Epoch)
+					}
+				}
+				for _, c := range cur.Configs {
+					if c.Grouped != nil {
+						grouped++
+					}
+				}
+				history = append(history, cur)
+			}
+			if (groupSize > 0) != (grouped > 0) {
+				t.Fatalf("group size %d published %d grouped configurations", groupSize, grouped)
+			}
+		})
+	}
+}
