@@ -21,7 +21,7 @@ import (
 // counts stream-frame bytes the origin itself pushed (to its single relay
 // child), so it must stay flat as K grows.
 type fanoutPoint struct {
-	Conns       int `json:"conns"`
+	Conns       int   `json:"conns"`
 	FramesTotal int64 `json:"frames_total"`
 	// FramesPerSec: data frames delivered across all consumers per second of
 	// the churn window (catch-up snapshots excluded).

@@ -29,27 +29,27 @@ type scaleReport struct {
 	ShardSize int `json:"shard_size"`
 	// TotalRows is the sum of qualified rows across policies (the partial
 	// pool qualifies for one policy only); Shards the resulting shard count.
-	TotalRows int `json:"total_rows"`
-	Shards    int `json:"shards"`
+	TotalRows  int `json:"total_rows"`
+	Shards     int `json:"shards"`
 	GoMaxProcs int `json:"gomaxprocs"`
 
 	// Build: injecting the synthetic table through the state-import path.
-	BuildNs        int64   `json:"build_ns"`
+	BuildNs         int64   `json:"build_ns"`
 	BuildRowsPerSec float64 `json:"build_rows_per_sec"`
 
 	// Table memory: the columnar registry's estimate vs the measured live
 	// heap of the same table as nested maps (the pre-columnar layout).
-	TableBytes          int64   `json:"table_bytes"`
-	BytesPerSubscriber  float64 `json:"bytes_per_subscriber"`
-	MapsTableBytes      int64   `json:"maps_table_bytes"`
-	MapsBytesPerSub     float64 `json:"maps_bytes_per_subscriber"`
-	ColumnarShrink      float64 `json:"columnar_shrink_factor"`
+	TableBytes         int64   `json:"table_bytes"`
+	BytesPerSubscriber float64 `json:"bytes_per_subscriber"`
+	MapsTableBytes     int64   `json:"maps_table_bytes"`
+	MapsBytesPerSub    float64 `json:"maps_bytes_per_subscriber"`
+	ColumnarShrink     float64 `json:"columnar_shrink_factor"`
 
 	// First publish: every shard solved once (the cold solve storm).
-	FirstPublishNs     int64   `json:"first_publish_ns"`
-	Solves             uint64  `json:"solves"`
-	SolvesPerSec       float64 `json:"solves_per_sec"`
-	SolvedRowsPerSec   float64 `json:"solved_rows_per_sec"`
+	FirstPublishNs   int64   `json:"first_publish_ns"`
+	Solves           uint64  `json:"solves"`
+	SolvesPerSec     float64 `json:"solves_per_sec"`
+	SolvedRowsPerSec float64 `json:"solved_rows_per_sec"`
 
 	// Churn replay: batches of leave/join events applied between publishes
 	// (open loop: the schedule does not wait for the publisher).
@@ -71,7 +71,7 @@ type scaleReport struct {
 	// Ideal is min(workers, GOMAXPROCS) — on a single-CPU runner every cap
 	// is honestly reported as ideal 1 — and Efficiency = Speedup / Ideal,
 	// clamped to 1.0 (a super-ideal reading is timing noise, not physics).
-	SweepRows int `json:"sweep_rows"`
+	SweepRows int           `json:"sweep_rows"`
 	Workers   []workerPoint `json:"workers"`
 
 	RSSBytes int64 `json:"rss_bytes"`

@@ -108,7 +108,7 @@ func setup(grp ppcd.Group, seed string) *ppcd.CommitmentParams {
 func curveInfo() {
 	c := g2.MustPaperCurve()
 	fmt.Println("genus-2 curve from the paper (Gaudry–Schost 2004):")
-	fmt.Printf("  base field:  F_q, q = %s (%d bits)\n", c.BaseField().P(), c.BaseField().Bits())
+	fmt.Printf("  base field:  F_q, q = %s (%d bits)\n", c.Modulus(), c.Modulus().BitLen())
 	fmt.Printf("  jacobian order p = %s (%d bits, prime)\n", c.Order(), c.Order().BitLen())
 	fmt.Printf("  generator:   %s\n", c.Generator())
 	gp := c.Exp(c.Generator(), c.Order())

@@ -10,16 +10,17 @@ import (
 )
 
 // TestOCBECrossPath runs full OCBE envelope round trips with the sender and
-// receiver on different g2 engines (fast ff128 vs polyring/ffbig reference),
-// in both directions. Passing means the registration wire format is
-// byte-unchanged by the fast path: commitments, bit commitments and
-// envelopes produced by either engine are accepted and opened by the other.
+// receiver on different genus-2 implementations (Curve over ff128 vs the
+// polyring/ffbig refCurve), in both directions. Passing means the
+// registration wire format is the reference's, byte for byte: commitments,
+// bit commitments and envelopes produced by either are accepted and opened
+// by the other.
 func TestOCBECrossPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reference-path jacobian arithmetic is slow; skipped in -short mode")
 	}
 	fast := MustPaperCurve()
-	slow := fast.withoutFast()
+	slow := paperRef
 	pFast, err := pedersen.Setup(fast, []byte("ocbe-crosspath"))
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +31,7 @@ func TestOCBECrossPath(t *testing.T) {
 	}
 	// Setup is deterministic: both paths must derive identical bases.
 	if !bytes.Equal(marshalBases(pFast), marshalBases(pSlow)) {
-		t.Fatal("fast and reference Pedersen setups derived different bases")
+		t.Fatal("Curve and reference Pedersen setups derived different bases")
 	}
 	msg := []byte("css-payload")
 
@@ -96,14 +97,14 @@ func TestOCBECrossPath(t *testing.T) {
 
 // TestOCBEComposeBatchCrossPath pins the pooled compose path: a batch of
 // mixed EQ/GE envelopes composed through the lane-batched kernel must open
-// on the reference engine, and a batch composed on the reference engine
-// must open on the lane engine.
+// on the reference group, and a batch composed on the reference group
+// (which has no lane kernel) must open on the paper curve.
 func TestOCBEComposeBatchCrossPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reference-path jacobian arithmetic is slow; skipped in -short mode")
 	}
 	fast := MustPaperCurve()
-	slow := fast.withoutFast()
+	slow := paperRef
 	pFast, err := pedersen.Setup(fast, []byte("ocbe-crosspath"))
 	if err != nil {
 		t.Fatal(err)

@@ -1,24 +1,20 @@
 package g2
 
-// This file is the fast engine behind the paper curve: Cantor's algorithm
-// re-implemented over the fixed-width two-limb field of package ff128, with
-// array-backed fixed-degree polynomials instead of polyring's big.Int
-// slices. Every polynomial lives on the stack; a full Cantor addition
-// performs zero heap allocations. On top of it sit windowed-NAF scalar
-// multiplication for arbitrary bases and precomputed fixed-base tables for
-// the long-lived bases (the Jacobian generator and Pedersen's g and h).
-//
-// The polyring/ffbig implementation in g2.go remains the reference: the two
-// paths implement the identical algorithm and are pinned together by
-// differential tests (fast_test.go), and curves whose base field exceeds
-// 2¹²⁷ bits fall back to it transparently.
+// This file is the genus-2 arithmetic under the group methods: Cantor's
+// algorithm over the fixed-width two-limb field of package ff128, with
+// array-backed fixed-degree polynomials as scratch. Every polynomial lives on
+// the stack; a full Cantor addition performs zero heap allocations. On top of
+// it sit windowed-NAF scalar multiplication for arbitrary bases and
+// precomputed fixed-base tables for the long-lived bases (the Jacobian
+// generator and Pedersen's g and h). The big-integer Cantor path it was
+// ported from (polyring over ffbig) survives only in the tests, as the
+// differential reference (reference_test.go).
 
 import (
 	"math/big"
 
 	"ppcd/internal/ff128"
 	"ppcd/internal/group"
-	"ppcd/internal/polyring"
 )
 
 // fpCap bounds the coefficient count of an intermediate polynomial. Genus-2
@@ -43,10 +39,6 @@ func fpOne(f *ff128.Field) fpoly {
 }
 
 func (p *fpoly) isZero() bool { return p.deg < 0 }
-
-func (p *fpoly) isOne(f *ff128.Field) bool {
-	return p.deg == 0 && p.c[0].Equal(f.One())
-}
 
 func fpTrim(p *fpoly) {
 	for p.deg >= 0 && p.c[p.deg].IsZero() {
@@ -241,90 +233,117 @@ func fpXGCD(f *ff128.Field, a, b fpoly) (d, s, t fpoly) {
 	return fpMulScalar(f, r0, inv), fpMulScalar(f, s0, inv), fpMulScalar(f, t0, inv)
 }
 
-// fdiv is a reduced divisor in Mumford representation over the fast field.
+// fdiv is a reduced divisor in Mumford representation: u = x² + u1·x + u0,
+// v = v1·x + v0 when deg = 2; u = x + u0, v = v0 when deg = 1; u = 1, v = 0
+// when deg = 0. u is monic, so these four coefficients are all there is, and
+// every coefficient above the degree is zero: the zero value is the
+// identity, and two divisors are equal exactly when they are ==.
 type fdiv struct {
-	u, v fpoly
+	deg            int
+	u1, u0, v1, v0 ff128.Elem
 }
 
-// fastCurve is the ff128 engine for one curve: the base field, the
-// right-hand side f, and the Jacobian order.
-type fastCurve struct {
-	fld   *ff128.Field
-	f     fpoly // monic, degree 5
-	order *big.Int
-}
-
-// newFastCurve builds the fast engine; it returns nil when the base field
-// does not fit two limbs (the curve then stays on the reference path).
-func newFastCurve(q *big.Int, coeffs [5]*big.Int, order *big.Int) *fastCurve {
-	if q.BitLen() > ff128.MaxBits {
-		return nil
+// lift unpacks d into scratch polynomials for the Cantor path.
+//
+//ppcd:hotpath
+func (c *Curve) lift(d fdiv) (u, v fpoly) {
+	u.deg, u.c[d.deg] = d.deg, c.fld.One()
+	switch d.deg {
+	case 2:
+		u.c[1] = d.u1
+		fallthrough
+	case 1:
+		u.c[0] = d.u0
 	}
-	fld, err := ff128.NewField(q)
-	if err != nil {
-		return nil
-	}
-	fc := &fastCurve{fld: fld, order: order}
-	fc.f.deg = 5
-	for i, c := range coeffs {
-		fc.f.c[i] = fld.FromBig(c)
-	}
-	fc.f.c[5] = fld.One()
-	return fc
+	v.deg = 1
+	v.c[0], v.c[1] = d.v0, d.v1
+	fpTrim(&v)
+	return u, v
 }
 
-func (fc *fastCurve) identity() fdiv {
-	return fdiv{u: fpOne(fc.fld), v: fpZero()}
-}
-
-func (fc *fastCurve) isIdentity(d *fdiv) bool {
-	return d.u.isOne(fc.fld) && d.v.isZero()
+// pack is lift's inverse for a reduced pair: u monic of degree ≤ 2 and
+// deg v < deg u.
+//
+//ppcd:hotpath
+func pack(u, v fpoly) fdiv {
+	d := fdiv{deg: u.deg, v1: v.c[1], v0: v.c[0]}
+	switch u.deg {
+	case 2:
+		d.u1 = u.c[1]
+		fallthrough
+	case 1:
+		d.u0 = u.c[0]
+	}
+	return d
 }
 
 // neg returns the group inverse (u, −v mod u); deg v < deg u always holds
 // for reduced divisors, so the mod is a plain coefficient negation.
-func (fc *fastCurve) neg(d fdiv) fdiv {
-	return fdiv{u: d.u, v: fpNeg(fc.fld, d.v)}
+func (c *Curve) neg(d fdiv) fdiv {
+	d.v1, d.v0 = c.fld.Neg(d.v1), c.fld.Neg(d.v0)
+	return d
 }
 
-// addCantor is Cantor composition + reduction, the exact algorithm of
-// (*Curve).cantorAdd ported to fixed-width arithmetic. It pays ~5 field
-// inversions per call (inside fpXGCD / fpDivMod / fpMonic) and serves as
-// the fallback for the non-generic shapes the one-inversion path in
-// lane.go does not cover — and as its in-package differential reference.
-func (fc *fastCurve) addCantor(d1, d2 fdiv) fdiv {
-	if fc.isIdentity(&d1) {
-		return d2
+// addCantor is Cantor composition + reduction over fixed-width arithmetic.
+// It pays ~5 field inversions per call (inside fpXGCD / fpDivMod / fpMonic)
+// and serves the non-generic shapes the one-inversion path in lane.go does
+// not cover — and as its in-package differential reference.
+//
+//ppcd:hotpath
+func (c *Curve) addCantor(a, b fdiv) fdiv {
+	if a == (fdiv{}) {
+		return b
 	}
-	if fc.isIdentity(&d2) {
-		return d1
+	if b == (fdiv{}) {
+		return a
 	}
-	f := fc.fld
+	f := c.fld
+	u1, v1 := c.lift(a)
+	u2, v2 := c.lift(b)
 
 	// Composition.
-	g1, e1, e2 := fpXGCD(f, d1.u, d2.u)
-	vSum := fpAdd(f, d1.v, d2.v)
+	g1, e1, e2 := fpXGCD(f, u1, u2)
+	vSum := fpAdd(f, v1, v2)
 	d, c1, c2 := fpXGCD(f, g1, vSum)
 	s1 := fpMul(f, c1, e1)
 	s2 := fpMul(f, c1, e2)
 	s3 := c2
 
-	u := fpDivExact(f, fpMul(f, d1.u, d2.u), fpMul(f, d, d))
+	u := fpDivExact(f, fpMul(f, u1, u2), fpMul(f, d, d))
 	// num = s1·u1·v2 + s2·u2·v1 + s3·(v1·v2 + f)
-	num := fpMul(f, fpMul(f, s1, d1.u), d2.v)
-	num = fpAdd(f, num, fpMul(f, fpMul(f, s2, d2.u), d1.v))
-	num = fpAdd(f, num, fpMul(f, s3, fpAdd(f, fpMul(f, d1.v, d2.v), fc.f)))
+	num := fpMul(f, fpMul(f, s1, u1), v2)
+	num = fpAdd(f, num, fpMul(f, fpMul(f, s2, u2), v1))
+	num = fpAdd(f, num, fpMul(f, s3, fpAdd(f, fpMul(f, v1, v2), c.f)))
 	vPre := fpDivExact(f, num, d)
 	v := fpMod(f, vPre, u)
 
 	// Reduction: repeat until deg u ≤ genus (= 2).
 	for u.deg > 2 {
-		uNext := fpMonic(f, fpDivExact(f, fpSub(f, fc.f, fpMul(f, v, v)), u))
+		uNext := fpMonic(f, fpDivExact(f, fpSub(f, c.f, fpMul(f, v, v)), u))
 		v = fpMod(f, fpNeg(f, v), uNext)
 		u = uNext
 	}
-	u = fpMonic(f, u)
-	return fdiv{u: u, v: v}
+	return pack(fpMonic(f, u), v)
+}
+
+// isValid reports whether d is a reduced divisor on the curve: no
+// coefficient above its degree, and u | f − v². (u is monic of degree ≤ 2
+// and deg v < deg u by construction of fdiv.)
+func (c *Curve) isValid(d fdiv) bool {
+	switch d.deg {
+	case 0:
+		return d == fdiv{}
+	case 1:
+		if !d.u1.IsZero() || !d.v1.IsZero() {
+			return false
+		}
+	case 2:
+	default:
+		return false
+	}
+	f := c.fld
+	u, v := c.lift(d)
+	return fpMod(f, fpSub(f, c.f, fpMul(f, v, v)), u).deg < 0
 }
 
 // wnafWidth is the window width for variable-base scalar multiplication:
@@ -359,82 +378,38 @@ func wnafDigits(k *big.Int, w uint) []int8 {
 
 // exp computes k·d by windowed-NAF double-and-add. k may be any integer;
 // it is reduced modulo the Jacobian order first.
-func (fc *fastCurve) exp(d fdiv, k *big.Int) fdiv {
-	kk := new(big.Int).Mod(k, fc.order)
-	if kk.Sign() == 0 || fc.isIdentity(&d) {
-		return fc.identity()
+func (c *Curve) exp(d fdiv, k *big.Int) fdiv {
+	kk := new(big.Int).Mod(k, c.order)
+	if kk.Sign() == 0 || d == (fdiv{}) {
+		return fdiv{}
 	}
 	// Odd multiples d, 3d, …, 15d.
 	var tab [8]fdiv
 	tab[0] = d
-	d2 := fc.add(d, d)
+	d2 := c.add(d, d)
 	for i := 1; i < len(tab); i++ {
-		tab[i] = fc.add(tab[i-1], d2)
+		tab[i] = c.add(tab[i-1], d2)
 	}
 	digits := wnafDigits(kk, wnafWidth)
-	acc := fc.identity()
+	var acc fdiv
 	for i := len(digits) - 1; i >= 0; i-- {
-		if !fc.isIdentity(&acc) {
-			acc = fc.add(acc, acc)
+		if acc != (fdiv{}) {
+			acc = c.add(acc, acc)
 		}
 		if dg := digits[i]; dg > 0 {
-			acc = fc.add(acc, tab[(dg-1)/2])
+			acc = c.add(acc, tab[(dg-1)/2])
 		} else if dg < 0 {
-			acc = fc.add(acc, fc.neg(tab[(-dg-1)/2]))
+			acc = c.add(acc, c.neg(tab[(-dg-1)/2]))
 		}
 	}
 	return acc
-}
-
-// isValid is the fast-path divisor check behind (*Curve).IsValid: u monic of
-// degree ≤ 2, deg v < deg u (or the identity), and u | f − v².
-func (fc *fastCurve) isValid(d fdiv) bool {
-	f := fc.fld
-	if d.u.deg < 0 || d.u.deg > 2 || !d.u.c[d.u.deg].Equal(f.One()) {
-		return false
-	}
-	if d.v.deg >= d.u.deg && !(d.u.isOne(f) && d.v.isZero()) {
-		return false
-	}
-	diff := fpSub(f, fc.f, fpMul(f, d.v, d.v))
-	rem := fpMod(f, diff, d.u)
-	return rem.isZero()
-}
-
-// --- conversions between the public Divisor form and the fast form ---
-
-func (c *Curve) toFast(d *Divisor) fdiv {
-	fld := c.fast.fld
-	var out fdiv
-	out.u.deg = d.u.Deg()
-	for i := 0; i <= out.u.deg; i++ {
-		out.u.c[i] = fld.FromBig(d.u.Coeff(i))
-	}
-	out.v.deg = d.v.Deg()
-	for i := 0; i <= out.v.deg; i++ {
-		out.v.c[i] = fld.FromBig(d.v.Coeff(i))
-	}
-	return out
-}
-
-func (c *Curve) fromFast(d fdiv) *Divisor {
-	fld := c.fast.fld
-	uc := make([]*big.Int, d.u.deg+1)
-	for i := range uc {
-		uc[i] = fld.ToBig(d.u.c[i])
-	}
-	vc := make([]*big.Int, d.v.deg+1)
-	for i := range vc {
-		vc[i] = fld.ToBig(d.v.c[i])
-	}
-	return &Divisor{u: polyring.New(c.field, uc...), v: polyring.New(c.field, vc...)}
 }
 
 // --- precomputed fixed-base exponentiation (group.FixedBase) ---
 
 // fixedBaseWindow is the digit width of the fixed-base tables: 4 bits per
 // window means ⌈orderBits/4⌉ windows of 15 precomputed multiples each, and
-// an exponentiation is just one table lookup + Cantor addition per window —
+// an exponentiation is just one table lookup + group addition per window —
 // no doublings at all.
 const fixedBaseWindow = 4
 
@@ -450,45 +425,33 @@ type fixedBase struct {
 // exponentiation table for the given base, built once (≈16 group operations
 // per 4 exponent bits) and amortized across every later Exp.
 func (c *Curve) NewFixedBase(base group.Element) group.FixedBase {
-	d := c.div(base)
-	if c.fast == nil {
-		return &slowFixedBase{c: c, base: &Divisor{u: d.u, v: d.v}}
-	}
 	nwin := (c.order.BitLen() + fixedBaseWindow - 1) / fixedBaseWindow
 	t := &fixedBase{c: c, win: make([][15]fdiv, nwin)}
-	cur := c.toFast(d)
+	cur := c.div(base).d
 	for i := 0; i < nwin; i++ {
 		t.win[i][0] = cur
 		for j := 1; j < 15; j++ {
-			t.win[i][j] = c.fast.add(t.win[i][j-1], cur)
+			t.win[i][j] = c.add(t.win[i][j-1], cur)
 		}
-		cur = c.fast.add(t.win[i][14], cur) // 16·cur
+		cur = c.add(t.win[i][14], cur) // 16·cur
 	}
 	return t
 }
 
-// Exp implements group.FixedBase.
+// Exp implements group.FixedBase. A scalar already in [0, order) is read
+// as is; any other is reduced first.
 func (t *fixedBase) Exp(k *big.Int) group.Element {
-	fc := t.c.fast
-	kk := new(big.Int).Mod(k, t.c.order)
-	acc := fc.identity()
+	if k.Sign() < 0 || k.Cmp(t.c.order) >= 0 {
+		k = new(big.Int).Mod(k, t.c.order)
+	}
+	var acc fdiv
 	for i := range t.win {
-		d := int(kk.Bit(4*i)) | int(kk.Bit(4*i+1))<<1 | int(kk.Bit(4*i+2))<<2 | int(kk.Bit(4*i+3))<<3
+		d := int(k.Bit(4*i)) | int(k.Bit(4*i+1))<<1 | int(k.Bit(4*i+2))<<2 | int(k.Bit(4*i+3))<<3
 		if d != 0 {
-			acc = fc.add(acc, t.win[i][d-1])
+			acc = t.c.add(acc, t.win[i][d-1])
 		}
 	}
-	return t.c.fromFast(acc)
+	return t.c.element(acc)
 }
-
-// slowFixedBase is the fallback table for curves without a fast engine: it
-// delegates to the generic Exp. (Only reachable for base fields over 2¹²⁷.)
-type slowFixedBase struct {
-	c    *Curve
-	base *Divisor
-}
-
-// Exp implements group.FixedBase.
-func (t *slowFixedBase) Exp(k *big.Int) group.Element { return t.c.Exp(t.base, k) }
 
 var _ group.FixedBaseGroup = (*Curve)(nil)

@@ -6,6 +6,12 @@
 // F_q, q = 5·10²⁴ + 8503491, whose Jacobian has the 164-bit prime order
 // p = 24999999999994130438600999402209463966197516075699 (Gaudry–Schost
 // secure random curve).
+//
+// There is one representation and one code path per operation: a group
+// element is a 72-byte Mumford tuple over the two-limb field of package
+// ff128 (fast.go), added by Lange's explicit formulas with Cantor's
+// algorithm for the rare non-generic shapes (lane.go), so the base field
+// must fit 127 bits.
 package g2
 
 import (
@@ -15,43 +21,41 @@ import (
 	"fmt"
 	"math/big"
 
-	"ppcd/internal/ffbig"
+	"ppcd/internal/ff128"
 	"ppcd/internal/group"
-	"ppcd/internal/polyring"
 )
 
 // Curve is a genus-2 hyperelliptic curve y² = f(x) with f monic of degree 5
 // over a prime field F_q, together with the (prime) order of its Jacobian.
 // Curve implements group.Group; elements are *Divisor values.
 type Curve struct {
-	field *ffbig.Field
-	f     polyring.Poly // right-hand side, monic degree 5
-	order *big.Int      // Jacobian group order (prime)
-	gen   *Divisor
+	fld   *ff128.Field
+	f     fpoly    // right-hand side, monic degree 5
+	order *big.Int // Jacobian group order (prime)
+	gen   fdiv
 	name  string
-	// fast is the two-limb ff128 engine (fast.go), present whenever the base
-	// field fits 127 bits — in particular for the paper's 83-bit curve. All
-	// group operations dispatch to it; the polyring/ffbig code below remains
-	// the reference path, pinned to the fast path by differential tests.
-	fast *fastCurve
 }
 
 // Divisor is a reduced divisor in Mumford representation: a pair (u, v) with
-// u monic, deg u ≤ 2, deg v < deg u and u | f − v². The identity is (1, 0).
+// u monic, deg u ≤ 2, deg v < deg u and u | f − v². The zero value is the
+// identity (1, 0).
 type Divisor struct {
-	u, v polyring.Poly
+	d   fdiv
+	fld *ff128.Field // prints the coefficients; nil only for the zero value
 }
 
-// String implements group.Element.
-func (d *Divisor) String() string {
-	return fmt.Sprintf("div(u=%s, v=%s)", d.u, d.v)
+// String implements group.Element: u = x² + u1·x + u0, v = v1·x + v0, with
+// the terms a lower degree lacks left out.
+func (e *Divisor) String() string {
+	d, f := e.d, e.fld
+	switch d.deg {
+	case 1:
+		return fmt.Sprintf("div(u=x + %v, v=%v)", f.ToBig(d.u0), f.ToBig(d.v0))
+	case 2:
+		return fmt.Sprintf("div(u=x^2 + %v*x + %v, v=%v*x + %v)", f.ToBig(d.u1), f.ToBig(d.u0), f.ToBig(d.v1), f.ToBig(d.v0))
+	}
+	return "div(u=1, v=0)"
 }
-
-// U returns the u polynomial of the Mumford pair.
-func (d *Divisor) U() polyring.Poly { return d.u }
-
-// V returns the v polynomial of the Mumford pair.
-func (d *Divisor) V() polyring.Poly { return d.v }
 
 // mustBig parses a base-10 integer literal; for package-level constants.
 func mustBig(s string) *big.Int {
@@ -75,24 +79,27 @@ var (
 
 // NewCurve constructs the Jacobian group of y² = f(x) over F_q, where f is
 // given by its coefficients in ascending degree (degree-5 coefficient is
-// implicitly 1) and order is the Jacobian group order. The generator is
-// derived deterministically by hashing.
+// implicitly 1) and order is the Jacobian group order. q must be a prime of
+// at most 127 bits. The generator is derived deterministically by hashing.
 func NewCurve(q *big.Int, coeffs [5]*big.Int, order *big.Int, name string) (*Curve, error) {
-	field, err := ffbig.NewField(q)
+	fld, err := ff128.NewField(q)
 	if err != nil {
 		return nil, fmt.Errorf("g2: base field: %w", err)
 	}
 	if order == nil || !order.ProbablyPrime(32) {
 		return nil, errors.New("g2: Jacobian order must be prime")
 	}
-	f := polyring.New(field, coeffs[0], coeffs[1], coeffs[2], coeffs[3], coeffs[4], big.NewInt(1))
-	c := &Curve{field: field, f: f, order: new(big.Int).Set(order), name: name}
-	c.fast = newFastCurve(q, coeffs, c.order)
+	c := &Curve{fld: fld, order: new(big.Int).Set(order), name: name}
+	c.f.deg = 5
+	for i, a := range coeffs {
+		c.f.c[i] = fld.FromBig(a)
+	}
+	c.f.c[5] = fld.One()
 	gen, err := c.HashToElement([]byte("ppcd/g2/generator/v1"))
 	if err != nil {
 		return nil, fmt.Errorf("g2: deriving generator: %w", err)
 	}
-	c.gen = gen.(*Divisor)
+	c.gen = c.div(gen).d
 	return c, nil
 }
 
@@ -117,24 +124,20 @@ func (c *Curve) Name() string { return c.name }
 // Order implements group.Group.
 func (c *Curve) Order() *big.Int { return new(big.Int).Set(c.order) }
 
-// BaseField returns the field F_q the curve is defined over.
-func (c *Curve) BaseField() *ffbig.Field { return c.field }
+// Modulus returns q, the order of the base field F_q.
+func (c *Curve) Modulus() *big.Int { return c.fld.P() }
+
+// element boxes a divisor as a group element.
+func (c *Curve) element(d fdiv) *Divisor { return &Divisor{d: d, fld: c.fld} }
 
 // Identity implements group.Group: the divisor (1, 0).
-func (c *Curve) Identity() group.Element {
-	return &Divisor{u: polyring.One(c.field), v: polyring.Zero(c.field)}
-}
+func (c *Curve) Identity() group.Element { return c.element(fdiv{}) }
 
 // Generator implements group.Group.
-func (c *Curve) Generator() group.Element {
-	return &Divisor{u: c.gen.u, v: c.gen.v}
-}
+func (c *Curve) Generator() group.Element { return c.element(c.gen) }
 
 // IsIdentity reports whether e is the neutral divisor.
-func (c *Curve) IsIdentity(e group.Element) bool {
-	d := c.div(e)
-	return d.u.IsOne() && d.v.IsZero()
-}
+func (c *Curve) IsIdentity(e group.Element) bool { return c.div(e).d == fdiv{} }
 
 func (c *Curve) div(e group.Element) *Divisor {
 	d, ok := e.(*Divisor)
@@ -148,187 +151,86 @@ func (c *Curve) div(e group.Element) *Divisor {
 // u monic with deg u ≤ 2, deg v < deg u, and u | f − v².
 func (c *Curve) IsValid(e group.Element) bool {
 	d, ok := e.(*Divisor)
-	if !ok {
-		return false
-	}
-	if c.fast != nil {
-		return c.fast.isValid(c.toFast(d))
-	}
-	if d.u.IsZero() || d.u.Deg() > 2 || d.u.Lead().Cmp(big.NewInt(1)) != 0 {
-		return false
-	}
-	if d.v.Deg() >= d.u.Deg() && !(d.u.IsOne() && d.v.IsZero()) {
-		return false
-	}
-	diff := c.f.Sub(d.v.Mul(d.v))
-	rem, err := diff.Mod(d.u)
-	return err == nil && rem.IsZero()
+	return ok && c.isValid(d.d)
 }
 
-// Op implements group.Group: Cantor composition followed by reduction.
+// Op implements group.Group: the group law of lane.go (Cantor composition
+// followed by reduction).
 func (c *Curve) Op(a, b group.Element) group.Element {
-	d1, d2 := c.div(a), c.div(b)
-	if c.fast != nil {
-		return c.fromFast(c.fast.add(c.toFast(d1), c.toFast(d2)))
-	}
-	out, err := c.cantorAdd(d1, d2)
-	if err != nil {
-		// Cantor's algorithm is total on valid divisors; an error indicates
-		// corrupt inputs, which is a programmer error.
-		panic(fmt.Sprintf("g2: Cantor addition failed: %v", err))
-	}
-	return out
+	return c.element(c.add(c.div(a).d, c.div(b).d))
 }
 
 // Inverse implements group.Group: (u, v) ↦ (u, −v mod u).
 func (c *Curve) Inverse(a group.Element) group.Element {
-	d := c.div(a)
-	negV, err := d.v.Neg().Mod(d.u)
-	if err != nil {
-		panic(fmt.Sprintf("g2: inverse: %v", err))
-	}
-	return &Divisor{u: d.u, v: negV}
+	return c.element(c.neg(c.div(a).d))
 }
 
-// Exp implements group.Group: windowed-NAF on the fast path, plain
-// double-and-add on the reference path; negative exponents reduce modulo the
-// group order.
+// Exp implements group.Group by windowed-NAF double-and-add; negative
+// exponents reduce modulo the group order.
 func (c *Curve) Exp(a group.Element, k *big.Int) group.Element {
-	d := c.div(a)
-	if c.fast != nil {
-		return c.fromFast(c.fast.exp(c.toFast(d), k))
-	}
-	kk := new(big.Int).Mod(k, c.order)
-	result := c.Identity().(*Divisor)
-	base := &Divisor{u: d.u, v: d.v}
-	for i := 0; i < kk.BitLen(); i++ {
-		if kk.Bit(i) == 1 {
-			result = c.Op(result, base).(*Divisor)
-		}
-		if i+1 < kk.BitLen() {
-			base = c.Op(base, base).(*Divisor)
-		}
-	}
-	return result
+	return c.element(c.exp(c.div(a).d, k))
 }
 
 // Equal implements group.Group.
 func (c *Curve) Equal(a, b group.Element) bool {
-	d1, d2 := c.div(a), c.div(b)
-	return d1.u.Equal(d2.u) && d1.v.Equal(d2.v)
-}
-
-// cantorAdd computes the reduced sum of two reduced divisors via Cantor's
-// algorithm (composition + reduction).
-func (c *Curve) cantorAdd(d1, d2 *Divisor) (*Divisor, error) {
-	// Composition.
-	// d1' = gcd(u1, u2) = e1·u1 + e2·u2
-	g1, e1, e2, err := polyring.XGCD(d1.u, d2.u)
-	if err != nil {
-		return nil, err
-	}
-	// d = gcd(d1', v1+v2) = c1·d1' + c2·(v1+v2)
-	vSum := d1.v.Add(d2.v)
-	d, c1, c2, err := polyring.XGCD(g1, vSum)
-	if err != nil {
-		return nil, err
-	}
-	s1 := c1.Mul(e1)
-	s2 := c1.Mul(e2)
-	s3 := c2
-
-	u, err := d1.u.Mul(d2.u).Div(d.Mul(d))
-	if err != nil {
-		return nil, fmt.Errorf("composing u: %w", err)
-	}
-	// v = (s1·u1·v2 + s2·u2·v1 + s3·(v1·v2 + f)) / d  mod u
-	num := s1.Mul(d1.u).Mul(d2.v).
-		Add(s2.Mul(d2.u).Mul(d1.v)).
-		Add(s3.Mul(d1.v.Mul(d2.v).Add(c.f)))
-	vPre, err := num.Div(d)
-	if err != nil {
-		return nil, fmt.Errorf("composing v: %w", err)
-	}
-	v, err := vPre.Mod(u)
-	if err != nil {
-		return nil, err
-	}
-
-	// Reduction: repeat until deg u ≤ genus (= 2).
-	for u.Deg() > 2 {
-		uNext, err := c.f.Sub(v.Mul(v)).Div(u)
-		if err != nil {
-			return nil, fmt.Errorf("reducing u: %w", err)
-		}
-		uNext = uNext.Monic()
-		vNext, err := v.Neg().Mod(uNext)
-		if err != nil {
-			return nil, err
-		}
-		u, v = uNext, vNext
-	}
-	u = u.Monic()
-	return &Divisor{u: u, v: v}, nil
+	return c.div(a).d == c.div(b).d
 }
 
 // elemLen is the byte length of one base-field element encoding.
-func (c *Curve) elemLen() int { return (c.field.Bits() + 7) / 8 }
+func (c *Curve) elemLen() int { return (c.fld.Bits() + 7) / 8 }
 
 // Marshal implements group.Group. Encoding: one byte deg(u), then deg(u)
 // field elements for u's non-leading coefficients (u is monic), then deg(u)
-// field elements for v's coefficients (zero-padded). The identity encodes as
-// the single byte 0.
+// field elements for v's coefficients (zero-padded), each big-endian in
+// ascending degree. The identity encodes as the single byte 0.
 func (c *Curve) Marshal(a group.Element) []byte {
-	d := c.div(a)
+	d := c.div(a).d
 	n := c.elemLen()
-	degU := d.u.Deg()
-	out := make([]byte, 1+2*degU*n)
-	out[0] = byte(degU)
-	for i := 0; i < degU; i++ {
-		d.u.Coeff(i).FillBytes(out[1+i*n : 1+(i+1)*n])
-	}
-	off := 1 + degU*n
-	for i := 0; i < degU; i++ {
-		d.v.Coeff(i).FillBytes(out[off+i*n : off+(i+1)*n])
+	coeffs := [4]ff128.Elem{d.u0, d.u1}
+	copy(coeffs[d.deg:], []ff128.Elem{d.v0, d.v1})
+	out := make([]byte, 1+2*d.deg*n)
+	out[0] = byte(d.deg)
+	for i, x := range coeffs[:2*d.deg] {
+		c.fld.ToBig(x).FillBytes(out[1+i*n : 1+(i+1)*n])
 	}
 	return out
 }
 
 // Unmarshal implements group.Group and validates that the decoded pair is a
-// reduced divisor on the curve.
+// reduced divisor on the curve. A coefficient is refused unless it is below
+// q: the encoding of each element is unique.
 func (c *Curve) Unmarshal(data []byte) (group.Element, error) {
 	if len(data) < 1 {
 		return nil, errors.New("g2: empty encoding")
 	}
-	degU := int(data[0])
-	if degU > 2 {
-		return nil, fmt.Errorf("g2: invalid u degree %d", degU)
+	deg := int(data[0])
+	if deg > 2 {
+		return nil, fmt.Errorf("g2: invalid u degree %d", deg)
 	}
 	n := c.elemLen()
-	if len(data) != 1+2*degU*n {
-		return nil, fmt.Errorf("g2: encoding length %d, want %d", len(data), 1+2*degU*n)
+	if len(data) != 1+2*deg*n {
+		return nil, fmt.Errorf("g2: encoding length %d, want %d", len(data), 1+2*deg*n)
 	}
-	uCoeffs := make([]*big.Int, degU+1)
-	for i := 0; i < degU; i++ {
-		uCoeffs[i] = new(big.Int).SetBytes(data[1+i*n : 1+(i+1)*n])
-		if !c.field.Contains(uCoeffs[i]) {
-			return nil, errors.New("g2: u coefficient out of field")
+	q := c.fld.P()
+	var coeffs [4]ff128.Elem
+	for i := range coeffs[:2*deg] {
+		x := new(big.Int).SetBytes(data[1+i*n : 1+(i+1)*n])
+		if x.Cmp(q) >= 0 {
+			return nil, errors.New("g2: coefficient out of field")
 		}
+		coeffs[i] = c.fld.FromBig(x)
 	}
-	uCoeffs[degU] = big.NewInt(1)
-	off := 1 + degU*n
-	vCoeffs := make([]*big.Int, degU)
-	for i := 0; i < degU; i++ {
-		vCoeffs[i] = new(big.Int).SetBytes(data[off+i*n : off+(i+1)*n])
-		if !c.field.Contains(vCoeffs[i]) {
-			return nil, errors.New("g2: v coefficient out of field")
-		}
+	d := fdiv{deg: deg}
+	switch deg {
+	case 1:
+		d.u0, d.v0 = coeffs[0], coeffs[1]
+	case 2:
+		d.u0, d.u1, d.v0, d.v1 = coeffs[0], coeffs[1], coeffs[2], coeffs[3]
 	}
-	d := &Divisor{u: polyring.New(c.field, uCoeffs...), v: polyring.New(c.field, vCoeffs...)}
-	if !c.IsValid(d) {
+	if !c.isValid(d) {
 		return nil, errors.New("g2: encoding is not a divisor on the curve")
 	}
-	return d, nil
+	return c.element(d), nil
 }
 
 // HashToElement implements group.Group: it maps the seed to an x-coordinate,
@@ -337,6 +239,7 @@ func (c *Curve) Unmarshal(data []byte) (group.Element, error) {
 // result with respect to any other element is unknown, as required for
 // Pedersen's second base.
 func (c *Curve) HashToElement(seed []byte) (group.Element, error) {
+	f := c.fld
 	for ctr := uint32(0); ctr < 1<<16; ctr++ {
 		h := sha256.New()
 		h.Write([]byte("ppcd/g2/hash-to-element/v1"))
@@ -347,24 +250,23 @@ func (c *Curve) HashToElement(seed []byte) (group.Element, error) {
 		digest := h.Sum(nil)
 		// Two SHA-256 blocks give > 2·83 bits, enough for negligible bias.
 		h2 := sha256.Sum256(append(digest, 0x01))
-		wide := new(big.Int).SetBytes(append(digest, h2[:]...))
-		x := c.field.Reduce(wide)
-		fx := c.f.Eval(x)
-		if fx.Sign() == 0 {
+		x := f.FromBig(new(big.Int).SetBytes(append(digest, h2[:]...)))
+		fx := c.f.c[5]
+		for i := 4; i >= 0; i-- {
+			fx = f.Add(f.Mul(fx, x), c.f.c[i])
+		}
+		if fx.IsZero() {
 			continue // avoid 2-torsion points
 		}
-		y, err := c.field.Sqrt(fx)
+		y, err := f.Sqrt(fx)
 		if err != nil {
 			continue // not a QR; try next counter
 		}
 		// Canonical y: take the smaller of y and q−y for determinism.
-		alt := c.field.Neg(y)
-		if alt.Cmp(y) < 0 {
-			y = alt
+		if f.ToBig(f.Neg(y)).Cmp(f.ToBig(y)) < 0 {
+			y = f.Neg(y)
 		}
-		u := polyring.New(c.field, c.field.Neg(x), big.NewInt(1)) // X − x
-		v := polyring.Constant(c.field, y)
-		return &Divisor{u: u, v: v}, nil
+		return c.element(fdiv{deg: 1, u0: f.Neg(x), v0: y}), nil // (X − x, y)
 	}
 	return nil, errors.New("g2: hash-to-element failed to find a point")
 }

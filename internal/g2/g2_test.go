@@ -13,8 +13,8 @@ var testCurve = MustPaperCurve()
 
 func TestPaperCurveParameters(t *testing.T) {
 	c := testCurve
-	if c.BaseField().Bits() != 83 {
-		t.Errorf("base field bits = %d, want 83", c.BaseField().Bits())
+	if c.Modulus().BitLen() != 83 {
+		t.Errorf("base field bits = %d, want 83", c.Modulus().BitLen())
 	}
 	// The paper calls this a "164-bit" prime; its exact bit length is 165
 	// (log2(2.5·10^49) ≈ 164.09).

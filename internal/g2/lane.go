@@ -19,12 +19,14 @@ package g2
 // multiplications for an addition, 29 for a doubling (the generic-polynomial
 // Cantor step they replace spent about 104). Non-generic shapes (degree-<2
 // inputs, non-coprime u's, s₁ = 0, i.e. a result of degree < 2) fall back
-// to the full Cantor path addCantor, which also serves as the differential
-// reference.
+// to the full Cantor path addCantor (fast.go), which also serves as the
+// in-package differential reference.
 //
-// The scalar entry point add() runs the same two phases around a single
-// ff128.Inv, which cuts the ~5 inversions of addCantor to one for every
-// other caller (exp, the fixed-base tables).
+// The operands are fdiv values, whose four coefficients u1, u0, v1, v0 are
+// exactly what the formulas read and write. The scalar entry point add()
+// runs the same two phases around a single ff128.Inv; it is the group
+// operation behind Op, exp and the fixed-base tables, and it cuts the ~5
+// inversions of addCantor to one.
 
 import (
 	"math/big"
@@ -88,21 +90,23 @@ func (op *laneOp) fallback(a, b *fdiv) {
 // up to (but not including) the field inversion: 10 multiplications for an
 // addition, 14 for a doubling. It copies what it keeps, so callers may
 // overwrite the operands before phase2.
-func (fc *fastCurve) phase1(op *laneOp, a, b *fdiv) {
-	f := fc.fld
+//
+//ppcd:hotpath
+func (c *Curve) phase1(op *laneOp, a, b *fdiv) {
+	f := c.fld
 	switch {
-	case fc.isIdentity(a):
+	case *a == fdiv{}:
 		op.kind, op.out = laneDirect, *b
 		return
-	case fc.isIdentity(b):
+	case *b == fdiv{}:
 		op.kind, op.out = laneDirect, *a
 		return
-	case a.u.deg != 2 || b.u.deg != 2:
+	case a.deg != 2 || b.deg != 2:
 		op.fallback(a, b)
 		return
 	}
-	a1, a0, c1, c0 := a.u.c[1], a.u.c[0], a.v.c[1], a.v.c[0]
-	b1, b0, d1, d0 := b.u.c[1], b.u.c[0], b.v.c[1], b.v.c[0]
+	a1, a0, c1, c0 := a.u1, a.u0, a.v1, a.v0
+	b1, b0, d1, d0 := b.u1, b.u0, b.v1, b.v0
 	z1 := f.Sub(a1, b1)
 	z2 := f.Sub(b0, a0)
 
@@ -112,7 +116,7 @@ func (fc *fastCurve) phase1(op *laneOp, a, b *fdiv) {
 		// u1 == u2: inverse pair, doubling, or a shared-root pair.
 		t1, t0 := f.Add(c1, d1), f.Add(c0, d0)
 		if t1.IsZero() && t0.IsZero() {
-			op.kind, op.out = laneDirect, fc.identity()
+			op.kind, op.out = laneDirect, fdiv{}
 			return
 		}
 		if !c1.Equal(d1) || !c0.Equal(d0) {
@@ -121,7 +125,7 @@ func (fc *fastCurve) phase1(op *laneOp, a, b *fdiv) {
 			return
 		}
 		// Doubling: inv ≡ r/(2v) and k = (f − v²)/u mod u.
-		f4, f3, f2 := fc.f.c[4], fc.f.c[3], fc.f.c[2]
+		f4, f3, f2 := c.f.c[4], c.f.c[3], c.f.c[2]
 		w0, w1 := f.Sq(c1), f.Sq(a1)
 		i0, i1 = f.Sub(t0, f.Mul(a1, t1)), f.Neg(t1)
 		r = f.Add(f.Double(f.Double(f.Mul(a0, w0))), f.Mul(t0, i0))
@@ -154,8 +158,10 @@ func (fc *fastCurve) phase1(op *laneOp, a, b *fdiv) {
 // phase2 finishes a generic lane into dst given zinv = 1/(r·s₁): s' made
 // monic (x + σ), l = (x + σ)·u₂, Lange's closed forms for the reduced u' and
 // v' = −(l·s₁/r + v₂) mod u' — 15 multiplications, no further inversions.
-func (fc *fastCurve) phase2(dst *fdiv, op *laneOp, zinv ff128.Elem) {
-	f := fc.fld
+//
+//ppcd:hotpath
+func (c *Curve) phase2(dst *fdiv, op *laneOp, zinv ff128.Elem) {
+	f := c.fld
 	w2 := f.Mul(op.r, zinv)        // 1/s₁
 	w3 := f.Mul(f.Sq(op.s1), zinv) // s₁/r
 	w4 := f.Mul(op.r, w2)          // r/s₁
@@ -166,38 +172,35 @@ func (fc *fastCurve) phase2(dst *fdiv, op *laneOp, zinv ff128.Elem) {
 	l0 := f.Mul(op.b0, sg)
 	u0 := f.Sub(f.Mul(f.Sub(sg, op.a1), f.Sub(sg, op.z1)), op.a0)
 	u0 = f.Add(f.Add(u0, l1), f.Double(f.Mul(op.d1, w4)))
-	u0 = f.Add(u0, f.Mul(f.Sub(f.Add(f.Double(op.b1), op.z1), fc.f.c[4]), w5))
+	u0 = f.Add(u0, f.Mul(f.Sub(f.Add(f.Double(op.b1), op.z1), c.f.c[4]), w5))
 	u1 := f.Sub(f.Sub(f.Double(sg), op.z1), w5)
 	t := f.Sub(l2, u1)
 	v1 := f.Sub(f.Mul(f.Sub(f.Add(f.Mul(u1, t), u0), l1), w3), op.d1)
 	v0 := f.Sub(f.Mul(f.Sub(f.Mul(u0, t), l0), w3), op.d0)
 
-	*dst = fdiv{}
-	dst.u.deg = 2
-	dst.u.c[0], dst.u.c[1], dst.u.c[2] = u0, u1, f.One()
-	dst.v.deg = 1
-	dst.v.c[0], dst.v.c[1] = v0, v1
-	fpTrim(&dst.v)
+	*dst = fdiv{deg: 2, u1: u1, u0: u0, v1: v1, v0: v0}
 }
 
 // add is the scalar group operation behind exp and the fixed-base tables:
 // the same two phases as the lane kernel around a single ff128.Inv, which
 // replaces the ~5 inversions of the full Cantor path for generic inputs.
-func (fc *fastCurve) add(d1, d2 fdiv) fdiv {
+//
+//ppcd:hotpath
+func (c *Curve) add(d1, d2 fdiv) fdiv {
 	var op laneOp
-	fc.phase1(&op, &d1, &d2)
+	c.phase1(&op, &d1, &d2)
 	switch op.kind {
 	case laneDirect:
 		return op.out
 	case laneFallback:
-		return fc.addCantor(d1, d2)
+		return c.addCantor(d1, d2)
 	}
-	zinv, err := fc.fld.Inv(op.z)
+	zinv, err := c.fld.Inv(op.z)
 	if err != nil {
-		return fc.addCantor(d1, d2) // unreachable: z = r·s₁, both non-zero
+		return c.addCantor(d1, d2) // unreachable: z = r·s₁, both non-zero
 	}
 	var out fdiv
-	fc.phase2(&out, &op, zinv)
+	c.phase2(&out, &op, zinv)
 	return out
 }
 
@@ -206,16 +209,18 @@ func (fc *fastCurve) add(d1, d2 fdiv) fdiv {
 // copies everything it needs before any write. ops and zs are caller
 // scratch (len(ops) ≥ len(dst), cap(zs) ≥ len(dst)) so the per-position
 // calls inside laneExp do not allocate.
-func (fc *fastCurve) laneCombine(dst, a, b []fdiv, ops []laneOp, zs []ff128.Elem) {
+//
+//ppcd:hotpath
+func (c *Curve) laneCombine(dst, a, b []fdiv, ops []laneOp, zs []ff128.Elem) {
 	zs = zs[:0]
 	for i := range dst {
-		fc.phase1(&ops[i], &a[i], &b[i])
+		c.phase1(&ops[i], &a[i], &b[i])
 		if ops[i].kind == laneGeneric {
 			zs = append(zs, ops[i].z)
 		}
 	}
 	if len(zs) > 0 {
-		if err := fc.fld.InvBatch(zs); err != nil {
+		if err := c.fld.InvBatch(zs); err != nil {
 			// Unreachable (every z = r·s₁ is non-zero), but never trust a
 			// rejected batch: degrade those lanes to the scalar path.
 			for i := range dst {
@@ -233,10 +238,10 @@ func (fc *fastCurve) laneCombine(dst, a, b []fdiv, ops []laneOp, zs []ff128.Elem
 		case laneDirect:
 			dst[i] = ops[i].out
 		case laneGeneric:
-			fc.phase2(&dst[i], &ops[i], zs[k])
+			c.phase2(&dst[i], &ops[i], zs[k])
 			k++
 		case laneFallback:
-			dst[i] = fc.addCantor(ops[i].a, ops[i].b)
+			dst[i] = c.addCantor(ops[i].a, ops[i].b)
 		}
 	}
 }
@@ -252,7 +257,7 @@ const laneChunkSize = 64
 // deduped by *big.Int identity, so the compose path's shared y is
 // decomposed once; if every base is the same divisor (the open path's η)
 // one odd-multiples table is shared by all lanes.
-func (fc *fastCurve) laneExp(bases []fdiv, ks []*big.Int) []fdiv {
+func (c *Curve) laneExp(bases []fdiv, ks []*big.Int) []fdiv {
 	n := len(bases)
 	out := make([]fdiv, n)
 	if n == 0 {
@@ -267,7 +272,7 @@ func (fc *fastCurve) laneExp(bases []fdiv, ks []*big.Int) []fdiv {
 		}
 		dg, ok := memo[k]
 		if !ok {
-			kk := new(big.Int).Mod(k, fc.order)
+			kk := new(big.Int).Mod(k, c.order)
 			if kk.Sign() > 0 {
 				dg = wnafDigits(kk, wnafWidth)
 			}
@@ -279,14 +284,14 @@ func (fc *fastCurve) laneExp(bases []fdiv, ks []*big.Int) []fdiv {
 	if n > 1 {
 		same := true
 		for i := 1; i < n && same; i++ {
-			same = fdivEqual(bases[0], bases[i])
+			same = bases[0] == bases[i]
 		}
 		if same {
 			var tab [8]fdiv
 			tab[0] = bases[0]
-			d2 := fc.add(bases[0], bases[0])
+			d2 := c.add(bases[0], bases[0])
 			for j := 1; j < len(tab); j++ {
-				tab[j] = fc.add(tab[j-1], d2)
+				tab[j] = c.add(tab[j-1], d2)
 			}
 			sharedTab = &tab
 		}
@@ -296,10 +301,10 @@ func (fc *fastCurve) laneExp(bases []fdiv, ks []*big.Int) []fdiv {
 		core.Parallel(workers, chunks, func(ci int) {
 			lo := ci * laneChunkSize
 			hi := min(lo+laneChunkSize, n)
-			fc.laneExpChunk(out[lo:hi], bases[lo:hi], digitsFor[lo:hi], sharedTab)
+			c.laneExpChunk(out[lo:hi], bases[lo:hi], digitsFor[lo:hi], sharedTab)
 		})
 	} else {
-		fc.laneExpChunk(out, bases, digitsFor, sharedTab)
+		c.laneExpChunk(out, bases, digitsFor, sharedTab)
 	}
 	return out
 }
@@ -309,7 +314,7 @@ func (fc *fastCurve) laneExp(bases []fdiv, ks []*big.Int) []fdiv {
 // every lane, one addition pass when any lane has a non-zero digit — so
 // the whole chunk pays two batch inversions per position instead of two
 // Fermat inversions per lane per position.
-func (fc *fastCurve) laneExpChunk(out, bases []fdiv, digitsFor [][]int8, sharedTab *[8]fdiv) {
+func (c *Curve) laneExpChunk(out, bases []fdiv, digitsFor [][]int8, sharedTab *[8]fdiv) {
 	n := len(bases)
 	ops := make([]laneOp, n)
 	zs := make([]ff128.Elem, 0, n)
@@ -319,7 +324,7 @@ func (fc *fastCurve) laneExpChunk(out, bases []fdiv, digitsFor [][]int8, sharedT
 		// tables (d, 3d, …, 15d per lane) instead of 8·n scalar adds.
 		tabs = make([][8]fdiv, n)
 		d2 := make([]fdiv, n)
-		fc.laneCombine(d2, bases, bases, ops, zs)
+		c.laneCombine(d2, bases, bases, ops, zs)
 		prev := make([]fdiv, n)
 		copy(prev, bases)
 		cur := make([]fdiv, n)
@@ -327,7 +332,7 @@ func (fc *fastCurve) laneExpChunk(out, bases []fdiv, digitsFor [][]int8, sharedT
 			tabs[i][0] = bases[i]
 		}
 		for j := 1; j < 8; j++ {
-			fc.laneCombine(cur, prev, d2, ops, zs)
+			c.laneCombine(cur, prev, d2, ops, zs)
 			for i := range cur {
 				tabs[i][j] = cur[i]
 			}
@@ -341,13 +346,10 @@ func (fc *fastCurve) laneExpChunk(out, bases []fdiv, digitsFor [][]int8, sharedT
 		}
 	}
 	accs := out
-	for i := range accs {
-		accs[i] = fc.identity()
-	}
+	clear(accs)
 	addends := make([]fdiv, n)
-	ident := fc.identity()
 	for pos := maxLen - 1; pos >= 0; pos-- {
-		fc.laneCombine(accs, accs, accs, ops, zs)
+		c.laneCombine(accs, accs, accs, ops, zs)
 		any := false
 		for i := 0; i < n; i++ {
 			dg := int8(0)
@@ -364,43 +366,24 @@ func (fc *fastCurve) laneExpChunk(out, bases []fdiv, digitsFor [][]int8, sharedT
 				any = true
 			case dg < 0:
 				if sharedTab != nil {
-					addends[i] = fc.neg(sharedTab[(-dg-1)/2])
+					addends[i] = c.neg(sharedTab[(-dg-1)/2])
 				} else {
-					addends[i] = fc.neg(tabs[i][(-dg-1)/2])
+					addends[i] = c.neg(tabs[i][(-dg-1)/2])
 				}
 				any = true
 			default:
-				addends[i] = ident
+				addends[i] = fdiv{}
 			}
 		}
 		if any {
-			fc.laneCombine(accs, accs, addends, ops, zs)
+			c.laneCombine(accs, accs, addends, ops, zs)
 		}
 	}
-}
-
-func fdivEqual(a, b fdiv) bool {
-	if a.u.deg != b.u.deg || a.v.deg != b.v.deg {
-		return false
-	}
-	for i := 0; i <= a.u.deg; i++ {
-		if !a.u.c[i].Equal(b.u.c[i]) {
-			return false
-		}
-	}
-	for i := 0; i <= a.v.deg; i++ {
-		if !a.v.c[i].Equal(b.v.c[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // LaneExp implements group.LaneExpGroup: out[i] = ks[i]·bases[i], with
-// len(ks) == 1 meaning one scalar drives every lane. On the fast engine
-// this runs the lock-step batch-inversion kernel; curves without a fast
-// engine (base field over 2¹²⁷) serve each lane through the reference
-// polyring path, which doubles as the differential oracle in tests.
+// len(ks) == 1 meaning one scalar drives every lane, through the lock-step
+// batch-inversion kernel.
 func (c *Curve) LaneExp(bases []group.Element, ks []*big.Int) []group.Element {
 	n := len(bases)
 	if len(ks) != 1 && len(ks) != n {
@@ -411,23 +394,15 @@ func (c *Curve) LaneExp(bases []group.Element, ks []*big.Int) []group.Element {
 		return out
 	}
 	laneLanes.Add(uint64(n))
-	if c.fast == nil {
-		for i := range bases {
-			k := ks[0]
-			if len(ks) > 1 {
-				k = ks[i]
-			}
-			out[i] = c.Exp(bases[i], k)
-		}
-		return out
-	}
 	fb := make([]fdiv, n)
 	for i := range bases {
-		fb[i] = c.toFast(c.div(bases[i]))
+		fb[i] = c.div(bases[i]).d
 	}
-	res := c.fast.laneExp(fb, ks)
+	res := c.laneExp(fb, ks)
+	divs := make([]Divisor, n)
 	for i := range res {
-		out[i] = c.fromFast(res[i])
+		divs[i] = Divisor{d: res[i], fld: c.fld}
+		out[i] = &divs[i]
 	}
 	return out
 }

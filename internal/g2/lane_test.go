@@ -18,15 +18,14 @@ import (
 // the reference result — the property the envelope wire format relies on.
 func TestLaneExpDifferential(t *testing.T) {
 	c := MustPaperCurve()
-	slow := c.withoutFast()
 	rng := mrand.New(mrand.NewSource(7))
 
 	degenerate, err := c.HashToElement([]byte("lane/degenerate-base"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := degenerate.(*Divisor); d.u.Deg() != 1 {
-		t.Fatalf("expected a degree-1 divisor from HashToElement, got deg %d", d.u.Deg())
+	if d := degenerate.(*Divisor); d.d.deg != 1 {
+		t.Fatalf("expected a degree-1 divisor from HashToElement, got deg %d", d.d.deg)
 	}
 
 	for round := 0; round < 8; round++ {
@@ -48,7 +47,7 @@ func TestLaneExpDifferential(t *testing.T) {
 			case 1:
 				bases[i] = degenerate
 			default:
-				bases[i] = randDivisor(t, slow)
+				bases[i] = randDivisor(t, c)
 			}
 			if !shared {
 				k, err := rand.Int(rand.Reader, c.Order())
@@ -75,13 +74,10 @@ func TestLaneExpDifferential(t *testing.T) {
 			if !shared {
 				k = ks[i]
 			}
-			want := slow.Exp(bases[i], k)
-			if !c.Equal(got[i], want) {
+			want := paperRef.Exp(toRef(t, c, bases[i]), k)
+			if !bytes.Equal(c.Marshal(got[i]), paperRef.Marshal(want)) {
 				t.Fatalf("round %d lane %d: LaneExp=%v want %v (base=%v k=%v shared=%v)",
 					round, i, got[i], want, bases[i], k, shared)
-			}
-			if !bytes.Equal(c.Marshal(got[i]), slow.Marshal(want)) {
-				t.Fatalf("round %d lane %d: lane result marshals differently from reference", round, i)
 			}
 		}
 	}
@@ -91,8 +87,7 @@ func TestLaneExpDifferential(t *testing.T) {
 // same base, per-lane scalars) — the shape of the subscriber's openBitwise.
 func TestLaneExpSharedBase(t *testing.T) {
 	c := MustPaperCurve()
-	slow := c.withoutFast()
-	base := randDivisor(t, slow)
+	base := randDivisor(t, c)
 	const n = 7
 	bases := make([]group.Element, n)
 	ks := make([]*big.Int, n)
@@ -106,24 +101,9 @@ func TestLaneExpSharedBase(t *testing.T) {
 	}
 	got := c.LaneExp(bases, ks)
 	for i := range got {
-		if want := slow.Exp(base, ks[i]); !c.Equal(got[i], want) {
+		if want := paperRef.Exp(toRef(t, c, base), ks[i]); !sameElement(c, got[i], want) {
 			t.Fatalf("shared-base lane %d: got %v want %v", i, got[i], want)
 		}
-	}
-}
-
-// TestLaneExpReferenceOracle runs LaneExp on a curve without the fast
-// engine: the polyring path must serve every lane.
-func TestLaneExpReferenceOracle(t *testing.T) {
-	slow := MustPaperCurve().withoutFast()
-	a := randDivisor(t, slow)
-	k, err := rand.Int(rand.Reader, slow.Order())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := slow.LaneExp([]group.Element{a, slow.Identity()}, []*big.Int{k})
-	if !slow.Equal(got[0], slow.Exp(a, k)) || !slow.IsIdentity(got[1]) {
-		t.Fatal("reference-path LaneExp disagrees with Exp")
 	}
 }
 
@@ -131,9 +111,8 @@ func TestLaneExpReferenceOracle(t *testing.T) {
 // runs — the -register bench and CI assert on these counters.
 func TestLaneStatsCounters(t *testing.T) {
 	c := MustPaperCurve()
-	slow := c.withoutFast()
 	lanes0, inv0 := LaneStats()
-	bases := []group.Element{randDivisor(t, slow), randDivisor(t, slow)}
+	bases := []group.Element{randDivisor(t, c), randDivisor(t, c)}
 	k, err := rand.Int(rand.Reader, c.Order())
 	if err != nil {
 		t.Fatal(err)
@@ -149,33 +128,30 @@ func TestLaneStatsCounters(t *testing.T) {
 }
 
 // TestOneInversionAddDifferential pins the deferred-inversion scalar add
-// directly against the full Cantor path on the fast engine's own fdiv
-// representation, covering the generic add, the doubling branch and the
-// inverse-pair shortcut.
+// directly against the full Cantor path on fdiv, covering the generic add,
+// the doubling branch and the inverse-pair shortcut.
 func TestOneInversionAddDifferential(t *testing.T) {
 	c := MustPaperCurve()
-	slow := c.withoutFast()
-	fc := c.fast
 	for i := 0; i < 40; i++ {
-		a := c.toFast(randDivisor(t, slow))
-		b := c.toFast(randDivisor(t, slow))
-		pairs := [][2]fdiv{{a, b}, {a, a}, {a, fc.neg(a)}, {fc.identity(), b}}
+		a := randDivisor(t, c).d
+		b := randDivisor(t, c).d
+		pairs := [][2]fdiv{{a, b}, {a, a}, {a, c.neg(a)}, {fdiv{}, b}}
 		for _, pr := range pairs {
-			got := fc.add(pr[0], pr[1])
-			want := fc.addCantor(pr[0], pr[1])
-			if !fdivEqual(got, want) {
+			got := c.add(pr[0], pr[1])
+			want := c.addCantor(pr[0], pr[1])
+			if got != want {
 				t.Fatalf("one-inversion add diverges from Cantor:\n a=%v\n b=%v", pr[0], pr[1])
 			}
 		}
 	}
 }
 
-// translateCurve returns the fast engine of the paper curve moved by
-// x → x + t: f̃(x) = f(x + t), whose x⁴ coefficient is 5t. The paper curve
-// itself has f₄ = 0 and never exercises the f₄ terms of the group law.
-func translateCurve(t *testing.T, c *Curve, shift int64) *fastCurve {
+// translateCurve returns the paper curve moved by x → x + t:
+// f̃(x) = f(x + t), whose x⁴ coefficient is 5t. The paper curve itself has
+// f₄ = 0 and never exercises the f₄ terms of the group law.
+func translateCurve(t *testing.T, c *Curve, shift int64) *Curve {
 	t.Helper()
-	q := c.field.P()
+	q := c.Modulus()
 	// Horner in (x + t): p ← p·(x + t) + fᵢ, from the monic top down.
 	p := []*big.Int{big.NewInt(1)}
 	for i := 4; i >= 0; i-- {
@@ -189,7 +165,7 @@ func translateCurve(t *testing.T, c *Curve, shift int64) *fastCurve {
 				next[j].Add(next[j], new(big.Int).Mul(p[j], big.NewInt(shift)))
 			}
 		}
-		next[0].Add(next[0], c.fast.fld.ToBig(c.fast.f.c[i]))
+		next[0].Add(next[0], c.fld.ToBig(c.f.c[i]))
 		for j := range next {
 			next[j].Mod(next[j], q)
 		}
@@ -198,27 +174,25 @@ func translateCurve(t *testing.T, c *Curve, shift int64) *fastCurve {
 	if p[5].Cmp(big.NewInt(1)) != 0 || p[4].Sign() == 0 {
 		t.Fatalf("translated f = %v: want monic with f₄ ≠ 0", p)
 	}
-	fc := newFastCurve(q, [5]*big.Int(p[:5]), c.order)
-	if fc == nil {
-		t.Fatal("translated curve has no fast engine")
+	ct, err := NewCurve(q, [5]*big.Int(p[:5]), c.order, "translated")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return fc
+	return ct
 }
 
 // translateDiv maps a divisor along x → x + t: (u(x), v(x)) ↦ (u(x+t), v(x+t)).
 func translateDiv(f *ff128.Field, d fdiv, shift int64) fdiv {
 	t := f.FromUint64(uint64(shift))
 	out := d
-	switch d.u.deg {
+	switch d.deg {
 	case 2:
-		out.u.c[0] = f.Add(f.Add(f.Sq(t), f.Mul(d.u.c[1], t)), d.u.c[0])
-		out.u.c[1] = f.Add(f.Double(t), d.u.c[1])
+		out.u0 = f.Add(f.Add(f.Sq(t), f.Mul(d.u1, t)), d.u0)
+		out.u1 = f.Add(f.Double(t), d.u1)
 	case 1:
-		out.u.c[0] = f.Add(t, d.u.c[0])
+		out.u0 = f.Add(t, d.u0)
 	}
-	if d.v.deg == 1 {
-		out.v.c[0] = f.Add(f.Mul(d.v.c[1], t), d.v.c[0])
-	}
+	out.v0 = f.Add(f.Mul(d.v1, t), d.v0)
 	return out
 }
 
@@ -227,23 +201,21 @@ func translateDiv(f *ff128.Field, d fdiv, shift int64) fdiv {
 // and both with the translate of the sum taken on the paper curve.
 func TestTranslatedCurveAddDifferential(t *testing.T) {
 	c := MustPaperCurve()
-	slow := c.withoutFast()
-	fc := c.fast
 	const shift = 3
-	ft := translateCurve(t, c, shift)
+	ct := translateCurve(t, c, shift)
 	for i := 0; i < 40; i++ {
-		a := c.toFast(randDivisor(t, slow))
-		b := c.toFast(randDivisor(t, slow))
-		for _, pr := range [][2]fdiv{{a, b}, {a, a}, {b, a}, {a, fc.neg(a)}} {
-			ta, tb := translateDiv(fc.fld, pr[0], shift), translateDiv(fc.fld, pr[1], shift)
-			if !ft.isValid(ta) || !ft.isValid(tb) {
+		a := randDivisor(t, c).d
+		b := randDivisor(t, c).d
+		for _, pr := range [][2]fdiv{{a, b}, {a, a}, {b, a}, {a, c.neg(a)}} {
+			ta, tb := translateDiv(c.fld, pr[0], shift), translateDiv(c.fld, pr[1], shift)
+			if !ct.isValid(ta) || !ct.isValid(tb) {
 				t.Fatal("translated divisor is not on the translated curve")
 			}
-			got := ft.add(ta, tb)
-			if want := ft.addCantor(ta, tb); !fdivEqual(got, want) {
+			got := ct.add(ta, tb)
+			if want := ct.addCantor(ta, tb); got != want {
 				t.Fatalf("translated curve: add diverges from Cantor:\n a=%v\n b=%v", ta, tb)
 			}
-			if want := translateDiv(fc.fld, fc.add(pr[0], pr[1]), shift); !fdivEqual(got, want) {
+			if want := translateDiv(c.fld, c.add(pr[0], pr[1]), shift); got != want {
 				t.Fatalf("translated curve: add is not the translate of the paper-curve sum:\n a=%v\n b=%v", pr[0], pr[1])
 			}
 		}
@@ -251,14 +223,14 @@ func TestTranslatedCurveAddDifferential(t *testing.T) {
 }
 
 // curvePoint finds a point (x, y) of the curve at or after x = start.
-func curvePoint(t *testing.T, fc *fastCurve, start uint64) (x, y ff128.Elem) {
+func curvePoint(t *testing.T, c *Curve, start uint64) (x, y ff128.Elem) {
 	t.Helper()
-	f := fc.fld
+	f := c.fld
 	for i := start; i < start+200; i++ {
 		x = f.FromUint64(i)
-		fx := fc.f.c[5]
+		fx := c.f.c[5]
 		for j := 4; j >= 0; j-- {
-			fx = f.Add(f.Mul(fx, x), fc.f.c[j])
+			fx = f.Add(f.Mul(fx, x), c.f.c[j])
 		}
 		if y, err := f.Sqrt(fx); err == nil && !y.IsZero() {
 			return x, y
@@ -270,21 +242,17 @@ func curvePoint(t *testing.T, fc *fastCurve, start uint64) (x, y ff128.Elem) {
 
 // twoPointDiv is the reduced divisor P₁ + P₂ − 2∞ of two points with
 // distinct x: u = (x − x₁)(x − x₂), v the line through them.
-func twoPointDiv(t *testing.T, fc *fastCurve, x1, y1, x2, y2 ff128.Elem) fdiv {
+func twoPointDiv(t *testing.T, c *Curve, x1, y1, x2, y2 ff128.Elem) fdiv {
 	t.Helper()
-	f := fc.fld
+	f := c.fld
 	dxInv, err := f.Inv(f.Sub(x1, x2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var d fdiv
-	d.u.deg = 2
-	d.u.c[0], d.u.c[1], d.u.c[2] = f.Mul(x1, x2), f.Neg(f.Add(x1, x2)), f.One()
-	d.v.deg = 1
-	d.v.c[1] = f.Mul(f.Sub(y1, y2), dxInv)
-	d.v.c[0] = f.Sub(y1, f.Mul(d.v.c[1], x1))
-	fpTrim(&d.v)
-	if !fc.isValid(d) {
+	d := fdiv{deg: 2, u1: f.Neg(f.Add(x1, x2)), u0: f.Mul(x1, x2)}
+	d.v1 = f.Mul(f.Sub(y1, y2), dxInv)
+	d.v0 = f.Sub(y1, f.Mul(d.v1, x1))
+	if !c.isValid(d) {
 		t.Fatal("constructed divisor is not on the curve")
 	}
 	return d
@@ -297,33 +265,28 @@ func twoPointDiv(t *testing.T, fc *fastCurve, x1, y1, x2, y2 ff128.Elem) fdiv {
 // either side.
 func TestLaneCombineForcedFallbacks(t *testing.T) {
 	c := MustPaperCurve()
-	slow := c.withoutFast()
-	fc := c.fast
-	f := fc.fld
-	x1, y1 := curvePoint(t, fc, 2)
-	x2, y2 := curvePoint(t, fc, 300)
-	x3, y3 := curvePoint(t, fc, 600)
-	var deg1 fdiv
-	deg1.u.deg = 1
-	deg1.u.c[0], deg1.u.c[1] = f.Neg(x1), f.One()
-	deg1.v.c[0] = y1
-	if !fc.isValid(deg1) {
+	f := c.fld
+	x1, y1 := curvePoint(t, c, 2)
+	x2, y2 := curvePoint(t, c, 300)
+	x3, y3 := curvePoint(t, c, 600)
+	deg1 := fdiv{deg: 1, u0: f.Neg(x1), v0: y1}
+	if !c.isValid(deg1) {
 		t.Fatal("degree-1 divisor is not on the curve")
 	}
-	p12 := twoPointDiv(t, fc, x1, y1, x2, y2)
-	p12m := twoPointDiv(t, fc, x1, y1, x2, f.Neg(y2)) // same u, v ≠ ±v
-	p13 := twoPointDiv(t, fc, x1, y1, x3, y3)         // shares the root x₁
-	g1, g2 := c.toFast(randDivisor(t, slow)), c.toFast(randDivisor(t, slow))
-	id := fc.identity()
+	p12 := twoPointDiv(t, c, x1, y1, x2, y2)
+	p12m := twoPointDiv(t, c, x1, y1, x2, f.Neg(y2)) // same u, v ≠ ±v
+	p13 := twoPointDiv(t, c, x1, y1, x3, y3)         // shares the root x₁
+	g1, g2 := randDivisor(t, c).d, randDivisor(t, c).d
+	var id fdiv
 
 	as := []fdiv{deg1, g1, p12, p12, g1, id, g1, deg1, g1, id}
-	bs := []fdiv{g1, deg1, p12m, p13, fc.neg(g1), g1, id, deg1, g2, id}
+	bs := []fdiv{g1, deg1, p12m, p13, c.neg(g1), g1, id, deg1, g2, id}
 	want := make([]fdiv, len(as))
 	wantDbl := make([]fdiv, len(as))
 	for i := range as {
-		want[i] = fc.addCantor(as[i], bs[i])
-		wantDbl[i] = fc.addCantor(as[i], as[i])
-		if !fc.isValid(want[i]) || !fc.isValid(wantDbl[i]) {
+		want[i] = c.addCantor(as[i], bs[i])
+		wantDbl[i] = c.addCantor(as[i], as[i])
+		if !c.isValid(want[i]) || !c.isValid(wantDbl[i]) {
 			t.Fatalf("lane %d: Cantor reference is not a valid divisor", i)
 		}
 	}
@@ -333,24 +296,24 @@ func TestLaneCombineForcedFallbacks(t *testing.T) {
 	check := func(name string, got, want []fdiv) {
 		t.Helper()
 		for i := range got {
-			if !fdivEqual(got[i], want[i]) {
+			if got[i] != want[i] {
 				t.Errorf("%s, lane %d: laneCombine diverges from Cantor", name, i)
 			}
 		}
 	}
 	x, y := clone(as), clone(bs)
-	fc.laneCombine(x, x, y, ops, zs)
+	c.laneCombine(x, x, y, ops, zs)
 	check("dst = a", x, want)
 	x, y = clone(as), clone(bs)
-	fc.laneCombine(y, x, y, ops, zs)
+	c.laneCombine(y, x, y, ops, zs)
 	check("dst = b", y, want)
 	x = clone(as)
-	fc.laneCombine(x, x, x, ops, zs)
+	c.laneCombine(x, x, x, ops, zs)
 	check("dst = a = b", x, wantDbl)
 	if ops[0].kind != laneFallback || ops[5].kind != laneDirect || ops[8].kind != laneGeneric {
 		t.Errorf("doubling pass classified lanes 0, 5, 8 as %v %v %v", ops[0].kind, ops[5].kind, ops[8].kind)
 	}
-	fc.laneCombine(clone(as), as, bs, ops, zs)
+	c.laneCombine(clone(as), as, bs, ops, zs)
 	for i, k := range []laneKind{laneFallback, laneFallback, laneFallback, laneFallback, laneDirect, laneDirect, laneDirect, laneFallback, laneGeneric, laneDirect} {
 		if ops[i].kind != k {
 			t.Errorf("addition pass: lane %d classified %d, want %d", i, ops[i].kind, k)
