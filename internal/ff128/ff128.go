@@ -7,10 +7,8 @@
 // Jacobian (§VII, G2HEC) works over the 83-bit field
 // q = 5·10²⁴ + 8503491, and every Pedersen commitment, Cantor group operation
 // and OCBE envelope bottoms out in thousands of multiplications in that
-// field. Package ffbig (math/big residues) remains the reference
-// implementation — it is authoritative for the 2048-bit Schnorr group, for
-// setup-time code (hash-to-element, square roots during point sampling) and
-// for the differential tests that pin this package's behaviour.
+// field. Package ffbig (math/big residues) is the reference implementation
+// the differential tests pin this package to; no program code uses it.
 package ff128
 
 import (

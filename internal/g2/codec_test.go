@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/big"
 	"testing"
+
+	"ppcd/internal/group"
 )
 
 // nonCanonical returns enc with its i-th coefficient replaced by the same
@@ -32,8 +34,11 @@ func TestUnmarshalRefusesUnreducedCoefficients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []*Divisor{c.Generator().(*Divisor), hashed.(*Divisor)} {
+	for _, e := range []group.Element{hashed, c.Op(c.Generator(), hashed)} {
 		enc := c.Marshal(e)
+		if enc[0] == 0 {
+			t.Fatal("expected a degree-1 and a degree-2 element")
+		}
 		for i := 0; i < 2*int(enc[0]); i++ {
 			bad := nonCanonical(t, c, enc, i)
 			if _, err := c.Unmarshal(bad); err == nil {

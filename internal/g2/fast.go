@@ -6,9 +6,9 @@ package g2
 // the stack; a full Cantor addition performs zero heap allocations. On top of
 // it sit windowed-NAF scalar multiplication for arbitrary bases and
 // precomputed fixed-base tables for the long-lived bases (the Jacobian
-// generator and Pedersen's g and h). The big-integer Cantor path it was
-// ported from (polyring over ffbig) survives only in the tests, as the
-// differential reference (reference_test.go).
+// generator and Pedersen's g and h). The differential tests pin all of it to
+// an independent big-integer Cantor implementation over polyring and ffbig
+// (reference_test.go).
 
 import (
 	"math/big"

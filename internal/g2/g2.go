@@ -41,7 +41,7 @@ type Curve struct {
 // identity (1, 0).
 type Divisor struct {
 	d   fdiv
-	fld *ff128.Field // prints the coefficients; nil only for the zero value
+	fld *ff128.Field // for String; nil in the zero value, which needs none
 }
 
 // String implements group.Element: u = x² + u1·x + u0, v = v1·x + v0, with

@@ -214,6 +214,11 @@ func TestNewCurveValidation(t *testing.T) {
 	if _, err := NewCurve(paperQ, [5]*big.Int{paperC0, paperC1, paperC2, paperC3, big.NewInt(0)}, big.NewInt(10), "bad"); err == nil {
 		t.Error("composite order accepted")
 	}
+	// 2⁵²¹ − 1 is prime but does not fit the two-limb field.
+	big521 := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 521), big.NewInt(1))
+	if _, err := NewCurve(big521, [5]*big.Int{big.NewInt(1), big.NewInt(0), big.NewInt(0), big.NewInt(0), big.NewInt(0)}, paperOrder, "wide"); err == nil {
+		t.Error("a base field over 127 bits accepted")
+	}
 }
 
 func TestInverseOfIdentity(t *testing.T) {

@@ -181,8 +181,8 @@ func (c *Curve) phase2(dst *fdiv, op *laneOp, zinv ff128.Elem) {
 	*dst = fdiv{deg: 2, u1: u1, u0: u0, v1: v1, v0: v0}
 }
 
-// add is the scalar group operation behind exp and the fixed-base tables:
-// the same two phases as the lane kernel around a single ff128.Inv, which
+// add is the scalar group operation behind Op, exp and the fixed-base
+// tables: the same two phases as the lane kernel around a single ff128.Inv, which
 // replaces the ~5 inversions of the full Cantor path for generic inputs.
 //
 //ppcd:hotpath
