@@ -438,22 +438,22 @@ func BenchmarkEndToEndPublish(b *testing.B) {
 // The rekey engine caches per-configuration ACVs keyed by membership
 // versions: a publish with no table change since the previous one performs
 // ZERO null-space solves (it only re-encrypts payloads), a single
-// leave/join re-solves only the affected configurations, and a state import
+// leave/join re-solves only the affected configurations, and a dropped cache
 // rebuilds everything. These benchmarks quantify the three regimes.
 
 // benchStatePublisher builds a publisher over a benchutil.Workload: the
 // first half of the pseudonyms hold only attr0 (revoking one dirties
-// exactly one configuration), the rest are fully registered. The state is
-// injected through the public import path so no OCBE exchanges run.
+// exactly one configuration), the rest are fully registered. The rows are
+// loaded through the replication-event path so no OCBE exchanges run.
 // groupSize > 0 enables §VIII-C subscriber grouping.
-func benchStatePublisher(b *testing.B, subs, policies, groupSize int) (*Publisher, *Document, []byte) {
+func benchStatePublisher(b *testing.B, subs, policies, groupSize int) (*Publisher, *Document, []benchutil.Row) {
 	b.Helper()
 	_, sch := benchParams(b)
 	idmgr, err := NewIdentityManager(sch)
 	if err != nil {
 		b.Fatal(err)
 	}
-	acps, doc, state, err := benchutil.Workload(subs, policies, subs/2, 1024)
+	acps, doc, rows, err := benchutil.Workload(subs, policies, subs/2, 1024)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -461,10 +461,10 @@ func benchStatePublisher(b *testing.B, subs, policies, groupSize int) (*Publishe
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := pub.ImportState(state); err != nil {
+	if err := benchutil.Load(pub, rows); err != nil {
 		b.Fatal(err)
 	}
-	return pub, doc, state
+	return pub, doc, rows
 }
 
 func BenchmarkPublishSteadyState(b *testing.B) {
@@ -492,7 +492,7 @@ func BenchmarkPublishSteadyState(b *testing.B) {
 func BenchmarkPublishSingleLeave(b *testing.B) {
 	for _, subs := range []int{100, 400} {
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
-			pub, doc, state := benchStatePublisher(b, subs, 5, 0)
+			pub, doc, rows := benchStatePublisher(b, subs, 5, 0)
 			if _, err := pub.Publish(doc); err != nil {
 				b.Fatal(err)
 			}
@@ -501,7 +501,7 @@ func BenchmarkPublishSingleLeave(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if i%pool == 0 {
 					b.StopTimer()
-					if err := pub.ImportState(state); err != nil {
+					if err := benchutil.Load(pub, rows); err != nil {
 						b.Fatal(err)
 					}
 					if _, err := pub.Publish(doc); err != nil {
@@ -523,15 +523,15 @@ func BenchmarkPublishSingleLeave(b *testing.B) {
 func BenchmarkPublishFullRebuild(b *testing.B) {
 	for _, subs := range []int{100, 400} {
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
-			pub, doc, state := benchStatePublisher(b, subs, 5, 0)
+			pub, doc, rows := benchStatePublisher(b, subs, 5, 0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := pub.ImportState(state); err != nil {
+				if err := benchutil.Load(pub, rows); err != nil {
 					b.Fatal(err)
 				}
-				// ImportState diffs and dirties nothing on an identical
-				// table; the explicit reset keeps this a genuine full
-				// re-solve every iteration.
+				// Re-loading an identical table dirties nothing; the
+				// explicit reset keeps this a genuine full re-solve every
+				// iteration.
 				pub.ResetRekeyCache()
 				if _, err := pub.Publish(doc); err != nil {
 					b.Fatal(err)
@@ -561,10 +561,10 @@ func BenchmarkPublishGroupedFullRebuild(b *testing.B) {
 	const subs = 256
 	for _, g := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("groups=%d", g), func(b *testing.B) {
-			pub, doc, state := benchStatePublisher(b, subs, 5, benchGroupSize(subs, g))
+			pub, doc, rows := benchStatePublisher(b, subs, 5, benchGroupSize(subs, g))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := pub.ImportState(state); err != nil {
+				if err := benchutil.Load(pub, rows); err != nil {
 					b.Fatal(err)
 				}
 				pub.ResetRekeyCache()
@@ -580,7 +580,7 @@ func BenchmarkPublishGroupedSingleLeave(b *testing.B) {
 	const subs = 256
 	for _, g := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("groups=%d", g), func(b *testing.B) {
-			pub, doc, state := benchStatePublisher(b, subs, 5, benchGroupSize(subs, g))
+			pub, doc, rows := benchStatePublisher(b, subs, 5, benchGroupSize(subs, g))
 			if _, err := pub.Publish(doc); err != nil {
 				b.Fatal(err)
 			}
@@ -589,7 +589,7 @@ func BenchmarkPublishGroupedSingleLeave(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if i%pool == 0 {
 					b.StopTimer()
-					if err := pub.ImportState(state); err != nil {
+					if err := benchutil.Load(pub, rows); err != nil {
 						b.Fatal(err)
 					}
 					if _, err := pub.Publish(doc); err != nil {

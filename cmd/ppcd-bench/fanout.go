@@ -90,7 +90,7 @@ func runFanoutBench(connsSpec string, nRelays, publishes int, out io.Writer) (*f
 	if err != nil {
 		return nil, err
 	}
-	acps, doc, state, err := benchutil.Workload(subs, 2, subs/2, 512)
+	acps, doc, rows, err := benchutil.Workload(subs, 2, subs/2, 512)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +135,7 @@ func runFanoutBench(connsSpec string, nRelays, publishes int, out io.Writer) (*f
 
 	rep := &fanoutReport{Relays: nRelays, Publishes: publishes, GoMaxProcs: runtime.GOMAXPROCS(0)}
 	for _, k := range ks {
-		pt, err := runFanoutPoint(pub, srv, edge, edgeAddr, params, doc, state, k, publishes)
+		pt, err := runFanoutPoint(pub, srv, edge, edgeAddr, params, doc, rows, k, publishes)
 		if err != nil {
 			return nil, err
 		}
@@ -154,10 +154,10 @@ func runFanoutBench(connsSpec string, nRelays, publishes int, out io.Writer) (*f
 }
 
 func runFanoutPoint(pub *ppcd.Publisher, srv *ppcd.Server, edge *ppcd.Relay, edgeAddr string,
-	params *ppcd.CommitmentParams, doc *ppcd.Document, state []byte, k, publishes int) (*fanoutPoint, error) {
+	params *ppcd.CommitmentParams, doc *ppcd.Document, rows []benchutil.Row, k, publishes int) (*fanoutPoint, error) {
 	// Fresh revocation pool, settled through the whole chain before any
 	// consumer connects, so every catch-up is one snapshot at this epoch.
-	if err := pub.ImportState(state); err != nil {
+	if err := benchutil.Load(pub, rows); err != nil {
 		return nil, err
 	}
 	seed, err := pub.Publish(doc)

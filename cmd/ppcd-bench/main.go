@@ -495,12 +495,12 @@ func runPublishBench(subs, policies, rounds, groups int, stream bool) error {
 	if err != nil {
 		return err
 	}
-	// Synthetic CSS table injected through the public state-import path so
-	// no OCBE exchanges run. The first half of the pseudonyms hold only
+	// Synthetic CSS table loaded through the replication-event path so no
+	// OCBE exchanges run. The first half of the pseudonyms hold only
 	// attr0: the churn regime revokes from that pool, so each timed publish
 	// re-solves exactly one configuration (a genuine single-leave, not a
 	// full rebuild).
-	acps, doc, state, err := benchutil.Workload(subs, policies, subs/2, 1024)
+	acps, doc, rows, err := benchutil.Workload(subs, policies, subs/2, 1024)
 	if err != nil {
 		return err
 	}
@@ -535,11 +535,10 @@ func runPublishBench(subs, policies, rounds, groups int, stream bool) error {
 	rep.Groups, rep.GroupSize = groups, groupSize
 
 	// Full rebuild: drop every cached ACV build before each publish.
-	// (ImportState used to do this implicitly; it now diffs, and re-importing
-	// an identical table dirties nothing — the explicit reset keeps this
-	// regime measuring a genuine full re-solve.)
+	// (Re-loading an identical table dirties nothing — the explicit reset
+	// keeps this regime measuring a genuine full re-solve.)
 	if rep.FullNs, err = measure(func(int) error {
-		if err := pub.ImportState(state); err != nil {
+		if err := benchutil.Load(pub, rows); err != nil {
 			return err
 		}
 		pub.ResetRekeyCache()
@@ -548,13 +547,13 @@ func runPublishBench(subs, policies, rounds, groups int, stream bool) error {
 		return err
 	}
 	// Churn: one subscription revocation per publish. When the revocation
-	// pool runs dry (rounds > pool), the untimed prep re-imports the table
+	// pool runs dry (rounds > pool), the untimed prep re-loads the table
 	// and settles it with one publish so every timed publish sees exactly
 	// one fresh leave.
 	pool := subs / 2
 	if rep.ChurnNs, err = measure(func(i int) error {
 		if i%pool == 0 {
-			if err := pub.ImportState(state); err != nil {
+			if err := benchutil.Load(pub, rows); err != nil {
 				return err
 			}
 			if _, err := pub.Publish(doc); err != nil {
@@ -568,7 +567,7 @@ func runPublishBench(subs, policies, rounds, groups int, stream bool) error {
 	// Steady state: no table change between publishes. Restore the full
 	// table first — the churn regime depleted it, and the reported subs
 	// count must match what this regime actually publishes over.
-	if err := pub.ImportState(state); err != nil {
+	if err := benchutil.Load(pub, rows); err != nil {
 		return err
 	}
 	if _, err := pub.Publish(doc); err != nil {

@@ -101,7 +101,7 @@ func runRecoverBench(rows, policies, shardSize, churn int) error {
 	if err != nil {
 		return err
 	}
-	acps, doc, state, err := benchutil.Workload(rows, policies, rows/2, 256)
+	acps, doc, table, err := benchutil.Workload(rows, policies, rows/2, 256)
 	if err != nil {
 		return err
 	}
@@ -138,7 +138,11 @@ func runRecoverBench(rows, policies, shardSize, churn int) error {
 		return err
 	}
 	pubA.SetJournal(stA)
-	if err := pubA.ImportState(state); err != nil {
+	// The load journals nothing: a snapshot makes the table durable.
+	if err := benchutil.Load(pubA, table); err != nil {
+		return err
+	}
+	if err := stA.Snapshot(pubA); err != nil {
 		return err
 	}
 	if _, err := pubA.Publish(doc); err != nil { // full solve storm, assigns groups

@@ -112,7 +112,7 @@ func runScaleBench(rows, policies, shardSize, churnPublishes int, sweep bool, ou
 	// Half the pseudonyms hold only attr0 (single-policy members), the rest
 	// qualify everywhere — so churn touches a mix of light and heavy rows.
 	partial := rows / 2
-	acps, doc, state, err := benchutil.Workload(rows, policies, partial, 256)
+	acps, doc, table, err := benchutil.Workload(rows, policies, partial, 256)
 	if err != nil {
 		return nil, err
 	}
@@ -130,9 +130,9 @@ func runScaleBench(rows, policies, shardSize, churnPublishes int, sweep bool, ou
 		return nil, err
 	}
 
-	// Build: columnar table construction through the import path.
+	// Build: columnar table construction through the replication-event path.
 	start := time.Now()
-	if err := pub.ImportState(state); err != nil {
+	if err := benchutil.Load(pub, table); err != nil {
 		return nil, err
 	}
 	rep.BuildNs = time.Since(start).Nanoseconds()
@@ -146,12 +146,8 @@ func runScaleBench(rows, policies, shardSize, churnPublishes int, sweep bool, ou
 	rep.BytesPerSubscriber = float64(tableBytes) / float64(rows)
 
 	// The pre-columnar layout, measured: live heap held by the same table as
-	// nested maps (parse the import JSON again, GC away the parsing garbage,
-	// diff HeapAlloc).
-	mapsBytes, err := measureMapsTable(state)
-	if err != nil {
-		return nil, err
-	}
+	// nested maps.
+	mapsBytes := measureMapsTable(table)
 	rep.MapsTableBytes = mapsBytes
 	rep.MapsBytesPerSub = float64(mapsBytes) / float64(rows)
 	if tableBytes > 0 {
@@ -235,7 +231,7 @@ func runScaleBench(rows, policies, shardSize, churnPublishes int, sweep bool, ou
 			sweepRows = 100_000
 		}
 		rep.SweepRows = sweepRows
-		sAcps, sDoc, sState, err := benchutil.Workload(sweepRows, policies, sweepRows/2, 256)
+		sAcps, sDoc, sTable, err := benchutil.Workload(sweepRows, policies, sweepRows/2, 256)
 		if err != nil {
 			return nil, err
 		}
@@ -250,7 +246,7 @@ func runScaleBench(rows, policies, shardSize, churnPublishes int, sweep bool, ou
 				if err != nil {
 					return nil, err
 				}
-				if err := sPub.ImportState(sState); err != nil {
+				if err := benchutil.Load(sPub, sTable); err != nil {
 					return nil, err
 				}
 				start := time.Now()
@@ -294,33 +290,26 @@ func runScaleBench(rows, policies, shardSize, churnPublishes int, sweep bool, ou
 	return rep, nil
 }
 
-// measureMapsTable parses the v1 state JSON into the pre-columnar
-// map-of-maps layout and returns the live heap it retains once parsing
-// garbage is collected.
-func measureMapsTable(state []byte) (int64, error) {
+// measureMapsTable builds the pre-columnar layout of the workload's table —
+// nym → condition → CSS as nested maps, every key its own string as a parsed
+// table holds it — and returns the live heap it holds.
+func measureMapsTable(rows []benchutil.Row) int64 {
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
-	var st struct {
-		Table map[string]map[string]uint64 `json:"table"`
-	}
-	if err := json.Unmarshal(state, &st); err != nil {
-		return 0, err
-	}
-	tbl := make(map[string]map[string]core.CSS, len(st.Table))
-	for nym, row := range st.Table {
-		cells := make(map[string]core.CSS, len(row))
-		for cond, v := range row {
-			cells[cond] = core.CSS(v)
+	tbl := make(map[string]map[string]core.CSS, len(rows))
+	for _, r := range rows {
+		cells := make(map[string]core.CSS, len(r.Cells))
+		for cond, v := range r.Cells {
+			cells[strings.Clone(cond)] = v
 		}
-		tbl[nym] = cells
+		tbl[strings.Clone(r.Nym)] = cells
 	}
-	st.Table = nil
 	runtime.GC()
 	runtime.ReadMemStats(&m1)
-	bytes := int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
 	runtime.KeepAlive(tbl)
-	return bytes, nil
+	runtime.KeepAlive(rows) // live at both readings: only tbl is measured
+	return int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
 }
 
 // readRSS returns the process resident set from /proc/self/status (0 when

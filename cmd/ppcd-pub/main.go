@@ -1,6 +1,6 @@
 // Command ppcd-pub runs a publisher daemon: it loads a policy file, serves
 // registrations over TCP, publishes documents dropped on stdin commands, and
-// persists its CSS table across restarts. Every publish is also pushed over
+// with -state-dir persists its state across restarts. Every publish is also pushed over
 // long-lived subscriber streams as an epoch delta — reconnecting clients
 // catch up from their last epoch (ppcd-sub stream is the consumer side).
 //
@@ -26,7 +26,7 @@
 //	publish <path> <mark>[,<mark>...]   segment an XML file and broadcast it
 //	revoke <nym>                        revoke a subscription and rekey
 //	revoke-cred <nym> <condition>       revoke one credential
-//	save <path>                         persist the CSS table
+//	snapshot                            write a state snapshot now (-state-dir)
 //	status                              print table statistics
 //	quit
 //
@@ -57,7 +57,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:7468", "listen address")
 		policyPath = flag.String("policies", "", "policy file (required)")
-		statePath  = flag.String("state", "", "CSS table state file to load (optional)")
 		idmgrKey   = flag.String("idmgr-key", "", "IdMgr public key, hex (required)")
 		seed       = flag.String("seed", "ppcd-system", "Pedersen parameter seed (must match subscribers)")
 		ell        = flag.Int("ell", 16, "bit bound for inequality conditions")
@@ -100,14 +99,6 @@ func main() {
 	pub, err := ppcd.NewPublisher(params, key, acps, ppcd.Options{Ell: *ell, GroupSize: *groupSize})
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *statePath != "" {
-		if data, err := os.ReadFile(*statePath); err == nil {
-			if err := pub.ImportState(data); err != nil {
-				log.Fatalf("restoring state: %v", err)
-			}
-			log.Printf("restored %d subscribers from %s", pub.SubscriberCount(), *statePath)
-		}
 	}
 
 	var st *ppcd.StateStore
@@ -290,18 +281,16 @@ func dispatch(pub *ppcd.Publisher, srv *ppcd.Server, st *ppcd.StateStore, fields
 		}
 		log.Printf("revoked credential %q of %s", cond, fields[1])
 		return nil
-	case "save":
-		if len(fields) != 2 {
-			return fmt.Errorf("usage: save <path>")
+	case "snapshot":
+		if st == nil {
+			return fmt.Errorf("snapshot needs a durable state directory (-state-dir)")
 		}
-		data, err := pub.ExportState()
-		if err != nil {
+		if err := st.Snapshot(pub); err != nil {
 			return err
 		}
-		if err := os.WriteFile(fields[1], data, 0o600); err != nil {
-			return err
-		}
-		log.Printf("saved CSS table (%d bytes, secret material) to %s", len(data), fields[1])
+		s := st.LastSnapshotStats()
+		log.Printf("snapshot written: %d of %d segments, %d bytes (full: %v)",
+			s.DirtySegments, s.TotalSegments, s.BytesWritten, s.Full)
 		return nil
 	case "status":
 		s := pub.Stats()

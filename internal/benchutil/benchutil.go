@@ -1,25 +1,33 @@
 // Package benchutil builds synthetic publisher workloads for the publish
-// benchmarks (bench_test.go) and the ppcd-bench -publish harness: a set of
-// single-condition policies, the matching document, and a serialized CSS
-// state that can be injected through the public ImportState path so no OCBE
-// exchanges run.
+// benchmarks (bench_test.go) and the ppcd-bench harness: a set of
+// single-condition policies, the matching document, and the rows of a CSS
+// table that Load registers through the publisher's replication-event path,
+// so no OCBE exchanges run.
 package benchutil
 
 import (
-	"encoding/json"
 	"fmt"
 
+	"ppcd/internal/core"
 	"ppcd/internal/document"
 	"ppcd/internal/policy"
+	"ppcd/internal/pubsub"
 )
+
+// Row is one synthetic table row: a pseudonym and its CSS cells by
+// condition ID.
+type Row struct {
+	Nym   string
+	Cells map[string]core.CSS
+}
 
 // Workload returns `policies` single-condition ACPs ("attrI >= 1", one
 // subdocument "sdI" of subdocBytes each), a document covering all of them,
-// and a version-1 publisher state of `subs` pseudonyms. The first `partial`
-// pseudonyms hold a CSS only for attr0 — they qualify for a single policy,
-// so revoking one dirties exactly one configuration; the rest hold every
-// condition, as uniform registration produces.
-func Workload(subs, policies, partial, subdocBytes int) ([]*policy.ACP, *document.Document, []byte, error) {
+// and `subs` rows "pn-0", "pn-1", …. The first `partial` pseudonyms hold a
+// CSS only for attr0 — they qualify for a single policy, so revoking one
+// dirties exactly one configuration; the rest hold every condition, as
+// uniform registration produces.
+func Workload(subs, policies, partial, subdocBytes int) ([]*policy.ACP, *document.Document, []Row, error) {
 	if subs < 1 || policies < 1 || partial > subs {
 		return nil, nil, nil, fmt.Errorf("benchutil: bad workload shape subs=%d policies=%d partial=%d", subs, policies, partial)
 	}
@@ -38,23 +46,34 @@ func Workload(subs, policies, partial, subdocBytes int) ([]*policy.ACP, *documen
 		return nil, nil, nil, err
 	}
 
-	table := make(map[string]map[string]uint64, subs)
+	rows := make([]Row, subs)
 	rng := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < subs; i++ {
+	for i := range rows {
 		width := policies
 		if i < partial {
 			width = 1
 		}
-		row := make(map[string]uint64, width)
+		cells := make(map[string]core.CSS, width)
 		for j := 0; j < width; j++ {
 			rng = rng*6364136223846793005 + 1442695040888963407
-			row[fmt.Sprintf("attr%d >= 1", j)] = rng%1000000007 + 1
+			cells[fmt.Sprintf("attr%d >= 1", j)] = core.CSS(rng%1000000007 + 1)
 		}
-		table[fmt.Sprintf("pn-%d", i)] = row
+		rows[i] = Row{Nym: fmt.Sprintf("pn-%d", i), Cells: cells}
 	}
-	state, err := json.Marshal(map[string]any{"version": 1, "table": table})
-	if err != nil {
-		return nil, nil, nil, err
+	return acps, doc, rows, nil
+}
+
+// Load applies one register event per row to pub (ApplyStateEvent, the
+// replication path WAL replay takes). Loading the same rows again restores
+// rows revoked since and bumps no membership version of a row that is
+// unchanged, so a re-load after churn re-solves only what the churn touched.
+// Nothing is journaled: a publisher with a durable store snapshots after a
+// load to make the table durable.
+func Load(pub *pubsub.Publisher, rows []Row) error {
+	for _, r := range rows {
+		if err := pub.ApplyStateEvent(pubsub.StateEvent{Kind: pubsub.StateEventRegister, Nym: r.Nym, Cells: r.Cells}); err != nil {
+			return err
+		}
 	}
-	return acps, doc, state, nil
+	return nil
 }

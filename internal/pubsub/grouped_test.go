@@ -11,24 +11,61 @@ import (
 	"sync"
 	"testing"
 
-	"ppcd/internal/benchutil"
 	"ppcd/internal/core"
 	"ppcd/internal/document"
 	"ppcd/internal/linalg"
 	"ppcd/internal/policy"
 )
 
-// importTable injects a synthetic CSS table through the public state-import
-// path (no OCBE exchanges).
+// importTable loads a synthetic CSS table through the replication path: one
+// register event per row, in pseudonym order (no OCBE exchanges).
 func importTable(t *testing.T, pub *Publisher, table map[string]map[string]uint64) {
 	t.Helper()
-	state, err := json.Marshal(map[string]any{"version": 1, "table": table})
+	for _, nym := range sortedKeys(table) {
+		cells := make(map[string]core.CSS, len(table[nym]))
+		for cond, css := range table[nym] {
+			cells[cond] = core.CSS(css)
+		}
+		if err := pub.ApplyStateEvent(StateEvent{Kind: StateEventRegister, Nym: nym, Cells: cells}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// workload is the shape of benchutil.Workload (which loads through this
+// package, so this package's tests cannot import it): `policies`
+// single-condition ACPs "attrI >= 1" over a document of one subdocument
+// each, and `subs` rows "pn-I", the first `partial` of which hold attr0
+// alone and the rest every condition.
+func workload(t *testing.T, subs, policies, partial, subdocBytes int) ([]*policy.ACP, *document.Document, map[string]map[string]uint64) {
+	t.Helper()
+	var acps []*policy.ACP
+	var subdocs []document.Subdocument
+	for i := 0; i < policies; i++ {
+		acp, err := policy.New(fmt.Sprintf("acp%d", i), fmt.Sprintf("attr%d >= 1", i), "doc", fmt.Sprintf("sd%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		acps = append(acps, acp)
+		subdocs = append(subdocs, document.Subdocument{Name: fmt.Sprintf("sd%d", i), Content: make([]byte, subdocBytes)})
+	}
+	doc, err := document.New("doc", subdocs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.ImportState(state); err != nil {
-		t.Fatal(err)
+	table := make(map[string]map[string]uint64, subs)
+	for i := 0; i < subs; i++ {
+		width := policies
+		if i < partial {
+			width = 1
+		}
+		row := make(map[string]uint64, width)
+		for j := 0; j < width; j++ {
+			row[fmt.Sprintf("attr%d >= 1", j)] = uint64(1000*i + j + 1)
+		}
+		table[fmt.Sprintf("pn-%d", i)] = row
 	}
+	return acps, doc, table
 }
 
 // subFromRow builds a subscriber holding exactly the given CSS cells,
@@ -172,17 +209,12 @@ func TestGroupedChurnSolvesExactlyOneShard(t *testing.T) {
 	// workload's first half of pseudonyms hold only attr0, so revoking one
 	// touches one policy — and with grouping, one group of that policy.
 	params, mgr := testEnv(t)
-	acps, doc, state, err := benchutil.Workload(12, 3, 6, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	acps, doc, table := workload(t, 12, 3, 6, 64)
 	pub, err := NewPublisher(params, mgr.PublicKey(), acps, Options{Ell: 8, GroupSize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.ImportState(state); err != nil {
-		t.Fatal(err)
-	}
+	importTable(t, pub, table)
 	if _, err := pub.Publish(doc); err != nil {
 		t.Fatal(err)
 	}
@@ -206,14 +238,6 @@ func TestGroupedChurnSolvesExactlyOneShard(t *testing.T) {
 	// The leaver holds only attr0: exactly one of acp0's four groups loses a
 	// row, so the churn publish must re-solve exactly ONE shard and rebuild
 	// exactly ONE configuration.
-	var table map[string]map[string]uint64
-	var sf struct {
-		Table map[string]map[string]uint64 `json:"table"`
-	}
-	if err := json.Unmarshal(state, &sf); err != nil {
-		t.Fatal(err)
-	}
-	table = sf.Table
 	leaver := subFromRow(t, "pn-0", table["pn-0"])
 	stayer := subFromRow(t, "pn-1", table["pn-1"])
 	if got, _ := leaver.Decrypt(b1); len(got) != 1 {
@@ -251,26 +275,15 @@ func TestGroupedSubscriberKEVCacheAndHint(t *testing.T) {
 	// the subscriber's own shard is clean — hint plus cache make the whole
 	// derivation hash-free.
 	params, mgr := testEnv(t)
-	acps, doc, state, err := benchutil.Workload(6, 1, 6, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	acps, doc, table := workload(t, 6, 1, 6, 64)
 	pub, err := NewPublisher(params, mgr.PublicKey(), acps, Options{Ell: 8, GroupSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.ImportState(state); err != nil {
-		t.Fatal(err)
-	}
-	var sf struct {
-		Table map[string]map[string]uint64 `json:"table"`
-	}
-	if err := json.Unmarshal(state, &sf); err != nil {
-		t.Fatal(err)
-	}
+	importTable(t, pub, table)
 	// Sticky assignment fills groups in sorted-nym order: pn-0,pn-1 → group
 	// 0, pn-2,pn-3 → group 1, pn-4,pn-5 → group 2.
-	sub := subFromRow(t, "pn-3", sf.Table["pn-3"])
+	sub := subFromRow(t, "pn-3", table["pn-3"])
 
 	b1, err := pub.Publish(doc)
 	if err != nil {
@@ -323,23 +336,12 @@ func TestColdGroupedScanHashesOncePerRun(t *testing.T) {
 	// whether the headers share the run's memory (the publisher's, or one
 	// decoded stream frame's) or only the seed that names it.
 	params, mgr := testEnv(t)
-	acps, doc, state, err := benchutil.Workload(7, 1, 7, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	acps, doc, table := workload(t, 7, 1, 7, 64)
 	pub, err := NewPublisher(params, mgr.PublicKey(), acps, Options{Ell: 8, GroupSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.ImportState(state); err != nil {
-		t.Fatal(err)
-	}
-	var sf struct {
-		Table map[string]map[string]uint64 `json:"table"`
-	}
-	if err := json.Unmarshal(state, &sf); err != nil {
-		t.Fatal(err)
-	}
+	importTable(t, pub, table)
 	b, err := pub.Publish(doc)
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +351,7 @@ func TestColdGroupedScanHashesOncePerRun(t *testing.T) {
 		t.Fatalf("want four shards, the last one shorter; got %d", len(g.Shards))
 	}
 	// pn-6 sits alone in the last shard: the scan tries every shard before.
-	sub := subFromRow(t, "pn-6", sf.Table["pn-6"])
+	sub := subFromRow(t, "pn-6", table["pn-6"])
 	if got, _ := sub.Decrypt(b); len(got) != 1 {
 		t.Fatalf("decrypt got %d subdocs", len(got))
 	}
@@ -367,7 +369,7 @@ func TestColdGroupedScanHashesOncePerRun(t *testing.T) {
 		ag.Shards[i].Hdr = ag.Shards[i].Hdr.Clone()
 	}
 	apart.Configs[0].Grouped = &ag
-	cold := subFromRow(t, "pn-6", sf.Table["pn-6"])
+	cold := subFromRow(t, "pn-6", table["pn-6"])
 	if got, _ := cold.Decrypt(&apart); len(got) != 1 {
 		t.Fatalf("decrypt of cloned headers got %d subdocs", len(got))
 	}
@@ -441,24 +443,13 @@ func TestKEVCacheHoldsWhatIsInUse(t *testing.T) {
 	// it has seen (§V-C: one N×N header per configuration, a miss per epoch);
 	// another document's vectors are not this one's to drop.
 	params, mgr := testEnv(t)
-	acps, doc, state, err := benchutil.Workload(7, 2, 0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	acps, doc, table := workload(t, 7, 2, 0, 64)
 	pub, err := NewPublisher(params, mgr.PublicKey(), acps, Options{Ell: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.ImportState(state); err != nil {
-		t.Fatal(err)
-	}
-	var sf struct {
-		Table map[string]map[string]uint64 `json:"table"`
-	}
-	if err := json.Unmarshal(state, &sf); err != nil {
-		t.Fatal(err)
-	}
-	sub := subFromRow(t, "pn-3", sf.Table["pn-3"])
+	importTable(t, pub, table)
+	sub := subFromRow(t, "pn-3", table["pn-3"])
 	decrypt := func(b *Broadcast) {
 		t.Helper()
 		if got, err := sub.Decrypt(b); err != nil || len(got) != 2 {
@@ -563,17 +554,12 @@ func TestConcurrentRegisterDuringGroupedPublish(t *testing.T) {
 	// Registrations racing grouped publishes must neither corrupt the
 	// sticky assignment state nor deadlock; run with -race in CI.
 	params, mgr := testEnv(t)
-	acps, doc, state, err := benchutil.Workload(8, 2, 4, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	acps, doc, table := workload(t, 8, 2, 4, 64)
 	pub, err := NewPublisher(params, mgr.PublicKey(), acps, Options{Ell: 8, GroupSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.ImportState(state); err != nil {
-		t.Fatal(err)
-	}
+	importTable(t, pub, table)
 
 	const workers = 4
 	var wg sync.WaitGroup
@@ -637,17 +623,12 @@ func TestGroupedBroadcastGobRoundTrip(t *testing.T) {
 	// Grouped headers are plain exported values too: a reflection codec
 	// carries them unchanged.
 	params, mgr := testEnv(t)
-	acps, doc, state, err := benchutil.Workload(5, 2, 2, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	acps, doc, table := workload(t, 5, 2, 2, 64)
 	pub, err := NewPublisher(params, mgr.PublicKey(), acps, Options{Ell: 8, GroupSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.ImportState(state); err != nil {
-		t.Fatal(err)
-	}
+	importTable(t, pub, table)
 	b, err := pub.Publish(doc)
 	if err != nil {
 		t.Fatal(err)
@@ -660,13 +641,7 @@ func TestGroupedBroadcastGobRoundTrip(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&dec); err != nil {
 		t.Fatal(err)
 	}
-	var sf struct {
-		Table map[string]map[string]uint64 `json:"table"`
-	}
-	if err := json.Unmarshal(state, &sf); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := subFromRow(t, "pn-4", sf.Table["pn-4"]).Decrypt(&dec); len(got) != 2 {
+	if got, _ := subFromRow(t, "pn-4", table["pn-4"]).Decrypt(&dec); len(got) != 2 {
 		t.Errorf("decrypted %d subdocs from gob copy, want 2", len(got))
 	}
 }
@@ -678,24 +653,13 @@ func TestGroupedScanReusesOneVerifierBuffer(t *testing.T) {
 	// none of them may cost a plaintext-sized buffer: the scan opens into one.
 	const subdocBytes = 64 << 10
 	params, mgr := testEnv(t)
-	acps, doc, state, err := benchutil.Workload(17, 1, 17, subdocBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	acps, doc, table := workload(t, 17, 1, 17, subdocBytes)
 	pub, err := NewPublisher(params, mgr.PublicKey(), acps, Options{Ell: 8, GroupSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.ImportState(state); err != nil {
-		t.Fatal(err)
-	}
-	var sf struct {
-		Table map[string]map[string]uint64 `json:"table"`
-	}
-	if err := json.Unmarshal(state, &sf); err != nil {
-		t.Fatal(err)
-	}
-	sub := subFromRow(t, "pn-5", sf.Table["pn-5"])
+	importTable(t, pub, table)
+	sub := subFromRow(t, "pn-5", table["pn-5"])
 	if err := pub.RevokeSubscription("pn-5"); err != nil {
 		t.Fatal(err)
 	}

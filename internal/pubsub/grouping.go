@@ -39,9 +39,9 @@ import (
 // re-qualifies just those slots, updates the affected groups and re-digests
 // only the dirty ones: at a million rows a single join costs one row
 // qualification plus one group digest. The scan (a full regroup) remains for
-// what hints cannot describe: a policy's first snapshot, a monolithic state
-// import, bumpAll. A segmented import installs the stored columns and rebuilds
-// the index over them (regroup): the publish after a restart scans nothing.
+// what hints cannot describe: a policy's first snapshot, bumpAll. A segmented
+// import installs the stored columns and rebuilds the index over them
+// (regroup): the publish after a restart scans nothing.
 
 // groupShard is one non-empty group as the last snapshot left it: its stable
 // number, the digest of its content (the engine's dirtiness signal), its size.
@@ -56,8 +56,8 @@ type groupShard struct {
 // empty groups keep their numbers), a constant-time least-full tracker, the
 // member slots per group in pseudonym order, and the non-empty groups by
 // ascending number, tagged with the membership version they reflect.
-// valid=false forces a full regroup (fresh policy, monolithic import, bumpAll,
-// a failed snapshot); afterwards the state advances through churn hints alone.
+// valid=false forces a full regroup (fresh policy, bumpAll, a failed
+// snapshot); afterwards the state advances through churn hints alone.
 // Guarded by grpMu.
 type groupState struct {
 	counts  []int
@@ -146,8 +146,7 @@ func (t *cssTable) gatherRows(members []int32, cis []int) (rows [][]core.CSS, er
 // a solve hashes are the rows its Sig digests; solved is asked under both
 // locks (grpMu → mu → Engine.mu). The hold is proportional to the churn,
 // except for a full regroup, which scans and digests a policy while
-// registrations wait — once per policy and process, or after a monolithic
-// import.
+// registrations wait — once per policy and process, or after bumpAll.
 func (r *registry) snapshotGrouped(acps []*policy.ACP, solved func(id, sig string) bool) (map[string][]core.ShardSpec, error) {
 	out := make(map[string][]core.ShardSpec, len(acps))
 	r.grpMu.Lock()

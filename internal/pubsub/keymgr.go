@@ -49,8 +49,8 @@ type Stats struct {
 	// cache-hit publishes don't inflate it.
 	DominanceSkips uint64
 	// FullRegroups counts grouped snapshots of one policy that fell back to
-	// a scan of table T (the policy's first publish, a monolithic state
-	// import, dropped conditions) instead of advancing through churn hints.
+	// a scan of table T (the policy's first publish, dropped conditions)
+	// instead of advancing through churn hints.
 	FullRegroups uint64
 }
 
@@ -59,7 +59,7 @@ func (km *keyManager) stats() Stats {
 	return Stats{EngineStats: km.engine.Stats(), DominanceSkips: km.domSkips.Load()}
 }
 
-// reset drops all cached builds (after a wholesale state import).
+// reset drops all cached builds (ResetRekeyCache).
 func (km *keyManager) reset() { km.engine.Reset() }
 
 // configSig builds the membership signature of one configuration from the
@@ -180,10 +180,9 @@ func assemble(cfgs map[policy.ConfigKey][]string, throwaway []policy.ConfigKey, 
 
 // sessionSecrets lists the cache entries one publish's rekey session created
 // — the configurations it rebuilt and the shards it solved, the secret half of
-// the publish's journal record — and the §VIII-B aliases it assembled
-// (configuration → the one whose build it reuses). Publish calls it only when
-// a journal is attached.
-type sessionSecrets func() ([]SolvedConfig, []SolvedShard, map[policy.ConfigKey]policy.ConfigKey)
+// the publish's journal record. Publish calls it only when a journal is
+// attached.
+type sessionSecrets func() ([]SolvedConfig, []SolvedShard)
 
 // configKeys produces the ordered ConfigInfo list and the symmetric key per
 // configuration for one publish, given an ungrouped registry snapshot.
@@ -215,13 +214,13 @@ func (km *keyManager) configKeys(cfgs map[policy.ConfigKey][]string, rowsByACP m
 			return nil, nil, nil, fmt.Errorf("pubsub: building ACVs: %w", err)
 		}
 	}
-	secrets := func() (out []SolvedConfig, _ []SolvedShard, _ map[policy.ConfigKey]policy.ConfigKey) {
+	secrets := func() (out []SolvedConfig, _ []SolvedShard) {
 		for _, s := range specs {
 			if ck := built[s.ID]; ck.Rebuilt {
 				out = append(out, SolvedConfig{ID: s.ID, Key: ck.Key, Sig: s.Sig})
 			}
 		}
-		return out, nil, aliases
+		return out, nil
 	}
 	infos, keys, err := assemble(cfgs, throwaway, solo, aliases, func(key, rep policy.ConfigKey) (ConfigInfo, ff64.Elem) {
 		ck := built[string(rep)]
@@ -255,7 +254,7 @@ func (km *keyManager) configKeysGrouped(cfgs map[policy.ConfigKey][]string, shar
 			return nil, nil, nil, fmt.Errorf("pubsub: building grouped ACVs: %w", err)
 		}
 	}
-	secrets := func() (configs []SolvedConfig, shards []SolvedShard, _ map[policy.ConfigKey]policy.ConfigKey) {
+	secrets := func() (configs []SolvedConfig, shards []SolvedShard) {
 		seen := make(map[string]bool)
 		for _, s := range specs {
 			ck := built[s.ID]
@@ -274,7 +273,7 @@ func (km *keyManager) configKeysGrouped(cfgs map[policy.ConfigKey][]string, shar
 				}
 			}
 		}
-		return configs, shards, aliases
+		return configs, shards
 	}
 	infos, keys, err := assemble(cfgs, throwaway, solo, aliases, func(key, rep policy.ConfigKey) (ConfigInfo, ff64.Elem) {
 		ck := built[string(rep)]

@@ -26,12 +26,6 @@ type PublishOutcome struct {
 	// SHA-256), which decide whether a later publish may carry an item's
 	// ciphertext forward.
 	Digests map[string][32]byte
-	// Aliases maps each configuration the delta patches that reuses another's
-	// build (§VIII-B) to that configuration, whose ID its header is cached
-	// under. Replay reads none of it — an alias's header carries its
-	// representative's name — and the record format keeps it until its next
-	// version.
-	Aliases map[policy.ConfigKey]policy.ConfigKey
 	// Configs and Shards are the entries the publish's rekey session created
 	// in the engine cache. Their headers are in Delta.
 	Configs []SolvedConfig
@@ -73,16 +67,7 @@ func publishOutcome(prev, cur *lastBroadcast, secrets sessionSecrets) *PublishOu
 		return nil
 	}
 	o := &PublishOutcome{Delta: d, Digests: cur.digests}
-	var aliases map[policy.ConfigKey]policy.ConfigKey
-	o.Configs, o.Shards, aliases = secrets()
-	for _, cp := range d.Configs {
-		if rep, ok := aliases[cp.Key]; ok {
-			if o.Aliases == nil {
-				o.Aliases = make(map[policy.ConfigKey]policy.ConfigKey)
-			}
-			o.Aliases[cp.Key] = rep
-		}
-	}
+	o.Configs, o.Shards = secrets()
 	return o
 }
 

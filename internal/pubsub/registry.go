@@ -18,8 +18,8 @@ import (
 //
 // The table itself is columnar (columnar.go): the condition universe is fixed
 // at construction, each pseudonym owns one dense row of CSS cells, and scans
-// walk contiguous arrays instead of nested maps. The map-of-maps shape
-// survives only at the serialization boundary (export/exportFull/restore).
+// walk contiguous arrays instead of nested maps; table segments store it in
+// that shape (statev2_segments.go).
 //
 // A policy's membership version increments whenever a table mutation could
 // have changed that policy's qualified row set: a CSS write or delete for a
@@ -32,11 +32,11 @@ import (
 type registry struct {
 	mu  sync.RWMutex
 	tab *cssTable
-	// tabGen counts wholesale table replacements. A segmented export base
-	// (statev2_segments.go) captured against an older tabGen is invalid: a
-	// monolithic restore assigns slots afresh, so carrying "clean" slot-range
-	// segments forward would resurrect rows at their old slots. A segmented
-	// import preserves slots and hands its new tabGen back as the base.
+	// tabGen counts wholesale table replacements and invalidations. A
+	// segmented export base (statev2_segments.go) captured against an older
+	// tabGen is invalid: after bumpAll the segments it stands for still hold
+	// what an import dropped. A segmented import preserves slots and hands its
+	// new tabGen back as the base.
 	tabGen uint64
 	// memVer is the membership version per policy ID.
 	memVer map[string]uint64
@@ -366,107 +366,6 @@ func (r *registry) snapshot(acps []*policy.ACP) (map[string][][]core.CSS, map[st
 	return rows, vers
 }
 
-// registryState is a full snapshot of the registry's durable state: table T,
-// the per-policy membership versions, and the sticky group assignment (§VIII-C)
-// with the number of groups each policy ever created. It keeps the
-// serialization-friendly map-of-maps shape; the live registry converts to and
-// from the columnar layout at this boundary.
-type registryState struct {
-	table     map[string]map[string]core.CSS
-	memVer    map[string]uint64
-	grpAssign map[string]map[string]int
-	grpGroups map[string]int
-}
-
-// exportFull deep-copies the durable registry state (state v2 export).
-func (r *registry) exportFull() registryState {
-	st := registryState{
-		memVer:    make(map[string]uint64),
-		grpAssign: make(map[string]map[string]int),
-		grpGroups: make(map[string]int),
-	}
-	r.grpMu.Lock()
-	defer r.grpMu.Unlock()
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	st.table = make(map[string]map[string]core.CSS, r.tab.live)
-	for nym, s := range r.tab.slotOf {
-		row := r.tab.row(s)
-		cells := make(map[string]core.CSS)
-		for ci, v := range row {
-			if v != 0 {
-				cells[r.tab.conds[ci]] = v
-			}
-		}
-		st.table[nym] = cells
-	}
-	for id, v := range r.memVer {
-		st.memVer[id] = v
-	}
-	for id, gs := range r.grp {
-		assign := make(map[string]int)
-		for s, gid := range r.tab.gids[id] {
-			if nym := r.tab.nyms[s]; gid != gidNone && nym != "" {
-				assign[nym] = int(gid)
-			}
-		}
-		st.grpAssign[id] = assign
-		st.grpGroups[id] = len(gs.counts)
-	}
-	return st
-}
-
-// restore replaces the registry's durable state wholesale (state v2 import).
-// Membership versions are restored exactly as exported so that engine cache
-// signatures computed against them keep matching; assignments of policies the
-// publisher no longer has, or of pseudonyms without a row, are dropped. Caches
-// are cleared — the next snapshot reassembles rows (a table scan, no solves),
-// the next grouped snapshot regroups around the restored sticky assignment.
-func (r *registry) restore(st registryState) {
-	r.grpMu.Lock()
-	defer r.grpMu.Unlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	tab := newCSSTable(r.tab.conds)
-	for nym, row := range st.table {
-		dst := tab.row(tab.ensureRow(nym))
-		for cond, css := range row {
-			if ci, ok := tab.condIdx[cond]; ok {
-				dst[ci] = css
-			}
-		}
-	}
-	tab.compact()
-	r.replaceTable(tab, st.memVer) // slot layout changed wholesale; segmented bases are void
-	r.grp = make(map[string]*groupState)
-	for id, assign := range st.grpAssign {
-		if _, known := r.polConds[id]; !known {
-			continue
-		}
-		col := tab.addGidColumn(id)
-		for nym, gid := range assign {
-			if s, ok := tab.slotOf[nym]; ok {
-				col[s] = int32(gid)
-			}
-		}
-		// Not valid: the next grouped snapshot regroups around the column.
-		r.grp[id] = &groupState{counts: make([]int, st.grpGroups[id])}
-	}
-}
-
-// replaceTable swaps in a wholesale new table under a new table generation,
-// with the membership versions it was exported at, and forgets everything
-// derived from the old one. Callers hold the write lock.
-func (r *registry) replaceTable(tab *cssTable, memVer map[string]uint64) {
-	r.tab = tab
-	r.tabGen++
-	for id := range r.memVer {
-		r.memVer[id] = memVer[id]
-	}
-	r.rowsCache = make(map[string]policyRows)
-	clear(r.pend)
-}
-
 // installRestored swaps in the table a segmented import rebuilt
 // (statev2_segments.go) with the group states regrouped over its gid columns.
 // Slots are where the segments had them, so the returned table generation
@@ -478,71 +377,20 @@ func (r *registry) installRestored(tab *cssTable, memVer map[string]uint64, grou
 	defer r.grpMu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.replaceTable(tab, memVer)
+	// The versions the state was exported at; nothing derived from the old
+	// table survives it.
+	r.tab = tab
+	r.tabGen++
+	for id := range r.memVer {
+		r.memVer[id] = memVer[id]
+	}
+	r.rowsCache = make(map[string]policyRows)
+	clear(r.pend)
 	r.grp = groups
 	for _, s := range changed {
 		tab.markDirty(s)
 	}
 	return r.tabGen
-}
-
-// replaceDiff swaps in a wholesale new table (state import), bumping only the
-// policies whose condition membership actually changed: for every condition,
-// the set of (nym, CSS) cells before and after is compared, and an unchanged
-// condition dirties nothing. An import of a table identical to the current
-// one is therefore a no-op for the rekey engine — no rebuild storm — while a
-// partial difference re-solves exactly the affected configurations, the same
-// granularity live mutations produce.
-func (r *registry) replaceDiff(table map[string]map[string]core.CSS) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	changed := make(map[string]bool)
-	touch := func(s int32, cond string) {
-		changed[cond] = true
-		r.hint(s, cond)
-		r.tab.markDirty(s)
-	}
-	// Diff existing rows (including removals) against the incoming table.
-	for s, nym := range r.tab.nyms {
-		if nym == "" {
-			continue
-		}
-		newRow := table[nym]
-		for ci, old := range r.tab.row(int32(s)) {
-			if old != newRow[r.tab.conds[ci]] { // absent cells read as 0, never a valid CSS
-				touch(int32(s), r.tab.conds[ci])
-			}
-		}
-	}
-	// Apply: drop rows absent from the new table, then overwrite the rest;
-	// every cell of a brand-new row is a change.
-	var drop []string
-	for nym := range r.tab.slotOf {
-		if _, ok := table[nym]; !ok {
-			drop = append(drop, nym)
-		}
-	}
-	for _, nym := range drop {
-		r.tab.deleteRow(nym)
-	}
-	for nym, newRow := range table {
-		_, existed := r.tab.slotOf[nym]
-		s := r.tab.ensureRow(nym)
-		dst := r.tab.row(s)
-		clear(dst)
-		for cond, v := range newRow {
-			if ci, ok := r.tab.condIdx[cond]; ok {
-				dst[ci] = v
-				if !existed && v != 0 {
-					touch(s, cond)
-				}
-			}
-		}
-	}
-	for cond := range changed {
-		r.bump(cond)
-	}
-	r.tab.compact()
 }
 
 // setCellsDiff is the WAL-replay variant of setCells: a cell overwrite with

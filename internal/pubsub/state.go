@@ -1,8 +1,6 @@
 package pubsub
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -11,21 +9,22 @@ import (
 	"ppcd/internal/ff64"
 )
 
-// This file is the publisher's durable-state surface: state export/import
-// (the v2 binary format carrying everything a warm restart needs, plus the
-// legacy v1 JSON table dump), and the journal event stream the internal/store
-// WAL records so mutations between snapshots survive a crash.
+// This file is the publisher's journal surface: the event stream the
+// internal/store WAL records so mutations between snapshots survive a crash,
+// and its replay. The snapshot side is the segmented state export
+// (statev2_segments.go), the one durable-state format.
 //
 // State is SECRET material (paper §V-B: "Table T … should be protected").
-// The exported bytes are plaintext serialization; persisting them is the
-// store package's job, which seals them with AEAD under an operator key.
+// Exported segments and events are plaintext serialization; persisting them
+// is the store package's job, which seals them with AEAD under an operator
+// key.
 
 // Shape limits applied to imported state and replayed events — the same
 // hardening discipline the transport applies to network input, because a
 // state file is an integrity boundary too (a restored publisher must not be
 // corruptible into unbounded allocations by a damaged or crafted file).
 const (
-	// maxStateBytes caps the total imported state size.
+	// maxStateBytes caps the total size of an imported segment set.
 	maxStateBytes = 1 << 30
 	// maxStateNymLen caps one pseudonym.
 	maxStateNymLen = 1024
@@ -37,111 +36,6 @@ const (
 	// maxStateRowCells clamps the cells of one pseudonym row.
 	maxStateRowCells = 1 << 16
 )
-
-// stateFile is the JSON shape of a legacy v1 exported state: the CSS table
-// only.
-type stateFile struct {
-	Version int                          `json:"version"`
-	Table   map[string]map[string]uint64 `json:"table"`
-}
-
-// ExportState serializes the publisher's full durable state (v2): table T,
-// per-policy membership versions, sticky group assignments, the epoch
-// counter and incarnation generation, the rekey engine's cached builds, and
-// the per-document diff bases. A publisher restored from it resumes exactly
-// where it left off: clean configurations keep their cached headers (the
-// first post-restart publish performs zero null-space solves on an unchanged
-// table) and epoch numbering continues, so streaming subscribers catch up
-// with deltas instead of re-downloading snapshots.
-//
-// The returned bytes are SECRET (CSS cells, configuration keys) and
-// unencrypted — store them through internal/store, which seals them with
-// AEAD under an operator key, or protect them equivalently.
-func (p *Publisher) ExportState() ([]byte, error) {
-	return p.exportStateV2()
-}
-
-// ImportState restores a previously exported publisher state, accepting both
-// the v2 binary format (full restore: table, assignments, epoch, generation,
-// engine caches, diff bases) and the legacy v1 JSON table dump.
-//
-// Conditions that no longer exist in the publisher's policy set are dropped
-// (no error: policies may legitimately have changed — §V-C). The v1 path
-// replaces the table through a per-condition diff: only policies whose
-// condition membership actually changed are marked dirty, so importing a
-// table identical to the current one triggers no rebuild at all.
-//
-// An import is a wholesale mutation the event journal cannot express, so
-// when a journal supporting snapshots is attached (internal/store is), the
-// imported state is made durable through an immediate snapshot — otherwise
-// a crash before the next scheduled snapshot would recover the pre-import
-// table while replaying post-import epochs.
-func (p *Publisher) ImportState(data []byte) error {
-	if len(data) > maxStateBytes {
-		return fmt.Errorf("pubsub: state of %d bytes exceeds the %d limit", len(data), maxStateBytes)
-	}
-	var err error
-	switch magic := stateMagic[:len(stateMagic)-1]; {
-	case bytes.HasPrefix(data, stateMagic):
-		err = p.importStateV2(data)
-	case bytes.HasPrefix(data, magic) && len(data) > len(magic):
-		err = fmt.Errorf("pubsub: unsupported state blob version %d", data[len(magic)])
-	default:
-		err = p.importStateV1(data)
-	}
-	if err != nil {
-		return err
-	}
-	p.jmu.RLock()
-	j := p.journal
-	p.jmu.RUnlock()
-	if snap, ok := j.(SnapshotJournal); ok {
-		if err := snap.Snapshot(p); err != nil {
-			return fmt.Errorf("pubsub: persisting imported state: %w", err)
-		}
-	}
-	return nil
-}
-
-func (p *Publisher) importStateV1(data []byte) error {
-	var sf stateFile
-	if err := json.Unmarshal(data, &sf); err != nil {
-		return fmt.Errorf("pubsub: parsing state: %w", err)
-	}
-	if sf.Version != 1 {
-		return fmt.Errorf("pubsub: unsupported state version %d", sf.Version)
-	}
-	if len(sf.Table) > maxStateCount {
-		return fmt.Errorf("pubsub: state table of %d rows exceeds limits", len(sf.Table))
-	}
-	table := make(map[string]map[string]core.CSS, len(sf.Table))
-	for nym, row := range sf.Table {
-		if err := validateStateNym(nym); err != nil {
-			return err
-		}
-		if len(row) > maxStateRowCells {
-			return fmt.Errorf("pubsub: state row for %q has %d cells", nym, len(row))
-		}
-		out := make(map[string]core.CSS, len(row))
-		for cond, css := range row {
-			if len(cond) > maxStateCondLen {
-				return fmt.Errorf("pubsub: state condition ID of %d bytes exceeds limits", len(cond))
-			}
-			if _, known := p.condByID[cond]; !known {
-				continue // policy set changed; stale column
-			}
-			if css == 0 || css >= ff64.Modulus {
-				return fmt.Errorf("pubsub: state contains invalid CSS for (%q, %q)", nym, cond)
-			}
-			out[cond] = core.CSS(css)
-		}
-		if len(out) > 0 {
-			table[nym] = out
-		}
-	}
-	p.reg.replaceDiff(table)
-	return nil
-}
 
 func validateStateNym(nym string) error {
 	if nym == "" {
@@ -198,15 +92,6 @@ type Journal interface {
 type BatchJournal interface {
 	Journal
 	AppendBatch([]StateEvent) error
-}
-
-// SnapshotJournal is an optional Journal extension: a journal that can
-// persist the publisher's full state. ImportState calls it after a
-// successful import — a wholesale mutation the event stream cannot express —
-// so the imported table is durable before the import returns.
-type SnapshotJournal interface {
-	Journal
-	Snapshot(*Publisher) error
 }
 
 // CommitTicket is the pending half of one pipelined commit: Wait blocks
@@ -426,7 +311,8 @@ func (p *Publisher) ApplyStateEvent(ev StateEvent) error {
 }
 
 // Generation returns the publisher's incarnation stamp: freshly random for a
-// new publisher, restored by a v2 state import so deltas survive restarts.
+// new publisher, restored by a segmented state import so deltas survive
+// restarts.
 func (p *Publisher) Generation() uint64 {
 	p.pubMu.Lock()
 	defer p.pubMu.Unlock()
@@ -454,6 +340,5 @@ func (p *Publisher) LastBroadcasts() []*Broadcast {
 }
 
 // ResetRekeyCache drops every cached ACV build, forcing the next Publish to
-// re-solve all configurations (benchmarking the full-rebuild regime; state
-// imports no longer do this implicitly).
+// re-solve all configurations (benchmarking the full-rebuild regime).
 func (p *Publisher) ResetRekeyCache() { p.keys.reset() }

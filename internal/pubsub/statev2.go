@@ -13,24 +13,24 @@ import (
 	"ppcd/internal/policy"
 )
 
-// State v2 binary format: the full durable publisher state. All integers are
+// The state codec: the per-section encodings the segmented state
+// (statev2_segments.go) is written in. A cache segment holds one bucket of
+// the three cache sections, the meta segment the stamp, the membership
+// versions, the group-universe lengths and the diff bases. All integers are
 // big-endian; strings and byte fields are uint32-length-prefixed. Decoding
 // applies the wire-style hardening budget: every count is clamped, every
-// field element must arrive reduced, duplicate pseudonyms are rejected, and
-// cumulative header material is charged against a fixed budget.
+// field element must arrive reduced, duplicates are rejected, and cumulative
+// header material is charged against a budget the segments of one import
+// share.
 //
-// Layout after the magic:
-//
-//	u64 epoch | u64 gen
-//	table:     u32 n { str nym, u32 cells { str cond, u64 css } }
-//	memVer:    u32 n { str policyID, u64 ver }
-//	grouping:  u32 n { str policyID, u32 groups, u32 members { str nym, u32 gid } }
-//	cfgCache:  u32 n { str id, str sig, header, u64 key }
-//	shardCache:u32 n { str id, str sig, header, u64 key }
-//	grpCache:  u32 n { str id, str sig, bytes nonce,
-//	                   u32 shards { u8 kind(0), str shardID, u64 wrap },
-//	                   u64 key }
-//	lastPub:   u32 n { str doc, broadcast, u32 digests { str subdoc, 32 bytes } }
+//	stamp:      u64 epoch | u64 gen
+//	memVer:     u32 n { str policyID, u64 ver }
+//	cfgCache:   u32 n { str id, str sig, header, u64 key }
+//	shardCache: u32 n { str id, str sig, header, u64 key }
+//	grpCache:   u32 n { str id, str sig, bytes nonce,
+//	                    u32 shards { u8 kind(0), str shardID, u64 wrap },
+//	                    u64 key }
+//	lastPub:    u32 n { str doc, broadcast, u32 digests { str subdoc, 32 bytes } }
 //
 // where header = u32 |X| { u64 elem } seed — the core.SeedSize bytes that name
 // the header's nonce run; its N = |X| − 1 nonces are their expansion — and
@@ -40,16 +40,9 @@ import (
 // shard's kind 1, an inline sub-header, is retired: the cache exports only
 // entries whose every slot holds the shard cache's solve.
 
-// stateMagic prefixes v2 state blobs: "PPCDST" and the blob version. Version
-// 3 stores a header's seed where version 2 stored its nonces; there is no
-// reader for version 2.
-var stateMagic = []byte{'P', 'P', 'C', 'D', 'S', 'T', stateBlobVersion}
-
-const stateBlobVersion = 3
-
 // maxStateHeaderBudget bounds the cumulative decoded size of all cached and
-// broadcast headers (plus the per-policy group-count lists) in one state
-// blob.
+// broadcast headers (plus the per-group state the meta segment declares) in
+// one segmented import.
 const maxStateHeaderBudget = 256 << 20
 
 // maxStateSigLen caps cache IDs and signatures (configuration keys join
@@ -57,7 +50,7 @@ const maxStateHeaderBudget = 256 << 20
 // with the policy/shard count, far beyond a single condition ID).
 const maxStateSigLen = 1 << 24
 
-// Errors returned by the v2 state codec.
+// Errors returned by the state codec.
 var (
 	errStateTruncated = errors.New("pubsub: truncated state")
 	errStateOversize  = errors.New("pubsub: state length field exceeds limits")
@@ -78,7 +71,7 @@ func stateErr(err error) error {
 }
 
 // stateWriter and stateReader adapt the shared internal/codec primitives to
-// the v2 state format's limits: every u32 is clamped to maxStateBytes, every
+// the state codec's limits: every u32 is clamped to maxStateBytes, every
 // count to maxStateCount, and header-sized allocations are charged against a
 // codec.Budget that parallel segment decodes share.
 type stateWriter struct {
@@ -118,6 +111,17 @@ func (r *stateReader) u32() (int, error) {
 func (r *stateReader) count() (int, error) {
 	v, err := r.r.Len(maxStateCount)
 	return v, stateErr(err)
+}
+
+// items reads a count of elements that take at least minSize input bytes
+// each. A count the rest of the input cannot hold is truncation, so nothing
+// sized by it outgrows the input.
+func (r *stateReader) items(minSize int) (int, error) {
+	n, err := r.count()
+	if err == nil && n*minSize > r.r.Remaining() {
+		err = errStateTruncated
+	}
+	return n, err
 }
 
 func (r *stateReader) u64() (uint64, error) {
@@ -225,55 +229,6 @@ const (
 	stCfgGroupedRef = 4 // reference into the grouped config cache
 )
 
-func (p *Publisher) exportStateV2() ([]byte, error) {
-	reg := p.reg.exportFull()
-	cfgs, shards, grouped := p.keys.engine.ExportCache()
-	// Deterministic output: identical state always encodes to identical
-	// bytes (tests pin the round trip; operators can diff sealed states by
-	// re-sealing).
-	sort.Slice(cfgs, func(i, j int) bool { return cfgs[i].ID < cfgs[j].ID })
-	sort.Slice(shards, func(i, j int) bool { return shards[i].ID < shards[j].ID })
-	sort.Slice(grouped, func(i, j int) bool { return grouped[i].ID < grouped[j].ID })
-
-	w := &stateWriter{}
-	w.raw(stateMagic)
-	last := p.writeStateStamp(w)
-
-	// Table T, in sorted order for deterministic output.
-	nyms := sortedKeys(reg.table)
-	w.u32(len(nyms))
-	for _, nym := range nyms {
-		w.str(nym)
-		row := reg.table[nym]
-		conds := sortedKeys(row)
-		w.u32(len(conds))
-		for _, cond := range conds {
-			w.str(cond)
-			w.u64(uint64(row[cond]))
-		}
-	}
-
-	writeStateVersions(w, reg.memVer)
-
-	// Sticky group assignments.
-	ids := sortedKeys(reg.grpAssign)
-	w.u32(len(ids))
-	for _, id := range ids {
-		w.str(id)
-		w.u32(reg.grpGroups[id])
-		members := sortedKeys(reg.grpAssign[id])
-		w.u32(len(members))
-		for _, nym := range members {
-			w.str(nym)
-			w.u32(reg.grpAssign[id][nym])
-		}
-	}
-
-	writeStateCaches(w, cfgs, shards, grouped)
-	writeStateBases(w, last, cfgs, grouped)
-	return w.out(), w.err
-}
-
 // writeStateStamp encodes the epoch counter and the incarnation generation,
 // and returns the diff bases read under the same lock.
 func (p *Publisher) writeStateStamp(w *stateWriter) map[string]*lastBroadcast {
@@ -312,7 +267,7 @@ func writeStateVersions(w *stateWriter, memVer map[string]uint64) {
 }
 
 func readStateVersions(r *stateReader) (map[string]uint64, error) {
-	n, err := r.count()
+	n, err := r.items(4 + 8)
 	if err != nil {
 		return nil, err
 	}
@@ -330,8 +285,8 @@ func readStateVersions(r *stateReader) (map[string]uint64, error) {
 }
 
 // writeStateCaches encodes entries of the engine's three cache levels (the
-// cfgCache, shardCache and grpCache sections of the layout above) — all of
-// them in the monolithic blob, one hash bucket's worth in a cache segment.
+// cfgCache, shardCache and grpCache sections of the layout above), one hash
+// bucket's worth in a cache segment.
 func writeStateCaches(w *stateWriter, cfgs []core.CachedConfig, shards []core.CachedShard, grouped []core.CachedGrouped) {
 	w.u32(len(cfgs))
 	for _, c := range cfgs {
@@ -363,8 +318,7 @@ func writeStateCaches(w *stateWriter, cfgs []core.CachedConfig, shards []core.Ca
 }
 
 // readStateCaches decodes what writeStateCaches wrote. Grouped shard
-// references stay unresolved: in a segmented state they may point into
-// another bucket.
+// references stay unresolved: they may point into another bucket.
 func readStateCaches(r *stateReader) (cfgs []core.CachedConfig, shards []core.CachedShard, grouped []core.CachedGrouped, err error) {
 	n, err := r.count()
 	if err != nil {
@@ -404,7 +358,7 @@ func readStateCaches(r *stateReader) (cfgs []core.CachedConfig, shards []core.Ca
 		if len(g.RekeyNonce) != core.NonceSize {
 			return nil, nil, nil, fmt.Errorf("pubsub: state rekey nonce of %d bytes, want %d", len(g.RekeyNonce), core.NonceSize)
 		}
-		ns, err := r.count()
+		ns, err := r.items(1 + 4 + 8)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -487,7 +441,7 @@ func writeStateBases(w *stateWriter, last map[string]*lastBroadcast, cfgs []core
 // readStateBases decodes the diff bases of a state of generation gen, their
 // header references resolved against the decoded caches.
 func readStateBases(r *stateReader, gen uint64, refs *cacheRefs) (map[string]*lastBroadcast, error) {
-	n, err := r.count()
+	n, err := r.items(4 + (4 + 8 + 8 + 3*4) + 4) // key, an empty broadcast, no digests
 	if err != nil {
 		return nil, err
 	}
@@ -510,7 +464,7 @@ func readStateBases(r *stateReader, gen uint64, refs *cacheRefs) (map[string]*la
 		if b.Gen != gen {
 			return nil, fmt.Errorf("pubsub: state diff base %q carries foreign generation", name)
 		}
-		nd, err := r.count()
+		nd, err := r.items(4 + 32)
 		if err != nil {
 			return nil, err
 		}
@@ -588,156 +542,12 @@ func writeStateBroadcast(w *stateWriter, b *Broadcast, cfgByName, grpByName map[
 	}
 }
 
-func (p *Publisher) importStateV2(data []byte) error {
-	r := newStateReader(data[len(stateMagic):], codec.NewBudget(maxStateHeaderBudget))
-
-	epoch, gen, err := readStateStamp(r)
-	if err != nil {
-		return err
-	}
-
-	// Table T, with the same stale-column filtering as v1 plus duplicate-nym
-	// rejection. Dropping anything means the policy set changed since export,
-	// so the restored caches may cover memberships that no longer hold; every
-	// policy is then marked dirty (conservative full re-solve).
-	n, err := r.count()
-	if err != nil {
-		return err
-	}
-	dropped := false
-	table := make(map[string]map[string]core.CSS, n)
-	for i := 0; i < n; i++ {
-		nym, err := r.str(maxStateNymLen)
-		if err != nil {
-			return err
-		}
-		if err := validateStateNym(nym); err != nil {
-			return err
-		}
-		if _, dup := table[nym]; dup {
-			return fmt.Errorf("pubsub: state contains duplicate pseudonym %q", nym)
-		}
-		nc, err := r.count()
-		if err != nil {
-			return err
-		}
-		if nc > maxStateRowCells {
-			return errStateOversize
-		}
-		row := make(map[string]core.CSS, nc)
-		for j := 0; j < nc; j++ {
-			cond, err := r.str(maxStateCondLen)
-			if err != nil {
-				return err
-			}
-			css, err := r.u64()
-			if err != nil {
-				return err
-			}
-			if css == 0 || css >= ff64.Modulus {
-				return fmt.Errorf("pubsub: state contains invalid CSS for (%q, %q)", nym, cond)
-			}
-			if _, known := p.condByID[cond]; !known {
-				dropped = true
-				continue
-			}
-			row[cond] = core.CSS(css)
-		}
-		if len(row) > 0 {
-			table[nym] = row
-		} else {
-			dropped = true
-		}
-	}
-
-	memVer, err := readStateVersions(r)
-	if err != nil {
-		return err
-	}
-
-	// Sticky group assignments.
-	n, err = r.count()
-	if err != nil {
-		return err
-	}
-	grpAssign := make(map[string]map[string]int, n)
-	grpGroups := make(map[string]int, n)
-	for i := 0; i < n; i++ {
-		id, err := r.str(maxStateCondLen)
-		if err != nil {
-			return err
-		}
-		groups, err := r.count()
-		if err != nil {
-			return err
-		}
-		// The group-count list is the one allocation here not naturally
-		// bounded by input length (a policy legitimately keeps empty groups
-		// after revocations, so groups may exceed members) — charge it
-		// against the shared budget so a crafted blob cannot amplify a few
-		// bytes into gigabytes of retained slices.
-		if err := r.charge(8 * groups); err != nil {
-			return err
-		}
-		members, err := r.count()
-		if err != nil {
-			return err
-		}
-		assign := make(map[string]int, members)
-		for j := 0; j < members; j++ {
-			nym, err := r.str(maxStateNymLen)
-			if err != nil {
-				return err
-			}
-			gid, err := r.u32()
-			if err != nil {
-				return err
-			}
-			if gid >= groups {
-				return fmt.Errorf("pubsub: state assigns %q to group %d of %d", nym, gid, groups)
-			}
-			if _, dup := assign[nym]; dup {
-				return fmt.Errorf("pubsub: state assigns %q twice in policy %q", nym, id)
-			}
-			assign[nym] = gid
-		}
-		// Occupancy is recomputed from the assignments rather than trusted,
-		// preserving the fill invariant; only the number of groups (which
-		// fixes future group numbering) is taken as stored.
-		grpAssign[id] = assign
-		grpGroups[id] = groups
-	}
-
-	cfgs, shards, grouped, err := readStateCaches(r)
-	if err != nil {
-		return err
-	}
-	last, err := readStateBases(r, gen, newCacheRefs(cfgs, shards, grouped))
-	if err != nil {
-		return err
-	}
-	if err := r.done(); err != nil {
-		return err
-	}
-
-	st := &decodedState{
-		epoch: epoch, gen: gen, memVer: memVer,
-		cfgs: cfgs, shards: shards, grouped: grouped,
-		last: last, dropped: dropped,
-	}
-	return p.installState(st, func() {
-		p.reg.restore(registryState{table: table, memVer: memVer, grpAssign: grpAssign, grpGroups: grpGroups})
-	})
-}
-
 // decodedState is a decoded durable state ready to install, less table T and
-// the group assignment — the convergence point of the monolithic v2 blob
-// (which hands those over as a registryState) and the segmented import (which
-// rebuilds them in place).
+// the group states, which the segmented import rebuilds in place.
 type decodedState struct {
 	epoch, gen  uint64
 	memVer      map[string]uint64
-	grpUniverse map[string]int // segmented import only: per-policy group-universe length
+	grpUniverse map[string]int // per-policy group-universe length
 	cfgs        []core.CachedConfig
 	shards      []core.CachedShard
 	grouped     []core.CachedGrouped
@@ -886,7 +696,7 @@ func readStateBroadcast(r *stateReader, refs *cacheRefs) (*Broadcast, error) {
 				if len(nonce) != core.NonceSize {
 					return nil, fmt.Errorf("pubsub: state rekey nonce of %d bytes, want %d", len(nonce), core.NonceSize)
 				}
-				ns, err := r.count()
+				ns, err := r.items(4 + 8 + core.SeedSize + 8) // a one-element X and its wrap
 				if err != nil {
 					return nil, err
 				}

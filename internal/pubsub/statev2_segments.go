@@ -17,9 +17,9 @@ import (
 	"ppcd/internal/ff64"
 )
 
-// Segmented state (v2s): the same durable publisher state as the monolithic
-// v2 blob, split into independently sealable segments so a snapshot after
-// churn rewrites only what changed and recovery decodes in parallel:
+// Segmented state: the publisher's one durable-state format, split into
+// independently sealable segments so a snapshot after churn rewrites only
+// what changed and recovery decodes in parallel:
 //
 //   - TABLE segments cover contiguous columnar slot ranges of table T
 //     (columnar.go), laid out as the slab the table already is (layout at
@@ -42,9 +42,9 @@ import (
 //     bases (whose header references resolve into the cache segments).
 //
 // Segment payloads are plaintext here — internal/store seals each one and
-// binds the set together under a manifest. Payload shape is NOT required to
-// be deterministic across exports (the store records content digests at
-// write time); only the monolithic v2 blob keeps that pin.
+// binds the set together under a manifest, recording content digests at
+// write time. A full export is deterministic all the same: the same state
+// encodes to the same bytes, before a restart and after it.
 
 // DefaultSegmentSlots is the default table-slot span of one table segment.
 // At ~100 B/row a segment is a few hundred KB: small enough that single-row
@@ -97,7 +97,7 @@ type SegmentExport struct {
 // the registry's dirty bitmap is destructive: the caller owns persisting
 // every returned segment or falling back to a full export next time.
 //
-// The returned payloads are SECRET plaintext, like ExportState's blob.
+// The returned payloads are SECRET plaintext (CSS cells, configuration keys).
 func (p *Publisher) ExportStateSegments(segSlots int, base *SegmentBase) (*SegmentExport, error) {
 	if segSlots <= 0 {
 		segSlots = DefaultSegmentSlots
@@ -366,8 +366,8 @@ func encodeTableColumns(conds, pols, nyms []string, cells []core.CSS, gids [][]i
 	return w.out()
 }
 
-// encodeCacheBucket encodes one bucket's cache entries, in the per-entry
-// encodings of the monolithic v2 blob. Grouped shard references may point at
+// encodeCacheBucket encodes one bucket's cache entries, in the state codec's
+// cache sections (statev2.go). Grouped shard references may point at
 // shards in OTHER buckets; resolution happens after all buckets decode.
 func encodeCacheBucket(cfgs []core.CachedConfig, shards []core.CachedShard, grouped []core.CachedGrouped) ([]byte, error) {
 	w := &stateWriter{}
@@ -775,7 +775,7 @@ func decodeMetaSegment(data []byte, budget *codec.Budget, refs *cacheRefs) (*dec
 	if st.memVer, err = readStateVersions(r); err != nil {
 		return nil, err
 	}
-	n, err := r.count()
+	n, err := r.items(4 + 4)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,9 @@ package pubsub
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -78,6 +81,26 @@ func segmentsOf(t testing.TB, pub *Publisher, segSlots int) (meta []byte, table,
 	return exp.Meta, exp.Table, exp.Cache
 }
 
+// restart imports a full segmented export of from into to, as a recovery
+// does, and returns the export.
+func restart(t testing.TB, from, to *Publisher) *SegmentExport {
+	t.Helper()
+	exp, err := from.ExportStateSegments(4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := to.ImportStateSegments(4, exp.Meta, exp.Table, exp.Cache, 2); err != nil {
+		t.Fatal(err)
+	}
+	return exp
+}
+
+// payloads lists a full export's segments: the meta segment, every table
+// segment and every cache bucket, in index order.
+func payloads(exp *SegmentExport) [][]byte {
+	return slices.Concat([][]byte{exp.Meta}, exp.Table, exp.Cache)
+}
+
 // rewritten counts the segments an export carries a payload for.
 func rewritten(segs [][]byte) (n int) {
 	for _, seg := range segs {
@@ -88,35 +111,62 @@ func rewritten(segs [][]byte) (n int) {
 	return n
 }
 
-// TestSegmentedRestartLockstep is the columnar-vs-map lockstep across a
-// restart: the monolithic export (table as sorted maps, assignment as maps,
-// caches, diff bases) of a publisher rebuilt in place from columnar segments
-// is byte-identical to the export taken before the stop — and the rebuilt
-// publisher keeps every slot, recycles the dead ones through the free list,
-// and publishes without a solve or a table scan.
+// TestSegmentedRestartLockstep is the restart oracle, grouped and not: a
+// full segmented export (meta, every table segment, every cache bucket) is
+// byte-identical taken twice and taken again from a publisher rebuilt in
+// place from it, and that publisher holds the same table, membership
+// versions and assignment as the map model reads them — keeps every slot,
+// recycles the dead ones through the free list, and publishes without a
+// solve or a table scan.
 func TestSegmentedRestartLockstep(t *testing.T) {
-	env := newSegEnv(t, 3)
+	for _, groupSize := range []int{0, 3} {
+		t.Run(fmt.Sprintf("g%d", groupSize), func(t *testing.T) { segmentedRestartLockstep(t, groupSize) })
+	}
+}
+
+func segmentedRestartLockstep(t *testing.T, groupSize int) {
+	env := newSegEnv(t, groupSize)
 	churned(t, env)
-	before, err := env.pub.ExportState()
+	before, err := env.pub.ExportStateSegments(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, table, cache := segmentsOf(t, env.pub, 4)
-	if len(table) < 3 {
-		t.Fatalf("%d table segments, want several", len(table))
+	if len(before.Table) < 3 {
+		t.Fatalf("%d table segments, want several", len(before.Table))
+	}
+	again, err := env.pub.ExportStateSegments(4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(payloads(before), payloads(again), bytes.Equal) {
+		t.Fatal("two full exports of one state differ")
 	}
 
-	env2 := newSegEnv(t, 3)
-	tabGen, err := env2.pub.ImportStateSegments(4, meta, table, cache, 2)
+	env2 := newSegEnv(t, groupSize)
+	tabGen, err := env2.pub.ImportStateSegments(4, before.Meta, before.Table, before.Cache, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := env2.pub.ExportState()
+	if dirty := env2.pub.reg.tab.dirty; len(dirty) != 0 {
+		t.Errorf("restored table has dirty slots %v", dirty)
+	}
+	after, err := env2.pub.ExportStateSegments(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(before, after) {
-		t.Fatalf("monolithic export differs across a segmented restart (%d vs %d bytes)", len(before), len(after))
+	if got, want := payloads(after), payloads(before); !slices.EqualFunc(got, want, bytes.Equal) {
+		for i := range min(len(got), len(want)) {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("segment %d of %d differs across the restart (%d vs %d bytes)", i, len(want), len(got[i]), len(want[i]))
+			}
+		}
+		t.Fatalf("full segmented export differs across the restart (%d vs %d segments)", len(got), len(want))
+	}
+	if !reflect.DeepEqual(env.pub.reg.exportFull(), env2.pub.reg.exportFull()) {
+		t.Fatal("restored table, versions or assignment differ from the map model's reading before the stop")
+	}
+	if env2.pub.Generation() != env.pub.Generation() || env2.pub.Epoch() != env.pub.Epoch() {
+		t.Errorf("restored generation/epoch %d/%d, want %d/%d", env2.pub.Generation(), env2.pub.Epoch(), env.pub.Generation(), env.pub.Epoch())
 	}
 
 	// Slots survive, dead ones are free, the order is the sorted order.
@@ -139,10 +189,6 @@ func TestSegmentedRestartLockstep(t *testing.T) {
 	if len(order) != tab.live || !sort.SliceIsSorted(order, func(i, j int) bool { return tab.nyms[order[i]] < tab.nyms[order[j]] }) {
 		t.Errorf("restored order %v is not the %d live slots in pseudonym order", order, tab.live)
 	}
-	if len(tab.dirty) != 0 {
-		t.Errorf("restored table has dirty slots %v", tab.dirty)
-	}
-
 	// Zero solves and zero table scans on the first publish; a base carrying
 	// the returned generation exports nothing.
 	s0 := env2.pub.Stats()
@@ -152,11 +198,7 @@ func TestSegmentedRestartLockstep(t *testing.T) {
 	if s1 := env2.pub.Stats(); s1.Solves != s0.Solves || s1.FullRegroups != 0 {
 		t.Errorf("first publish after the restart: %d solves, %d full regroups; want 0 and 0", s1.Solves-s0.Solves, s1.FullRegroups)
 	}
-	full, err := env.pub.ExportStateSegments(4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := &SegmentBase{Geometry: full.Geometry, TabGen: tabGen, CacheDigests: full.CacheDigests}
+	base := &SegmentBase{Geometry: before.Geometry, TabGen: tabGen, CacheDigests: before.CacheDigests}
 	quiet, err := env2.pub.ExportStateSegments(4, base)
 	if err != nil {
 		t.Fatal(err)
@@ -436,6 +478,149 @@ func FuzzCacheSegment(f *testing.F) {
 		again, err := encodeCacheBucket(seg.cfgs, seg.shards, seg.grouped)
 		if err != nil || !bytes.Equal(data, again) {
 			t.Fatalf("accepted cache bucket re-encodes differently:\n in %x\nout %x", data, again)
+		}
+	})
+}
+
+// hostileMeta is a meta segment a sound export never writes, and what its
+// refusal names.
+type hostileMeta struct {
+	data []byte
+	want string
+}
+
+// hostileMetaSegments are meta segments of every shape the decoder must
+// refuse. All but the last two are hand-built, of generation 7, with no
+// membership versions and no group universe, for an empty table; "v2" and
+// "trailing" are real, the real meta segment given rewritten.
+func hostileMetaSegments(real []byte) map[string]hostileMeta {
+	meta := func(gen uint64, body func(w *stateWriter)) []byte {
+		w := &stateWriter{}
+		w.u8(segPayloadVersion)
+		w.u64(1) // epoch
+		w.u64(gen)
+		body(w)
+		return w.out()
+	}
+	bases := func(docs ...func(w *stateWriter)) func(w *stateWriter) {
+		return func(w *stateWriter) {
+			w.u32(0) // membership versions
+			w.u32(0) // group universes
+			w.u32(len(docs))
+			for _, d := range docs {
+				d(w)
+			}
+		}
+	}
+	// doc writes the diff base keyed key: a broadcast of document name at
+	// epoch 1 of generation gen, with one configuration "acp0" that cfg writes
+	// the header of (none when cfg is nil).
+	doc := func(key, name string, gen uint64, cfg func(w *stateWriter)) func(w *stateWriter) {
+		return func(w *stateWriter) {
+			w.str(key)
+			w.str(name)
+			w.u64(1)
+			w.u64(gen)
+			w.u32(0) // policies
+			if cfg == nil {
+				w.u32(0)
+			} else {
+				w.u32(1)
+				w.str("acp0")
+				w.u64(1) // revision
+				cfg(w)
+			}
+			w.u32(0) // items
+			w.u32(0) // digests
+		}
+	}
+	header := &core.Header{X: []ff64.Elem{1, 2}, Seed: bytes.Repeat([]byte{9}, core.SeedSize)}
+	grouped := func(nonce, revs int) func(w *stateWriter) {
+		return func(w *stateWriter) {
+			w.u8(stCfgGroupedIn)
+			w.bytes(make([]byte, nonce))
+			w.u32(1)
+			writeStateHeader(w, header)
+			w.u64(5) // wrap
+			w.u32(revs)
+			for range revs {
+				w.u64(1)
+			}
+		}
+	}
+	return map[string]hostileMeta{
+		"zero-generation":  {meta(0, bases()), "zero generation"},
+		"oversized-count":  {meta(7, func(w *stateWriter) { w.u32(1 << 30) }), "exceeds limits"},
+		"count-past-input": {meta(7, func(w *stateWriter) { w.u32(3 << 20) }), "truncated"}, // a map of 3M versions from 4 bytes
+		"group-universe":   {groupUniverseMeta(), "exceeds limits"},
+		"unknown-config":   {meta(7, bases(doc("doc", "doc", 7, func(w *stateWriter) { w.u8(stCfgRef); w.str("nope") }))), "unknown configuration"},
+		"unknown-grouped":  {meta(7, bases(doc("doc", "doc", 7, func(w *stateWriter) { w.u8(stCfgGroupedRef); w.str("nope") }))), "unknown grouped configuration"},
+		"shard-revisions":  {meta(7, bases(doc("doc", "doc", 7, grouped(core.NonceSize, 2)))), "2 shard revisions for 1 shards"},
+		"short-nonce":      {meta(7, bases(doc("doc", "doc", 7, grouped(3, 1)))), "rekey nonce of 3 bytes"},
+		"foreign-gen":      {meta(7, bases(doc("doc", "doc", 8, nil))), "foreign generation"},
+		"duplicate-doc":    {meta(7, bases(doc("doc", "doc", 7, nil), doc("doc", "doc", 7, nil))), "duplicate document"},
+		"misfiled-doc":     {meta(7, bases(doc("doc", "other", 7, nil))), "holds document"},
+		"config-kind":      {meta(7, bases(doc("doc", "doc", 7, func(w *stateWriter) { w.u8(9) }))), "bad state config kind 9"},
+		"unreduced-header": {meta(7, bases(doc("doc", "doc", 7, func(w *stateWriter) { w.u8(stCfgInline); w.u32(1); w.u64(ff64.Modulus); w.raw(header.Seed) }))), "not reduced"},
+		"v2":               {append([]byte{2}, real[1:]...), "unsupported segment version 2"},
+		"trailing":         {append(slices.Clone(real), 0), "trailing bytes"},
+	}
+}
+
+// groupUniverseMeta declares 64 policies of the largest group universe: at
+// the 64 bytes charged per group, 16 GiB of per-group state the meta
+// segment's few bytes do not pay for.
+func groupUniverseMeta() []byte {
+	w := &stateWriter{}
+	w.u8(segPayloadVersion)
+	w.u64(1) // epoch
+	w.u64(7) // gen
+	w.u32(0) // membership versions
+	const policies = 64
+	w.u32(policies)
+	for i := 0; i < policies; i++ {
+		w.str(fmt.Sprintf("acp%d", i))
+		w.u32(maxStateCount)
+	}
+	w.u32(0) // diff bases
+	return w.out()
+}
+
+// FuzzMetaSegment: the meta-segment decoder — the stamp, the membership
+// versions, the group universes and the diff bases with every broadcast
+// configuration kind, shard revisions and digests — decodes or refuses
+// whatever it is handed without panicking, inside the shared budget, and
+// allocates no more than a small multiple of its input. Seeds are real
+// grouped and ungrouped exports, their truncations and every hostile case.
+func FuzzMetaSegment(f *testing.F) {
+	var cfgs []core.CachedConfig
+	var shards []core.CachedShard
+	var grouped []core.CachedGrouped
+	for _, groupSize := range []int{0, 3} {
+		env := newSegEnv(f, groupSize)
+		churned(f, env)
+		meta, _, cache := segmentsOf(f, env.pub, 4)
+		for _, seg := range cache {
+			dec := decodeCacheSegment(seg, nil)
+			cfgs, shards, grouped = append(cfgs, dec.cfgs...), append(shards, dec.shards...), append(grouped, dec.grouped...)
+		}
+		f.Add(meta)
+		for cut := 0; cut < len(meta); cut += len(meta)/8 + 1 {
+			f.Add(meta[:cut])
+		}
+		for _, h := range hostileMetaSegments(meta) {
+			f.Add(h.data)
+		}
+	}
+	refs := newCacheRefs(cfgs, shards, grouped)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		_, _ = decodeMetaSegment(data, codec.NewBudget(maxStateHeaderBudget), refs)
+		runtime.ReadMemStats(&ms)
+		if got, bound := ms.TotalAlloc-before, 64*uint64(len(data))+1<<20; got > bound {
+			t.Fatalf("decoding a %d-byte meta segment allocated %d bytes, more than %d", len(data), got, bound)
 		}
 	})
 }

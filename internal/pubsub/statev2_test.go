@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,10 +20,10 @@ import (
 )
 
 // TestStateV2RoundTripDeterministic pins the full warm-restart contract at
-// the pubsub layer: a v2 export restored into a fresh publisher preserves
-// the table, sticky group assignments, membership versions, epoch counter,
-// incarnation generation and engine caches — so re-exporting yields
-// byte-identical state, and the first post-restore publish performs zero
+// the pubsub layer: a segmented export restored into a fresh publisher
+// preserves the table, sticky group assignments, membership versions, epoch
+// counter, incarnation generation and engine caches — so re-exporting yields
+// byte-identical segments, and the first post-restore publish performs zero
 // solves and diffs small against the pre-restore broadcast.
 func TestStateV2RoundTripDeterministic(t *testing.T) {
 	env := newDeltaEnv(t, 2, 3)
@@ -42,15 +42,8 @@ func TestStateV2RoundTripDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	state, err := env.pub.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	env2 := newDeltaEnv(t, 2, 3)
-	if err := env2.pub.ImportState(state); err != nil {
-		t.Fatal(err)
-	}
+	state := restart(t, env.pub, env2.pub)
 	if env2.pub.SubscriberCount() != env.pub.SubscriberCount() {
 		t.Fatalf("restored %d subscribers, want %d", env2.pub.SubscriberCount(), env.pub.SubscriberCount())
 	}
@@ -80,13 +73,13 @@ func TestStateV2RoundTripDeterministic(t *testing.T) {
 	}
 
 	// Deterministic encoding: the restored publisher re-exports the very
-	// same bytes.
-	state2, err := env2.pub.ExportState()
+	// same segments.
+	state2, err := env2.pub.ExportStateSegments(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(state, state2) {
-		t.Errorf("re-export differs: %d vs %d bytes", len(state), len(state2))
+	if !slices.EqualFunc(payloads(state), payloads(state2), bytes.Equal) {
+		t.Error("re-export differs from the segments restored")
 	}
 
 	// First post-restore publish: zero solves, epoch continues, and the
@@ -159,14 +152,10 @@ func TestWarmRestartAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, err := env.pub.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	env2 := newDeltaEnv(t, 2, subs/groups)
-	if err := env2.pub.ImportState(state); err != nil {
-		t.Fatal(err)
+	restart(t, env.pub, env2.pub)
+	if env2.pub.Epoch() != pre.Epoch || env2.pub.Generation() != pre.Gen {
+		t.Errorf("restored epoch %d, generation kept %v; want epoch %d and the generation", env2.pub.Epoch(), env2.pub.Generation() == pre.Gen, pre.Epoch)
 	}
 	before := env2.pub.Stats()
 	post, err := env2.pub.Publish(env2.doc)
@@ -175,6 +164,9 @@ func TestWarmRestartAcceptance(t *testing.T) {
 	}
 	if solves := env2.pub.Stats().Solves - before.Solves; solves != 0 {
 		t.Errorf("warm restart at %d subs g=%d: first publish performed %d solves, want 0", subs, groups, solves)
+	}
+	if post.Epoch != pre.Epoch+1 || post.Gen != pre.Gen {
+		t.Errorf("first publish after the restart at epoch %d, want %d under the same generation", post.Epoch, pre.Epoch+1)
 	}
 	d, err := Diff(pre, post)
 	if err != nil {
@@ -185,171 +177,85 @@ func TestWarmRestartAcceptance(t *testing.T) {
 	}
 }
 
-// TestImportIdenticalTableV1NoRebuild is the PR 5 bugfix pin: importing a v1
-// table identical to the live one must not dirty a single policy (the old
-// code forced a whole-engine reset — a full N³/g² rebuild storm on every
-// restart).
-func TestImportIdenticalTableV1NoRebuild(t *testing.T) {
-	env := newDeltaEnv(t, 3, 0)
-	for i := 0; i < 8; i++ {
-		env.join(t, 1+i%3)
-	}
-	if _, err := env.pub.Publish(env.doc); err != nil {
-		t.Fatal(err)
-	}
-	v1, err := json.Marshal(stateFile{Version: 1, Table: env.pub.reg.export()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := env.pub.ImportState(v1); err != nil {
-		t.Fatal(err)
-	}
-	before := env.pub.Stats()
-	if _, err := env.pub.Publish(env.doc); err != nil {
-		t.Fatal(err)
-	}
-	after := env.pub.Stats()
-	if solves := after.Solves - before.Solves; solves != 0 {
-		t.Errorf("identical v1 import caused %d solves, want 0", solves)
-	}
-	if rebuilds := after.Rebuilds - before.Rebuilds; rebuilds != 0 {
-		t.Errorf("identical v1 import caused %d rebuilds, want 0", rebuilds)
-	}
-
-	// A partial difference re-solves exactly the affected policies: drop one
-	// subscriber's attr0 cell from the imported table.
-	table := env.pub.reg.export()
-	for nym, row := range table {
-		if _, ok := row["attr0 >= 1"]; ok {
-			delete(row, "attr0 >= 1")
-			if len(row) == 0 {
-				delete(table, nym)
-			}
-			break
-		}
-	}
-	v1b, err := json.Marshal(stateFile{Version: 1, Table: table})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := env.pub.ImportState(v1b); err != nil {
-		t.Fatal(err)
-	}
-	before = env.pub.Stats()
-	if _, err := env.pub.Publish(env.doc); err != nil {
-		t.Fatal(err)
-	}
-	after = env.pub.Stats()
-	if after.Rebuilds-before.Rebuilds != 1 {
-		t.Errorf("one-cell difference rebuilt %d configurations, want 1", after.Rebuilds-before.Rebuilds)
-	}
-}
-
-// TestStateV2Hardening: a damaged or crafted v2 state must fail loudly, not
-// import silently or drive unbounded allocations.
+// TestStateV2Hardening: a damaged or crafted meta segment fails the import
+// loudly, naming what is wrong, and leaves the publisher untouched — every
+// hand-built hostile case, and a truncation every few bytes and a spread of
+// bit flips of real grouped and ungrouped segments — and a segment set past
+// the size limit is refused before anything decodes.
 func TestStateV2Hardening(t *testing.T) {
-	env := newDeltaEnv(t, 2, 2)
-	for i := 0; i < 4; i++ {
-		env.join(t, 1+i%2)
-	}
-	if _, err := env.pub.Publish(env.doc); err != nil {
-		t.Fatal(err)
-	}
-	state, err := env.pub.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fresh := func() *Publisher { return newDeltaEnv(t, 2, 2).pub }
-
-	// Truncations at every prefix must error, never panic or half-import.
-	for cut := len(stateMagic); cut < len(state); cut += 97 {
-		if err := fresh().ImportState(state[:cut]); err == nil {
-			t.Fatalf("truncated state (%d of %d bytes) imported", cut, len(state))
+	untouched := func(name string, p *Publisher) {
+		t.Helper()
+		if p.SubscriberCount() != 0 || p.Epoch() != 0 || len(p.LastBroadcasts()) != 0 {
+			t.Errorf("%s: refused import left %d rows, epoch %d", name, p.SubscriberCount(), p.Epoch())
 		}
 	}
-	// A bit flip anywhere in the body must be rejected (shape or value
-	// validation); in production the AEAD layer (internal/store) already
-	// rejects it, this is the belt under that suspender. Flips that only
-	// touch opaque varstrings (policy IDs, signatures) may legitimately
-	// still parse — the point is absence of panics and of silent partial
-	// imports, so exercise a spread of offsets.
-	for off := len(stateMagic); off < len(state); off += 131 {
-		mut := append([]byte(nil), state...)
-		mut[off] ^= 0x80
-		p := fresh()
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("bit flip at %d paniced: %v", off, r)
+	for _, groupSize := range []int{0, 3} {
+		env := newSegEnv(t, groupSize)
+		churned(t, env)
+		meta, table, cache := segmentsOf(t, env.pub, 4)
+		fresh := func() *Publisher { return newSegEnv(t, groupSize).pub }
+
+		for name, h := range hostileMetaSegments(meta) {
+			p := fresh()
+			tab, ca := [][]byte(nil), [][]byte(nil) // the hand-built ones describe an empty table
+			if name == "v2" || name == "trailing" {
+				tab, ca = table, cache
+			}
+			if _, err := p.ImportStateSegments(4, h.data, tab, ca, 2); err == nil || !strings.Contains(err.Error(), h.want) {
+				t.Errorf("g%d %s: %v, want a refusal naming %q", groupSize, name, err, h.want)
+			}
+			untouched(name, p)
+		}
+		for cut := 0; cut < len(meta); cut += 7 {
+			p := fresh()
+			if _, err := p.ImportStateSegments(4, meta[:cut], table, cache, 2); err == nil {
+				t.Fatalf("g%d: meta segment cut to %d of %d bytes imported", groupSize, cut, len(meta))
+			}
+			untouched("truncation", p)
+		}
+		// A flip in an opaque string (a policy ID, a signature) may still
+		// decode; in production the AEAD layer (internal/store) refuses every
+		// flip first. The point is no panic and no partial import.
+		for off := 0; off < len(meta); off += 13 {
+			mut := slices.Clone(meta)
+			mut[off] ^= 0x80
+			p := fresh()
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("g%d: bit flip at %d panicked: %v", groupSize, off, r)
+					}
+				}()
+				if _, err := p.ImportStateSegments(4, mut, table, cache, 2); err != nil {
+					untouched("bit flip", p)
 				}
 			}()
-			_ = p.ImportState(mut)
-		}()
+		}
 	}
 
-	// Out-of-range CSS, on a hand-built minimal state.
+	// The hand-built cases are only hostile if their template is sound.
 	w := &stateWriter{}
-	w.raw(stateMagic)
-	w.u64(1)            // epoch
-	w.u64(7)            // gen
-	w.u32(1)            // one nym
-	w.str("pn-x")       // nym
-	w.u32(1)            // one cell
-	w.str("attr0 >= 1") // condition
-	w.u64(0)            // CSS zero: invalid
-	if err := fresh().ImportState(w.out()); err == nil {
-		t.Error("zero CSS imported")
-	}
-
-	// Duplicate pseudonyms.
-	w = &stateWriter{}
-	w.raw(stateMagic)
+	w.u8(segPayloadVersion)
+	w.u64(1) // epoch
+	w.u64(7) // gen
+	w.u32(0) // membership versions
+	w.u32(0) // group universes
+	w.u32(1) // one diff base: document "doc" at epoch 1, nothing in it
+	w.str("doc")
+	w.str("doc")
 	w.u64(1)
 	w.u64(7)
-	w.u32(2)
-	for i := 0; i < 2; i++ {
-		w.str("pn-dup")
-		w.u32(1)
-		w.str("attr0 >= 1")
-		w.u64(5)
+	for range 4 { // policies, configurations, items, digests
+		w.u32(0)
 	}
-	if err := fresh().ImportState(w.out()); err == nil {
-		t.Error("duplicate pseudonym imported")
-	}
-
-	// Zero generation (would disable the restart-detection stamp).
-	w = &stateWriter{}
-	w.raw(stateMagic)
-	w.u64(1)
-	w.u64(0)
-	if err := fresh().ImportState(w.out()); err == nil {
-		t.Error("zero generation imported")
-	}
-
-	// Oversized element count: must be rejected by the clamp before any
-	// allocation of that size is attempted.
-	w = &stateWriter{}
-	w.raw(stateMagic)
-	w.u64(1)
-	w.u64(7)
-	w.u32(1 << 30) // nym count far beyond maxStateCount
-	if err := fresh().ImportState(w.out()); err == nil {
-		t.Error("oversized count imported")
-	}
-
-	// The version-2 blob — nonces where the seed now is — has no reader and is
-	// refused by name, not parsed as JSON.
-	v2 := append([]byte(nil), state...)
-	v2[len(stateMagic)-1] = 2
-	if err := fresh().ImportState(v2); err == nil || !strings.Contains(err.Error(), "unsupported state blob version 2") {
-		t.Errorf("version-2 blob: %v", err)
+	p := newSegEnv(t, 3).pub
+	if _, err := p.ImportStateSegments(4, w.out(), nil, nil, 2); err != nil || p.Epoch() != 1 || p.Generation() != 7 {
+		t.Fatalf("hand-built template: %v, epoch %d, generation %d", err, p.Epoch(), p.Generation())
 	}
 
 	// Oversized total input.
 	big := make([]byte, maxStateBytes+1)
-	copy(big, stateMagic)
-	if err := fresh().ImportState(big); err == nil {
+	if _, err := newSegEnv(t, 3).pub.ImportStateSegments(4, big, nil, nil, 2); err == nil {
 		t.Error("oversized state imported")
 	}
 }
@@ -580,26 +486,14 @@ func TestStateCodecKeepsNames(t *testing.T) {
 	}
 }
 
-// TestStateV2GroupCountBudget: the per-policy group lists are the one
-// decode allocation not bounded by input bytes; a crafted blob packing many
-// maximum-group policies must hit the shared budget, not the OOM killer.
+// TestStateV2GroupCountBudget: the per-policy group universes are the one
+// decode allocation not bounded by input bytes; a crafted meta segment
+// packing many maximum-universe policies must hit the shared budget, not the
+// OOM killer.
 func TestStateV2GroupCountBudget(t *testing.T) {
-	w := &stateWriter{}
-	w.raw(stateMagic)
-	w.u64(1)            // epoch
-	w.u64(7)            // gen
-	w.u32(0)            // no table rows
-	w.u32(0)            // no membership versions
-	const policies = 64 // 64 × (1<<22 groups × 8B) = 2 GiB requested
-	w.u32(policies)
-	for i := 0; i < policies; i++ {
-		w.str(fmt.Sprintf("acp%d", i))
-		w.u32(maxStateCount) // groups
-		w.u32(0)             // members
-	}
 	env := newDeltaEnv(t, 1, 2)
-	if err := env.pub.ImportState(w.out()); err == nil {
-		t.Fatal("state demanding gigabytes of group lists imported")
+	if _, err := env.pub.ImportStateSegments(4, groupUniverseMeta(), nil, nil, 2); err == nil || !strings.Contains(err.Error(), "exceeds limits") {
+		t.Fatalf("meta segment demanding gigabytes of group state: %v", err)
 	}
 }
 
@@ -685,25 +579,6 @@ func TestSegmentExportCacheRebucket(t *testing.T) {
 	if kept.Full || kept.Geometry.CacheSegs != want*2 {
 		t.Fatalf("shrink changed the partition: full=%v cacheSegs=%d, want %d kept", kept.Full, kept.Geometry.CacheSegs, want*2)
 	}
-}
-
-// export copies table T in the shape of the v1 JSON state (which only tests
-// still write).
-func (r *registry) export() map[string]map[string]uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]map[string]uint64, r.tab.live)
-	for nym, s := range r.tab.slotOf {
-		row := r.tab.row(s)
-		cells := make(map[string]uint64)
-		for ci, v := range row {
-			if v != 0 {
-				cells[r.tab.conds[ci]] = uint64(v)
-			}
-		}
-		out[nym] = cells
-	}
-	return out
 }
 
 // rowCopy returns a copy of one pseudonym's row (nil if absent).

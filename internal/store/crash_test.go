@@ -232,10 +232,10 @@ func TestCrashReusesNoWrapMask(t *testing.T) {
 }
 
 // TestWALv1Refused: a log of a retired format — publish records without an
-// outcome, or with outcomes embedding version-5 delta frames — has no reader
-// and is refused by name.
+// outcome, with outcomes embedding version-5 delta frames, or with the alias
+// map — has no reader and is refused by name.
 func TestWALv1Refused(t *testing.T) {
-	for _, magic := range []string{"PPCDWL1", "PPCDWL2"} {
+	for _, magic := range []string{"PPCDWL1", "PPCDWL2", "PPCDWL3"} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, walName), []byte(magic), 0o600); err != nil {
 			t.Fatal(err)

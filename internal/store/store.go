@@ -16,7 +16,7 @@
 //
 //	manifest.ppcd      "PPCDMF1" ‖ AEAD( manifest body )
 //	seg-<k><i>-<r>.ppcd "PPCDSG1" ‖ AEAD( kind:u8 ‖ index:u32 ‖ payload )
-//	wal.ppcd           "PPCDWL3" ‖ records…
+//	wal.ppcd           "PPCDWL4" ‖ records…
 //
 // A snapshot is SEGMENTED: the publisher state splits into one meta segment
 // (kind 'm'), table segments (kind 't') covering contiguous columnar slot
@@ -51,8 +51,8 @@
 // publish; a publish is its document and epoch, then its outcome
 // (pubsub.PublishOutcome: the broadcast as a delta against the document's
 // previous diff base, encoded as the delta stream frame the hub ships, then
-// the plaintext digests, the aliases among the patched configurations and
-// the keys, shard IDs and row signatures of what its rekey session solved —
+// the plaintext digests and the keys, shard IDs and row signatures of what
+// its rekey session solved —
 // appendOutcome), so that replay restores the diff base and the engine cache
 // as of that epoch. A record is encoded before the log's lock is taken; only
 // its sequence number and seal are added under it. A cold publish's outcome
@@ -61,9 +61,10 @@
 // maxWALRecord limit near 7 million policy rows; an outcome that would exceed
 // it is journaled as the epoch alone and replays as one, leaving that
 // document's diff base and the cache at their previous state. A log written
-// before publish records carried an outcome ("PPCDWL1"), or whose outcomes
-// embed version-5 delta frames ("PPCDWL2"), has no reader and is refused by
-// name. The sequence number inside the AEAD envelope
+// before publish records carried an outcome ("PPCDWL1"), whose outcomes
+// embed version-5 delta frames ("PPCDWL2") or carry the alias map replay
+// never read ("PPCDWL3"), has no reader and is refused by name. The sequence
+// number inside the AEAD envelope
 // orders events totally: a snapshot taken at sequence s makes every record
 // with seq ≤ s redundant, so recovery replays only the strictly-newer tail —
 // which is also what makes the crash window between writing a snapshot and
@@ -122,7 +123,7 @@ const (
 )
 
 var (
-	walMagic = []byte("PPCDWL3")
+	walMagic = []byte("PPCDWL4")
 	manMagic = []byte("PPCDMF1")
 	segMagic = []byte("PPCDSG1")
 )
@@ -169,14 +170,12 @@ type SnapshotStats struct {
 }
 
 // Store is one open state directory. All methods are safe for concurrent
-// use; Append implements pubsub.Journal, and the batch/commit/snapshot
-// extensions below are what RegisterBatch group commit, the pipelined
-// mutator path and ImportState durability key off — the conformance checks
-// keep signature drift a compile error.
+// use; Append implements pubsub.Journal, and the batch/commit extensions
+// below are what RegisterBatch group commit and the pipelined mutator path
+// key off — the conformance checks keep signature drift a compile error.
 var (
-	_ pubsub.BatchJournal    = (*Store)(nil)
-	_ pubsub.CommitJournal   = (*Store)(nil)
-	_ pubsub.SnapshotJournal = (*Store)(nil)
+	_ pubsub.BatchJournal  = (*Store)(nil)
+	_ pubsub.CommitJournal = (*Store)(nil)
 )
 
 type Store struct {
@@ -337,9 +336,9 @@ func (s *Store) OutcomesDropped() int {
 // rewrites only the segments touched since (by WAL replay or live churn).
 func (s *Store) Recover(p *pubsub.Publisher) (RecoveryStats, error) {
 	// Enforce the Recover-before-SetJournal lifecycle: were this store
-	// already installed, ImportState's durability hook would snapshot —
-	// claiming coverage of WAL records NOT yet replayed into the publisher —
-	// and then compact those records away.
+	// already installed, live mutations would journal and a snapshot could
+	// run against a publisher whose WAL tail is NOT yet replayed — claiming
+	// coverage of those records and then compacting them away.
 	if j, ok := p.Journal().(*Store); ok && j == s {
 		return s.stats, errors.New("store: Recover must run before SetJournal installs this store")
 	}

@@ -639,8 +639,8 @@ func TestDirectoryLock(t *testing.T) {
 }
 
 // TestRecoverAfterSetJournalRefused: the lifecycle guard — recovering
-// through a store already installed as the journal would let ImportState's
-// durability snapshot compact WAL records that were never replayed.
+// through a store already installed as the journal would let a snapshot
+// taken meanwhile compact WAL records that were never replayed.
 func TestRecoverAfterSetJournalRefused(t *testing.T) {
 	ts := newTestSystem(t, 0)
 	st, err := Open(t.TempDir(), testKey())

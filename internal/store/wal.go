@@ -15,7 +15,6 @@ import (
 	"ppcd/internal/codec"
 	"ppcd/internal/core"
 	"ppcd/internal/ff64"
-	"ppcd/internal/policy"
 	"ppcd/internal/pubsub"
 	"ppcd/internal/sym"
 	"ppcd/internal/wire"
@@ -124,6 +123,7 @@ func (s *Store) openWAL(snapSeq uint64) error {
 var retiredWALs = map[string]string{
 	"PPCDWL1": "its publish records carry no outcome",
 	"PPCDWL2": "its publish records embed version-5 delta frames",
+	"PPCDWL3": "its publish records carry an alias map",
 }
 
 // allZero reports whether every byte of b is zero (the signature of a file
@@ -498,7 +498,6 @@ func appendEvent(b []byte, ev pubsub.StateEvent) []byte {
 //
 //	outcome = len:u32 ‖ delta frame
 //	        ‖ u32 n { str subdoc ‖ digest:32 }
-//	        ‖ u32 n { str config ‖ str config whose build it reuses }
 //	        ‖ u32 n { str id ‖ key:u64 ‖ str sig ‖ u32 n { str shard id } }   rebuilt configurations
 //	        ‖ u32 n { str id ‖ str sig ‖ key:u64 }                           solved shards
 func appendOutcome(b []byte, o *pubsub.PublishOutcome) []byte {
@@ -508,10 +507,6 @@ func appendOutcome(b []byte, o *pubsub.PublishOutcome) []byte {
 	for _, sd := range slices.Sorted(maps.Keys(o.Digests)) {
 		dg := o.Digests[sd]
 		b = append(appendStr(b, sd), dg[:]...)
-	}
-	b = appendU32(b, uint32(len(o.Aliases)))
-	for _, key := range slices.Sorted(maps.Keys(o.Aliases)) {
-		b = appendStr(appendStr(b, string(key)), string(o.Aliases[key]))
 	}
 	b = appendU32(b, uint32(len(o.Configs)))
 	for _, sc := range o.Configs {
@@ -605,7 +600,7 @@ func decodeEvent(buf []byte) (pubsub.StateEvent, error) {
 // decodeOutcome decodes the outcome of the publish of doc at epoch. Its frame
 // must decode (wire.UnmarshalFrame, with the hub's clamps and budget) to a
 // delta of doc to epoch; counts are clamped by the input left, a key must
-// arrive reduced and a subdocument or alias be listed once. Whether the
+// arrive reduced and a subdocument be listed once. Whether the
 // outcome fits the restored state is replay's question.
 func decodeOutcome(r *codec.Reader, doc string, epoch uint64) (*pubsub.PublishOutcome, error) {
 	n, err := r.Len(r.Remaining())
@@ -623,7 +618,6 @@ func decodeOutcome(r *codec.Reader, doc string, epoch uint64) (*pubsub.PublishOu
 	o := &pubsub.PublishOutcome{
 		Delta:   f.Delta,
 		Digests: make(map[string][32]byte),
-		Aliases: make(map[policy.ConfigKey]policy.ConfigKey),
 	}
 	elem := func() (ff64.Elem, error) {
 		v, err := r.U64()
@@ -648,23 +642,6 @@ func decodeOutcome(r *codec.Reader, doc string, epoch uint64) (*pubsub.PublishOu
 			return nil, fmt.Errorf("%w: publish outcome lists subdocument %q twice", ErrCorrupt, sd)
 		}
 		o.Digests[sd] = [32]byte(dg)
-	}
-	if n, err = r.Len(r.Remaining()); err != nil {
-		return nil, evErr(err)
-	}
-	for i := 0; i < n; i++ {
-		key, err := r.Str(maxEventString)
-		if err != nil {
-			return nil, evErr(err)
-		}
-		rep, err := r.Str(maxEventString)
-		if err != nil {
-			return nil, evErr(err)
-		}
-		if _, dup := o.Aliases[policy.ConfigKey(key)]; dup {
-			return nil, fmt.Errorf("%w: publish outcome lists alias %q twice", ErrCorrupt, key)
-		}
-		o.Aliases[policy.ConfigKey(key)] = policy.ConfigKey(rep)
 	}
 	if n, err = r.Len(r.Remaining()); err != nil {
 		return nil, evErr(err)

@@ -489,10 +489,10 @@ func TestStreamingChurnRace(t *testing.T) {
 }
 
 // TestRestartReseededRingServesDelta models the ppcd-pub warm-restart path:
-// publisher state exported, a fresh incarnation restores it, and the new
-// server's retention ring is re-seeded with the restored diff bases — so a
-// subscriber reconnecting with its pre-restart epoch catches up with a delta
-// frame, not a snapshot.
+// publisher state exported as segments, a fresh incarnation restores it, and
+// the new server's retention ring is re-seeded with the restored diff bases —
+// so a subscriber reconnecting with its pre-restart epoch catches up with a
+// delta frame, not a snapshot.
 func TestRestartReseededRingServesDelta(t *testing.T) {
 	srv, _, pub, subs := startGroupedServer(t, 3, nil)
 	b1, err := pub.Publish(newsDoc(t, "pre-restart"))
@@ -502,7 +502,7 @@ func TestRestartReseededRingServesDelta(t *testing.T) {
 	if err := srv.PublishBroadcast(b1); err != nil {
 		t.Fatal(err)
 	}
-	state, err := pub.ExportState()
+	state, err := pub.ExportStateSegments(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +518,7 @@ func TestRestartReseededRingServesDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pub2.ImportState(state); err != nil {
+	if _, err := pub2.ImportStateSegments(state.Geometry.SegSlots, state.Meta, state.Table, state.Cache, 2); err != nil {
 		t.Fatal(err)
 	}
 	srv2, err := NewServer(pub2)

@@ -11,7 +11,7 @@ import (
 	"ppcd/internal/schnorr"
 )
 
-// streamEnv builds a grouped publisher over a synthetic imported table —
+// streamEnv builds a grouped publisher over a synthetic loaded table —
 // the crypto-free workload the publish benchmarks use. Subdocuments are
 // small (128 B): the streaming acceptance criteria are about HEADER
 // dissemination cost (the quantity of the paper's Fig. 5), and a leave
@@ -27,7 +27,7 @@ func streamEnv(t *testing.T, subs, policies, groupSize int) (*pubsub.Publisher, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	acps, doc, state, err := benchutil.Workload(subs, policies, subs/2, 128)
+	acps, doc, rows, err := benchutil.Workload(subs, policies, subs/2, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func streamEnv(t *testing.T, subs, policies, groupSize int) (*pubsub.Publisher, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.ImportState(state); err != nil {
+	if err := benchutil.Load(pub, rows); err != nil {
 		t.Fatal(err)
 	}
 	publish := func() *pubsub.Broadcast {

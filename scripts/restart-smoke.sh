@@ -75,6 +75,10 @@ wait_for "test -f plain/body.dec" 30
 grep -q 'first edition' plain/body.dec
 grep -q 'applied snapshot' sub.log # cold subscriber: one snapshot, as expected
 
+# An operator snapshot on demand: the stdin command writes one and logs it.
+echo "snapshot" >&"$FIFO_FD"
+wait_for "grep -q 'snapshot written: ' pub1.log" 30
+
 # SIGTERM: the publisher snapshots its state (table, epoch, generation,
 # caches, diff bases) and exits cleanly.
 kill -TERM "$PUB_PID"
