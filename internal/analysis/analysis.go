@@ -2,8 +2,9 @@
 // for the safety invariants that previously lived only in comments and
 // CHANGES.md prose. Each analyzer enforces one invariant:
 //
-//   - lockorder: the documented grpMu → mu acquisition order in
-//     internal/pubsub, plus Lock calls paired with an Unlock or defer Unlock.
+//   - lockorder: the documented mutMu → grpMu → mu → pubMu acquisition
+//     order in internal/pubsub, plus Lock calls paired with an Unlock or
+//     defer Unlock.
 //   - codecbound: hand-rolled binary decode paths in internal/wire,
 //     internal/store and the statev2* files of internal/pubsub must go through
 //     codec.Reader, and no allocation may be sized by a freshly-decoded

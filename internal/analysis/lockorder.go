@@ -7,12 +7,11 @@ import (
 )
 
 // LockOrder enforces the documented mutex discipline of internal/pubsub
-// (registry.go: "Lock order: grpMu → mu (never the reverse while holding
-// mu)"): within any function, acquiring a lower-ranked mutex while a
-// higher-ranked one is held is an inversion that can deadlock against the
-// conforming path. It also requires every Lock/RLock on a tracked mutex
-// field to have a paired Unlock/RUnlock or defer Unlock in the same
-// function.
+// (publisher.go and registry.go: "Lock order: mutMu → grpMu → mu → pubMu"):
+// within any function, acquiring a lower-ranked mutex while a higher-ranked
+// one is held is an inversion that can deadlock against the conforming
+// path. It also requires every Lock/RLock on a tracked mutex field to have a
+// paired Unlock/RUnlock or defer Unlock in the same function.
 //
 // The analysis is intra-procedural and walks each function body in source
 // order, which is exactly how the package is written (no lock is passed
@@ -20,24 +19,19 @@ import (
 // "callers hold grpMu" helpers, which take no locks themselves).
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc: "check the grpMu → mu acquisition order and Lock/Unlock pairing " +
-		"on the named mutex fields of internal/pubsub",
+	Doc: "check the mutMu → grpMu → mu → pubMu acquisition order and " +
+		"Lock/Unlock pairing on the named mutex fields of internal/pubsub",
 	Packages: []string{"internal/pubsub"},
 	Run:      runLockOrder,
 }
 
-// lockRank orders the fields of the documented partial order: a mutex may
+// lockRank orders the named mutex fields the analyzer follows: a mutex may
 // only be acquired while every held mutex has a strictly LOWER rank.
-// Unranked tracked fields (pubMu, mutMu) are leaf locks: pairing is checked,
-// ordering constraints don't apply to them.
 var lockRank = map[string]int{
-	"grpMu": 0,
-	"mu":    1,
-}
-
-// trackedMutexes are the named mutex fields the analyzer follows.
-var trackedMutexes = map[string]bool{
-	"grpMu": true, "mu": true, "pubMu": true, "mutMu": true,
+	"mutMu": 0,
+	"grpMu": 1,
+	"mu":    2,
+	"pubMu": 3,
 }
 
 // mutexEvent is one Lock/Unlock-shaped call site, in source order.
@@ -86,7 +80,7 @@ func mutexCallEvent(info *types.Info, call *ast.CallExpr) (mutexEvent, bool) {
 	default:
 		return mutexEvent{}, false
 	}
-	if !trackedMutexes[field] {
+	if _, tracked := lockRank[field]; !tracked {
 		return mutexEvent{}, false
 	}
 	return mutexEvent{field: field, method: f.Name(), pos: call.Pos()}, true
@@ -126,13 +120,11 @@ func checkLockDiscipline(pass *Pass, fd *ast.FuncDecl) {
 			if ev.deferred {
 				continue // defer x.Lock() — nonsensical, but not this check
 			}
-			if rank, ranked := lockRank[ev.field]; ranked {
-				for heldField := range held {
-					if heldRank, ok := lockRank[heldField]; ok && rank < heldRank {
-						pass.Reportf(ev.pos,
-							"acquires %s while holding %s; the documented lock order is grpMu → mu (registry.go)",
-							ev.field, heldField)
-					}
+			for heldField := range held {
+				if lockRank[ev.field] < lockRank[heldField] {
+					pass.Reportf(ev.pos,
+						"acquires %s while holding %s; the documented lock order is mutMu → grpMu → mu → pubMu (publisher.go)",
+						ev.field, heldField)
 				}
 			}
 			held[ev.field] = ev.pos

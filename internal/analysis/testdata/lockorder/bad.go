@@ -1,10 +1,11 @@
-// Violating fixtures for the lockorder analyzer: inverted grpMu/mu
-// acquisition and unpaired locks.
+// Violating fixtures for the lockorder analyzer: inverted acquisitions of
+// the mutMu → grpMu → mu → pubMu order and unpaired locks.
 package fixtures
 
 import "sync"
 
 type registry struct {
+	mutMu sync.Mutex
 	grpMu sync.Mutex
 	mu    sync.RWMutex
 	pubMu sync.Mutex
@@ -26,6 +27,15 @@ func (r *registry) invertedRead() {
 	defer r.mu.RUnlock()
 	r.grpMu.Lock() // want `acquires grpMu while holding mu`
 	r.grpMu.Unlock()
+}
+
+// mutationUnderPublish takes the mutation lock while holding the publish
+// lock — the reverse of SetJournal's mutMu → pubMu.
+func (r *registry) mutationUnderPublish() {
+	r.pubMu.Lock()
+	defer r.pubMu.Unlock()
+	r.mutMu.Lock() // want `acquires mutMu while holding pubMu`
+	r.mutMu.Unlock()
 }
 
 // leaks never releases pubMu on any path.

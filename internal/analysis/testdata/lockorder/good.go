@@ -7,6 +7,7 @@ type keeper struct {
 	grpMu sync.Mutex
 	mu    sync.RWMutex
 	mutMu sync.Mutex
+	pubMu sync.Mutex
 }
 
 // documentedOrder is the registry.go idiom: grpMu first, then mu, both
@@ -53,8 +54,11 @@ func (k *keeper) sequentialScopes() {
 	k.grpMu.Unlock()
 }
 
-// leafLock exercises an unranked tracked mutex with a plain paired unlock.
-func (k *keeper) leafLock() {
+// setJournal is the publisher's SetJournal idiom: mutMu, then pubMu, the two
+// ends of the order.
+func (k *keeper) setJournal() {
 	k.mutMu.Lock()
-	k.mutMu.Unlock()
+	defer k.mutMu.Unlock()
+	k.pubMu.Lock()
+	defer k.pubMu.Unlock()
 }

@@ -88,16 +88,18 @@ type Publisher struct {
 	gen     uint64
 	lastPub map[string]*lastBroadcast
 
-	// journal, when set, receives every durable mutation (state.go) before
-	// the triggering operation returns — the write-ahead discipline the
-	// internal/store WAL implements. mutMu makes each journal append atomic
-	// with its in-memory apply: without it, two racing mutations of the
-	// same pseudonym could journal in one order and apply in the other, and
-	// a later crash replay (which runs in journal order) would resurrect
-	// state the live publisher never held. Envelope crypto stays outside
-	// mutMu; only the commit serializes.
+	// journal, when set, commits every durable mutation and every publish
+	// (state.go) before the triggering operation returns — the write-ahead
+	// discipline the internal/store WAL implements. mutMu orders each
+	// mutation's place in the journal with its in-memory apply: without it,
+	// two racing mutations of the same pseudonym could journal in one order
+	// and apply in the other, and a later crash replay (which runs in
+	// journal order) would resurrect state the live publisher never held.
+	// Envelope crypto stays outside mutMu; only Begin serializes. journal is
+	// written under mutMu and then pubMu (SetJournal); a mutation reads it
+	// under mutMu, a publish under pubMu. Lock order: mutMu → grpMu → mu →
+	// pubMu.
 	mutMu   sync.Mutex
-	jmu     sync.RWMutex
 	journal Journal
 }
 
@@ -266,10 +268,10 @@ const MaxRegistrationBatch = 4096
 // Each distinct token is verified once, envelope composition runs through
 // ocbe.ComposeBatch in bounded chunks — pooling every envelope's σ
 // exponentiations into the group's lane-batched multi-exponentiation kernel
-// — and all resulting CSS cells are committed to table T under a single
-// write-lock acquisition per pseudonym. Item-level failures are reported in
-// the corresponding BatchResult; the call errs only on an empty or
-// oversized batch.
+// — and all resulting CSS cells are committed to table T as one journal
+// commit, all or nothing. Item-level failures are reported in the
+// corresponding BatchResult; the call errs only on an empty or oversized
+// batch.
 func (p *Publisher) RegisterBatch(reqs []*RegistrationRequest) ([]BatchResult, error) {
 	if len(reqs) == 0 {
 		return nil, errors.New("pubsub: empty registration batch")
@@ -278,12 +280,7 @@ func (p *Publisher) RegisterBatch(reqs []*RegistrationRequest) ([]BatchResult, e
 		return nil, fmt.Errorf("pubsub: registration batch of %d exceeds limit %d", len(reqs), MaxRegistrationBatch)
 	}
 
-	type outcome struct {
-		css core.CSS
-		ok  bool
-	}
 	results := make([]BatchResult, len(reqs))
-	outcomes := make([]outcome, len(reqs))
 	// Validate every item up front — the cheap checks first, then the token
 	// signature, each distinct token once (the paper's Sub registers one
 	// token against many conditions) — and collect the survivors into one
@@ -348,15 +345,17 @@ func (p *Publisher) RegisterBatch(reqs []*RegistrationRequest) ([]BatchResult, e
 				continue
 			}
 			results[i].Envelope = envs[j-lo]
-			outcomes[i] = outcome{css: cssFor[i], ok: true}
 		}
 	}
 
-	// Commit all successful cells, grouped by pseudonym, one lock
-	// acquisition each.
+	// Commit every successful cell, grouped by pseudonym, as one
+	// write-ahead unit: the batch enters the journal in pseudonym order and
+	// commits or fails whole. A journal failure voids every envelope — their
+	// CSSs never entered T, so they can never decrypt anything and the
+	// subscriber must re-register.
 	cellsByNym := make(map[string]map[string]core.CSS)
-	for i, o := range outcomes {
-		if !o.ok {
+	for i := range results {
+		if results[i].Envelope == nil {
 			continue
 		}
 		nym := reqs[i].Token.Nym
@@ -365,83 +364,28 @@ func (p *Publisher) RegisterBatch(reqs []*RegistrationRequest) ([]BatchResult, e
 			cells = make(map[string]core.CSS)
 			cellsByNym[nym] = cells
 		}
-		cells[reqs[i].CondID] = o.css
+		cells[reqs[i].CondID] = cssFor[i]
 	}
-	if len(cellsByNym) > 0 {
-		// Write-ahead for the whole batch under one journal barrier: a
-		// BatchJournal group-commits every pseudonym's cells with a single
-		// flush, otherwise one append (and fsync) per pseudonym. A journal
-		// failure voids the affected items — their envelopes carry CSSs that
-		// never entered T, so they can never decrypt anything and the
-		// subscriber must re-register.
-		nyms := make([]string, 0, len(cellsByNym))
-		for nym := range cellsByNym {
-			nyms = append(nyms, nym)
+	if len(cellsByNym) == 0 {
+		return results, nil
+	}
+	nyms := make([]string, 0, len(cellsByNym))
+	for nym := range cellsByNym {
+		nyms = append(nyms, nym)
+	}
+	sort.Strings(nyms)
+	evs := make([]StateEvent, len(nyms))
+	for i, nym := range nyms {
+		evs[i] = StateEvent{Kind: StateEventRegister, Nym: nym, Cells: cellsByNym[nym]}
+	}
+	err := p.commitMutation(nil, func() {
+		for _, nym := range nyms {
+			p.reg.setCells(nym, cellsByNym[nym])
 		}
-		sort.Strings(nyms) // deterministic journal order
-		failed := make(map[string]error)
-
-		p.jmu.RLock()
-		j := p.journal
-		p.jmu.RUnlock()
-		if cj, ok := j.(CommitJournal); ok {
-			// Pipelined group commit: the whole batch enters the journal
-			// order as one unit and shares a flush with any concurrent
-			// mutators. The batch commits or fails atomically (matching the
-			// AppendBatch semantics below).
-			evs := make([]StateEvent, len(nyms))
-			for i, nym := range nyms {
-				evs[i] = StateEvent{Kind: StateEventRegister, Nym: nym, Cells: cellsByNym[nym]}
-			}
-			p.mutMu.Lock()
-			t, err := cj.Begin(evs, func() {
-				for _, nym := range nyms {
-					p.reg.setCells(nym, cellsByNym[nym])
-				}
-			})
-			p.mutMu.Unlock()
-			if err == nil {
-				err = t.Wait()
-			}
-			if err != nil {
-				err = fmt.Errorf("pubsub: journaling state event: %w", err)
-				for _, nym := range nyms {
-					failed[nym] = err
-				}
-			}
-		} else {
-			p.mutMu.Lock()
-			if bj, ok := j.(BatchJournal); ok {
-				evs := make([]StateEvent, len(nyms))
-				for i, nym := range nyms {
-					evs[i] = StateEvent{Kind: StateEventRegister, Nym: nym, Cells: cellsByNym[nym]}
-				}
-				if err := bj.AppendBatch(evs); err != nil {
-					err = fmt.Errorf("pubsub: journaling state event: %w", err)
-					for _, nym := range nyms {
-						failed[nym] = err
-					}
-				}
-			} else {
-				for _, nym := range nyms {
-					if err := p.journalAppend(StateEvent{Kind: StateEventRegister, Nym: nym, Cells: cellsByNym[nym]}); err != nil {
-						failed[nym] = err
-					}
-				}
-			}
-			for _, nym := range nyms {
-				if failed[nym] == nil {
-					p.reg.setCells(nym, cellsByNym[nym])
-				}
-			}
-			p.mutMu.Unlock()
-		}
-
-		for i, req := range reqs {
-			if results[i].Envelope == nil {
-				continue
-			}
-			if err := failed[req.Token.Nym]; err != nil {
+	}, evs...)
+	if err != nil {
+		for i := range results {
+			if results[i].Envelope != nil {
 				results[i].Envelope = nil
 				results[i].Err = err.Error()
 			}

@@ -58,9 +58,11 @@ type registry struct {
 	// Grouped mode (§VIII-C, grouping.go): groupSize > 0 partitions each
 	// policy's rows into sticky groups of at most groupSize members. grpMu
 	// guards the per-policy group state; it is independent of mu so
-	// mutations never wait on a grouped assembly. Lock order: grpMu → mu
-	// (never the reverse while holding mu) → Engine.mu, which a grouped
-	// snapshot takes through core.Engine.HasShard; the engine never calls back.
+	// mutations never wait on a grouped assembly. Lock order, the
+	// publisher's whole and checked by the lockorder analyzer: mutMu → grpMu
+	// → mu → pubMu, never the reverse. A grouped snapshot also takes
+	// Engine.mu under grpMu and mu, through core.Engine.HasShard; the engine
+	// never calls back.
 	groupSize    int
 	grpMu        sync.Mutex
 	grp          map[string]*groupState
@@ -157,8 +159,13 @@ func (r *registry) maybeCompact() {
 	}
 }
 
-// setCells records a batch of freshly drawn CSSs for one pseudonym under a
-// single lock acquisition (overwrite = credential update, §V-C).
+// setCells records a batch of CSSs for one pseudonym under a single lock
+// acquisition (overwrite = credential update, §V-C). It is the one path of a
+// live registration and its WAL replay: a cell overwrite with the identical
+// CSS value bumps nothing, so replaying an event that is already reflected in
+// the restored snapshot (the crash-between-snapshot-and-WAL-rotation window)
+// stays idempotent for the rekey engine. A live registration draws a fresh
+// CSS, so every cell it sets changes.
 func (r *registry) setCells(nym string, cells map[string]core.CSS) {
 	if len(cells) == 0 {
 		return
@@ -169,14 +176,14 @@ func (r *registry) setCells(nym string, cells map[string]core.CSS) {
 	row := r.tab.row(s)
 	for condID, css := range cells {
 		ci, ok := r.tab.condIdx[condID]
-		if !ok {
-			continue // unknown condition: no policy can see it
+		if !ok || row[ci] == css {
+			continue // unknown condition (no policy can see it) or unchanged
 		}
 		row[ci] = css
 		r.bump(condID)
 		r.hint(s, condID)
+		r.tab.markDirty(s)
 	}
-	r.tab.markDirty(s)
 	r.maybeCompact()
 }
 
@@ -391,31 +398,6 @@ func (r *registry) installRestored(tab *cssTable, memVer map[string]uint64, grou
 		tab.markDirty(s)
 	}
 	return r.tabGen
-}
-
-// setCellsDiff is the WAL-replay variant of setCells: a cell overwrite with
-// the identical CSS value bumps nothing, so replaying an event that is
-// already reflected in the restored snapshot (the crash-between-snapshot-and-
-// WAL-rotation window) stays idempotent for the rekey engine.
-func (r *registry) setCellsDiff(nym string, cells map[string]core.CSS) {
-	if len(cells) == 0 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.tab.ensureRow(nym)
-	row := r.tab.row(s)
-	for condID, css := range cells {
-		ci, ok := r.tab.condIdx[condID]
-		if !ok || row[ci] == css {
-			continue
-		}
-		row[ci] = css
-		r.bump(condID)
-		r.hint(s, condID)
-		r.tab.markDirty(s)
-	}
-	r.maybeCompact()
 }
 
 // has reports whether a pseudonym has a row (and, with condID != "", a cell

@@ -79,21 +79,6 @@ type StateEvent struct {
 	Outcome *PublishOutcome     // StateEventPublish; nil = the epoch alone
 }
 
-// Journal receives every successful durable mutation for write-ahead
-// logging. Append must make the event durable before returning; an error
-// fails the triggering operation. internal/store implements it.
-type Journal interface {
-	Append(StateEvent) error
-}
-
-// BatchJournal is an optional Journal extension: AppendBatch makes several
-// events durable atomically with one flush. RegisterBatch uses it to group-
-// commit a whole batch's registrations instead of fsyncing per pseudonym.
-type BatchJournal interface {
-	Journal
-	AppendBatch([]StateEvent) error
-}
-
 // CommitTicket is the pending half of one pipelined commit: Wait blocks
 // until the commit's events are durable AND applied in-memory (nil), or the
 // flush failed (non-nil; the events were neither persisted nor applied, as
@@ -102,46 +87,51 @@ type CommitTicket interface {
 	Wait() error
 }
 
-// CommitJournal is an optional Journal extension for pipelined group commit.
-// Begin assigns the events their place in the journal order and enqueues
-// them for a coalesced flush, returning immediately — the caller then drops
-// the mutation lock and blocks on the ticket, so concurrent mutators share
-// one write+fsync instead of serializing a flush each.
+// Journal is the publisher's write-ahead log; every durable mutation and
+// every publish commits through it. Begin assigns the events their place in
+// the journal order and enqueues them for a coalesced flush, returning
+// immediately — the caller then drops the mutation lock and blocks on the
+// ticket, so concurrent mutators share one write+fsync instead of
+// serializing a flush each. An error from Begin or from the ticket fails the
+// triggering operation.
 //
 // Contract: Begin is called under the publisher's mutation lock for table
-// mutations (journal order = apply order stays intact); apply runs exactly
-// once per successful commit, in journal-sequence order, after the events
-// are durable and before any of their tickets resolve — preserving the
-// write-ahead discipline with visibility deferred to durability. On a flush
-// failure apply never runs. internal/store implements it.
-type CommitJournal interface {
-	Journal
+// mutations (journal order = apply order stays intact); apply (which may be
+// nil) runs exactly once per successful commit, in journal-sequence order,
+// after the events are durable and before any of their tickets resolve —
+// preserving the write-ahead discipline with visibility deferred to
+// durability. On a flush failure apply never runs. internal/store
+// implements it.
+type Journal interface {
 	Begin(evs []StateEvent, apply func()) (CommitTicket, error)
 }
 
 // SetJournal installs (or, with nil, removes) the publisher's durable
 // journal. Install it before serving traffic; mutations occurring before the
-// journal is attached are only captured by the next full snapshot.
+// journal is attached are only captured by the next full snapshot. The
+// pointer is written under mutMu and then pubMu, so a table mutation reads
+// it under the first and a publish under the second.
 func (p *Publisher) SetJournal(j Journal) {
-	p.jmu.Lock()
+	p.mutMu.Lock()
+	defer p.mutMu.Unlock()
+	p.pubMu.Lock()
+	defer p.pubMu.Unlock()
 	p.journal = j
-	p.jmu.Unlock()
 }
 
 // Journal returns the installed journal (nil if none).
 func (p *Publisher) Journal() Journal {
-	p.jmu.RLock()
-	defer p.jmu.RUnlock()
+	p.mutMu.Lock()
+	defer p.mutMu.Unlock()
 	return p.journal
 }
 
 // JournalBarrier runs fn at a moment when no new table mutation can enter
 // the journal order (the mutation lock is held across fn). Snapshotters use
-// it to capture the journal sequence their export will cover: a pipelined
-// journal (CommitJournal) first drains its in-flight commits inside fn —
-// applies run before acks, so after the drain every table mutation at or
-// below the captured sequence is reflected in memory — then reads the
-// sequence. Skipping those records on recovery can then never drop a
+// it to capture the journal sequence their export will cover: the journal
+// first drains its in-flight commits inside fn — applies run before acks, so
+// after the drain every table mutation at or below the captured sequence is
+// reflected in memory — then reads the sequence. Skipping those records on recovery can then never drop a
 // mutation. (Publishes don't need the barrier: a publish holds the publish
 // lock from before its record enters the journal order until its epoch and
 // diff base are committed, its rekey session ran before that, and the export
@@ -155,65 +145,35 @@ func (p *Publisher) JournalBarrier(fn func()) {
 	fn()
 }
 
-func (p *Publisher) journalAppend(ev StateEvent) error {
-	p.jmu.RLock()
-	j := p.journal
-	p.jmu.RUnlock()
-	if j == nil {
-		return nil
-	}
-	if err := j.Append(ev); err != nil {
-		return fmt.Errorf("pubsub: journaling state event: %w", err)
-	}
-	return nil
-}
-
-// commitMutation write-ahead-commits evs and runs apply. Against a
-// CommitJournal the append is pipelined: the events enter the journal order
-// under the mutation lock, the lock is released, and the caller blocks only
-// on the shared group flush — so concurrent mutators coalesce into one
-// write+fsync. Against a plain Journal (or none) the whole commit runs
-// synchronously under the mutation lock, exactly as before.
-//
-// check runs under the mutation lock before anything is journaled; a non-nil
-// return aborts the mutation. apply's in-memory effect becomes visible only
-// once the events are durable (write-ahead), and journal order always equals
-// apply order.
+// commitMutation write-ahead-commits evs and runs apply. check runs under
+// the mutation lock before anything is journaled; a non-nil return aborts
+// the mutation. The events enter the journal order under the mutation lock,
+// the lock is released, and the caller blocks only on the shared group flush
+// — so concurrent mutators coalesce into one write+fsync. apply's in-memory
+// effect becomes visible only once the events are durable (write-ahead), and
+// journal order always equals apply order. With no journal, apply runs
+// under the mutation lock.
 func (p *Publisher) commitMutation(check func() error, apply func(), evs ...StateEvent) error {
-	p.jmu.RLock()
-	j := p.journal
-	p.jmu.RUnlock()
-	if cj, ok := j.(CommitJournal); ok {
-		p.mutMu.Lock()
-		if check != nil {
-			if err := check(); err != nil {
-				p.mutMu.Unlock()
-				return err
-			}
-		}
-		t, err := cj.Begin(evs, apply)
-		p.mutMu.Unlock()
-		if err == nil {
-			err = t.Wait()
-		}
-		if err != nil {
-			return fmt.Errorf("pubsub: journaling state event: %w", err)
-		}
-		return nil
-	}
 	p.mutMu.Lock()
-	defer p.mutMu.Unlock()
 	if check != nil {
 		if err := check(); err != nil {
+			p.mutMu.Unlock()
 			return err
 		}
 	}
-	for _, ev := range evs {
-		if err := p.journalAppend(ev); err != nil {
-			return err
-		}
+	if p.journal == nil {
+		apply()
+		p.mutMu.Unlock()
+		return nil
 	}
-	apply()
+	t, err := p.journal.Begin(evs, apply)
+	p.mutMu.Unlock()
+	if err == nil {
+		err = t.Wait()
+	}
+	if err != nil {
+		return fmt.Errorf("pubsub: journaling state event: %w", err)
+	}
 	return nil
 }
 
@@ -223,27 +183,18 @@ func (p *Publisher) commitMutation(check func() error, apply func(), evs ...Stat
 // against prev, the plaintext digests and the session's secrets — is built
 // only when a journal is attached. Unlike table mutations a publish needs no
 // mutation-lock ordering (replay of its epoch is a max() and of its outcome a
-// no-op unless it extends the restored base), so against a CommitJournal it
-// simply joins whatever group flush is forming.
+// no-op unless it extends the restored base), so it simply joins whatever
+// group flush is forming.
 func (p *Publisher) journalPublish(prev, cur *lastBroadcast, secrets sessionSecrets) error {
-	p.jmu.RLock()
-	j := p.journal
-	p.jmu.RUnlock()
-	if j == nil {
+	if p.journal == nil {
 		return nil
 	}
 	ev := StateEvent{Kind: StateEventPublish, Doc: cur.b.DocName, Epoch: cur.b.Epoch, Outcome: publishOutcome(prev, cur, secrets)}
-	if cj, ok := j.(CommitJournal); ok {
-		t, err := cj.Begin([]StateEvent{ev}, func() {})
-		if err == nil {
-			err = t.Wait()
-		}
-		if err != nil {
-			return fmt.Errorf("pubsub: journaling state event: %w", err)
-		}
-		return nil
+	t, err := p.journal.Begin([]StateEvent{ev}, nil)
+	if err == nil {
+		err = t.Wait()
 	}
-	if err := j.Append(ev); err != nil {
+	if err != nil {
 		return fmt.Errorf("pubsub: journaling state event: %w", err)
 	}
 	return nil
@@ -278,7 +229,7 @@ func (p *Publisher) ApplyStateEvent(ev StateEvent) error {
 			}
 			cells[cond] = css
 		}
-		p.reg.setCellsDiff(ev.Nym, cells)
+		p.reg.setCells(ev.Nym, cells)
 		return nil
 	case StateEventRevokeSubscription:
 		if err := validateStateNym(ev.Nym); err != nil {

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ppcd/internal/codec"
@@ -312,10 +316,14 @@ func TestApplyStateEventIdempotent(t *testing.T) {
 }
 
 // TestJournalWriteAhead: a failing journal must veto the mutation it logs —
-// the write-ahead discipline (no state change the log does not cover).
+// the write-ahead discipline (no state change the log does not cover). A
+// registration batch is one commit: the journal's failure voids all of it.
 func TestJournalWriteAhead(t *testing.T) {
-	env := newDeltaEnv(t, 1, 0)
+	env := newDeltaEnv(t, 2, 0)
 	nym := env.join(t, 1)
+	if _, err := env.pub.Publish(env.doc); err != nil {
+		t.Fatal(err)
+	}
 	failing := journalFunc(func(StateEvent) error { return fmt.Errorf("disk full") })
 	env.pub.SetJournal(failing)
 
@@ -328,6 +336,26 @@ func TestJournalWriteAhead(t *testing.T) {
 	if _, err := env.pub.Publish(env.doc); err == nil {
 		t.Error("publish succeeded with a failing journal")
 	}
+
+	// Two pseudonyms × two conditions, every item valid.
+	batch := append(registrationBatch(t, env.pub, "pn-batch-a"), registrationBatch(t, env.pub, "pn-batch-b")...)
+	before := env.pub.Stats()
+	results, err := env.pub.RegisterBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 4 {
+		t.Fatalf("%d results for a batch of 4", len(results))
+	}
+	for i, res := range results {
+		if res.Envelope != nil || !strings.Contains(res.Err, "disk full") {
+			t.Errorf("item %d of a vetoed batch: envelope %v, error %q", i, res.Envelope != nil, res.Err)
+		}
+	}
+	if n := env.pub.SubscriberCount(); n != 1 {
+		t.Errorf("vetoed batch left %d rows, want 1", n)
+	}
+
 	epochBefore := env.pub.Epoch()
 	env.pub.SetJournal(nil)
 	b, err := env.pub.Publish(env.doc)
@@ -337,11 +365,137 @@ func TestJournalWriteAhead(t *testing.T) {
 	if b.Epoch != epochBefore+1 {
 		t.Errorf("vetoed publish leaked epoch: %d after %d", b.Epoch, epochBefore)
 	}
+	if solves := env.pub.Stats().Solves - before.Solves; solves != 0 {
+		t.Errorf("publish after a vetoed batch did %d solves, want 0", solves)
+	}
 }
 
+// TestSetJournalRace: the journal pointer is written under mutMu and then
+// pubMu and read under one of them, so attaching and detaching a journal
+// while registrations, revocations and publishes run is race-free (this test
+// is for go test -race).
+func TestSetJournalRace(t *testing.T) {
+	env := newDeltaEnv(t, 2, 0)
+	var batches [][]*RegistrationRequest
+	for i := 0; i < 3; i++ {
+		batches = append(batches, registrationBatch(t, env.pub, fmt.Sprintf("pn-race-%d", i)))
+	}
+	var revokees []string
+	for i := 0; i < 6; i++ {
+		revokees = append(revokees, env.join(t, 2))
+	}
+	var logged atomic.Int64
+	log := journalFunc(func(StateEvent) error {
+		logged.Add(1)
+		return nil
+	})
+
+	stop := make(chan struct{})
+	toggled := make(chan struct{})
+	go func() {
+		defer close(toggled)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				env.pub.SetJournal(log)
+			} else {
+				env.pub.SetJournal(nil)
+			}
+			runtime.Gosched()
+		}
+	}()
+	var wg sync.WaitGroup
+	errs := make(chan error, len(batches)+len(revokees)+4)
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for _, batch := range batches {
+			results, err := env.pub.RegisterBatch(batch)
+			if err == nil {
+				for _, res := range results {
+					if res.Err != "" {
+						err = errors.New(res.Err)
+					}
+				}
+			}
+			if err != nil {
+				errs <- err
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for _, nym := range revokees {
+			if err := env.pub.RevokeCredential(nym, "attr0 >= 1"); err != nil {
+				errs <- err
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 4; i++ {
+			if _, err := env.pub.Publish(env.doc); err != nil {
+				errs <- err
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-toggled
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := env.pub.SubscriberCount(); n != len(batches)+len(revokees) {
+		t.Errorf("%d rows after the race, want %d", n, len(batches)+len(revokees))
+	}
+	t.Logf("%d events journaled while the journal came and went", logged.Load())
+}
+
+// registrationBatch returns nym's registration requests for every condition
+// of pub, each from a token whose attribute value is 1.
+func registrationBatch(t *testing.T, pub *Publisher, nym string) []*RegistrationRequest {
+	t.Helper()
+	params, mgr := testEnv(t)
+	var batch []*RegistrationRequest
+	for _, cond := range pub.Conditions() {
+		tok, sec, err := mgr.IssueString(nym, cond.Attr, "1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred := ocbe.Predicate{Op: cond.Op, X0: idtoken.EncodeValue(params.Order(), cond.Value)}
+		_, req, err := ocbe.NewReceiver(params, sec.Value, sec.Blinding).Prepare(pred, pub.Ell())
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch = append(batch, &RegistrationRequest{Token: tok, CondID: cond.ID(), OCBE: req})
+	}
+	return batch
+}
+
+// journalFunc is a journal whose commits resolve at once: each event goes to
+// the function, and the first error fails the commit before apply runs.
 type journalFunc func(StateEvent) error
 
-func (f journalFunc) Append(ev StateEvent) error { return f(ev) }
+func (f journalFunc) Begin(evs []StateEvent, apply func()) (CommitTicket, error) {
+	for _, ev := range evs {
+		if err := f(ev); err != nil {
+			return nil, err
+		}
+	}
+	if apply != nil {
+		apply()
+	}
+	return doneTicket{}, nil
+}
+
+type doneTicket struct{}
+
+func (doneTicket) Wait() error { return nil }
 
 // TestAdmissionEnforcesStateCaps: identifiers that could never round-trip
 // through the durable-state format are rejected at their source — a

@@ -31,13 +31,21 @@ func sealRecord(t testing.TB, seq uint64, ev pubsub.StateEvent) []byte {
 	return append(rec, sealed...)
 }
 
-// eventLog is a journal that keeps what it is handed.
+// eventLog is a journal that keeps what it is handed; its commits resolve at
+// once.
 type eventLog []pubsub.StateEvent
 
-func (l *eventLog) Append(ev pubsub.StateEvent) error {
-	*l = append(*l, ev)
-	return nil
+func (l *eventLog) Begin(evs []pubsub.StateEvent, apply func()) (pubsub.CommitTicket, error) {
+	*l = append(*l, evs...)
+	if apply != nil {
+		apply()
+	}
+	return doneTicket{}, nil
 }
+
+type doneTicket struct{}
+
+func (doneTicket) Wait() error { return nil }
 
 // livePublishEvents returns the journal events of two live publishes of a
 // grouped 20-row table: the cold one, whose outcome ships every shard, and one

@@ -42,7 +42,10 @@
 // Dirty segments are sealed, written and fsynced in parallel, and recovery
 // unseals and decodes them in parallel, on one worker pool.
 //
-// Each WAL record is
+// Every event reaches the log through Begin (pubsub.Journal), the one commit
+// path: concurrent commits coalesce into one write+fsync, a commit's apply
+// runs only once its records are durable, and a registration batch is one
+// commit, all or nothing. Each WAL record is
 //
 //	len:u32 ‖ crc32(sealed):u32 ‖ sealed
 //	sealed = AEAD( seq:u64 ‖ event )
@@ -170,13 +173,10 @@ type SnapshotStats struct {
 }
 
 // Store is one open state directory. All methods are safe for concurrent
-// use; Append implements pubsub.Journal, and the batch/commit extensions
-// below are what RegisterBatch group commit and the pipelined mutator path
-// key off — the conformance checks keep signature drift a compile error.
-var (
-	_ pubsub.BatchJournal  = (*Store)(nil)
-	_ pubsub.CommitJournal = (*Store)(nil)
-)
+// use; Begin implements pubsub.Journal, the one commit path of every durable
+// mutation and publish — the conformance check keeps signature drift a
+// compile error.
+var _ pubsub.Journal = (*Store)(nil)
 
 type Store struct {
 	dir string

@@ -165,7 +165,7 @@ func TestAppendReopenReplay(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ev := pubsub.StateEvent{Kind: pubsub.StateEventRegister, Nym: fmt.Sprintf("pn-%d", i),
 			Cells: map[string]core.CSS{"attr0 >= 1": core.CSS(i + 1)}}
-		if err := s.Append(ev); err != nil {
+		if err := commit(s, ev); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,7 +191,7 @@ func TestAppendReopenReplay(t *testing.T) {
 		}
 	}
 	// Appending after a reopen continues the sequence.
-	if err := s2.Append(pubsub.StateEvent{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: 1}); err != nil {
+	if err := commit(s2, pubsub.StateEvent{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if s2.Seq() != 6 {
@@ -205,7 +205,7 @@ func TestWrongKeyFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(pubsub.StateEvent{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: 1}); err != nil {
+	if err := commit(s, pubsub.StateEvent{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -221,7 +221,7 @@ func TestCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := s.Append(pubsub.StateEvent{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: uint64(i + 1)}); err != nil {
+		if err := commit(s, pubsub.StateEvent{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: uint64(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -562,17 +562,17 @@ func TestAppendFailureLatchesBroken(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := pubsub.StateEvent{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: 1}
-	if err := s.Append(ev); err != nil {
+	if err := commit(s, ev); err != nil {
 		t.Fatal(err)
 	}
 	s.wal.Close() // simulate an unusable file: write and rollback both fail
-	if err := s.Append(ev); err == nil {
+	if err := commit(s, ev); err == nil {
 		t.Fatal("append on a dead file succeeded")
 	}
 	if !s.broken {
 		t.Fatal("failed unrollbackable append did not latch the log broken")
 	}
-	if err := s.Append(ev); err == nil || !strings.Contains(err.Error(), "unusable") {
+	if err := commit(s, ev); err == nil || !strings.Contains(err.Error(), "unusable") {
 		t.Errorf("broken log accepted an append (err=%v)", err)
 	}
 }
@@ -589,7 +589,7 @@ func TestZeroFilledTailIsTorn(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 2; i++ {
-		if err := s.Append(pubsub.StateEvent{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: uint64(i)}); err != nil {
+		if err := commit(s, pubsub.StateEvent{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -614,7 +614,7 @@ func TestZeroFilledTailIsTorn(t *testing.T) {
 			s2.stats.TruncatedTail, len(s2.pending), s2.Seq())
 	}
 	// The log is usable again.
-	if err := s2.Append(pubsub.StateEvent{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: 3}); err != nil {
+	if err := commit(s2, pubsub.StateEvent{Kind: pubsub.StateEventPublish, Doc: "doc", Epoch: 3}); err != nil {
 		t.Errorf("append after zero-tail recovery: %v", err)
 	}
 }
@@ -652,4 +652,14 @@ func TestRecoverAfterSetJournalRefused(t *testing.T) {
 	if _, err := st.Recover(ts.pub); err == nil {
 		t.Fatal("Recover after SetJournal accepted")
 	}
+}
+
+// commit journals one event through the store's commit path and waits for it
+// to be durable.
+func commit(s *Store, ev pubsub.StateEvent) error {
+	t, err := s.Begin([]pubsub.StateEvent{ev}, nil)
+	if err != nil {
+		return err
+	}
+	return t.Wait()
 }

@@ -219,7 +219,7 @@ func (t commitTicket) Wait() error {
 	return t.c.err
 }
 
-// Begin implements pubsub.CommitJournal: it seals evs into consecutive
+// Begin implements pubsub.Journal: it seals evs into consecutive
 // records, claims their sequence numbers, and enqueues them for the flusher
 // goroutine — returning immediately, so the caller can release its mutation
 // lock and concurrent mutators can join the same coalesced write+fsync.
@@ -420,29 +420,6 @@ func (s *Store) drainCommits() (seqBefore uint64, closed bool) {
 		s.cond.Wait()
 	}
 	return s.seq, s.closed
-}
-
-// Append seals one event and makes it durable (fsync) before returning; it
-// implements pubsub.Journal, so a failed append fails the publisher
-// operation that produced the event.
-func (s *Store) Append(ev pubsub.StateEvent) error {
-	return s.AppendBatch([]pubsub.StateEvent{ev})
-}
-
-// AppendBatch seals many events into consecutive records and makes them
-// durable before returning; it implements pubsub.BatchJournal. The batch is
-// atomic (every record durable or none applied), and because it rides the
-// commit pipeline it shares its write+fsync with any concurrently admitted
-// commits.
-func (s *Store) AppendBatch(evs []pubsub.StateEvent) error {
-	if len(evs) == 0 {
-		return nil
-	}
-	t, err := s.Begin(evs, nil)
-	if err != nil {
-		return err
-	}
-	return t.Wait()
 }
 
 // --- event codec -----------------------------------------------------------
