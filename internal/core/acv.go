@@ -25,7 +25,8 @@
 // session's seed once into the run its solves share, KEV expands into a
 // pooled buffer for the time it hashes a row, and neither result outlives
 // the call. Build, BuildMulti and BuildGrouped, the literal §V-C leaf the
-// figures and the benchmark call, still list the nonces in Header.Zs.
+// figures and the benchmark call, also fill Header.Zs with the expansion,
+// which nothing in the module reads.
 package core
 
 import (
@@ -76,20 +77,21 @@ func CSSFromBytes(b []byte) (CSS, error) { return ff64.FromBytes(b) }
 // Publishing it reveals nothing about the key K (key indistinguishability,
 // §VI-B2).
 //
-// At rest a header is X and a seed. Seed, when it holds SeedSize bytes,
-// names the run the nonces come from — the first N of ExpandNonces(Seed, ·),
+// A header is X and a seed. Seed, when it holds SeedSize bytes, names the
+// run the nonces come from — the first N of ExpandNonces(Seed, ·),
 // N = |X| − 1 — and that is all of them the header keeps: what the engine
 // solves, what a stream frame or a state segment decodes to and what the
 // caches hold is X plus 32 bytes, the shards of one session sharing the seed
 // and differing in N. The nonces exist only while a row is hashed against
 // them: the publisher expands a session's seed once into the run its solves
-// share, KEV expands into pooled scratch, and nothing stores the result.
+// share, KEV expands into pooled scratch, and nothing stores the result. A
+// header without a seed has no nonces, so only N = 0 is well-formed.
 //
-// Zs is the listed form, for nonces no seed names: headers decoded from a
-// frame run written out, and those built by hand. Build, BuildMulti and BuildGrouped — the literal §V-C leaf — list
-// the nonces beside the seed, because their callers index them. A header is
-// not written after it is built: it is shared between caches, broadcasts and
-// goroutines, which is also why it memoises no expansion.
+// Zs is read by nothing in the module: Build, BuildMulti and BuildGrouped —
+// the literal §V-C leaf — fill it with the expansion beside the seed, for
+// callers outside the module that index the nonces. A header is not written
+// after it is built: it is shared between caches, broadcasts and goroutines,
+// which is also why it memoises no expansion.
 type Header struct {
 	X    linalg.Vector
 	Zs   [][]byte
@@ -102,57 +104,41 @@ func (h *Header) N() int { return max(len(h.X)-1, 0) }
 // Seeded reports whether the header names its nonce run by a seed.
 func (h *Header) Seeded() bool { return len(h.Seed) == SeedSize }
 
-// Nonces returns z_1…z_N: the nonces the header lists, else the expansion of
-// its seed, freshly allocated (KEV expands into scratch instead). It is the
-// one reader of Zs; a header that lists the wrong number of nonces for its X
-// gets them back as listed, and KEV refuses it.
+// Nonces returns z_1…z_N, the expansion of the header's seed, freshly
+// allocated (KEV expands into scratch instead); nil without a seed, which KEV
+// refuses at N > 0.
 func (h *Header) Nonces() [][]byte { return h.nonces(new(nonceScratch)) }
 
 func (h *Header) nonces(sc *nonceScratch) [][]byte {
-	if len(h.Zs) > 0 || !h.Seeded() {
-		return h.Zs
+	if !h.Seeded() {
+		return nil
 	}
 	return sc.expand(h.Seed, h.N())
 }
 
 // Size returns the broadcast overhead of the header in bytes as built: the
-// serialized X entries plus the nonces, listed or named by the seed. This is
-// the quantity plotted in Fig. 5 of the paper.
-func (h *Header) Size() int {
-	n := 8 * len(h.X)
-	if len(h.Zs) == 0 && h.Seeded() {
-		return n + NonceSize*h.N()
-	}
-	for _, z := range h.Zs {
-		n += len(z)
-	}
-	return n
-}
+// serialized X entries plus the N nonces its seed names. This is the quantity
+// plotted in Fig. 5 of the paper.
+func (h *Header) Size() int { return 8*len(h.X) + NonceSize*h.N() }
 
-// runEntrySize is what a stream frame's run table spends on one seeded run:
-// its length, the seeded marker and the seed.
+// runEntrySize is what a stream frame's run table spends on one run: its
+// length, the seeded marker and the seed.
 const runEntrySize = 8 + SeedSize
 
 // WireSize returns Fig. 5 as shipped: what a stream frame spends on the
 // header when it shares its nonce run with nobody — X, the reference to its
-// run, and the run's table entry, which is the seed for a seeded header and
-// the nonces themselves for any other.
-func (h *Header) WireSize() int {
-	if h.Seeded() {
-		return 8*len(h.X) + 4 + runEntrySize
-	}
-	return h.Size() + 4 + 8
-}
+// run, and the run's table entry, which is the seed.
+func (h *Header) WireSize() int { return 8*len(h.X) + 4 + runEntrySize }
 
 // nameSeed keys every header name of this process: names are compared, never
 // stored, so they need agree only within one run.
 var nameSeed = maphash.MakeSeed()
 
-// Name names the solve the header holds: a 64-bit hash of its nonces — the
-// seed that names them, else the nonces it lists — and X. A solve draws a
-// fresh seed and key, so two headers share a name exactly when they hold one
-// solve, whichever objects they are: the engine's, a decoded frame's, a
-// restored state's or a Clone. The nil header's name is 0.
+// Name names the solve the header holds: a 64-bit hash of X and the seed that
+// names its nonces. A solve draws a fresh seed and key, so two headers share
+// a name exactly when they hold one solve, whichever objects they are: the
+// engine's, a decoded frame's, a restored state's or a Clone. The nil
+// header's name is 0.
 func (h *Header) Name() uint64 {
 	if h == nil {
 		return 0
@@ -166,34 +152,12 @@ func (h *Header) Name() uint64 {
 		// byte order it sees is its own.
 		m.Write(unsafe.Slice((*byte)(unsafe.Pointer(&h.X[0])), 8*len(h.X)))
 	}
-	if h.Seeded() {
-		m.WriteByte('s')
-		m.Write(h.Seed)
-		return m.Sum64()
-	}
-	m.WriteByte('z')
-	for _, z := range h.Zs {
-		m.Write(binary.LittleEndian.AppendUint32(buf[:0], uint32(len(z))))
-		m.Write(z)
-	}
+	m.Write(h.Seed)
 	return m.Sum64()
 }
 
-// Clone returns a deep copy of the header: X, the seed, and the nonces it
-// lists, laid out as a run — one flat buffer of capped windows.
-func (h *Header) Clone() *Header {
-	out := &Header{X: h.X.Clone(), Seed: bytes.Clone(h.Seed)}
-	if h.Zs == nil {
-		return out
-	}
-	out.Zs = make([][]byte, len(h.Zs))
-	buf := make([]byte, 0, h.Size()-8*len(h.X))
-	for i, z := range h.Zs {
-		buf = append(buf, z...)
-		out.Zs[i] = buf[len(buf)-len(z) : len(buf) : len(buf)]
-	}
-	return out
-}
+// Clone returns a deep copy of the header as it rests: X and the seed.
+func (h *Header) Clone() *Header { return &Header{X: h.X.Clone(), Seed: bytes.Clone(h.Seed)} }
 
 // Errors returned by Build and DeriveKey.
 var (
@@ -221,10 +185,11 @@ func HashRow(css []CSS, z []byte) ff64.Elem {
 }
 
 // KEV computes the key extraction vector (1, a_1, …, a_N) for a subscriber
-// whose CSSs for the chosen policy are css, against the header's nonces. A
-// seeded header's nonces are expanded into pooled scratch for the hashing and
-// dropped with it, so a caller that caches the vector (§VIII-D) pays the
-// expansion only on a miss.
+// whose CSSs for the chosen policy are css, against the header's nonces. The
+// header's seed is expanded into pooled scratch for the hashing and the
+// nonces are dropped with it, so a caller that caches the vector (§VIII-D)
+// pays the expansion only on a miss. A header of N > 0 without a seed is
+// refused.
 func KEV(css []CSS, hdr *Header) (linalg.Vector, error) {
 	if len(css) == 0 {
 		return nil, ErrEmptyCSS

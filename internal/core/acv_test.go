@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -147,14 +148,7 @@ func TestRekeyChangesKeyAndNonces(t *testing.T) {
 	if key1 == key2 {
 		t.Error("rekey produced identical key (prob ~1/q)")
 	}
-	same := true
-	for j := range hdr1.Zs {
-		if !bytes.Equal(hdr1.Zs[j], hdr2.Zs[j]) {
-			same = false
-			break
-		}
-	}
-	if same {
+	if slices.EqualFunc(hdr1.Nonces(), hdr2.Nonces(), bytes.Equal) {
 		t.Error("rekey reused all nonces")
 	}
 }
@@ -173,11 +167,11 @@ func TestBuildValidation(t *testing.T) {
 }
 
 func TestDeriveKeyValidation(t *testing.T) {
-	hdr := &Header{X: make([]ff64.Elem, 3), Zs: make([][]byte, 5)}
+	hdr := &Header{X: make([]ff64.Elem, 3)} // N = 2 and no seed to name its nonces
 	if _, err := DeriveKey([]CSS{ff64.One}, hdr); err == nil {
 		t.Error("malformed header should fail")
 	}
-	good := &Header{X: make([]ff64.Elem, 3), Zs: [][]byte{{1}, {2}}}
+	good := &Header{X: make([]ff64.Elem, 3), Seed: make([]byte, SeedSize)}
 	if _, err := DeriveKey(nil, good); err != ErrEmptyCSS {
 		t.Errorf("empty CSS: got %v", err)
 	}
@@ -199,8 +193,8 @@ func TestHeaderSizeAndClone(t *testing.T) {
 	}
 	c := hdr.Clone()
 	c.X[0] = ff64.Add(c.X[0], ff64.One)
-	c.Zs[0][0] ^= 0xff
-	if hdr.X[0] == c.X[0] || hdr.Zs[0][0] == c.Zs[0][0] {
+	c.Seed[0] ^= 0xff
+	if hdr.X[0] == c.X[0] || hdr.Seed[0] == c.Seed[0] {
 		t.Error("clone aliases original")
 	}
 }

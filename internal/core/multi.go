@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
@@ -118,8 +117,9 @@ func (r nonceRun) header(x linalg.Vector) *Header {
 	return &Header{X: x, Seed: r.seed}
 }
 
-// listed is header with the first n nonces listed beside the seed: what
-// Build, BuildMulti and BuildGrouped return.
+// listed is header with the first n nonces listed beside the seed in Zs:
+// what Build, BuildMulti and BuildGrouped return, for callers outside the
+// module that index the nonces. Nothing in the module reads them.
 func (r nonceRun) listed(x linalg.Vector, n int) *Header {
 	return &Header{X: x, Zs: r.zs[:n:n], Seed: r.seed}
 }
@@ -136,12 +136,12 @@ func drawNonces(n int) (nonceRun, error) {
 
 // ExpandNonces returns the first n nonces of the run a seed names:
 // z_j = AES-256_seed(BE128(j)) for j = 0…n−1, which is the CTR keystream
-// under a zero IV. They are written into one freshly allocated flat buffer
-// windowed by NonceRun, so they sit contiguously in memory for the row-hash
-// kernel, and ExpandNonces(seed, k) is the front of ExpandNonces(seed, n) for
-// k ≤ n. The seed must hold SeedSize bytes. It is what a rekey session calls
-// once for the run its solves share; a header's reader goes through
-// Header.Nonces or KEV.
+// under a zero IV. They are written into one freshly allocated flat buffer,
+// each a window capped at its own bytes, so they sit contiguously in memory
+// for the row-hash kernel, and ExpandNonces(seed, k) is the front of
+// ExpandNonces(seed, n) for k ≤ n. The seed must hold SeedSize bytes. It is
+// what a rekey session calls once for the run its solves share; a header's
+// reader goes through Header.Nonces or KEV.
 func ExpandNonces(seed []byte, n int) [][]byte {
 	if len(seed) != SeedSize {
 		panic(fmt.Sprintf("core: nonce seed of %d bytes, want %d", len(seed), SeedSize))
@@ -183,7 +183,10 @@ func (sc *nonceScratch) expand(seed []byte, n int) [][]byte {
 	}
 	if n > len(sc.zs) {
 		sc.buf = make([]byte, n*NonceSize)
-		sc.zs = NonceRun(sc.buf, n, NonceSize)
+		sc.zs = make([][]byte, n)
+		for j := range sc.zs {
+			sc.zs[j] = sc.buf[j*NonceSize : (j+1)*NonceSize : (j+1)*NonceSize]
+		}
 	}
 	buf := sc.buf[:n*NonceSize]
 	clear(buf)
@@ -191,36 +194,6 @@ func (sc *nonceScratch) expand(seed []byte, n int) [][]byte {
 	cipher.NewCTR(block, iv[:]).XORKeyStream(buf, buf)
 	expansions.Add(1)
 	return sc.zs[:n:n]
-}
-
-// NonceRun views a flat buffer of n nonces of size bytes each as a nonce
-// run: zs[j] is a window of buf capped at its own bytes, so an append to one
-// nonce cannot reach the next. It is the layout of every expansion and of a
-// run a stream frame wrote out, whose headers each list a prefix zs[:k:k].
-func NonceRun(buf []byte, n, size int) [][]byte {
-	zs := make([][]byte, n)
-	for j := range zs {
-		zs[j] = buf[j*size : (j+1)*size : (j+1)*size]
-	}
-	return zs
-}
-
-// SameNonces reports whether two nonce sequences are equal by content.
-// Sequences that are windows of one run (the same backing array from the
-// same position) are recognised without looking at the nonces.
-func SameNonces(a, b [][]byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) == 0 || &a[0] == &b[0] {
-		return true
-	}
-	for j := range a {
-		if !bytes.Equal(a[j], b[j]) {
-			return false
-		}
-	}
-	return true
 }
 
 // KEVCache caches a subscriber's key extraction vector for one nonce set so

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ppcd/internal/ff64"
@@ -19,10 +21,8 @@ func TestBuildMultiSharedSession(t *testing.T) {
 	}
 	// All headers share the nonce set.
 	for i := 1; i < 3; i++ {
-		for j := range headers[0].Zs {
-			if string(headers[0].Zs[j]) != string(headers[i].Zs[j]) {
-				t.Fatal("nonces not shared")
-			}
+		if !bytes.Equal(headers[0].Seed, headers[i].Seed) || !slices.EqualFunc(headers[0].Nonces(), headers[i].Nonces(), bytes.Equal) {
+			t.Fatal("nonces not shared")
 		}
 	}
 	// Keys are pairwise distinct (probability of collision ~1/q).
@@ -88,7 +88,7 @@ func TestKEVCacheAmortizesDerivation(t *testing.T) {
 }
 
 func TestKEVCacheValidation(t *testing.T) {
-	if _, err := NewKEVCache(nil, &Header{X: make([]ff64.Elem, 2), Zs: [][]byte{{1}}}); err != ErrEmptyCSS {
+	if _, err := NewKEVCache(nil, &Header{X: make([]ff64.Elem, 2), Seed: make([]byte, SeedSize)}); err != ErrEmptyCSS {
 		t.Errorf("empty css: %v", err)
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"ppcd/internal/core/coretest"
 	"ppcd/internal/ff64"
@@ -58,7 +58,7 @@ func TestExpandNoncesPrefix(t *testing.T) {
 	seed := bytes.Repeat([]byte{7}, SeedSize)
 	long := ExpandNonces(seed, 512)
 	for _, k := range []int{0, 1, 2, 127, 128, 511, 512} {
-		if short := ExpandNonces(seed, k); !SameNonces(short, long[:k]) {
+		if short := ExpandNonces(seed, k); !sameNonces(short, long[:k]) {
 			t.Errorf("ExpandNonces(s, %d) is not the front of ExpandNonces(s, 512)", k)
 		}
 	}
@@ -69,10 +69,13 @@ func TestExpandNoncesPrefix(t *testing.T) {
 		}
 		seen[string(z)] = true
 	}
-	if SameNonces(ExpandNonces(bytes.Repeat([]byte{8}, SeedSize), 4), long[:4]) {
+	if sameNonces(ExpandNonces(bytes.Repeat([]byte{8}, SeedSize), 4), long[:4]) {
 		t.Error("two seeds, one run")
 	}
 }
+
+// sameNonces reports whether two nonce sequences are equal nonce by nonce.
+func sameNonces(a, b [][]byte) bool { return slices.EqualFunc(a, b, bytes.Equal) }
 
 // checkSeeded is the seed invariant: the header names its run, and its nonces
 // are the first N of that run — listed beside the seed by the §V-C leaf
@@ -82,10 +85,10 @@ func checkSeeded(t *testing.T, what string, h *Header, listed bool) {
 	if !h.Seeded() {
 		t.Fatalf("%s: header without a seed", what)
 	}
-	if len(h.X) != h.N()+1 || !SameNonces(h.Nonces(), ExpandNonces(h.Seed, h.N())) {
+	if len(h.X) != h.N()+1 || !sameNonces(h.Nonces(), ExpandNonces(h.Seed, h.N())) {
 		t.Fatalf("%s: N=%d header's nonces are not the first of its seed's run", what, h.N())
 	}
-	if listed != (h.Zs != nil) || listed && !SameNonces(h.Zs, h.Nonces()) {
+	if listed != (h.Zs != nil) || listed && !sameNonces(h.Zs, h.Nonces()) {
 		t.Fatalf("%s: header lists %d nonces; listed = %v", what, len(h.Zs), listed)
 	}
 }
@@ -166,42 +169,9 @@ func TestBuiltHeadersCarryTheirSeed(t *testing.T) {
 	}
 }
 
-// TestHeaderCloneIsOneRun: a clone is equal, shares nothing, holds its nonces
-// in one flat buffer — whatever their lengths — and costs a fixed number of
-// allocations, not one per nonce.
-func TestHeaderCloneIsOneRun(t *testing.T) {
-	seed := bytes.Repeat([]byte{3}, SeedSize)
-	seeded := &Header{X: make(linalg.Vector, 129), Zs: ExpandNonces(seed, 128), Seed: seed}
-	uneven := &Header{X: make(linalg.Vector, 5), Zs: [][]byte{{1, 2, 3}, {4}, make([]byte, 40), {5, 6}}}
-	for name, h := range map[string]*Header{"seeded": seeded, "uneven": uneven} {
-		c := h.Clone()
-		if !reflect.DeepEqual(c, h) {
-			t.Fatalf("%s: clone differs from its source", name)
-		}
-		off := 0
-		for j, z := range c.Zs {
-			if cap(z) != len(z) || uintptr(unsafe.Pointer(&z[0]))-uintptr(unsafe.Pointer(&c.Zs[0][0])) != uintptr(off) {
-				t.Fatalf("%s: cloned nonce %d is not the next capped window of one buffer", name, j)
-			}
-			off += len(z)
-		}
-		c.Zs[0][0] ^= 0xff
-		c.X[0]++
-		if h.Seeded() {
-			c.Seed[0] ^= 0xff
-		}
-		if reflect.DeepEqual(c.Zs[0], h.Zs[0]) || c.X[0] == h.X[0] || h.Seeded() && c.Seed[0] == h.Seed[0] {
-			t.Fatalf("%s: clone aliases its source", name)
-		}
-		if allocs := testing.AllocsPerRun(10, func() { h.Clone() }); allocs > 5 {
-			t.Errorf("%s: Clone of N=%d takes %.0f allocations", name, h.N(), allocs)
-		}
-	}
-}
-
-// TestHeaderSizes: Size is Fig. 5 as built — X plus the nonces, whatever
-// their lengths; WireSize is what a stream frame spends: X, a run reference
-// and either a 40-byte seeded run entry or the run written out.
+// TestHeaderSizes: Size is Fig. 5 as built — X plus the N nonces its seed
+// names; WireSize is what a stream frame spends: X, a run reference and the
+// 40-byte run entry of its seed, which shards of one session share.
 func TestHeaderSizes(t *testing.T) {
 	h, _, err := Build(engRows(0, 4, 1), 512)
 	if err != nil {
@@ -213,13 +183,8 @@ func TestHeaderSizes(t *testing.T) {
 	if got, want := h.WireSize(), 8*513+4+40; got != want {
 		t.Errorf("WireSize = %d, want %d", got, want)
 	}
-	bare := &Header{X: h.X, Zs: h.Zs}
-	if bare.Size() != h.Size() || bare.WireSize() != h.Size()+12 {
-		t.Errorf("without a seed: Size %d, WireSize %d; want %d and %d", bare.Size(), bare.WireSize(), h.Size(), h.Size()+12)
-	}
-	uneven := &Header{X: make(linalg.Vector, 4), Zs: [][]byte{make([]byte, 15), {}, make([]byte, 17)}}
-	if got, want := uneven.Size(), 8*4+32; got != want {
-		t.Errorf("Size of a header with 15-, 0- and 17-byte nonces = %d, want %d", got, want)
+	if atRest := (&Header{X: h.X, Seed: h.Seed}); atRest.Size() != h.Size() || atRest.WireSize() != h.WireSize() {
+		t.Errorf("at rest: Size %d, WireSize %d; want %d and %d", atRest.Size(), atRest.WireSize(), h.Size(), h.WireSize())
 	}
 
 	g, _, err := BuildGrouped(engRows(0, 7, 1), 3) // shards of 3, 3 and 1 rows, one session each
@@ -229,18 +194,18 @@ func TestHeaderSizes(t *testing.T) {
 	if got, want := g.WireSize(), NonceSize+(8*4+8*4+8*2)+3*(4+8)+3*40; got != want {
 		t.Errorf("grouped WireSize over three sessions = %d, want %d", got, want)
 	}
-	g.Shards[1].Hdr = &Header{X: g.Shards[1].Hdr.X, Zs: ExpandNonces(g.Shards[0].Hdr.Seed, 3), Seed: g.Shards[0].Hdr.Seed}
+	g.Shards[1].Hdr = &Header{X: g.Shards[1].Hdr.X, Seed: g.Shards[0].Hdr.Seed}
 	if got, want := g.WireSize(), NonceSize+(8*4+8*4+8*2)+3*(4+8)+2*40; got != want {
 		t.Errorf("grouped WireSize with two shards of one session = %d, want %d", got, want)
 	}
 }
 
-// TestHeaderAtRestIsEquivalent: a header that rests as X and a seed, the same
-// header with its nonces listed beside the seed (what Build returns) and the
-// same nonces listed under no seed give one key extraction vector, one key
-// and one size — through the row-hash kernel and through crypto/sha256, at
-// every N around the kernel's pairing and the counter's second byte. Only the
-// first expands anything, once per KEV, into scratch it does not keep.
+// TestHeaderAtRestIsEquivalent: a header that rests as X and a seed and the
+// same header with its nonces listed beside the seed (what Build returns)
+// give one key extraction vector — the one HashRow gives over the seed's
+// expansion — one key and one size, through the row-hash kernel at every N
+// around its pairing and the counter's second byte. Each KEV expands the
+// seed once, into scratch it does not keep; the listed nonces are not read.
 func TestHeaderAtRestIsEquivalent(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 127, 128, 300} {
 		for _, width := range []int{1, 4, 5} { // 4 CSSs still fit the kernel's one block
@@ -250,16 +215,15 @@ func TestHeaderAtRestIsEquivalent(t *testing.T) {
 				t.Fatal(err)
 			}
 			atRest := &Header{X: listed.X, Seed: listed.Seed}
-			bare := &Header{X: listed.X, Zs: listed.Zs}
-			want, err := KEV(rows[0], listed)
-			if err != nil {
-				t.Fatal(err)
+			want := linalg.Vector{ff64.One}
+			for _, z := range ExpandNonces(listed.Seed, n) {
+				want = append(want, HashRow(rows[0], z))
 			}
-			for name, h := range map[string]*Header{"at rest": atRest, "without a seed": bare} {
+			for name, h := range map[string]*Header{"at rest": atRest, "listed": listed} {
 				before := NonceExpansions()
 				got, err := KEV(rows[0], h)
 				if err != nil || !reflect.DeepEqual(got, want) {
-					t.Fatalf("N=%d width=%d: KEV over the header %s differs from KEV over the listed one (%v)", n, width, name, err)
+					t.Fatalf("N=%d width=%d: KEV over the header %s is not HashRow over its seed's run (%v)", n, width, name, err)
 				}
 				if k, err := DeriveKey(rows[0], h); err != nil || k != key {
 					t.Fatalf("N=%d width=%d: key derived from the header %s is %v (%v), want %v", n, width, name, k, err, key)
@@ -269,13 +233,13 @@ func TestHeaderAtRestIsEquivalent(t *testing.T) {
 				} else if k, err := c.Derive(h); err != nil || k != key {
 					t.Fatalf("N=%d width=%d: cached KEV over the header %s derives %v (%v)", n, width, name, k, err)
 				}
-				if got, want := NonceExpansions()-before, uint64(3); (h == atRest) != (got == want) || h != atRest && got != 0 {
+				if got := NonceExpansions() - before; got != 3 {
 					t.Fatalf("N=%d: three KEVs over the header %s expanded %d seeds", n, name, got)
 				}
-				if h.N() != n || h.Size() != listed.Size() || h.Seeded() && h.WireSize() != listed.WireSize() {
+				if h.N() != n || h.Size() != listed.Size() || h.WireSize() != listed.WireSize() {
 					t.Fatalf("N=%d: header %s has N=%d Size=%d WireSize=%d, listed %d %d %d", n, name, h.N(), h.Size(), h.WireSize(), listed.N(), listed.Size(), listed.WireSize())
 				}
-				if !SameNonces(h.Nonces(), listed.Zs) {
+				if !sameNonces(h.Nonces(), listed.Zs) {
 					t.Fatalf("N=%d: the nonces of the header %s are not the listed ones", n, name)
 				}
 			}
@@ -284,8 +248,8 @@ func TestHeaderAtRestIsEquivalent(t *testing.T) {
 }
 
 // TestMalformedHeadersAreRefused: whatever shape decoded bytes or a careless
-// caller give a header, its readers return ErrBadHeader — or read it as the
-// unseeded header it also is — and none panics.
+// caller give a header, its readers return ErrBadHeader and none panics. A
+// header of N > 0 without a seed has no nonces, whatever it lists in Zs.
 func TestMalformedHeadersAreRefused(t *testing.T) {
 	seed := bytes.Repeat([]byte{9}, SeedSize)
 	x := func(n int) linalg.Vector { return make(linalg.Vector, n) }
@@ -296,14 +260,12 @@ func TestMalformedHeadersAreRefused(t *testing.T) {
 		ok   bool
 	}{
 		"seeded, no X":                      {&Header{Seed: seed}, 0, false},
-		"seeded, X nil, nonces listed":      {&Header{Zs: ExpandNonces(seed, 2), Seed: seed}, 32, false},
-		"no seed, no nonces":                {&Header{X: x(4)}, 32, false},
-		"listed too few beside a seed":      {&Header{X: x(4), Zs: ExpandNonces(seed, 2), Seed: seed}, 32 + 32, false},
-		"listed too many beside a seed":     {&Header{X: x(4), Zs: ExpandNonces(seed, 5), Seed: seed}, 32 + 80, false},
-		"16-byte seed":                      {&Header{X: x(4), Seed: seed[:16]}, 32, false},
-		"24-byte seed":                      {&Header{X: x(4), Seed: seed[:24]}, 32, false},
-		"33-byte seed":                      {&Header{X: x(4), Seed: append(bytes.Clone(seed), 1)}, 32, false},
-		"16-byte seed beside listed nonces": {&Header{X: x(4), Zs: ExpandNonces(seed, 3), Seed: seed[:16]}, 32 + 48, true},
+		"no seed":                           {&Header{X: x(4)}, 32 + 48, false},
+		"no seed, nonces listed":            {&Header{X: x(4), Zs: ExpandNonces(seed, 3)}, 32 + 48, false},
+		"16-byte seed":                      {&Header{X: x(4), Seed: seed[:16]}, 32 + 48, false},
+		"24-byte seed":                      {&Header{X: x(4), Seed: seed[:24]}, 32 + 48, false},
+		"33-byte seed":                      {&Header{X: x(4), Seed: append(bytes.Clone(seed), 1)}, 32 + 48, false},
+		"16-byte seed beside listed nonces": {&Header{X: x(4), Zs: ExpandNonces(seed, 3), Seed: seed[:16]}, 32 + 48, false},
 		"seeded, N = 0":                     {&Header{X: x(1), Seed: seed}, 8, true},
 		"N = 0":                             {&Header{X: x(1)}, 8, true},
 	} {
@@ -365,8 +327,7 @@ func TestKEVExpandsIntoScratch(t *testing.T) {
 }
 
 // TestSizesOfMixedGroupedHeader: Size, WireSize and GroupedHeader.Size do not
-// depend on how a shard's nonces rest — a seed, a seed with the nonces listed,
-// or the nonces alone.
+// depend on whether a shard lists its nonces beside its seed.
 func TestSizesOfMixedGroupedHeader(t *testing.T) {
 	g, _, err := BuildGrouped(engRows(0, 9, 1), 3) // three shards of three rows, all listed
 	if err != nil {
@@ -381,10 +342,6 @@ func TestSizesOfMixedGroupedHeader(t *testing.T) {
 	if mixed.Size() != size || mixed.WireSize() != wireSize {
 		t.Errorf("one shard at rest: Size %d, WireSize %d; want %d and %d", mixed.Size(), mixed.WireSize(), size, wireSize)
 	}
-	mixed.Shards[1].Hdr = &Header{X: g.Shards[1].Hdr.X, Zs: g.Shards[1].Hdr.Zs}
-	if mixed.Size() != size || mixed.WireSize() != wireSize-runEntrySize+8+16*3 {
-		t.Errorf("one shard at rest, one without a seed: Size %d, WireSize %d; want %d and %d", mixed.Size(), mixed.WireSize(), size, wireSize-runEntrySize+8+16*3)
-	}
 }
 
 // TestConcurrentKEVsShareScratch: subscribers hash at once, each expanding
@@ -396,7 +353,7 @@ func TestConcurrentKEVsShareScratch(t *testing.T) {
 	var want []linalg.Vector
 	for i := 0; i < 6; i++ {
 		h := &Header{X: make(linalg.Vector, 20*i+2), Seed: bytes.Repeat([]byte{byte(i)}, SeedSize)}
-		v, err := KEV(row, &Header{X: h.X, Zs: h.Nonces()})
+		v, err := KEV(row, h)
 		if err != nil {
 			t.Fatal(err)
 		}

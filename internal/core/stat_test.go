@@ -54,7 +54,7 @@ func TestNoncesUniquePerBuild(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	for _, h := range []*Header{h1, h2} {
-		for _, z := range h.Zs {
+		for _, z := range h.Nonces() {
 			if len(z) != NonceSize {
 				t.Fatalf("nonce size %d", len(z))
 			}

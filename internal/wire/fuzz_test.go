@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"ppcd/internal/core"
@@ -12,19 +13,29 @@ import (
 )
 
 // fuzzHeader builds a well-shaped ACV header (|X| = n+1, reduced elements,
-// NonceSize nonces) without any crypto, so the seed corpus stays cheap and
+// a seed of its own) without any crypto, so the seed corpus stays cheap and
 // deterministic across runs.
 func fuzzHeader(n int) *core.Header {
-	h := &core.Header{X: make(linalg.Vector, n+1), Zs: make([][]byte, n)}
+	h := &core.Header{X: make(linalg.Vector, n+1), Seed: testSeed(byte(40 + n))}
 	for i := range h.X {
 		h.X[i] = ff64.Elem(uint64(i + 1))
 	}
-	for i := range h.Zs {
-		z := make([]byte, core.NonceSize)
-		z[0] = byte(i + 1)
-		h.Zs[i] = z
-	}
 	return h
+}
+
+// decodeWithin runs decode, which decodes input, and fails t when it
+// allocates more than 16 × the input + 64 KiB: hostile bytes cost what they
+// weigh, not what they claim.
+func decodeWithin(t *testing.T, what string, input []byte, decode func()) {
+	t.Helper()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	decode()
+	runtime.ReadMemStats(&ms)
+	if got, bound := ms.TotalAlloc-before, 16*uint64(len(input))+64<<10; got > bound {
+		t.Fatalf("decoding a %d-byte %s allocated %d bytes, more than %d", len(input), what, got, bound)
+	}
 }
 
 func fuzzSnapshot() *pubsub.Broadcast {
@@ -74,19 +85,19 @@ func fuzzDelta() *pubsub.BroadcastDelta {
 
 // FuzzFrame drives the stream-frame decoder with arbitrary bytes, seeded
 // with well-formed snapshot, delta and heartbeat frames — headers sharing
-// runs, extending them and sharing nothing, runs named by a seed and runs
-// written out, nonces of several lengths — their truncated and bit-flipped
-// variants, and the hostile run tables of hostileFrames. The decoder must
-// never panic, and every frame it accepts must re-marshal byte-identically —
-// the canonicality the fan-out tier relies on when it reuses one marshaled
-// frame for every subscriber.
+// runs, extending them and sharing nothing — their truncated and bit-flipped
+// variants, the hostile run tables of hostileFrames and the written-out runs
+// of earlier encoders. The decoder must never panic, must allocate within
+// 16 × its input + 64 KiB, and every frame it accepts must re-marshal
+// byte-identically — the canonicality the fan-out tier relies on when it
+// reuses one marshaled frame for every subscriber.
 func FuzzFrame(f *testing.F) {
-	mixed := mixedSessionSnapshot(7)
-	uneven := snapshotOf(pubsub.ConfigInfo{Key: "h", Rev: 1, Header: hdrOn([][]byte{{1, 2}, {3}, {}}, 3)})
+	mixed, alone := mixedSessionSnapshot(7), snapshotOf(groupedOf("g", hdrSeeded(testSeed(1), 3)))
 	seeds := [][]byte{
 		MarshalSnapshotFrame(everyRunForm()),
 		MarshalDeltaFrame(deltaOf(everyRunForm())),
-		MarshalSnapshotFrame(uneven),
+		MarshalSnapshotFrame(alone),
+		MarshalDeltaFrame(deltaOf(alone)),
 		MarshalHeartbeatFrame(42),
 		MarshalSnapshotFrame(fuzzSnapshot()),
 		MarshalDeltaFrame(fuzzDelta()),
@@ -111,7 +122,9 @@ func FuzzFrame(f *testing.F) {
 	f.Add([]byte{VersionStream, byte(FrameDelta)})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := UnmarshalFrame(data)
+		var fr *Frame
+		var err error
+		decodeWithin(t, "frame", data, func() { fr, err = UnmarshalFrame(data) })
 		if err != nil {
 			return
 		}

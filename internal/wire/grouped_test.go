@@ -100,9 +100,7 @@ func TestGroupedHeaderRejectsCorruption(t *testing.T) {
 		}
 	}
 	refuse("bad rekey nonce length", func(g *core.GroupedHeader) { g.RekeyNonce = []byte("short") })
-	refuse("sub-header with a non-NonceSize nonce", func(g *core.GroupedHeader) {
-		g.Shards[0].Hdr = &core.Header{X: g.Shards[0].Hdr.X[:2], Zs: [][]byte{[]byte("tiny")}}
-	})
+	refuse("sub-header of |X| = 0", func(g *core.GroupedHeader) { g.Shards[0].Hdr = &core.Header{} })
 	refuse("unreduced wrap", func(g *core.GroupedHeader) { g.Shards[0].Wrap = ff64.Elem(^uint64(0)) })
 
 	// Zero and absurd shard counts.

@@ -148,7 +148,8 @@ func seedCorpus(msgs [][]byte, add func([]byte)) {
 // FuzzRequest drives the server-side decode of every request kind —
 // registration batches with their OCBE requests included — with arbitrary
 // payloads, seeded from a live registration. The decoder must never panic,
-// and every request it accepts must re-encode to the bytes it came from.
+// must allocate within 16 × its input + 64 KiB, and every request it accepts
+// must re-encode to the bytes it came from.
 func FuzzRequest(f *testing.F) {
 	reqs, _ := liveRPC(f)
 	seedCorpus(reqs, func(b []byte) { f.Add(b) })
@@ -156,7 +157,9 @@ func FuzzRequest(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{byte(KindRegisterBatch), Version, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := UnmarshalRequest(data)
+		var req *Request
+		var err error
+		decodeWithin(t, "request", data, func() { req, err = UnmarshalRequest(data) })
 		if err != nil {
 			return
 		}
@@ -169,7 +172,8 @@ func FuzzRequest(f *testing.F) {
 // FuzzReply drives the client-side decode of the reply to every kind of
 // request — info with its conditions, a batch reply with nested envelopes, a
 // fetched snapshot and the error status — seeded from a live registration.
-// The decoder must never panic; an accepted info or snapshot re-encodes to
+// The decoder must never panic and must allocate within 16 × its input +
+// 64 KiB; an accepted info or snapshot re-encodes to
 // its bytes, an accepted batch reply re-encodes to bytes that decode and
 // re-encode unchanged, and a refusal carries the body as its text.
 func FuzzReply(f *testing.F) {
@@ -180,7 +184,9 @@ func FuzzReply(f *testing.F) {
 	f.Add(byte(KindInfo), []byte{StatusError})
 	f.Add(byte(KindSubscribe), []byte{StatusOK})
 	f.Fuzz(func(t *testing.T, kind byte, data []byte) {
-		rep, err := UnmarshalReply(Kind(kind), data)
+		var rep *Reply
+		var err error
+		decodeWithin(t, "reply", data, func() { rep, err = UnmarshalReply(Kind(kind), data) })
 		var refused *RemoteError
 		if errors.As(err, &refused) {
 			if data[0] != StatusError || refused.Msg != string(data[1:]) {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -17,24 +18,6 @@ import (
 	"ppcd/internal/policy"
 	"ppcd/internal/pubsub"
 )
-
-// testRun builds a nonce run the way a session draws one: n nonces of size
-// bytes in one buffer, told apart from other runs by tag.
-func testRun(tag byte, n, size int) [][]byte {
-	buf := make([]byte, n*size)
-	for i := range buf {
-		buf[i] = tag + byte(i/max(size, 1)) + byte(i)
-	}
-	return core.NonceRun(buf, n, size)
-}
-
-// hdrOn builds a header of N = n over the front of run, its nonces given one
-// by one: what core.Build returns, and what a frame writes out.
-func hdrOn(run [][]byte, n int) *core.Header {
-	h := hdrSeeded(nil, n)
-	h.Zs = run[:n:n]
-	return h
-}
 
 // testSeed is the seed of a session told apart from others by tag.
 func testSeed(tag byte) []byte {
@@ -59,16 +42,6 @@ func hdrListed(seed []byte, n int) *core.Header {
 	h := hdrSeeded(seed, n)
 	h.Zs = h.Nonces()
 	return h
-}
-
-// cloneNonces copies a nonce sequence nonce by nonce: equal to the original
-// by content, sharing no memory with it.
-func cloneNonces(zs [][]byte) [][]byte {
-	out := make([][]byte, len(zs))
-	for i, z := range zs {
-		out[i] = append([]byte{}, z...)
-	}
-	return out
 }
 
 // groupedOf wraps headers into a grouped config the decoder reproduces
@@ -114,68 +87,45 @@ func deltaOf(b *pubsub.Broadcast) *pubsub.BroadcastDelta {
 	return d
 }
 
-// everyRunForm is a snapshot whose frame holds a run of every form, two of
-// them lengthened by a later header: seeded, written out, uneven, and a
-// header with no nonces at all.
+// everyRunForm is a snapshot whose frame holds every shape a run takes: one
+// shared by the shards of a session and lengthened by a later shard, another
+// lengthened by an ungrouped header holding a copy of its seed, a run used
+// alone, a header with no nonces at all and a configuration with no header.
 func everyRunForm() *pubsub.Broadcast {
-	a, s1 := testRun(1, 9, core.NonceSize), testSeed(1)
+	s1, s2 := testSeed(1), testSeed(2)
 	return snapshotOf(
-		groupedOf("g", hdrSeeded(s1, 5), hdrOn(a, 5), hdrSeeded(s1, 8), hdrOn(a, 9)),
-		pubsub.ConfigInfo{Key: "m", Rev: 1, Header: hdrOn([][]byte{make([]byte, 16), make([]byte, 16), make([]byte, 15), {}}, 4)},
-		pubsub.ConfigInfo{Key: "s2", Rev: 1, Header: hdrSeeded(testSeed(2), 1)},
-		pubsub.ConfigInfo{Key: "none", Rev: 1, Header: &core.Header{X: linalg.Vector{42}}})
+		groupedOf("g", hdrSeeded(s1, 5), hdrSeeded(s2, 5), hdrSeeded(s1, 8), hdrSeeded(s2, 6)),
+		pubsub.ConfigInfo{Key: "m", Rev: 1, Header: hdrSeeded(bytes.Clone(s2), 9)},
+		pubsub.ConfigInfo{Key: "s3", Rev: 1, Header: hdrSeeded(testSeed(3), 1)},
+		pubsub.ConfigInfo{Key: "none", Rev: 1, Header: &core.Header{X: linalg.Vector{42}}},
+		pubsub.ConfigInfo{Key: "bare", Rev: 1})
 }
 
 // TestFrameRunTableRoundTrip: whatever way a frame's headers share (or do
-// not share) their nonces, snapshot and delta decode to exactly the input,
+// not share) their seeds, snapshot and delta decode to exactly the input,
 // re-marshal to the same bytes, and carry each distinct run once.
 func TestFrameRunTableRoundTrip(t *testing.T) {
-	a, b, c := testRun(1, 9, core.NonceSize), testRun(2, 6, core.NonceSize), testRun(3, 4, core.NonceSize)
-	// What the v1 codec carries a frame carries: no producer draws nonces of
-	// several lengths, but nothing forbids them in an ungrouped header.
-	mixed := [][]byte{make([]byte, 16), make([]byte, 16), make([]byte, 15), {}}
-	s1, s2 := testSeed(1), testSeed(2)
-	session := core.ExpandNonces(s1, 9)
+	s1, s2, s3 := testSeed(1), testSeed(2), testSeed(3)
 	cases := []struct {
 		name string
 		b    *pubsub.Broadcast
 		runs int
 	}{
 		{"same session, the longer shard after the shorter", snapshotOf(
-			groupedOf("g", hdrOn(a, 5), hdrOn(a, 9), hdrOn(a, 3))), 1},
+			groupedOf("g", hdrSeeded(s1, 5)), groupedOf("g2", hdrSeeded(s1, 9), hdrSeeded(s1, 3))), 1},
 		{"shards of one seed with different N, sharing the run's memory", snapshotOf(
 			groupedOf("g", hdrSeeded(s1, 5), hdrSeeded(s1, 9), hdrSeeded(s1, 3))), 1},
 		{"one seed, nothing shared but the seed, the run lengthened by a later header", snapshotOf(
 			groupedOf("g", hdrSeeded(s1, 4), hdrSeeded(bytes.Clone(s1), 9)),
 			groupedOf("g2", hdrSeeded(s2, 6), hdrSeeded(s1, 7))), 2},
-		{"seeded, written out and uneven runs in one frame", everyRunForm(), 4},
-		{"a run written out beside the seeded run it equals", snapshotOf(
-			groupedOf("g", hdrSeeded(s1, 5), hdrOn(core.ExpandNonces(s1, 5), 5), hdrOn(session, 7), hdrSeeded(s1, 3))), 2},
-		{"a written-out run that opens with a seed's bytes", snapshotOf(
-			pubsub.ConfigInfo{Key: "z32", Rev: 1, Header: hdrOn([][]byte{s1, s2}, 2)},
-			pubsub.ConfigInfo{Key: "s1", Rev: 1, Header: hdrSeeded(s1, 2)},
-			pubsub.ConfigInfo{Key: "z32 again", Rev: 1, Header: hdrOn([][]byte{s1}, 1)}), 2},
+		{"every run shape in one frame", everyRunForm(), 3},
 		{"nothing shared", snapshotOf(
-			groupedOf("g", hdrOn(a, 9), hdrOn(b, 6)),
-			pubsub.ConfigInfo{Key: "h", Rev: 2, Header: hdrOn(c, 4)}), 3},
+			groupedOf("g", hdrSeeded(s1, 9), hdrSeeded(s2, 6)),
+			pubsub.ConfigInfo{Key: "h", Rev: 2, Header: hdrSeeded(s3, 4)}), 3},
 		{"equal by content, not by pointer", snapshotOf(
-			groupedOf("g", hdrOn(a, 4), hdrOn(cloneNonces(a), 9)),
-			groupedOf("g2", hdrOn(b, 6), hdrOn(cloneNonces(a)[:7], 7))), 2},
-		{"same first nonce, different runs", snapshotOf(
-			groupedOf("g", hdrOn(a, 3), hdrOn(append(cloneNonces(a[:5]), b[0]), 6), hdrOn(a, 9))), 2},
-		{"nonce lengths 0, 15, 17 and no nonces, ungrouped", snapshotOf(
-			pubsub.ConfigInfo{Key: "z0", Rev: 1, Header: hdrOn(make([][]byte, 3), 3)},
-			pubsub.ConfigInfo{Key: "z15", Rev: 1, Header: hdrOn(testRun(4, 2, 15), 2)},
-			pubsub.ConfigInfo{Key: "z17", Rev: 1, Header: hdrOn(testRun(5, 5, 17), 5)},
-			pubsub.ConfigInfo{Key: "none", Rev: 1, Header: &core.Header{X: linalg.Vector{42}}},
-			pubsub.ConfigInfo{Key: "z17 again", Rev: 1, Header: hdrOn(testRun(5, 5, 17), 4)},
-			pubsub.ConfigInfo{Key: "bare", Rev: 1}), 3},
-		{"one shard", snapshotOf(groupedOf("g", hdrOn(a, 9))), 1},
-		{"nonces of several lengths in one header", snapshotOf(
-			pubsub.ConfigInfo{Key: "m", Rev: 1, Header: hdrOn(mixed, 4)},
-			pubsub.ConfigInfo{Key: "its even front", Rev: 1, Header: hdrOn(cloneNonces(mixed), 2)},
-			pubsub.ConfigInfo{Key: "a run grown uneven", Rev: 1, Header: hdrOn(b, 3)},
-			pubsub.ConfigInfo{Key: "by its longer header", Rev: 1, Header: hdrOn(append(cloneNonces(b[:3]), []byte{1}, []byte{}), 5)}), 2},
+			groupedOf("g", hdrSeeded(s1, 4), hdrSeeded(bytes.Clone(s1), 9)),
+			groupedOf("g2", hdrSeeded(s2, 6), hdrSeeded(bytes.Clone(s2), 7))), 2},
+		{"one shard", snapshotOf(groupedOf("g", hdrSeeded(s1, 9))), 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -216,15 +166,14 @@ func TestFrameRunTableRoundTrip(t *testing.T) {
 }
 
 // TestDecodedHeadersShareTheirRun: the shards of one session decode onto one
-// run. Named by a seed it is the seed they share — one 32-byte copy, no nonce
-// anywhere — and written out it is one buffer and one [][]byte of which each
-// lists its own capped prefix. Header.Clone copies out of either.
+// run, the seed they share — one 32-byte copy, no nonce anywhere — whether
+// they rest as X and the seed or list their nonces beside it, as core.Build
+// returns them. Header.Clone copies out of it.
 func TestDecodedHeadersShareTheirRun(t *testing.T) {
-	a, seed := testRun(1, 9, core.NonceSize), testSeed(1)
+	seed := testSeed(1)
 	for name, g := range map[string]pubsub.ConfigInfo{
-		"seeded":      groupedOf("g", hdrSeeded(seed, 5), hdrSeeded(seed, 9)),
-		"listed":      groupedOf("g", hdrListed(seed, 5), hdrListed(seed, 9)),
-		"written out": groupedOf("g", hdrOn(a, 5), hdrOn(cloneNonces(a), 9)),
+		"seeded": groupedOf("g", hdrSeeded(seed, 5), hdrSeeded(seed, 9)),
+		"listed": groupedOf("g", hdrListed(seed, 5), hdrListed(seed, 9)),
 	} {
 		f, err := UnmarshalFrame(MarshalSnapshotFrame(snapshotOf(g)))
 		if err != nil {
@@ -232,17 +181,10 @@ func TestDecodedHeadersShareTheirRun(t *testing.T) {
 		}
 		sh := f.Snapshot.Configs[0].Grouped.Shards
 		short, long := sh[0].Hdr, sh[1].Hdr
-		if name == "written out" {
-			if short.Seed != nil || &short.Zs[0] != &long.Zs[0] || &short.Zs[4][0] != &long.Zs[4][0] {
-				t.Fatalf("%s: two headers of one run do not share its backing arrays", name)
-			}
-			if cap(short.Zs) != 5 || cap(short.Zs[4]) != core.NonceSize {
-				t.Fatalf("%s: a header's window reaches past its own nonces: cap(Zs)=%d cap(z)=%d", name, cap(short.Zs), cap(short.Zs[4]))
-			}
-		} else if short.Zs != nil || long.Zs != nil || &short.Seed[0] != &long.Seed[0] || !bytes.Equal(short.Seed, seed) || &short.Seed[0] == &seed[0] {
+		if short.Zs != nil || long.Zs != nil || &short.Seed[0] != &long.Seed[0] || !bytes.Equal(short.Seed, seed) || &short.Seed[0] == &seed[0] {
 			t.Fatalf("%s: decoded headers hold nonces %v, %v or seeds %x, %x that are not one copy of the run's", name, short.Zs, long.Zs, short.Seed, long.Seed)
 		}
-		if !core.SameNonces(short.Nonces(), long.Nonces()[:5]) || short.N() != 5 || long.N() != 9 {
+		if !reflect.DeepEqual(short.Nonces(), long.Nonces()[:5]) || short.N() != 5 || long.N() != 9 {
 			t.Fatalf("%s: the shorter header's nonces are not the front of the longer's", name)
 		}
 		cl := long.Clone()
@@ -250,12 +192,8 @@ func TestDecodedHeadersShareTheirRun(t *testing.T) {
 			t.Fatalf("%s: Clone differs from its source", name)
 		}
 		cl.X[0]++
-		if cl.Seeded() {
-			cl.Seed[0] ^= 0xff
-		} else {
-			cl.Zs[0][0] ^= 0xff
-		}
-		if cl.X[0] == long.X[0] || reflect.DeepEqual(cl.Nonces(), long.Nonces()) || !reflect.DeepEqual(short.Seed, long.Seed) || long.Seeded() && long.Seed[0] != seed[0] {
+		cl.Seed[0] ^= 0xff
+		if cl.X[0] == long.X[0] || !reflect.DeepEqual(short.Seed, long.Seed) || long.Seed[0] != seed[0] {
 			t.Fatalf("%s: Clone shares memory with the decoded run", name)
 		}
 	}
@@ -265,42 +203,30 @@ func TestDecodedHeadersShareTheirRun(t *testing.T) {
 // header is this program's business, what it sends is not. A snapshot weighs
 // what it weighed at version 5, whose frames were pinned before headers
 // stopped holding their nonces; a grouped delta's shards ship a wrap and, where
-// the base does not say it, an exception.
+// the base does not say it, an exception. The every-run-form pair is pinned on
+// everyRunForm's seeded shapes.
 var goldenFrames = map[string]struct {
 	size int
 	sum  string
 }{
-	"snapshot, every run form":            {905, "3acf70c3ea15ab97e08179140045ef8fae6f7013b7775eb6732a5ff8fb1ce2d8"},
-	"delta, every run form":               {930, "5c692b20b23e874ad328a85fe50df363399419597dcaf913cc74fb9d18d94091"},
+	"snapshot, every run form":            {755, "5927e0158ba1a3c3914a922cc5f84d5fa0103cc0003f3b80be5f4df752b8eab5"},
+	"delta, every run form":               {780, "09ce9aa5b6bc9523edf0ff8286ef452508f2011a2223fc03e054f73d8cd9a36a"},
 	"snapshot, 294 shards of 40 sessions": {307549, "48d25640b9e0892e035e7eaf1ebd4c945f4de4a934a43f1f522283fc849cd2cf"},
 	"delta, 294 shards of 40 sessions":    {307606, "72d89f7d5fc95591680486a6959cdf9b6012616988bb01b60aa543fad2de7a6a"},
 }
 
-// TestFramesAreByteIdentical holds every encoder to goldenFrames, over
-// headers that rest as a seed and over the same headers listed the way
-// core.Build returns them.
+// TestFramesAreByteIdentical holds every encoder to goldenFrames.
 func TestFramesAreByteIdentical(t *testing.T) {
-	for _, form := range []string{"seeded", "listed"} {
-		all, mixed := everyRunForm(), mixedSessionSnapshot(294)
-		if form == "listed" {
-			for _, b := range []*pubsub.Broadcast{all, mixed} {
-				for _, h := range snapshotHeaders(b) {
-					if h.Seeded() {
-						h.Zs = h.Nonces()
-					}
-				}
-			}
-		}
-		for name, raw := range map[string][]byte{
-			"snapshot, every run form":            MarshalSnapshotFrame(all),
-			"delta, every run form":               MarshalDeltaFrame(deltaOf(all)),
-			"snapshot, 294 shards of 40 sessions": MarshalSnapshotFrame(mixed),
-			"delta, 294 shards of 40 sessions":    MarshalDeltaFrame(deltaOf(mixed)),
-		} {
-			want := goldenFrames[name]
-			if sum := sha256.Sum256(raw); len(raw) != want.size || hex.EncodeToString(sum[:]) != want.sum {
-				t.Errorf("%s, %s headers: %d bytes with SHA-256 %x, want %d and %s", name, form, len(raw), sum, want.size, want.sum)
-			}
+	all, mixed := everyRunForm(), mixedSessionSnapshot(294)
+	for name, raw := range map[string][]byte{
+		"snapshot, every run form":            MarshalSnapshotFrame(all),
+		"delta, every run form":               MarshalDeltaFrame(deltaOf(all)),
+		"snapshot, 294 shards of 40 sessions": MarshalSnapshotFrame(mixed),
+		"delta, 294 shards of 40 sessions":    MarshalDeltaFrame(deltaOf(mixed)),
+	} {
+		want := goldenFrames[name]
+		if sum := sha256.Sum256(raw); len(raw) != want.size || hex.EncodeToString(sum[:]) != want.sum {
+			t.Errorf("%s: %d bytes with SHA-256 %x, want %d and %s", name, len(raw), sum, want.size, want.sum)
 		}
 	}
 }
@@ -317,39 +243,81 @@ func hostileFrame(table []frameRun, refs []uint32, b *pubsub.Broadcast) []byte {
 	return append([]byte(nil), w.out()...)
 }
 
-// unevenForm is the snapshot of one header over run, its even run written
-// in the form of an uneven one: the marker, then every nonce's length.
-func unevenForm(run [][]byte) []byte {
+// writtenOut is the snapshot frame of one header of N = len(run) as earlier
+// encoders wrote it for a header without a seed: its run written out as
+// n ‖ nonceLen ‖ the nonces or, uneven, as n ‖ ^0 ‖ every nonce's length ‖
+// the nonces.
+func writtenOut(run [][]byte, uneven bool) []byte {
 	var w writer
 	w.u8(VersionStream)
 	w.u8(byte(FrameSnapshot))
 	w.u32(1)
 	w.u32(uint32(len(run)))
-	w.u32(mixedLen)
-	for _, z := range run {
-		w.u32(uint32(len(z)))
+	if uneven {
+		w.u32(^uint32(0))
+		for _, z := range run {
+			w.u32(uint32(len(z)))
+		}
+	} else {
+		w.u32(uint32(len(run[0])))
 	}
 	for _, z := range run {
 		w.w.Raw(z)
 	}
 	w.runs = &runTable{refs: []uint32{0}}
-	writeSnapshot(&w, snapshotOf(pubsub.ConfigInfo{Key: "h", Header: hdrOn(run, len(run))}))
+	writeSnapshot(&w, snapshotOf(pubsub.ConfigInfo{Key: "h", Header: hdrSeeded(nil, len(run))}))
 	return w.out()
 }
 
-// emptyNonceRuns is a frame of size bytes whose table claims runs runs of n
-// zero-length nonces each: eight bytes of input per run, 24·n bytes of slice
-// headers if the decoder believed them.
-func emptyNonceRuns(size, runs, n int) []byte {
+// claimedRuns is a frame of size bytes whose table claims runs seeded runs
+// of n nonces each: 40 bytes of input per run, 40·n bytes of nonces and slice
+// headers if the decoder expanded them.
+func claimedRuns(size, runs, n int) []byte {
 	var w writer
 	w.u8(VersionStream)
 	w.u8(byte(FrameSnapshot))
 	w.u32(uint32(runs))
 	for i := 0; i < runs; i++ {
 		w.u32(uint32(n))
-		w.u32(0)
+		w.u32(seededRun)
+		w.w.Raw(testSeed(byte(i)))
 	}
 	return append(w.out(), make([]byte, size-w.w.Len())...)
+}
+
+// writtenOutFrames are frames whose run is written out, in the bytes earlier
+// encoders wrote: at one nonce length, behind the marker of nonces of several
+// lengths (also for nonces of one length), and thousands of runs of empty
+// nonces. The decoder has no reader for either form and must refuse each,
+// naming the run.
+func writtenOutFrames() map[string][]byte {
+	var empty writer
+	empty.u8(VersionStream)
+	empty.u8(byte(FrameSnapshot))
+	empty.u32(2000)
+	for i := 0; i < 2000; i++ {
+		empty.u32(5000)
+		empty.u32(0)
+	}
+	even := core.ExpandNonces(testSeed(1), 3)
+	return map[string][]byte{
+		"run written out":                   writtenOut(even, false),
+		"run of 15-byte nonces written out": writtenOut([][]byte{make([]byte, 15), make([]byte, 15)}, false),
+		"nonces of several lengths":         writtenOut([][]byte{{1, 2}, {3}, {}}, true),
+		"one length listed nonce by nonce":  writtenOut(even, true),
+		"runs of empty nonces":              append(empty.out(), make([]byte, 1<<16-empty.w.Len())...),
+	}
+}
+
+// TestWrittenOutRunsAreRefused: a seed is the one run form, and a frame
+// holding a run in either written-out form is refused with an error that
+// names the run.
+func TestWrittenOutRunsAreRefused(t *testing.T) {
+	for name, raw := range writtenOutFrames() {
+		if _, err := UnmarshalFrame(raw); err == nil || !strings.Contains(err.Error(), "nonce run 0") {
+			t.Errorf("%s: %v, want a refusal naming nonce run 0", name, err)
+		}
+	}
 }
 
 // greedySeededRuns is a frame of size bytes whose table is seeded runs to the
@@ -374,63 +342,48 @@ func greedySeededRuns(size int) []byte {
 }
 
 // hostileFrames is every way a frame's run table can disagree with its
-// headers. The decoder must refuse each; FuzzFrame starts from them too.
+// headers, and every written-out run. The decoder must refuse each; FuzzFrame
+// starts from them too.
 func hostileFrames() map[string][]byte {
-	a, b := testRun(1, 9, core.NonceSize), testRun(2, 6, core.NonceSize)
-	two := snapshotOf(groupedOf("g", hdrOn(a, 5), hdrOn(a, 9)))
-	mixed := snapshotOf(groupedOf("g", hdrOn(a, 9), hdrOn(b, 6)))
-	good := MarshalSnapshotFrame(two)
-	// good opens version ‖ type ‖ count(4) ‖ n(4) ‖ nonceLen(4) ‖ nonces.
 	patch := func(good []byte, off int, v ...byte) []byte {
 		raw := append([]byte(nil), good...)
 		copy(raw[off:], v)
 		return raw
 	}
-	out := func(runs ...[][]byte) (table []frameRun) {
-		for _, zs := range runs {
-			table = append(table, frameRun{zs: zs, n: len(zs)})
-		}
-		return table
-	}
-	// The same frames over seeded runs: seeded opens version ‖ type ‖ count(4)
-	// ‖ n(4) ‖ seededRun(4) ‖ seed(32).
+	// good opens version ‖ type ‖ count(4) ‖ n(4) ‖ seededRun(4) ‖ seed(32).
 	s1, s2 := testSeed(1), testSeed(2)
 	run1, run2 := frameRun{seed: s1, n: 9}, frameRun{seed: s2, n: 6}
-	twoSeeded := snapshotOf(groupedOf("g", hdrSeeded(s1, 5), hdrSeeded(s1, 9)))
-	mixedSeeded := snapshotOf(groupedOf("g", hdrSeeded(s1, 9), hdrSeeded(s2, 6)))
-	seeded := MarshalSnapshotFrame(twoSeeded)
-	cut := hostileFrame([]frameRun{{seed: s1[:core.SeedSize-1], n: 9}}, []uint32{0, 0}, twoSeeded)
-	return map[string][]byte{
-		"reference past the table":            hostileFrame(out(a), []uint32{0, 1}, two),
-		"reference into an empty table":       hostileFrame(nil, []uint32{0, 0}, two),
-		"header longer than its run":          hostileFrame(out(a[:7]), []uint32{0, 0}, two),
-		"run longer than any header":          hostileFrame(out(append(cloneNonces(a), b[0])), []uint32{0, 0}, two),
-		"duplicate runs":                      hostileFrame(out(a, cloneNonces(a)), []uint32{0, 1}, two),
-		"a prefix run beside its run":         hostileFrame(out(a[:5], a), []uint32{0, 1}, two),
-		"unused run":                          hostileFrame(out(a, b), []uint32{0, 0}, two),
-		"runs out of first-use order":         hostileFrame(out(b, a), []uint32{1, 0}, mixed),
-		"grouped sub-header on a 15-byte run": hostileFrame(out(testRun(1, 9, 15)), []uint32{0, 0}, two),
-		"zero-length run":                     patch(good, 2+4, 0, 0, 0, 0),
-		"run count at the clamp":              patch(good, 2, 0, byte(maxFrameRuns>>16), 0, 0),
-		"run count past the clamp":            patch(good, 2, 0, byte(maxFrameRuns>>16), 0, 1),
-		"nonce length past the input":         patch(good, 2+4+4, 0, 1, 0, 0),
-		"one length listed nonce by nonce":    unevenForm(a),
-		"runs of empty nonces":                emptyNonceRuns(1<<16, 2000, 5000),
-		"version 4":                           patch(good, 0, 4),
-
-		"seed truncated":                                         cut,
-		"seed cut off by the end of the frame":                   MarshalSnapshotFrame(snapshotOf(pubsub.ConfigInfo{Key: "h", Header: hdrSeeded(s1, 1)}))[:2+4+4+4+core.SeedSize-1],
-		"seeded run of no nonces":                                patch(seeded, 2+4, 0, 0, 0, 0),
-		"seeded run past the clamp":                              patch(seeded, 2+4, 0, 0, byte(len(seeded)>>8), byte(len(seeded))),
-		"seeded run longer than any header":                      patch(seeded, 2+4, 0, 0, 0, 10),
-		"header longer than its seeded run":                      patch(seeded, 2+4, 0, 0, 0, 8),
-		"two entries with one seed":                              hostileFrame([]frameRun{run1, run1}, []uint32{0, 1}, twoSeeded),
-		"unused seeded run":                                      hostileFrame([]frameRun{run1, run2}, []uint32{0, 0}, twoSeeded),
-		"seeded runs out of first-use order":                     hostileFrame([]frameRun{run2, run1}, []uint32{1, 0}, mixedSeeded),
-		"a seeded run written out beside itself":                 hostileFrame(append([]frameRun{run1}, out(core.ExpandNonces(s1, 9))...), []uint32{0, 1}, twoSeeded),
-		"seeded run longer than every header that references it": hostileFrame([]frameRun{run1, {seed: s2, n: 9}}, []uint32{0, 1}, mixedSeeded),
-		"seeded runs to the end of the input":                    greedySeededRuns(1 << 12),
+	two := snapshotOf(groupedOf("g", hdrSeeded(s1, 5), hdrSeeded(s1, 9)))
+	mixed := snapshotOf(groupedOf("g", hdrSeeded(s1, 9), hdrSeeded(s2, 6)))
+	good := MarshalSnapshotFrame(two)
+	cut := hostileFrame([]frameRun{{seed: s1[:core.SeedSize-1], n: 9}}, []uint32{0, 0}, two)
+	out := map[string][]byte{
+		"reference past the table":                             hostileFrame([]frameRun{run1}, []uint32{0, 1}, two),
+		"reference into an empty table":                        hostileFrame(nil, []uint32{0, 0}, two),
+		"header longer than its run":                           hostileFrame([]frameRun{{seed: s1, n: 7}}, []uint32{0, 0}, two),
+		"run longer than any header":                           patch(good, 2+4, 0, 0, 0, 10),
+		"header longer than its run as written":                patch(good, 2+4, 0, 0, 0, 8),
+		"duplicate runs":                                       hostileFrame([]frameRun{run1, {seed: bytes.Clone(s1), n: 9}}, []uint32{0, 1}, two),
+		"two entries with one seed":                            hostileFrame([]frameRun{run1, run1}, []uint32{0, 1}, two),
+		"a prefix run beside its run":                          hostileFrame([]frameRun{{seed: s1, n: 5}, run1}, []uint32{0, 1}, two),
+		"unused run":                                           hostileFrame([]frameRun{run1, run2}, []uint32{0, 0}, two),
+		"runs out of first-use order":                          hostileFrame([]frameRun{run2, run1}, []uint32{1, 0}, mixed),
+		"run longer than every header that references it":      hostileFrame([]frameRun{run1, {seed: s2, n: 9}}, []uint32{0, 1}, mixed),
+		"zero-length run":                                      patch(good, 2+4, 0, 0, 0, 0),
+		"run past the clamp":                                   patch(good, 2+4, 0, 0, byte(len(good)>>8), byte(len(good))),
+		"run count at the clamp":                               patch(good, 2, 0, byte(maxFrameRuns>>16), 0, 0),
+		"run count past the clamp":                             patch(good, 2, 0, byte(maxFrameRuns>>16), 0, 1),
+		"marker of no run form":                                patch(good, 2+4+4, 0, 1, 0, 0),
+		"seed truncated":                                       cut,
+		"seed cut off by the end of the frame":                 MarshalSnapshotFrame(snapshotOf(pubsub.ConfigInfo{Key: "h", Header: hdrSeeded(s1, 1)}))[:2+4+4+4+core.SeedSize-1],
+		"runs to the end of the input":                         greedySeededRuns(1 << 12),
+		"runs claiming more nonces than the input could bring": claimedRuns(1<<12, 100, 400),
+		"version 4":                                            patch(good, 0, 4),
 	}
+	for name, raw := range writtenOutFrames() {
+		out[name] = raw
+	}
+	return out
 }
 
 func TestFrameRunTableHardening(t *testing.T) {
@@ -442,7 +395,7 @@ func TestFrameRunTableHardening(t *testing.T) {
 	for name, want := range map[string]error{
 		"version 4":                            ErrBadVersion,
 		"run count past the clamp":             ErrOversize,
-		"seeded run past the clamp":            ErrOversize,
+		"run past the clamp":                   ErrOversize,
 		"seed truncated":                       nil, // one byte short shifts the body: refused, whatever the reason
 		"seed cut off by the end of the frame": ErrTruncated,
 	} {
@@ -450,38 +403,30 @@ func TestFrameRunTableHardening(t *testing.T) {
 			t.Errorf("%s: %v, want %v", name, err, want)
 		}
 	}
-	// A run written out draws its bytes and its slice headers from the message
-	// budget; a seeded run draws nothing, because it allocates nothing but its
-	// seed; and every header draws 8·|X|, whatever its run.
-	a, seed := testRun(1, 9, core.NonceSize), testSeed(1)
-	for name, tc := range map[string]struct {
-		g       pubsub.ConfigInfo
-		charged int
-	}{
-		"seeded":      {groupedOf("g", hdrSeeded(seed, 5), hdrSeeded(seed, 9)), 8*6 + 8*10},
-		"written out": {groupedOf("g", hdrOn(a, 5), hdrOn(a, 9)), 9*(core.NonceSize+24) + 8*6 + 8*10},
-	} {
-		r := newReader(MarshalSnapshotFrame(snapshotOf(tc.g))[2:])
-		if err := readRunTable(r); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := readSnapshot(r); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.takeHeaderBudget(maxHeaderBudget - tc.charged); err != nil {
-			t.Fatalf("%s frame charged more than %d bytes: %v", name, tc.charged, err)
-		}
-		if err := r.takeHeaderBudget(1); err == nil {
-			t.Fatalf("%s frame charged less than %d bytes", name, tc.charged)
-		}
+	// A run draws nothing from the message budget, because it allocates
+	// nothing but its seed; every header draws 8·|X|.
+	seed := testSeed(1)
+	r := newReader(MarshalSnapshotFrame(snapshotOf(groupedOf("g", hdrSeeded(seed, 5), hdrSeeded(seed, 9))))[2:])
+	if err := readRunTable(r); err != nil {
+		t.Fatal(err)
 	}
-	// With the budget spent, a seeded run table still decodes — to seeds — and
-	// the first header is what fails.
-	r := newReader(MarshalSnapshotFrame(snapshotOf(groupedOf("g", hdrSeeded(seed, 9))))[2:])
+	if _, err := readSnapshot(r); err != nil {
+		t.Fatal(err)
+	}
+	const charged = 8*6 + 8*10
+	if err := r.takeHeaderBudget(maxHeaderBudget - charged); err != nil {
+		t.Fatalf("frame charged more than %d bytes: %v", charged, err)
+	}
+	if err := r.takeHeaderBudget(1); err == nil {
+		t.Fatalf("frame charged less than %d bytes", charged)
+	}
+	// With the budget spent, a run table still decodes — to seeds — and the
+	// first header is what fails.
+	r = newReader(MarshalSnapshotFrame(snapshotOf(groupedOf("g", hdrSeeded(seed, 9))))[2:])
 	if err := r.takeHeaderBudget(maxHeaderBudget); err != nil {
 		t.Fatal(err)
 	}
-	if err := readRunTable(r); err != nil || len(r.runs) != 1 || r.runs[0].zs != nil || r.runs[0].n != 9 || !bytes.Equal(r.runs[0].seed, seed) {
+	if err := readRunTable(r); err != nil || len(r.runs) != 1 || r.runs[0].n != 9 || !bytes.Equal(r.runs[0].seed, seed) {
 		t.Fatalf("seeded run table with no budget left: %v, runs %+v", err, r.runs)
 	}
 	if _, err := readSnapshot(r); !errors.Is(err, ErrOversize) {
@@ -489,19 +434,18 @@ func TestFrameRunTableHardening(t *testing.T) {
 	}
 }
 
-// TestRunTableAllocatesWithinItsInput: a run of empty nonces costs eight
-// bytes of input and 24 bytes of slice header per nonce. Every run's longest
-// header is still to come with its X, so the runs of a frame cannot hold more
-// nonces than an eighth of the input has bytes; a table that claims more is
-// refused before it is built.
+// TestRunTableAllocatesWithinItsInput: every run's longest header is still
+// to come with its X, so the runs of a frame cannot hold more nonces than an
+// eighth of the input has bytes; a table that claims more is refused before
+// it is built, whatever its runs would expand to.
 func TestRunTableAllocatesWithinItsInput(t *testing.T) {
-	raw := emptyNonceRuns(1<<20, 2000, 100_000) // 4.8 GB of slice headers as claimed
+	raw := claimedRuns(1<<20, 2000, 100_000) // 8 GB of nonces and slice headers as claimed
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := UnmarshalFrame(raw)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrOversize) {
-		t.Fatalf("frame of %d empty-nonce runs: %v, want ErrOversize", 2000, err)
+		t.Fatalf("frame of %d runs of %d nonces: %v, want ErrOversize", 2000, 100_000, err)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 4*uint64(len(raw)) {
 		t.Fatalf("decoder allocated %d bytes on a hostile frame of %d", got, len(raw))

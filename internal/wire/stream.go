@@ -7,8 +7,8 @@
 // nonce sequence across a rekey session, so the k same-session shards of a
 // frame use prefixes of one run; a data frame therefore opens with a table
 // of its distinct nonce runs and every header body is its X plus an index
-// into that table. A run the engine drew is the expansion of a seed
-// (core.ExpandNonces), and its table entry is that seed:
+// into that table. A run is the expansion of a seed (core.ExpandNonces), and
+// its table entry is that seed:
 //
 //	frame   = version(6) ‖ type ‖ runs ‖ snapshot | delta      (heartbeat: version ‖ type ‖ epoch)
 //	runs    = count ‖ per run: n ‖ seededRun ‖ seed             (40 bytes)
@@ -27,19 +27,15 @@
 // epoch for revision. Apply derives both, so a patch carries neither, and a
 // reference to the same index is never written.
 //
-// Nothing here expands a seed. A seeded header rests as X and the seed
+// Nothing here expands a seed. A header rests as X and the seed
 // (core.Header), the table is collected from seeds and lengths, and a
 // decoded header is its X plus the one copy of the seed its run's entry
 // decoded to: a relay, which decodes, diffs and re-marshals and never
 // hashes, never pays the AES, and a subscriber pays it in core.KEV, on a
 // KEV-cache miss.
 //
-// A header without a seed — core.Build returns such headers, the engine
-// builds none — has its run written out: n ‖ nonceLen ‖ n·nonceLen bytes, or,
-// when its nonces differ in length, the marker mixedLen for nonceLen, then
-// the n lengths, then the nonces; it decodes to the listed form, the headers
-// of the run listing prefixes of one buffer. Nothing chooses between the
-// forms; the header's own data does.
+// A seed is the one run form: a header of N > 0 carries one, and the decoder
+// refuses a run whose marker is not seededRun.
 //
 // A frame has one encoding: runs appear in the order the headers first use
 // them, each exactly as long as its longest header, none a duplicate of
@@ -48,11 +44,10 @@
 // byte-identically.
 //
 // Decoding is hardened: every count, length and reference is clamped before
-// use — a run's length by the X entries its
-// longest header still has to bring. A seeded run allocates its 32 bytes
-// whatever length it claims; what a run written out allocates (its bytes, 24
-// per nonce of slice header) and 8·|X| per header are charged against the
-// per-message 64 MiB budget, and field elements must arrive reduced.
+// use — a run's length by the X entries its longest header still has to
+// bring. A run allocates its 32-byte seed whatever length it claims; 8·|X|
+// per header is charged against the per-message 64 MiB budget, and field
+// elements must arrive reduced.
 package wire
 
 import (
@@ -113,20 +108,15 @@ const (
 // at least one header, so it sits at the per-message config and shard clamps.
 const maxFrameRuns = 1 << 20
 
-// mixedLen in a run's nonceLen field marks a run whose nonces differ in
-// length: n length fields follow it, then the nonces. No producer draws such
-// a run, but a listed header can hold one and a frame carries it.
-const mixedLen = ^uint32(0)
+// seededRun in a run's marker field names the run by its seed: core.SeedSize
+// bytes follow, and the nonces are their expansion. It is the only marker a
+// decoder accepts.
+const seededRun = ^uint32(0) - 1
 
-// seededRun in a run's nonceLen field marks a run named by its seed:
-// core.SeedSize bytes follow, and the nonces are their expansion.
-const seededRun = mixedLen - 1
-
-// frameRun is one run of a frame's table: the seed that names it, or — for a
-// run written out — its nonces, and how many of them its longest header uses.
+// frameRun is one run of a frame's table: the seed that names it, and how
+// many of its nonces its longest header uses.
 type frameRun struct {
-	seed []byte   // nil for a run written out
-	zs   [][]byte // a run written out: the longest Zs seen of it
+	seed []byte
 	n    int
 }
 
@@ -136,98 +126,44 @@ type frameRun struct {
 // canonical.
 type runTable struct {
 	runs  []frameRun
-	index map[runKey]int // the newest run of that name
-	refs  []uint32       // the run of every header with nonces, in frame order
-	next  int            // the reference writeFrameHeader writes next
+	index map[[core.SeedSize]byte]int // the run of each seed
+	refs  []uint32                    // the run of every header with nonces, in frame order
+	next  int                         // the reference writeFrameHeader writes next
 }
 
-// runKey names a run in the table's index: a seeded run by its seed, a run
-// written out by its first nonce (which its content then has to confirm).
-type runKey struct {
-	seeded bool
-	seed   [core.SeedSize]byte
-	first  string
-}
-
-// runLen returns how many nonces of its run h uses: N off the front of its
-// seed's expansion, or the nonces it lists when it has no seed.
-func runLen(h *core.Header) int {
-	if h.Seeded() {
-		return h.N()
-	}
-	return len(h.Zs)
-}
-
-// add returns the run of h (runLen > 0): the run it is a prefix of, the run
-// it extends, or a new one. A seeded header belongs to the run of its seed,
-// whatever its length, and no nonce is looked at. Headers without a seed that
-// list windows of one [][]byte match without a look at the nonces either;
-// those decoded or cloned apart match by content.
+// add returns the run of a header of N > 0: the run of its seed, lengthened
+// to N if it is the longest header of it yet, or a new one. No nonce is
+// looked at. Such a header without a seed has no nonces to ship, and building
+// one is a programming error: add panics, as core.ExpandNonces does for a bad
+// seed.
 func (t *runTable) add(h *core.Header) int {
-	key, n := runKey{seeded: h.Seeded()}, runLen(h)
-	var zs [][]byte
-	if key.seeded {
-		copy(key.seed[:], h.Seed)
-	} else {
-		zs = h.Zs
-		key.first = string(zs[0])
+	if !h.Seeded() {
+		panic(fmt.Sprintf("wire: header of N=%d without a nonce seed", h.N()))
 	}
+	key := [core.SeedSize]byte(h.Seed)
 	if i, ok := t.index[key]; ok {
-		run := &t.runs[i]
-		if m := min(n, run.n); key.seeded || core.SameNonces(zs[:m], run.zs[:m]) {
-			if n > run.n {
-				run.n, run.zs = n, zs
-			}
-			return i
-		}
+		t.runs[i].n = max(t.runs[i].n, h.N())
+		return i
 	}
 	if t.index == nil {
-		t.index = make(map[runKey]int)
+		t.index = make(map[[core.SeedSize]byte]int)
 	}
-	run := frameRun{zs: zs, n: n}
-	if key.seeded {
-		run.seed = h.Seed
-	}
-	t.runs = append(t.runs, run)
+	t.runs = append(t.runs, frameRun{seed: h.Seed, n: h.N()})
 	t.index[key] = len(t.runs) - 1
 	return len(t.runs) - 1
-}
-
-// nonceLen returns the one length every nonce of run has, or mixedLen.
-func nonceLen(run [][]byte) uint32 {
-	for _, z := range run[1:] {
-		if len(z) != len(run[0]) {
-			return mixedLen
-		}
-	}
-	return uint32(len(run[0]))
 }
 
 func (t *runTable) write(w *writer) {
 	w.u32(uint32(len(t.runs)))
 	for _, run := range t.runs {
 		w.u32(uint32(run.n))
-		if run.seed != nil {
-			w.u32(seededRun)
-			w.w.Raw(run.seed)
-			continue
-		}
-		size := nonceLen(run.zs)
-		w.u32(size)
-		if size == mixedLen {
-			for _, z := range run.zs {
-				w.u32(uint32(len(z)))
-			}
-		}
-		for _, z := range run.zs {
-			w.w.Raw(z)
-		}
+		w.u32(seededRun)
+		w.w.Raw(run.seed)
 	}
 }
 
-// readRunTable decodes the frame's runs: a seeded run to its seed and its
-// length, a run written out into one flat buffer of capacity-capped windows,
-// of which its headers list prefixes.
+// readRunTable decodes the frame's runs, each to its seed and its length;
+// nothing is expanded here, whatever length a run claims.
 func readRunTable(r *reader) error {
 	nr, err := r.count(maxFrameRuns)
 	if err != nil {
@@ -247,76 +183,20 @@ func readRunTable(r *reader) error {
 			return fmt.Errorf("wire: nonce run %d is empty", i)
 		}
 		owed += 8 * (n + 1)
-		run, err := readRun(r, n)
+		marker, err := r.u32()
 		if err != nil {
-			return fmt.Errorf("wire: nonce run %d: %w", i, err)
+			return err
 		}
-		r.runs = append(r.runs, run)
+		if marker != seededRun {
+			return fmt.Errorf("wire: nonce run %d has marker %#x, not a seed's", i, marker)
+		}
+		seed, err := r.r.Take(core.SeedSize)
+		if err != nil {
+			return fmt.Errorf("wire: nonce run %d: %w", i, wireErr(err))
+		}
+		r.runs = append(r.runs, frameRun{seed: append([]byte(nil), seed...), n: n})
 	}
 	return nil
-}
-
-// readRun decodes one run of n nonces. A seeded run is its 32 bytes whatever
-// n it claims — nothing is expanded here. A run written out is charged what
-// it allocates, the nonce bytes and n slice headers, against the message
-// budget.
-func readRun(r *reader, n int) (frameRun, error) {
-	run := frameRun{n: n}
-	size, err := r.u32()
-	if err != nil {
-		return run, err
-	}
-	if size == seededRun {
-		raw, err := r.r.Take(core.SeedSize)
-		if err != nil {
-			return run, wireErr(err)
-		}
-		run.seed = append([]byte(nil), raw...)
-		return run, nil
-	}
-	if err := r.takeHeaderBudget(24 * n); err != nil {
-		return run, err
-	}
-	lens, total := []int(nil), 0
-	switch {
-	case size == mixedLen:
-		if err := r.takeHeaderBudget(8 * n); err != nil {
-			return run, err
-		}
-		lens = make([]int, n)
-		for j := range lens {
-			if lens[j], err = r.count(r.r.Remaining() - total); err != nil {
-				return run, err
-			}
-			total += lens[j]
-		}
-	case int64(size) > int64(r.r.Remaining()/n):
-		return run, ErrOversize
-	default:
-		total = n * int(size)
-	}
-	raw, err := r.r.Take(total)
-	if err != nil {
-		return run, wireErr(err)
-	}
-	if err := r.takeHeaderBudget(total); err != nil {
-		return run, err
-	}
-	buf := append([]byte(nil), raw...)
-	if lens == nil {
-		run.zs = core.NonceRun(buf, n, int(size))
-		return run, nil
-	}
-	run.zs = make([][]byte, n)
-	off := 0
-	for j, l := range lens {
-		run.zs[j] = buf[off : off+l : off+l]
-		off += l
-	}
-	if nonceLen(run.zs) != mixedLen {
-		return run, errors.New("nonces of one length listed one by one")
-	}
-	return run, nil
 }
 
 // checkRunTable holds a decoded frame to the one table its headers produce:
@@ -351,15 +231,15 @@ func readTabled[T any](r *reader, body func(*reader) (*T, error)) (*T, error) {
 // nonce run, which marshalFrame assigned in the same frame order.
 func writeFrameHeader(w *writer, h *core.Header) {
 	w.vec(h.X)
-	if runLen(h) > 0 {
+	if h.N() > 0 {
 		w.u32(w.runs.refs[w.runs.next])
 		w.runs.next++
 	}
 }
 
 // readFrameHeader decodes a header inside a frame: X, and for its N = |X| − 1
-// nonces the seed of the referenced run, or the run's first N when it was
-// written out. 8·|X| is charged against the message budget.
+// nonces the seed of the referenced run. 8·|X| is charged against the message
+// budget.
 func readFrameHeader(r *reader) (*core.Header, error) {
 	x, err := readX(r)
 	if err != nil {
@@ -384,9 +264,7 @@ func readFrameHeader(r *reader) (*core.Header, error) {
 	if n > run.n {
 		return nil, fmt.Errorf("wire: header of N=%d references a run of %d nonces", n, run.n)
 	}
-	if h.Seed = run.seed; run.seed == nil {
-		h.Zs = run.zs[:n:n]
-	}
+	h.Seed = run.seed
 	if r.check.add(h) != i {
 		return nil, fmt.Errorf("wire: header references nonce run %d out of canonical order", i)
 	}
@@ -417,7 +295,7 @@ func marshalFrame(t FrameType, headers []*core.Header, body func(*writer)) []byt
 	e := frameEncoders.Get().(*frameEncoder)
 	e.w.runs = &e.runs
 	for _, h := range headers {
-		if runLen(h) > 0 {
+		if h.N() > 0 {
 			e.runs.refs = append(e.runs.refs, uint32(e.runs.add(h)))
 		}
 	}
@@ -429,7 +307,7 @@ func marshalFrame(t FrameType, headers []*core.Header, body func(*writer)) []byt
 	copy(out, e.w.out())
 	if e.w.w.Cap() <= maxPooledFrame {
 		e.w.w.Reset()
-		clear(e.runs.runs) // the seeds and nonces belong to the headers
+		clear(e.runs.runs) // the seeds belong to the headers
 		clear(e.runs.index)
 		e.runs = runTable{runs: e.runs.runs[:0], index: e.runs.index, refs: e.runs.refs[:0]}
 		frameEncoders.Put(e)
@@ -588,9 +466,9 @@ func writeGroupedFrame(w *writer, g *core.GroupedHeader, revs []uint64) {
 }
 
 // readGroupedFrame decodes a grouped header and its shard revisions with the
-// hardened clamps: shard count bounded, every sub-header well-shaped with
-// NonceSize nonces (readFrameHeader charges it against the message budget),
-// wraps reduced, one revision per shard.
+// hardened clamps: shard count bounded, every sub-header well-shaped
+// (readFrameHeader charges it against the message budget), wraps reduced,
+// one revision per shard.
 func readGroupedFrame(r *reader) (*core.GroupedHeader, []uint64, error) {
 	nonce, err := r.bytes()
 	if err != nil {
@@ -611,9 +489,6 @@ func readGroupedFrame(r *reader) (*core.GroupedHeader, []uint64, error) {
 		h, err := readFrameHeader(r)
 		if err != nil {
 			return nil, nil, err
-		}
-		if err := checkNonceSize(h); err != nil {
-			return nil, nil, fmt.Errorf("wire: grouped sub-header %d: %w", i, err)
 		}
 		raw, err := r.u64()
 		if err != nil {
@@ -946,9 +821,9 @@ func readDelta(r *reader) (*pubsub.BroadcastDelta, error) {
 // readGroupedPatch decodes one grouped config patch of a delta to epoch with
 // the hardened clamps: shard count bounded, wraps reduced, exceptions at
 // increasing indices below the shard count, each a base index other than its
-// own or a sub-header with NonceSize nonces (readFrameHeader charges it
-// against the message's header budget) whose revision, when written, is
-// below the epoch — a canonical patch writes the epoch as fromFresh.
+// own or a sub-header (readFrameHeader charges it against the message's
+// header budget) whose revision, when written, is below the epoch — a
+// canonical patch writes the epoch as fromFresh.
 func readGroupedPatch(r *reader, epoch uint64) (*pubsub.GroupedPatch, error) {
 	p := &pubsub.GroupedPatch{}
 	var err error
@@ -1022,23 +897,9 @@ func readGroupedPatch(r *reader, epoch uint64) (*pubsub.GroupedPatch, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := checkNonceSize(h); err != nil {
-			return nil, fmt.Errorf("wire: patch sub-header of shard %d: %w", i, err)
-		}
 		p.From[i] = -1
 		p.Headers = append(p.Headers, h)
 		p.Revs = append(p.Revs, rev)
 	}
 	return p, nil
-}
-
-// checkNonceSize holds a grouped sub-header to NonceSize nonces; those a seed
-// names have that length by construction.
-func checkNonceSize(h *core.Header) error {
-	for _, z := range h.Zs {
-		if len(z) != core.NonceSize {
-			return fmt.Errorf("%d-byte nonce, want %d", len(z), core.NonceSize)
-		}
-	}
-	return nil
 }

@@ -276,12 +276,6 @@ func TestFrameByteBudget(t *testing.T) {
 		t.Errorf("single-leave delta at N=%d is %d B (header %d as shipped), want %d = X %d + reference 4 + run entry 40 + items %d + envelope %d",
 			n, got, hdr.WireSize(), want, 8*(n+1), items, envelope)
 	}
-	bare := *d
-	bare.Configs = []pubsub.ConfigPatch{d.Configs[0]}
-	bare.Configs[0].Header = &core.Header{X: hdr.X, Zs: hdr.Nonces()}
-	if got := len(MarshalDeltaFrame(&bare)); got != want+8160 {
-		t.Errorf("the same delta with its run written out is %d B, want %d + 8160", got, want)
-	}
 
 	const k = 7
 	var shards []*core.Header

@@ -10,7 +10,6 @@ import (
 	"ppcd/internal/core"
 	"ppcd/internal/ff64"
 	"ppcd/internal/idtoken"
-	"ppcd/internal/linalg"
 	"ppcd/internal/ocbe"
 	"ppcd/internal/policy"
 	"ppcd/internal/pubsub"
@@ -104,12 +103,20 @@ func TestHeaderShapeValidation(t *testing.T) {
 	if _, err := UnmarshalFrame(MarshalSnapshotFrame(snapshotOf(pubsub.ConfigInfo{Key: "h", Rev: 1, Header: &core.Header{}}))); err == nil {
 		t.Error("header of |X| = 0 accepted")
 	}
-	run := testRun(1, 2, core.NonceSize)
-	long := &core.Header{X: make(linalg.Vector, 4), Zs: run}
-	raw := hostileFrame([]frameRun{{zs: run, n: 2}}, []uint32{0}, snapshotOf(pubsub.ConfigInfo{Key: "h", Rev: 1, Header: long}))
+	seed := testSeed(1)
+	long := hdrSeeded(seed, 3)
+	raw := hostileFrame([]frameRun{{seed: seed, n: 2}}, []uint32{0}, snapshotOf(pubsub.ConfigInfo{Key: "h", Rev: 1, Header: long}))
 	if _, err := UnmarshalFrame(raw); err == nil {
 		t.Error("header of N = 3 over a run of 2 accepted")
 	}
+	// A header of N > 0 without a seed has no nonces to ship: marshalling one
+	// is a programming error.
+	defer func() {
+		if recover() == nil {
+			t.Error("a header of N = 3 without a seed marshalled")
+		}
+	}()
+	MarshalSnapshotFrame(snapshotOf(pubsub.ConfigInfo{Key: "h", Rev: 1, Header: &core.Header{X: long.X}}))
 }
 
 func testBroadcast(t *testing.T) *pubsub.Broadcast {
