@@ -467,14 +467,26 @@ func benchStatePublisher(b *testing.B, subs, policies, groupSize int) (*Publishe
 	return pub, doc, rows
 }
 
+// BenchmarkPublishSteadyState is a publish with no table change since the
+// previous one: ungrouped at two table sizes, and grouped at churn-stream's
+// table (25 000 rows, 2 policies, shards of 128: 294 shards), where every
+// configuration is served from the cache over the solves the snapshot leased.
 func BenchmarkPublishSteadyState(b *testing.B) {
-	for _, subs := range []int{100, 400} {
-		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
-			pub, doc, _ := benchStatePublisher(b, subs, 5, 0)
+	for _, c := range []struct {
+		name                      string
+		subs, policies, groupSize int
+	}{
+		{"subs=100", 100, 5, 0},
+		{"subs=400", 400, 5, 0},
+		{"grouped/subs=25000", 25000, 2, 128},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			pub, doc, _ := benchStatePublisher(b, c.subs, c.policies, c.groupSize)
 			if _, err := pub.Publish(doc); err != nil {
 				b.Fatal(err)
 			}
 			solves := pub.Stats().Solves
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := pub.Publish(doc); err != nil {

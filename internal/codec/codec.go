@@ -172,6 +172,14 @@ func (r *Reader) Take(n int) ([]byte, error) {
 	return out, nil
 }
 
+// Fill copies the next len(dst) bytes into dst: a fixed-width field, such as
+// a digest, read straight into the value that keeps it.
+func (r *Reader) Fill(dst []byte) error {
+	src, err := r.Take(len(dst))
+	copy(dst, src)
+	return err
+}
+
 // ReadU32s fills dst with len(dst) big-endian 32-bit values — one fixed-width
 // column, one bounds check. The caller sized dst from counts it has already
 // clamped; a column running past the input is ErrTruncated.

@@ -127,8 +127,9 @@ const runEntrySize = 8 + SeedSize
 
 // WireSize returns Fig. 5 as shipped: what a stream frame spends on the
 // header when it shares its nonce run with nobody — X, the reference to its
-// run, and the run's table entry, which is the seed.
-func (h *Header) WireSize() int { return 8*len(h.X) + 4 + runEntrySize }
+// run, and the run's table entry, which is the seed. A header of N = 0 has no
+// nonces, so neither a reference nor a run: it spends X alone.
+func (h *Header) WireSize() int { return 8*len(h.X) + min(h.N(), 1)*(4+runEntrySize) }
 
 // nameSeed keys every header name of this process: names are compared, never
 // stored, so they need agree only within one run.

@@ -17,7 +17,7 @@ import (
 // redundant calculations; the engine does so on three levels:
 //
 //  1. Incremental rekeying. Every configuration build is cached together
-//     with an opaque membership signature supplied by the caller. As long as
+//     with a membership signature (Sig) supplied by the caller. As long as
 //     the signature is unchanged (no join, leave, revocation or credential
 //     update touched the configuration), the cached header and key are
 //     reused and no null-space solve runs at all — which is exactly the
@@ -56,20 +56,23 @@ type Engine struct {
 	stats engineCounters
 }
 
+// Sig is a cache signature: the SHA-256 digest of what the caller built a
+// solve from — a configuration's membership, a shard's rows. Equal signatures
+// mean the cached solve may be reused.
+type Sig [32]byte
+
 type engineEntry struct {
-	sig string
+	sig Sig
 	hdr *Header
 	key ff64.Elem
 }
 
 type shardEntry struct {
-	sig string
-	hdr *Header
-	key ff64.Elem // the shard's long-lived group key S_i
+	sig Sig
+	ShardLease
 }
 
 type groupedEntry struct {
-	sig string
 	hdr *GroupedHeader
 	key ff64.Elem // the configuration key K
 }
@@ -109,7 +112,7 @@ type ConfigSpec struct {
 	// Sig is the caller's membership signature: equal signatures mean the
 	// configuration's subscriber set is unchanged and the cached header may
 	// be reused verbatim.
-	Sig string
+	Sig Sig
 	// Groups are the row blocks whose concatenation forms matrix A.
 	Groups []RowGroup
 	// MinN forces header capacity headroom (0 = exactly the row count).
@@ -172,7 +175,7 @@ func (e *Engine) Reset() {
 // membership signature, solved header and key. The key is SECRET material.
 type CachedConfig struct {
 	ID  string
-	Sig string
+	Sig Sig
 	Hdr *Header
 	Key ff64.Elem
 }
@@ -181,7 +184,7 @@ type CachedConfig struct {
 // the shard's content signature, sub-header and long-lived group key S_i.
 type CachedShard struct {
 	ID  string
-	Sig string
+	Sig Sig
 	Hdr *Header
 	Key ff64.Elem
 }
@@ -194,11 +197,10 @@ type CachedGroupedShard struct {
 	Wrap    ff64.Elem
 }
 
-// CachedGrouped is one exported grouped-configuration cache entry: the shard
-// signature vector, rekey nonce, shard slots and configuration key K.
+// CachedGrouped is one exported grouped-configuration cache entry: rekey
+// nonce, shard slots and configuration key K.
 type CachedGrouped struct {
 	ID         string
-	Sig        string
 	RekeyNonce []byte
 	Shards     []CachedGroupedShard
 	Key        ff64.Elem
@@ -235,7 +237,7 @@ next:
 			}
 			slots[i] = CachedGroupedShard{ShardID: sid, Wrap: sh.Wrap}
 		}
-		grouped = append(grouped, CachedGrouped{ID: id, Sig: ent.sig, RekeyNonce: ent.hdr.RekeyNonce, Shards: slots, Key: ent.key})
+		grouped = append(grouped, CachedGrouped{ID: id, RekeyNonce: ent.hdr.RekeyNonce, Shards: slots, Key: ent.key})
 	}
 	return cfgs, shards, grouped
 }
@@ -256,7 +258,7 @@ func cacheEntries(cfgs []CachedConfig, shards []CachedShard, grouped []CachedGro
 		if s.ID == "" || s.Hdr == nil {
 			return nil, nil, fmt.Errorf("core: shard cache: empty entry %q", s.ID)
 		}
-		shardCache[s.ID] = shardEntry{sig: s.Sig, hdr: s.Hdr, key: s.Key}
+		shardCache[s.ID] = shardEntry{sig: s.Sig, ShardLease: ShardLease{hdr: s.Hdr, key: s.Key}}
 	}
 	for _, g := range grouped {
 		if g.ID == "" || len(g.Shards) == 0 {
@@ -304,7 +306,7 @@ func (e *Engine) RestoreCache(cfgs []CachedConfig, shards []CachedShard, grouped
 		if err != nil {
 			return err
 		}
-		groupedCache[g.ID] = groupedEntry{sig: g.Sig, hdr: hdr, key: g.Key}
+		groupedCache[g.ID] = groupedEntry{hdr: hdr, key: g.Key}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -317,14 +319,12 @@ func (e *Engine) RestoreCache(cfgs []CachedConfig, shards []CachedShard, grouped
 // Install merges the entries one rekey session created back into the caches
 // (crash recovery replaying a journaled publish), where RestoreCache replaces
 // them wholesale. Configurations and shards are installed as given, shards
-// first; a grouped entry is assembled over the shard cache, and its signature
-// computed from the shard signatures as RekeyAllGrouped computes it. That
-// needs every slot to hold the solve the cache holds for its ID, which the
-// wrap tells: it is made under the group key of the solve the slot held. A
-// slot naming a shard the cache lacks, or whose wrap the cached group key
-// does not reproduce (a later session re-solved the shard), leaves the entry
-// out, since a signature of the cached solve would vouch for a header not
-// built from it.
+// first; a grouped entry is assembled over the shard cache when every slot
+// holds the solve the cache holds for its ID, which the wrap tells: it is made
+// under the group key of the solve the slot held. A slot naming a shard the
+// cache lacks, or whose wrap the cached group key does not reproduce (a later
+// session re-solved the shard), leaves the entry out: it would be assembled
+// over a solve it was not built from.
 func (e *Engine) Install(cfgs []CachedConfig, shards []CachedShard, grouped []CachedGrouped) error {
 	cache, shardCache, err := cacheEntries(cfgs, shards, grouped)
 	if err != nil {
@@ -340,15 +340,12 @@ next:
 		if err != nil {
 			continue
 		}
-		spec := GroupedConfigSpec{ID: g.ID, Shards: make([]ShardSpec, len(g.Shards))}
-		for i, sh := range g.Shards {
-			ent := e.shardCache[sh.ShardID]
-			if hdr.WrapKey(g.Key, ent.key) != sh.Wrap {
+		for _, sh := range g.Shards {
+			if hdr.WrapKey(g.Key, e.shardCache[sh.ShardID].key) != sh.Wrap {
 				continue next
 			}
-			spec.Shards[i] = ShardSpec{ID: sh.ShardID, Sig: ent.sig}
 		}
-		e.groupedCache[g.ID] = groupedEntry{sig: groupedSig(spec), hdr: hdr, key: g.Key}
+		e.groupedCache[g.ID] = groupedEntry{hdr: hdr, key: g.Key}
 	}
 	return nil
 }
@@ -429,7 +426,7 @@ func (e *Engine) RekeyAll(specs []ConfigSpec) (map[string]ConfigKeys, error) {
 
 	type solved struct {
 		id  string
-		sig string
+		sig Sig
 		hdr *Header
 		key ff64.Elem
 		err error

@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"slices"
 	"testing"
 
 	"ppcd/internal/ff64"
 )
+
+// sigOf is a test's signature named by a string.
+func sigOf(s string) Sig { return Sig(sha256.Sum256([]byte(s))) }
 
 func engRows(base, count, conds int) [][]CSS {
 	rows := make([][]CSS, count)
@@ -25,8 +29,8 @@ func TestEngineRekeyAndDerive(t *testing.T) {
 	gA := RowGroup{ID: "acpA", Rows: engRows(0, 3, 2)}
 	gB := RowGroup{ID: "acpB", Rows: engRows(100, 2, 2)}
 	specs := []ConfigSpec{
-		{ID: "A", Sig: "a@1", Groups: []RowGroup{gA}},
-		{ID: "A|B", Sig: "a@1|b@1", Groups: []RowGroup{gA, gB}},
+		{ID: "A", Sig: sigOf("a@1"), Groups: []RowGroup{gA}},
+		{ID: "A|B", Sig: sigOf("a@1|b@1"), Groups: []RowGroup{gA, gB}},
 	}
 	out, err := e.RekeyAll(specs)
 	if err != nil {
@@ -67,7 +71,7 @@ func TestEngineRekeyAndDerive(t *testing.T) {
 func TestEngineIncrementalCache(t *testing.T) {
 	e := NewEngine(0)
 	g := RowGroup{ID: "acpA", Rows: engRows(0, 3, 1)}
-	spec := ConfigSpec{ID: "A", Sig: "a@1", Groups: []RowGroup{g}}
+	spec := ConfigSpec{ID: "A", Sig: sigOf("a@1"), Groups: []RowGroup{g}}
 
 	first, err := e.RekeyAll([]ConfigSpec{spec})
 	if err != nil {
@@ -94,7 +98,7 @@ func TestEngineIncrementalCache(t *testing.T) {
 	}
 
 	// Changed signature → rebuild with a fresh key.
-	spec.Sig = "a@2"
+	spec.Sig = sigOf("a@2")
 	third, err := e.RekeyAll([]ConfigSpec{spec})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +123,7 @@ func TestEngineIncrementalCache(t *testing.T) {
 
 func TestEngineRejectsEmptyConfig(t *testing.T) {
 	e := NewEngine(0)
-	_, err := e.RekeyAll([]ConfigSpec{{ID: "A", Sig: "s", Groups: nil}})
+	_, err := e.RekeyAll([]ConfigSpec{{ID: "A", Sig: sigOf("s"), Groups: nil}})
 	if err == nil {
 		t.Fatal("zero-row configuration accepted")
 	}
@@ -128,7 +132,7 @@ func TestEngineRejectsEmptyConfig(t *testing.T) {
 func TestEngineMinN(t *testing.T) {
 	e := NewEngine(0)
 	g := RowGroup{ID: "acpA", Rows: engRows(0, 2, 1)}
-	out, err := e.RekeyAll([]ConfigSpec{{ID: "A", Sig: "s", Groups: []RowGroup{g}, MinN: 7}})
+	out, err := e.RekeyAll([]ConfigSpec{{ID: "A", Sig: sigOf("s"), Groups: []RowGroup{g}, MinN: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +166,7 @@ func TestEngineRekeyPaperN(t *testing.T) {
 	e := NewEngine(2)
 	rekey := func(sig string, rows [][]CSS) ConfigKeys {
 		t.Helper()
-		out, err := e.RekeyAll([]ConfigSpec{{ID: "P", Sig: sig, Groups: []RowGroup{{ID: "acp", Rows: rows}}, MinN: n}})
+		out, err := e.RekeyAll([]ConfigSpec{{ID: "P", Sig: sigOf(sig), Groups: []RowGroup{{ID: "acp", Rows: rows}}, MinN: n}})
 		if err != nil {
 			t.Fatal(err)
 		}

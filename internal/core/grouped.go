@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"ppcd/internal/ff64"
@@ -19,10 +17,13 @@ import (
 //     holds the solved sub-header and group key for the shard's current row
 //     content. A shard re-solves only when its signature — a digest of its
 //     rows — changes, so a single join/leave/revocation costs ONE small
-//     solve of (N/g)³ work instead of a full N³ configuration solve.
+//     solve of (N/g)³ work instead of a full N³ configuration solve. The
+//     caller leases the cached solve (Lease) when it snapshots the rows, and
+//     hands over rows only for a shard it could not lease.
 //   - groupedCache, keyed by the configuration ID, holds the assembled
-//     GroupedHeader and configuration key. Its signature is the vector of
-//     shard signatures: any shard change (or shard appearing/vanishing)
+//     GroupedHeader and configuration key. It keeps no signature: it is
+//     reused exactly when its slots hold, in order, the solves leased for the
+//     configuration's shards. Any shard change (or shard appearing/vanishing)
 //     triggers a cheap reassembly — fresh configuration key, fresh rekey
 //     nonce, one hash per shard for the wraps — while clean shards keep
 //     their sub-headers, nonces and therefore the subscribers' cached KEVs.
@@ -36,20 +37,25 @@ import (
 // ShardSpec describes one row shard of a grouped configuration. ID is stable
 // across sessions and configurations (shards are shared between
 // configurations that contain the same policy, exactly like RowGroups in the
-// ungrouped path); Sig changes iff the shard's row content changes. Rows are
-// the N rows Sig digests; a caller that has seen HasShard(ID, Sig) may leave
-// them out, and a shard that must be solved after all fails the session with
-// ErrShardRows.
+// ungrouped path); Sig changes iff the shard's row content changes. A spec
+// carries either the N rows Sig digests, which the session solves, or the
+// Lease of the solve the engine held for (ID, Sig) when the caller asked,
+// which the session wraps under; one with neither is a programming error.
 type ShardSpec struct {
-	ID   string
-	Sig  string
-	N    int
-	Rows [][]CSS
+	ID    string
+	Sig   Sig
+	N     int
+	Rows  [][]CSS
+	Lease ShardLease
 }
 
-// ErrShardRows reports a shard the engine holds no solve for and got no (or
-// not N) rows for: its cache moved; the caller rebuilds its specs and retries.
-var ErrShardRows = errors.New("core: shard must be solved but its rows were not supplied")
+// ShardLease is a solve of the shard cache as Lease found it: the sub-header
+// and group key a session wraps under, whatever the cache holds by the time
+// the session runs. The zero lease holds nothing.
+type ShardLease struct {
+	hdr *Header
+	key ff64.Elem // the shard's long-lived group key S_i
+}
 
 // GroupedConfigSpec describes one policy configuration to rekey in grouped
 // mode. The shard order is the caller's (deterministic) order; it defines
@@ -75,85 +81,80 @@ type GroupedConfigKeys struct {
 	Solved []CachedShard
 }
 
-// groupedSig combines the shard identities and signatures into the
-// configuration-level cache signature.
-func groupedSig(s GroupedConfigSpec) string {
-	var b strings.Builder
-	for _, sh := range s.Shards {
-		b.WriteString(sh.ID)
-		b.WriteByte('=')
-		b.WriteString(sh.Sig)
-		b.WriteByte('|')
-	}
-	return b.String()
-}
-
-// HasShard reports whether the shard cache holds a solve of shard id for the
-// rows sig digests, i.e. whether a ShardSpec for it needs no rows.
-func (e *Engine) HasShard(id, sig string) bool {
+// Lease returns the solve the shard cache holds for shard id at the rows sig
+// digests, for a ShardSpec to carry instead of its rows.
+func (e *Engine) Lease(id string, sig Sig) (ShardLease, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ent, ok := e.shardCache[id]
-	return ok && ent.sig == sig
+	if ent := e.shardCache[id]; ent.hdr != nil && ent.sig == sig {
+		return ent.ShardLease, true
+	}
+	return ShardLease{}, false
+}
+
+// holds reports whether the assembly's slots hold, in order, the solves the
+// shards lease. Objects are compared first and names only where they differ,
+// as a broadcast's shard index does, so a hit hashes no header.
+func (g groupedEntry) holds(shards []ShardSpec) bool {
+	if len(g.hdr.Shards) != len(shards) {
+		return false
+	}
+	for i, sh := range shards {
+		h, l := g.hdr.Shards[i].Hdr, sh.Lease.hdr
+		if l == nil || (h != l && h.Name() != l.Name()) {
+			return false
+		}
+	}
+	return true
 }
 
 // RekeyAllGrouped is the grouped counterpart of RekeyAll: it produces a
-// grouped header and key for every configuration, re-solving only shards
-// whose row content changed and reassembling only configurations touched by
-// a dirty shard. Dirty shards shared between configurations are solved once.
-// Specs with zero total rows are rejected, mirroring RekeyAll.
+// grouped header and key for every configuration, solving only the shards
+// handed over with rows — once, however many configurations share one — and
+// reassembling only configurations whose slots do not hold the leased solves.
+// A leased solve is wrapped under as leased: a Reset or a re-solve between
+// the lease and the session does not reach this session, and the session
+// does not put the lease back into a cache that dropped it. Specs with zero
+// total rows are rejected, mirroring RekeyAll.
 func (e *Engine) RekeyAllGrouped(specs []GroupedConfigSpec) (map[string]GroupedConfigKeys, error) {
 	e.stats.rekeys.Add(1)
 	out := make(map[string]GroupedConfigKeys, len(specs))
 
 	var dirty []GroupedConfigSpec
-	var dirtySigs []string
-	var solveList []ShardSpec
-	// held is every shard of a dirty configuration with the solve its wraps are
-	// made under: the cached one as matched here (a Reset in mid-session cannot
-	// pull it away) or the fresh one.
-	held := make(map[string]shardEntry)
-	maxN := 0
-
 	e.mu.Lock()
 	for _, s := range specs {
-		sig := groupedSig(s)
-		if ent, ok := e.groupedCache[s.ID]; ok && ent.sig == sig {
+		if ent, ok := e.groupedCache[s.ID]; ok && ent.holds(s.Shards) {
 			out[s.ID] = GroupedConfigKeys{Hdr: ent.hdr, Key: ent.key}
 			continue
 		}
-		total := 0
-		for _, sh := range s.Shards {
-			total += sh.N
-		}
-		if total == 0 {
-			e.mu.Unlock()
-			return nil, fmt.Errorf("core: configuration %q has no rows: %w", s.ID, ErrNoRows)
-		}
-		dirty, dirtySigs = append(dirty, s), append(dirtySigs, sig)
-		for _, sh := range s.Shards {
-			if _, seen := held[sh.ID]; seen {
-				continue
-			}
-			ent, ok := e.shardCache[sh.ID]
-			if ok && ent.sig == sh.Sig {
-				held[sh.ID] = ent // clean shard: sub-header and group key reused
-				continue
-			}
-			held[sh.ID] = shardEntry{}
-			if len(sh.Rows) != sh.N {
-				e.mu.Unlock()
-				return nil, fmt.Errorf("core: shard %q (%d rows supplied of %d): %w", sh.ID, len(sh.Rows), sh.N, ErrShardRows)
-			}
-			solveList = append(solveList, sh)
-			maxN = max(maxN, sh.N)
-		}
+		dirty = append(dirty, s)
 	}
 	e.mu.Unlock()
 	e.stats.cacheHits.Add(uint64(len(out)))
 
 	if len(dirty) == 0 {
 		return out, nil
+	}
+	var solveList []ShardSpec
+	queued := make(map[string]bool)
+	maxN := 0
+	for _, s := range dirty {
+		total := 0
+		for _, sh := range s.Shards {
+			total += sh.N
+			if sh.Lease.hdr != nil || queued[sh.ID] {
+				continue
+			}
+			if len(sh.Rows) != sh.N {
+				return nil, fmt.Errorf("core: shard %q has no lease and %d rows of %d", sh.ID, len(sh.Rows), sh.N)
+			}
+			queued[sh.ID] = true
+			solveList = append(solveList, sh)
+			maxN = max(maxN, sh.N)
+		}
+		if total == 0 {
+			return nil, fmt.Errorf("core: configuration %q has no rows: %w", s.ID, ErrNoRows)
+		}
 	}
 
 	// One nonce sequence for all shards solved this session; a shard of n
@@ -172,22 +173,21 @@ func (e *Engine) RekeyAllGrouped(specs []GroupedConfigSpec) (map[string]GroupedC
 		e.sched.submit(func(sc *solveScratch) {
 			defer wg.Done()
 			hdr, key, err := e.solveShard(sh, run, sc)
-			solved[i], errs[i] = shardEntry{sig: sh.Sig, hdr: hdr, key: key}, err
+			solved[i], errs[i] = shardEntry{sig: sh.Sig, ShardLease: ShardLease{hdr: hdr, key: key}}, err
 		})
 	}
 	wg.Wait()
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	fresh := make(map[string]bool, len(solveList))
+	fresh := make(map[string]shardEntry, len(solveList))
 	for i, sh := range solveList {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("core: rekeying shard %q: %w", sh.ID, errs[i])
 		}
-		held[sh.ID], e.shardCache[sh.ID] = solved[i], solved[i]
-		fresh[sh.ID] = true
+		fresh[sh.ID], e.shardCache[sh.ID] = solved[i], solved[i]
 	}
-	for d, s := range dirty {
+	for _, s := range dirty {
 		key, err := ff64.RandNonZero()
 		if err != nil {
 			return nil, err
@@ -199,13 +199,15 @@ func (e *Engine) RekeyAllGrouped(specs []GroupedConfigSpec) (map[string]GroupedC
 		hdr := &GroupedHeader{RekeyNonce: nonce, Shards: make([]GroupShard, len(s.Shards))}
 		ck := GroupedConfigKeys{Hdr: hdr, Key: key, Rebuilt: true}
 		for i, sh := range s.Shards {
-			ent := held[sh.ID]
-			hdr.Shards[i] = GroupShard{Hdr: ent.hdr, Wrap: hdr.WrapKey(key, ent.key)}
-			if fresh[sh.ID] {
+			l := sh.Lease
+			if l.hdr == nil {
+				ent := fresh[sh.ID]
+				l = ent.ShardLease
 				ck.Solved = append(ck.Solved, CachedShard{ID: sh.ID, Sig: ent.sig, Hdr: ent.hdr, Key: ent.key})
 			}
+			hdr.Shards[i] = GroupShard{Hdr: l.hdr, Wrap: hdr.WrapKey(key, l.key)}
 		}
-		e.groupedCache[s.ID] = groupedEntry{sig: dirtySigs[d], hdr: hdr, key: key}
+		e.groupedCache[s.ID] = groupedEntry{hdr: hdr, key: key}
 		out[s.ID] = ck
 		e.stats.rebuilds.Add(1)
 	}

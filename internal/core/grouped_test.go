@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"ppcd/internal/ff64"
@@ -23,7 +22,18 @@ func deriveGrouped(t *testing.T, row []CSS, ck GroupedConfigKeys) {
 
 // shardOf is the spec of a shard handed over with its rows.
 func shardOf(id, sig string, rows [][]CSS) ShardSpec {
-	return ShardSpec{ID: id, Sig: sig, N: len(rows), Rows: rows}
+	return ShardSpec{ID: id, Sig: sigOf(sig), N: len(rows), Rows: rows}
+}
+
+// leased is sh as a snapshot hands it over when e holds its solve: the lease
+// in place of the rows.
+func leased(t testing.TB, e *Engine, sh ShardSpec) ShardSpec {
+	t.Helper()
+	l, ok := e.Lease(sh.ID, sh.Sig)
+	if !ok {
+		t.Fatalf("the engine holds no solve of shard %s", sh.ID)
+	}
+	return ShardSpec{ID: sh.ID, Sig: sh.Sig, N: sh.N, Lease: l}
 }
 
 func groupedSpecs(shA1, shA2, shB ShardSpec) []GroupedConfigSpec {
@@ -82,8 +92,8 @@ func TestEngineGroupedIncrementalShardSolve(t *testing.T) {
 	}
 	base := e.Stats().Solves
 
-	// Steady state: identical signatures → full cache hit, same headers.
-	second, err := e.RekeyAllGrouped(groupedSpecs(shA1, shA2, shB))
+	// Steady state: every shard leased → full cache hit, same headers.
+	second, err := e.RekeyAllGrouped(groupedSpecs(leased(t, e, shA1), leased(t, e, shA2), leased(t, e, shB)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +108,7 @@ func TestEngineGroupedIncrementalShardSolve(t *testing.T) {
 	// but every configuration containing it gets a fresh key and fresh
 	// wraps while the clean shards keep their sub-headers.
 	shA2dirty := shardOf("acpA/1", "s2'", engRows(50, 1, 2))
-	third, err := e.RekeyAllGrouped(groupedSpecs(shA1, shA2dirty, shB))
+	third, err := e.RekeyAllGrouped(groupedSpecs(leased(t, e, shA1), shA2dirty, leased(t, e, shB)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +136,9 @@ func TestEngineGroupedIncrementalShardSolve(t *testing.T) {
 		t.Error("departed row still derives the new configuration key")
 	}
 
-	// A vanished shard (all members left) changes the configuration
-	// signature without any solve.
-	fourth, err := e.RekeyAllGrouped([]GroupedConfigSpec{{ID: "A", Shards: []ShardSpec{shA1}}})
+	// A vanished shard (all members left) changes the configuration's slots
+	// without any solve.
+	fourth, err := e.RekeyAllGrouped([]GroupedConfigSpec{{ID: "A", Shards: []ShardSpec{leased(t, e, shA1)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,68 +171,89 @@ func TestEngineGroupedRejectsEmptyConfig(t *testing.T) {
 }
 
 // TestEngineGroupedRowsOnlyWhenUnsolved: a shard the engine holds a solve for
-// is served from its ID, signature and row count alone — across a steady
-// state, a reassembly and a neighbour's re-solve — and a shard it must solve
-// without (all of) its rows fails the session with ErrShardRows before any
-// solve runs.
+// is served from its lease alone — across a steady state, a reassembly and a
+// neighbour's re-solve —; a spec with neither its rows nor a lease is refused
+// before any solve runs; and a session over leases taken before a Reset
+// wraps under them, solving only what came with rows, without putting the
+// leased solves back into the emptied cache.
 func TestEngineGroupedRowsOnlyWhenUnsolved(t *testing.T) {
 	e := NewEngine(2)
 	shA1 := shardOf("acpA/0", "s1", engRows(0, 3, 2))
 	shA2 := shardOf("acpA/1", "s2", engRows(50, 2, 2))
 	shB := shardOf("acpB/0", "s3", engRows(100, 2, 2))
-	bare := func(sh ShardSpec) ShardSpec { return ShardSpec{ID: sh.ID, Sig: sh.Sig, N: sh.N} }
 
-	if e.HasShard(shA1.ID, shA1.Sig) {
-		t.Fatal("a fresh engine reports a solve")
+	if _, ok := e.Lease(shA1.ID, shA1.Sig); ok {
+		t.Fatal("a fresh engine leases a solve")
 	}
 	first, err := e.RekeyAllGrouped(groupedSpecs(shA1, shA2, shB))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.HasShard(shA1.ID, shA1.Sig) || e.HasShard(shA1.ID, "s1'") || e.HasShard("acpC/0", "s1") {
-		t.Fatal("HasShard does not answer for exactly the solved (ID, Sig)")
+	_, changed := e.Lease(shA1.ID, sigOf("s1'"))
+	_, foreign := e.Lease("acpC/0", shA1.Sig)
+	if l, ok := e.Lease(shA1.ID, shA1.Sig); !ok || l.hdr != first["A"].Hdr.Shards[0].Hdr || changed || foreign {
+		t.Fatal("Lease does not answer with the solve for exactly the solved (ID, Sig)")
 	}
 	base := e.Stats().Solves
 
 	// Steady state, then a forced reassembly, without a single row.
 	e.Forget("A")
-	second, err := e.RekeyAllGrouped(groupedSpecs(bare(shA1), bare(shA2), bare(shB)))
+	second, err := e.RekeyAllGrouped(groupedSpecs(leased(t, e, shA1), leased(t, e, shA2), leased(t, e, shB)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !second["A"].Rebuilt || second["A|B"].Rebuilt || second["A"].Hdr.Shards[1].Hdr != first["A"].Hdr.Shards[1].Hdr {
-		t.Error("rowless specs: want A reassembled over its cached shards and A|B a cache hit")
+		t.Error("leased specs: want A reassembled over its cached shards and A|B a cache hit")
 	}
 	// One dirty shard brings its rows; its clean neighbours need none.
 	shA2dirty := shardOf("acpA/1", "s2'", engRows(50, 1, 2))
-	third, err := e.RekeyAllGrouped(groupedSpecs(bare(shA1), shA2dirty, bare(shB)))
+	third, err := e.RekeyAllGrouped(groupedSpecs(leased(t, e, shA1), shA2dirty, leased(t, e, shB)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Stats().Solves; got != base+1 {
-		t.Errorf("%d solves for one dirty shard among rowless clean ones, want 1", got-base)
+		t.Errorf("%d solves for one dirty shard among leased clean ones, want 1", got-base)
 	}
 	deriveGrouped(t, shA1.Rows[0], third["A"])
 	deriveGrouped(t, shA2dirty.Rows[0], third["A|B"])
 
-	// Must solve, cannot: a changed signature without rows, rows that are not
-	// the N the signature digests, and a cache that was reset in between.
+	// Neither rows nor a lease, and rows that are not the N the signature
+	// digests: refused, nothing solved.
 	short := shardOf("acpB/0", "s3'", shB.Rows[:1])
 	short.N = 2
 	for name, specs := range map[string][]GroupedConfigSpec{
-		"dirty":    groupedSpecs(bare(shA1), bare(shardOf("acpA/1", "s2''", shA2.Rows)), bare(shB)),
-		"mismatch": groupedSpecs(bare(shA1), shA2dirty, short),
+		"neither":  groupedSpecs(leased(t, e, shA1), ShardSpec{ID: "acpA/1", Sig: sigOf("s2''"), N: 2}, leased(t, e, shB)),
+		"mismatch": groupedSpecs(leased(t, e, shA1), leased(t, e, shA2dirty), short),
 	} {
-		if _, err := e.RekeyAllGrouped(specs); !errors.Is(err, ErrShardRows) {
-			t.Errorf("%s shard without its rows: %v, want ErrShardRows", name, err)
+		if _, err := e.RekeyAllGrouped(specs); err == nil {
+			t.Errorf("%s: a shard without its rows or a lease was accepted", name)
 		}
-	}
-	e.Reset()
-	if _, err := e.RekeyAllGrouped(groupedSpecs(bare(shA1), shA2dirty, bare(shB))); !errors.Is(err, ErrShardRows) {
-		t.Errorf("rowless specs after a Reset: %v, want ErrShardRows", err)
 	}
 	if got := e.Stats().Solves; got != base+1 {
 		t.Errorf("refused sessions ran %d solves", got-base-1)
+	}
+
+	// Leases taken before a Reset still serve their session.
+	specs := groupedSpecs(leased(t, e, shA1), shardOf("acpA/1", "s2", shA2.Rows), leased(t, e, shB))
+	e.Reset()
+	fourth, err := e.RekeyAllGrouped(specs)
+	if err != nil {
+		t.Fatalf("a session over leases taken before a Reset: %v", err)
+	}
+	if got := e.Stats().Solves; got != base+2 {
+		t.Errorf("a session over two leases and one shard of rows after a Reset ran %d solves, want 1", got-base-1)
+	}
+	if fourth["A"].Hdr.Shards[0].Hdr != first["A"].Hdr.Shards[0].Hdr {
+		t.Error("the leased shard was not wrapped under as leased")
+	}
+	for _, row := range append(append(shA1.Rows[:1:1], shA2.Rows...), shB.Rows...) {
+		deriveGrouped(t, row, fourth["A|B"])
+	}
+	if _, ok := e.Lease(shA1.ID, shA1.Sig); ok {
+		t.Error("a leased solve went back into the cache a Reset emptied")
+	}
+	if _, ok := e.Lease(shA2.ID, shA2.Sig); !ok {
+		t.Error("the session's own solve did not land in the cache")
 	}
 }
 
@@ -277,7 +308,7 @@ func TestEngineInstallReplaysSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	third, err := e.RekeyAllGrouped(groupedSpecs(shA1, shA2dirty, shB))
+	third, err := e.RekeyAllGrouped(groupedSpecs(leased(t, e, shA1), shA2dirty, leased(t, e, shB)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,8 +319,7 @@ func TestEngineInstallReplaysSessions(t *testing.T) {
 	r := NewEngine(2)
 	installSession(t, r, groupedSpecs(shA1, shA2, shB), first)
 	installSession(t, r, groupedSpecs(shA1, shA2dirty, shB), third)
-	bare := func(sh ShardSpec) ShardSpec { return ShardSpec{ID: sh.ID, Sig: sh.Sig, N: sh.N} }
-	out, err := r.RekeyAllGrouped(groupedSpecs(bare(shA1), bare(shA2dirty), bare(shB)))
+	out, err := r.RekeyAllGrouped(groupedSpecs(leased(t, r, shA1), leased(t, r, shA2dirty), leased(t, r, shB)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,13 +342,13 @@ func TestEngineInstallReplaysSessions(t *testing.T) {
 	// session's solve, while the grouped entry's wrap is made under the third's.
 	x := NewEngine(2)
 	if err := x.Install(nil, []CachedShard{
-		{ID: "acpA/0", Sig: "s1", Hdr: first["A"].Hdr.Shards[0].Hdr, Key: first["A|B"].Solved[0].Key},
-		{ID: "acpA/1", Sig: "s2'", Hdr: first["A"].Hdr.Shards[1].Hdr, Key: first["A|B"].Solved[1].Key},
+		{ID: "acpA/0", Sig: sigOf("s1"), Hdr: first["A"].Hdr.Shards[0].Hdr, Key: first["A|B"].Solved[0].Key},
+		{ID: "acpA/1", Sig: sigOf("s2'"), Hdr: first["A"].Hdr.Shards[1].Hdr, Key: first["A|B"].Solved[1].Key},
 	}, []CachedGrouped{{ID: "A", Key: third["A"].Key, RekeyNonce: third["A"].Hdr.RekeyNonce,
 		Shards: slotsOf(third["A"].Hdr, "acpA/0", "acpA/1")}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := x.RekeyAllGrouped([]GroupedConfigSpec{{ID: "A", Shards: []ShardSpec{bare(shA1), bare(shA2dirty)}}})
+	got, err := x.RekeyAllGrouped([]GroupedConfigSpec{{ID: "A", Shards: []ShardSpec{leased(t, x, shA1), leased(t, x, shA2dirty)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +383,7 @@ func TestExportCacheNamesHeldSolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	shA2dirty := shardOf("acpA/1", "s2'", engRows(50, 1, 2))
-	if _, err := e.RekeyAllGrouped(groupedSpecs(shA1, shA2dirty, shB)[1:]); err != nil {
+	if _, err := e.RekeyAllGrouped(groupedSpecs(leased(t, e, shA1), shA2dirty, leased(t, e, shB))[1:]); err != nil {
 		t.Fatal(err)
 	}
 	for i := range e.shardCache {
@@ -374,8 +404,7 @@ func TestExportCacheNamesHeldSolves(t *testing.T) {
 	if err := r.RestoreCache(cfgs, shards, grouped); err != nil {
 		t.Fatal(err)
 	}
-	bare := func(sh ShardSpec) ShardSpec { return ShardSpec{ID: sh.ID, Sig: sh.Sig, N: sh.N} }
-	out, err := r.RekeyAllGrouped(groupedSpecs(bare(shA1), bare(shA2dirty), bare(shB)))
+	out, err := r.RekeyAllGrouped(groupedSpecs(leased(t, r, shA1), leased(t, r, shA2dirty), leased(t, r, shB)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ func TestDeriveRoundTripAcrossRowWidths(t *testing.T) {
 		e := NewEngine(2)
 
 		t.Run(fmt.Sprintf("direct/m=%d", m), func(t *testing.T) {
-			out, err := e.RekeyAll([]ConfigSpec{{ID: "c", Sig: "1", Groups: []RowGroup{{ID: "g", Rows: rows}}}})
+			out, err := e.RekeyAll([]ConfigSpec{{ID: "c", Sig: sigOf("1"), Groups: []RowGroup{{ID: "g", Rows: rows}}}})
 			if err != nil {
 				t.Fatal(err)
 			}

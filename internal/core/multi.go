@@ -262,7 +262,7 @@ func (g *GroupedHeader) WireSize() int {
 	seen := make(map[string]bool)
 	for _, sh := range g.Shards {
 		n += sh.Hdr.WireSize() + 8
-		if sh.Hdr.Seeded() {
+		if sh.Hdr.N() > 0 {
 			if seen[string(sh.Hdr.Seed)] {
 				n -= runEntrySize
 			}

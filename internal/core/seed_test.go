@@ -129,8 +129,8 @@ func TestBuiltHeadersCarryTheirSeed(t *testing.T) {
 
 	e := NewEngine(2)
 	cfgs, err := e.RekeyAll([]ConfigSpec{
-		{ID: "A", Sig: "1", Groups: []RowGroup{{ID: "a", Rows: rows[:3]}}},
-		{ID: "B", Sig: "1", Groups: []RowGroup{{ID: "a", Rows: rows[:3]}, {ID: "b", Rows: rows[3:]}}, MinN: 12},
+		{ID: "A", Sig: sigOf("1"), Groups: []RowGroup{{ID: "a", Rows: rows[:3]}}},
+		{ID: "B", Sig: sigOf("1"), Groups: []RowGroup{{ID: "a", Rows: rows[:3]}, {ID: "b", Rows: rows[3:]}}, MinN: 12},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestBuiltHeadersCarryTheirSeed(t *testing.T) {
 	// A later session re-solves one shard: a fresh seed for it, the clean
 	// shard keeps its header.
 	again, err := e.RekeyAllGrouped([]GroupedConfigSpec{{ID: "G", Shards: []ShardSpec{
-		shardOf("s0", "1", rows[:4]), shardOf("s1", "2", rows[5:]),
+		leased(t, e, shardOf("s0", "1", rows[:4])), shardOf("s1", "2", rows[5:]),
 	}}})
 	if err != nil {
 		t.Fatal(err)

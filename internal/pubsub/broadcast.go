@@ -130,19 +130,9 @@ func (p *Publisher) Publish(doc *document.Document) (*Broadcast, error) {
 	var secrets sessionSecrets
 	var err error
 	if p.opts.GroupSize > 0 {
-		// The grouped snapshot hands over rows only for shards the engine held
-		// no solve for at that moment. When the engine misses one after all
-		// (ResetRekeyCache, a concurrent publish that re-solved it for a later
-		// table state) the rows are not re-read outside the registry's locks:
-		// the snapshot is taken again, a bounded number of times.
-		for try := 0; try < 8; try++ {
-			var shards map[string][]core.ShardSpec
-			if shards, err = p.reg.snapshotGrouped(relevant, p.keys.engine.HasShard); err != nil {
-				break
-			}
-			if infos, keys, secrets, err = p.keys.configKeysGrouped(cfgs, shards); !errors.Is(err, core.ErrShardRows) {
-				break
-			}
+		var shards map[string][]core.ShardSpec
+		if shards, err = p.reg.snapshotGrouped(relevant, p.keys.engine.Lease); err == nil {
+			infos, keys, secrets, err = p.keys.configKeysGrouped(cfgs, shards)
 		}
 	} else {
 		rowsByACP, vers := p.reg.snapshot(relevant)

@@ -2,7 +2,6 @@ package pubsub
 
 import (
 	"crypto/sha256"
-	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -143,7 +142,7 @@ func (m *modelRegistry) qualified(a *policy.ACP) ([]string, [][]core.CSS) {
 // refShardSig is the group signature as the grouping layer computed it while
 // it held every member's name and a copy of its row: the reference for
 // cssTable.groupSig, which digests the same bytes straight out of table T.
-func refShardSig(acpID string, gid int, nyms []string, rows [][]core.CSS) string {
+func refShardSig(acpID string, gid int, nyms []string, rows [][]core.CSS) core.Sig {
 	h := sha256.New()
 	var num [8]byte
 	writeStr := func(s string) {
@@ -162,12 +161,12 @@ func refShardSig(acpID string, gid int, nyms []string, rows [][]core.CSS) string
 			h.Write(css.Bytes())
 		}
 	}
-	return base64.RawStdEncoding.EncodeToString(h.Sum(nil))
+	return core.Sig(h.Sum(nil))
 }
 
 // unsolved is a rekey engine that holds nothing: every shard of a grouped
 // snapshot comes with its rows.
-func unsolved(string, string) bool { return false }
+func unsolved(string, core.Sig) (core.ShardLease, bool) { return core.ShardLease{}, false }
 
 // regroup is the old linear-scan sticky grouping: release departures, then
 // assign newcomers (sorted order) to the least-full non-full group, lowest

@@ -1,9 +1,6 @@
 package pubsub
 
 import (
-	"crypto/sha256"
-	"encoding/base64"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"strconv"
@@ -30,9 +27,9 @@ import (
 // in pseudonym order, a least-full tracker and one {GID, Sig, N} per non-empty
 // group — no names, no rows, no name → group map. A group's rows are a
 // per-publish value: snapshotGrouped copies them out of T only for a shard the
-// engine holds no solve for, under the lock hold that digested them. Slots
-// stay meaningful because a slot a gid column names is never recycled
-// (cssTable.compact).
+// engine holds no solve for, under the lock hold that digested them, and
+// leases the engine's solve of every other. Slots stay meaningful because a
+// slot a gid column names is never recycled (cssTable.compact).
 //
 // The snapshot itself is incremental too. Mutations record churn hints — the
 // (policy, slot) pairs they touched (registry.hint) — and snapshotGrouped
@@ -47,7 +44,7 @@ import (
 // number, the digest of its content (the engine's dirtiness signal), its size.
 type groupShard struct {
 	GID int
-	Sig string
+	Sig core.Sig
 	N   int
 }
 
@@ -89,34 +86,24 @@ func (t *cssTable) memberCells(dst []core.CSS, s int32, cis []int) ([]core.CSS, 
 }
 
 // groupSig digests one group's content: policy, group number and the ordered
-// (nym, CSS row) members. Length prefixes keep crafted nyms from colliding
-// across boundaries.
-func (t *cssTable) groupSig(acpID string, gid int, members []int32, cis []int) (string, error) {
-	h := sha256.New()
-	var num [8]byte
-	writeNum := func(v int) {
-		binary.BigEndian.PutUint64(num[:], uint64(v))
-		h.Write(num[:])
-	}
-	writeStr := func(s string) {
-		writeNum(len(s))
-		h.Write([]byte(s))
-	}
-	writeStr(acpID)
-	writeNum(gid)
+// (nym, CSS row) members.
+func (t *cssTable) groupSig(acpID string, gid int, members []int32, cis []int) (core.Sig, error) {
+	d := newSigHash()
+	d.str(acpID)
+	d.num(uint64(gid))
 	cells := make([]core.CSS, 0, len(cis))
 	for _, s := range members {
 		var err error
 		if cells, err = t.memberCells(cells[:0], s, cis); err != nil {
-			return "", fmt.Errorf("%w (policy %q, group %d)", err, acpID, gid)
+			return core.Sig{}, fmt.Errorf("%w (policy %q, group %d)", err, acpID, gid)
 		}
-		writeStr(t.nyms[s])
-		writeNum(len(cells))
+		d.str(t.nyms[s])
+		d.num(uint64(len(cells)))
 		for _, css := range cells {
-			writeNum(int(css))
+			d.num(uint64(css))
 		}
 	}
-	return base64.RawStdEncoding.EncodeToString(h.Sum(nil)), nil
+	return d.sum(), nil
 }
 
 // gatherRows copies the members' rows out of the table for one solve: one
@@ -136,18 +123,18 @@ func (t *cssTable) gatherRows(members []int32, cis []int) (rows [][]core.CSS, er
 
 // snapshotGrouped is the grouped counterpart of snapshot: for every policy it
 // returns the specs of its non-empty groups, in group order — ID, content
-// signature, row count, and the rows themselves for every shard solved reports
-// no solve for. A policy whose membership version is unchanged keeps its
+// signature, row count, and the solve lease finds for the shard or, failing
+// that, its rows. A policy whose membership version is unchanged keeps its
 // signatures; a changed one with valid group state replays just its hints.
 //
 // grpMu serializes grouped assembly (concurrent publishes) and guards the
 // group state. The policies are advanced, digested and gathered under one hold
 // of the registry write lock: the snapshot is of one table state, and the rows
-// a solve hashes are the rows its Sig digests; solved is asked under both
-// locks (grpMu → mu → Engine.mu). The hold is proportional to the churn,
-// except for a full regroup, which scans and digests a policy while
-// registrations wait — once per policy and process, or after bumpAll.
-func (r *registry) snapshotGrouped(acps []*policy.ACP, solved func(id, sig string) bool) (map[string][]core.ShardSpec, error) {
+// a solve hashes are the rows its Sig digests; lease (core.Engine.Lease) is
+// asked under both locks (grpMu → mu → Engine.mu). The hold is proportional
+// to the churn, except for a full regroup, which scans and digests a policy
+// while registrations wait — once per policy and process, or after bumpAll.
+func (r *registry) snapshotGrouped(acps []*policy.ACP, lease func(id string, sig core.Sig) (core.ShardLease, bool)) (map[string][]core.ShardSpec, error) {
 	out := make(map[string][]core.ShardSpec, len(acps))
 	r.grpMu.Lock()
 	defer r.grpMu.Unlock()
@@ -176,7 +163,7 @@ func (r *registry) snapshotGrouped(acps []*policy.ACP, solved func(id, sig strin
 		}
 		gs.ver = ver
 		if err == nil {
-			out[a.ID], err = r.shardSpecs(gs, a.ID, solved)
+			out[a.ID], err = r.shardSpecs(gs, a.ID, lease)
 		}
 		if err != nil {
 			gs.valid = false // the next snapshot rebuilds it from the table
@@ -187,14 +174,15 @@ func (r *registry) snapshotGrouped(acps []*policy.ACP, solved func(id, sig strin
 	return out, nil
 }
 
-// shardSpecs turns the policy's shard list into the engine's specs, gathering
-// rows for the shards the engine cannot serve from its cache.
-func (r *registry) shardSpecs(gs *groupState, acpID string, solved func(id, sig string) bool) ([]core.ShardSpec, error) {
+// shardSpecs turns the policy's shard list into the engine's specs: the lease
+// of each shard the engine holds a solve for, the rows of every other.
+func (r *registry) shardSpecs(gs *groupState, acpID string, lease func(id string, sig core.Sig) (core.ShardLease, bool)) ([]core.ShardSpec, error) {
 	cis := r.polConds[acpID]
 	specs := make([]core.ShardSpec, len(gs.shards))
 	for i, sh := range gs.shards {
 		sp := core.ShardSpec{ID: shardID(acpID, sh.GID), Sig: sh.Sig, N: sh.N}
-		if !solved(sp.ID, sp.Sig) {
+		var ok bool
+		if sp.Lease, ok = lease(sp.ID, sp.Sig); !ok {
 			rows, err := r.tab.gatherRows(gs.members[sh.GID], cis)
 			if err != nil {
 				return nil, fmt.Errorf("%w (shard %q)", err, sp.ID)

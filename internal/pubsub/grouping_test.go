@@ -1,14 +1,15 @@
 package pubsub
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"ppcd/internal/core"
+	"ppcd/internal/ff64"
 	"ppcd/internal/policy"
 )
 
@@ -40,7 +41,7 @@ type slotLifetimeEnv struct {
 	old    *Subscriber
 	slot   int32 // the leaver's slot
 	gid    int32 // and its group
-	sig    string
+	sig    core.Sig
 }
 
 func newSlotLifetimeEnv(t *testing.T) *slotLifetimeEnv {
@@ -67,7 +68,7 @@ func newSlotLifetimeEnv(t *testing.T) *slotLifetimeEnv {
 			env.sig = sh.Sig
 		}
 	}
-	if env.gid == gidNone || env.sig == "" {
+	if env.gid == gidNone || env.sig == (core.Sig{}) {
 		t.Fatal("member has no group after a publish")
 	}
 
@@ -239,38 +240,52 @@ func TestGatherRefusesDeadAndEmptyRows(t *testing.T) {
 	}
 }
 
-// TestPublishRetakesSnapshotWhenCacheMoves: rows are handed to the engine only
-// for shards it had no solve for when the snapshot asked; a cache reset
-// between snapshot and solve is an error of that one attempt, not a re-read
-// of the table outside its lock, and Publish answers it with a new snapshot.
-func TestPublishRetakesSnapshotWhenCacheMoves(t *testing.T) {
+// TestPublishLeasesOutliveCacheReset: rows are handed to the engine only for
+// shards it had no solve for when the snapshot asked, and every other shard
+// carries the solve the snapshot leased. A cache reset between snapshot and
+// solve costs that session nothing: it solves no leased shard, and every
+// member derives every configuration key it publishes. The leases do not go
+// back into the emptied cache, so the next publish gathers and solves every
+// shard, without a scan.
+func TestPublishLeasesOutliveCacheReset(t *testing.T) {
 	env := newDeltaEnv(t, 2, 4)
+	var nyms []string
 	for i := 0; i < 10; i++ {
-		env.join(t, 2)
+		nyms = append(nyms, env.join(t, 2))
 	}
 	if _, err := env.pub.Publish(env.doc); err != nil {
 		t.Fatal(err)
 	}
 	relevant := env.pub.policiesFor("doc")
 	cfgs := policy.Configurations(env.doc.Names(), relevant)
-	shards, err := env.pub.reg.snapshotGrouped(relevant, env.pub.keys.engine.HasShard)
+	shards, err := env.pub.reg.snapshotGrouped(relevant, env.pub.keys.engine.Lease)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for id, specs := range shards {
 		for _, sp := range specs {
-			if sp.Rows != nil || sp.N == 0 {
-				t.Fatalf("%s shard %s of a steady state: %d rows gathered for N=%d", id, sp.ID, len(sp.Rows), sp.N)
+			if sp.Rows != nil || sp.N == 0 || sp.Lease == (core.ShardLease{}) {
+				t.Fatalf("%s shard %s of a steady state: %d rows gathered for N=%d, leased %v", id, sp.ID, len(sp.Rows), sp.N, sp.Lease != core.ShardLease{})
 			}
 		}
 	}
 	env.pub.ResetRekeyCache()
 	s0 := env.pub.Stats()
-	if _, _, _, err := env.pub.keys.configKeysGrouped(cfgs, shards); !errors.Is(err, core.ErrShardRows) {
-		t.Fatalf("rekey from a snapshot older than the cache reset: %v, want ErrShardRows", err)
+	infos, keys, _, err := env.pub.keys.configKeysGrouped(cfgs, shards)
+	if err != nil {
+		t.Fatalf("rekey from a snapshot older than the cache reset: %v", err)
 	}
 	if s1 := env.pub.Stats(); s1.Solves != s0.Solves {
-		t.Errorf("%d solves ran without rows", s1.Solves-s0.Solves)
+		t.Errorf("%d solves of leased shards", s1.Solves-s0.Solves)
+	}
+	for _, ci := range infos {
+		cond := strings.Replace(string(ci.Key), "acp", "attr", 1) + " >= 1"
+		verify := func(k ff64.Elem) bool { return core.ExpandKey(k) == keys[ci.Key] }
+		for _, nym := range nyms {
+			if _, _, err := core.DeriveKeyGrouped([]core.CSS{env.css[nym][cond]}, ci.Grouped, verify); err != nil {
+				t.Fatalf("%s does not derive the key of %s: %v", nym, ci.Key, err)
+			}
+		}
 	}
 	if _, err := env.pub.Publish(env.doc); err != nil {
 		t.Fatalf("publish after the reset: %v", err)
@@ -287,8 +302,8 @@ func TestPublishRetakesSnapshotWhenCacheMoves(t *testing.T) {
 // a table state that existed between the publish's start and its end; every
 // other registration of the last few states — leavers' old KEVs included —
 // gets nothing. A second policy whose one shard never changes is the shard
-// that is handed over without rows: a publish that loses it to a reset between
-// snapshot and solve retries, and every publish succeeds.
+// that is handed over as a lease: a publish whose snapshot leased it before a
+// reset wraps under the lease, and every publish succeeds at its first try.
 func TestGroupedChurnRaceSameShard(t *testing.T) {
 	const epochs, groupSize = 200, 8
 	env := newDeltaEnv(t, 2, groupSize)
@@ -359,7 +374,8 @@ func TestGroupedChurnRaceSameShard(t *testing.T) {
 			default:
 			}
 			// Seldom enough that most snapshots find the still shard solved,
-			// often enough that some publishes lose it before they rekey.
+			// often enough that some publishes hold a lease the cache has
+			// dropped by the time they rekey.
 			env.pub.ResetRekeyCache()
 			for i := 0; i < 32; i++ {
 				runtime.Gosched()
@@ -368,8 +384,9 @@ func TestGroupedChurnRaceSameShard(t *testing.T) {
 	}()
 
 	// A second publisher that checks nothing spends its whole time between
-	// snapshot and solve, which is where a reset has to land to cost a publish
-	// its rows; it also takes churn away from under the checked publisher.
+	// snapshot and solve, which is where a reset has to land to come between
+	// a lease and its session; it also takes churn away from under the
+	// checked publisher.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -479,7 +496,9 @@ func churnCells(i int, both bool) map[string]core.CSS {
 	return cells
 }
 
-func solvedAll(string, string) bool { return true }
+// solvedAll is an engine that claims a solve of every shard: a grouped
+// snapshot gathers no rows (its specs carry empty leases, for no session).
+func solvedAll(string, core.Sig) (core.ShardLease, bool) { return core.ShardLease{}, true }
 
 // TestGroupStateBytesPerPolicyRow is the grouping layer's memory budget at
 // 50 000 rows × 2 policies: what it keeps per policy row — gid column entry,

@@ -1,9 +1,12 @@
 package pubsub
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"slices"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"ppcd/internal/core"
@@ -17,12 +20,12 @@ import (
 // engine, in either the classic one-ACV-per-configuration mode or the
 // grouped (§VIII-C) mode where each policy's rows are sharded and only
 // dirty shards re-solve. All caching policy lives here — an ungrouped
-// configuration's cache signature is the vector of its member policies'
-// membership versions, a grouped one's is the vector of its shard content
-// digests — so a configuration is re-solved exactly when a table mutation
-// could have changed its subscriber set: the paper's "rekey only on
-// membership change" semantics with zero redundant null-space solves
-// (§VIII-A).
+// configuration's cache signature digests its member policies' membership
+// versions, a shard's digests its content, and a grouped configuration is
+// reused when its slots hold the solves its shards lease — so a configuration
+// is re-solved exactly when a table mutation could have changed its
+// subscriber set: the paper's "rekey only on membership change" semantics
+// with zero redundant null-space solves (§VIII-A).
 //
 // The keymgr also applies §VIII-B configuration dominance: when a
 // configuration's qualified rows all come from a subset of its policies and
@@ -62,16 +65,47 @@ func (km *keyManager) stats() Stats {
 // reset drops all cached builds (ResetRekeyCache).
 func (km *keyManager) reset() { km.engine.Reset() }
 
-// configSig builds the membership signature of one configuration from the
-// snapshot version vector.
-func configSig(key policy.ConfigKey, vers map[string]uint64, rowCount, minN int) string {
-	ids := key.IDs()
-	parts := make([]string, 0, len(ids)+1)
-	for _, id := range ids {
-		parts = append(parts, fmt.Sprintf("%s@%d", id, vers[id]))
+// configSig builds, in d, the membership signature of one configuration from
+// the snapshot version vector: its policies with their versions, its row
+// count and the header capacity floor.
+func configSig(d *sigHash, key policy.ConfigKey, vers map[string]uint64, rowCount, minN int) core.Sig {
+	for _, id := range key.IDs() {
+		d.str(id)
+		d.num(vers[id])
 	}
-	parts = append(parts, fmt.Sprintf("rows=%d,minN=%d", rowCount, minN))
-	return strings.Join(parts, "|")
+	d.num(uint64(rowCount))
+	d.num(uint64(minN))
+	return d.sum()
+}
+
+// sigHash is a SHA-256 over fields, strings length-prefixed so that crafted
+// names cannot collide across field boundaries: every cache signature and
+// bucket digest of this package. Fields pass through its own buffer, so
+// feeding one allocates nothing; sum resets it for the next digest.
+type sigHash struct {
+	h   hash.Hash
+	buf [sha256.BlockSize]byte
+}
+
+func newSigHash() *sigHash { return &sigHash{h: sha256.New()} }
+
+func (d *sigHash) num(v uint64) {
+	binary.BigEndian.PutUint64(d.buf[:], v)
+	d.h.Write(d.buf[:8])
+}
+
+func (d *sigHash) str(s string) {
+	d.num(uint64(len(s)))
+	for len(s) > 0 {
+		n := copy(d.buf[:], s)
+		d.h.Write(d.buf[:n])
+		s = s[n:]
+	}
+}
+
+func (d *sigHash) sum() core.Sig {
+	defer d.h.Reset()
+	return core.Sig(d.h.Sum(d.buf[:0]))
 }
 
 // sortedConfigs returns the configuration keys in deterministic order.
@@ -190,6 +224,7 @@ func (km *keyManager) configKeys(cfgs map[policy.ConfigKey][]string, rowsByACP m
 	solo, throwaway, aliases := km.splitByDominance(cfgs, func(acpID string) bool { return len(rowsByACP[acpID]) > 0 })
 
 	specs := make([]core.ConfigSpec, 0, len(solo))
+	d := newSigHash()
 	for _, key := range solo {
 		rowCount := 0
 		var groups []core.RowGroup
@@ -202,7 +237,7 @@ func (km *keyManager) configKeys(cfgs map[policy.ConfigKey][]string, rowsByACP m
 		}
 		specs = append(specs, core.ConfigSpec{
 			ID:     string(key),
-			Sig:    configSig(key, vers, rowCount, km.minN),
+			Sig:    configSig(d, key, vers, rowCount, km.minN),
 			Groups: groups,
 			MinN:   km.minN,
 		})
@@ -234,16 +269,18 @@ func (km *keyManager) configKeys(cfgs map[policy.ConfigKey][]string, rowsByACP m
 // configuration's shards are the sticky per-policy groups of the registry's
 // grouped snapshot, identified across configurations and sessions by
 // "policy/group" so shared shards solve once and clean shards never re-solve.
-// A shard the snapshot found solved carries no rows (core.ErrShardRows if the
-// engine's cache moved since: Publish takes a new snapshot).
+// A shard the snapshot found solved carries its leased solve instead of rows.
 func (km *keyManager) configKeysGrouped(cfgs map[policy.ConfigKey][]string, shardsByACP map[string][]core.ShardSpec) ([]ConfigInfo, map[policy.ConfigKey][sym.KeySize]byte, sessionSecrets, error) {
 	solo, throwaway, aliases := km.splitByDominance(cfgs, func(acpID string) bool { return len(shardsByACP[acpID]) > 0 })
 
 	specs := make([]core.GroupedConfigSpec, 0, len(solo))
 	for _, key := range solo {
-		var shards []core.ShardSpec
-		for _, acpID := range key.IDs() {
-			shards = append(shards, shardsByACP[acpID]...)
+		// A configuration of one policy shares its specs (the engine only
+		// reads them); a longer one appends onto a clipped copy.
+		ids := key.IDs()
+		shards := shardsByACP[ids[0]]
+		for _, acpID := range ids[1:] {
+			shards = append(slices.Clip(shards), shardsByACP[acpID]...)
 		}
 		specs = append(specs, core.GroupedConfigSpec{ID: string(key), Shards: shards})
 	}

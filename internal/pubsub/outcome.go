@@ -34,13 +34,13 @@ type PublishOutcome struct {
 
 // SolvedConfig is one configuration a rekey session rebuilt: its engine cache
 // ID (the key of the configuration whose build it is, §VIII-B), its key K,
-// and what recomputes its cache signature — the membership signature of an
-// ungrouped configuration, the shard IDs in header order of a grouped one
-// (the signature is then theirs, core.Engine.Install). SECRET (Key).
+// and the membership signature of an ungrouped configuration or the shard IDs
+// in header order of a grouped one, whose slots core.Engine.Install checks
+// against the shard cache. SECRET (Key).
 type SolvedConfig struct {
 	ID     string
 	Key    ff64.Elem
-	Sig    string
+	Sig    core.Sig
 	Shards []string
 }
 
@@ -49,7 +49,7 @@ type SolvedConfig struct {
 // the first slot of a rebuilt configuration naming it. SECRET (Key).
 type SolvedShard struct {
 	ID  string
-	Sig string
+	Sig core.Sig
 	Key ff64.Elem
 }
 

@@ -61,8 +61,8 @@ type registry struct {
 	// mutations never wait on a grouped assembly. Lock order, the
 	// publisher's whole and checked by the lockorder analyzer: mutMu → grpMu
 	// → mu → pubMu, never the reverse. A grouped snapshot also takes
-	// Engine.mu under grpMu and mu, through core.Engine.HasShard; the engine
-	// never calls back.
+	// Engine.mu under grpMu and mu, leasing solves (core.Engine.Lease); the
+	// engine never calls back.
 	groupSize    int
 	grpMu        sync.Mutex
 	grp          map[string]*groupState
@@ -253,15 +253,15 @@ func (r *registry) tableMemory() (int, int64) {
 // groupMemory returns the number of grouped policy rows (group members over
 // all policies) and the estimated resident bytes of the grouping layer around
 // them: gid columns, member slot lists, per-group occupancy and slice headers,
-// shard entries with their 43-byte signatures, unconsumed hints, and the
-// tracker's one bitset of the groups per occupancy level.
+// 48-byte shard entries with their signatures inline, unconsumed hints, and
+// the tracker's one bitset of the groups per occupancy level.
 func (r *registry) groupMemory() (rows int, b int64) {
 	r.grpMu.Lock()
 	defer r.grpMu.Unlock()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for id, gs := range r.grp {
-		b += int64(4*cap(r.tab.gids[id]) + 8*cap(gs.counts) + 24*cap(gs.members) + (40+43)*cap(gs.shards) + 16*len(r.pend[id]))
+		b += int64(4*cap(r.tab.gids[id]) + 8*cap(gs.counts) + 24*cap(gs.members) + 48*cap(gs.shards) + 16*len(r.pend[id]))
 		b += int64((r.groupSize + 1) * (56 + len(gs.counts)/8))
 		for _, m := range gs.members {
 			rows += len(m)

@@ -25,9 +25,9 @@ import (
 //
 //	stamp:      u64 epoch | u64 gen
 //	memVer:     u32 n { str policyID, u64 ver }
-//	cfgCache:   u32 n { str id, str sig, header, u64 key }
-//	shardCache: u32 n { str id, str sig, header, u64 key }
-//	grpCache:   u32 n { str id, str sig, bytes nonce,
+//	cfgCache:   u32 n { str id, 32 bytes sig, header, u64 key }
+//	shardCache: u32 n { str id, 32 bytes sig, header, u64 key }
+//	grpCache:   u32 n { str id, bytes nonce,
 //	                    u32 shards { u8 kind(0), str shardID, u64 wrap },
 //	                    u64 key }
 //	lastPub:    u32 n { str doc, broadcast, u32 digests { str subdoc, 32 bytes } }
@@ -37,7 +37,8 @@ import (
 // broadcast is the epoch-stamped package with per-config revisions;
 // a configuration header inside it is encoded as a reference into the cache
 // sections whenever the cache holds its solve (the normal case). A grouped
-// shard's kind 1, an inline sub-header, is retired: the cache exports only
+// entry has no signature: its slots name the shards whose solves it holds.
+// Slot kind 1, an inline sub-header, is retired: the cache exports only
 // entries whose every slot holds the shard cache's solve.
 
 // maxStateHeaderBudget bounds the cumulative decoded size of all cached and
@@ -45,10 +46,10 @@ import (
 // one segmented import.
 const maxStateHeaderBudget = 256 << 20
 
-// maxStateSigLen caps cache IDs and signatures (configuration keys join
-// policy IDs, grouped signatures concatenate per-shard digests — both grow
-// with the policy/shard count, far beyond a single condition ID).
-const maxStateSigLen = 1 << 24
+// maxStateIDLen caps cache and configuration IDs (a configuration key joins
+// policy IDs and grows with the policy count, far beyond a single condition
+// ID).
+const maxStateIDLen = 1 << 24
 
 // Errors returned by the state codec.
 var (
@@ -291,21 +292,20 @@ func writeStateCaches(w *stateWriter, cfgs []core.CachedConfig, shards []core.Ca
 	w.u32(len(cfgs))
 	for _, c := range cfgs {
 		w.str(c.ID)
-		w.str(c.Sig)
+		w.raw(c.Sig[:])
 		writeStateHeader(w, c.Hdr)
 		w.u64(uint64(c.Key))
 	}
 	w.u32(len(shards))
 	for _, s := range shards {
 		w.str(s.ID)
-		w.str(s.Sig)
+		w.raw(s.Sig[:])
 		writeStateHeader(w, s.Hdr)
 		w.u64(uint64(s.Key))
 	}
 	w.u32(len(grouped))
 	for _, g := range grouped {
 		w.str(g.ID)
-		w.str(g.Sig)
 		w.bytes(g.RekeyNonce)
 		w.u32(len(g.Shards))
 		for _, sh := range g.Shards {
@@ -346,10 +346,7 @@ func readStateCaches(r *stateReader) (cfgs []core.CachedConfig, shards []core.Ca
 	}
 	for i := 0; i < n; i++ {
 		var g core.CachedGrouped
-		if g.ID, err = r.str(maxStateSigLen); err != nil {
-			return nil, nil, nil, err
-		}
-		if g.Sig, err = r.str(maxStateSigLen); err != nil {
+		if g.ID, err = r.str(maxStateIDLen); err != nil {
 			return nil, nil, nil, err
 		}
 		if g.RekeyNonce, err = r.bytes(); err != nil {
@@ -376,7 +373,7 @@ func readStateCaches(r *stateReader) (cfgs []core.CachedConfig, shards []core.Ca
 			default:
 				return nil, nil, nil, fmt.Errorf("pubsub: bad state shard kind %d", kind)
 			}
-			if sh.ShardID, err = r.str(maxStateSigLen); err != nil {
+			if sh.ShardID, err = r.str(maxStateIDLen); err != nil {
 				return nil, nil, nil, err
 			}
 			if sh.ShardID == "" {
@@ -396,11 +393,11 @@ func readStateCaches(r *stateReader) (cfgs []core.CachedConfig, shards []core.Ca
 
 // readStateCacheEntry decodes the common shape of a configuration and a shard
 // cache entry.
-func readStateCacheEntry(r *stateReader) (id, sig string, hdr *core.Header, key ff64.Elem, err error) {
-	if id, err = r.str(maxStateSigLen); err != nil {
+func readStateCacheEntry(r *stateReader) (id string, sig core.Sig, hdr *core.Header, key ff64.Elem, err error) {
+	if id, err = r.str(maxStateIDLen); err != nil {
 		return
 	}
-	if sig, err = r.str(maxStateSigLen); err != nil {
+	if err = stateErr(r.r.Fill(sig[:])); err != nil {
 		return
 	}
 	if hdr, err = readStateHeader(r); err != nil {
@@ -647,7 +644,7 @@ func readStateBroadcast(r *stateReader, refs *cacheRefs) (*Broadcast, error) {
 	}
 	for i := 0; i < ncfg; i++ {
 		var ci ConfigInfo
-		key, err := r.str(maxStateSigLen)
+		key, err := r.str(maxStateIDLen)
 		if err != nil {
 			return nil, err
 		}
@@ -666,7 +663,7 @@ func readStateBroadcast(r *stateReader, refs *cacheRefs) (*Broadcast, error) {
 				return nil, err
 			}
 		case stCfgRef:
-			id, err := r.str(maxStateSigLen)
+			id, err := r.str(maxStateIDLen)
 			if err != nil {
 				return nil, err
 			}
@@ -677,7 +674,7 @@ func readStateBroadcast(r *stateReader, refs *cacheRefs) (*Broadcast, error) {
 			ci.Header = h
 		case stCfgGroupedIn, stCfgGroupedRef:
 			if kind == stCfgGroupedRef {
-				id, err := r.str(maxStateSigLen)
+				id, err := r.str(maxStateIDLen)
 				if err != nil {
 					return nil, err
 				}
@@ -741,7 +738,7 @@ func readStateBroadcast(r *stateReader, refs *cacheRefs) (*Broadcast, error) {
 		if it.Subdoc, err = r.str(maxStateCondLen); err != nil {
 			return nil, err
 		}
-		cfg, err := r.str(maxStateSigLen)
+		cfg, err := r.str(maxStateIDLen)
 		if err != nil {
 			return nil, err
 		}

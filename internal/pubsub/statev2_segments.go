@@ -1,8 +1,6 @@
 package pubsub
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -54,9 +52,10 @@ const DefaultSegmentSlots = 4096
 
 // segPayloadVersion versions every segment payload independently of the
 // store's framing. Version 2 made table segments columnar, version 3 stores a
-// cached header's seed where its nonces were; there is a reader for neither
+// cached header's seed where its nonces were, version 4 a signature as its 32
+// bytes, and a grouped cache entry without one; there is a reader for no
 // earlier version.
-const segPayloadVersion = 3
+const segPayloadVersion = 4
 
 // SegmentGeometry is the shape of one segmented export.
 type SegmentGeometry struct {
@@ -252,57 +251,41 @@ func partitionCacheEntries(nbuckets int, cfgs []core.CachedConfig, shards []core
 // bytes). Digests cover SECRET key material; the
 // store persists them only inside the sealed manifest.
 func cacheBucketDigest(cfgs []core.CachedConfig, shards []core.CachedShard, grouped []core.CachedGrouped) [32]byte {
-	h := sha256.New()
-	var num [8]byte
-	ws := func(s string) {
-		binary.BigEndian.PutUint64(num[:], uint64(len(s)))
-		h.Write(num[:])
-		h.Write([]byte(s))
-	}
-	wu := func(v uint64) {
-		binary.BigEndian.PutUint64(num[:], v)
-		h.Write(num[:])
-	}
-	whdr := func(hd *core.Header) {
-		wu(uint64(len(hd.X)))
-		for _, e := range hd.X {
-			wu(uint64(e))
-		}
-		h.Write(hd.Seed)
-	}
+	d := newSigHash()
 	for i := range cfgs {
 		c := &cfgs[i]
-		h.Write([]byte{'C'})
-		ws(c.ID)
-		ws(c.Sig)
-		wu(uint64(c.Key))
-		whdr(c.Hdr)
+		d.num('C')
+		d.str(c.ID)
+		d.h.Write(c.Sig[:])
+		d.num(uint64(c.Key))
+		d.num(uint64(len(c.Hdr.X)))
+		for _, e := range c.Hdr.X {
+			d.num(uint64(e))
+		}
+		d.h.Write(c.Hdr.Seed)
 	}
 	for i := range shards {
 		s := &shards[i]
-		h.Write([]byte{'S'})
-		ws(s.ID)
-		ws(s.Sig)
-		wu(uint64(s.Key))
+		d.num('S')
+		d.str(s.ID)
+		d.h.Write(s.Sig[:])
+		d.num(uint64(s.Key))
 	}
 	for i := range grouped {
 		g := &grouped[i]
-		h.Write([]byte{'G'})
-		ws(g.ID)
-		ws(g.Sig)
-		wu(uint64(g.Key))
-		wu(uint64(len(g.RekeyNonce)))
-		h.Write(g.RekeyNonce)
-		wu(uint64(len(g.Shards)))
+		d.num('G')
+		d.str(g.ID)
+		d.num(uint64(g.Key))
+		d.num(uint64(len(g.RekeyNonce)))
+		d.h.Write(g.RekeyNonce)
+		d.num(uint64(len(g.Shards)))
 		for _, sh := range g.Shards {
-			wu(uint64(sh.Wrap))
-			h.Write([]byte{'r'})
-			ws(sh.ShardID)
+			d.num(uint64(sh.Wrap))
+			d.num('r')
+			d.str(sh.ShardID)
 		}
 	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	return d.sum()
 }
 
 // encodeTableSegment encodes slots [lo, hi): the table's own columns plus one

@@ -460,7 +460,15 @@ func FuzzTableSegment(f *testing.F) {
 	})
 }
 
-// FuzzCacheSegment: an accepted cache bucket re-encodes to the same bytes.
+// cacheAllocPerByte and cacheAllocFixed bound what decoding a cache segment
+// allocates. A configuration or shard entry costs a few times its ≥ 88 input
+// bytes (its slice entry, doubled while the slice grows, the header, X, the
+// seed), a grouped slot 32 B for its ≥ 14.
+const cacheAllocPerByte, cacheAllocFixed = 16, 16 << 10
+
+// FuzzCacheSegment: the cache-segment decoder allocates no more than
+// cacheAllocPerByte per input byte plus cacheAllocFixed, and an accepted cache
+// bucket re-encodes to the same bytes.
 func FuzzCacheSegment(f *testing.F) {
 	env := newSegEnv(f, 3)
 	churned(f, env)
@@ -471,7 +479,15 @@ func FuzzCacheSegment(f *testing.F) {
 		f.Add(append([]byte{2}, seg[1:]...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		seg := decodeCacheSegment(data, codec.NewBudget(maxStateHeaderBudget))
+		budget := codec.NewBudget(maxStateHeaderBudget)
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		seg := decodeCacheSegment(data, budget)
+		runtime.ReadMemStats(&ms)
+		if got, bound := ms.TotalAlloc-before, cacheAllocPerByte*uint64(len(data))+cacheAllocFixed; got > bound {
+			t.Fatalf("decoding a %d-byte cache segment allocated %d bytes, more than %d", len(data), got, bound)
+		}
 		if seg.err != nil {
 			return
 		}
@@ -490,9 +506,9 @@ type hostileMeta struct {
 }
 
 // hostileMetaSegments are meta segments of every shape the decoder must
-// refuse. All but the last two are hand-built, of generation 7, with no
-// membership versions and no group universe, for an empty table; "v2" and
-// "trailing" are real, the real meta segment given rewritten.
+// refuse. All but the last three are hand-built, of generation 7, with no
+// membership versions and no group universe, for an empty table; "v2", "v3"
+// and "trailing" are real, the real meta segment given rewritten.
 func hostileMetaSegments(real []byte) map[string]hostileMeta {
 	meta := func(gen uint64, body func(w *stateWriter)) []byte {
 		w := &stateWriter{}
@@ -563,6 +579,7 @@ func hostileMetaSegments(real []byte) map[string]hostileMeta {
 		"config-kind":      {meta(7, bases(doc("doc", "doc", 7, func(w *stateWriter) { w.u8(9) }))), "bad state config kind 9"},
 		"unreduced-header": {meta(7, bases(doc("doc", "doc", 7, func(w *stateWriter) { w.u8(stCfgInline); w.u32(1); w.u64(ff64.Modulus); w.raw(header.Seed) }))), "not reduced"},
 		"v2":               {append([]byte{2}, real[1:]...), "unsupported segment version 2"},
+		"v3":               {append([]byte{3}, real[1:]...), "unsupported segment version 3"},
 		"trailing":         {append(slices.Clone(real), 0), "trailing bytes"},
 	}
 }

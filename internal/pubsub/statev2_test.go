@@ -535,8 +535,9 @@ func TestAdmissionEnforcesStateCaps(t *testing.T) {
 
 // TestStateHeaderIsXAndSeed pins the header form of the durable state: X and
 // the 32-byte seed of its nonce run, under 1.2 kB for a cached 128-row shard
-// where the nonces written out made it 3.6, byte for byte what the commit
-// before headers stopped holding their nonces wrote; a header decodes to what
+// where the nonces written out made it 3.6, byte for byte, beside the shard's
+// 32-byte signature (version 4: 36 B less per shard than the length-prefixed
+// text of version 3); a header decodes to what
 // it rests as — X and the seed, no nonce expanded, nothing charged but X; a
 // header listed beside its seed exports as the same bytes; and a header
 // without a seed fails the export rather than writing a blob no import could
@@ -547,10 +548,11 @@ func TestStateHeaderIsXAndSeed(t *testing.T) {
 	hdr := func(n int) *core.Header {
 		return &core.Header{X: make(linalg.Vector, n+1), Seed: seed}
 	}
+	sig := func(c byte) core.Sig { return core.Sig(bytes.Repeat([]byte{c}, len(core.Sig{}))) }
 	shards := []core.CachedShard{
-		{ID: "acp0#0", Sig: strings.Repeat("s", 64), Hdr: hdr(n), Key: 7},
-		{ID: "acp0#1", Sig: strings.Repeat("t", 64), Hdr: hdr(n - 9), Key: 8},
-		{ID: "acp0#2", Sig: strings.Repeat("u", 64), Hdr: hdr(n), Key: 9},
+		{ID: "acp0#0", Sig: sig('s'), Hdr: hdr(n), Key: 7},
+		{ID: "acp0#1", Sig: sig('t'), Hdr: hdr(n - 9), Key: 8},
+		{ID: "acp0#2", Sig: sig('u'), Hdr: hdr(n), Key: 9},
 	}
 	seg, err := encodeCacheBucket(nil, shards, nil)
 	if err != nil {
@@ -559,9 +561,9 @@ func TestStateHeaderIsXAndSeed(t *testing.T) {
 	if perShard := len(seg) / len(shards); perShard > 1200 || perShard < 8*(n-9)+core.SeedSize {
 		t.Errorf("a cached %d-row shard takes %d B of its cache segment, want X + seed + names ≤ 1200", n, perShard)
 	}
-	const golden = "8c0391bfc4a784d5ec951fe09d1363752da67cc8b03f4667c54a5793b74f0f7d"
-	if sum := sha256.Sum256(seg); len(seg) != 3403 || hex.EncodeToString(sum[:]) != golden {
-		t.Errorf("cache segment is %d bytes with SHA-256 %x, want 3403 and %s", len(seg), sum, golden)
+	const golden = "482df69dba685d7de93e8f2bc461d5a2d97562910d2d5802a44207c7d6f492ed"
+	if sum := sha256.Sum256(seg); len(seg) != 3295 || hex.EncodeToString(sum[:]) != golden {
+		t.Errorf("cache segment is %d bytes with SHA-256 %x, want 3295 and %s", len(seg), sum, golden)
 	}
 	before := core.NonceExpansions()
 	budget := codec.NewBudget(maxStateHeaderBudget)
@@ -597,9 +599,11 @@ func TestStateHeaderIsXAndSeed(t *testing.T) {
 	if _, err := encodeCacheBucket(nil, shards, nil); err == nil {
 		t.Error("a header without a seed was exported")
 	}
-	v2 := append([]byte{2}, seg[1:]...)
-	if dec := decodeCacheSegment(v2, nil); dec.err == nil || !strings.Contains(dec.err.Error(), "unsupported segment version 2") {
-		t.Errorf("version-2 cache segment: %v", dec.err)
+	for _, v := range []byte{2, 3} {
+		old := append([]byte{v}, seg[1:]...)
+		if dec := decodeCacheSegment(old, nil); dec.err == nil || !strings.Contains(dec.err.Error(), fmt.Sprintf("unsupported segment version %d", v)) {
+			t.Errorf("version-%d cache segment: %v", v, dec.err)
+		}
 	}
 }
 
@@ -619,7 +623,7 @@ func TestStateCodecKeepsNames(t *testing.T) {
 		t.Fatalf("state header round trip: %v, %v; name kept %v", err, w.err, got != nil && got.Name() == hdr.Name())
 	}
 
-	g := core.CachedGrouped{ID: "A", Sig: "s", RekeyNonce: bytes.Repeat([]byte{3}, core.NonceSize),
+	g := core.CachedGrouped{ID: "A", RekeyNonce: bytes.Repeat([]byte{3}, core.NonceSize),
 		Shards: []core.CachedGroupedShard{{ShardID: "acpA/0", Wrap: 5}}, Key: 6}
 	seg, err := encodeCacheBucket(nil, nil, []core.CachedGrouped{g})
 	if err != nil {
@@ -629,8 +633,8 @@ func TestStateCodecKeepsNames(t *testing.T) {
 	if dec.err != nil || !reflect.DeepEqual(dec.grouped, []core.CachedGrouped{g}) || dec.grouped[0].Name() != g.Name() {
 		t.Fatalf("grouped cache entry round trip: %v", dec.err)
 	}
-	// version, three section counts, ID, Sig, nonce, slot count: the slot kind.
-	kind := 1 + 3*4 + (4 + len(g.ID)) + (4 + len(g.Sig)) + (4 + core.NonceSize) + 4
+	// version, three section counts, ID, nonce, slot count: the slot kind.
+	kind := 1 + 3*4 + (4 + len(g.ID)) + (4 + core.NonceSize) + 4
 	if seg[kind] != stShardRef {
 		t.Fatalf("slot kind at %d is %d", kind, seg[kind])
 	}

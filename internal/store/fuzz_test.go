@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ppcd/internal/core"
@@ -71,9 +72,34 @@ func livePublishEvents(t testing.TB) (cold, churn pubsub.StateEvent) {
 	return log[0], log[2]
 }
 
+// allocWithin runs decode and fails t if it allocated more than c bytes per
+// input byte plus k: hostile bytes cost what they weigh.
+func allocWithin(t *testing.T, what string, input []byte, c, k uint64, decode func()) {
+	t.Helper()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	decode()
+	runtime.ReadMemStats(&ms)
+	if got, bound := ms.TotalAlloc-before, c*uint64(len(input))+k; got > bound {
+		t.Fatalf("decoding a %d-byte %s allocated %d bytes, more than %d", len(input), what, got, bound)
+	}
+}
+
+// The allocation bounds of the event decoders. An event allocates its map
+// and slice entries — a few dozen bytes for each ≥ 12 input bytes, doubled
+// while they grow — and a publish outcome's delta frame what the wire
+// decoder may (16 bytes per byte and 64 KiB); a record adds its decrypted
+// plaintext.
+const (
+	eventAllocPerByte, eventAllocFixed   = 32, 128 << 10
+	recordAllocPerByte, recordAllocFixed = eventAllocPerByte + 2, eventAllocFixed
+)
+
 // FuzzWALRecord drives parseRecord with arbitrary bytes: it must never
-// panic, never report a record longer than its input, and classify every
-// outcome as a record, a torn tail, or corruption.
+// panic, never report a record longer than its input, classify every
+// outcome as a record, a torn tail, or corruption, and allocate within
+// recordAllocPerByte per input byte plus recordAllocFixed.
 func FuzzWALRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(sealRecord(f, 1, pubsub.StateEvent{Kind: pubsub.StateEventRevokeSubscription, Nym: "pn-a"}))
@@ -90,7 +116,10 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add(sealRecord(f, 5, churn))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, n, err := parseRecord(data, fuzzKey())
+		var rec walRecord
+		var n int
+		var err error
+		allocWithin(t, "WAL record", data, recordAllocPerByte, recordAllocFixed, func() { rec, n, err = parseRecord(data, fuzzKey()) })
 		if err != nil {
 			return
 		}
@@ -105,7 +134,8 @@ func FuzzWALRecord(f *testing.F) {
 }
 
 // FuzzEvent drives the bare event codec (the plaintext inside a sealed
-// record): no panic, and anything accepted must survive a re-encode/decode
+// record): no panic, allocation within eventAllocPerByte per input byte plus
+// eventAllocFixed, and anything accepted must survive a re-encode/decode
 // round trip unchanged. (Byte canonicality is deliberately not required:
 // Register cells arrive as a map, so a permuted-cells encoding decodes to
 // the same event and re-encodes sorted.)
@@ -121,7 +151,9 @@ func FuzzEvent(f *testing.F) {
 	f.Add(appendEvent(nil, churn))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ev, err := decodeEvent(data)
+		var ev pubsub.StateEvent
+		var err error
+		allocWithin(t, "event", data, eventAllocPerByte, eventAllocFixed, func() { ev, err = decodeEvent(data) })
 		if err != nil {
 			return
 		}

@@ -165,11 +165,9 @@ func decodeManifest(plain []byte) (*manifest, error) {
 			return nil, fmt.Errorf("%w: manifest segment of %d bytes exceeds limits", ErrCorrupt, size)
 		}
 		f.size = int64(size)
-		sum, err := r.Take(32)
-		if err != nil {
+		if err := r.Fill(f.sum[:]); err != nil {
 			return bad(err)
 		}
-		copy(f.sum[:], sum)
 		switch {
 		case f.kind == segKindMeta && idx == 0 && !seenMeta:
 			seenMeta = true
@@ -184,11 +182,9 @@ func decodeManifest(plain []byte) (*manifest, error) {
 	}
 	m.cacheDigests = make([][32]byte, m.cacheSegs)
 	for i := range m.cacheDigests {
-		d, err := r.Take(32)
-		if err != nil {
+		if err := r.Fill(m.cacheDigests[i][:]); err != nil {
 			return bad(err)
 		}
-		copy(m.cacheDigests[i][:], d)
 	}
 	if err := r.Done(); err != nil {
 		return bad(err)

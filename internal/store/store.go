@@ -16,7 +16,7 @@
 //
 //	manifest.ppcd      "PPCDMF1" ‖ AEAD( manifest body )
 //	seg-<k><i>-<r>.ppcd "PPCDSG1" ‖ AEAD( kind:u8 ‖ index:u32 ‖ payload )
-//	wal.ppcd           "PPCDWL4" ‖ records…
+//	wal.ppcd           "PPCDWL5" ‖ records…
 //
 // A snapshot is SEGMENTED: the publisher state splits into one meta segment
 // (kind 'm'), table segments (kind 't') covering contiguous columnar slot
@@ -65,8 +65,9 @@
 // it is journaled as the epoch alone and replays as one, leaving that
 // document's diff base and the cache at their previous state. A log written
 // before publish records carried an outcome ("PPCDWL1"), whose outcomes
-// embed version-5 delta frames ("PPCDWL2") or carry the alias map replay
-// never read ("PPCDWL3"), has no reader and is refused by name. The sequence
+// embed version-5 delta frames ("PPCDWL2"), carry the alias map replay
+// never read ("PPCDWL3") or text signatures ("PPCDWL4"), has no reader and is
+// refused by name. The sequence
 // number inside the AEAD envelope
 // orders events totally: a snapshot taken at sequence s makes every record
 // with seq ≤ s redundant, so recovery replays only the strictly-newer tail —
@@ -126,7 +127,7 @@ const (
 )
 
 var (
-	walMagic = []byte("PPCDWL4")
+	walMagic = []byte("PPCDWL5")
 	manMagic = []byte("PPCDMF1")
 	segMagic = []byte("PPCDSG1")
 )

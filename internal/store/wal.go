@@ -124,6 +124,7 @@ var retiredWALs = map[string]string{
 	"PPCDWL1": "its publish records carry no outcome",
 	"PPCDWL2": "its publish records embed version-5 delta frames",
 	"PPCDWL3": "its publish records carry an alias map",
+	"PPCDWL4": "its signatures are text",
 }
 
 // allZero reports whether every byte of b is zero (the signature of a file
@@ -475,8 +476,8 @@ func appendEvent(b []byte, ev pubsub.StateEvent) []byte {
 //
 //	outcome = len:u32 ‖ delta frame
 //	        ‖ u32 n { str subdoc ‖ digest:32 }
-//	        ‖ u32 n { str id ‖ key:u64 ‖ str sig ‖ u32 n { str shard id } }   rebuilt configurations
-//	        ‖ u32 n { str id ‖ str sig ‖ key:u64 }                           solved shards
+//	        ‖ u32 n { str id ‖ key:u64 ‖ sig:32 ‖ u32 n { str shard id } }   rebuilt configurations
+//	        ‖ u32 n { str id ‖ sig:32 ‖ key:u64 }                           solved shards
 func appendOutcome(b []byte, o *pubsub.PublishOutcome) []byte {
 	frame := wire.MarshalDeltaFrame(o.Delta)
 	b = append(appendU32(b, uint32(len(frame))), frame...)
@@ -487,7 +488,7 @@ func appendOutcome(b []byte, o *pubsub.PublishOutcome) []byte {
 	}
 	b = appendU32(b, uint32(len(o.Configs)))
 	for _, sc := range o.Configs {
-		b = appendStr(appendU64(appendStr(b, sc.ID), uint64(sc.Key)), sc.Sig)
+		b = append(appendU64(appendStr(b, sc.ID), uint64(sc.Key)), sc.Sig[:]...)
 		b = appendU32(b, uint32(len(sc.Shards)))
 		for _, id := range sc.Shards {
 			b = appendStr(b, id)
@@ -495,7 +496,7 @@ func appendOutcome(b []byte, o *pubsub.PublishOutcome) []byte {
 	}
 	b = appendU32(b, uint32(len(o.Shards)))
 	for _, sh := range o.Shards {
-		b = appendU64(appendStr(appendStr(b, sh.ID), sh.Sig), uint64(sh.Key))
+		b = appendU64(append(appendStr(b, sh.ID), sh.Sig[:]...), uint64(sh.Key))
 	}
 	return b
 }
@@ -525,7 +526,9 @@ func decodeEvent(buf []byte) (pubsub.StateEvent, error) {
 		if err != nil {
 			return ev, fmt.Errorf("%w: event cell count exceeds limits: %v", ErrCorrupt, err)
 		}
-		ev.Cells = make(map[string]core.CSS, n)
+		// A cell is at least its condition's length and its CSS: the map is
+		// presized for what the input can hold, not for the count.
+		ev.Cells = make(map[string]core.CSS, min(n, r.Remaining()/(4+8)))
 		for i := 0; i < n; i++ {
 			cond, err := r.Str(maxEventString)
 			if err != nil {
@@ -631,7 +634,7 @@ func decodeOutcome(r *codec.Reader, doc string, epoch uint64) (*pubsub.PublishOu
 		if sc.Key, err = elem(); err != nil {
 			return nil, evErr(err)
 		}
-		if sc.Sig, err = r.Str(maxEventString); err != nil {
+		if err = r.Fill(sc.Sig[:]); err != nil {
 			return nil, evErr(err)
 		}
 		ns, err := r.Len(r.Remaining())
@@ -655,7 +658,7 @@ func decodeOutcome(r *codec.Reader, doc string, epoch uint64) (*pubsub.PublishOu
 		if sh.ID, err = r.Str(maxEventString); err != nil {
 			return nil, evErr(err)
 		}
-		if sh.Sig, err = r.Str(maxEventString); err != nil {
+		if err = r.Fill(sh.Sig[:]); err != nil {
 			return nil, evErr(err)
 		}
 		if sh.Key, err = elem(); err != nil {

@@ -341,7 +341,7 @@ func readOCBERequest(r *reader) (*ocbe.Request, error) {
 		if nc > 1<<16 {
 			return nil, ErrOversize
 		}
-		bc := &ocbe.BitCommitments{Cs: make([][]byte, 0, capHint(nc))}
+		bc := &ocbe.BitCommitments{Cs: make([][]byte, 0, r.presize(nc, 4))}
 		for j := uint32(0); j < nc; j++ {
 			c, err := r.bytes()
 			if err != nil {
@@ -417,7 +417,8 @@ func readBatchReply(r *reader) ([]pubsub.BatchResult, error) {
 	if n > maxBatchItems {
 		return nil, ErrOversize
 	}
-	out := make([]pubsub.BatchResult, 0, capHint(n))
+	// An item is at least its two empty strings and the envelope flag.
+	out := make([]pubsub.BatchResult, 0, r.presize(n, 4+4+1))
 	for i := uint32(0); i < n; i++ {
 		var res pubsub.BatchResult
 		if res.CondID, err = r.str(); err != nil {

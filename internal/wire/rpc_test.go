@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"ppcd/internal/document"
@@ -220,4 +221,24 @@ func FuzzReply(f *testing.F) {
 			t.Fatalf("accepted a reply to kind %d", kind)
 		}
 	})
+}
+
+// TestBatchReplyCountCostsItsBytes: a 6-byte batch reply announcing 2²⁰ − 1
+// items presizes for the items its input can hold, not for the count, and
+// allocates under 1 KiB before it is refused as truncated.
+func TestBatchReplyCountCostsItsBytes(t *testing.T) {
+	msg := []byte{StatusOK, Version, 0x00, 0x0f, 0xff, 0xff}
+	const runs = 100
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	for range runs {
+		if _, err := UnmarshalReply(KindRegisterBatch, msg); err == nil {
+			t.Fatal("a batch reply of no items announcing 2²⁰ − 1 decoded")
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	if per := (ms.TotalAlloc - before) / runs; per >= 1<<10 {
+		t.Errorf("decoding the 6-byte reply allocated %d B, want under 1 KiB", per)
+	}
 }

@@ -163,13 +163,15 @@ func (t *runTable) write(w *writer) {
 }
 
 // readRunTable decodes the frame's runs, each to its seed and its length;
-// nothing is expanded here, whatever length a run claims.
+// nothing is expanded here, whatever length a run claims. The table is not
+// presized: it grows with the runs the input brings, so a count the input
+// does not back costs nothing.
 func readRunTable(r *reader) error {
 	nr, err := r.count(maxFrameRuns)
 	if err != nil {
 		return err
 	}
-	r.runs = make([]frameRun, 0, capHint(uint32(nr)))
+	r.runs = nil
 	// Every run is as long as its longest header, and no two runs share that
 	// header: the n + 1 X entries it still has to bring bound n, summed over
 	// the runs read so far, by the input that remains.
@@ -484,7 +486,8 @@ func readGroupedFrame(r *reader) (*core.GroupedHeader, []uint64, error) {
 	if ns == 0 || ns > maxGroupShards {
 		return nil, nil, ErrOversize
 	}
-	g := &core.GroupedHeader{RekeyNonce: nonce, Shards: make([]core.GroupShard, 0, capHint(ns))}
+	// A shard is at least |X|, one X entry and its wrap.
+	g := &core.GroupedHeader{RekeyNonce: nonce, Shards: make([]core.GroupShard, 0, r.presize(ns, 4+8+8))}
 	for i := uint32(0); i < ns; i++ {
 		h, err := readFrameHeader(r)
 		if err != nil {
@@ -840,7 +843,7 @@ func readGroupedPatch(r *reader, epoch uint64) (*pubsub.GroupedPatch, error) {
 	if ns == 0 || ns > maxDeltaShards {
 		return nil, ErrOversize
 	}
-	p.Wraps = make([]ff64.Elem, 0, capHint(ns))
+	p.Wraps = make([]ff64.Elem, 0, r.presize(ns, 8))
 	for i := uint32(0); i < ns; i++ {
 		raw, err := r.u64()
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"ppcd/internal/benchutil"
 	"ppcd/internal/core"
 	"ppcd/internal/idtoken"
+	"ppcd/internal/linalg"
 	"ppcd/internal/pedersen"
 	"ppcd/internal/pubsub"
 	"ppcd/internal/schnorr"
@@ -292,5 +293,34 @@ func TestFrameByteBudget(t *testing.T) {
 	}
 	if got, want := groupedOf("g", shards...).Grouped.WireSize(), core.NonceSize+k*(8*129+4+8+40); got != want {
 		t.Errorf("GroupedHeader.WireSize = %d, want %d", got, want)
+	}
+}
+
+// TestWireSizeIsFrameGrowth: a header's WireSize is what a snapshot frame
+// grows by when the header joins it, beside the configuration's envelope and
+// the |X| count every header opens with (TestFrameByteBudget counts both so)
+// — for a header of N = 0, which has no nonce run and so neither a reference
+// nor a run entry, and for one of N > 0 whose run is new to the frame;
+// ungrouped, and as one more shard of a grouped configuration, where the
+// shard's revision travels beside what GroupedHeader.WireSize counts.
+func TestWireSizeIsFrameGrowth(t *testing.T) {
+	first := hdrSeeded(testSeed(1), 3)
+	for name, h := range map[string]*core.Header{
+		"N=0": {X: linalg.Vector{42}},
+		"N=5": hdrSeeded(testSeed(2), 5),
+	} {
+		one := pubsub.ConfigInfo{Key: "acp0", Rev: 3, Header: first}
+		without := len(MarshalSnapshotFrame(snapshotOf(one)))
+		with := len(MarshalSnapshotFrame(snapshotOf(one, pubsub.ConfigInfo{Key: "acp1", Rev: 3, Header: h})))
+		envelope := 4 + len("acp1") + 8 + 1 + 4 // key, revision, kind, |X|
+		if got := with - without - envelope; got != h.WireSize() {
+			t.Errorf("%s: the frame grows by %d B beside the envelope, WireSize is %d", name, got, h.WireSize())
+		}
+
+		g1, g2 := groupedOf("g", first), groupedOf("g", first, h)
+		grown := len(MarshalSnapshotFrame(snapshotOf(g2))) - len(MarshalSnapshotFrame(snapshotOf(g1)))
+		if got, want := grown-4-8, g2.Grouped.WireSize()-g1.Grouped.WireSize(); got != want || want != h.WireSize()+8 {
+			t.Errorf("%s as a shard: the frame grows by %d B beside |X| and the revision, GroupedHeader.WireSize by %d, the header's %d + a wrap", name, got, want, h.WireSize())
+		}
 	}
 }

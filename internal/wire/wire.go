@@ -165,12 +165,10 @@ func readX(r *reader) (linalg.Vector, error) {
 	return x, nil
 }
 
-// capHint clamps an attacker-controlled element count before it is used as
-// a preallocation capacity; append grows the slice past it as real payload
-// bytes arrive.
-func capHint(n uint32) int {
-	if n > 1024 {
-		return 1024
-	}
-	return int(n)
+// presize clamps an element count the input has not backed yet to the
+// entries of at least minSize bytes the rest of the input can hold, for use
+// as a preallocation capacity: a hostile count costs what its bytes weigh,
+// and append grows the slice past it as real entries arrive.
+func (r *reader) presize(n uint32, minSize int) int {
+	return min(int(n), r.r.Remaining()/minSize)
 }
