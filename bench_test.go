@@ -21,17 +21,15 @@ import (
 	"ppcd/internal/idtoken"
 	"ppcd/internal/linalg"
 	"ppcd/internal/ocbe"
-	"ppcd/internal/pedersen"
 	"ppcd/internal/pubsub"
 )
 
 var (
 	benchOnce     sync.Once
 	benchJacobian *CommitmentParams
-	benchSchnorr  *CommitmentParams
 )
 
-func benchParams(b *testing.B) (*CommitmentParams, *CommitmentParams) {
+func benchParams(b *testing.B) *CommitmentParams {
 	b.Helper()
 	benchOnce.Do(func() {
 		var err error
@@ -39,18 +37,14 @@ func benchParams(b *testing.B) (*CommitmentParams, *CommitmentParams) {
 		if err != nil {
 			panic(err)
 		}
-		benchSchnorr, err = Setup(SchnorrGroup(), []byte("bench"))
-		if err != nil {
-			panic(err)
-		}
 	})
-	return benchJacobian, benchSchnorr
+	return benchJacobian
 }
 
 // --- Figure 2: GE-OCBE step times vs ℓ (paper: 5…40; reduced sweep here) ---
 
 func BenchmarkFig2_GEOCBE(b *testing.B) {
-	jac, _ := benchParams(b)
+	jac := benchParams(b)
 	for _, ell := range []int{5, 10, 20} {
 		b.Run(fmt.Sprintf("ell=%d", ell), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -65,7 +59,7 @@ func BenchmarkFig2_GEOCBE(b *testing.B) {
 // --- Table II: EQ-OCBE step times over the paper's Jacobian group ---
 
 func BenchmarkTable2_EQOCBE_Compose(b *testing.B) {
-	jac, _ := benchParams(b)
+	jac := benchParams(b)
 	x := big.NewInt(28)
 	_, r, err := jac.CommitRandom(x)
 	if err != nil {
@@ -86,7 +80,7 @@ func BenchmarkTable2_EQOCBE_Compose(b *testing.B) {
 }
 
 func BenchmarkTable2_EQOCBE_Open(b *testing.B) {
-	jac, _ := benchParams(b)
+	jac := benchParams(b)
 	x := big.NewInt(28)
 	_, r, err := jac.CommitRandom(x)
 	if err != nil {
@@ -291,20 +285,17 @@ func BenchmarkAblation_GKMDerive(b *testing.B) {
 	})
 }
 
+// BenchmarkAblation_GroupChoiceEQOCBE times one EQ-OCBE round over the
+// commitment group, the paper's genus-2 Jacobian.
 func BenchmarkAblation_GroupChoiceEQOCBE(b *testing.B) {
-	jac, sch := benchParams(b)
-	for _, tc := range []struct {
-		name   string
-		params *pedersen.Params
-	}{{"jacobian", jac}, {"schnorr", sch}} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.MeasureOCBE(tc.params, false, 0, 1); err != nil {
-					b.Fatal(err)
-				}
+	jac := benchParams(b)
+	b.Run("jacobian", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := experiments.MeasureOCBE(jac, false, 0, 1); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkAblation_GroupedBuild measures the §VIII-C scalability strategy:
@@ -389,8 +380,8 @@ func BenchmarkAblation_KernelField(b *testing.B) {
 // --- End-to-end: full publish/decrypt cycle through the public API ---
 
 func BenchmarkEndToEndPublish(b *testing.B) {
-	_, sch := benchParams(b)
-	idmgr, err := NewIdentityManager(sch)
+	params := benchParams(b)
+	idmgr, err := NewIdentityManager(params)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -398,7 +389,7 @@ func BenchmarkEndToEndPublish(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pub, err := NewPublisher(sch, idmgr.PublicKey(), []*Policy{acp}, Options{Ell: 8})
+	pub, err := NewPublisher(params, idmgr.PublicKey(), []*Policy{acp}, Options{Ell: 8})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -448,8 +439,8 @@ func BenchmarkEndToEndPublish(b *testing.B) {
 // groupSize > 0 enables §VIII-C subscriber grouping.
 func benchStatePublisher(b *testing.B, subs, policies, groupSize int) (*Publisher, *Document, []benchutil.Row) {
 	b.Helper()
-	_, sch := benchParams(b)
-	idmgr, err := NewIdentityManager(sch)
+	params := benchParams(b)
+	idmgr, err := NewIdentityManager(params)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -457,7 +448,7 @@ func benchStatePublisher(b *testing.B, subs, policies, groupSize int) (*Publishe
 	if err != nil {
 		b.Fatal(err)
 	}
-	pub, err := NewPublisher(sch, idmgr.PublicKey(), acps, Options{Ell: 8, GroupSize: groupSize})
+	pub, err := NewPublisher(params, idmgr.PublicKey(), acps, Options{Ell: 8, GroupSize: groupSize})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -675,7 +666,7 @@ func BenchmarkSolveBlocked128(b *testing.B)   { benchSolve(b, 128, true) }
 // oblivious registration. Before the ff128 fast path (PR 3) the EQ compose
 // was ~34 ms and a full GE round at ell=20 ~1.1 s on the same hardware.
 func BenchmarkOCBEEnvelope(b *testing.B) {
-	jac, _ := benchParams(b)
+	jac := benchParams(b)
 	msg := make([]byte, 8)
 
 	b.Run("eq-compose", func(b *testing.B) {
@@ -723,7 +714,7 @@ func BenchmarkOCBEEnvelope(b *testing.B) {
 // publisher on the paper curve: token verification, parallel envelope
 // composition over the shared fixed-base tables, and the table-T commit.
 func BenchmarkRegisterBatch(b *testing.B) {
-	jac, _ := benchParams(b)
+	jac := benchParams(b)
 	idmgr, err := NewIdentityManager(jac)
 	if err != nil {
 		b.Fatal(err)

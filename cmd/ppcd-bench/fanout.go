@@ -82,7 +82,7 @@ func runFanoutBench(connsSpec string, nRelays, publishes int, out io.Writer) (*f
 	// the revocation pool, one revocation per publish, pool refreshed per
 	// point by re-importing the pristine state.
 	subs := 2*publishes + 8
-	params, err := ppcd.Setup(ppcd.SchnorrGroup(), []byte("ppcd-bench"))
+	params, err := ppcd.Setup(ppcd.PaperCurve(), []byte("ppcd-bench"))
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,6 @@
 //	ppcd-bench -fig 3|4|5           # ACV gen / key derive / ACV size vs N
 //	ppcd-bench -fig 6               # vs conditions per policy
 //	ppcd-bench -ablation            # ACV vs marker vs direct vs LKH
-//	ppcd-bench -group schnorr       # run OCBE figures over the Schnorr group
 //	ppcd-bench -quick               # reduced sweeps for smoke testing
 //	ppcd-bench -publish -subs 400   # steady-state vs churn publish timings (JSON)
 //	ppcd-bench -publish -groups 4   # same, sharded into 4 groups/policy (§VIII-C)
@@ -34,12 +33,10 @@ import (
 	"ppcd/internal/benchutil"
 	"ppcd/internal/experiments"
 	"ppcd/internal/g2"
-	"ppcd/internal/group"
 	"ppcd/internal/idtoken"
 	"ppcd/internal/ocbe"
 	"ppcd/internal/pedersen"
 	"ppcd/internal/pubsub"
-	"ppcd/internal/schnorr"
 	"ppcd/internal/wire"
 )
 
@@ -53,7 +50,6 @@ func main() {
 		all       = flag.Bool("all", false, "regenerate everything")
 		ablation  = flag.Bool("ablation", false, "run GKM ablation comparison")
 		rounds    = flag.Int("rounds", 3, "OCBE protocol rounds per point (paper: 50)")
-		groupName = flag.String("group", "jacobian", "commitment group for OCBE figures: jacobian (paper) or schnorr")
 		quick     = flag.Bool("quick", false, "reduced parameter sweeps")
 		publish   = flag.Bool("publish", false, "measure steady-state vs churn vs full-rebuild publish, emit JSON")
 		stream    = flag.Bool("stream", false, "-publish: also run a TCP streaming smoke (publisher + 8 streaming subscribers under churn) and report per-subscriber bytes on wire")
@@ -107,7 +103,7 @@ func main() {
 		return
 	}
 	if *register {
-		if err := runRegisterBench(*groupName, *subs, *conds, *ell); err != nil {
+		if err := runRegisterBench(*subs, *conds, *ell); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -127,18 +123,11 @@ func main() {
 		fmt.Printf("--- completed in %v ---\n", time.Since(start).Round(time.Millisecond))
 	}
 
-	grp := func() group.Group {
-		if *groupName == "schnorr" {
-			return schnorr.Must2048()
-		}
-		return g2.MustPaperCurve()
-	}
-
 	if *all || *fig == 2 {
-		run("Figure 2: GE-OCBE step times vs ell", func() error { return runFig2(grp(), *rounds, *quick) })
+		run("Figure 2: GE-OCBE step times vs ell", func() error { return runFig2(*rounds, *quick) })
 	}
 	if *all || *table == 2 {
-		run("Table II: EQ-OCBE step times", func() error { return runTable2(grp(), *rounds) })
+		run("Table II: EQ-OCBE step times", func() error { return runTable2(*rounds) })
 	}
 	if *all || *fig == 3 || *fig == 4 || *fig == 5 {
 		run("Figures 3-5: ACV generation / key derivation / ACV size vs N", func() error { return runFig3to5(*quick) })
@@ -152,7 +141,8 @@ func main() {
 	}
 }
 
-func runFig2(g group.Group, rounds int, quick bool) error {
+func runFig2(rounds int, quick bool) error {
+	g := g2.MustPaperCurve()
 	params, err := pedersen.Setup(g, []byte("ppcd-bench"))
 	if err != nil {
 		return err
@@ -176,7 +166,8 @@ func runFig2(g group.Group, rounds int, quick bool) error {
 	return nil
 }
 
-func runTable2(g group.Group, rounds int) error {
+func runTable2(rounds int) error {
+	g := g2.MustPaperCurve()
 	params, err := pedersen.Setup(g, []byte("ppcd-bench"))
 	if err != nil {
 		return err
@@ -266,8 +257,8 @@ func runFieldAblation() error {
 }
 
 // registerReport is the JSON document emitted by -register: averaged step
-// times of the oblivious registration path (§V-B) over the chosen commitment
-// group, covering both sides of the protocol, plus the end-to-end batch
+// times of the oblivious registration path (§V-B) over the paper's genus-2
+// Jacobian ("group" is always "jacobian"), covering both sides of the protocol, plus the end-to-end batch
 // throughput. This is the registration counterpart of -publish, so the bench
 // trajectory covers both hot phases.
 type registerReport struct {
@@ -292,8 +283,8 @@ type registerReport struct {
 	// LanesUsed / BatchInversions: lane-kernel telemetry accumulated over
 	// the whole run — how many scalar multiplications went through the
 	// lock-step engine and how many Montgomery batch inversions served
-	// them. Both are zero when the commitment group has no lane engine
-	// (schnorr), so CI asserts on them only for the jacobian group.
+	// them. CI asserts both are positive: a composition that bypassed the
+	// lane kernel would pass every correctness test and show here.
 	LanesUsed       uint64 `json:"lanes_used"`
 	BatchInversions uint64 `json:"batch_inversions"`
 }
@@ -302,18 +293,11 @@ type registerReport struct {
 // satisfying attribute tokens and register every condition of one policy
 // with alternating EQ / GE predicates, batched per subscriber exactly like
 // Subscriber.RegisterAll.
-func runRegisterBench(groupName string, subs, conds, ell int) error {
+func runRegisterBench(subs, conds, ell int) error {
 	if subs < 1 || conds < 1 || ell < 1 {
 		return fmt.Errorf("ppcd-bench: -register needs subs>=1, conds>=1, ell>=1")
 	}
-	var grp group.Group
-	if groupName == "schnorr" {
-		grp = schnorr.Must2048()
-	} else {
-		groupName = "jacobian"
-		grp = g2.MustPaperCurve()
-	}
-	params, err := pedersen.Setup(grp, []byte("ppcd-bench"))
+	params, err := pedersen.Setup(g2.MustPaperCurve(), []byte("ppcd-bench"))
 	if err != nil {
 		return err
 	}
@@ -339,7 +323,7 @@ func runRegisterBench(groupName string, subs, conds, ell int) error {
 	}
 
 	var rep registerReport
-	rep.Group, rep.Subs, rep.Conds, rep.Ell = groupName, subs, conds, ell
+	rep.Group, rep.Subs, rep.Conds, rep.Ell = "jacobian", subs, conds, ell
 	order := params.Order()
 	lanes0, inv0 := g2.LaneStats()
 
@@ -487,7 +471,7 @@ func runPublishBench(subs, policies, rounds, groups int, stream bool) error {
 	if subs < 4 || policies < 1 || rounds < 1 || groups < 1 {
 		return fmt.Errorf("ppcd-bench: -publish needs subs>=4, policies>=1, rounds>=1, groups>=1")
 	}
-	params, err := ppcd.Setup(ppcd.SchnorrGroup(), []byte("ppcd-bench"))
+	params, err := ppcd.Setup(ppcd.PaperCurve(), []byte("ppcd-bench"))
 	if err != nil {
 		return err
 	}

@@ -93,7 +93,7 @@ func runRecoverBench(rows, policies, shardSize, churn int) error {
 	if churn < 1 || churn >= rows/2 {
 		return fmt.Errorf("ppcd-bench: -recover needs 1 <= churn < rows/2")
 	}
-	params, err := ppcd.Setup(ppcd.SchnorrGroup(), []byte("ppcd-bench"))
+	params, err := ppcd.Setup(ppcd.PaperCurve(), []byte("ppcd-bench"))
 	if err != nil {
 		return err
 	}

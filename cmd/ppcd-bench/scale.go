@@ -101,7 +101,7 @@ func runScaleBench(rows, policies, shardSize, churnPublishes int, sweep bool, ou
 	}
 	rep := &scaleReport{Rows: rows, Policies: policies, ShardSize: shardSize, GoMaxProcs: runtime.GOMAXPROCS(0)}
 
-	params, err := ppcd.Setup(ppcd.SchnorrGroup(), []byte("ppcd-bench"))
+	params, err := ppcd.Setup(ppcd.PaperCurve(), []byte("ppcd-bench"))
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,13 @@
 // issuance (Pedersen commitments), oblivious CSS delivery (table T shape),
 // and ACV-based broadcast (matrix dimensions, header sizes, key
 // derivations).
+//
+// Usage:
+//
+//	ppcd-demo
+//
+// It takes no flags: commitments live in the paper's genus-2 Jacobian
+// (ppcd.PaperCurve).
 package main
 
 import (
@@ -16,13 +23,9 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	groupName := flag.String("group", "schnorr", "commitment group: schnorr (fast) or jacobian (paper)")
 	flag.Parse()
 
-	grp := ppcd.SchnorrGroup()
-	if *groupName == "jacobian" {
-		grp = ppcd.PaperCurve()
-	}
+	grp := ppcd.PaperCurve()
 	fmt.Printf("══ setup ══\ncommitment group: %s (order %d bits)\n", grp.Name(), grp.Order().BitLen())
 
 	params, err := ppcd.Setup(grp, []byte("ppcd-demo"))

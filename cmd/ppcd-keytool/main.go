@@ -5,7 +5,8 @@
 //	ppcd-keytool verify -value 28 -blinding <r> -commitment <hex>
 //	ppcd-keytool encode -value nurse        # attribute value → field element
 //
-// The -group flag selects schnorr (default) or jacobian.
+// Commitments live in the paper's genus-2 Jacobian (ppcd.PaperCurve); -seed
+// picks the Pedersen parameters and must match the system's.
 package main
 
 import (
@@ -30,7 +31,6 @@ func main() {
 	cmd, args := os.Args[1], os.Args[2:]
 
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	groupName := fs.String("group", "schnorr", "commitment group: schnorr or jacobian")
 	value := fs.String("value", "", "attribute value (decimal integer or string)")
 	blinding := fs.String("blinding", "", "blinding factor r (decimal)")
 	commitment := fs.String("commitment", "", "commitment (hex)")
@@ -39,11 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	grp := ppcd.SchnorrGroup()
-	if *groupName == "jacobian" {
-		grp = ppcd.PaperCurve()
-	}
-
+	grp := ppcd.PaperCurve()
 	switch cmd {
 	case "curve-info":
 		curveInfo()
@@ -116,6 +112,6 @@ func curveInfo() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: ppcd-keytool <curve-info|commit|verify|encode> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: ppcd-keytool <curve-info|commit|verify|encode> [-value v] [-blinding r] [-commitment hex] [-seed s]")
 	os.Exit(2)
 }

@@ -60,7 +60,6 @@ func main() {
 		idmgrKey   = flag.String("idmgr-key", "", "IdMgr public key, hex (required)")
 		seed       = flag.String("seed", "ppcd-system", "Pedersen parameter seed (must match subscribers)")
 		ell        = flag.Int("ell", 16, "bit bound for inequality conditions")
-		groupName  = flag.String("group", "schnorr", "commitment group: schnorr or jacobian")
 		groupSize  = flag.Int("group-size", 0, "shard each policy's subscribers into groups of at most this many rows (§VIII-C; 0 = one ACV per configuration)")
 		heartbeat  = flag.Duration("stream-heartbeat", 30*time.Second, "stream heartbeat interval (0 disables)")
 		retain     = flag.Int("retain", 8, "recent epochs kept for fetches and stream delta catch-ups")
@@ -81,11 +80,7 @@ func main() {
 		log.Fatalf("bad -idmgr-key: %v", err)
 	}
 
-	grp := ppcd.SchnorrGroup()
-	if *groupName == "jacobian" {
-		grp = ppcd.PaperCurve()
-	}
-	params, err := ppcd.Setup(grp, []byte(*seed))
+	params, err := ppcd.Setup(ppcd.PaperCurve(), []byte(*seed))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,7 +38,6 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:7469", "downstream listen address")
 		upstream   = flag.String("upstream", "", "upstream publisher or relay address (required)")
 		seed       = flag.String("seed", "ppcd-system", "Pedersen parameter seed (must match the system)")
-		groupName  = flag.String("group", "schnorr", "commitment group: schnorr or jacobian")
 		doc        = flag.String("doc", "", "relay only this document (default all)")
 		retain     = flag.Int("retain", 8, "recent epochs kept for fetches and stream delta catch-ups")
 		queueDepth = flag.Int("queue-depth", 128, "per-stream outbound frame queue depth before a slow consumer is evicted")
@@ -54,11 +53,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	grp := ppcd.SchnorrGroup()
-	if *groupName == "jacobian" {
-		grp = ppcd.PaperCurve()
-	}
-	params, err := ppcd.Setup(grp, []byte(*seed))
+	params, err := ppcd.Setup(ppcd.PaperCurve(), []byte(*seed))
 	if err != nil {
 		log.Fatal(err)
 	}

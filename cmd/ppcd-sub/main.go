@@ -64,18 +64,13 @@ func main() {
 		tokens    = fs.String("token", "token.json", "comma-unsupported: one token file")
 		outdir    = fs.String("outdir", ".", "directory for decrypted subdocuments")
 		seed      = fs.String("seed", "ppcd-system", "Pedersen parameter seed (must match publisher)")
-		groupName = fs.String("group", "schnorr", "commitment group: schnorr or jacobian")
 		docFilter = fs.String("doc", "", "stream: only this document (default: all)")
 	)
 	if err := fs.Parse(args); err != nil {
 		log.Fatal(err)
 	}
 
-	grp := ppcd.SchnorrGroup()
-	if *groupName == "jacobian" {
-		grp = ppcd.PaperCurve()
-	}
-	params, err := ppcd.Setup(grp, []byte(*seed))
+	params, err := ppcd.Setup(ppcd.PaperCurve(), []byte(*seed))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,7 +27,7 @@ const ehrXML = `<PatientRecord>
 func main() {
 	log.SetFlags(0)
 
-	params, err := ppcd.Setup(ppcd.SchnorrGroup(), []byte("ehr-demo"))
+	params, err := ppcd.Setup(ppcd.PaperCurve(), []byte("ehr-demo"))
 	check(err)
 	idmgr, err := ppcd.NewIdentityManager(params)
 	check(err)

@@ -18,7 +18,7 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	params, err := ppcd.Setup(ppcd.SchnorrGroup(), []byte("newsroom"))
+	params, err := ppcd.Setup(ppcd.PaperCurve(), []byte("newsroom"))
 	check(err)
 	idmgr, err := ppcd.NewIdentityManager(params)
 	check(err)

@@ -10,15 +10,15 @@ import (
 	"log"
 	"math/big"
 
+	"ppcd"
 	"ppcd/internal/ocbe"
 	"ppcd/internal/pedersen"
-	"ppcd/internal/schnorr"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	params, err := pedersen.Setup(schnorr.Must2048(), []byte("oblivious-demo"))
+	params, err := pedersen.Setup(ppcd.PaperCurve(), []byte("oblivious-demo"))
 	check(err)
 
 	const ell = 8 // ages fit in 8 bits

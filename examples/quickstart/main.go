@@ -13,9 +13,9 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	// System setup: commitment group and parameters, published once.
-	// SchnorrGroup is fast; ppcd.PaperCurve() is the paper's genus-2 Jacobian.
-	params, err := ppcd.Setup(ppcd.SchnorrGroup(), []byte("quickstart"))
+	// System setup: Pedersen parameters over the paper's genus-2 Jacobian,
+	// published once.
+	params, err := ppcd.Setup(ppcd.PaperCurve(), []byte("quickstart"))
 	check(err)
 	idmgr, err := ppcd.NewIdentityManager(params)
 	check(err)

@@ -8,18 +8,18 @@ import (
 
 // CryptoRand enforces randomness hygiene in the packages that handle key
 // material or produce values whose unpredictability the scheme's security
-// rests on (OCBE blinding factors, Pedersen randomizers, Schnorr nonces,
+// rests on (OCBE blinding factors and exponents, Pedersen randomizers,
 // AEAD nonces, ACV kernel coefficients): math/rand — seeded or not — is
 // forbidden there, as is deriving any seed from the clock. crypto/rand is
-// the only acceptable entropy source; a predictable Schnorr nonce leaks the
-// long-term key outright, and a predictable kernel coefficient collapses the
-// ACV hiding argument.
+// the only acceptable entropy source; a predictable OCBE exponent y lets
+// anyone holding the envelope recompute σ and open it, and a predictable
+// kernel coefficient collapses the ACV hiding argument.
 var CryptoRand = &Analyzer{
 	Name: "cryptorand",
 	Doc: "forbid math/rand and time-seeded randomness in the crypto " +
 		"packages; require crypto/rand",
 	Packages: []string{
-		"internal/ocbe", "internal/pedersen", "internal/schnorr",
+		"internal/ocbe", "internal/pedersen",
 		"internal/sym", "internal/sig", "internal/idtoken",
 		"internal/g2", "internal/ff128", "internal/ff64", "internal/core",
 		"internal/polyring",

@@ -3,6 +3,7 @@ package coretest
 import (
 	"runtime"
 	"slices"
+	"testing"
 )
 
 // Allocated returns how many bytes fn allocates (everything the process
@@ -13,6 +14,15 @@ func Allocated(fn func()) uint64 {
 	fn()
 	runtime.ReadMemStats(&m1)
 	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// AllocWithin runs decode and fails t if it allocated more than c bytes per
+// input byte plus k: hostile bytes cost what they weigh.
+func AllocWithin(t testing.TB, what string, input []byte, c, k uint64, decode func()) {
+	t.Helper()
+	if got, bound := Allocated(decode), c*uint64(len(input))+k; got > bound {
+		t.Fatalf("decoding a %d-byte %s allocated %d bytes, more than %d", len(input), what, got, bound)
+	}
 }
 
 // MedianAllocated returns the median of Allocated(fn) over runs calls: what

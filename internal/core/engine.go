@@ -153,15 +153,6 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// Forget drops the cached build of one configuration, forcing the next
-// RekeyAll to re-solve it regardless of signature.
-func (e *Engine) Forget(id string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.cache, id)
-	delete(e.groupedCache, id)
-}
-
 // Reset drops every cached build (e.g. after a wholesale table import).
 func (e *Engine) Reset() {
 	e.mu.Lock()

@@ -110,14 +110,14 @@ func TestEngineIncrementalCache(t *testing.T) {
 		t.Error("rebuild reused the old key")
 	}
 
-	// Forget forces a rebuild even with an unchanged signature.
-	e.Forget("A")
+	// Reset forces a rebuild even with an unchanged signature.
+	e.Reset()
 	fourth, err := e.RekeyAll([]ConfigSpec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fourth["A"].Rebuilt {
-		t.Error("Forget did not force a rebuild")
+		t.Error("Reset did not force a rebuild")
 	}
 }
 

@@ -196,15 +196,22 @@ func TestEngineGroupedRowsOnlyWhenUnsolved(t *testing.T) {
 	}
 	base := e.Stats().Solves
 
-	// Steady state, then a forced reassembly, without a single row.
-	e.Forget("A")
-	second, err := e.RekeyAllGrouped(groupedSpecs(leased(t, e, shA1), leased(t, e, shA2), leased(t, e, shB)))
+	// A reassembly without a single row: A's second group emptied, so A's
+	// slots no longer match its leased shards, while A|B is unchanged.
+	second, err := e.RekeyAllGrouped([]GroupedConfigSpec{
+		{ID: "A", Shards: []ShardSpec{leased(t, e, shA1)}},
+		{ID: "A|B", Shards: []ShardSpec{leased(t, e, shA1), leased(t, e, shA2), leased(t, e, shB)}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second["A"].Rebuilt || second["A|B"].Rebuilt || second["A"].Hdr.Shards[1].Hdr != first["A"].Hdr.Shards[1].Hdr {
-		t.Error("leased specs: want A reassembled over its cached shards and A|B a cache hit")
+	if !second["A"].Rebuilt || second["A|B"].Rebuilt || second["A"].Hdr.Shards[0].Hdr != first["A"].Hdr.Shards[0].Hdr {
+		t.Error("leased specs: want A reassembled over its cached shard and A|B a cache hit")
 	}
+	if got := e.Stats().Solves; got != base {
+		t.Errorf("a session over leases alone ran %d solves", got-base)
+	}
+	deriveGrouped(t, shA1.Rows[0], second["A"])
 	// One dirty shard brings its rows; its clean neighbours need none.
 	shA2dirty := shardOf("acpA/1", "s2'", engRows(50, 1, 2))
 	third, err := e.RekeyAllGrouped(groupedSpecs(leased(t, e, shA1), shA2dirty, leased(t, e, shB)))

@@ -4,8 +4,8 @@ import (
 	"sync"
 	"testing"
 
+	"ppcd/internal/g2"
 	"ppcd/internal/pedersen"
-	"ppcd/internal/schnorr"
 )
 
 func TestGKMWorkloadShape(t *testing.T) {
@@ -69,10 +69,10 @@ var (
 	ocbeParams *pedersen.Params
 )
 
-func schnorrParams(t *testing.T) *pedersen.Params {
+func jacobianParams(t *testing.T) *pedersen.Params {
 	t.Helper()
 	ocbeOnce.Do(func() {
-		p, err := pedersen.Setup(schnorr.Must2048(), []byte("exp-test"))
+		p, err := pedersen.Setup(g2.MustPaperCurve(), []byte("exp-test"))
 		if err != nil {
 			panic(err)
 		}
@@ -82,7 +82,7 @@ func schnorrParams(t *testing.T) *pedersen.Params {
 }
 
 func TestMeasureOCBE(t *testing.T) {
-	p := schnorrParams(t)
+	p := jacobianParams(t)
 	eq, err := MeasureOCBE(p, false, 0, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package ffbig implements arithmetic in prime fields F_p of arbitrary size
-// on top of math/big. It is the base field for the commitment group: the
-// genus-2 Jacobian in package g2 works over an 83-bit field and the Schnorr
-// group in package schnorr over a 2048-bit field, both through this package.
+// on top of math/big. It is the base field of the test oracle for the
+// commitment group: the big-integer Cantor path in package g2's tests works
+// over the paper's 83-bit field through it.
 // Elements are canonical residues (*big.Int in [0, p)).
 package ffbig
 

@@ -5,7 +5,7 @@ import (
 	"math/big"
 	"testing"
 
-	"ppcd/internal/group"
+	"ppcd/internal/core/coretest"
 )
 
 // nonCanonical returns enc with its i-th coefficient replaced by the same
@@ -34,7 +34,7 @@ func TestUnmarshalRefusesUnreducedCoefficients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []group.Element{hashed, c.Op(c.Generator(), hashed)} {
+	for _, e := range []*Divisor{hashed, c.Op(c.Generator(), hashed)} {
 		enc := c.Marshal(e)
 		if enc[0] == 0 {
 			t.Fatal("expected a degree-1 and a degree-2 element")
@@ -51,9 +51,18 @@ func TestUnmarshalRefusesUnreducedCoefficients(t *testing.T) {
 	}
 }
 
+// unmarshalAllocPerByte and unmarshalAllocFixed bound what Unmarshal
+// allocates: a big.Int for each 11-byte coefficient and the divisor, or an
+// error — a few hundred bytes; an input longer than the 45 bytes of a
+// degree-2 divisor is refused by its length before anything is read. The
+// counter is the process's, so the fixed term also covers what the fuzzing
+// engine allocates beside the call (up to ≈ 5 kB seen).
+const unmarshalAllocPerByte, unmarshalAllocFixed = 8, 16 << 10
+
 // FuzzUnmarshal feeds hostile encodings to Unmarshal: it must never panic,
-// an accepted input must re-marshal to the same bytes, and it must accept
-// exactly what the big-integer reference accepts.
+// it allocates no more than unmarshalAllocPerByte per input byte plus
+// unmarshalAllocFixed, an accepted input must re-marshal to the same bytes,
+// and it must accept exactly what the big-integer reference accepts.
 func FuzzUnmarshal(f *testing.F) {
 	c := testCurve
 	n := c.elemLen()
@@ -86,7 +95,9 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := c.Unmarshal(data)
+		var e *Divisor
+		var err error
+		coretest.AllocWithin(t, "divisor", data, unmarshalAllocPerByte, unmarshalAllocFixed, func() { e, err = c.Unmarshal(data) })
 		_, refErr := paperRef.Unmarshal(data)
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("Unmarshal(%x): err %v, reference err %v", data, err, refErr)

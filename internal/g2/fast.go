@@ -14,7 +14,6 @@ import (
 	"math/big"
 
 	"ppcd/internal/ff128"
-	"ppcd/internal/group"
 )
 
 // fpCap bounds the coefficient count of an intermediate polynomial. Genus-2
@@ -405,7 +404,7 @@ func (c *Curve) exp(d fdiv, k *big.Int) fdiv {
 	return acc
 }
 
-// --- precomputed fixed-base exponentiation (group.FixedBase) ---
+// --- precomputed fixed-base exponentiation ---
 
 // fixedBaseWindow is the digit width of the fixed-base tables: 4 bits per
 // window means ⌈orderBits/4⌉ windows of 15 precomputed multiples each, and
@@ -413,21 +412,21 @@ func (c *Curve) exp(d fdiv, k *big.Int) fdiv {
 // no doublings at all.
 const fixedBaseWindow = 4
 
-// fixedBase is a precomputed table for one long-lived base divisor. It is
-// immutable after construction and safe for concurrent use by the batch
-// registration worker pool.
-type fixedBase struct {
+// FixedBase is a precomputed exponentiation table for one long-lived base
+// divisor (Pedersen's g and h). It is immutable after construction and safe
+// for concurrent use by the batch registration worker pool.
+type FixedBase struct {
 	c   *Curve
 	win [][15]fdiv // win[i][d-1] = d·2^(4i)·base
 }
 
-// NewFixedBase implements group.FixedBaseGroup: it returns a precomputed
-// exponentiation table for the given base, built once (≈16 group operations
-// per 4 exponent bits) and amortized across every later Exp.
-func (c *Curve) NewFixedBase(base group.Element) group.FixedBase {
+// NewFixedBase returns a precomputed exponentiation table for the given
+// base, built once (≈16 group operations per 4 exponent bits) and amortized
+// across every later Exp.
+func (c *Curve) NewFixedBase(base *Divisor) *FixedBase {
 	nwin := (c.order.BitLen() + fixedBaseWindow - 1) / fixedBaseWindow
-	t := &fixedBase{c: c, win: make([][15]fdiv, nwin)}
-	cur := c.div(base).d
+	t := &FixedBase{c: c, win: make([][15]fdiv, nwin)}
+	cur := base.d
 	for i := 0; i < nwin; i++ {
 		t.win[i][0] = cur
 		for j := 1; j < 15; j++ {
@@ -438,9 +437,9 @@ func (c *Curve) NewFixedBase(base group.Element) group.FixedBase {
 	return t
 }
 
-// Exp implements group.FixedBase. A scalar already in [0, order) is read
-// as is; any other is reduced first.
-func (t *fixedBase) Exp(k *big.Int) group.Element {
+// Exp returns base^k for any integer k. A scalar already in [0, order) is
+// read as is; any other is reduced first.
+func (t *FixedBase) Exp(k *big.Int) *Divisor {
 	if k.Sign() < 0 || k.Cmp(t.c.order) >= 0 {
 		k = new(big.Int).Mod(k, t.c.order)
 	}
@@ -453,5 +452,3 @@ func (t *fixedBase) Exp(k *big.Int) group.Element {
 	}
 	return t.c.element(acc)
 }
-
-var _ group.FixedBaseGroup = (*Curve)(nil)

@@ -1,11 +1,12 @@
 // Package g2 implements the Jacobian group of a genus-2 hyperelliptic curve
 // y² = f(x) over a prime field, with divisors in Mumford representation and
-// the group law given by Cantor's algorithm. It is a from-scratch Go
-// reproduction of the G2HEC C++ library the paper's experiments are built on
-// (§VII): the default parameters are the paper's exact curve over
-// F_q, q = 5·10²⁴ + 8503491, whose Jacobian has the 164-bit prime order
-// p = 24999999999994130438600999402209463966197516075699 (Gaudry–Schost
-// secure random curve).
+// the group law given by Cantor's algorithm: the one group in which the
+// system's Pedersen commitments and OCBE protocols compute. It is a
+// from-scratch Go reproduction of the G2HEC C++ library the paper's
+// experiments are built on (§VII): the default parameters are the paper's
+// exact curve over F_q, q = 5·10²⁴ + 8503491, whose Jacobian has the 164-bit
+// prime order p = 24999999999994130438600999402209463966197516075699
+// (Gaudry–Schost secure random curve).
 //
 // There is one representation and one code path per operation: a group
 // element is a 72-byte Mumford tuple over the two-limb field of package
@@ -22,12 +23,12 @@ import (
 	"math/big"
 
 	"ppcd/internal/ff128"
-	"ppcd/internal/group"
 )
 
 // Curve is a genus-2 hyperelliptic curve y² = f(x) with f monic of degree 5
-// over a prime field F_q, together with the (prime) order of its Jacobian.
-// Curve implements group.Group; elements are *Divisor values.
+// over a prime field F_q, together with the (prime) order of its Jacobian:
+// the prime-order group in which Pedersen commitments and the OCBE protocols
+// compute (paper §IV-A, §VII). Its elements are *Divisor values.
 type Curve struct {
 	fld   *ff128.Field
 	f     fpoly    // right-hand side, monic degree 5
@@ -44,8 +45,8 @@ type Divisor struct {
 	fld *ff128.Field // for String; nil in the zero value, which needs none
 }
 
-// String implements group.Element: u = x² + u1·x + u0, v = v1·x + v0, with
-// the terms a lower degree lacks left out.
+// String renders the divisor for debugging: u = x² + u1·x + u0,
+// v = v1·x + v0, with the terms a lower degree lacks left out.
 func (e *Divisor) String() string {
 	d, f := e.d, e.fld
 	switch d.deg {
@@ -99,7 +100,7 @@ func NewCurve(q *big.Int, coeffs [5]*big.Int, order *big.Int, name string) (*Cur
 	if err != nil {
 		return nil, fmt.Errorf("g2: deriving generator: %w", err)
 	}
-	c.gen = c.div(gen).d
+	c.gen = gen.d
 	return c, nil
 }
 
@@ -118,10 +119,11 @@ func MustPaperCurve() *Curve {
 	return c
 }
 
-// Name implements group.Group.
+// Name identifies the curve, e.g. "g2-jacobian-gaudry-schost".
 func (c *Curve) Name() string { return c.name }
 
-// Order implements group.Group.
+// Order returns the prime Jacobian order p. The Pedersen message space is
+// F_p for this order.
 func (c *Curve) Order() *big.Int { return new(big.Int).Set(c.order) }
 
 // Modulus returns q, the order of the base field F_q.
@@ -130,61 +132,42 @@ func (c *Curve) Modulus() *big.Int { return c.fld.P() }
 // element boxes a divisor as a group element.
 func (c *Curve) element(d fdiv) *Divisor { return &Divisor{d: d, fld: c.fld} }
 
-// Identity implements group.Group: the divisor (1, 0).
-func (c *Curve) Identity() group.Element { return c.element(fdiv{}) }
+// Identity returns the neutral divisor (1, 0).
+func (c *Curve) Identity() *Divisor { return c.element(fdiv{}) }
 
-// Generator implements group.Group.
-func (c *Curve) Generator() group.Element { return c.element(c.gen) }
+// Generator returns the fixed base point g.
+func (c *Curve) Generator() *Divisor { return c.element(c.gen) }
 
 // IsIdentity reports whether e is the neutral divisor.
-func (c *Curve) IsIdentity(e group.Element) bool { return c.div(e).d == fdiv{} }
-
-func (c *Curve) div(e group.Element) *Divisor {
-	d, ok := e.(*Divisor)
-	if !ok {
-		panic(fmt.Sprintf("g2: foreign element %T", e))
-	}
-	return d
-}
+func (c *Curve) IsIdentity(e *Divisor) bool { return e.d == fdiv{} }
 
 // IsValid reports whether e is a well-formed reduced divisor on this curve:
 // u monic with deg u ≤ 2, deg v < deg u, and u | f − v².
-func (c *Curve) IsValid(e group.Element) bool {
-	d, ok := e.(*Divisor)
-	return ok && c.isValid(d.d)
-}
+func (c *Curve) IsValid(e *Divisor) bool { return c.isValid(e.d) }
 
-// Op implements group.Group: the group law of lane.go (Cantor composition
-// followed by reduction).
-func (c *Curve) Op(a, b group.Element) group.Element {
-	return c.element(c.add(c.div(a).d, c.div(b).d))
-}
+// Op returns a·b, the group law of lane.go (Cantor composition followed by
+// reduction).
+func (c *Curve) Op(a, b *Divisor) *Divisor { return c.element(c.add(a.d, b.d)) }
 
-// Inverse implements group.Group: (u, v) ↦ (u, −v mod u).
-func (c *Curve) Inverse(a group.Element) group.Element {
-	return c.element(c.neg(c.div(a).d))
-}
+// Inverse returns a⁻¹: (u, v) ↦ (u, −v mod u).
+func (c *Curve) Inverse(a *Divisor) *Divisor { return c.element(c.neg(a.d)) }
 
-// Exp implements group.Group by windowed-NAF double-and-add; negative
-// exponents reduce modulo the group order.
-func (c *Curve) Exp(a group.Element, k *big.Int) group.Element {
-	return c.element(c.exp(c.div(a).d, k))
-}
+// Exp returns a^k by windowed-NAF double-and-add; negative exponents
+// reduce modulo the group order.
+func (c *Curve) Exp(a *Divisor, k *big.Int) *Divisor { return c.element(c.exp(a.d, k)) }
 
-// Equal implements group.Group.
-func (c *Curve) Equal(a, b group.Element) bool {
-	return c.div(a).d == c.div(b).d
-}
+// Equal reports whether a and b are the same group element.
+func (c *Curve) Equal(a, b *Divisor) bool { return a.d == b.d }
 
 // elemLen is the byte length of one base-field element encoding.
 func (c *Curve) elemLen() int { return (c.fld.Bits() + 7) / 8 }
 
-// Marshal implements group.Group. Encoding: one byte deg(u), then deg(u)
+// Marshal returns the canonical encoding of a: one byte deg(u), then deg(u)
 // field elements for u's non-leading coefficients (u is monic), then deg(u)
 // field elements for v's coefficients (zero-padded), each big-endian in
 // ascending degree. The identity encodes as the single byte 0.
-func (c *Curve) Marshal(a group.Element) []byte {
-	d := c.div(a).d
+func (c *Curve) Marshal(a *Divisor) []byte {
+	d := a.d
 	n := c.elemLen()
 	coeffs := [4]ff128.Elem{d.u0, d.u1}
 	copy(coeffs[d.deg:], []ff128.Elem{d.v0, d.v1})
@@ -196,10 +179,10 @@ func (c *Curve) Marshal(a group.Element) []byte {
 	return out
 }
 
-// Unmarshal implements group.Group and validates that the decoded pair is a
-// reduced divisor on the curve. A coefficient is refused unless it is below
-// q: the encoding of each element is unique.
-func (c *Curve) Unmarshal(data []byte) (group.Element, error) {
+// Unmarshal decodes an element produced by Marshal and validates that the
+// decoded pair is a reduced divisor on the curve. A coefficient is refused
+// unless it is below q: the encoding of each element is unique.
+func (c *Curve) Unmarshal(data []byte) (*Divisor, error) {
 	if len(data) < 1 {
 		return nil, errors.New("g2: empty encoding")
 	}
@@ -233,12 +216,11 @@ func (c *Curve) Unmarshal(data []byte) (group.Element, error) {
 	return c.element(d), nil
 }
 
-// HashToElement implements group.Group: it maps the seed to an x-coordinate,
-// increments a counter until f(x) is a quadratic residue, and returns the
-// degree-one divisor of the point (x, √f(x)). The discrete logarithm of the
-// result with respect to any other element is unknown, as required for
-// Pedersen's second base.
-func (c *Curve) HashToElement(seed []byte) (group.Element, error) {
+// HashToElement maps the seed to an x-coordinate, increments a counter until
+// f(x) is a quadratic residue, and returns the degree-one divisor of the
+// point (x, √f(x)). The discrete logarithm of the result with respect to any
+// other element is unknown, as required for Pedersen's second base.
+func (c *Curve) HashToElement(seed []byte) (*Divisor, error) {
 	f := c.fld
 	for ctr := uint32(0); ctr < 1<<16; ctr++ {
 		h := sha256.New()
@@ -270,5 +252,3 @@ func (c *Curve) HashToElement(seed []byte) (group.Element, error) {
 	}
 	return nil, errors.New("g2: hash-to-element failed to find a point")
 }
-
-var _ group.Group = (*Curve)(nil)

@@ -1,4 +1,7 @@
-package g2
+package g2_test
+
+// The golden test is an external test: it runs Pedersen setup and
+// commitments, and package pedersen imports g2.
 
 import (
 	"crypto/sha256"
@@ -7,7 +10,7 @@ import (
 	"math/big"
 	"testing"
 
-	"ppcd/internal/group"
+	"ppcd/internal/g2"
 	"ppcd/internal/pedersen"
 )
 
@@ -28,13 +31,13 @@ func goldenScalar(i int) *big.Int {
 // LaneExp chains, and of Pedersen bases and commitments made through the
 // fixed-base tables.
 func TestPaperCurveGolden(t *testing.T) {
-	c := MustPaperCurve()
+	c := g2.MustPaperCurve()
 	h := sha256.New()
-	put := func(e group.Element) { h.Write(c.Marshal(e)) }
+	put := func(e *g2.Divisor) { h.Write(c.Marshal(e)) }
 
 	put(c.Identity())
 	put(c.Generator())
-	hashed := make([]group.Element, 24)
+	hashed := make([]*g2.Divisor, 24)
 	for i := range hashed {
 		e, err := c.HashToElement([]byte(fmt.Sprintf("golden-%d", i)))
 		if err != nil {

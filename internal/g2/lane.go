@@ -35,7 +35,6 @@ import (
 
 	"ppcd/internal/core"
 	"ppcd/internal/ff128"
-	"ppcd/internal/group"
 )
 
 // laneLanes / laneInvBatches are cheap global telemetry for the lane
@@ -381,22 +380,24 @@ func (c *Curve) laneExpChunk(out, bases []fdiv, digitsFor [][]int8, sharedTab *[
 	}
 }
 
-// LaneExp implements group.LaneExpGroup: out[i] = ks[i]·bases[i], with
-// len(ks) == 1 meaning one scalar drives every lane, through the lock-step
-// batch-inversion kernel.
-func (c *Curve) LaneExp(bases []group.Element, ks []*big.Int) []group.Element {
+// LaneExp returns bases[i]^ks[i] for every lane — bases[i]^ks[0] when one
+// scalar drives every lane (the OCBE compose path: every σ of one envelope
+// shares y) — through the lock-step batch-inversion kernel. It returns
+// exactly the elements per-lane Exp calls would, and panics if len(ks) is
+// neither 1 nor len(bases).
+func (c *Curve) LaneExp(bases []*Divisor, ks []*big.Int) []*Divisor {
 	n := len(bases)
 	if len(ks) != 1 && len(ks) != n {
 		panic("g2: LaneExp needs one scalar or one per lane")
 	}
-	out := make([]group.Element, n)
+	out := make([]*Divisor, n)
 	if n == 0 {
 		return out
 	}
 	laneLanes.Add(uint64(n))
 	fb := make([]fdiv, n)
-	for i := range bases {
-		fb[i] = c.div(bases[i]).d
+	for i, b := range bases {
+		fb[i] = b.d
 	}
 	res := c.laneExp(fb, ks)
 	divs := make([]Divisor, n)
@@ -406,5 +407,3 @@ func (c *Curve) LaneExp(bases []group.Element, ks []*big.Int) []group.Element {
 	}
 	return out
 }
-
-var _ group.LaneExpGroup = (*Curve)(nil)

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"ppcd/internal/ff128"
-	"ppcd/internal/group"
 )
 
 // TestLaneExpDifferential pins the lane kernel to the reference engine:
@@ -24,14 +23,14 @@ func TestLaneExpDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := degenerate.(*Divisor); d.d.deg != 1 {
+	if d := degenerate; d.d.deg != 1 {
 		t.Fatalf("expected a degree-1 divisor from HashToElement, got deg %d", d.d.deg)
 	}
 
 	for round := 0; round < 8; round++ {
 		n := 1 + rng.Intn(9)
 		shared := round%2 == 0
-		bases := make([]group.Element, n)
+		bases := make([]*Divisor, n)
 		ks := make([]*big.Int, 0, n)
 		if shared {
 			k, err := rand.Int(rand.Reader, c.Order())
@@ -89,7 +88,7 @@ func TestLaneExpSharedBase(t *testing.T) {
 	c := MustPaperCurve()
 	base := randDivisor(t, c)
 	const n = 7
-	bases := make([]group.Element, n)
+	bases := make([]*Divisor, n)
 	ks := make([]*big.Int, n)
 	for i := range bases {
 		bases[i] = base
@@ -112,7 +111,7 @@ func TestLaneExpSharedBase(t *testing.T) {
 func TestLaneStatsCounters(t *testing.T) {
 	c := MustPaperCurve()
 	lanes0, inv0 := LaneStats()
-	bases := []group.Element{randDivisor(t, c), randDivisor(t, c)}
+	bases := []*Divisor{randDivisor(t, c), randDivisor(t, c)}
 	k, err := rand.Int(rand.Reader, c.Order())
 	if err != nil {
 		t.Fatal(err)
@@ -328,8 +327,8 @@ func TestLaneCombineForcedFallbacks(t *testing.T) {
 func BenchmarkLaneExp(b *testing.B) {
 	c := MustPaperCurve()
 	const lanes = 64
-	distinct := make([]group.Element, lanes)
-	shared := make([]group.Element, lanes)
+	distinct := make([]*Divisor, lanes)
+	shared := make([]*Divisor, lanes)
 	ks := make([]*big.Int, lanes)
 	opsShared := 0
 	for i := range ks {
@@ -350,7 +349,7 @@ func BenchmarkLaneExp(b *testing.B) {
 	}
 	for _, bc := range []struct {
 		name  string
-		bases []group.Element
+		bases []*Divisor
 		ops   int
 	}{
 		{"shared-base", shared, opsShared},

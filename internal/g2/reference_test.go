@@ -3,9 +3,10 @@ package g2
 // reference_test.go keeps the big-integer genus-2 arithmetic the package was
 // first written in — Cantor's algorithm over polyring polynomials with
 // math/big coefficients (package ffbig), plain double-and-add, and the
-// big-integer codec — as refCurve, a group.Group of its own. It shares no
-// code with the production path, so every differential test pins Curve to
-// an independent implementation, and the two meet only in marshalled bytes.
+// big-integer codec — as refCurve, a group of its own over *refDiv values.
+// It shares no code with the production path, so every differential test
+// pins Curve to an independent implementation, and the two meet only in
+// marshalled bytes.
 
 import (
 	"crypto/sha256"
@@ -16,7 +17,6 @@ import (
 	"testing"
 
 	"ppcd/internal/ffbig"
-	"ppcd/internal/group"
 	"ppcd/internal/polyring"
 )
 
@@ -34,7 +34,7 @@ type refDiv struct {
 	u, v polyring.Poly
 }
 
-// String implements group.Element.
+// String renders the divisor for failure messages.
 func (d *refDiv) String() string {
 	return fmt.Sprintf("div(u=%s, v=%s)", d.u, d.v)
 }
@@ -52,7 +52,7 @@ func newRefCurve(q *big.Int, coeffs [5]*big.Int, order *big.Int, name string) (*
 	if err != nil {
 		return nil, fmt.Errorf("g2: deriving generator: %w", err)
 	}
-	c.gen = gen.(*refDiv)
+	c.gen = gen
 	return c, nil
 }
 
@@ -65,37 +65,25 @@ var paperRef = func() *refCurve {
 	return c
 }()
 
-// Name implements group.Group.
+// Name mirrors Curve.Name.
 func (c *refCurve) Name() string { return c.name }
 
-// Order implements group.Group.
+// Order mirrors Curve.Order.
 func (c *refCurve) Order() *big.Int { return new(big.Int).Set(c.order) }
 
-// Identity implements group.Group: the divisor (1, 0).
-func (c *refCurve) Identity() group.Element {
+// Identity returns the divisor (1, 0).
+func (c *refCurve) Identity() *refDiv {
 	return &refDiv{u: polyring.One(c.field), v: polyring.Zero(c.field)}
 }
 
-// Generator implements group.Group.
-func (c *refCurve) Generator() group.Element {
+// Generator mirrors Curve.Generator.
+func (c *refCurve) Generator() *refDiv {
 	return &refDiv{u: c.gen.u, v: c.gen.v}
-}
-
-func (c *refCurve) div(e group.Element) *refDiv {
-	d, ok := e.(*refDiv)
-	if !ok {
-		panic(fmt.Sprintf("g2: foreign element %T", e))
-	}
-	return d
 }
 
 // IsValid reports whether e is a well-formed reduced divisor on this curve:
 // u monic with deg u ≤ 2, deg v < deg u, and u | f − v².
-func (c *refCurve) IsValid(e group.Element) bool {
-	d, ok := e.(*refDiv)
-	if !ok {
-		return false
-	}
+func (c *refCurve) IsValid(d *refDiv) bool {
 	if d.u.IsZero() || d.u.Deg() > 2 || d.u.Lead().Cmp(big.NewInt(1)) != 0 {
 		return false
 	}
@@ -107,9 +95,9 @@ func (c *refCurve) IsValid(e group.Element) bool {
 	return err == nil && rem.IsZero()
 }
 
-// Op implements group.Group: Cantor composition followed by reduction.
-func (c *refCurve) Op(a, b group.Element) group.Element {
-	out, err := c.cantorAdd(c.div(a), c.div(b))
+// Op is Cantor composition followed by reduction.
+func (c *refCurve) Op(a, b *refDiv) *refDiv {
+	out, err := c.cantorAdd(a, b)
 	if err != nil {
 		// Cantor's algorithm is total on valid divisors; an error indicates
 		// corrupt inputs, which is a programmer error.
@@ -118,9 +106,8 @@ func (c *refCurve) Op(a, b group.Element) group.Element {
 	return out
 }
 
-// Inverse implements group.Group: (u, v) ↦ (u, −v mod u).
-func (c *refCurve) Inverse(a group.Element) group.Element {
-	d := c.div(a)
+// Inverse maps (u, v) ↦ (u, −v mod u).
+func (c *refCurve) Inverse(d *refDiv) *refDiv {
 	negV, err := d.v.Neg().Mod(d.u)
 	if err != nil {
 		panic(fmt.Sprintf("g2: inverse: %v", err))
@@ -128,27 +115,25 @@ func (c *refCurve) Inverse(a group.Element) group.Element {
 	return &refDiv{u: d.u, v: negV}
 }
 
-// Exp implements group.Group by plain double-and-add; negative exponents
-// reduce modulo the group order.
-func (c *refCurve) Exp(a group.Element, k *big.Int) group.Element {
-	d := c.div(a)
+// Exp is plain double-and-add; negative exponents reduce modulo the group
+// order.
+func (c *refCurve) Exp(d *refDiv, k *big.Int) *refDiv {
 	kk := new(big.Int).Mod(k, c.order)
-	result := c.Identity().(*refDiv)
+	result := c.Identity()
 	base := &refDiv{u: d.u, v: d.v}
 	for i := 0; i < kk.BitLen(); i++ {
 		if kk.Bit(i) == 1 {
-			result = c.Op(result, base).(*refDiv)
+			result = c.Op(result, base)
 		}
 		if i+1 < kk.BitLen() {
-			base = c.Op(base, base).(*refDiv)
+			base = c.Op(base, base)
 		}
 	}
 	return result
 }
 
-// Equal implements group.Group.
-func (c *refCurve) Equal(a, b group.Element) bool {
-	d1, d2 := c.div(a), c.div(b)
+// Equal mirrors Curve.Equal.
+func (c *refCurve) Equal(d1, d2 *refDiv) bool {
 	return d1.u.Equal(d2.u) && d1.v.Equal(d2.v)
 }
 
@@ -208,12 +193,11 @@ func (c *refCurve) cantorAdd(d1, d2 *refDiv) (*refDiv, error) {
 // elemLen is the byte length of one base-field element encoding.
 func (c *refCurve) elemLen() int { return (c.field.Bits() + 7) / 8 }
 
-// Marshal implements group.Group. Encoding: one byte deg(u), then deg(u)
+// Marshal mirrors Curve.Marshal. Encoding: one byte deg(u), then deg(u)
 // field elements for u's non-leading coefficients (u is monic), then deg(u)
 // field elements for v's coefficients (zero-padded). The identity encodes as
 // the single byte 0.
-func (c *refCurve) Marshal(a group.Element) []byte {
-	d := c.div(a)
+func (c *refCurve) Marshal(d *refDiv) []byte {
 	n := c.elemLen()
 	degU := d.u.Deg()
 	out := make([]byte, 1+2*degU*n)
@@ -228,9 +212,9 @@ func (c *refCurve) Marshal(a group.Element) []byte {
 	return out
 }
 
-// Unmarshal implements group.Group and validates that the decoded pair is a
+// Unmarshal mirrors Curve.Unmarshal and validates that the decoded pair is a
 // reduced divisor on the curve.
-func (c *refCurve) Unmarshal(data []byte) (group.Element, error) {
+func (c *refCurve) Unmarshal(data []byte) (*refDiv, error) {
 	if len(data) < 1 {
 		return nil, errors.New("g2: empty encoding")
 	}
@@ -265,12 +249,12 @@ func (c *refCurve) Unmarshal(data []byte) (group.Element, error) {
 	return d, nil
 }
 
-// HashToElement implements group.Group: it maps the seed to an x-coordinate,
+// HashToElement mirrors Curve.HashToElement: it maps the seed to an x-coordinate,
 // increments a counter until f(x) is a quadratic residue, and returns the
 // degree-one divisor of the point (x, √f(x)). The discrete logarithm of the
 // result with respect to any other element is unknown, as required for
 // Pedersen's second base.
-func (c *refCurve) HashToElement(seed []byte) (group.Element, error) {
+func (c *refCurve) HashToElement(seed []byte) (*refDiv, error) {
 	for ctr := uint32(0); ctr < 1<<16; ctr++ {
 		h := sha256.New()
 		h.Write([]byte("ppcd/g2/hash-to-element/v1"))
@@ -303,11 +287,9 @@ func (c *refCurve) HashToElement(seed []byte) (group.Element, error) {
 	return nil, errors.New("g2: hash-to-element failed to find a point")
 }
 
-var _ group.Group = (*refCurve)(nil)
-
 // toRef carries an element of the paper curve to the reference group
 // through its encoding.
-func toRef(t testing.TB, c *Curve, e group.Element) group.Element {
+func toRef(t testing.TB, c *Curve, e *Divisor) *refDiv {
 	t.Helper()
 	r, err := paperRef.Unmarshal(c.Marshal(e))
 	if err != nil {
@@ -317,7 +299,7 @@ func toRef(t testing.TB, c *Curve, e group.Element) group.Element {
 }
 
 // fromRef carries a reference element to the paper curve.
-func fromRef(t testing.TB, c *Curve, e group.Element) group.Element {
+func fromRef(t testing.TB, c *Curve, e *refDiv) *Divisor {
 	t.Helper()
 	d, err := c.Unmarshal(paperRef.Marshal(e))
 	if err != nil {
@@ -328,6 +310,6 @@ func fromRef(t testing.TB, c *Curve, e group.Element) group.Element {
 
 // sameElement reports whether a paper-curve element and a reference element
 // marshal to the same bytes.
-func sameElement(c *Curve, e group.Element, ref group.Element) bool {
+func sameElement(c *Curve, e *Divisor, ref *refDiv) bool {
 	return string(c.Marshal(e)) == string(paperRef.Marshal(ref))
 }

@@ -5,8 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"ppcd/internal/g2"
 	"ppcd/internal/pedersen"
-	"ppcd/internal/schnorr"
 )
 
 var (
@@ -18,7 +18,7 @@ var (
 func setup(t *testing.T) (*pedersen.Params, *Manager) {
 	t.Helper()
 	once.Do(func() {
-		p, err := pedersen.Setup(schnorr.Must2048(), []byte("idtoken-test"))
+		p, err := pedersen.Setup(g2.MustPaperCurve(), []byte("idtoken-test"))
 		if err != nil {
 			panic(err)
 		}

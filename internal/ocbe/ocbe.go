@@ -25,7 +25,7 @@ import (
 	"sync"
 
 	"ppcd/internal/core"
-	"ppcd/internal/group"
+	"ppcd/internal/g2"
 	"ppcd/internal/pedersen"
 	"ppcd/internal/sym"
 )
@@ -135,7 +135,7 @@ var (
 type Receiver struct {
 	Params *pedersen.Params
 	X, R   *big.Int
-	C      group.Element
+	C      *g2.Divisor
 }
 
 // NewReceiver builds the receiver state, recomputing the commitment from
@@ -352,25 +352,6 @@ func parallelFor(n int, f func(i int) error) error {
 	return got
 }
 
-// laneSigmas computes bases[i]^{ks[i]} (bases[i]^{ks[0]} when len(ks)==1)
-// through the group's lane-parallel kernel when it has one; groups without
-// one (schnorr) serve each lane through the scalar Exp in parallel.
-func laneSigmas(g group.Group, bases []group.Element, ks []*big.Int) []group.Element {
-	if lg, ok := g.(group.LaneExpGroup); ok {
-		return lg.LaneExp(bases, ks)
-	}
-	out := make([]group.Element, len(bases))
-	parallelFor(len(bases), func(i int) error {
-		k := ks[0]
-		if len(ks) > 1 {
-			k = ks[i]
-		}
-		out[i] = g.Exp(bases[i], k)
-		return nil
-	})
-	return out
-}
-
 // Compose builds the sender's envelope around msg for the given predicate
 // and the receiver's request. The sender verifies that any auxiliary bit
 // commitments recombine to the registered commitment and otherwise learns
@@ -400,7 +381,7 @@ func Compose(params *pedersen.Params, pred Predicate, ell int, req *Request, msg
 	return env, nil
 }
 
-func composeSub(params *pedersen.Params, c group.Element, s subOp, ell int, bits *BitCommitments, msg []byte, pred Predicate) (*Envelope, error) {
+func composeSub(params *pedersen.Params, c *g2.Divisor, s subOp, ell int, bits *BitCommitments, msg []byte, pred Predicate) (*Envelope, error) {
 	if s.kind == 0 {
 		return composeEQ(params, c, s.x0, msg, pred)
 	}
@@ -418,12 +399,12 @@ func composeSub(params *pedersen.Params, c group.Element, s subOp, ell int, bits
 // exponentiation with every other envelope's lanes.
 type eqPlan struct {
 	env  *Envelope
-	base group.Element // c·g^{−x0}
+	base *g2.Divisor // c·g^{−x0}
 	y    *big.Int
 	msg  []byte
 }
 
-func planEQ(params *pedersen.Params, c group.Element, x0 *big.Int, msg []byte, pred Predicate) (*eqPlan, error) {
+func planEQ(params *pedersen.Params, c *g2.Divisor, x0 *big.Int, msg []byte, pred Predicate) (*eqPlan, error) {
 	g := params.G
 	y, err := randNonZero(g.Order())
 	if err != nil {
@@ -435,7 +416,7 @@ func planEQ(params *pedersen.Params, c group.Element, x0 *big.Int, msg []byte, p
 }
 
 // finish derives the payload key from σ and seals the message.
-func (p *eqPlan) finish(g group.Group, sigma group.Element) error {
+func (p *eqPlan) finish(g *g2.Curve, sigma *g2.Divisor) error {
 	key := sym.DeriveKey([]byte("ocbe/eq"), g.Marshal(sigma))
 	ct, err := sym.Encrypt(key, p.msg)
 	if err != nil {
@@ -447,7 +428,7 @@ func (p *eqPlan) finish(g group.Group, sigma group.Element) error {
 
 // composeEQ implements the sender side of EQ-OCBE: σ = (c·g^{−x0})^y,
 // η = h^y, C = E_{H(σ)}[msg].
-func composeEQ(params *pedersen.Params, c group.Element, x0 *big.Int, msg []byte, pred Predicate) (*Envelope, error) {
+func composeEQ(params *pedersen.Params, c *g2.Divisor, x0 *big.Int, msg []byte, pred Predicate) (*Envelope, error) {
 	p, err := planEQ(params, c, x0, msg, pred)
 	if err != nil {
 		return nil, err
@@ -465,14 +446,14 @@ func composeEQ(params *pedersen.Params, c group.Element, x0 *big.Int, msg []byte
 // shape the lane kernel batches.
 type bitwisePlan struct {
 	env   *Envelope
-	pads  []byte          // ℓ·padLen bytes; pad i is pads[i·padLen:(i+1)·padLen]
-	bases []group.Element // 2ℓ lanes: bases[2i] = c_i, bases[2i+1] = c_i·g⁻¹
+	pads  []byte        // ℓ·padLen bytes; pad i is pads[i·padLen:(i+1)·padLen]
+	bases []*g2.Divisor // 2ℓ lanes: bases[2i] = c_i, bases[2i+1] = c_i·g⁻¹
 	y     *big.Int
 }
 
-func planBitwise(params *pedersen.Params, c group.Element, s subOp, ell int, bits *BitCommitments, msg []byte, pred Predicate) (*bitwisePlan, error) {
+func planBitwise(params *pedersen.Params, c *g2.Divisor, s subOp, ell int, bits *BitCommitments, msg []byte, pred Predicate) (*bitwisePlan, error) {
 	g := params.G
-	cis := make([]group.Element, ell)
+	cis := make([]*g2.Divisor, ell)
 	for i, enc := range bits.Cs {
 		ci, err := g.Unmarshal(enc)
 		if err != nil {
@@ -486,7 +467,7 @@ func planBitwise(params *pedersen.Params, c group.Element, s subOp, ell int, bit
 	// (…(c_{ℓ−1}² · c_{ℓ−2})² …)² · c_0 costs ℓ−1 doublings + ℓ−1
 	// additions, against the O(ℓ²) doublings of ℓ separate
 	// exponentiations by 2^i.
-	var target group.Element
+	var target *g2.Divisor
 	if s.kind == 1 {
 		target = params.Shift(c, s.x0)
 	} else {
@@ -520,7 +501,7 @@ func planBitwise(params *pedersen.Params, c group.Element, s subOp, ell int, bit
 	gBase, _ := params.Bases()
 	gInv := g.Inverse(gBase)
 
-	bases := make([]group.Element, 2*ell)
+	bases := make([]*g2.Divisor, 2*ell)
 	for i, ci := range cis {
 		bases[2*i] = ci
 		bases[2*i+1] = g.Op(ci, gInv)
@@ -531,7 +512,7 @@ func planBitwise(params *pedersen.Params, c group.Element, s subOp, ell int, bit
 
 // finish fills the pad pairs from the lane results: sigmas[2i] = σ_i^0,
 // sigmas[2i+1] = σ_i^1.
-func (p *bitwisePlan) finish(g group.Group, sigmas []group.Element) {
+func (p *bitwisePlan) finish(g *g2.Curve, sigmas []*g2.Divisor) {
 	for i := range p.env.Bits {
 		pad := p.pads[i*padLen : (i+1)*padLen]
 		p.env.Bits[i] = BitPair{
@@ -544,12 +525,12 @@ func (p *bitwisePlan) finish(g group.Group, sigmas []group.Element) {
 // composeBitwise implements the sender side of GE-OCBE (kind 1) and LE-OCBE
 // (kind 2): the plan stage up front, then all 2ℓ σ exponentiations as one
 // shared-scalar lane batch.
-func composeBitwise(params *pedersen.Params, c group.Element, s subOp, ell int, bits *BitCommitments, msg []byte, pred Predicate) (*Envelope, error) {
+func composeBitwise(params *pedersen.Params, c *g2.Divisor, s subOp, ell int, bits *BitCommitments, msg []byte, pred Predicate) (*Envelope, error) {
 	p, err := planBitwise(params, c, s, ell, bits, msg, pred)
 	if err != nil {
 		return nil, err
 	}
-	p.finish(params.G, laneSigmas(params.G, p.bases, []*big.Int{p.y}))
+	p.finish(params.G, params.G.LaneExp(p.bases, []*big.Int{p.y}))
 	return p.env, nil
 }
 
@@ -565,10 +546,10 @@ type ComposeItem struct {
 // bases (all driven by the one scalar y), the slice of the pooled results
 // assigned back to it, and the completion consuming them.
 type subPlan struct {
-	bases  []group.Element
+	bases  []*g2.Divisor
 	y      *big.Int
-	sigmas []group.Element
-	fin    func(sigmas []group.Element) error
+	sigmas []*g2.Divisor
+	fin    func(sigmas []*g2.Divisor) error
 }
 
 // ComposeBatch builds one envelope per item, pooling every σ
@@ -609,9 +590,9 @@ func ComposeBatch(params *pedersen.Params, items []ComposeItem) (envs []*Envelop
 					return err
 				}
 				st.subs = append(st.subs, &subPlan{
-					bases: []group.Element{ep.base},
+					bases: []*g2.Divisor{ep.base},
 					y:     ep.y,
-					fin:   func(sig []group.Element) error { return ep.finish(g, sig[0]) },
+					fin:   func(sig []*g2.Divisor) error { return ep.finish(g, sig[0]) },
 				})
 				subEnvs = append(subEnvs, ep.env)
 				continue
@@ -630,7 +611,7 @@ func ComposeBatch(params *pedersen.Params, items []ComposeItem) (envs []*Envelop
 			st.subs = append(st.subs, &subPlan{
 				bases: bp.bases,
 				y:     bp.y,
-				fin:   func(sig []group.Element) error { bp.finish(g, sig); return nil },
+				fin:   func(sig []*g2.Divisor) error { bp.finish(g, sig); return nil },
 			})
 			subEnvs = append(subEnvs, bp.env)
 		}
@@ -652,7 +633,7 @@ func ComposeBatch(params *pedersen.Params, items []ComposeItem) (envs []*Envelop
 	// Stage 2 — one pooled lane exponentiation across every surviving
 	// item. Lanes of one sub-envelope share a *big.Int, so the lane
 	// kernel decomposes each distinct y once.
-	var bases []group.Element
+	var bases []*g2.Divisor
 	var ks []*big.Int
 	for _, st := range states {
 		if st == nil {
@@ -666,7 +647,7 @@ func ComposeBatch(params *pedersen.Params, items []ComposeItem) (envs []*Envelop
 		}
 	}
 	if len(bases) > 0 {
-		sigmas := laneSigmas(g, bases, ks)
+		sigmas := g.LaneExp(bases, ks)
 		off := 0
 		for _, st := range states {
 			if st == nil {
@@ -697,7 +678,7 @@ func ComposeBatch(params *pedersen.Params, items []ComposeItem) (envs []*Envelop
 	return envs, errs
 }
 
-func hashSigma(g group.Group, e group.Element) []byte {
+func hashSigma(g *g2.Curve, e *g2.Divisor) []byte {
 	h := sha256.New()
 	h.Write([]byte("ocbe/sigma-pad"))
 	h.Write(g.Marshal(e))
@@ -716,6 +697,9 @@ func xorPad(a, b []byte) []byte {
 // Prepare. It returns the payload on success and ErrOpenFailed when the
 // committed value does not satisfy the predicate.
 func (r *Receiver) Open(env *Envelope, wit *Witness) ([]byte, error) {
+	if env.X0 == nil {
+		return nil, errors.New("ocbe: envelope without a threshold")
+	}
 	subs := normalize(Predicate{Op: env.Op, X0: env.X0})
 	envs := env.Sub
 	if len(envs) == 0 {
@@ -781,14 +765,17 @@ func (r *Receiver) openBitwise(env *Envelope, wit *BitWitness) ([]byte, error) {
 		default:
 			return nil, ErrOpenFailed
 		}
+		if len(pads[i]) != padLen {
+			return nil, fmt.Errorf("ocbe: bit %d pad is %d bytes, want %d", i, len(pads[i]), padLen)
+		}
 	}
 	// σ'_i = η^{r_i}: one lane batch over the shared base η with per-lane
 	// scalars, so the lane kernel builds a single odd-multiples table.
-	bases := make([]group.Element, len(env.Bits))
+	bases := make([]*g2.Divisor, len(env.Bits))
 	for i := range bases {
 		bases[i] = eta
 	}
-	sigmas := laneSigmas(g, bases, wit.rs)
+	sigmas := g.LaneExp(bases, wit.rs)
 	keyMaterial := make([]byte, 0, len(env.Bits)*padLen)
 	for i := range sigmas {
 		keyMaterial = append(keyMaterial, xorPad(hashSigma(g, sigmas[i]), pads[i])...)

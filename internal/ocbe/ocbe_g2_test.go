@@ -13,9 +13,6 @@ import (
 // genus-2 Jacobian group, tying the crypto stack together end to end exactly
 // as the paper's experiments did.
 func TestProtocolsOverJacobian(t *testing.T) {
-	if testing.Short() {
-		t.Skip("jacobian arithmetic is slow; skipped in -short mode")
-	}
 	p, err := pedersen.Setup(g2.MustPaperCurve(), []byte("ocbe-g2-test"))
 	if err != nil {
 		t.Fatal(err)

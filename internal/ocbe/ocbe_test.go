@@ -6,13 +6,12 @@ import (
 	"sync"
 	"testing"
 
+	"ppcd/internal/g2"
 	"ppcd/internal/pedersen"
-	"ppcd/internal/schnorr"
 )
 
-// Tests run over the 2048-bit Schnorr group: it behaves identically to the
-// Jacobian through the group interface and is much faster. The g2-specific
-// integration is covered in TestEQOverJacobian in ocbe_g2_test.go.
+// Tests run over the paper's genus-2 Jacobian, the one commitment group, so
+// every compose and open goes through the lane kernel that production runs.
 var (
 	paramsOnce sync.Once
 	testParams *pedersen.Params
@@ -21,7 +20,7 @@ var (
 func params(t *testing.T) *pedersen.Params {
 	t.Helper()
 	paramsOnce.Do(func() {
-		p, err := pedersen.Setup(schnorr.Must2048(), []byte("ocbe-test"))
+		p, err := pedersen.Setup(g2.MustPaperCurve(), []byte("ocbe-test"))
 		if err != nil {
 			panic(err)
 		}
@@ -54,8 +53,7 @@ func runProtocol(t *testing.T, x int64, pred Predicate, msg []byte) ([]byte, err
 	return recv.Open(env, wit)
 }
 
-// TestComposeBatch covers the pooled compose path over the (lane-less)
-// Schnorr group: mixed predicates including the two-branch ≠, round trips
+// TestComposeBatch covers the pooled compose path: mixed predicates including the two-branch ≠, round trips
 // for every envelope, and per-item error isolation — one corrupt request
 // must not block the rest of the batch.
 func TestComposeBatch(t *testing.T) {

@@ -6,43 +6,31 @@ import (
 	"testing"
 
 	"ppcd/internal/g2"
-	"ppcd/internal/schnorr"
 )
+
+// paperCurve is shared across tests (construction does a hash-to-point
+// search, so build it once).
+var paperCurve = g2.MustPaperCurve()
 
 var (
 	once    sync.Once
-	pSmall  *Params
-	pJacob  *Params
-	p2048   *Params
+	pA, pB  *Params // two seeds over the paper curve: two second bases
 	initErr error
 )
 
-func setup(t *testing.T) (*Params, *Params, *Params) {
+func setup(t *testing.T) (*Params, *Params) {
 	t.Helper()
 	once.Do(func() {
-		small, err := schnorr.NewFromSafePrime(big.NewInt(1000000007*2+1), "t")
-		if err != nil {
-			// 2000000015 may not be a safe prime; fall back to a known one.
-			small, err = schnorr.NewFromSafePrime(big.NewInt(2879), "t") // 2879=2*1439+1
-			if err != nil {
-				initErr = err
-				return
-			}
-		}
-		pSmall, initErr = Setup(small, []byte("test"))
+		pA, initErr = Setup(paperCurve, []byte("test"))
 		if initErr != nil {
 			return
 		}
-		pJacob, initErr = Setup(g2.MustPaperCurve(), []byte("test"))
-		if initErr != nil {
-			return
-		}
-		p2048, initErr = Setup(schnorr.Must2048(), []byte("test"))
+		pB, initErr = Setup(paperCurve, []byte("other"))
 	})
 	if initErr != nil {
 		t.Fatal(initErr)
 	}
-	return pSmall, pJacob, p2048
+	return pA, pB
 }
 
 func TestSetupRejectsNil(t *testing.T) {
@@ -51,9 +39,16 @@ func TestSetupRejectsNil(t *testing.T) {
 	}
 }
 
+// TestCommitVerifyAllGroups opens commitments under every parameter set the
+// tests build: the paper curve under two seeds, whose second bases differ.
 func TestCommitVerifyAllGroups(t *testing.T) {
-	a, b, c := setup(t)
-	for _, p := range []*Params{a, b, c} {
+	a, b := setup(t)
+	_, ha := a.Bases()
+	_, hb := b.Bases()
+	if a.G.Equal(ha, hb) {
+		t.Fatal("two seeds derived the same second base")
+	}
+	for _, p := range []*Params{a, b} {
 		x := big.NewInt(28)
 		cm, r, err := p.CommitRandom(x)
 		if err != nil {
@@ -73,7 +68,7 @@ func TestCommitVerifyAllGroups(t *testing.T) {
 }
 
 func TestCommitDeterministicGivenRandomness(t *testing.T) {
-	p, _, _ := setup(t)
+	p, _ := setup(t)
 	x, r := big.NewInt(5), big.NewInt(7)
 	c1 := p.Commit(x, r)
 	c2 := p.Commit(x, r)
@@ -83,7 +78,7 @@ func TestCommitDeterministicGivenRandomness(t *testing.T) {
 }
 
 func TestHidingDifferentBlindings(t *testing.T) {
-	p, _, _ := setup(t)
+	p, _ := setup(t)
 	x := big.NewInt(5)
 	c1 := p.Commit(x, big.NewInt(1))
 	c2 := p.Commit(x, big.NewInt(2))
@@ -94,7 +89,7 @@ func TestHidingDifferentBlindings(t *testing.T) {
 
 func TestHomomorphism(t *testing.T) {
 	// Commit(x1,r1)·Commit(x2,r2) = Commit(x1+x2, r1+r2).
-	p, _, _ := setup(t)
+	p, _ := setup(t)
 	x1, r1 := big.NewInt(3), big.NewInt(11)
 	x2, r2 := big.NewInt(4), big.NewInt(13)
 	lhs := p.G.Op(p.Commit(x1, r1), p.Commit(x2, r2))
@@ -107,7 +102,7 @@ func TestHomomorphism(t *testing.T) {
 func TestShift(t *testing.T) {
 	// Shift(Commit(x,r), x0) = Commit(x-x0, r): when x = x0 the result is
 	// h^r — exactly what EQ-OCBE relies on.
-	p, _, _ := setup(t)
+	p, _ := setup(t)
 	x := big.NewInt(42)
 	c, r, err := p.CommitRandom(x)
 	if err != nil {
@@ -125,8 +120,8 @@ func TestShift(t *testing.T) {
 }
 
 func TestBasesDistinct(t *testing.T) {
-	a, b, c := setup(t)
-	for _, p := range []*Params{a, b, c} {
+	a, b := setup(t)
+	for _, p := range []*Params{a, b} {
 		g, h := p.Bases()
 		if p.G.Equal(g, h) {
 			t.Errorf("%s: g == h", p.G.Name())
@@ -135,7 +130,7 @@ func TestBasesDistinct(t *testing.T) {
 }
 
 func TestOrderMatchesGroup(t *testing.T) {
-	_, pj, _ := setup(t)
+	pj, _ := setup(t)
 	if pj.Order().Cmp(pj.G.Order()) != 0 {
 		t.Error("Order mismatch")
 	}
@@ -143,7 +138,7 @@ func TestOrderMatchesGroup(t *testing.T) {
 
 func TestJacobianCommitRoundTrip(t *testing.T) {
 	// End-to-end over the paper's actual curve with a large value.
-	_, p, _ := setup(t)
+	p, _ := setup(t)
 	x, ok := new(big.Int).SetString("123456789012345678901234567890", 10)
 	if !ok {
 		t.Fatal("bad literal")

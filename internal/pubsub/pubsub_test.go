@@ -6,11 +6,11 @@ import (
 	"testing"
 
 	"ppcd/internal/document"
+	"ppcd/internal/g2"
 	"ppcd/internal/idtoken"
 	"ppcd/internal/ocbe"
 	"ppcd/internal/pedersen"
 	"ppcd/internal/policy"
-	"ppcd/internal/schnorr"
 )
 
 var (
@@ -22,7 +22,7 @@ var (
 func testEnv(t testing.TB) (*pedersen.Params, *idtoken.Manager) {
 	t.Helper()
 	envOnce.Do(func() {
-		p, err := pedersen.Setup(schnorr.Must2048(), []byte("pubsub-test"))
+		p, err := pedersen.Setup(g2.MustPaperCurve(), []byte("pubsub-test"))
 		if err != nil {
 			panic(err)
 		}

@@ -550,8 +550,9 @@ func (tr *tableRestore) decodeSegment(seg int) error {
 	tab, lo := tr.tab, seg*tr.segSlots
 
 	// Dictionaries: an unknown condition maps to column -1 (its cells are
-	// dropped), a policy must be one the meta segment declares.
-	nd, err := r.count()
+	// dropped), a policy must be one the meta segment declares. Each entry
+	// takes at least its 4-byte length.
+	nd, err := r.items(4)
 	if err != nil {
 		return err
 	}

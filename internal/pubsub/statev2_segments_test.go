@@ -12,6 +12,7 @@ import (
 
 	"ppcd/internal/codec"
 	"ppcd/internal/core"
+	"ppcd/internal/core/coretest"
 	"ppcd/internal/document"
 	"ppcd/internal/ff64"
 	"ppcd/internal/policy"
@@ -402,9 +403,18 @@ func TestSegmentedImportHostile(t *testing.T) {
 	}
 }
 
+// tableAllocPerByte and tableAllocFixed bound what sizing a restore from one
+// table segment and decoding it allocate. A slot costs its name's string
+// header, a cell per condition column and a gid per policy column — 52 B at
+// the fuzzer's three conditions and policies — for its ≥ 4 input bytes,
+// plus its name length and its share of the name blob.
+const tableAllocPerByte, tableAllocFixed = 16, 16 << 10
+
 // FuzzTableSegment: whatever the table-segment decoder accepts it accepts
-// without panicking, and — when it names the publisher's own dictionaries —
-// re-encodes from the restored columns to the very same bytes.
+// without panicking and allocates no more than tableAllocPerByte per input
+// byte plus tableAllocFixed, and — when it names the publisher's own
+// dictionaries — re-encodes from the restored columns to the very same
+// bytes.
 func FuzzTableSegment(f *testing.F) {
 	env := newSegEnv(f, 3)
 	var nyms []string
@@ -442,11 +452,15 @@ func FuzzTableSegment(f *testing.F) {
 		dicts += 4 + len(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := reg.newTableRestore(8, [][]byte{data}, universe, codec.NewBudget(maxStateHeaderBudget))
+		var tr *tableRestore
+		var err error
+		coretest.AllocWithin(t, "table segment", data, tableAllocPerByte, tableAllocFixed, func() {
+			tr, err = reg.newTableRestore(8, [][]byte{data}, universe, codec.NewBudget(maxStateHeaderBudget))
+			if err == nil {
+				err = tr.decodeSegment(0)
+			}
+		})
 		if err != nil {
-			return
-		}
-		if err := tr.decodeSegment(0); err != nil {
 			return
 		}
 		gids := make([][]int32, len(pols))

@@ -15,11 +15,11 @@ import (
 	"ppcd/internal/core"
 	"ppcd/internal/core/coretest"
 	"ppcd/internal/document"
+	"ppcd/internal/g2"
 	"ppcd/internal/idtoken"
 	"ppcd/internal/pedersen"
 	"ppcd/internal/policy"
 	"ppcd/internal/pubsub"
-	"ppcd/internal/schnorr"
 	"ppcd/internal/transport"
 	"ppcd/internal/wire"
 )
@@ -33,7 +33,7 @@ var (
 func env(t *testing.T) (*pedersen.Params, *idtoken.Manager) {
 	t.Helper()
 	once.Do(func() {
-		p, err := pedersen.Setup(schnorr.Must2048(), []byte("relay-test"))
+		p, err := pedersen.Setup(g2.MustPaperCurve(), []byte("relay-test"))
 		if err != nil {
 			panic(err)
 		}

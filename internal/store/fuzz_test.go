@@ -5,10 +5,10 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"ppcd/internal/core"
+	"ppcd/internal/core/coretest"
 	"ppcd/internal/pubsub"
 	"ppcd/internal/sym"
 )
@@ -72,20 +72,6 @@ func livePublishEvents(t testing.TB) (cold, churn pubsub.StateEvent) {
 	return log[0], log[2]
 }
 
-// allocWithin runs decode and fails t if it allocated more than c bytes per
-// input byte plus k: hostile bytes cost what they weigh.
-func allocWithin(t *testing.T, what string, input []byte, c, k uint64, decode func()) {
-	t.Helper()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	before := ms.TotalAlloc
-	decode()
-	runtime.ReadMemStats(&ms)
-	if got, bound := ms.TotalAlloc-before, c*uint64(len(input))+k; got > bound {
-		t.Fatalf("decoding a %d-byte %s allocated %d bytes, more than %d", len(input), what, got, bound)
-	}
-}
-
 // The allocation bounds of the event decoders. An event allocates its map
 // and slice entries — a few dozen bytes for each ≥ 12 input bytes, doubled
 // while they grow — and a publish outcome's delta frame what the wire
@@ -119,7 +105,7 @@ func FuzzWALRecord(f *testing.F) {
 		var rec walRecord
 		var n int
 		var err error
-		allocWithin(t, "WAL record", data, recordAllocPerByte, recordAllocFixed, func() { rec, n, err = parseRecord(data, fuzzKey()) })
+		coretest.AllocWithin(t, "WAL record", data, recordAllocPerByte, recordAllocFixed, func() { rec, n, err = parseRecord(data, fuzzKey()) })
 		if err != nil {
 			return
 		}
@@ -153,7 +139,7 @@ func FuzzEvent(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ev pubsub.StateEvent
 		var err error
-		allocWithin(t, "event", data, eventAllocPerByte, eventAllocFixed, func() { ev, err = decodeEvent(data) })
+		coretest.AllocWithin(t, "event", data, eventAllocPerByte, eventAllocFixed, func() { ev, err = decodeEvent(data) })
 		if err != nil {
 			return
 		}
@@ -167,10 +153,17 @@ func FuzzEvent(f *testing.F) {
 	})
 }
 
+// The allocation bound of the manifest decoder: a file entry is a 72-byte
+// manFile and a seen flag for its ≥ 49 input bytes (its name copied
+// besides), and a cache digest 32 bytes for its 32. The fixed term is error
+// text and what the fuzzing engine allocates beside the call.
+const manifestAllocPerByte, manifestAllocFixed = 4, 16 << 10
+
 // FuzzManifest drives the snapshot-manifest decoder (post-AEAD plaintext —
 // the layer an attacker can only reach with the operator key, but the layer
-// version skew and format bugs reach for free): no panic, every accepted
-// manifest re-encodes byte-identically, and its invariants hold.
+// version skew and format bugs reach for free): no panic, allocation within
+// manifestAllocPerByte per input byte plus manifestAllocFixed, every
+// accepted manifest re-encodes byte-identically, and its invariants hold.
 func FuzzManifest(f *testing.F) {
 	man := &manifest{
 		walSeq:    42,
@@ -191,7 +184,9 @@ func FuzzManifest(f *testing.F) {
 	f.Add(trunc[:len(trunc)/2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeManifest(data)
+		var m *manifest
+		var err error
+		coretest.AllocWithin(t, "manifest", data, manifestAllocPerByte, manifestAllocFixed, func() { m, err = decodeManifest(data) })
 		if err != nil {
 			return
 		}

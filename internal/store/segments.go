@@ -31,10 +31,13 @@ const (
 
 const (
 	manVersion = 1
-	// maxManifestSegs bounds each per-kind segment count; together with the
-	// per-file entry size this caps a decoded manifest far below any
-	// allocation hazard.
+	// maxManifestSegs bounds each per-kind segment count.
 	maxManifestSegs = 1 << 20
+	// manFileMinBytes is the smallest encoding of one file entry (kind,
+	// index, name length, size, checksum): the decoder allocates for the
+	// entries and digests a manifest claims only once its bytes can hold
+	// them.
+	manFileMinBytes = 1 + 4 + 4 + 8 + 32
 	// maxSegName bounds one segment file name in the manifest.
 	maxSegName = 128
 	// maxManSegSlots bounds the recorded table-slot span per segment.
@@ -135,6 +138,9 @@ func decodeManifest(plain []byte) (*manifest, error) {
 	}
 	if nfiles != 1+m.tableSegs+m.cacheSegs {
 		return nil, fmt.Errorf("%w: manifest lists %d files for %d segments", ErrCorrupt, nfiles, 1+m.tableSegs+m.cacheSegs)
+	}
+	if nfiles*manFileMinBytes+m.cacheSegs*32 > r.Remaining() {
+		return bad(codec.ErrTruncated)
 	}
 	// Every segment slot must be covered by exactly one file.
 	seenMeta := false

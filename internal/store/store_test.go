@@ -13,11 +13,11 @@ import (
 
 	"ppcd/internal/core"
 	"ppcd/internal/document"
+	"ppcd/internal/g2"
 	"ppcd/internal/idtoken"
 	"ppcd/internal/pedersen"
 	"ppcd/internal/policy"
 	"ppcd/internal/pubsub"
-	"ppcd/internal/schnorr"
 	"ppcd/internal/sym"
 	"ppcd/internal/wire"
 )
@@ -62,7 +62,7 @@ type testSystem struct {
 
 func newTestSystem(t testing.TB, groupSize int) *testSystem {
 	t.Helper()
-	params, err := pedersen.Setup(schnorr.Must2048(), []byte("store-test"))
+	params, err := pedersen.Setup(g2.MustPaperCurve(), []byte("store-test"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,12 @@ package transport
 import (
 	"testing"
 
+	"ppcd/internal/g2"
 	"ppcd/internal/idtoken"
 	"ppcd/internal/ocbe"
 	"ppcd/internal/pedersen"
 	"ppcd/internal/policy"
 	"ppcd/internal/pubsub"
-	"ppcd/internal/schnorr"
 )
 
 // cannedRegistrar answers every batch with the same results, so the
@@ -28,7 +28,7 @@ func (c cannedRegistrar) RegisterBatch([]*pubsub.RegistrationRequest) ([]pubsub.
 // persistent loopback connection and decodes the 4 real envelopes it gets
 // back. B/op and allocs/op count client and server together.
 func BenchmarkRegisterBatchRoundTrip(b *testing.B) {
-	params, err := pedersen.Setup(schnorr.Must2048(), []byte("transport-bench"))
+	params, err := pedersen.Setup(g2.MustPaperCurve(), []byte("transport-bench"))
 	if err != nil {
 		b.Fatal(err)
 	}

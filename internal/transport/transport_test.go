@@ -7,11 +7,11 @@ import (
 	"testing"
 
 	"ppcd/internal/document"
+	"ppcd/internal/g2"
 	"ppcd/internal/idtoken"
 	"ppcd/internal/pedersen"
 	"ppcd/internal/policy"
 	"ppcd/internal/pubsub"
-	"ppcd/internal/schnorr"
 	"ppcd/internal/wire"
 )
 
@@ -24,7 +24,7 @@ var (
 func env(t testing.TB) (*pedersen.Params, *idtoken.Manager) {
 	t.Helper()
 	once.Do(func() {
-		p, err := pedersen.Setup(schnorr.Must2048(), []byte("transport-test"))
+		p, err := pedersen.Setup(g2.MustPaperCurve(), []byte("transport-test"))
 		if err != nil {
 			panic(err)
 		}

@@ -7,12 +7,12 @@ import (
 	"testing"
 
 	"ppcd/internal/document"
+	"ppcd/internal/g2"
 	"ppcd/internal/idtoken"
 	"ppcd/internal/ocbe"
 	"ppcd/internal/pedersen"
 	"ppcd/internal/policy"
 	"ppcd/internal/pubsub"
-	"ppcd/internal/schnorr"
 )
 
 // exchange is one reply payload together with the kind of request it
@@ -28,7 +28,7 @@ type exchange struct {
 // fetch, subscribe — and the replies it got, a refusal among them.
 func liveRPC(tb testing.TB) (reqs [][]byte, replies []exchange) {
 	tb.Helper()
-	params, err := pedersen.Setup(schnorr.Must2048(), []byte("wire-rpc-test"))
+	params, err := pedersen.Setup(g2.MustPaperCurve(), []byte("wire-rpc-test"))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -5,11 +5,11 @@ import (
 
 	"ppcd/internal/benchutil"
 	"ppcd/internal/core"
+	"ppcd/internal/g2"
 	"ppcd/internal/idtoken"
 	"ppcd/internal/linalg"
 	"ppcd/internal/pedersen"
 	"ppcd/internal/pubsub"
-	"ppcd/internal/schnorr"
 )
 
 // streamEnv builds a grouped publisher over a synthetic loaded table —
@@ -20,7 +20,7 @@ import (
 // their size.
 func streamEnv(t *testing.T, subs, policies, groupSize int) (*pubsub.Publisher, func() *pubsub.Broadcast, string) {
 	t.Helper()
-	params, err := pedersen.Setup(schnorr.Must2048(), []byte("wire-stream-test"))
+	params, err := pedersen.Setup(g2.MustPaperCurve(), []byte("wire-stream-test"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,7 @@
 //
 // A minimal flow (see examples/quickstart for a runnable version):
 //
-//	grp := ppcd.SchnorrGroup()                    // or ppcd.PaperCurve()
-//	params, _ := ppcd.Setup(grp, []byte("demo"))
+//	params, _ := ppcd.Setup(ppcd.PaperCurve(), []byte("demo"))
 //	idmgr, _ := ppcd.NewIdentityManager(params)
 //
 //	acp, _ := ppcd.NewPolicy("adults", "age >= 18", "news", "body")
@@ -37,29 +36,32 @@ package ppcd
 import (
 	"ppcd/internal/document"
 	"ppcd/internal/g2"
-	"ppcd/internal/group"
 	"ppcd/internal/idtoken"
 	"ppcd/internal/pedersen"
 	"ppcd/internal/policy"
 	"ppcd/internal/pubsub"
 	"ppcd/internal/relay"
-	"ppcd/internal/schnorr"
 	"ppcd/internal/store"
 	"ppcd/internal/transport"
 	"ppcd/internal/wire"
 )
 
-// Group is a prime-order cyclic group suitable for Pedersen commitments.
-type Group = group.Group
+// Group is the commitment group: the Jacobian of a genus-2 hyperelliptic
+// curve, the prime-order group of the paper's Pedersen commitments and OCBE
+// protocols (§VII).
+type Group = *g2.Curve
 
 // PaperCurve returns the genus-2 Jacobian group over the exact curve used in
 // the paper's experiments (implemented from scratch with Cantor's
-// algorithm). It is the faithful choice; SchnorrGroup is the faster one.
+// algorithm).
 func PaperCurve() Group { return g2.MustPaperCurve() }
 
-// SchnorrGroup returns the 2048-bit quadratic-residue Schnorr group (RFC
-// 3526 modulus) — a drop-in, faster alternative commitment group.
-func SchnorrGroup() Group { return schnorr.Must2048() }
+// SchnorrGroup returns PaperCurve.
+//
+// Deprecated: the Jacobian is the only commitment group. This name remains
+// for the end-to-end benchmark module under bench/, which still calls it and
+// changes only with the benchmark itself; use PaperCurve.
+func SchnorrGroup() Group { return PaperCurve() }
 
 // CommitmentParams are the system-wide Pedersen parameters ⟨G, g, h⟩
 // published by the Identity Manager.

@@ -17,7 +17,7 @@ var (
 func apiEnv(t *testing.T) (*ppcd.CommitmentParams, *ppcd.IdentityManager) {
 	t.Helper()
 	apiOnce.Do(func() {
-		p, err := ppcd.Setup(ppcd.SchnorrGroup(), []byte("api-test"))
+		p, err := ppcd.Setup(ppcd.PaperCurve(), []byte("api-test"))
 		if err != nil {
 			panic(err)
 		}
