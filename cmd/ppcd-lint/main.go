@@ -1,8 +1,8 @@
 // Command ppcd-lint runs the repo's custom static-analysis suite
 // (internal/analysis) over the given package patterns — the machine-checked
-// form of the invariants that keep the system sound: the pubsub lock order,
-// the bounded-decode discipline, crypto-randomness hygiene, the
-// //ppcd:hotpath allocation rules, and store fsync error handling.
+// form of the invariants that keep the system sound: the publisher's two
+// locks never held together, the bounded-decode discipline, crypto-randomness
+// hygiene, the //ppcd:hotpath allocation rules, and store fsync error handling.
 //
 // Usage:
 //

@@ -6,33 +6,30 @@ import (
 	"go/types"
 )
 
-// LockOrder enforces the documented mutex discipline of internal/pubsub
-// (publisher.go and registry.go: "Lock order: mutMu → grpMu → mu → pubMu"):
-// within any function, acquiring a lower-ranked mutex while a higher-ranked
-// one is held is an inversion that can deadlock against the conforming
-// path. It also requires every Lock/RLock on a tracked mutex field to have a
-// paired Unlock/RUnlock or defer Unlock in the same function.
+// LockOrder enforces the mutex discipline of internal/pubsub (publisher.go):
+// the publisher has two locks, the registry's mu (table T and the group
+// state) and pubMu (the epoch, the diff bases and the publish record), and
+// no function holds both. A publish holds pubMu across its journal ticket
+// while the journal's applies take mu, so nesting them in either order can
+// deadlock against the flusher. It also requires every Lock/RLock on a
+// tracked mutex field to have a paired Unlock/RUnlock or defer Unlock in the
+// same function.
 //
 // The analysis is intra-procedural and walks each function body in source
 // order, which is exactly how the package is written (no lock is passed
 // across function boundaries while held, except through the documented
-// "callers hold grpMu" helpers, which take no locks themselves).
+// "callers hold the registry lock" helpers, which take no locks themselves).
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc: "check the mutMu → grpMu → mu → pubMu acquisition order and " +
-		"Lock/Unlock pairing on the named mutex fields of internal/pubsub",
+	Doc: "check that mu and pubMu are never held together and that " +
+		"Lock/Unlock pair on the named mutex fields of internal/pubsub",
 	Packages: []string{"internal/pubsub"},
 	Run:      runLockOrder,
 }
 
-// lockRank orders the named mutex fields the analyzer follows: a mutex may
-// only be acquired while every held mutex has a strictly LOWER rank.
-var lockRank = map[string]int{
-	"mutMu": 0,
-	"grpMu": 1,
-	"mu":    2,
-	"pubMu": 3,
-}
+// trackedLocks names the mutex fields the analyzer follows: a tracked mutex
+// may not be acquired while a different one is held.
+var trackedLocks = map[string]bool{"mu": true, "pubMu": true}
 
 // mutexEvent is one Lock/Unlock-shaped call site, in source order.
 type mutexEvent struct {
@@ -80,7 +77,7 @@ func mutexCallEvent(info *types.Info, call *ast.CallExpr) (mutexEvent, bool) {
 	default:
 		return mutexEvent{}, false
 	}
-	if _, tracked := lockRank[field]; !tracked {
+	if !trackedLocks[field] {
 		return mutexEvent{}, false
 	}
 	return mutexEvent{field: field, method: f.Name(), pos: call.Pos()}, true
@@ -121,9 +118,9 @@ func checkLockDiscipline(pass *Pass, fd *ast.FuncDecl) {
 				continue // defer x.Lock() — nonsensical, but not this check
 			}
 			for heldField := range held {
-				if lockRank[ev.field] < lockRank[heldField] {
+				if heldField != ev.field {
 					pass.Reportf(ev.pos,
-						"acquires %s while holding %s; the documented lock order is mutMu → grpMu → mu → pubMu (publisher.go)",
+						"acquires %s while holding %s; the publisher never holds mu and pubMu together (publisher.go)",
 						ev.field, heldField)
 				}
 			}

@@ -1,60 +1,59 @@
-// Violating fixtures for the lockorder analyzer: inverted acquisitions of
-// the mutMu → grpMu → mu → pubMu order and unpaired locks.
+// Violating fixtures for the lockorder analyzer: mu and pubMu held together,
+// in either order, and unpaired locks.
 package fixtures
 
 import "sync"
 
-type registry struct {
-	mutMu sync.Mutex
-	grpMu sync.Mutex
+type publisher struct {
 	mu    sync.RWMutex
 	pubMu sync.Mutex
 }
 
-// inverted acquires grpMu while holding mu — the reverse of the documented
-// grpMu → mu order.
-func (r *registry) inverted() {
-	r.mu.Lock()
-	r.grpMu.Lock() // want `acquires grpMu while holding mu`
-	r.grpMu.Unlock()
-	r.mu.Unlock()
+// inverted acquires mu while holding pubMu: a publish holding pubMu across
+// its journal ticket would wait for mu, which the journal's applies take.
+func (p *publisher) inverted() {
+	p.pubMu.Lock()
+	p.mu.Lock() // want `acquires mu while holding pubMu`
+	p.mu.Unlock()
+	p.pubMu.Unlock()
 }
 
-// invertedRead holds a read lock on mu across the grpMu acquisition; reader
-// locks participate in the same order.
-func (r *registry) invertedRead() {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	r.grpMu.Lock() // want `acquires grpMu while holding mu`
-	r.grpMu.Unlock()
+// invertedRead holds pubMu across a read lock on mu; reader locks count the
+// same.
+func (p *publisher) invertedRead() {
+	p.pubMu.Lock()
+	defer p.pubMu.Unlock()
+	p.mu.RLock() // want `acquires mu while holding pubMu`
+	p.mu.RUnlock()
 }
 
-// mutationUnderPublish takes the mutation lock while holding the publish
-// lock — the reverse of SetJournal's mutMu → pubMu.
-func (r *registry) mutationUnderPublish() {
-	r.pubMu.Lock()
-	defer r.pubMu.Unlock()
-	r.mutMu.Lock() // want `acquires mutMu while holding pubMu`
-	r.mutMu.Unlock()
+// pubUnderTable takes pubMu while holding mu — the export reading the epoch
+// inside its table hold, which deadlocks with a publish waiting on its
+// journal ticket while the flusher's apply waits on mu.
+func (p *publisher) pubUnderTable() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.pubMu.Lock() // want `acquires pubMu while holding mu`
+	p.pubMu.Unlock()
 }
 
 // leaks never releases pubMu on any path.
-func (r *registry) leaks() int {
-	r.pubMu.Lock() // want `pubMu\.Lock without a paired Unlock`
+func (p *publisher) leaks() int {
+	p.pubMu.Lock() // want `pubMu\.Lock without a paired Unlock`
 	return 1
 }
 
 // relockResidue unlocks the first acquisition but leaves the second held on
 // the fall-through return.
-func (r *registry) relockResidue(cond bool) {
-	r.mu.Lock()
-	r.mu.Unlock()
-	r.mu.Lock() // want `mu may still be held at function exit`
+func (p *publisher) relockResidue(cond bool) {
+	p.mu.Lock()
+	p.mu.Unlock()
+	p.mu.Lock() // want `mu may still be held at function exit`
 }
 
 // closureLeak: the closure body is scanned as its own function.
-func (r *registry) closureLeak() func() {
+func (p *publisher) closureLeak() func() {
 	return func() {
-		r.grpMu.Lock() // want `grpMu\.Lock without a paired Unlock`
+		p.mu.Lock() // want `mu\.Lock without a paired Unlock`
 	}
 }

@@ -4,33 +4,14 @@ package fixtures
 import "sync"
 
 type keeper struct {
-	grpMu sync.Mutex
 	mu    sync.RWMutex
-	mutMu sync.Mutex
 	pubMu sync.Mutex
 }
 
-// documentedOrder is the registry.go idiom: grpMu first, then mu, both
-// released by defer.
-func (k *keeper) documentedOrder() {
-	k.grpMu.Lock()
-	defer k.grpMu.Unlock()
+// oneHold is the registry idiom: the write lock, released by defer.
+func (k *keeper) oneHold() {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-}
-
-// interleaved takes mu repeatedly inside a grpMu-held section (the grouped
-// assembly pattern in grouping.go).
-func (k *keeper) interleaved(xs []int) int {
-	k.grpMu.Lock()
-	defer k.grpMu.Unlock()
-	total := 0
-	for range xs {
-		k.mu.Lock()
-		total++
-		k.mu.Unlock()
-	}
-	return total
 }
 
 // branchRelease unlocks on an early-out branch and on the main path.
@@ -45,20 +26,25 @@ func (k *keeper) branchRelease(skip bool) int {
 	return n
 }
 
-// sequentialScopes takes mu then later grpMu, but never holds both at once:
-// no order to violate.
+// sequentialScopes is the state export's idiom: the table side under mu,
+// then the epoch and diff bases under pubMu, never both at once.
 func (k *keeper) sequentialScopes() {
 	k.mu.Lock()
 	k.mu.Unlock()
-	k.grpMu.Lock()
-	k.grpMu.Unlock()
+	k.pubMu.Lock()
+	k.pubMu.Unlock()
 }
 
-// setJournal is the publisher's SetJournal idiom: mutMu, then pubMu, the two
-// ends of the order.
-func (k *keeper) setJournal() {
-	k.mutMu.Lock()
-	defer k.mutMu.Unlock()
-	k.pubMu.Lock()
-	defer k.pubMu.Unlock()
+// repeated takes mu repeatedly in one function (the registry snapshot's read,
+// rebuild and install phases).
+func (k *keeper) repeated(xs []int) int {
+	total := 0
+	for range xs {
+		k.mu.RLock()
+		total++
+		k.mu.RUnlock()
+	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return total
 }

@@ -62,7 +62,7 @@ type cssTable struct {
 	parked  []int32 // dead slots compact() could not free: a gid column names them
 
 	// gids holds one group-ID column per grouped policy, each as long as nyms;
-	// the values belong to the grouping layer (grpMu, and the write lock).
+	// the values belong to the grouping layer, under the registry write lock.
 	gids map[string][]int32
 
 	// dirty is a per-slot bitmap of rows mutated since the last segmented

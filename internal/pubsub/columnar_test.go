@@ -249,8 +249,6 @@ func (r *registry) exportFull() registryState {
 		grpAssign: make(map[string]map[string]int),
 		grpGroups: make(map[string]int),
 	}
-	r.grpMu.Lock()
-	defer r.grpMu.Unlock()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	st.table = make(map[string]map[string]core.CSS, r.tab.live)

@@ -55,7 +55,7 @@ type groupShard struct {
 // ascending number, tagged with the membership version they reflect.
 // valid=false forces a full regroup (fresh policy, bumpAll, a failed
 // snapshot); afterwards the state advances through churn hints alone.
-// Guarded by grpMu.
+// Guarded by the registry write lock.
 type groupState struct {
 	counts  []int
 	tracker *minTracker
@@ -127,17 +127,15 @@ func (t *cssTable) gatherRows(members []int32, cis []int) (rows [][]core.CSS, er
 // that, its rows. A policy whose membership version is unchanged keeps its
 // signatures; a changed one with valid group state replays just its hints.
 //
-// grpMu serializes grouped assembly (concurrent publishes) and guards the
-// group state. The policies are advanced, digested and gathered under one hold
-// of the registry write lock: the snapshot is of one table state, and the rows
-// a solve hashes are the rows its Sig digests; lease (core.Engine.Lease) is
-// asked under both locks (grpMu → mu → Engine.mu). The hold is proportional
-// to the churn, except for a full regroup, which scans and digests a policy
-// while registrations wait — once per policy and process, or after bumpAll.
+// The registry write lock serializes grouped assembly (concurrent publishes)
+// and guards the group state. The policies are advanced, digested and
+// gathered under one hold of it: the snapshot is of one table state, and the
+// rows a solve hashes are the rows its Sig digests; lease (core.Engine.Lease)
+// is asked under it (mu → Engine.mu). The hold is proportional to the churn,
+// except for a full regroup, which scans and digests a policy while
+// registrations wait — once per policy and process, or after bumpAll.
 func (r *registry) snapshotGrouped(acps []*policy.ACP, lease func(id string, sig core.Sig) (core.ShardLease, bool)) (map[string][]core.ShardSpec, error) {
 	out := make(map[string][]core.ShardSpec, len(acps))
-	r.grpMu.Lock()
-	defer r.grpMu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, a := range acps {

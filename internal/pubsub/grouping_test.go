@@ -573,7 +573,6 @@ func BenchmarkApplyChurn(b *testing.B) {
 			*q = append((*q)[1:], next)
 			next++
 		}
-		reg.grpMu.Lock()
 		reg.mu.Lock()
 		for _, a := range acps {
 			hints := reg.pend[a.ID]
@@ -585,7 +584,6 @@ func BenchmarkApplyChurn(b *testing.B) {
 		}
 		reg.maybeCompact()
 		reg.mu.Unlock()
-		reg.grpMu.Unlock()
 	}
 }
 

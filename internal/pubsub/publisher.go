@@ -30,6 +30,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"ppcd/internal/core"
 	"ppcd/internal/idtoken"
@@ -81,8 +82,12 @@ type Publisher struct {
 	keys *keyManager
 
 	// pubMu guards the epoch counter and the per-document diff bases
-	// (broadcast.go): Publish stamps epochs and derives revisions under it,
-	// independently of the registry locks.
+	// (broadcast.go): Publish stamps epochs and derives revisions under it.
+	// It is one of the publisher's two locks; the other is the registry's
+	// mu (table T and the group state). No path holds both: a publish holds
+	// pubMu across its journal ticket, the journal's applies take mu, so
+	// waiting for pubMu under mu could deadlock against the flusher (the
+	// lockorder analyzer refuses the nesting).
 	pubMu   sync.Mutex
 	epoch   uint64
 	gen     uint64
@@ -90,17 +95,11 @@ type Publisher struct {
 
 	// journal, when set, commits every durable mutation and every publish
 	// (state.go) before the triggering operation returns — the write-ahead
-	// discipline the internal/store WAL implements. mutMu orders each
-	// mutation's place in the journal with its in-memory apply: without it,
-	// two racing mutations of the same pseudonym could journal in one order
-	// and apply in the other, and a later crash replay (which runs in
-	// journal order) would resurrect state the live publisher never held.
-	// Envelope crypto stays outside mutMu; only Begin serializes. journal is
-	// written under mutMu and then pubMu (SetJournal); a mutation reads it
-	// under mutMu, a publish under pubMu. Lock order: mutMu → grpMu → mu →
-	// pubMu.
-	mutMu   sync.Mutex
-	journal Journal
+	// discipline the internal/store WAL implements. The journal orders the
+	// commits: it runs their applies in the order their records enter the
+	// log, so a crash replay (which runs in journal order) never resurrects
+	// state the live publisher did not hold.
+	journal atomic.Pointer[Journal]
 }
 
 // NewPublisher builds a publisher enforcing the given access control
@@ -398,10 +397,11 @@ func (p *Publisher) RegisterBatch(reqs []*RegistrationRequest) ([]BatchResult, e
 // Revocation"): its row disappears from T and the next Publish rekeys every
 // affected configuration.
 func (p *Publisher) RevokeSubscription(nym string) error {
-	// commitMutation makes existence check + journal + apply one ordered
-	// step: journal order equals apply order, so crash replay can never
+	// The journal applies in journal order, so crash replay can never
 	// resurrect a row a racing registration committed on the other side of
-	// this revocation.
+	// this revocation. A racing revocation of the same pseudonym may pass
+	// the check as well: its apply then reports the unknown subscriber, and
+	// its replay is a no-op.
 	var applyErr error
 	err := p.commitMutation(
 		func() error {

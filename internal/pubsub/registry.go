@@ -56,15 +56,13 @@ type registry struct {
 	pend map[string]map[int32]struct{}
 
 	// Grouped mode (§VIII-C, grouping.go): groupSize > 0 partitions each
-	// policy's rows into sticky groups of at most groupSize members. grpMu
-	// guards the per-policy group state; it is independent of mu so
-	// mutations never wait on a grouped assembly. Lock order, the
-	// publisher's whole and checked by the lockorder analyzer: mutMu → grpMu
-	// → mu → pubMu, never the reverse. A grouped snapshot also takes
-	// Engine.mu under grpMu and mu, leasing solves (core.Engine.Lease); the
-	// engine never calls back.
+	// policy's rows into sticky groups of at most groupSize members. mu
+	// guards the per-policy group state with the table it indexes. mu is one
+	// of the publisher's two locks (publisher.go); it is never held while
+	// pubMu is taken, nor taken under pubMu (the lockorder analyzer checks
+	// both). A grouped snapshot takes Engine.mu under mu, leasing solves
+	// (core.Engine.Lease); the engine never calls back.
 	groupSize    int
-	grpMu        sync.Mutex
 	grp          map[string]*groupState
 	fullRegroups atomic.Uint64 // Stats.FullRegroups
 }
@@ -137,15 +135,13 @@ func (r *registry) hint(s int32, condID string) {
 // cannot describe "everything may have changed" — and so is any segmented
 // export base: the segments it stands for still hold what was dropped.
 func (r *registry) bumpAll() {
-	r.grpMu.Lock()
-	defer r.grpMu.Unlock()
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	for id := range r.memVer {
 		r.memVer[id]++
 	}
 	clear(r.pend)
 	r.tabGen++
-	r.mu.Unlock()
 	for _, gs := range r.grp {
 		gs.valid = false
 	}
@@ -256,8 +252,6 @@ func (r *registry) tableMemory() (int, int64) {
 // 48-byte shard entries with their signatures inline, unconsumed hints, and
 // the tracker's one bitset of the groups per occupancy level.
 func (r *registry) groupMemory() (rows int, b int64) {
-	r.grpMu.Lock()
-	defer r.grpMu.Unlock()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for id, gs := range r.grp {
@@ -380,8 +374,6 @@ func (r *registry) snapshot(acps []*policy.ACP) (map[string][][]core.CSS, map[st
 // whose stored assignment the import had to change (churn exported before a
 // grouped snapshot saw it) are dirty.
 func (r *registry) installRestored(tab *cssTable, memVer map[string]uint64, groups map[string]*groupState, changed []int32) uint64 {
-	r.grpMu.Lock()
-	defer r.grpMu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	// The versions the state was exported at; nothing derived from the old

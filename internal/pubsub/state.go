@@ -90,84 +90,54 @@ type CommitTicket interface {
 // Journal is the publisher's write-ahead log; every durable mutation and
 // every publish commits through it. Begin assigns the events their place in
 // the journal order and enqueues them for a coalesced flush, returning
-// immediately — the caller then drops the mutation lock and blocks on the
-// ticket, so concurrent mutators share one write+fsync instead of
-// serializing a flush each. An error from Begin or from the ticket fails the
-// triggering operation.
+// immediately — the caller then blocks on the ticket, so concurrent mutators
+// share one write+fsync instead of serializing a flush each. An error from
+// Begin or from the ticket fails the triggering operation.
 //
-// Contract: Begin is called under the publisher's mutation lock for table
-// mutations (journal order = apply order stays intact); apply (which may be
-// nil) runs exactly once per successful commit, in journal-sequence order,
-// after the events are durable and before any of their tickets resolve —
-// preserving the write-ahead discipline with visibility deferred to
-// durability. On a flush failure apply never runs. internal/store
-// implements it.
+// Contract: Begin may be called concurrently, and the journal alone sets the
+// order in which applies run: apply (which may be nil) runs exactly once per
+// successful commit, in journal-sequence order, after the events are durable
+// and before any of their tickets resolve — so journal order is apply order,
+// and a crash replay (which runs in journal order) rebuilds exactly the
+// state the live publisher held. On a flush failure apply never runs.
+// internal/store implements it.
 type Journal interface {
 	Begin(evs []StateEvent, apply func()) (CommitTicket, error)
 }
 
 // SetJournal installs (or, with nil, removes) the publisher's durable
 // journal. Install it before serving traffic; mutations occurring before the
-// journal is attached are only captured by the next full snapshot. The
-// pointer is written under mutMu and then pubMu, so a table mutation reads
-// it under the first and a publish under the second.
-func (p *Publisher) SetJournal(j Journal) {
-	p.mutMu.Lock()
-	defer p.mutMu.Unlock()
-	p.pubMu.Lock()
-	defer p.pubMu.Unlock()
-	p.journal = j
-}
+// journal is attached are only captured by the next full snapshot. Each
+// mutation and each publish reads the journal once, so it commits through
+// one journal or none.
+func (p *Publisher) SetJournal(j Journal) { p.journal.Store(&j) }
 
 // Journal returns the installed journal (nil if none).
 func (p *Publisher) Journal() Journal {
-	p.mutMu.Lock()
-	defer p.mutMu.Unlock()
-	return p.journal
+	if j := p.journal.Load(); j != nil {
+		return *j
+	}
+	return nil
 }
 
-// JournalBarrier runs fn at a moment when no new table mutation can enter
-// the journal order (the mutation lock is held across fn). Snapshotters use
-// it to capture the journal sequence their export will cover: the journal
-// first drains its in-flight commits inside fn — applies run before acks, so
-// after the drain every table mutation at or below the captured sequence is
-// reflected in memory — then reads the sequence. Skipping those records on recovery can then never drop a
-// mutation. (Publishes don't need the barrier: a publish holds the publish
-// lock from before its record enters the journal order until its epoch and
-// diff base are committed, its rekey session ran before that, and the export
-// reads the engine cache after the drain and the epoch and diff bases under
-// the same lock — so a publish at or below the captured sequence is in the
-// export, and one above it whose broadcast the export already holds is
-// skipped on replay, its epoch being no newer than the restored base.)
-func (p *Publisher) JournalBarrier(fn func()) {
-	p.mutMu.Lock()
-	defer p.mutMu.Unlock()
-	fn()
-}
-
-// commitMutation write-ahead-commits evs and runs apply. check runs under
-// the mutation lock before anything is journaled; a non-nil return aborts
-// the mutation. The events enter the journal order under the mutation lock,
-// the lock is released, and the caller blocks only on the shared group flush
-// — so concurrent mutators coalesce into one write+fsync. apply's in-memory
-// effect becomes visible only once the events are durable (write-ahead), and
-// journal order always equals apply order. With no journal, apply runs
-// under the mutation lock.
+// commitMutation write-ahead-commits evs and runs apply. check runs first; a
+// non-nil return aborts the mutation before anything is journaled (it keeps
+// an unknown pseudonym's revocation out of the journal). The journal orders
+// the commit among concurrent ones and runs apply once the events are
+// durable, so journal order is apply order; the caller blocks only on the
+// shared group flush. With no journal, apply runs at once.
 func (p *Publisher) commitMutation(check func() error, apply func(), evs ...StateEvent) error {
-	p.mutMu.Lock()
 	if check != nil {
 		if err := check(); err != nil {
-			p.mutMu.Unlock()
 			return err
 		}
 	}
-	if p.journal == nil {
+	j := p.Journal()
+	if j == nil {
 		apply()
-		p.mutMu.Unlock()
 		return nil
 	}
-	t, err := p.journal.Begin(evs, apply)
-	p.mutMu.Unlock()
+	t, err := j.Begin(evs, apply)
 	if err == nil {
 		err = t.Wait()
 	}
@@ -181,16 +151,16 @@ func (p *Publisher) commitMutation(check func() error, apply func(), evs ...Stat
 // the entries its rekey session created. Called under pubMu before the
 // publish commits its epoch and diff base. The outcome — what Diff ships
 // against prev, the plaintext digests and the session's secrets — is built
-// only when a journal is attached. Unlike table mutations a publish needs no
-// mutation-lock ordering (replay of its epoch is a max() and of its outcome a
-// no-op unless it extends the restored base), so it simply joins whatever
-// group flush is forming.
+// only when a journal is attached. Replay of its epoch is a max() and of its
+// outcome a no-op unless it extends the restored base, so a publish simply
+// joins whatever group flush is forming.
 func (p *Publisher) journalPublish(prev, cur *lastBroadcast, secrets sessionSecrets) error {
-	if p.journal == nil {
+	j := p.Journal()
+	if j == nil {
 		return nil
 	}
 	ev := StateEvent{Kind: StateEventPublish, Doc: cur.b.DocName, Epoch: cur.b.Epoch, Outcome: publishOutcome(prev, cur, secrets)}
-	t, err := p.journal.Begin([]StateEvent{ev}, nil)
+	t, err := j.Begin([]StateEvent{ev}, nil)
 	if err == nil {
 		err = t.Wait()
 	}

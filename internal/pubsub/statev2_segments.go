@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math/bits"
 	"slices"
 	"sort"
@@ -108,29 +109,53 @@ func (p *Publisher) ExportStateSegments(segSlots int, base *SegmentBase) (*Segme
 	sort.Slice(shards, func(i, j int) bool { return shards[i].ID < shards[j].ID })
 	sort.Slice(grouped, func(i, j int) bool { return grouped[i].ID < grouped[j].ID })
 
-	// grpMu held across the whole export: assignments, group-universe
-	// lengths and the rows they describe are read as one consistent unit
-	// (lock order grpMu → mu → pubMu, consistent with every other path).
-	r.grpMu.Lock()
-	defer r.grpMu.Unlock()
-
-	// Steal the dirty bitmap and capture geometry under the write lock.
-	// Mutations landing after the steal re-accumulate for the next snapshot;
-	// the WAL records they journal sit above the store's captured sequence,
-	// so replay covers them regardless of whether this export's later row
-	// reads happened to observe them.
+	// One hold of the registry write lock reads the table side: the stolen
+	// dirty bits, the dirty table segments, the grouped policies with their
+	// group-universe lengths, and the membership versions. The stored gid
+	// columns are then consistent with the stored universe lengths. Mutations
+	// landing after the hold re-accumulate for the next snapshot; the WAL
+	// records they journal sit above the store's captured sequence, so replay
+	// covers them. Cache buckets are encoded outside the hold, and the epoch
+	// and diff bases are read after it (encodeMetaSegment): a publish holds
+	// pubMu across its journal ticket while the journal's applies take mu, so
+	// waiting for pubMu under mu could deadlock.
 	r.mu.Lock()
 	tabGen := r.tabGen
 	slotsLen := len(r.tab.nyms)
-	dirtyBits := r.tab.stealDirty()
-	r.mu.Unlock()
-
 	tableSegs := (slotsLen + segSlots - 1) / segSlots
 	full := base == nil ||
 		base.TabGen != tabGen ||
 		base.Geometry.SegSlots != segSlots ||
 		base.Geometry.TableSegs > tableSegs ||
 		base.Geometry.CacheSegs <= 0
+	// Dirty table segments: every stolen bit's segment, plus any segment
+	// range that did not exist at the base (appended slots mark themselves,
+	// so this is belt-and-braces for the geometry edge).
+	dirty := make([]bool, tableSegs)
+	for w, mask := range r.tab.stealDirty() {
+		for mask != 0 {
+			slot := w*64 + bits.TrailingZeros64(mask)
+			mask &= mask - 1
+			if slot < slotsLen {
+				dirty[slot/segSlots] = true
+			}
+		}
+	}
+	polIDs := sortedKeys(r.grp)
+	universe := make([]int, len(polIDs))
+	for k, pid := range polIDs {
+		universe[k] = len(r.grp[pid].counts)
+	}
+	memVer := maps.Clone(r.memVer)
+	table := make([][]byte, tableSegs)
+	for seg := range dirty {
+		if full || dirty[seg] || seg >= base.Geometry.TableSegs {
+			lo := seg * segSlots
+			table[seg] = r.encodeTableSegment(lo, min(lo+segSlots, slotsLen), polIDs)
+		}
+	}
+	r.mu.Unlock()
+
 	// Cache bucket geometry is independent of the table carry: when the cache
 	// has grown enough to deserve more buckets, re-bucket it inside this
 	// otherwise-incremental export (every bucket rewritten once — the base
@@ -154,32 +179,9 @@ func (p *Publisher) ExportStateSegments(segSlots int, base *SegmentBase) (*Segme
 		Geometry: SegmentGeometry{SegSlots: segSlots, TableSegs: tableSegs, CacheSegs: cacheSegs},
 		TabGen:   tabGen,
 		Full:     full,
-		Table:    make([][]byte, tableSegs),
+		Table:    table,
 		Cache:    make([][]byte, cacheSegs),
 	}
-
-	// Dirty table segments: every stolen bit's segment, plus any segment
-	// range that did not exist at the base (appended slots mark themselves,
-	// so this is belt-and-braces for the geometry edge).
-	dirty := make([]bool, tableSegs)
-	for w, mask := range dirtyBits {
-		for mask != 0 {
-			slot := w*64 + bits.TrailingZeros64(mask)
-			mask &= mask - 1
-			if slot < slotsLen {
-				dirty[slot/segSlots] = true
-			}
-		}
-	}
-	polIDs := sortedKeys(r.grp)
-	r.mu.RLock()
-	for seg := range dirty {
-		if full || dirty[seg] || seg >= base.Geometry.TableSegs {
-			lo := seg * segSlots
-			exp.Table[seg] = r.encodeTableSegment(lo, min(lo+segSlots, len(r.tab.nyms)), polIDs)
-		}
-	}
-	r.mu.RUnlock()
 
 	// Cache buckets: partition deterministically by entry ID, digest each
 	// bucket's identity, and re-encode only buckets whose digest moved.
@@ -196,7 +198,7 @@ func (p *Publisher) ExportStateSegments(segSlots int, base *SegmentBase) (*Segme
 		}
 	}
 
-	exp.Meta, err = p.encodeMetaSegment(cfgs, grouped, polIDs)
+	exp.Meta, err = p.encodeMetaSegment(cfgs, grouped, memVer, polIDs, universe)
 	return exp, err
 }
 
@@ -291,7 +293,7 @@ func cacheBucketDigest(cfgs []core.CachedConfig, shards []core.CachedShard, grou
 // encodeTableSegment encodes slots [lo, hi): the table's own columns plus one
 // gid column per grouped policy: a window of the live column, copied only to
 // blank the gid a leaver's dead slot holds until its hint is consumed (a dead
-// slot stores no group). Callers hold grpMu and at least the registry read lock.
+// slot stores no group). Callers hold at least the registry read lock.
 func (r *registry) encodeTableSegment(lo, hi int, polIDs []string) []byte {
 	nyms := r.tab.nyms[lo:hi]
 	gids := make([][]int32, len(polIDs))
@@ -360,23 +362,19 @@ func encodeCacheBucket(cfgs []core.CachedConfig, shards []core.CachedShard, grou
 }
 
 // encodeMetaSegment encodes the small always-rewritten remainder: epoch,
-// generation, membership versions, per-policy group-universe lengths and the
-// per-document diff bases. Callers hold grpMu.
-func (p *Publisher) encodeMetaSegment(cfgs []core.CachedConfig, grouped []core.CachedGrouped, polIDs []string) ([]byte, error) {
-	r := p.reg
+// generation, membership versions, the grouped policies' group-universe
+// lengths (universe[k] is polIDs[k]'s) and the per-document diff bases. The
+// caller read the registry's share under one registry lock hold and holds no
+// lock now: the epoch and the diff bases are read here, under pubMu.
+func (p *Publisher) encodeMetaSegment(cfgs []core.CachedConfig, grouped []core.CachedGrouped, memVer map[string]uint64, polIDs []string, universe []int) ([]byte, error) {
 	w := &stateWriter{}
 	w.u8(segPayloadVersion)
-
 	last := p.writeStateStamp(w)
-
-	r.mu.RLock()
-	writeStateVersions(w, r.memVer)
-	r.mu.RUnlock()
-
+	writeStateVersions(w, memVer)
 	w.u32(len(polIDs))
-	for _, pid := range polIDs {
+	for k, pid := range polIDs {
 		w.str(pid)
-		w.u32(len(r.grp[pid].counts))
+		w.u32(universe[k])
 	}
 	writeStateBases(w, last, cfgs, grouped)
 	return w.out(), w.err

@@ -370,10 +370,10 @@ func TestJournalWriteAhead(t *testing.T) {
 	}
 }
 
-// TestSetJournalRace: the journal pointer is written under mutMu and then
-// pubMu and read under one of them, so attaching and detaching a journal
-// while registrations, revocations and publishes run is race-free (this test
-// is for go test -race).
+// TestSetJournalRace: the journal pointer is atomic and every mutation and
+// publish reads it once, so attaching and detaching a journal while
+// registrations, revocations and publishes run is race-free (this test is
+// for go test -race).
 func TestSetJournalRace(t *testing.T) {
 	env := newDeltaEnv(t, 2, 0)
 	var batches [][]*RegistrationRequest
@@ -477,13 +477,22 @@ func registrationBatch(t *testing.T, pub *Publisher, nym string) []*Registration
 	return batch
 }
 
-// journalFunc is a journal whose commits resolve at once: each event goes to
-// the function, and the first error fails the commit before apply runs.
-type journalFunc func(StateEvent) error
+// journalFunc returns a journal whose commits resolve at once: each event
+// goes to f, and the first error fails the commit before apply runs. Begin
+// and apply run under the journal's own lock, so concurrent commits apply in
+// the order f sees them — the ordering the Journal contract asks for.
+func journalFunc(f func(StateEvent) error) Journal { return &funcJournal{f: f} }
 
-func (f journalFunc) Begin(evs []StateEvent, apply func()) (CommitTicket, error) {
+type funcJournal struct {
+	mu sync.Mutex
+	f  func(StateEvent) error
+}
+
+func (j *funcJournal) Begin(evs []StateEvent, apply func()) (CommitTicket, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	for _, ev := range evs {
-		if err := f(ev); err != nil {
+		if err := j.f(ev); err != nil {
 			return nil, err
 		}
 	}

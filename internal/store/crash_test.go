@@ -19,7 +19,7 @@ import (
 
 // failAfterFlush is a journal whose commits reach the disk and then report
 // failure: to the publisher, a crash between its record's fsync and Publish
-// returning.
+// returning. The store it wraps orders the commits and their applies.
 type failAfterFlush struct{ *Store }
 
 func (f failAfterFlush) Begin(evs []pubsub.StateEvent, apply func()) (pubsub.CommitTicket, error) {
@@ -337,10 +337,11 @@ func TestPublishRecordSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := len(wire.MarshalDeltaFrame(d))
-	churn, cold := seal(log[len(log)-1]), seal(log[0])
+	evs := log.evs
+	churn, cold := seal(evs[len(evs)-1]), seal(evs[0])
 	t.Logf("publish record after %d leaves: %d B sealed, delta frame %d B; cold record %d B (%.1f B per row)",
 		leaves, churn, frame, cold, float64(cold)/rows)
-	if log[len(log)-1].Outcome == nil || len(log[len(log)-1].Outcome.Shards) != leaves {
+	if evs[len(evs)-1].Outcome == nil || len(evs[len(evs)-1].Outcome.Shards) != leaves {
 		t.Fatalf("the churn record does not carry the %d re-solved shards", leaves)
 	}
 	if churn > 2*frame {

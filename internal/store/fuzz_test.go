@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ppcd/internal/core"
@@ -33,11 +34,17 @@ func sealRecord(t testing.TB, seq uint64, ev pubsub.StateEvent) []byte {
 }
 
 // eventLog is a journal that keeps what it is handed; its commits resolve at
-// once.
-type eventLog []pubsub.StateEvent
+// once. Begin and apply run under its lock, so concurrent commits apply in
+// the order they are logged.
+type eventLog struct {
+	mu  sync.Mutex
+	evs []pubsub.StateEvent
+}
 
 func (l *eventLog) Begin(evs []pubsub.StateEvent, apply func()) (pubsub.CommitTicket, error) {
-	*l = append(*l, evs...)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.evs = append(l.evs, evs...)
 	if apply != nil {
 		apply()
 	}
@@ -66,10 +73,11 @@ func livePublishEvents(t testing.TB) (cold, churn pubsub.StateEvent) {
 	if _, err := ts.pub.Publish(ts.doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(log) != 3 || log[0].Outcome == nil || log[2].Outcome == nil {
-		t.Fatalf("journal holds %d events, want two publishes with outcomes around a revocation", len(log))
+	evs := log.evs
+	if len(evs) != 3 || evs[0].Outcome == nil || evs[2].Outcome == nil {
+		t.Fatalf("journal holds %d events, want two publishes with outcomes around a revocation", len(evs))
 	}
-	return log[0], log[2]
+	return evs[0], evs[2]
 }
 
 // The allocation bounds of the event decoders. An event allocates its map

@@ -366,19 +366,13 @@ func (s *Store) Snapshot(p *pubsub.Publisher) error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 
-	// The sequence captured here is the only sound cover claim: events
-	// admitted during the export may or may not be included, so they must be
-	// replayed — replay is idempotent over a state that already contains
-	// them, and the sequence filter cuts a clean prefix. The capture happens
-	// inside the publisher's journal barrier with the commit pipeline
-	// drained: without that, a mutation could sit admitted-but-not-applied,
-	// the export would miss it, and the snapshot would still claim its
-	// sequence — losing the event on the next recovery.
-	var seqBefore uint64
-	var closed bool
-	p.JournalBarrier(func() {
-		seqBefore, closed = s.drainCommits()
-	})
+	// The sequence the drain captures is the only sound cover claim: every
+	// commit at or below it is applied before the export reads the state.
+	// Events admitted during the drain or the export may or may not be
+	// included, so they sit above the claim and are replayed — replay is
+	// idempotent over a state that already contains them, and the sequence
+	// filter cuts a clean prefix.
+	seqBefore, closed := s.drainCommits()
 	if closed {
 		return errors.New("store: closed")
 	}

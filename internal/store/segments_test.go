@@ -435,11 +435,11 @@ func truncateFile(t *testing.T, path string, frac float64) {
 }
 
 // TestConcurrentCommitOrdering exercises the pipelined group commit under
-// concurrent mutators (run with -race in CI): admits are serialized by a
-// mutation lock exactly like the publisher's, but flushes coalesce freely.
-// The invariants: applies run in admission order, every ticket resolves
-// only after its record is durable, and a reopened store replays exactly
-// the admitted events in the admitted order.
+// concurrent mutators (run with -race in CI): nothing outside the store
+// orders the admits — the publisher takes no lock around Begin — and flushes
+// coalesce freely. The invariants: applies run in the order the reopened log
+// replays, every ticket resolves only after its record is durable and
+// applied, and each writer's commits keep their order.
 func TestConcurrentCommitOrdering(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, testKey())
@@ -448,8 +448,6 @@ func TestConcurrentCommitOrdering(t *testing.T) {
 	}
 
 	const writers, perWriter = 8, 20
-	var admitMu sync.Mutex // the publisher's mutation-lock role
-	var admitted []string
 	applied := make([]string, 0, writers*perWriter) // flusher-only writes
 
 	var wg sync.WaitGroup
@@ -461,20 +459,21 @@ func TestConcurrentCommitOrdering(t *testing.T) {
 				nym := fmt.Sprintf("pn-%d-%d", w, i)
 				ev := pubsub.StateEvent{Kind: pubsub.StateEventRegister, Nym: nym,
 					Cells: map[string]core.CSS{"attr0 >= 1": core.CSS(i)}}
-				admitMu.Lock()
+				var done bool
 				tk, err := st.Begin([]pubsub.StateEvent{ev}, func() {
 					applied = append(applied, nym)
+					done = true
 				})
 				if err != nil {
-					admitMu.Unlock()
 					t.Error(err)
 					return
 				}
-				admitted = append(admitted, nym)
-				admitMu.Unlock()
 				if err := tk.Wait(); err != nil {
 					t.Error(err)
 					return
+				}
+				if !done {
+					t.Errorf("ticket of %s resolved before its apply", nym)
 				}
 			}
 		}(w)
@@ -483,14 +482,19 @@ func TestConcurrentCommitOrdering(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	if len(applied) != len(admitted) {
-		t.Fatalf("%d applies for %d admits", len(applied), len(admitted))
+	if len(applied) != writers*perWriter {
+		t.Fatalf("%d applies for %d commits", len(applied), writers*perWriter)
 	}
-	for i := range admitted {
-		if applied[i] != admitted[i] {
-			t.Fatalf("apply order diverges from admission order at %d: %s != %s", i, applied[i], admitted[i])
+	next := make([]int, writers) // each writer's next commit
+	for _, nym := range applied {
+		var w, i int
+		if _, err := fmt.Sscanf(nym, "pn-%d-%d", &w, &i); err != nil {
+			t.Fatal(err)
 		}
+		if i != next[w] {
+			t.Fatalf("writer %d's commit %d applied before its commit %d", w, i, next[w])
+		}
+		next[w]++
 	}
 
 	rst, err := Open(dir, testKey())
@@ -501,12 +505,12 @@ func TestConcurrentCommitOrdering(t *testing.T) {
 	if rst.seq != uint64(writers*perWriter) {
 		t.Fatalf("recovered seq = %d, want %d", rst.seq, writers*perWriter)
 	}
-	if len(rst.pending) != len(admitted) {
-		t.Fatalf("recovered %d events, admitted %d", len(rst.pending), len(admitted))
+	if len(rst.pending) != len(applied) {
+		t.Fatalf("recovered %d events, applied %d", len(rst.pending), len(applied))
 	}
 	for i, ev := range rst.pending {
-		if ev.Nym != admitted[i] {
-			t.Fatalf("journal order diverges from admission order at %d: %s != %s", i, ev.Nym, admitted[i])
+		if ev.Nym != applied[i] {
+			t.Fatalf("replay order diverges from apply order at %d: %s != %s", i, ev.Nym, applied[i])
 		}
 	}
 }

@@ -221,12 +221,13 @@ func (t commitTicket) Wait() error {
 }
 
 // Begin implements pubsub.Journal: it seals evs into consecutive
-// records, claims their sequence numbers, and enqueues them for the flusher
-// goroutine — returning immediately, so the caller can release its mutation
-// lock and concurrent mutators can join the same coalesced write+fsync.
-// apply runs on the flusher, in sequence order, exactly once, strictly after
-// the records are durable and strictly before the ticket resolves; on a
-// flush failure it never runs.
+// records, claims their sequence numbers under the store lock, and enqueues
+// them for the flusher goroutine — returning immediately, so concurrent
+// mutators join the same coalesced write+fsync. Begin may be called
+// concurrently; the sequence numbers it hands out are the one order of the
+// commits. apply runs on the flusher, in sequence order, exactly once,
+// strictly after the records are durable and strictly before the ticket
+// resolves; on a flush failure it never runs.
 //
 // The write-ahead invariant is preserved end to end: no mutation is visible
 // in memory (apply) or to the caller (Wait) before its record is fsynced,
@@ -400,27 +401,28 @@ func (s *Store) failFlush(batch []*walCommit, werr error) {
 	s.mu.Unlock()
 }
 
-// drainCommits waits until every admitted commit has resolved and returns
-// the sequence number an upcoming snapshot may claim coverage of. It runs
-// inside the publisher's journal barrier: table mutators are blocked, so
-// every table mutation with seq ≤ the returned value is applied and will be
-// captured by the export. Publish records can still be admitted DURING the
-// drain (they commit outside the mutation lock), and claiming them is sound
-// too. A publish's rekey session writes the engine cache before its Begin,
-// and the export reads the cache after this drain. Its epoch and diff base
-// are committed after its ticket resolves, but under the publish lock it has
-// held since before its Begin, which the export's epoch and diff-base read
-// takes — so the export holds every publish whose sequence the snapshot
-// claims. A publish above the claim whose broadcast the export nonetheless
-// holds is skipped on replay: its epoch is not newer than the restored base.
-func (s *Store) drainCommits() (seqBefore uint64, closed bool) {
+// drainCommits captures the last admitted sequence, waits until every commit
+// up to it has resolved, and returns it: the sequence an upcoming snapshot may
+// claim coverage of. Applies run before acks, so every table mutation with
+// seq ≤ the returned value is applied and will be captured by the export.
+// Commits admitted during the wait sit above the claim and are replayed on
+// recovery, whether or not the export saw them; claiming the live sequence
+// instead would skip one the export missed. A publish at or below the claim
+// is in the export as well: its rekey session writes the engine cache before
+// its Begin, and the export reads the cache after this drain; its epoch and
+// diff base are committed after its ticket resolves, but under the publish
+// lock it has held since before its Begin, which the export's epoch and
+// diff-base read takes. A publish above the claim whose broadcast the export
+// nonetheless holds is skipped on replay: its epoch is not newer than the
+// restored base.
+func (s *Store) drainCommits() (target uint64, closed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	target := s.seq
+	target = s.seq
 	for s.acked < target {
 		s.cond.Wait()
 	}
-	return s.seq, s.closed
+	return target, s.closed
 }
 
 // --- event codec -----------------------------------------------------------
